@@ -22,7 +22,7 @@ from .grid_module import (EncodedView, ExtendedView, GridModule,
                           materialize_box, restrict_view, validate_module,
                           window_module)
 from .determinacy import (DEFAULT_MARGIN, DeterminacyReport, canonical_map_check,
-                          check_encoding, default_oracle_window, encode,
+                          canonical_set, check_encoding, default_oracle_window, encode,
                           finitely_determined_check, is_S_determined,
                           is_S_determined_oracle)
 from .presentation import (BirthDeathReport, Presentation, PresentationCheck,

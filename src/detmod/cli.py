@@ -18,8 +18,8 @@ from . import io as dio
 from .errors import ConsistencyError, InputError, NotDeterminedError
 from .extgrid import Box, convex_projection, ext_box, extended_projection, \
     is_integral, join_below, meet_above, sort_points
-from .determinacy import (DEFAULT_MARGIN, default_oracle_window, encode,
-                          is_S_determined, is_S_determined_oracle)
+from .determinacy import (DEFAULT_MARGIN, canonical_set, default_oracle_window,
+                          encode, is_S_determined, is_S_determined_oracle)
 from .grid_module import ExtendedView
 from .linalg import validate_diagram
 from .grid_module import validate_module
@@ -81,15 +81,6 @@ def _margin(args) -> int:
     if value < 1:
         raise InputError(f"margin must be a positive integer, got {value}")
     return value
-
-
-def _canonical_box(module) -> Box:
-    """Box whose extension is the default determining set for a stored module."""
-    a, b = module.box.a, module.box.b
-    shifted = tuple(x + 1 for x in a)
-    if all(s <= y for s, y in zip(shifted, b)):
-        return Box(shifted, b)
-    return Box(a, b)
 
 
 def _emit(payload, out_path: str | None) -> None:
@@ -161,7 +152,7 @@ def _cmd_births_deaths(args) -> int:
         if args.set:
             s = dio.pointset_from_json(_read_json_arg(args.set), dim=module.box.dim)
         else:
-            s = ext_box(_canonical_box(module)).points()
+            s = canonical_set(module)
         report = births_deaths(view, s, margin=_margin(args))
     else:
         raise InputError("births-deaths expects a module or diagram file")
@@ -175,15 +166,14 @@ def _cmd_present(args) -> int:
     if args.set:
         s = dio.pointset_from_json(_read_json_arg(args.set), dim=module.box.dim)
     else:
-        s = ext_box(_canonical_box(module)).points()
+        s = canonical_set(module)
     pres = build_presentation(view, s, margin=_margin(args))
     _emit(dio.presentation_to_json(pres), args.out)
     return 0
 
 
 def _default_test_points(module) -> list:
-    box = _canonical_box(module)
-    pts = set(ext_box(box).points())
+    pts = set(canonical_set(module))
     lo = tuple(x - 2 for x in module.box.a)
     hi = tuple(x + 2 for x in module.box.b)
     pts.update(Box(lo, hi).integer_points())

@@ -16,8 +16,8 @@ from .errors import InputError, NotDeterminedError
 from .extgrid import (Box, CartesianSet, NEG_INF, as_point, critical_grid,
                       downset_of, ext_box, in_upset, join_below, min_point,
                       pointed_closure)
-from .grid_module import EncodedView, ExtendedView, GridModule, restrict_view
-from .linalg import PosetDiagram, diagrams_isomorphic, is_invertible
+from .grid_module import ExtendedView, GridModule
+from .linalg import PosetDiagram, diagrams_isomorphic, is_invertible, validate_diagram
 
 DEFAULT_MARGIN = 1
 
@@ -134,6 +134,19 @@ def canonical_map_check(view: ExtendedView, s,
     return DeterminacyReport(True, None, None, "critical-grid")
 
 
+def canonical_set(module: GridModule) -> frozenset:
+    """Default determining set of a stored module: the extended box [a + 1, b].
+
+    The data box [a, b] itself is extended instead when a + 1 exceeds b on
+    some axis.
+    """
+    a, b = module.box.a, module.box.b
+    shifted = tuple(x + 1 for x in a)
+    if all(s <= y for s, y in zip(shifted, b)):
+        return ext_box(Box(shifted, b)).points()
+    return ext_box(module.box).points()
+
+
 def encode(view: ExtendedView, s, margin: int = DEFAULT_MARGIN) -> PosetDiagram:
     """The finite model: the view restricted to the pointed join closure of the set.
 
@@ -151,17 +164,24 @@ def check_encoding(view: ExtendedView, s, n: PosetDiagram,
                    margin: int = DEFAULT_MARGIN) -> bool:
     """Does restricting ``n`` along the collapse reproduce the module?
 
-    Both sides are evaluated on the critical grid and compared up to natural
-    isomorphism, built greedily along a linear extension of the grid.
+    ``n`` must be a commuting diagram on the pointed join closure of the set;
+    anything else is an input error, whatever the verdict would be.  The
+    restriction reproduces the module exactly when the set determines it
+    (the covering-pair condition) and ``n`` is isomorphic to the module's own
+    restriction to the closure, so the isomorphism search runs on the closure
+    only.
     """
     pts = _normalize_set(view, s)
     closure = pointed_closure(pts, dim=view.box.dim)
     if frozenset(n.points) != closure:
         raise InputError("diagram is not defined on the pointed join closure of the set")
-    grid = critical_grid(view.box, pts, margin=margin)
-    candidate = restrict_view(EncodedView(n), grid)
-    target = restrict_view(view, grid)
-    return diagrams_isomorphic(candidate, target)
+    if n.field != view.field:
+        raise InputError("diagram and module are over different fields")
+    check = validate_diagram(n)
+    if not check:
+        raise InputError(f"diagram does not validate: {check.message} at {check.square!r}")
+    return (is_S_determined(view, pts, check_support=False, margin=margin).holds
+            and diagrams_isomorphic(n, view.restrict_diagram(closure)))
 
 
 def finitely_determined_check(module: GridModule, candidate_box: Box,

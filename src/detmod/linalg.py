@@ -422,25 +422,35 @@ class PosetDiagram:
         return self.maps[(c, d)]
 
     def path_map(self, c: Point, d: Point) -> Matrix:
-        """Structure map between comparable points, composed along covers."""
+        """Structure map between comparable points, composed along covers.
+
+        Walks up from c, each time to the first point of (x, d] in the linear
+        extension (a cover of x), and caches every composite on the way.
+        """
         if c == d:
             return Matrix.identity(self.field, self.dims[c])
-        key = (c, d)
-        cached = self._path_cache.get(key)
+        cached = self._path_cache.get((c, d))
         if cached is not None:
             return cached
         if not leq(c, d):
             raise InputError(f"{c!r} is not below {d!r} in the diagram")
+        steps = []
+        x = c
         between = [y for y in self.points if lt(c, y) and leq(y, d)]
-        nxt = None
-        for y in sorted(between, key=point_sort_key):
-            if not any(lt(r, y) for r in between):
-                nxt = y
+        while True:
+            if not between:
+                raise InputError(f"no covering chain from {x!r} to {d!r}")
+            nxt = between[0]
+            steps.append((x, nxt))
+            result = Matrix.identity(self.field, self.dims[d]) if nxt == d \
+                else self._path_cache.get((nxt, d))
+            if result is not None:
                 break
-        if nxt is None:
-            raise InputError(f"no covering chain from {c!r} to {d!r}")
-        result = self.path_map(nxt, d) @ self.maps[(c, nxt)]
-        self._path_cache[key] = result
+            x = nxt
+            between = [y for y in between if lt(x, y)]
+        for x, nxt in reversed(steps):
+            result = result @ self.maps[(x, nxt)]
+            self._path_cache[(x, d)] = result
         return result
 
     def restrict_downclosed(self, points: Iterable[Point]) -> "PosetDiagram":

@@ -2,10 +2,9 @@
 
 A point is a birth when the canonical map from the colimit over its strict
 downset (inside the encoding poset) fails to be surjective, and a death when
-that map fails to be injective.  Generators of the presentation are placed at
-births; relations are found by scanning the encoding poset and recording, at
-each point, the new kernel vectors of the map from the free module on the
-generators.
+that map fails to be injective.  Its image is that of the point's lower-cover
+maps, off which the presentation is read: generators at births, and relations
+from the kernel vectors that are new modulo the kernels at the lower covers.
 """
 
 from __future__ import annotations
@@ -14,13 +13,13 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import ConsistencyError, InputError
-from .extgrid import (Point, as_point, critical_grid, join_closure, leq, lt,
-                      min_point, sort_points)
+from .extgrid import (Point, as_point, critical_grid, join_below, join_closure,
+                      leq, lt, min_point, sort_points)
 from .grid_module import EncodedView, ExtendedView, GridModule, restrict_view
 from .determinacy import DEFAULT_MARGIN, is_S_determined, encode
 from .linalg import (Matrix, PosetDiagram, cokernel_projection, diagram_colimit,
-                     diagrams_isomorphic, hstack, kernel_basis, poset_covers,
-                     rank, solve)
+                     diagrams_isomorphic, hstack, is_invertible, kernel_basis,
+                     poset_covers, rank, rref, solve, vstack)
 
 
 @dataclass(frozen=True)
@@ -83,29 +82,30 @@ class Presentation:
         return Matrix.zeros(self.field, gen_mult[b], rel_mult[d])
 
 
-def _colimit_with_quotient(sub: PosetDiagram):
-    colim_dim, injections = diagram_colimit(sub)
-    total = sum(sub.dims[p] for p in sub.points)
-    quotient = hstack(sub.field, [injections[p] for p in sub.points], nrows=colim_dim) \
-        if sub.points else Matrix.zeros(sub.field, colim_dim, total)
-    return colim_dim, quotient
+def _lower_covers(diagram: PosetDiagram) -> dict:
+    """The lower covers of every point of the diagram."""
+    lower = {c: [] for c in diagram.points}
+    for p, c in diagram.covers():
+        lower[c].append(p)
+    return lower
 
 
 def predecessor_colimit_map(diagram: PosetDiagram, c: Point) -> Matrix:
     """Canonical map into c from the colimit over the strict downset of c.
 
     The downset is taken inside the diagram's own point set; when it is empty
-    the map has a zero-dimensional source.  Failure to be surjective makes c
-    a birth, failure to be injective a death.
+    the map has a zero-dimensional source.  The colimit injections from the
+    lower covers of c span the colimit, so the map is the unique solution of
+    the equations that send each of those injections to its cover map into c.
+    Failure to be surjective makes c a birth, failure to be injective a death.
     """
     if c not in diagram.dims:
         raise InputError(f"{c!r} is not a point of the diagram")
     below = [p for p in diagram.points if lt(p, c)]
-    sub = diagram.restrict_downclosed(below)
-    colim_dim, quotient = _colimit_with_quotient(sub)
-    legs = [diagram.path_map(p, c) for p in sub.points]
-    cone = hstack(diagram.field, legs, nrows=diagram.dims[c]) if legs \
-        else Matrix.zeros(diagram.field, diagram.dims[c], 0)
+    colim_dim, injections = diagram_colimit(diagram.restrict_downclosed(below))
+    lower = _lower_covers(diagram)[c]
+    quotient = hstack(diagram.field, [injections[p] for p in lower], nrows=colim_dim)
+    cone = hstack(diagram.field, [diagram.map(p, c) for p in lower], nrows=diagram.dims[c])
     lam_t = solve(quotient.transpose(), cone.transpose())
     if lam_t is None:
         raise ConsistencyError("cone map does not factor through the colimit")
@@ -162,53 +162,39 @@ def _generator_lifts(lam: Matrix) -> Matrix:
 def build_presentation(view: ExtendedView, s, margin: int = DEFAULT_MARGIN) -> Presentation:
     """Construct a graded presentation of a determined module.
 
-    Generators are lifts of cokernel bases of the predecessor colimit maps at
-    births.  Scanning the encoding poset upward, the kernel of the evaluation
-    map from the free module on all generators below a point, modulo kernels
-    inherited from lower points, contributes that point's relations.
+    The generators at each point of the encoding lift a basis of the
+    cokernel of its lower-cover maps placed side by side.  Scanning upward,
+    the kernel of the evaluation map from the free module on the generators
+    below a point contributes as relations the columns that are new modulo
+    the kernels embedded from its lower covers (pivot columns of one rref).
     """
     field = view.field
     enc = encode(view, s, margin=margin)
+    lower = _lower_covers(enc)
     lifts = {}
     generators = []
     for c in enc.points:
-        lam = predecessor_colimit_map(enc, c)
-        lift = _generator_lifts(lam)
+        image = hstack(field, [enc.map(p, c) for p in lower[c]], nrows=enc.dims[c])
+        lift = _generator_lifts(image)
         if lift.ncols > 0:
             lifts[c] = lift
             generators.append((c, lift.ncols))
-    gen_points = [c for c, _ in generators]
 
     kernels = {}
     relations = []
     rel_vectors = {}
     for c in enc.points:
-        active = [b for b in gen_points if leq(b, c)]
-        blocks = [view.eval_map(b, c) @ lifts[b] for b in active]
-        total = sum(lifts[b].ncols for b in active)
-        ev = hstack(field, blocks, nrows=view.eval_space(c)) if blocks \
-            else Matrix.zeros(field, view.eval_space(c), 0)
+        active = [(b, m) for b, m in generators if leq(b, c)]
+        total = sum(m for _, m in active)
+        ev = hstack(field, [view.eval_map(b, c) @ lifts[b] for b, _ in active],
+                    nrows=view.eval_space(c))
         ker = kernel_basis(ev)
         kernels[c] = (active, ker)
-
-        inherited = []
-        for p in enc.points:
-            if lt(p, c):
-                p_active, p_ker = kernels[p]
-                embedded = _embed_rows(field, p_active, p_ker, active, lifts)
-                inherited.extend(embedded.columns())
-        base = Matrix.from_columns(field, inherited, nrows=total)
-        base_rank = rank(base)
-        chosen = []
-        current = inherited[:]
-        current_rank = base_rank
-        for col in ker.columns():
-            trial = Matrix.from_columns(field, current + [col], nrows=total)
-            r = rank(trial)
-            if r > current_rank:
-                chosen.append(col)
-                current.append(col)
-                current_rank = r
+        embedded = [_generator_inclusion(field, kernels[p][0], active) @ kernels[p][1]
+                    for p in lower[c]]
+        inherited = hstack(field, embedded, nrows=total)
+        _, pivots = rref(hstack(field, [inherited, ker], nrows=total))
+        chosen = [ker.column(j - inherited.ncols) for j in pivots if j >= inherited.ncols]
         if chosen:
             relations.append((c, len(chosen)))
             rel_vectors[c] = (active, Matrix.from_columns(field, chosen, nrows=total))
@@ -216,32 +202,13 @@ def build_presentation(view: ExtendedView, s, margin: int = DEFAULT_MARGIN) -> P
     blocks = {}
     for d, (active, vectors) in rel_vectors.items():
         offset = 0
-        for b in active:
-            mult = lifts[b].ncols
+        for b, mult in active:
             seg = Matrix(field, [vectors.rows[offset + i] for i in range(mult)],
                          ncols=vectors.ncols, _coerce=False)
             if not seg.is_zero():
                 blocks[(d, b)] = seg
             offset += mult
     return Presentation(field, view.box.dim, tuple(generators), tuple(relations), blocks)
-
-
-def _embed_rows(field, sub_points, mat: Matrix, full_points, lifts) -> Matrix:
-    """Pad a generator-graded matrix from a smaller active set into a larger one."""
-    rows = []
-    offset = 0
-    sub_offsets = {}
-    for b in sub_points:
-        sub_offsets[b] = offset
-        offset += lifts[b].ncols
-    for b in full_points:
-        mult = lifts[b].ncols
-        if b in sub_offsets:
-            o = sub_offsets[b]
-            rows.extend(mat.rows[o + i] for i in range(mult))
-        else:
-            rows.extend((field.zero,) * mat.ncols for _ in range(mult))
-    return Matrix(field, rows, ncols=mat.ncols, _coerce=False)
 
 
 def _free_complex_at(pres: Presentation, pt: Point):
@@ -254,17 +221,10 @@ def _free_complex_at(pres: Presentation, pt: Point):
         col_block = []
         for b, bm in gens:
             col_block.append(pres.block(d, b))
-        blocks.append(vstack_blocks(pres.field, col_block, dm))
+        blocks.append(vstack(pres.field, col_block, dm))
     mat = hstack(pres.field, blocks, nrows=nrows) if blocks \
         else Matrix.zeros(pres.field, nrows, 0)
     return gens, rels, mat
-
-
-def vstack_blocks(field, mats, ncols):
-    rows = []
-    for m in mats:
-        rows.extend(m.rows)
-    return Matrix(field, rows, ncols=ncols, _coerce=False)
 
 
 def verify_presentation(view: ExtendedView, pres: Presentation,
@@ -359,18 +319,27 @@ def unzip_module(l, n: PosetDiagram) -> EncodedView:
 def is_admissible(module: GridModule, l, margin: int = DEFAULT_MARGIN) -> bool:
     """Does zipping then unzipping along the lattice reproduce the module?
 
-    Computes both sides of the equivalence independently, the reconstruction
-    comparison on the critical grid and the determinacy check with support,
-    and insists that they agree before returning the shared verdict.
+    The reconstruction ``unzip_module(l, zip_module(view, l))`` maps into the
+    module at c by the structure map from the collapse a of c when a lies in
+    the lattice, and by the zero map out of the zero space otherwise.  It
+    reproduces the module exactly when that map is invertible at every point
+    of the critical grid, which holds every collapse.  The determinacy check
+    with support must reach the same verdict.
     """
     pts = _require_join_closed(l)
     view = ExtendedView(module)
     if len(pts[0]) != module.box.dim:
         raise InputError("lattice dimension mismatch")
-    reconstructed = unzip_module(pts, zip_module(view, pts))
+    lattice = frozenset(pts)
+
+    def comparison_invertible(c: Point) -> bool:
+        a = join_below(pts, c)
+        if a in lattice:
+            return is_invertible(view.eval_map(a, c))
+        return view.eval_space(c) == 0
+
     grid = critical_grid(module.box, pts, margin=margin)
-    via_unzip = diagrams_isomorphic(restrict_view(reconstructed, grid),
-                                    restrict_view(view, grid))
+    via_unzip = all(comparison_invertible(c) for c in grid.sorted_points())
     via_determinacy = is_S_determined(view, pts, check_support=True, margin=margin).determined
     if via_unzip != via_determinacy:
         raise ConsistencyError(f"admissibility checks disagree: reconstruction says "

@@ -10,8 +10,10 @@ from __future__ import annotations
 import itertools
 import random
 
-from detmod import (Box, GridModule, Matrix, NEG_INF, PosetDiagram,
-                    PrimeField, is_invertible, leq, lt, mub)
+from detmod import (Box, GridModule, Matrix, NEG_INF, PosetDiagram, Presentation,
+                    PrimeField, canonical_set, cokernel_projection,
+                    diagram_colimit, encode, hstack, is_invertible,
+                    kernel_basis, leq, lt, mub, rank, solve)
 
 F2 = PrimeField(2)
 F5 = PrimeField(5)
@@ -138,8 +140,6 @@ def twist_module(module: GridModule, rng: random.Random) -> GridModule:
     Keeps dimensions and commutativity while making the step matrices
     generic instead of 0/1 diagonal.
     """
-    from detmod import solve
-
     field = module.field
     basis = {p: random_invertible(field, module.dims[p], rng)
              for p in module.box.integer_points()}
@@ -192,17 +192,6 @@ def stabilization_window(view, c) -> Box:
     return Box(tuple(lo), tuple(hi))
 
 
-def canonical_set(module: GridModule) -> frozenset:
-    """Default determining set for a stored module (mirrors the CLI default)."""
-    from detmod import ext_box
-
-    a, b = module.box.a, module.box.b
-    shifted = tuple(x + 1 for x in a)
-    if all(s <= y for s, y in zip(shifted, b)):
-        return ext_box(Box(shifted, b)).points()
-    return ext_box(Box(a, b)).points()
-
-
 def random_ext_point(rng: random.Random, n: int, lo: int = -2, hi: int = 3,
                      bottom_prob: float = 0.3):
     return tuple(NEG_INF if rng.random() < bottom_prob else rng.randint(lo, hi)
@@ -213,3 +202,102 @@ def random_point_set(rng: random.Random, n: int, max_size: int, lo: int = -2,
                      hi: int = 3) -> frozenset:
     size = rng.randint(0, max_size)
     return frozenset(random_ext_point(rng, n, lo, hi) for _ in range(size))
+
+
+# ---------------------------------------------------------------------------
+# presentation oracles: colimit cones over whole strict downsets and kernels
+# inherited from every lower point, as the definitions state them
+
+def colimit_map_by_cone(diagram: PosetDiagram, c) -> Matrix:
+    """Predecessor colimit map solved on every point of the strict downset.
+
+    The cone legs are composites along covering chains (``path_map``).
+    """
+    below = [p for p in diagram.points if lt(p, c)]
+    sub = diagram.restrict_downclosed(below)
+    colim_dim, injections = diagram_colimit(sub)
+    field = diagram.field
+    quotient = hstack(field, [injections[p] for p in sub.points], nrows=colim_dim)
+    cone = hstack(field, [diagram.path_map(p, c) for p in sub.points],
+                  nrows=diagram.dims[c])
+    return solve(quotient.transpose(), cone.transpose()).transpose()
+
+
+def births_deaths_by_cone(diagram: PosetDiagram) -> tuple:
+    """(births, deaths) from the cokernel and kernel of every cone map."""
+    births, deaths = {}, {}
+    for c in diagram.points:
+        lam = colimit_map_by_cone(diagram, c)
+        r = rank(lam)
+        if lam.nrows > r:
+            births[c] = lam.nrows - r
+        if lam.ncols > r:
+            deaths[c] = lam.ncols - r
+    return births, deaths
+
+
+def cokernel_lifts(lam: Matrix) -> Matrix:
+    """Unit vectors at the pivot columns of the cokernel projection of ``lam``."""
+    field = lam.field
+    pivots = [next(j for j, x in enumerate(row) if x != field.zero)
+              for row in cokernel_projection(lam).rows]
+    return Matrix.from_columns(field, [[field.one if i == j else field.zero
+                                        for i in range(lam.nrows)] for j in pivots],
+                               nrows=lam.nrows)
+
+
+def _pad_generator_rows(field, small, mat: Matrix, large) -> Matrix:
+    """Rows of a matrix graded by the (point, multiplicity) list ``small``,
+    placed in the positions of the larger list ``large``."""
+    offsets, o = {}, 0
+    for b, m in small:
+        offsets[b] = o
+        o += m
+    rows = []
+    for b, m in large:
+        for i in range(m):
+            rows.append(mat.rows[offsets[b] + i] if b in offsets else (field.zero,) * mat.ncols)
+    return Matrix(field, rows, ncols=mat.ncols)
+
+
+def presentation_by_full_scan(view, s) -> Presentation:
+    """Generators from the cone colimit maps; relations chosen one rank per
+    kernel column against the kernels of every lower point of the encoding."""
+    field = view.field
+    enc = encode(view, s)
+    lifts, generators = {}, []
+    for c in enc.points:
+        lift = cokernel_lifts(colimit_map_by_cone(enc, c))
+        if lift.ncols:
+            lifts[c] = lift
+            generators.append((c, lift.ncols))
+    kernels, relations, blocks = {}, [], {}
+    for c in enc.points:
+        active = [(b, m) for b, m in generators if leq(b, c)]
+        total = sum(m for _, m in active)
+        ev = hstack(field, [view.eval_map(b, c) @ lifts[b] for b, _ in active],
+                    nrows=view.eval_space(c))
+        ker = kernel_basis(ev)
+        kernels[c] = (active, ker)
+        current = []
+        for p in enc.points:
+            if lt(p, c):
+                current.extend(_pad_generator_rows(field, kernels[p][0], kernels[p][1],
+                                                   active).columns())
+        chosen = []
+        for col in ker.columns():
+            before = rank(Matrix.from_columns(field, current, nrows=total))
+            if rank(Matrix.from_columns(field, current + [col], nrows=total)) > before:
+                chosen.append(col)
+                current.append(col)
+        if not chosen:
+            continue
+        relations.append((c, len(chosen)))
+        vectors = Matrix.from_columns(field, chosen, nrows=total)
+        offset = 0
+        for b, m in active:
+            seg = Matrix(field, vectors.rows[offset:offset + m], ncols=len(chosen))
+            if not seg.is_zero():
+                blocks[(c, b)] = seg
+            offset += m
+    return Presentation(field, view.box.dim, tuple(generators), tuple(relations), blocks)

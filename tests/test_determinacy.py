@@ -312,6 +312,20 @@ class TestCheckEncoding:
         with pytest.raises(InputError):
             check_encoding(view, UNIT_SET, wrong)
 
+    def test_non_commuting_diagram_rejected_even_when_set_does_not_determine(self):
+        view = corner_view()
+        s = {(0, NEG_INF), (NEG_INF, 0)}
+        assert not is_S_determined(view, s, check_support=False).holds
+        top = (0, 0)
+        points = sorted(pointed_closure(s))
+        maps = {(BOTTOM, (0, NEG_INF)): Matrix.identity(F2, 1),
+                (BOTTOM, (NEG_INF, 0)): Matrix.identity(F2, 1),
+                ((0, NEG_INF), top): Matrix.identity(F2, 1),
+                ((NEG_INF, 0), top): Matrix.zeros(F2, 1, 1)}
+        square = PosetDiagram(F2, points, {p: 1 for p in points}, maps)
+        with pytest.raises(InputError):
+            check_encoding(view, s, square)
+
 
 class TestEquivalenceOfConditions:
     def test_three_conditions_agree(self):

@@ -163,6 +163,17 @@ class TestColimit:
                 assert inj[e] @ d.maps[(c, e)] == inj[c]
 
 
+class TestPathMap:
+    def test_long_identity_chain(self):
+        n = 1500
+        points = [(i,) for i in range(n)]
+        covers = list(zip(points, points[1:]))
+        d = PosetDiagram(F2, points, {p: 1 for p in points},
+                         {e: Matrix.identity(F2, 1) for e in covers}, covers=covers)
+        assert d.path_map(points[0], points[-1]) == Matrix.identity(F2, 1)
+        assert d.path_map(points[1], points[-1]) == Matrix.identity(F2, 1)
+
+
 class TestLimit:
     def test_one_point(self):
         d = PosetDiagram(QQ, [(0,)], {(0,): 2}, {})

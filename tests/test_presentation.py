@@ -7,12 +7,13 @@ import pytest
 from detmod import (Box, ExtendedView, GridModule, InputError,
                     Matrix, NEG_INF, NotDeterminedError, PosetDiagram,
                     Presentation, births_deaths, build_presentation,
-                    diagram_births_deaths, diagram_colimit, ext_box, hstack,
+                    diagram_births_deaths, diagram_colimit, encode, ext_box, hstack,
                     in_upset, is_admissible, is_invertible, leq,
                     predecessor_colimit_map, rank, solve, unzip_module,
                     verify_presentation, window_module, zip_module)
-from helpers import (F2, F5, canonical_set, corner_module, halfplane_table,
-                     random_module)
+from helpers import (F2, F5, births_deaths_by_cone, canonical_set,
+                     colimit_map_by_cone, corner_module, halfplane_table,
+                     presentation_by_full_scan, random_module)
 from detmod import QQ
 
 BOTTOM = (NEG_INF, NEG_INF)
@@ -117,6 +118,34 @@ def default_test_points(view):
     hi = tuple(b + 2 for b in view.box.b)
     pts.update(Box(lo, hi).integer_points())
     return pts
+
+
+class TestLowerCoverRoutesMatchOracles:
+    """The lower-cover computations against the whole-downset definitions."""
+
+    @pytest.mark.parametrize("field", [F2, F5, QQ], ids=["f2", "f5", "q"])
+    @pytest.mark.parametrize("nparams", [2, 3])
+    def test_random_modules(self, field, nparams):
+        rng = random.Random(1000 * nparams + (field.p if field.kind == "prime" else 0))
+        for _ in range(10):
+            a = tuple(rng.randint(-1, 1) for _ in range(nparams))
+            b = tuple(x + 4 - nparams for x in a)
+            view = ExtendedView(random_module(field, rng, box=Box(a, b), max_summands=4))
+            s = canonical_set(view.module)
+            enc = encode(view, s)
+            for c in enc.points:
+                assert predecessor_colimit_map(enc, c) == colimit_map_by_cone(enc, c)
+            report = births_deaths(view, s)
+            assert (report.births, report.deaths) == births_deaths_by_cone(enc)
+            assert build_presentation(view, s) == presentation_by_full_scan(view, s)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_halfplane_windows(self, n):
+        diagram = window_module(F5, Box((-n, -n), (n, n)), halfplane_table)
+        for c in diagram.points:
+            assert predecessor_colimit_map(diagram, c) == colimit_map_by_cone(diagram, c)
+        report = diagram_births_deaths(diagram)
+        assert (report.births, report.deaths) == births_deaths_by_cone(diagram)
 
 
 class TestVerifyPresentation:
