@@ -14,7 +14,7 @@ import random
 import time
 
 from detmod import (Box, ExtendedView, GridModule, Matrix, PrimeField, QQ,
-                    build_presentation, ext_box, leq, verify_presentation)
+                    build_presentation, canonical_set, leq, verify_presentation)
 
 FIELDS = {"f2": PrimeField(2), "f5": PrimeField(5), "q": QQ}
 
@@ -48,13 +48,6 @@ def random_interval_sum(field, rng):
     return GridModule(field, box, dims, steps)
 
 
-def determining_set(module):
-    a, b = module.box.a, module.box.b
-    shifted = tuple(x + 1 for x in a)
-    inner = Box(shifted, b) if all(s <= y for s, y in zip(shifted, b)) else Box(a, b)
-    return ext_box(inner).points()
-
-
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--count", type=int, default=50)
@@ -69,7 +62,7 @@ def main():
     for trial in range(args.count):
         module = random_interval_sum(field, rng)
         view = ExtendedView(module)
-        s = determining_set(module)
+        s = canonical_set(module)
         pres = build_presentation(view, s)
         points = set(s)
         lo = tuple(x - 2 for x in module.box.a)

@@ -168,8 +168,9 @@ def check_encoding(view: ExtendedView, s, n: PosetDiagram,
     anything else is an input error, whatever the verdict would be.  The
     restriction reproduces the module exactly when the set determines it
     (the covering-pair condition) and ``n`` is isomorphic to the module's own
-    restriction to the closure, so the isomorphism search runs on the closure
-    only.
+    restriction to the closure, so the isomorphism check runs on the closure
+    only; it accepts at once when ``n`` equals that restriction, as the
+    output of :func:`encode` does.
     """
     pts = _normalize_set(view, s)
     closure = pointed_closure(pts, dim=view.box.dim)

@@ -210,13 +210,18 @@ def presentation_to_json(pres: Presentation) -> dict:
     for (d, b) in sorted(pres.blocks, key=lambda k: (point_sort_key(k[0]), point_sort_key(k[1]))):
         blocks.append({"relation": encode_point(d), "generator": encode_point(b),
                        "block": matrix_to_json(pres.blocks[(d, b)])})
-    return {
+    out = {
         "field": field_to_json(pres.field),
         "n": pres.dim,
         "generators": [{"point": encode_point(p), "multiplicity": m} for p, m in pres.generators],
         "relations": [{"point": encode_point(p), "multiplicity": m} for p, m in pres.relations],
         "rel_matrix": blocks,
     }
+    if pres.generator_images is not None:
+        out["generator_images"] = [
+            {"point": encode_point(b), "images": matrix_to_json(pres.generator_images[b])}
+            for b in sorted(pres.generator_images, key=point_sort_key)]
+    return out
 
 
 def presentation_from_json(obj) -> Presentation:
@@ -252,7 +257,23 @@ def presentation_from_json(obj) -> Presentation:
         if (d, b) in blocks:
             raise InputError(f"duplicate rel_matrix block ({d!r}, {b!r})")
         blocks[(d, b)] = matrix_from_json(field, entry.get("block"), (gen_mult[b], rel_mult[d]))
-    return Presentation(field, n, generators, relations, blocks)
+    images = None
+    if "generator_images" in obj:
+        if not isinstance(obj["generator_images"], list):
+            raise InputError("generator_images must be a JSON array")
+        images = {}
+        for entry in obj["generator_images"]:
+            if not isinstance(entry, dict) or "point" not in entry or "images" not in entry:
+                raise InputError(f"invalid generator_images entry {entry!r}")
+            b = decode_point(entry["point"], dim=n)
+            if b not in gen_mult:
+                raise InputError(f"generator image at {b!r}, which is not a generator")
+            if b in images:
+                raise InputError(f"duplicate generator image at {b!r}")
+            rows = entry["images"]
+            nrows = len(rows) if isinstance(rows, list) else 0
+            images[b] = matrix_from_json(field, rows, (nrows, gen_mult[b]))
+    return Presentation(field, n, generators, relations, blocks, generator_images=images)
 
 
 def pointset_from_json(obj, dim: int | None = None) -> frozenset:

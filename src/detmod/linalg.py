@@ -1,9 +1,12 @@
 """Exact linear algebra over prime fields and the rationals.
 
 Matrices are dense, immutable, and carry their field.  On top of them sit
-finite poset diagrams of vector spaces with colimits, limits, commutativity
-validation, and a constructive test for natural isomorphism of two diagrams.
-No floating point is used anywhere.
+finite poset diagrams of vector spaces with colimits, limits and
+commutativity validation.  Verdicts elsewhere in the package come from
+explicit maps checked with ranks and products; the one search left here,
+:func:`diagrams_isomorphic`, serves only input that carries no such map (a
+presentation file without generator images, an encoding that differs from
+the module's own restriction).  No floating point is used anywhere.
 """
 
 from __future__ import annotations
@@ -413,6 +416,7 @@ class PosetDiagram:
             if (c, d) not in self.maps:
                 self.maps[(c, d)] = Matrix.zeros(field, self.dims[d], self.dims[c])
         self._path_cache = {}
+        self._upper = None
         self._validated = None
 
     def covers(self) -> tuple:
@@ -424,8 +428,9 @@ class PosetDiagram:
     def path_map(self, c: Point, d: Point) -> Matrix:
         """Structure map between comparable points, composed along covers.
 
-        Walks up from c, each time to the first point of (x, d] in the linear
-        extension (a cover of x), and caches every composite on the way.
+        Walks up from c, each time to the first upper cover of x below d in
+        the linear extension (the first point of (x, d]), and caches every
+        composite on the way.
         """
         if c == d:
             return Matrix.identity(self.field, self.dims[c])
@@ -434,20 +439,25 @@ class PosetDiagram:
             return cached
         if not leq(c, d):
             raise InputError(f"{c!r} is not below {d!r} in the diagram")
+        if self._upper is None:
+            self._upper = {p: [] for p in self.points}
+            for x, y in self._covers:
+                self._upper[x].append(y)
+            position = {p: i for i, p in enumerate(self.points)}
+            for ups in self._upper.values():
+                ups.sort(key=position.__getitem__)
         steps = []
         x = c
-        between = [y for y in self.points if lt(c, y) and leq(y, d)]
         while True:
-            if not between:
+            nxt = next((y for y in self._upper[x] if leq(y, d)), None)
+            if nxt is None:
                 raise InputError(f"no covering chain from {x!r} to {d!r}")
-            nxt = between[0]
             steps.append((x, nxt))
             result = Matrix.identity(self.field, self.dims[d]) if nxt == d \
                 else self._path_cache.get((nxt, d))
             if result is not None:
                 break
             x = nxt
-            between = [y for y in between if lt(x, y)]
         for x, nxt in reversed(steps):
             result = result @ self.maps[(x, nxt)]
             self._path_cache[(x, d)] = result
@@ -826,12 +836,15 @@ def diagrams_isomorphic(a: PosetDiagram, b: PosetDiagram) -> bool:
     """Decide whether two diagrams on the same poset are naturally isomorphic.
 
     Isomorphisms are only ever reported when an explicit one is in hand.
+    The first is the identity: equal dimensions, covers and cover maps.
+    Otherwise a randomized search over natural transformations runs.
     Non-isomorphism is certified by a pointwise dimension or cover rank
     mismatch, by unequal hom-space dimensions, or by exhausting a small
     transformation space; otherwise the decision is completed by splitting
     off matched direct summands along a natural endomorphism (the two
     stable images are isomorphic via the transformation itself, so the
-    verdict reduces to the complements) and recursing.
+    verdict reduces to the complements) and recursing.  When the random
+    trials run out, the answer is ``False`` without a certificate.
     """
     if a.points != b.points:
         raise InputError("diagrams must share the same point set")
@@ -840,6 +853,8 @@ def diagrams_isomorphic(a: PosetDiagram, b: PosetDiagram) -> bool:
     for p in a.points:
         if a.dims[p] != b.dims[p]:
             return False
+    if a.covers() == b.covers() and all(a.maps[e] == b.maps[e] for e in a.covers()):
+        return True
     if all(a.dims[p] == 0 for p in a.points):
         return True
     for e in a.covers():

@@ -49,6 +49,12 @@ class Presentation:
     of shape generator multiplicity by relation multiplicity.  A relation may
     only involve generators at points below it, so blocks outside the grading
     are not stored.
+
+    ``generator_images``, when present, is the certificate of the map from
+    the free module onto the module: it sends every generator point b to a
+    matrix of shape dim M(b) by multiplicity whose columns are the images of
+    the generators at b.  ``None`` means the presentation carries no map, and
+    verification has to search for an isomorphism instead.
     """
 
     field: object
@@ -56,6 +62,7 @@ class Presentation:
     generators: tuple
     relations: tuple
     blocks: dict
+    generator_images: dict | None = None
 
     def __post_init__(self):
         gen_mult = dict(self.generators)
@@ -64,6 +71,16 @@ class Presentation:
             as_point(pt, dim=self.dim)
             if isinstance(mult, bool) or not isinstance(mult, int) or mult < 1:
                 raise InputError(f"multiplicity at {pt!r} must be a positive integer")
+        if self.generator_images is not None:
+            for b, image in self.generator_images.items():
+                if b not in gen_mult:
+                    raise InputError(f"generator image at {b!r}, which is not a generator")
+                if image.ncols != gen_mult[b]:
+                    raise InputError(f"generator image at {b!r} has {image.ncols} columns, "
+                                     f"expected the multiplicity {gen_mult[b]}")
+            missing = [b for b in gen_mult if b not in self.generator_images]
+            if missing:
+                raise InputError(f"no generator image at {missing[0]!r}")
         for (d, b), block in self.blocks.items():
             if d not in rel_mult or b not in gen_mult:
                 raise InputError(f"block ({d!r}, {b!r}) does not match a relation/generator pair")
@@ -208,7 +225,8 @@ def build_presentation(view: ExtendedView, s, margin: int = DEFAULT_MARGIN) -> P
             if not seg.is_zero():
                 blocks[(d, b)] = seg
             offset += mult
-    return Presentation(field, view.box.dim, tuple(generators), tuple(relations), blocks)
+    return Presentation(field, view.box.dim, tuple(generators), tuple(relations), blocks,
+                        generator_images=lifts)
 
 
 def _free_complex_at(pres: Presentation, pt: Point):
@@ -229,17 +247,27 @@ def _free_complex_at(pres: Presentation, pt: Point):
 
 def verify_presentation(view: ExtendedView, pres: Presentation,
                         test_points: Iterable[Point]) -> PresentationCheck:
-    """Check exactness of a presentation against the module on test points.
+    """Check that the presentation's cokernel is the module on the test points.
 
-    At each point the cokernel of the induced block matrix must have the
-    module's dimension, and the induced maps between cokernels must agree
-    with the module's structure maps up to a natural isomorphism.
+    With ``generator_images`` the check is of that explicit map.  At each
+    test point pt, with R the relation matrix there and E the images of the
+    active generators carried into M(pt), the map passes when E R = 0, E has
+    rank dim M(pt) and the cokernel of R has dimension dim M(pt).  A map out
+    of a free module is natural, so these settle that E induces a natural
+    isomorphism from the cokernel onto the module.  An image with the wrong
+    number of rows fails at its generator point.
+
+    Without images the cokernel dimensions are compared and the induced
+    maps between cokernels are searched for a natural isomorphism with the
+    module's structure maps; that search is the only route for such input.
     """
     if pres.field != view.field:
         raise InputError("presentation and module are over different fields")
     pts = sort_points(as_point(p, dim=view.box.dim) for p in test_points)
     if not pts:
         raise InputError("no test points given")
+    if pres.generator_images is not None:
+        return _check_generator_images(view, pres, pts)
     field = view.field
     quotients = {}
     coker_dims = {}
@@ -266,6 +294,29 @@ def verify_presentation(view: ExtendedView, pres: Presentation,
     target = restrict_view(view, pts)
     if not diagrams_isomorphic(candidate, target):
         return PresentationCheck(False, None, "structure maps do not match the module")
+    return PresentationCheck(True)
+
+
+def _check_generator_images(view: ExtendedView, pres: Presentation, pts: list
+                            ) -> PresentationCheck:
+    """The certificate check of :func:`verify_presentation`."""
+    images = pres.generator_images
+    for b, _ in pres.generators:
+        if images[b].nrows != view.eval_space(b):
+            return PresentationCheck(False, b, f"generator image has {images[b].nrows} rows, "
+                                     f"module dimension is {view.eval_space(b)}")
+    for pt in pts:
+        gens, _, rel = _free_complex_at(pres, pt)
+        dim = view.eval_space(pt)
+        coker = rel.nrows - rank(rel)
+        if coker != dim:
+            return PresentationCheck(False, pt, f"cokernel dimension {coker} differs from "
+                                     f"module dimension {dim}")
+        ev = hstack(view.field, [view.eval_map(b, pt) @ images[b] for b, _ in gens], nrows=dim)
+        if not (ev @ rel).is_zero():
+            return PresentationCheck(False, pt, "relations do not map to zero")
+        if rank(ev) != dim:
+            return PresentationCheck(False, pt, "generator images do not span the module")
     return PresentationCheck(True)
 
 

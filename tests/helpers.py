@@ -262,7 +262,8 @@ def _pad_generator_rows(field, small, mat: Matrix, large) -> Matrix:
 
 def presentation_by_full_scan(view, s) -> Presentation:
     """Generators from the cone colimit maps; relations chosen one rank per
-    kernel column against the kernels of every lower point of the encoding."""
+    kernel column against the kernels of every lower point of the encoding.
+    The generator lifts are returned as the presentation's generator images."""
     field = view.field
     enc = encode(view, s)
     lifts, generators = {}, []
@@ -300,4 +301,5 @@ def presentation_by_full_scan(view, s) -> Presentation:
             if not seg.is_zero():
                 blocks[(c, b)] = seg
             offset += m
-    return Presentation(field, view.box.dim, tuple(generators), tuple(relations), blocks)
+    return Presentation(field, view.box.dim, tuple(generators), tuple(relations), blocks,
+                        generator_images=lifts)

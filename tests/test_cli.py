@@ -147,6 +147,69 @@ class TestArtifacts:
         assert code == 2
 
 
+def _present_to(capsys, module, path, change=None):
+    """Run present into ``path``, then apply ``change`` to the parsed file."""
+    code, _, _ = run(capsys, "present", module, "--out", str(path))
+    assert code == 0
+    if change is not None:
+        obj = json.loads(path.read_text(encoding="utf-8"))
+        change(obj)
+        path.write_text(json.dumps(obj), encoding="utf-8")
+
+
+class TestCertificate:
+    def test_every_fixture_verifies_with_and_without_images(self, capsys, tmp_path):
+        for fixture in sorted((REPO / "fixtures").glob("*.json")):
+            out = tmp_path / "pres.json"
+            _present_to(capsys, str(fixture), out)
+            assert "generator_images" in json.loads(out.read_text(encoding="utf-8"))
+            code, payload = run_json(capsys, "verify", str(fixture), "--presentation", str(out))
+            assert code == 0 and payload["ok"] is True, fixture.name
+            _present_to(capsys, str(fixture), out, lambda obj: obj.pop("generator_images"))
+            code, payload = run_json(capsys, "verify", str(fixture), "--presentation", str(out))
+            assert code == 0 and payload["ok"] is True, fixture.name
+
+    def test_dropped_relation_with_images_kept_fails_at_a_point(self, capsys, tmp_path):
+        out = tmp_path / "pres.json"
+
+        def drop_last_relation(obj):
+            dropped = obj["relations"].pop()
+            obj["rel_matrix"] = [b for b in obj["rel_matrix"]
+                                 if b["relation"] != dropped["point"]]
+        _present_to(capsys, EXAMPLE_Q, out, drop_last_relation)
+        code, payload = run_json(capsys, "verify", EXAMPLE_Q, "--presentation", str(out))
+        assert code == 1 and payload["ok"] is False and payload["point"] is not None
+
+    def test_zero_image_column_fails_at_a_point(self, capsys, tmp_path):
+        out = tmp_path / "pres.json"
+
+        def zero_first_column(obj):
+            images = obj["generator_images"][0]["images"]
+            for row in images:
+                row[0] = 0
+        _present_to(capsys, EXAMPLE_Q, out, zero_first_column)
+        code, payload = run_json(capsys, "verify", EXAMPLE_Q, "--presentation", str(out))
+        assert code == 1 and payload["ok"] is False
+        assert payload["point"] == ["-inf", "-inf"]
+
+    def test_image_at_non_generator_is_input_error(self, capsys, tmp_path):
+        out = tmp_path / "pres.json"
+        _present_to(capsys, EXAMPLE_F2, out, lambda obj: obj["generator_images"].append(
+            {"point": [1, 1], "images": [[1]]}))
+        code, _, err = run(capsys, "verify", EXAMPLE_F2, "--presentation", str(out))
+        assert code == 2 and "not a generator" in err
+
+    def test_image_with_wrong_column_count_is_input_error(self, capsys, tmp_path):
+        out = tmp_path / "pres.json"
+
+        def widen(obj):
+            for row in obj["generator_images"][0]["images"]:
+                row.append(0)
+        _present_to(capsys, EXAMPLE_F2, out, widen)
+        code, _, err = run(capsys, "verify", EXAMPLE_F2, "--presentation", str(out))
+        assert code == 2 and "error" in err
+
+
 class TestAdmissible:
     def test_admissible_lattice(self, capsys):
         code, payload = run_json(capsys, "admissible", EXAMPLE_F2,

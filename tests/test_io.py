@@ -123,6 +123,17 @@ class TestPresentationRoundtrip:
         assert set(again.blocks) == set(pres.blocks)
         assert all(again.blocks[k] == pres.blocks[k] for k in pres.blocks)
 
+    def test_generator_images_roundtrip(self):
+        view = ExtendedView(random_module(QQ, random.Random(11), max_summands=4))
+        pres = build_presentation(view, canonical_set(view.module))
+        obj = presentation_to_json(pres)
+        assert [e["point"] for e in obj["generator_images"]] == \
+            [e["point"] for e in obj["generators"]]
+        assert presentation_from_json(obj) == pres
+        del obj["generator_images"]
+        assert presentation_from_json(obj).generator_images is None
+        assert "generator_images" not in presentation_to_json(presentation_from_json(obj))
+
     def test_out_of_grading_block_rejected(self):
         obj = {"field": {"kind": "prime", "p": 2}, "n": 2,
                "generators": [{"point": [1, 1], "multiplicity": 1}],

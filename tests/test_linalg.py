@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from detmod import (InputError, Matrix, PosetDiagram, QQ,
+from detmod import (ExtendedView, InputError, Matrix, PosetDiagram, QQ,
                     cokernel_projection, diagram_colimit, diagram_limit,
-                    diagrams_isomorphic, is_invertible, kernel_basis, nat_basis,
-                    natural_isomorphism, rank, solve, validate_diagram)
-from helpers import F2, F5, path_commutativity_ok, random_invertible
+                    diagrams_isomorphic, encode, is_invertible, kernel_basis, leq,
+                    nat_basis, natural_isomorphism, rank, solve, validate_diagram)
+from helpers import (F2, F5, all_cover_paths, canonical_set, path_commutativity_ok,
+                     random_invertible, random_module)
 
 FIELDS = [F2, F5, QQ]
 
@@ -172,6 +173,42 @@ class TestPathMap:
                          {e: Matrix.identity(F2, 1) for e in covers}, covers=covers)
         assert d.path_map(points[0], points[-1]) == Matrix.identity(F2, 1)
         assert d.path_map(points[1], points[-1]) == Matrix.identity(F2, 1)
+
+    def test_linear_number_of_comparisons_on_long_chain(self, monkeypatch):
+        import detmod.linalg
+
+        n = 1500
+        points = [(i,) for i in range(n)]
+        covers = list(zip(points, points[1:]))
+        d = PosetDiagram(F2, points, {p: 1 for p in points},
+                         {e: Matrix.identity(F2, 1) for e in covers}, covers=covers)
+        calls = [0]
+
+        def counting(fn):
+            def wrapper(a, b):
+                calls[0] += 1
+                return fn(a, b)
+            return wrapper
+        monkeypatch.setattr(detmod.linalg, "lt", counting(detmod.linalg.lt))
+        monkeypatch.setattr(detmod.linalg, "leq", counting(detmod.linalg.leq))
+        assert d.path_map(points[0], points[-1]) == Matrix.identity(F2, 1)
+        assert calls[0] <= 4 * n
+
+    @pytest.mark.parametrize("field", FIELDS, ids=["f2", "f5", "q"])
+    def test_matches_composites_along_every_cover_path(self, field):
+        rng = random.Random(31)
+        for _ in range(4):
+            view = ExtendedView(random_module(field, rng))
+            enc = encode(view, canonical_set(view.module))
+            for c in enc.points:
+                for d in enc.points:
+                    if not leq(c, d):
+                        continue
+                    for path in all_cover_paths(enc, c, d):
+                        mat = Matrix.identity(field, enc.dims[c])
+                        for x, y in zip(path, path[1:]):
+                            mat = enc.maps[(x, y)] @ mat
+                        assert enc.path_map(c, d) == mat, (c, d, path)
 
 
 class TestLimit:

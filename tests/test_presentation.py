@@ -1,5 +1,6 @@
 """Births, deaths, presentations, and the zip/unzip correspondence."""
 
+import dataclasses
 import random
 
 import pytest
@@ -181,6 +182,76 @@ class TestVerifyPresentation:
                 pres = build_presentation(view, s)
                 assert verify_presentation(view, pres, default_test_points(view)), \
                     (field, view.box)
+
+    def test_search_fallback_without_images(self):
+        rng = random.Random(68)
+        for field in (F2, F5, QQ):
+            for _ in range(3):
+                view = ExtendedView(random_module(field, rng))
+                pres = build_presentation(view, canonical_set(view.module))
+                bare = dataclasses.replace(pres, generator_images=None)
+                assert verify_presentation(view, bare, default_test_points(view))
+
+    def test_certificate_check_runs_no_search(self, monkeypatch):
+        import detmod.presentation
+
+        def no_search(*args):
+            raise AssertionError("isomorphism search called")
+        monkeypatch.setattr(detmod.presentation, "diagrams_isomorphic", no_search)
+        view = ExtendedView(random_module(F5, random.Random(69), max_summands=4))
+        pres = build_presentation(view, canonical_set(view.module))
+        assert verify_presentation(view, pres, default_test_points(view))
+
+    def test_zero_image_column_fails(self):
+        view = ExtendedView(random_module(F5, random.Random(70), max_summands=4))
+        pres = build_presentation(view, canonical_set(view.module))
+        b, image = max(pres.generator_images.items(), key=lambda e: e[1].nrows)
+        zeroed = Matrix(F5, [(0,) + row[1:] for row in image.rows], ncols=image.ncols)
+        images = dict(pres.generator_images)
+        images[b] = zeroed
+        check = verify_presentation(view, dataclasses.replace(pres, generator_images=images),
+                                    default_test_points(view))
+        assert not check.ok and check.point == b
+
+    def test_relations_inconsistent_with_images_fail(self):
+        # two summands born at the bottom, one dying at (1, 1); the relation
+        # is moved onto the other generator, which still presents a module
+        # isomorphic to this one, but not through the given images
+        from helpers import interval_module
+
+        module = interval_module(F5, Box((0, 0), (1, 1)), [(0, 0), (0, 0)], [(1, 1), (2, 2)])
+        view = ExtendedView(module)
+        pres = build_presentation(view, UNIT_SET)
+        assert pres.generators == ((BOTTOM, 2),) and pres.relations == (((1, 1), 1),)
+        block = pres.blocks[((1, 1), BOTTOM)]
+        moved = dataclasses.replace(pres, blocks={((1, 1), BOTTOM): Matrix(
+            F5, block.rows[::-1], ncols=1)})
+        check = verify_presentation(view, moved, default_test_points(view))
+        assert not check.ok and check.point == (1, 1) and "zero" in check.reason
+        bare = dataclasses.replace(moved, generator_images=None)
+        assert verify_presentation(view, bare, default_test_points(view))
+
+    def test_image_with_wrong_row_count_fails_at_its_generator(self):
+        view = corner_view()
+        pres = build_presentation(view, UNIT_SET)
+        images = {BOTTOM: Matrix(F2, [[1], [0]])}
+        check = verify_presentation(view, dataclasses.replace(pres, generator_images=images),
+                                    default_test_points(view))
+        assert not check.ok and check.point == BOTTOM and "rows" in check.reason
+
+    def test_generator_images_validated(self):
+        gens = ((BOTTOM, 1),)
+        for images in ({(1, 1): Matrix(F2, [[1]]), BOTTOM: Matrix(F2, [[1]])},
+                       {BOTTOM: Matrix(F2, [[1, 0]])},
+                       {}):
+            with pytest.raises(InputError):
+                Presentation(F2, 2, gens, (), {}, generator_images=images)
+
+    def test_large_rational_module(self):
+        view = ExtendedView(random_module(QQ, random.Random(5), box=Box((0, 0), (4, 4)),
+                                          max_summands=10))
+        pres = build_presentation(view, canonical_set(view.module))
+        assert verify_presentation(view, pres, default_test_points(view))
 
     def test_grading_enforced(self):
         with pytest.raises(InputError):
