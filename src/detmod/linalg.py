@@ -359,12 +359,18 @@ def solve(m: Matrix, rhs: Matrix) -> Matrix | None:
 
 
 def poset_covers(points: list) -> list:
-    """Covering pairs of an arbitrary finite subposet of the extended grid."""
+    """Covering pairs of an arbitrary finite subposet of the extended grid.
+
+    In a linear extension, q > p covers p exactly when no cover of p met
+    before q lies below q.
+    """
+    ordered = sort_points(points)
     covers = []
-    for p in points:
-        ups = [q for q in points if lt(p, q)]
-        for q in ups:
-            if not any(lt(r, q) for r in ups if r is not q):
+    for i, p in enumerate(ordered):
+        ups = []
+        for q in ordered[i + 1:]:
+            if lt(p, q) and not any(lt(r, q) for r in ups):
+                ups.append(q)
                 covers.append((p, q))
     return covers
 

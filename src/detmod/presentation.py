@@ -1,10 +1,10 @@
 """Births, deaths, and finite presentations of determined modules.
 
-A point is a birth when the canonical map from the colimit over its strict
-downset (inside the encoding poset) fails to be surjective, and a death when
-that map fails to be injective.  Its image is that of the point's lower-cover
-maps, off which the presentation is read: generators at births, and relations
-from the kernel vectors that are new modulo the kernels at the lower covers.
+One upward scan over a diagram reads off its presentation: generators where
+the lower-cover maps fail to be onto, relations from the kernel vectors that
+are new modulo the kernels at the lower covers.  Births and deaths are the
+generator and relation multiplicities of that scan, by right exactness of
+colimits (see :func:`diagram_births_deaths`).
 """
 
 from __future__ import annotations
@@ -17,14 +17,17 @@ from .extgrid import (Point, as_point, critical_grid, join_below, join_closure,
                       leq, lt, min_point, sort_points)
 from .grid_module import EncodedView, ExtendedView, GridModule, restrict_view
 from .determinacy import DEFAULT_MARGIN, is_S_determined, encode
-from .linalg import (Matrix, PosetDiagram, cokernel_projection, diagram_colimit,
-                     diagrams_isomorphic, hstack, is_invertible, kernel_basis,
-                     poset_covers, rank, rref, solve, vstack)
+from .linalg import (Matrix, PosetDiagram, _require_valid, cokernel_projection,
+                     diagram_colimit, diagrams_isomorphic, hstack, is_invertible,
+                     kernel_basis, poset_covers, rank, rref, solve, vstack)
 
 
 @dataclass(frozen=True)
 class BirthDeathReport:
-    """Multiplicity of births and deaths per point; only non-zero entries listed."""
+    """Multiplicity of births and deaths per point; only non-zero entries listed.
+
+    They are the generator and relation multiplicities of one presentation scan.
+    """
 
     births: dict
     deaths: dict
@@ -110,11 +113,12 @@ def _lower_covers(diagram: PosetDiagram) -> dict:
 def predecessor_colimit_map(diagram: PosetDiagram, c: Point) -> Matrix:
     """Canonical map into c from the colimit over the strict downset of c.
 
-    The downset is taken inside the diagram's own point set; when it is empty
-    the map has a zero-dimensional source.  The colimit injections from the
-    lower covers of c span the colimit, so the map is the unique solution of
-    the equations that send each of those injections to its cover map into c.
-    Failure to be surjective makes c a birth, failure to be injective a death.
+    The definitional map, kept for inspection: failure to be surjective makes
+    c a birth, failure to be injective a death.  The downset is taken inside
+    the diagram's own point set; when it is empty the map has a
+    zero-dimensional source.  The colimit injections from the lower covers
+    of c span the colimit, so the map is the unique solution of the equations
+    that send each of those injections to its cover map into c.
     """
     if c not in diagram.dims:
         raise InputError(f"{c!r} is not a point of the diagram")
@@ -129,29 +133,6 @@ def predecessor_colimit_map(diagram: PosetDiagram, c: Point) -> Matrix:
     return lam_t.transpose()
 
 
-def diagram_births_deaths(diagram: PosetDiagram, points: Iterable[Point] | None = None
-                          ) -> BirthDeathReport:
-    """Births and deaths of a diagram, scanned over the given points (default all)."""
-    scan = sort_points(points) if points is not None else list(diagram.points)
-    births, deaths = {}, {}
-    for c in scan:
-        lam = predecessor_colimit_map(diagram, c)
-        r = rank(lam)
-        coker = lam.nrows - r
-        ker = lam.ncols - r
-        if coker > 0:
-            births[c] = coker
-        if ker > 0:
-            deaths[c] = ker
-    return BirthDeathReport(births, deaths)
-
-
-def births_deaths(view: ExtendedView, s, margin: int = DEFAULT_MARGIN) -> BirthDeathReport:
-    """Births and deaths of a determined module over its finite encoding."""
-    enc = encode(view, s, margin=margin)
-    return diagram_births_deaths(enc)
-
-
 def _generator_lifts(lam: Matrix) -> Matrix:
     """Canonical representatives of a basis of the cokernel of ``lam``.
 
@@ -159,52 +140,34 @@ def _generator_lifts(lam: Matrix) -> Matrix:
     vectors at its pivot columns map exactly onto the standard basis of the
     cokernel; they are the lexicographically first choice.
     """
-    q = cokernel_projection(lam)
-    field = lam.field
-    zero = field.zero
-    pivots = []
-    for row in q.rows:
-        for j, x in enumerate(row):
-            if x != zero:
-                pivots.append(j)
-                break
-    columns = []
-    for j in pivots:
-        v = [zero] * lam.nrows
-        v[j] = field.one
-        columns.append(v)
-    return Matrix.from_columns(field, columns, nrows=lam.nrows)
+    _, pivots = rref(cokernel_projection(lam))
+    unit = Matrix.identity(lam.field, lam.nrows)
+    return Matrix.from_columns(lam.field, [unit.column(j) for j in pivots], nrows=lam.nrows)
 
 
-def build_presentation(view: ExtendedView, s, margin: int = DEFAULT_MARGIN) -> Presentation:
-    """Construct a graded presentation of a determined module.
+def _present_diagram(diagram: PosetDiagram) -> tuple:
+    """The presentation scan: (generators, relations, blocks, generator lifts).
 
-    The generators at each point of the encoding lift a basis of the
-    cokernel of its lower-cover maps placed side by side.  Scanning upward,
-    the kernel of the evaluation map from the free module on the generators
-    below a point contributes as relations the columns that are new modulo
-    the kernels embedded from its lower covers (pivot columns of one rref).
+    The generators at c lift a basis of the cokernel of its lower-cover maps
+    placed side by side.  The kernel of the evaluation map at c from the free
+    module on the generators below c contributes as relations the columns
+    that are new modulo the kernels embedded from the lower covers of c
+    (pivot columns of one rref).
     """
-    field = view.field
-    enc = encode(view, s, margin=margin)
-    lower = _lower_covers(enc)
-    lifts = {}
-    generators = []
-    for c in enc.points:
-        image = hstack(field, [enc.map(p, c) for p in lower[c]], nrows=enc.dims[c])
+    _require_valid(diagram)
+    field = diagram.field
+    lower = _lower_covers(diagram)
+    lifts, generators, kernels, relations, blocks = {}, [], {}, [], {}
+    for c in diagram.points:
+        image = hstack(field, [diagram.map(p, c) for p in lower[c]], nrows=diagram.dims[c])
         lift = _generator_lifts(image)
         if lift.ncols > 0:
             lifts[c] = lift
             generators.append((c, lift.ncols))
-
-    kernels = {}
-    relations = []
-    rel_vectors = {}
-    for c in enc.points:
         active = [(b, m) for b, m in generators if leq(b, c)]
         total = sum(m for _, m in active)
-        ev = hstack(field, [view.eval_map(b, c) @ lifts[b] for b, _ in active],
-                    nrows=view.eval_space(c))
+        ev = hstack(field, [diagram.path_map(b, c) @ lifts[b] for b, _ in active],
+                    nrows=diagram.dims[c])
         ker = kernel_basis(ev)
         kernels[c] = (active, ker)
         embedded = [_generator_inclusion(field, kernels[p][0], active) @ kernels[p][1]
@@ -212,20 +175,45 @@ def build_presentation(view: ExtendedView, s, margin: int = DEFAULT_MARGIN) -> P
         inherited = hstack(field, embedded, nrows=total)
         _, pivots = rref(hstack(field, [inherited, ker], nrows=total))
         chosen = [ker.column(j - inherited.ncols) for j in pivots if j >= inherited.ncols]
-        if chosen:
-            relations.append((c, len(chosen)))
-            rel_vectors[c] = (active, Matrix.from_columns(field, chosen, nrows=total))
-
-    blocks = {}
-    for d, (active, vectors) in rel_vectors.items():
+        if not chosen:
+            continue
+        relations.append((c, len(chosen)))
         offset = 0
         for b, mult in active:
-            seg = Matrix(field, [vectors.rows[offset + i] for i in range(mult)],
-                         ncols=vectors.ncols, _coerce=False)
+            seg = Matrix(field, [[col[offset + i] for col in chosen] for i in range(mult)],
+                         ncols=len(chosen), _coerce=False)
             if not seg.is_zero():
-                blocks[(d, b)] = seg
+                blocks[(c, b)] = seg
             offset += mult
-    return Presentation(field, view.box.dim, tuple(generators), tuple(relations), blocks,
+    return generators, relations, blocks, lifts
+
+
+def diagram_births_deaths(diagram: PosetDiagram) -> BirthDeathReport:
+    """Births and deaths of a diagram: the multiplicities of its presentation.
+
+    Apply the colimit over the strict downset D of c, which is right exact,
+    to the scan's 0 -> K -> F -> M -> 0.  A free summand on a generator b < c
+    has colimit k over D, as its support in D has minimum b, so the colimit
+    of F is F_{<c}.  The lifts at c are independent modulo the image of the
+    lower covers, so K_c lies in F_{<c}, and the kernel of the canonical map
+    into M_c is K_c / (sum of K_p over the lower covers p): as many
+    dimensions as the scan's new relation columns at c.  The cokernel is
+    that of the lower-cover maps, of dimension the number of generators at c.
+    """
+    generators, relations, _, _ = _present_diagram(diagram)
+    return BirthDeathReport(dict(generators), dict(relations))
+
+
+def births_deaths(view: ExtendedView, s, margin: int = DEFAULT_MARGIN) -> BirthDeathReport:
+    """Births and deaths of a determined module over its finite encoding."""
+    return diagram_births_deaths(encode(view, s, margin=margin))
+
+
+def build_presentation(view: ExtendedView, s, margin: int = DEFAULT_MARGIN) -> Presentation:
+    """Graded presentation of a determined module: the scan of its encoding,
+    with the generator lifts as ``generator_images``."""
+    generators, relations, blocks, lifts = _present_diagram(encode(view, s, margin=margin))
+    return Presentation(view.field, view.box.dim, tuple(generators), tuple(relations), blocks,
                         generator_images=lifts)
 
 

@@ -49,6 +49,19 @@ def join_closure_by_subsets(points):
     return frozenset(out)
 
 
+def poset_covers_bruteforce(points):
+    """Covering pairs from the definition: q covers p when p < q and no point
+    of the set lies strictly between them."""
+    pts = list(points)
+    covers = []
+    for p in pts:
+        ups = [q for q in pts if lt(p, q)]
+        for q in ups:
+            if not any(lt(r, q) for r in ups if r is not q):
+                covers.append((p, q))
+    return covers
+
+
 def all_cover_paths(diagram: PosetDiagram, c, d):
     """Every covering chain from c to d inside the diagram's poset."""
     if c == d:

@@ -142,6 +142,18 @@ class TestArtifacts:
         deaths = {tuple(e["point"]) for e in payload["deaths"]}
         assert {(-1, 1), (0, 0), (1, -1)} <= deaths
 
+    def test_births_deaths_on_non_commuting_diagram_is_input_error(self, capsys, tmp_path):
+        f = tmp_path / "top_square.json"
+        f.write_text(json.dumps({
+            "field": {"kind": "prime", "p": 2}, "n": 2,
+            "points": [[0, 0], [0, 1], [1, 0], [1, 1]], "dims": [1, 1, 1, 1],
+            "maps": [{"from": [0, 0], "to": [0, 1], "matrix": [[1]]},
+                     {"from": [0, 0], "to": [1, 0], "matrix": [[1]]},
+                     {"from": [0, 1], "to": [1, 1], "matrix": [[1]]}]}), encoding="utf-8")
+        code, out, err = run(capsys, "births-deaths", str(f))
+        assert code == 2 and out == ""
+        assert "diagram does not validate: square does not commute" in err
+
     def test_verify_requires_exactly_one_artifact(self, capsys):
         code, out, err = run(capsys, "verify", EXAMPLE_F2)
         assert code == 2
@@ -264,6 +276,14 @@ class TestDeterminism:
         _, out3, _ = run(capsys, "determinacy", EXAMPLE_F2, "--set", UNIT_SET)
         _, out4, _ = run(capsys, "determinacy", EXAMPLE_F2, "--set", UNIT_SET)
         assert out3 == out4
+
+    def test_fixture_outputs_match_golden_files(self, capsys):
+        for fixture in sorted((REPO / "fixtures").glob("*.json")):
+            for verb in ("present", "births-deaths"):
+                golden = REPO / "tests" / "golden" / f"{fixture.stem}.{verb}.json"
+                code, out, err = run(capsys, verb, str(fixture))
+                assert code == 0 and err == ""
+                assert out == golden.read_text(encoding="utf-8"), golden.name
 
 
 class TestMarginEnv:

@@ -9,10 +9,12 @@ from hypothesis import strategies as st
 
 from detmod import (ExtendedView, InputError, Matrix, PosetDiagram, QQ,
                     cokernel_projection, diagram_colimit, diagram_limit,
-                    diagrams_isomorphic, encode, is_invertible, kernel_basis, leq,
-                    nat_basis, natural_isomorphism, rank, solve, validate_diagram)
+                    diagrams_isomorphic, encode, is_invertible, join_closure,
+                    kernel_basis, leq, nat_basis, natural_isomorphism, poset_covers,
+                    rank, solve, validate_diagram)
 from helpers import (F2, F5, all_cover_paths, canonical_set, path_commutativity_ok,
-                     random_invertible, random_module)
+                     poset_covers_bruteforce, random_invertible, random_module,
+                     random_point_set)
 
 FIELDS = [F2, F5, QQ]
 
@@ -209,6 +211,18 @@ class TestPathMap:
                         for x, y in zip(path, path[1:]):
                             mat = enc.maps[(x, y)] @ mat
                         assert enc.path_map(c, d) == mat, (c, d, path)
+
+
+class TestPosetCovers:
+    @pytest.mark.parametrize("nparams", [1, 2, 3])
+    def test_matches_definition_on_random_sets(self, nparams):
+        rng = random.Random(40 + nparams)
+        for _ in range(30):
+            pts = random_point_set(rng, nparams, max_size=12)
+            for candidate in (pts, join_closure(pts)):
+                ordered = list(candidate)
+                rng.shuffle(ordered)
+                assert set(poset_covers(ordered)) == set(poset_covers_bruteforce(ordered))
 
 
 class TestLimit:

@@ -69,7 +69,7 @@ class TestBirthsDeaths:
         with pytest.raises(NotDeterminedError):
             births_deaths(corner_view(), {BOTTOM})
 
-    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("n", [2, 3, 4, 6, 8])
     def test_halfplane_window_deaths_on_antidiagonal(self, n):
         diagram = window_module(F2, Box((-n, -n), (n, n)), halfplane_table)
         report = diagram_births_deaths(diagram)
@@ -77,6 +77,23 @@ class TestBirthsDeaths:
                     if all(c != NEG_INF and -n < c < n for c in p)}
         assert interior == {(k, -k): 1 for k in range(-(n - 1), n)}
         assert report.births == {BOTTOM: 1}
+
+    def test_no_downset_colimit_on_any_route(self, monkeypatch):
+        import detmod
+        import detmod.linalg
+        import detmod.presentation
+
+        def no_colimit(*args):
+            raise AssertionError("downset colimit called")
+        for module in (detmod, detmod.linalg, detmod.presentation):
+            for name in ("predecessor_colimit_map", "diagram_colimit"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, no_colimit)
+        view = ExtendedView(random_module(F5, random.Random(62), max_summands=4))
+        s = canonical_set(view.module)
+        report = births_deaths(view, s)
+        assert report == diagram_births_deaths(encode(view, s))
+        assert dict(build_presentation(view, s).generators) == report.births
 
 
 class TestBuildPresentation:
@@ -125,7 +142,7 @@ class TestLowerCoverRoutesMatchOracles:
     """The lower-cover computations against the whole-downset definitions."""
 
     @pytest.mark.parametrize("field", [F2, F5, QQ], ids=["f2", "f5", "q"])
-    @pytest.mark.parametrize("nparams", [2, 3])
+    @pytest.mark.parametrize("nparams", [1, 2, 3])
     def test_random_modules(self, field, nparams):
         rng = random.Random(1000 * nparams + (field.p if field.kind == "prime" else 0))
         for _ in range(10):
