@@ -18,9 +18,8 @@ from .linalg import (DiagramCheck, Matrix, PosetDiagram, PrimeField, QQ,
                      diagram_limit, diagrams_isomorphic, hstack, is_invertible,
                      kernel_basis, kron, nat_basis, natural_isomorphism,
                      poset_covers, rank, rref, solve, validate_diagram, vstack)
-from .grid_module import (EncodedView, ExtendedView, GridModule,
-                          materialize_box, restrict_view, validate_module,
-                          window_module)
+from .grid_module import (EncodedView, ExtendedView, GridModule, restrict_view,
+                          validate_module, window_module)
 from .determinacy import (DEFAULT_MARGIN, DeterminacyReport, canonical_map_check,
                           canonical_set, check_encoding, default_oracle_window, encode,
                           finitely_determined_check, is_S_determined,

@@ -10,6 +10,7 @@ witness), 2 malformed input.  Output is deterministic byte for byte.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -237,7 +238,13 @@ def _cmd_project(args) -> int:
     return 0 if identity_holds else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared by every call.
+
+    Parsing does not change it and each call gets a fresh namespace, so no
+    option carries over; callers must not add to it.
+    """
     parser = argparse.ArgumentParser(prog=PROG, description=__doc__)
     sub = parser.add_subparsers(dest="verb", required=True)
 

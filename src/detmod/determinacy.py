@@ -6,15 +6,22 @@ Checking it on the covering pairs of a finite critical grid suffices because
 both the module data and the downset predicate are constant between
 consecutive grid representatives; a brute-force window oracle is shipped
 alongside so results can be certified independently.
+
+Both grids are read off the stored steps.  A cover (c, d) along an axis
+clamps either onto one point, where its map is the identity, or onto exactly
+one stored unit step, whose invertibility is tested once per step.  Since
+every coordinate of the set lies in the grid, the downsets of c and d differ
+exactly when some s in the set has s_axis = d_axis and s <= d.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .errors import InputError, NotDeterminedError
 from .extgrid import (Box, CartesianSet, NEG_INF, as_point, critical_grid,
-                      downset_of, ext_box, in_upset, join_below, min_point,
+                      ext_box, in_upset, join_below, leq, min_point,
                       pointed_closure)
 from .grid_module import ExtendedView, GridModule
 from .linalg import PosetDiagram, diagrams_isomorphic, is_invertible, validate_diagram
@@ -50,23 +57,59 @@ def _normalize_set(view: ExtendedView, s) -> frozenset:
     return pts
 
 
-def _condition_on_grid(view, s: frozenset, grid: CartesianSet, method: str,
-                       check_support: bool) -> DeterminacyReport:
-    points = grid.sorted_points()
-    downsets = {p: downset_of(s, p) for p in points}
-    holds, witness = True, None
-    for c, d in grid.covers():
-        if downsets[c] == downsets[d] and not is_invertible(view.eval_map(c, d)):
-            holds, witness = False, (c, d)
-            break
+def _first_failing_cover(module: GridModule, s: frozenset, factors: tuple,
+                         clamps: tuple):
+    """First cover of the grid, in the order of ``covers()``, that breaks the condition.
+
+    ``clamps[axis][k]`` is the clamp of ``factors[axis][k]`` into the box, so
+    a cover whose two clamped coordinates agree maps by the identity, and any
+    other cover by the stored step out of the clamped point.
+    """
+    at_coord = [{} for _ in factors]
+    for p in s:
+        for axis, v in enumerate(p):
+            at_coord[axis].setdefault(v, []).append(p)
+    invertible = {}
+    indices = itertools.product(*(range(len(f)) for f in factors))
+    for idx, c, clamped in zip(indices, itertools.product(*factors),
+                               itertools.product(*clamps)):
+        for axis, k in enumerate(idx):
+            f, cl = factors[axis], clamps[axis]
+            if k + 1 == len(f) or cl[k] == cl[k + 1]:
+                continue
+            d = c[:axis] + (f[k + 1],) + c[axis + 1:]
+            if any(leq(p, d) for p in at_coord[axis].get(f[k + 1], ())):
+                continue
+            key = (clamped, axis)
+            ok = invertible.get(key)
+            if ok is None:
+                ok = invertible[key] = is_invertible(module.steps[key])
+            if not ok:
+                return c, d
+    return None
+
+
+def _condition_on_grid(view: ExtendedView, s: frozenset, grid: CartesianSet,
+                       method: str, check_support: bool) -> DeterminacyReport:
+    """The covering-pair and support conditions on a product grid.
+
+    Every factor of ``grid`` must hold every integer of the data box and
+    every coordinate of ``s``, as the critical grid and the oracle window
+    do: then each cover clamps onto one point or one unit step, and the
+    threshold rule of the module docstring decides downset equality.
+    """
+    module = view.module
+    box = module.box
+    clamps = tuple(tuple(lo if v < lo else min(v, hi) for v in f)
+                   for f, lo, hi in zip(grid.factors, box.a, box.b))
+    witness = _first_failing_cover(module, s, grid.factors, clamps)
     support_ok = None
     if check_support:
-        if min_point(grid.dim) in s:
-            support_ok = True
-        else:
-            support_ok = all(view.eval_space(p) == 0
-                             for p in points if not in_upset(s, p))
-    return DeterminacyReport(holds, witness, support_ok, method)
+        dims = module.dims
+        support_ok = min_point(grid.dim) in s or all(
+            in_upset(s, p) for p, q in zip(itertools.product(*grid.factors),
+                                           itertools.product(*clamps)) if dims[q])
+    return DeterminacyReport(witness is None, witness, support_ok, method)
 
 
 def is_S_determined(view: ExtendedView, s, check_support: bool = True,
@@ -147,6 +190,14 @@ def canonical_set(module: GridModule) -> frozenset:
     return ext_box(module.box).points()
 
 
+def _as_product(points: frozenset):
+    """The set as a :class:`CartesianSet` when it is the product of its
+    per-axis coordinate sets (it lies inside that product, so equal sizes
+    suffice), so that restricting to it needs no generic cover search."""
+    cart = CartesianSet(tuple(zip(*points)))
+    return cart if len(cart) == len(points) else points
+
+
 def encode(view: ExtendedView, s, margin: int = DEFAULT_MARGIN) -> PosetDiagram:
     """The finite model: the view restricted to the pointed join closure of the set.
 
@@ -157,7 +208,7 @@ def encode(view: ExtendedView, s, margin: int = DEFAULT_MARGIN) -> PosetDiagram:
     report = is_S_determined(view, pts, check_support=False, margin=margin)
     if not report.holds:
         raise NotDeterminedError(report.witness)
-    return view.restrict_diagram(pointed_closure(pts, dim=view.box.dim))
+    return view.restrict_diagram(_as_product(pointed_closure(pts, dim=view.box.dim)))
 
 
 def check_encoding(view: ExtendedView, s, n: PosetDiagram,
@@ -182,7 +233,7 @@ def check_encoding(view: ExtendedView, s, n: PosetDiagram,
     if not check:
         raise InputError(f"diagram does not validate: {check.message} at {check.square!r}")
     return (is_S_determined(view, pts, check_support=False, margin=margin).holds
-            and diagrams_isomorphic(n, view.restrict_diagram(closure)))
+            and diagrams_isomorphic(n, view.restrict_diagram(_as_product(closure))))
 
 
 def finitely_determined_check(module: GridModule, candidate_box: Box,

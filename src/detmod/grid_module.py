@@ -151,7 +151,8 @@ def restrict_view(view, points) -> PosetDiagram:
 
     ``points`` may be a :class:`CartesianSet`, in which case the covering
     relations of the product poset are used directly instead of being
-    recomputed.
+    recomputed.  The diagram is marked validated: both view classes validate
+    their data when they are built, and a functor restricts to a functor.
     """
     if isinstance(points, CartesianSet):
         pts = points.sorted_points()
@@ -161,21 +162,9 @@ def restrict_view(view, points) -> PosetDiagram:
         covers = poset_covers(pts)
     dims = {p: view.eval_space(p) for p in pts}
     maps = {e: view.eval_map(*e) for e in covers}
-    return PosetDiagram(view.field, pts, dims, maps, covers=covers)
-
-
-def materialize_box(view, box: Box) -> GridModule:
-    """Store the values of a view on a (typically larger) box as a new module."""
-    if box.dim != view.box.dim:
-        raise InputError("box dimension mismatch")
-    dims = {p: view.eval_space(p) for p in box.integer_points()}
-    steps = {}
-    for p in box.integer_points():
-        for axis in range(box.dim):
-            if p[axis] + 1 <= box.b[axis]:
-                q = p[:axis] + (p[axis] + 1,) + p[axis + 1:]
-                steps[(p, axis)] = view.eval_map(p, q)
-    return GridModule(view.field, box, dims, steps)
+    diagram = PosetDiagram(view.field, pts, dims, maps, covers=covers)
+    diagram._validated = True
+    return diagram
 
 
 class EncodedView:

@@ -10,10 +10,11 @@ from __future__ import annotations
 import itertools
 import random
 
-from detmod import (Box, GridModule, Matrix, NEG_INF, PosetDiagram, Presentation,
-                    PrimeField, canonical_set, cokernel_projection,
-                    diagram_colimit, encode, hstack, is_invertible,
-                    kernel_basis, leq, lt, mub, rank, solve)
+from detmod import (Box, CartesianSet, DeterminacyReport, GridModule, Matrix,
+                    NEG_INF, PosetDiagram, Presentation, PrimeField,
+                    canonical_set, cokernel_projection, diagram_colimit,
+                    downset_of, encode, hstack, in_upset, is_invertible,
+                    kernel_basis, leq, lt, min_point, mub, rank, solve)
 
 F2 = PrimeField(2)
 F5 = PrimeField(5)
@@ -89,6 +90,37 @@ def path_commutativity_ok(diagram: PosetDiagram) -> bool:
             if any(m != composites[0] for m in composites[1:]):
                 return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# determinacy oracle: downsets compared at every grid point
+
+def oracle_grid(window: Box, margin: int) -> CartesianSet:
+    """The grid of ``is_S_determined_oracle``: -inf and the widened window per axis."""
+    return CartesianSet(tuple((NEG_INF,) + tuple(range(lo - margin, hi + margin + 1))
+                              for lo, hi in zip(window.a, window.b)))
+
+
+def condition_by_downsets(view, s, grid: CartesianSet, method: str,
+                          check_support: bool = True) -> DeterminacyReport:
+    """The covering-pair and support conditions straight from the definition:
+    a downset of ``s`` at every grid point, and the map of every cover with
+    equal downsets evaluated and tested for invertibility."""
+    points = grid.sorted_points()
+    downsets = {p: downset_of(s, p) for p in points}
+    holds, witness = True, None
+    for c, d in grid.covers():
+        if downsets[c] == downsets[d] and not is_invertible(view.eval_map(c, d)):
+            holds, witness = False, (c, d)
+            break
+    support_ok = None
+    if check_support:
+        if min_point(grid.dim) in s:
+            support_ok = True
+        else:
+            support_ok = all(view.eval_space(p) == 0
+                             for p in points if not in_upset(s, p))
+    return DeterminacyReport(holds, witness, support_ok, method)
 
 
 # ---------------------------------------------------------------------------

@@ -3,13 +3,14 @@
 import json
 from pathlib import Path
 
-from detmod.cli import main
+from detmod.cli import build_parser, main
 
 REPO = Path(__file__).resolve().parent.parent
 EXAMPLE_F2 = str(REPO / "fixtures" / "example_f2.json")
 EXAMPLE_Q = str(REPO / "fixtures" / "example_q.json")
 ZERO = str(REPO / "fixtures" / "zero_f2.json")
 UNIT_SET = '[["-inf","-inf"],["-inf",1],[1,"-inf"],[1,1]]'
+GOLDEN = REPO / "tests" / "golden"
 
 
 def run(capsys, *argv):
@@ -280,10 +281,63 @@ class TestDeterminism:
     def test_fixture_outputs_match_golden_files(self, capsys):
         for fixture in sorted((REPO / "fixtures").glob("*.json")):
             for verb in ("present", "births-deaths"):
-                golden = REPO / "tests" / "golden" / f"{fixture.stem}.{verb}.json"
+                golden = GOLDEN / f"{fixture.stem}.{verb}.json"
                 code, out, err = run(capsys, verb, str(fixture))
                 assert code == 0 and err == ""
                 assert out == golden.read_text(encoding="utf-8"), golden.name
+
+    def test_determinacy_and_encode_match_golden_files(self, capsys):
+        """One determining and one failing set per fixture; a failing set
+        pins its witness, and the exit code follows the verdict."""
+        sets = sorted((GOLDEN / "sets").glob("*.json"))
+        assert [s.stem for s in sets] == ["determining", "failing"]
+        witnesses = 0
+        for fixture in sorted((REPO / "fixtures").glob("*.json")):
+            for sfile in sets:
+                for name, argv in (("determinacy", ["determinacy"]),
+                                   ("determinacy-oracle", ["determinacy", "--oracle"]),
+                                   ("encode", ["encode"])):
+                    golden = GOLDEN / f"{fixture.stem}.{name}.{sfile.stem}.json"
+                    code, out, err = run(capsys, *argv, str(fixture), "--set", str(sfile))
+                    assert err == ""
+                    assert out == golden.read_text(encoding="utf-8"), golden.name
+                    payload = json.loads(out)
+                    holds = payload.get("holds", True) and payload.get("support_ok") is not False
+                    assert code == (0 if holds else 1), golden.name
+                    witnesses += payload.get("witness") is not None
+        assert witnesses > 0
+
+
+class TestParserReuse:
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_options_do_not_carry_over(self, capsys, monkeypatch):
+        failing = str(GOLDEN / "sets" / "failing.json")
+        plain = ["determinacy", EXAMPLE_F2, "--set", failing]
+        expected = run(capsys, *plain)
+        assert expected[0] == 1
+        changed = {"--oracle": ("method", "oracle"), "--no-support": ("support_ok", None)}
+        for extra in (["--oracle"], ["--margin", "2"], ["--no-support"], ["--margin", "0"]):
+            code, out, err = run(capsys, *plain, *extra)
+            if extra == ["--margin", "0"]:
+                assert code == 2 and "margin" in err
+            elif extra[0] in changed:
+                key, value = changed[extra[0]]
+                assert json.loads(out)[key] == value
+            assert run(capsys, *plain) == expected, extra
+        monkeypatch.setenv("DETMOD_MARGIN", "zero")
+        assert run(capsys, *plain)[0] == 2
+        monkeypatch.delenv("DETMOD_MARGIN")
+        assert run(capsys, *plain) == expected
+
+    def test_parsed_values_are_fresh_on_every_call(self):
+        parser = build_parser()
+        argv = ["determinacy", EXAMPLE_F2, "--set", UNIT_SET]
+        args = parser.parse_args(argv + ["--margin", "2", "--oracle", "--no-support"])
+        assert (args.margin, args.oracle, args.no_support) == (2, True, True)
+        args = parser.parse_args(argv)
+        assert (args.margin, args.oracle, args.no_support) == (None, False, False)
 
 
 class TestMarginEnv:

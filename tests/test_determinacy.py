@@ -3,15 +3,17 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from detmod import (Box, ExtendedView, InputError, Matrix, NEG_INF,
+from detmod import (QQ, Box, ExtendedView, InputError, Matrix, NEG_INF,
                     NotDeterminedError, PosetDiagram, canonical_map_check,
-                    check_encoding, default_oracle_window, downset_of, encode,
-                    ext_box, finitely_determined_check, is_S_determined,
-                    is_S_determined_oracle, is_invertible, leq,
-                    pointed_closure)
-from helpers import F2, F5, canonical_set, corner_module, random_module, \
-    random_point_set
+                    check_encoding, critical_grid, default_oracle_window,
+                    downset_of, encode, ext_box, finitely_determined_check,
+                    is_S_determined, is_S_determined_oracle, is_invertible,
+                    leq, pointed_closure, restrict_view)
+from helpers import F2, F5, canonical_set, condition_by_downsets, \
+    corner_module, oracle_grid, random_module, random_point_set
 
 BOTTOM = (NEG_INF, NEG_INF)
 UNIT_SET = frozenset(ext_box(Box((1, 1), (1, 1))).points())
@@ -88,6 +90,61 @@ class TestIsDetermined:
                 c, d = fast.witness
                 assert downset_of(s, c) == downset_of(s, d)
                 assert not is_invertible(view.eval_map(c, d))
+
+
+def random_box(rng, nparams):
+    width = 2 if nparams < 3 else 1
+    a = tuple(rng.randint(-1, 1) for _ in range(nparams))
+    return Box(a, tuple(x + rng.randint(0, width) for x in a))
+
+
+def assert_matches_downset_oracle(view, s, margin):
+    """Both grid routes against the definition on the same grid; the whole
+    report is compared, so the witness must be the same cover."""
+    pts = frozenset(s)
+    for support in (True, False):
+        grid = critical_grid(view.box, pts, margin=margin)
+        assert is_S_determined(view, pts, check_support=support, margin=margin) == \
+            condition_by_downsets(view, pts, grid, "critical-grid", support)
+        window = default_oracle_window(view.box, pts)
+        assert is_S_determined_oracle(view, pts, window, margin=margin,
+                                      check_support=support) == \
+            condition_by_downsets(view, pts, oracle_grid(window, margin), "oracle", support)
+    return is_S_determined(view, pts, margin=margin)
+
+
+class TestStoredStepsMatchDownsetOracle:
+    @pytest.mark.parametrize("field", [F2, F5, QQ], ids=["f2", "f5", "q"])
+    @pytest.mark.parametrize("nparams", [1, 2, 3])
+    def test_seeded_modules_and_sets(self, field, nparams):
+        rng = random.Random(1000 * nparams + (field.p if field.kind == "prime" else 0))
+        verdicts = {"holds": 0, "fails": 0, "support_fails": 0}
+        for trial in range(30):
+            view = ExtendedView(random_module(field, rng, box=random_box(rng, nparams)))
+            margin = 1 + trial % 3
+            if trial % 3 == 0:
+                s = canonical_set(view.module)
+            else:
+                s = random_point_set(rng, nparams, 4, lo=-2, hi=2)
+                if trial % 3 == 2:
+                    s = pointed_closure(s, dim=nparams)
+            report = assert_matches_downset_oracle(view, s, margin)
+            verdicts["holds" if report.holds else "fails"] += 1
+            verdicts["support_fails"] += report.support_ok is False
+        assert all(verdicts.values()), verdicts
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           field=st.sampled_from([F2, F5, QQ]),
+           nparams=st.integers(1, 3),
+           margin=st.integers(1, 3),
+           data=st.data())
+    def test_hypothesis_sets(self, seed, field, nparams, margin, data):
+        rng = random.Random(seed)
+        view = ExtendedView(random_module(field, rng, box=random_box(rng, nparams)))
+        coord = st.one_of(st.just(NEG_INF), st.integers(-2, 3))
+        s = data.draw(st.frozensets(st.tuples(*[coord] * nparams), max_size=4))
+        assert_matches_downset_oracle(view, s, margin)
 
 
 def all_small_modules():
@@ -263,6 +320,33 @@ class TestEncode:
         s = canonical_set(view.module)
         diagram = encode(view, s)
         assert frozenset(diagram.points) == pointed_closure(s)
+
+    def test_product_closure_skips_generic_covers(self, monkeypatch):
+        import detmod.grid_module as grid_module
+
+        rng = random.Random(61)
+        for field in (F2, F5, QQ):
+            view = ExtendedView(random_module(field, rng))
+            s = canonical_set(view.module)
+            generic = restrict_view(view, pointed_closure(s))
+            with monkeypatch.context() as m:
+                m.setattr(grid_module, "poset_covers", None)
+                diagram = encode(view, s)
+            assert diagram.points == generic.points
+            assert diagram.dims == generic.dims
+            assert diagram.covers() == generic.covers()
+            assert all(diagram.maps[e] == generic.maps[e] for e in diagram.covers())
+            assert diagram._validated is True
+
+    def test_non_product_closure_uses_generic_covers(self):
+        view = ExtendedView(corner_module(F5))
+        s = UNIT_SET | {(0, 0)}
+        closure = pointed_closure(s)
+        assert len(closure) == 7  # (0, -inf) and (-inf, 0) are missing
+        diagram = encode(view, s)
+        generic = restrict_view(view, closure)
+        assert diagram.points == generic.points
+        assert diagram.covers() == generic.covers()
 
 
 class TestCheckEncoding:

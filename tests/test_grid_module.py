@@ -147,7 +147,10 @@ class TestRestrictDiagram:
             view = ExtendedView(random_module(F5, rng))
             pts = {tuple(NEG_INF if rng.random() < 0.3 else rng.randint(-3, 3)
                          for _ in range(view.box.dim)) for _ in range(6)}
-            assert validate_diagram(view.restrict_diagram(pts)).ok
+            diagram = view.restrict_diagram(pts)
+            assert diagram._validated is True
+            diagram._validated = None  # check the squares, not the inherited flag
+            assert validate_diagram(diagram).ok
 
     def test_cartesian_fast_path_matches_generic(self):
         view = ExtendedView(corner_module(F2))
