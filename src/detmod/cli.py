@@ -10,7 +10,6 @@ witness), 2 malformed input.  Output is deterministic byte for byte.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import os
 import sys
@@ -238,26 +237,11 @@ def _cmd_project(args) -> int:
     return 0 if identity_holds else 1
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process and shared by every call.
-
-    Parsing does not change it and each call gets a fresh namespace, so no
-    option carries over; callers must not add to it.
-    """
-    parser = argparse.ArgumentParser(prog=PROG, description=__doc__)
-    sub = parser.add_subparsers(dest="verb", required=True)
-
-    def add(name, fn, **kwargs):
-        p = sub.add_parser(name, **kwargs)
-        p.set_defaults(fn=fn)
-        p.add_argument("--out", help="write the JSON report here instead of stdout")
-        return p
-
-    p = add("validate", _cmd_validate, help="check shapes and commutativity")
+def _args_validate(p):
     p.add_argument("input")
 
-    p = add("determinacy", _cmd_determinacy, help="decide whether a set determines the module")
+
+def _args_determinacy(p):
     p.add_argument("input")
     p.add_argument("--set", required=True, help="point set, inline JSON or file")
     p.add_argument("--oracle", action="store_true", help="use the brute-force window method")
@@ -265,22 +249,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", help="oracle window as a..b with JSON corner points")
     p.add_argument("--no-support", action="store_true", help="skip the support condition")
 
-    p = add("encode", _cmd_encode, help="emit the finite encoding diagram")
+
+def _args_encode(p):
     p.add_argument("input")
     p.add_argument("--set", required=True)
     p.add_argument("--margin", type=int, default=None)
 
-    p = add("births-deaths", _cmd_births_deaths, help="locate births and deaths")
+
+def _args_births_deaths(p):
     p.add_argument("input")
     p.add_argument("--set")
     p.add_argument("--margin", type=int, default=None)
 
-    p = add("present", _cmd_present, help="build a finite presentation")
-    p.add_argument("input")
-    p.add_argument("--set")
-    p.add_argument("--margin", type=int, default=None)
 
-    p = add("verify", _cmd_verify, help="verify an emitted presentation or encoding")
+_args_present = _args_births_deaths
+
+
+def _args_verify(p):
     p.add_argument("input")
     p.add_argument("--presentation")
     p.add_argument("--encoding")
@@ -288,21 +273,60 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", help="extra integer test window as a..b")
     p.add_argument("--margin", type=int, default=None)
 
-    p = add("admissible", _cmd_admissible, help="test a join-closed lattice for admissibility")
+
+def _args_admissible(p):
     p.add_argument("input")
     p.add_argument("--lattice", required=True)
     p.add_argument("--margin", type=int, default=None)
 
-    p = add("project", _cmd_project, help="tabulate the projection morphisms for a box")
+
+def _args_project(p):
     p.add_argument("--box", required=True)
     p.add_argument("--points", required=True)
 
+
+# verb: (command, help line, function adding the verb's own arguments)
+VERBS = {
+    "validate": (_cmd_validate, "check shapes and commutativity", _args_validate),
+    "determinacy": (_cmd_determinacy, "decide whether a set determines the module",
+                    _args_determinacy),
+    "encode": (_cmd_encode, "emit the finite encoding diagram", _args_encode),
+    "births-deaths": (_cmd_births_deaths, "locate births and deaths", _args_births_deaths),
+    "present": (_cmd_present, "build a finite presentation", _args_present),
+    "verify": (_cmd_verify, "verify an emitted presentation or encoding", _args_verify),
+    "admissible": (_cmd_admissible, "test a join-closed lattice for admissibility",
+                   _args_admissible),
+    "project": (_cmd_project, "tabulate the projection morphisms for a box", _args_project),
+}
+
+
+def build_parser(verb: str | None = None) -> argparse.ArgumentParser:
+    """The argument parser; given a known ``verb``, with that verb's subparser only.
+
+    A call names its verb first, so ``main`` builds just the subparser it
+    needs.  The usage line lists every verb either way, and an unknown or
+    missing verb gets the full parser, so help and error messages do not
+    change.
+    """
+    parser = argparse.ArgumentParser(prog=PROG, description=__doc__)
+    if verb in VERBS:
+        # a single-verb parser keeps the usage line of the full one
+        names, metavar = [verb], "{" + ",".join(VERBS) + "}"
+    else:
+        names, metavar = list(VERBS), None
+    sub = parser.add_subparsers(dest="verb", required=True, metavar=metavar)
+    for name in names:
+        fn, help_text, add_arguments = VERBS[name]
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(fn=fn)
+        p.add_argument("--out", help="write the JSON report here instead of stdout")
+        add_arguments(p)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.fn(args)
     except NotDeterminedError as exc:

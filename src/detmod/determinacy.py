@@ -20,9 +20,9 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import InputError, NotDeterminedError
-from .extgrid import (Box, CartesianSet, NEG_INF, as_point, critical_grid,
-                      ext_box, in_upset, join_below, leq, min_point,
-                      pointed_closure)
+from .extgrid import (Box, CartesianSet, NEG_INF, as_point, check_margin,
+                      critical_grid, ext_box, in_upset, join_below, leq,
+                      min_point, pointed_closure)
 from .grid_module import ExtendedView, GridModule
 from .linalg import PosetDiagram, diagrams_isomorphic, is_invertible, validate_diagram
 
@@ -141,9 +141,11 @@ def is_S_determined_oracle(view: ExtendedView, s, window: Box,
     """Brute force over every covering pair of an extended window.
 
     The window must contain the data box and all finite coordinates of the
-    set; it is widened by ``margin`` and extended by the -inf faces before
-    enumeration.  Exists so critical-grid results can be cross-certified.
+    set; it is widened by ``margin`` (a positive integer, as for the critical
+    grid) and extended by the -inf faces before enumeration.  Exists so
+    critical-grid results can be cross-certified.
     """
+    check_margin(margin)
     pts = _normalize_set(view, s)
     if window.dim != view.box.dim:
         raise InputError("window dimension mismatch")
@@ -190,14 +192,6 @@ def canonical_set(module: GridModule) -> frozenset:
     return ext_box(module.box).points()
 
 
-def _as_product(points: frozenset):
-    """The set as a :class:`CartesianSet` when it is the product of its
-    per-axis coordinate sets (it lies inside that product, so equal sizes
-    suffice), so that restricting to it needs no generic cover search."""
-    cart = CartesianSet(tuple(zip(*points)))
-    return cart if len(cart) == len(points) else points
-
-
 def encode(view: ExtendedView, s, margin: int = DEFAULT_MARGIN) -> PosetDiagram:
     """The finite model: the view restricted to the pointed join closure of the set.
 
@@ -208,7 +202,7 @@ def encode(view: ExtendedView, s, margin: int = DEFAULT_MARGIN) -> PosetDiagram:
     report = is_S_determined(view, pts, check_support=False, margin=margin)
     if not report.holds:
         raise NotDeterminedError(report.witness)
-    return view.restrict_diagram(_as_product(pointed_closure(pts, dim=view.box.dim)))
+    return view.restrict_diagram(pointed_closure(pts, dim=view.box.dim))
 
 
 def check_encoding(view: ExtendedView, s, n: PosetDiagram,
@@ -233,7 +227,7 @@ def check_encoding(view: ExtendedView, s, n: PosetDiagram,
     if not check:
         raise InputError(f"diagram does not validate: {check.message} at {check.square!r}")
     return (is_S_determined(view, pts, check_support=False, margin=margin).holds
-            and diagrams_isomorphic(n, view.restrict_diagram(_as_product(closure))))
+            and diagrams_isomorphic(n, view.restrict_diagram(closure)))
 
 
 def finitely_determined_check(module: GridModule, candidate_box: Box,

@@ -329,6 +329,12 @@ def extended_projection(box: Box, c: Point) -> Point:
     return tuple(lo if v < lo else min(v, hi) for v, lo, hi in zip(c, box.a, box.b))
 
 
+def check_margin(margin) -> None:
+    """Grids are widened past the box by a positive integer margin."""
+    if not isinstance(margin, int) or isinstance(margin, bool) or margin < 1:
+        raise InputError(f"margin must be a positive integer, got {margin!r}")
+
+
 def critical_grid(box: Box, s: Iterable[Point] = (), margin: int = 1) -> CartesianSet:
     """Finite product grid on which box data and downset predicates are constant.
 
@@ -338,8 +344,7 @@ def critical_grid(box: Box, s: Iterable[Point] = (), margin: int = 1) -> Cartesi
     values only move inside the widened box, and membership of a downset of
     ``s`` only flips at coordinates of ``s``.
     """
-    if not isinstance(margin, int) or isinstance(margin, bool) or margin < 1:
-        raise InputError(f"margin must be a positive integer, got {margin!r}")
+    check_margin(margin)
     pts = [as_point(p, dim=box.dim) for p in s]
     factors = []
     for i in range(box.dim):

@@ -149,16 +149,23 @@ class ExtendedView:
 def restrict_view(view, points) -> PosetDiagram:
     """Diagram of a view on a finite point set, with dims and maps evaluated.
 
-    ``points`` may be a :class:`CartesianSet`, in which case the covering
-    relations of the product poset are used directly instead of being
-    recomputed.  The diagram is marked validated: both view classes validate
-    their data when they are built, and a functor restricts to a functor.
+    When ``points`` is a :class:`CartesianSet`, or a set equal to the product
+    of its per-axis coordinate sets (tested by size first, so a sparse set
+    never builds its product), the covering relations of the product poset
+    are used directly instead of being recomputed.  The diagram is marked
+    validated: both view classes validate their data when they are built, and
+    a functor restricts to a functor.
     """
+    if not isinstance(points, CartesianSet):
+        pts = sort_points(points)
+        product = CartesianSet(tuple(zip(*pts))) if pts else None
+        if product is not None and len(product) == len(pts) \
+                and product.points() == frozenset(pts):
+            points = product
     if isinstance(points, CartesianSet):
         pts = points.sorted_points()
         covers = list(points.covers())
     else:
-        pts = sort_points(points)
         covers = poset_covers(pts)
     dims = {p: view.eval_space(p) for p in pts}
     maps = {e: view.eval_map(*e) for e in covers}

@@ -3,6 +3,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from detmod.cli import build_parser, main
 
 REPO = Path(__file__).resolve().parent.parent
@@ -308,9 +310,40 @@ class TestDeterminism:
         assert witnesses > 0
 
 
-class TestParserReuse:
-    def test_parser_is_built_once(self):
-        assert build_parser() is build_parser()
+class TestParser:
+    def test_main_builds_only_the_chosen_verb(self, monkeypatch, tmp_path):
+        import detmod.cli as cli
+
+        built = []
+        real = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser",
+                            lambda verb=None: built.append(verb) or real(verb))
+        out = str(tmp_path / "report.json")
+        assert main(["determinacy", EXAMPLE_F2, "--set", UNIT_SET, "--out", out]) == 0
+        parser = real("determinacy")
+        assert built == ["determinacy"]
+        assert list(parser._subparsers._group_actions[0].choices) == ["determinacy"]
+
+    def test_single_verb_parser_parses_like_the_full_one(self):
+        argvs = [["determinacy", EXAMPLE_F2, "--set", UNIT_SET, "--oracle", "--margin", "2"],
+                 ["encode", EXAMPLE_F2, "--set", UNIT_SET],
+                 ["verify", EXAMPLE_F2, "--presentation", "p.json", "--window", "0..1"],
+                 ["project", "--box", "{}", "--points", "[]"]]
+        for argv in argvs:
+            assert vars(build_parser(argv[0]).parse_args(argv)) == \
+                vars(build_parser().parse_args(argv))
+        assert build_parser("encode").format_usage() == build_parser().format_usage()
+        assert build_parser("nonsense").format_help() == build_parser().format_help()
+
+    def test_usage_errors_read_as_with_the_full_parser(self, capsys):
+        for argv in (["determinacy", EXAMPLE_F2, "--set", UNIT_SET, "--bogus"],
+                     ["encode", EXAMPLE_F2]):
+            messages = []
+            for parser in (build_parser(argv[0]), build_parser()):
+                with pytest.raises(SystemExit):
+                    parser.parse_args(argv)
+                messages.append(capsys.readouterr().err)
+            assert messages[0] == messages[1]
 
     def test_options_do_not_carry_over(self, capsys, monkeypatch):
         failing = str(GOLDEN / "sets" / "failing.json")
@@ -330,14 +363,6 @@ class TestParserReuse:
         assert run(capsys, *plain)[0] == 2
         monkeypatch.delenv("DETMOD_MARGIN")
         assert run(capsys, *plain) == expected
-
-    def test_parsed_values_are_fresh_on_every_call(self):
-        parser = build_parser()
-        argv = ["determinacy", EXAMPLE_F2, "--set", UNIT_SET]
-        args = parser.parse_args(argv + ["--margin", "2", "--oracle", "--no-support"])
-        assert (args.margin, args.oracle, args.no_support) == (2, True, True)
-        args = parser.parse_args(argv)
-        assert (args.margin, args.oracle, args.no_support) == (None, False, False)
 
 
 class TestMarginEnv:

@@ -11,7 +11,7 @@ from detmod import (QQ, Box, ExtendedView, InputError, Matrix, NEG_INF,
                     check_encoding, critical_grid, default_oracle_window,
                     downset_of, encode, ext_box, finitely_determined_check,
                     is_S_determined, is_S_determined_oracle, is_invertible,
-                    leq, pointed_closure, restrict_view)
+                    leq, pointed_closure, poset_covers, sort_points)
 from helpers import F2, F5, canonical_set, condition_by_downsets, \
     corner_module, oracle_grid, random_module, random_point_set
 
@@ -273,6 +273,13 @@ class TestOracle:
         with pytest.raises(InputError):
             is_S_determined_oracle(corner_view(), {(7, 0)}, Box((0, 0), (1, 1)))
 
+    @pytest.mark.parametrize("margin", [0, -1, -2, True, 1.0])
+    def test_margin_must_be_a_positive_integer(self, margin):
+        view = corner_view()
+        window = default_oracle_window(view.box, UNIT_SET)
+        with pytest.raises(InputError, match="margin"):
+            is_S_determined_oracle(view, UNIT_SET, window, margin=margin)
+
 
 class TestCanonicalMap:
     def test_equivalent_to_condition_on_random_instances(self):
@@ -328,25 +335,30 @@ class TestEncode:
         for field in (F2, F5, QQ):
             view = ExtendedView(random_module(field, rng))
             s = canonical_set(view.module)
-            generic = restrict_view(view, pointed_closure(s))
+            closure = sort_points(pointed_closure(s))
             with monkeypatch.context() as m:
                 m.setattr(grid_module, "poset_covers", None)
                 diagram = encode(view, s)
-            assert diagram.points == generic.points
-            assert diagram.dims == generic.dims
-            assert diagram.covers() == generic.covers()
-            assert all(diagram.maps[e] == generic.maps[e] for e in diagram.covers())
+            assert list(diagram.points) == closure
+            assert diagram.dims == {p: view.eval_space(p) for p in closure}
+            assert sorted(diagram.covers()) == sorted(poset_covers(closure))
+            assert all(diagram.maps[e] == view.eval_map(*e) for e in diagram.covers())
             assert diagram._validated is True
 
-    def test_non_product_closure_uses_generic_covers(self):
+    def test_non_product_closure_uses_generic_covers(self, monkeypatch):
+        import detmod.grid_module as grid_module
+
         view = ExtendedView(corner_module(F5))
         s = UNIT_SET | {(0, 0)}
         closure = pointed_closure(s)
         assert len(closure) == 7  # (0, -inf) and (-inf, 0) are missing
-        diagram = encode(view, s)
-        generic = restrict_view(view, closure)
-        assert diagram.points == generic.points
-        assert diagram.covers() == generic.covers()
+        calls = []
+        with monkeypatch.context() as m:
+            m.setattr(grid_module, "poset_covers",
+                      lambda pts: calls.append(pts) or poset_covers(pts))
+            diagram = encode(view, s)
+        assert calls == [sort_points(closure)]
+        assert sorted(diagram.covers()) == sorted(poset_covers(sort_points(closure)))
 
 
 class TestCheckEncoding:

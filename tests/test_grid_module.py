@@ -6,8 +6,8 @@ import pytest
 
 from detmod import (Box, ExtendedView, GridModule, InputError, Matrix,
                     NEG_INF, diagram_limit, ext_box, is_invertible,
-                    restrict_view, validate_diagram, validate_module,
-                    window_module)
+                    poset_covers, restrict_view, sort_points,
+                    validate_diagram, validate_module, window_module)
 from helpers import (F2, F5, corner_module, halfplane_table, random_module,
                      stabilization_window)
 
@@ -152,15 +152,32 @@ class TestRestrictDiagram:
             diagram._validated = None  # check the squares, not the inherited flag
             assert validate_diagram(diagram).ok
 
-    def test_cartesian_fast_path_matches_generic(self):
+    def test_cartesian_fast_path_matches_generic(self, monkeypatch):
+        import detmod.grid_module as grid_module
+
         view = ExtendedView(corner_module(F2))
         cart = ext_box(Box((0, 0), (1, 1)))
-        fast = restrict_view(view, cart)
-        slow = restrict_view(view, cart.points())
-        assert fast.points == slow.points
-        assert fast.dims == slow.dims
-        assert set(fast.covers()) == set(slow.covers())
-        assert all(fast.maps[e] == slow.maps[e] for e in fast.covers())
+        pts = sort_points(cart.points())
+        generic = poset_covers(pts)
+        with monkeypatch.context() as m:
+            m.setattr(grid_module, "poset_covers", None)
+            for points in (cart, cart.points(), list(reversed(pts))):
+                fast = restrict_view(view, points)
+                assert list(fast.points) == pts
+                assert fast.dims == {p: view.eval_space(p) for p in pts}
+                assert set(fast.covers()) == set(generic)
+                assert all(fast.maps[e] == view.eval_map(*e) for e in generic)
+
+    def test_sparse_set_does_not_build_its_product(self, monkeypatch):
+        import detmod.grid_module as grid_module
+
+        view = ExtendedView(corner_module(F2))
+        # a chain: its coordinate sets span a product of 40**2 points
+        chain = [(i, i) for i in range(40)]
+        with monkeypatch.context() as m:
+            m.setattr(grid_module.CartesianSet, "points", None)
+            diagram = restrict_view(view, chain)
+        assert sorted(diagram.covers()) == [(chain[i], chain[i + 1]) for i in range(39)]
 
 
 class TestWindowModule:
