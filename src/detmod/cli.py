@@ -18,12 +18,11 @@ from . import io as dio
 from .errors import ConsistencyError, InputError, NotDeterminedError
 from .extgrid import Box, convex_projection, ext_box, extended_projection, \
     is_integral, join_below, meet_above, sort_points
-from .determinacy import (DEFAULT_MARGIN, canonical_set, default_oracle_window,
-                          encode, is_S_determined, is_S_determined_oracle)
-from .grid_module import ExtendedView
+from .determinacy import (DEFAULT_MARGIN, canonical_set, check_encoding,
+                          default_oracle_window, encode, is_S_determined,
+                          is_S_determined_oracle)
+from .grid_module import ExtendedView, validate_module
 from .linalg import validate_diagram
-from .grid_module import validate_module
-from .determinacy import check_encoding
 from .presentation import (births_deaths, build_presentation,
                            diagram_births_deaths, is_admissible,
                            verify_presentation)

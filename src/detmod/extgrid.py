@@ -125,6 +125,8 @@ def join_closure(points: Iterable[Point]) -> frozenset:
     closed = set(points)
     if closed:
         common_dim(closed)
+        if as_product(closed) is not None:  # a product of chains is join-closed
+            return frozenset(closed)
     frontier = set(closed)
     while frontier:
         new = set()
@@ -268,6 +270,28 @@ class CartesianSet:
             below = [x for x in f if x <= v]
             out.append(below[-1])
         return tuple(out)
+
+
+def as_product(points) -> CartesianSet | None:
+    """The finite collection ``points`` as a :class:`CartesianSet` when it is
+    the product of its coordinate sets, otherwise ``None``.
+
+    The size of that product is compared first, so a sparse set never builds
+    it; equal sizes are confirmed by an exact comparison.
+    """
+    if isinstance(points, CartesianSet):
+        return points
+    pts = frozenset(points)
+    if not pts:
+        return None
+    factors = [frozenset(coords) for coords in zip(*pts)]
+    size = 1
+    for f in factors:
+        size *= len(f)
+    if size != len(pts):
+        return None
+    product = CartesianSet(tuple(factors))
+    return product if product.points() == pts else None
 
 
 def _to_cartesian(source) -> CartesianSet:

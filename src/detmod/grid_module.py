@@ -13,8 +13,9 @@ from __future__ import annotations
 from typing import Callable
 
 from .errors import InputError
-from .extgrid import (Box, CartesianSet, Point, NEG_INF, extended_projection,
-                      join_below, leq, pointed_closure, sort_points)
+from .extgrid import (Box, CartesianSet, Point, NEG_INF, as_product,
+                      extended_projection, join_below, leq, pointed_closure,
+                      sort_points)
 from .linalg import (DiagramCheck, Matrix, PosetDiagram, poset_covers,
                      validate_diagram)
 
@@ -25,7 +26,8 @@ class GridModule:
     ``dims`` maps every integer point of the box to a dimension.  ``steps``
     maps ``(point, axis)`` to the matrix of the move from ``point`` to
     ``point + e_axis``; omitted steps are the zero matrix of the forced
-    shape.  Axes are 0-based here (the file format is 1-based).
+    shape, one shared (immutable) matrix per shape.  Axes are 0-based here
+    (the file format is 1-based).
     """
 
     def __init__(self, field, box: Box, dims: dict, steps: dict):
@@ -39,21 +41,22 @@ class GridModule:
         if len(dims) != len(self.dims):
             extra = set(dims) - set(self.dims)
             raise InputError(f"dimensions given outside the box: {sorted(extra)[:3]!r}")
+        n, top = box.dim, box.b
         self.steps = {}
         for (p, axis), mat in steps.items():
-            if not self._step_in_box(p, axis):
+            if not (p in self.dims and 0 <= axis < n and p[axis] < top[axis]):
                 raise InputError(f"step at {p!r} along axis {axis} leaves the box")
             self.steps[(p, axis)] = mat
-        for p in box.integer_points():
-            for axis in range(box.dim):
-                if self._step_in_box(p, axis) and (p, axis) not in self.steps:
-                    q = self._step_target(p, axis)
-                    self.steps[(p, axis)] = Matrix.zeros(field, self.dims[q], self.dims[p])
+        self._zeros = {}
+        for p, dp in self.dims.items():
+            for axis in range(n):
+                if p[axis] < top[axis] and (p, axis) not in self.steps:
+                    shape = (self.dims[self._step_target(p, axis)], dp)
+                    zero = self._zeros.get(shape)
+                    if zero is None:
+                        zero = self._zeros[shape] = Matrix.zeros(field, *shape)
+                    self.steps[(p, axis)] = zero
         self._validated = None
-
-    def _step_in_box(self, p: Point, axis: int) -> bool:
-        return (self.box.contains(p) and 0 <= axis < self.box.dim
-                and p[axis] + 1 <= self.box.b[axis])
 
     def _step_target(self, p: Point, axis: int) -> Point:
         return p[:axis] + (p[axis] + 1,) + p[axis + 1:]
@@ -61,38 +64,66 @@ class GridModule:
     def step(self, p: Point, axis: int) -> Matrix:
         return self.steps[(p, axis)]
 
-    def as_diagram(self) -> PosetDiagram:
-        """The stored box data as a poset diagram (covers are the unit steps)."""
-        covers = []
-        maps = {}
-        for (p, axis), mat in self.steps.items():
-            q = self._step_target(p, axis)
-            covers.append((p, q))
-            maps[(p, q)] = mat
-        diagram = PosetDiagram(self.field, list(self.box.integer_points()),
-                               dict(self.dims), maps, covers=covers)
-        if self._validated is True:
-            diagram._validated = True
-        return diagram
-
 
 def validate_module(module: GridModule) -> DiagramCheck:
-    """Shape and commutativity checks for the stored box data."""
+    """Shape, field and commutativity checks for the stored box data.
+
+    The unit squares of the box generate every commutativity relation of the
+    grid, and through the extended projection of the whole extended grid, so
+    they are the only squares checked.  They are walked in lexicographic
+    order of their bottom corner c, and at each c the pairs of axes j > i in
+    the order (n-1, n-2), (n-1, n-3), ..., (1, 0); the first failure is
+    reported as ``(c, c + e_j, c + e_i, c + e_i + e_j)``.  A square commutes
+    without a product when c or its top corner has dimension zero, and a
+    composite through a left-out step (a shared zero) is zero, so at most one
+    product is formed then.
+    """
     if module._validated is True:
         return DiagramCheck(True)
-    for (p, axis), mat in module.steps.items():
+    dims, steps, field = module.dims, module.steps, module.field
+    for (p, axis), mat in steps.items():
         q = module._step_target(p, axis)
-        expected = (module.dims[q], module.dims[p])
+        expected = (dims[q], dims[p])
         if mat.shape != expected:
             return DiagramCheck(False, f"step at {p!r} along axis {axis + 1} has shape "
                                 f"{mat.shape}, expected {expected}", (p, q))
-        if mat.field != module.field:
+        if mat.field != field:
             return DiagramCheck(False, f"step at {p!r} along axis {axis + 1} is over the "
                                 "wrong field", (p, q))
-    check = validate_diagram(module.as_diagram())
-    if check.ok:
-        module._validated = True
-    return check
+    for p, d in dims.items():  # a bad dimension is an input error, not a verdict
+        if isinstance(d, bool) or not isinstance(d, int) or d < 0:
+            raise InputError(f"invalid dimension {d!r} at {p!r}")
+    zero_ids = {id(z) for z in module._zeros.values()}
+    n, top = module.box.dim, module.box.b
+    target = module._step_target
+    for c, dc in dims.items():
+        axes = [axis for axis in reversed(range(n)) if c[axis] < top[axis]]
+        if dc == 0 or len(axes) < 2:
+            continue
+        for k, j in enumerate(axes):
+            cj = target(c, j)
+            c_j = steps[(c, j)]
+            for i in axes[k + 1:]:
+                e = target(cj, i)
+                if dims[e] == 0:
+                    continue
+                ci = target(c, i)
+                c_i = steps[(c, i)]
+                up_i, up_j = steps[(cj, i)], steps[(ci, j)]
+                left_zero = id(c_j) in zero_ids or id(up_i) in zero_ids
+                right_zero = id(c_i) in zero_ids or id(up_j) in zero_ids
+                if left_zero and right_zero:
+                    continue
+                if left_zero:
+                    ok = (up_j @ c_i).is_zero()
+                elif right_zero:
+                    ok = (up_i @ c_j).is_zero()
+                else:
+                    ok = up_i @ c_j == up_j @ c_i
+                if not ok:
+                    return DiagramCheck(False, "square does not commute", (c, cj, ci, e))
+    module._validated = True
+    return DiagramCheck(True)
 
 
 class ExtendedView:
@@ -157,15 +188,13 @@ def restrict_view(view, points) -> PosetDiagram:
     a functor restricts to a functor.
     """
     if not isinstance(points, CartesianSet):
-        pts = sort_points(points)
-        product = CartesianSet(tuple(zip(*pts))) if pts else None
-        if product is not None and len(product) == len(pts) \
-                and product.points() == frozenset(pts):
-            points = product
-    if isinstance(points, CartesianSet):
-        pts = points.sorted_points()
-        covers = list(points.covers())
+        points = frozenset(points)
+    product = as_product(points)
+    if product is not None:
+        pts = product.sorted_points()
+        covers = list(product.covers())
     else:
+        pts = sort_points(points)
         covers = poset_covers(pts)
     dims = {p: view.eval_space(p) for p in pts}
     maps = {e: view.eval_map(*e) for e in covers}

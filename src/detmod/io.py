@@ -12,10 +12,10 @@ import json
 from fractions import Fraction
 
 from .errors import InputError
-from .extgrid import Box, NEG_INF, Point, as_point, point_sort_key
+from .extgrid import Box, NEG_INF, Point, as_point, as_product, point_sort_key
 from .determinacy import DeterminacyReport
 from .grid_module import GridModule
-from .linalg import Matrix, PosetDiagram, PrimeField, RationalField
+from .linalg import Matrix, PosetDiagram, PrimeField, RationalField, poset_covers
 from .presentation import BirthDeathReport, Presentation, PresentationCheck
 
 
@@ -189,8 +189,9 @@ def diagram_from_json(obj) -> PosetDiagram:
     if len(dims_list) != len(points):
         raise InputError("dims and points have different lengths")
     dims = dict(zip(points, dims_list))
-    skeleton = PosetDiagram(field, points, dims, {})
-    cover_set = set(skeleton.covers())
+    product = as_product(points)
+    covers = list(product.covers()) if product is not None else poset_covers(points)
+    cover_set = set(covers)
     maps = {}
     for entry in obj.get("maps", []):
         if not isinstance(entry, dict):
@@ -202,7 +203,7 @@ def diagram_from_json(obj) -> PosetDiagram:
         if (c, d) in maps:
             raise InputError(f"duplicate map {c!r} -> {d!r}")
         maps[(c, d)] = matrix_from_json(field, entry.get("matrix"), (dims[d], dims[c]))
-    return PosetDiagram(field, points, dims, maps, covers=list(cover_set))
+    return PosetDiagram(field, points, dims, maps, covers=covers)
 
 
 def presentation_to_json(pres: Presentation) -> dict:

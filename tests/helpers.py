@@ -14,7 +14,8 @@ from detmod import (Box, CartesianSet, DeterminacyReport, GridModule, Matrix,
                     NEG_INF, PosetDiagram, Presentation, PrimeField,
                     canonical_set, cokernel_projection, diagram_colimit,
                     downset_of, encode, hstack, in_upset, is_invertible,
-                    kernel_basis, leq, lt, min_point, mub, rank, solve)
+                    kernel_basis, leq, lt, min_point, mub, rank, solve,
+                    validate_diagram)
 
 F2 = PrimeField(2)
 F5 = PrimeField(5)
@@ -90,6 +91,27 @@ def path_commutativity_ok(diagram: PosetDiagram) -> bool:
             if any(m != composites[0] for m in composites[1:]):
                 return False
     return True
+
+
+def module_diagram(module: GridModule) -> PosetDiagram:
+    """The stored box data as a generic poset diagram (covers are the unit steps)."""
+    covers = []
+    maps = {}
+    for (p, axis), mat in module.steps.items():
+        q = module._step_target(p, axis)
+        covers.append((p, q))
+        maps[(p, q)] = mat
+    diagram = PosetDiagram(module.field, list(module.box.integer_points()),
+                           dict(module.dims), maps, covers=covers)
+    if module._validated is True:
+        diagram._validated = True
+    return diagram
+
+
+def validate_module_by_diagram(module: GridModule):
+    """Commutativity of the box data by the generic route: every minimal square
+    of the module's poset diagram, with covers sorted by the linear extension."""
+    return validate_diagram(module_diagram(module))
 
 
 # ---------------------------------------------------------------------------

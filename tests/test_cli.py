@@ -59,6 +59,18 @@ class TestValidate:
         assert code == 1 and payload["ok"] is False
         assert payload["square"]
 
+    def test_stdout_matches_golden_transcripts(self, capsys):
+        # a 2x2 square that does not commute, a 3-parameter module whose
+        # second square fails, and a step matrix of the wrong shape
+        modules = sorted((GOLDEN / "validate").glob("*.module.json"))
+        assert len(modules) == 3
+        for module in modules:
+            code, out, err = run(capsys, "validate", str(module))
+            golden = module.with_name(module.name.replace(".module.json", ".expected.json"))
+            expected = json.loads(golden.read_text(encoding="utf-8"))
+            assert (code, out, err) == (expected["exit_code"], expected["stdout"],
+                                        expected["stderr"]), module.name
+
 
 class TestDeterminacy:
     def test_fast_and_oracle_agree(self, capsys):

@@ -10,6 +10,7 @@ from detmod import (Box, CartesianSet, InputError, NEG_INF, convex_projection,
                     critical_grid, downset_of, ext_box, extended_projection,
                     join_below, join_closure, leq, meet_above, mlb, mub,
                     pointed_closure)
+from detmod.extgrid import as_product
 from helpers import (join_closure_by_subsets, maximal_lower_bounds_bruteforce,
                      minimal_upper_bounds_bruteforce, window_ext_points)
 
@@ -22,6 +23,12 @@ def ext_points(n):
 
 def point_sets(n, min_size=1, max_size=4):
     return st.frozensets(ext_points(n), min_size=min_size, max_size=max_size)
+
+
+def product_sets(n, max_factor=3):
+    """Products of random coordinate sets (each point set a product of chains)."""
+    factor = st.frozensets(ext_coords, min_size=1, max_size=max_factor)
+    return st.tuples(*([factor] * n)).map(lambda fs: CartesianSet(fs).points())
 
 
 class TestBounds:
@@ -83,6 +90,18 @@ class TestClosures:
     def test_matches_subset_enumeration(self, points):
         assert join_closure(points) == join_closure_by_subsets(points)
 
+    @given(product_sets(2))
+    def test_products_match_subset_enumeration(self, points):
+        assert join_closure(points) == join_closure_by_subsets(points) == points
+
+    def test_product_returns_without_joining(self, monkeypatch):
+        import detmod.extgrid as extgrid
+
+        pts = CartesianSet(((NEG_INF, 0, 2), (1, 5), (-1, 0, 3))).points()
+        monkeypatch.setattr(extgrid, "join", None)
+        assert join_closure(pts) == pts
+        assert pointed_closure(pts) == pts | {(NEG_INF, NEG_INF, NEG_INF)}
+
     @given(point_sets(2, min_size=0, max_size=5))
     def test_idempotent_and_extensive(self, points):
         closed = join_closure(points)
@@ -99,6 +118,31 @@ class TestClosures:
     def test_extended_box_is_a_fixed_point(self):
         pts = ext_box(Box((1, 1), (1, 1))).points()
         assert pointed_closure(pts) == pts
+
+
+class TestAsProduct:
+    @given(product_sets(3))
+    def test_products_are_recognised(self, points):
+        product = as_product(points)
+        assert product is not None and product.points() == points
+        assert as_product(list(points)) == product
+
+    @given(point_sets(2, min_size=0, max_size=6))
+    def test_matches_definition(self, points):
+        factors = [{p[i] for p in points} for i in range(2)]
+        is_product = bool(points) and set(itertools.product(*factors)) == points
+        assert (as_product(points) is not None) == is_product
+
+    def test_cartesian_set_passes_through(self):
+        cart = ext_box(Box((0, 0), (1, 2)))
+        assert as_product(cart) is cart
+
+    def test_sparse_set_does_not_build_its_product(self, monkeypatch):
+        monkeypatch.setattr(CartesianSet, "points", None)
+        assert as_product([(i, i) for i in range(40)]) is None
+
+    def test_mixed_dimensions_are_not_a_product(self):
+        assert as_product([(0,), (1, 2)]) is None
 
 
 class TestJoinBelow:

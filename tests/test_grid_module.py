@@ -5,11 +5,12 @@ import random
 import pytest
 
 from detmod import (Box, ExtendedView, GridModule, InputError, Matrix,
-                    NEG_INF, diagram_limit, ext_box, is_invertible,
+                    NEG_INF, QQ, diagram_limit, ext_box, is_invertible,
                     poset_covers, restrict_view, sort_points,
                     validate_diagram, validate_module, window_module)
-from helpers import (F2, F5, corner_module, halfplane_table, random_module,
-                     stabilization_window)
+from helpers import (F2, F5, corner_module, halfplane_table, module_diagram,
+                     path_commutativity_ok, random_module, stabilization_window,
+                     validate_module_by_diagram)
 
 BOTTOM = (NEG_INF, NEG_INF)
 
@@ -45,6 +46,94 @@ class TestValidation:
     def test_dims_must_cover_box(self):
         with pytest.raises(InputError):
             GridModule(F2, Box((0, 0), (1, 1)), {(0, 0): 1}, {})
+
+
+def _random_box(rng, nparams):
+    side = {1: 4, 2: 2, 3: 1}[nparams]
+    a = tuple(rng.randint(-1, 1) for _ in range(nparams))
+    return Box(a, tuple(x + rng.randint(1, side) for x in a))
+
+
+def _random_matrix(field, nrows, ncols, rng):
+    pool = range(field.p) if field.kind == "prime" else range(-2, 3)
+    return Matrix(field, [[rng.choice(pool) for _ in range(ncols)] for _ in range(nrows)],
+                  ncols=ncols)
+
+
+def _module_variants(module, rng):
+    """The module with every step given, with its zero steps left out, and
+    copies of the latter with one step replaced or left out at random."""
+    given = {k: m for k, m in module.steps.items() if not m.is_zero()}
+    variants = [dict(module.steps), given]
+    for key in rng.sample(sorted(module.steps), min(3, len(module.steps))):
+        shape = module.steps[key].shape
+        variants.append({**given, key: _random_matrix(module.field, *shape, rng)})
+    if given:
+        dropped = rng.choice(sorted(given))
+        variants.append({k: m for k, m in given.items() if k != dropped})
+    return [GridModule(module.field, module.box, dict(module.dims), steps)
+            for steps in variants]
+
+
+class TestValidateModuleRoutes:
+    """The unit-square walk against the poset-diagram route and path enumeration."""
+
+    @pytest.mark.parametrize("field,seed", [(F2, 11), (F5, 13), (QQ, 17)],
+                             ids=["f2", "f5", "q"])
+    @pytest.mark.parametrize("nparams", [1, 2, 3])
+    def test_agrees_with_diagram_route_and_paths(self, field, seed, nparams):
+        rng = random.Random(100 * nparams + seed)
+        verdicts = set()
+        for _ in range(30):
+            base = random_module(field, rng, box=_random_box(rng, nparams))
+            for module in _module_variants(base, rng):
+                fast = validate_module(module)
+                module._validated = None
+                slow = validate_module_by_diagram(module)
+                assert fast == slow
+                assert fast.ok == path_commutativity_ok(module_diagram(module))
+                verdicts.add(fast.ok)
+        assert verdicts == ({True} if nparams == 1 else {True, False})
+
+    def test_builds_no_poset_diagram(self, monkeypatch):
+        import detmod.grid_module as grid_module
+        import detmod.linalg as linalg
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("validate_module went through a poset diagram")
+
+        rng = random.Random(7)
+        modules = []
+        for field in (F2, F5, QQ):
+            for _ in range(4):
+                base = random_module(field, rng, box=_random_box(rng, 2))
+                modules.extend(_module_variants(base, rng))
+        with monkeypatch.context() as m:
+            m.setattr(linalg.PosetDiagram, "__init__", forbidden)
+            m.setattr(linalg, "validate_diagram", forbidden)
+            m.setattr(grid_module, "validate_diagram", forbidden)
+            verdicts = {validate_module(module).ok for module in modules}
+        assert verdicts == {True, False}
+
+    def test_squares_through_left_out_steps_form_no_product(self, monkeypatch):
+        # steps along axis 1 are given, those along axis 2 are left out, so
+        # both composites of every unit square pass through a left-out step
+        box = Box((0, 0), (2, 2))
+        steps = {(p, 0): Matrix.identity(F5, 1) for p in box.integer_points() if p[0] < 2}
+        module = GridModule(F5, box, {p: 1 for p in box.integer_points()}, steps)
+
+        def forbidden(self, other):
+            raise AssertionError("a matrix product was formed")
+
+        monkeypatch.setattr(Matrix, "__matmul__", forbidden)
+        assert validate_module(module).ok
+
+    def test_left_out_steps_share_one_zero_per_shape(self):
+        module = corner_module(F2, top=(1, 1), box=Box((0, 0), (3, 3)))
+        zeros = {}
+        for mat in module.steps.values():
+            assert mat.is_zero()
+            assert zeros.setdefault(mat.shape, mat) is mat
 
 
 class TestEvalSpace:

@@ -5,7 +5,8 @@ import random
 import pytest
 
 from detmod import (Box, ExtendedView, InputError, NEG_INF, QQ,
-                    build_presentation, validate_module)
+                    build_presentation, ext_box, point_sort_key, validate_module)
+from detmod.extgrid import as_product
 from detmod.io import (box_from_json, canonical_dumps, decode_point,
                        detect_kind, diagram_from_json, diagram_to_json,
                        field_from_json, matrix_from_json, module_from_json,
@@ -109,6 +110,31 @@ class TestDiagramRoundtrip:
                "points": [[0], [1], [2]], "dims": [1, 1, 1],
                "maps": [{"from": [0], "to": [2], "matrix": [[1]]}]}
         with pytest.raises(InputError):
+            diagram_from_json(obj)
+
+    def test_covers_match_definition(self, monkeypatch):
+        import detmod.io as dio
+        from helpers import poset_covers_bruteforce, random_point_set
+
+        rng = random.Random(19)
+        for _ in range(20):
+            pts = sorted(random_point_set(rng, 2, max_size=8) | {(0, 0)}, key=point_sort_key)
+            view = ExtendedView(random_module(F5, rng))
+            for points in (pts, ext_box(Box((0, 0), (1, 2))).sorted_points()):
+                obj = diagram_to_json(view.restrict_diagram(points))
+                with monkeypatch.context() as m:
+                    if as_product(points) is not None:
+                        m.setattr(dio, "poset_covers", None)
+                    again = diagram_from_json(obj)
+                assert set(again.covers()) == set(poset_covers_bruteforce(points))
+                assert diagram_to_json(again) == obj
+
+    def test_cover_error_message_on_a_product(self):
+        obj = {"field": {"kind": "prime", "p": 2}, "n": 2,
+               "points": [[0, 0], [0, 1], [1, 0], [1, 1]], "dims": [1, 1, 1, 1],
+               "maps": [{"from": [0, 0], "to": [1, 1], "matrix": [[1]]}]}
+        with pytest.raises(InputError, match=r"map \(0, 0\) -> \(1, 1\) is not a "
+                                             "covering pair of the points"):
             diagram_from_json(obj)
 
 

@@ -7,14 +7,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from detmod import (ExtendedView, InputError, Matrix, PosetDiagram, QQ,
-                    cokernel_projection, diagram_colimit, diagram_limit,
-                    diagrams_isomorphic, encode, is_invertible, join_closure,
-                    kernel_basis, leq, nat_basis, natural_isomorphism, poset_covers,
-                    rank, solve, validate_diagram)
-from helpers import (F2, F5, all_cover_paths, canonical_set, path_commutativity_ok,
-                     poset_covers_bruteforce, random_invertible, random_module,
-                     random_point_set)
+from detmod import (CartesianSet, ExtendedView, InputError, Matrix, NEG_INF,
+                    PosetDiagram, QQ, cokernel_projection, diagram_colimit,
+                    diagram_limit, diagrams_isomorphic, encode, is_invertible,
+                    join_closure, kernel_basis, leq, nat_basis, natural_isomorphism,
+                    poset_covers, rank, solve, validate_diagram)
+from helpers import (F2, F5, all_cover_paths, canonical_set, module_diagram,
+                     path_commutativity_ok, poset_covers_bruteforce, random_invertible,
+                     random_module, random_point_set)
 
 FIELDS = [F2, F5, QQ]
 
@@ -214,15 +214,20 @@ class TestPathMap:
 
 
 class TestPosetCovers:
+    COORDS = (NEG_INF, -2, -1, 0, 1, 2, 3)
+
     @pytest.mark.parametrize("nparams", [1, 2, 3])
     def test_matches_definition_on_random_sets(self, nparams):
         rng = random.Random(40 + nparams)
         for _ in range(30):
             pts = random_point_set(rng, nparams, max_size=12)
-            for candidate in (pts, join_closure(pts)):
+            product = CartesianSet(tuple(rng.sample(self.COORDS, rng.randint(1, 3))
+                                         for _ in range(nparams)))
+            for candidate in (pts, join_closure(pts), product.points()):
                 ordered = list(candidate)
                 rng.shuffle(ordered)
                 assert set(poset_covers(ordered)) == set(poset_covers_bruteforce(ordered))
+            assert set(product.covers()) == set(poset_covers_bruteforce(product.points()))
 
 
 class TestLimit:
@@ -307,7 +312,7 @@ class TestDiagramIsomorphism:
 
         rng = random.Random(seed)
         for _ in range(15):
-            a = random_module(field, rng, twist=False).as_diagram()
+            a = module_diagram(random_module(field, rng, twist=False))
             assert validate_diagram(a)
             dims = a.dims
             twist = {p: random_invertible(field, dims[p], rng) for p in a.points}
@@ -320,7 +325,7 @@ class TestDiagramIsomorphism:
         from helpers import random_module
 
         rng = random.Random(41)
-        a = random_module(F5, rng, twist=False).as_diagram()
+        a = module_diagram(random_module(F5, rng, twist=False))
         b = random_module(F5, rng, twist=False)
         twist = {p: random_invertible(F5, a.dims[p], rng) for p in a.points}
         inv = {p: solve(twist[p], Matrix.identity(F5, a.dims[p])) for p in a.points}
