@@ -1,0 +1,80 @@
+#!/usr/bin/env python3
+"""Scaling of ``births-deaths`` on one-parameter identity chains.
+
+The module is one-dimensional on every point of the box [0, N - 1] with
+identity steps.  Its extension has one birth, at -inf, and no deaths, for
+every N.  The script writes each chain as a module file, runs the CLI verb
+through ``detmod.cli.main`` in this process, checks that closed form, and
+prints the CPU time of the call (the least of ``--repeat`` runs) and its
+ratio to the previous size.  A linear scan grows about 2x per doubling; the
+check on the output holds at any speed, so the script has no timing gate.
+
+Usage: python scripts/chain_scaling.py [--sizes 50 100 200 400] [--fields f2 f5]
+                                       [--repeat 3]
+"""
+
+import argparse
+import json
+import os
+import sys
+import tempfile
+import time
+
+from detmod import Box, GridModule, Matrix, PrimeField
+from detmod import io as dio
+from detmod.cli import main as cli_main
+
+FIELDS = {"f2": PrimeField(2), "f5": PrimeField(5)}
+CLOSED_FORM = {"births": [{"multiplicity": 1, "point": ["-inf"]}], "deaths": []}
+
+
+def chain_module(field, n: int) -> GridModule:
+    box = Box((0,), (n - 1,))
+    dims = {(i,): 1 for i in range(n)}
+    steps = {((i,), 0): Matrix.identity(field, 1) for i in range(n - 1)}
+    return GridModule(field, box, dims, steps)
+
+
+def timed_births_deaths(path: str, out: str) -> float:
+    start = time.process_time()
+    code = cli_main(["births-deaths", path, "--out", out])
+    elapsed = time.process_time() - start
+    if code != 0:
+        raise SystemExit(f"births-deaths exited {code} on {path}")
+    return elapsed
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--sizes", type=int, nargs="+", default=[50, 100, 200, 400])
+    parser.add_argument("--fields", nargs="+", choices=sorted(FIELDS), default=["f2", "f5"])
+    parser.add_argument("--repeat", type=int, default=3)
+    args = parser.parse_args()
+    if min(args.sizes) < 1 or args.repeat < 1:
+        parser.error("sizes and --repeat must be positive")
+
+    print(f"{'field':>5} {'points':>7} {'cpu_s':>8} {'ratio':>6}")
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "report.json")
+        for name in args.fields:
+            previous = None
+            for n in args.sizes:
+                path = os.path.join(tmp, f"chain_{name}_{n}.json")
+                with open(path, "w") as fh:
+                    json.dump(dio.module_to_json(chain_module(FIELDS[name], n)), fh)
+                cpu = min(timed_births_deaths(path, out) for _ in range(args.repeat))
+                with open(out) as fh:
+                    report = json.load(fh)
+                if report != CLOSED_FORM:
+                    raise SystemExit(f"{name} chain of {n} points: expected one birth at "
+                                     f"-inf and no deaths, got {report}")
+                ratio = f"{cpu / previous:6.2f}" if previous else f"{'':>6}"
+                print(f"{name:>5} {n:>7} {cpu:>8.3f} {ratio}")
+                previous = cpu
+    print("every chain has one birth at -inf and no deaths")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

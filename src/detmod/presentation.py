@@ -153,11 +153,21 @@ def _present_diagram(diagram: PosetDiagram) -> tuple:
     module on the generators below c contributes as relations the columns
     that are new modulo the kernels embedded from the lower covers of c
     (pivot columns of one rref).
+
+    The evaluation map is carried up one lower cover at a time.  The block
+    of a generator b < c is taken from map(p, c) @ ev_p for the first lower
+    cover p of c above b; the new lifts at c are their own block, and the
+    blocks keep the order of the generators.  That block is the image of
+    the lift at b along one covering chain from b to c.  The validated
+    diagram commutes, so every such chain gives the path map from b to c,
+    and with exact arithmetic the matrix is entry for entry the one that
+    ``path_map(b, c) @ lifts[b]`` would give: each point costs one product
+    per lower cover instead of one per generator below it.
     """
     _require_valid(diagram)
     field = diagram.field
     lower = _lower_covers(diagram)
-    lifts, generators, kernels, relations, blocks = {}, [], {}, [], {}
+    lifts, generators, scanned, relations, blocks = {}, [], {}, [], {}
     for c in diagram.points:
         image = hstack(field, [diagram.map(p, c) for p in lower[c]], nrows=diagram.dims[c])
         lift = _generator_lifts(image)
@@ -166,11 +176,27 @@ def _present_diagram(diagram: PosetDiagram) -> tuple:
             generators.append((c, lift.ncols))
         active = [(b, m) for b, m in generators if leq(b, c)]
         total = sum(m for _, m in active)
-        ev = hstack(field, [diagram.path_map(b, c) @ lifts[b] for b, _ in active],
-                    nrows=diagram.dims[c])
+        carried = {c: (lift, 0)}
+        for p in lower[c]:
+            below, ev_p, _ = scanned[p]
+            if all(b in carried for b, _ in below):
+                continue
+            moved = diagram.map(p, c) @ ev_p
+            offset = 0
+            for b, m in below:
+                carried.setdefault(b, (moved, offset))
+                offset += m
+        rows = [[] for _ in range(diagram.dims[c])]
+        for b, m in active:
+            if b not in carried:
+                raise InputError(f"no covering chain from {b!r} to {c!r}")
+            source, offset = carried[b]
+            for row, src in zip(rows, source.rows):
+                row.extend(src[offset:offset + m])
+        ev = Matrix(field, rows, ncols=total, _coerce=False)
         ker = kernel_basis(ev)
-        kernels[c] = (active, ker)
-        embedded = [_generator_inclusion(field, kernels[p][0], active) @ kernels[p][1]
+        scanned[c] = (active, ev, ker)
+        embedded = [_generator_inclusion(field, scanned[p][0], active) @ scanned[p][2]
                     for p in lower[c]]
         inherited = hstack(field, embedded, nrows=total)
         _, pivots = rref(hstack(field, [inherited, ker], nrows=total))

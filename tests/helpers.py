@@ -327,28 +327,32 @@ def _pad_generator_rows(field, small, mat: Matrix, large) -> Matrix:
     return Matrix(field, rows, ncols=mat.ncols)
 
 
-def presentation_by_full_scan(view, s) -> Presentation:
-    """Generators from the cone colimit maps; relations chosen one rank per
-    kernel column against the kernels of every lower point of the encoding.
-    The generator lifts are returned as the presentation's generator images."""
-    field = view.field
-    enc = encode(view, s)
+def diagram_presentation_by_full_scan(diagram: PosetDiagram, structure_map=None) -> tuple:
+    """(generators, relations, blocks, generator lifts) of a diagram.
+
+    Generators come from the cone colimit maps; relations are chosen one rank
+    per kernel column against the kernels of every lower point.  The image of
+    a generator at b in c is ``structure_map(b, c)`` applied to its lift, by
+    default the diagram's own ``path_map``, so no image is carried up covers.
+    """
+    field = diagram.field
+    structure_map = structure_map or diagram.path_map
     lifts, generators = {}, []
-    for c in enc.points:
-        lift = cokernel_lifts(colimit_map_by_cone(enc, c))
+    for c in diagram.points:
+        lift = cokernel_lifts(colimit_map_by_cone(diagram, c))
         if lift.ncols:
             lifts[c] = lift
             generators.append((c, lift.ncols))
     kernels, relations, blocks = {}, [], {}
-    for c in enc.points:
+    for c in diagram.points:
         active = [(b, m) for b, m in generators if leq(b, c)]
         total = sum(m for _, m in active)
-        ev = hstack(field, [view.eval_map(b, c) @ lifts[b] for b, _ in active],
-                    nrows=view.eval_space(c))
+        ev = hstack(field, [structure_map(b, c) @ lifts[b] for b, _ in active],
+                    nrows=diagram.dims[c])
         ker = kernel_basis(ev)
         kernels[c] = (active, ker)
         current = []
-        for p in enc.points:
+        for p in diagram.points:
             if lt(p, c):
                 current.extend(_pad_generator_rows(field, kernels[p][0], kernels[p][1],
                                                    active).columns())
@@ -368,5 +372,13 @@ def presentation_by_full_scan(view, s) -> Presentation:
             if not seg.is_zero():
                 blocks[(c, b)] = seg
             offset += m
-    return Presentation(field, view.box.dim, tuple(generators), tuple(relations), blocks,
+    return generators, relations, blocks, lifts
+
+
+def presentation_by_full_scan(view, s) -> Presentation:
+    """The full scan of the encoding, with images from the module's own
+    ``eval_map``; the generator lifts are the presentation's generator images."""
+    generators, relations, blocks, lifts = diagram_presentation_by_full_scan(
+        encode(view, s), view.eval_map)
+    return Presentation(view.field, view.box.dim, tuple(generators), tuple(relations), blocks,
                         generator_images=lifts)

@@ -13,9 +13,12 @@ from detmod import (Box, ExtendedView, GridModule, InputError,
                     predecessor_colimit_map, rank, solve, unzip_module,
                     verify_presentation, window_module, zip_module)
 from helpers import (F2, F5, births_deaths_by_cone, canonical_set,
-                     colimit_map_by_cone, corner_module, halfplane_table,
-                     presentation_by_full_scan, random_module)
-from detmod import QQ
+                     colimit_map_by_cone, corner_module,
+                     diagram_presentation_by_full_scan, halfplane_table,
+                     presentation_by_full_scan, random_module, random_point_set)
+from detmod import QQ, lt, pointed_closure
+from detmod.extgrid import as_product
+from detmod.presentation import _present_diagram
 
 BOTTOM = (NEG_INF, NEG_INF)
 UNIT_SET = frozenset(ext_box(Box((1, 1), (1, 1))).points())
@@ -77,6 +80,13 @@ class TestBirthsDeaths:
                     if all(c != NEG_INF and -n < c < n for c in p)}
         assert interior == {(k, -k): 1 for k in range(-(n - 1), n)}
         assert report.births == {BOTTOM: 1}
+
+    def test_generator_with_no_covering_chain_is_input_error(self):
+        pts = [(0,), (1,), (2,)]
+        chain = PosetDiagram(F2, pts, {p: 1 for p in pts},
+                             {((0,), (1,)): Matrix.identity(F2, 1)}, covers=[((0,), (1,))])
+        with pytest.raises(InputError, match="no covering chain"):
+            diagram_births_deaths(chain)
 
     def test_no_downset_colimit_on_any_route(self, monkeypatch):
         import detmod
@@ -164,6 +174,64 @@ class TestLowerCoverRoutesMatchOracles:
             assert predecessor_colimit_map(diagram, c) == colimit_map_by_cone(diagram, c)
         report = diagram_births_deaths(diagram)
         assert (report.births, report.deaths) == births_deaths_by_cone(diagram)
+        assert _present_diagram(diagram) == diagram_presentation_by_full_scan(diagram)
+
+    @pytest.mark.parametrize("field", [F2, F5, QQ], ids=["f2", "f5", "q"])
+    def test_join_closures_that_are_not_products(self, field):
+        """Whole presentations on sparse encodings, images from ``path_map``.
+
+        Runs until ten of the diagrams have relations.  Counts the generators
+        b < c that lie below a later lower cover of c but not below its first
+        one, so that their images at c are carried up another cover.
+        """
+        rng = random.Random(71 + (field.p if field.kind == "prime" else 0))
+        with_relations = off_first_cover = 0
+        while with_relations < 10:
+            nparams = rng.choice([2, 2, 3])
+            a = tuple(rng.randint(-1, 1) for _ in range(nparams))
+            box = Box(a, tuple(x + 4 - nparams for x in a))
+            view = ExtendedView(random_module(field, rng, box=box, max_summands=5))
+            pts = pointed_closure(random_point_set(rng, nparams, 6), dim=nparams)
+            if as_product(pts) is not None:
+                continue
+            diagram = view.restrict_diagram(pts)
+            got = _present_diagram(diagram)
+            assert got == diagram_presentation_by_full_scan(diagram)
+            lower = {c: [p for p, d in diagram.covers() if d == c] for c in diagram.points}
+            off_first_cover += sum(1 for c in diagram.points for b, _ in got[0]
+                                   if lt(b, c) and not leq(b, lower[c][0]))
+            with_relations += bool(got[1])
+        assert off_first_cover > 0
+
+
+class TestScanIsLinear:
+    """On a 400-point identity chain the scan walks no path from a generator."""
+
+    N = 400
+
+    def chain(self):
+        pts = [(i,) for i in range(self.N)]
+        maps = {((i,), (i + 1,)): Matrix.identity(F2, 1) for i in range(self.N - 1)}
+        return PosetDiagram(F2, pts, {p: 1 for p in pts}, maps)
+
+    def test_no_path_map_call(self, monkeypatch):
+        def no_path_map(*args):
+            raise AssertionError("path_map called")
+        monkeypatch.setattr(PosetDiagram, "path_map", no_path_map)
+        generators, relations, _, _ = _present_diagram(self.chain())
+        assert generators == [((0,), 1)] and relations == []
+
+    def test_matrix_products_linear_in_points(self, monkeypatch):
+        chain = self.chain()
+        products = []
+        matmul = Matrix.__matmul__
+
+        def counted(self, other):
+            products.append(other.shape)
+            return matmul(self, other)
+        monkeypatch.setattr(Matrix, "__matmul__", counted)
+        _present_diagram(chain)
+        assert len(products) <= 3 * self.N
 
 
 class TestVerifyPresentation:
