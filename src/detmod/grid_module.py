@@ -157,6 +157,13 @@ class ExtendedView:
         return self.module.dims[self.clamp(c)]
 
     def eval_map(self, c: Point, d: Point) -> Matrix:
+        """The structure map from c to d: the stored steps composed along the
+        staircase from clamp(c) to clamp(d).
+
+        The composite starts from the first step, so a unit cover returns
+        the stored step itself and a path of k steps makes k - 1 products;
+        the identity is built only when both points clamp to the same point.
+        """
         if not leq(c, d):
             raise InputError(f"{c!r} is not below {d!r}")
         p, q = self.clamp(c), self.clamp(d)
@@ -164,12 +171,16 @@ class ExtendedView:
         cached = self._map_cache.get(key)
         if cached is not None:
             return cached
-        mat = Matrix.identity(self.field, self.module.dims[p])
-        x = list(p)
-        for axis in range(self.module.box.dim):
-            while x[axis] < q[axis]:
-                mat = self.module.step(tuple(x), axis) @ mat
-                x[axis] += 1
+        if p == q:
+            mat = Matrix.identity(self.field, self.module.dims[p])
+        else:
+            mat = None
+            x = list(p)
+            for axis in range(self.module.box.dim):
+                while x[axis] < q[axis]:
+                    step = self.module.step(tuple(x), axis)
+                    mat = step if mat is None else step @ mat
+                    x[axis] += 1
         self._map_cache[key] = mat
         return mat
 

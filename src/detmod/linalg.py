@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .errors import InputError
-from .extgrid import Point, leq, lt, point_sort_key, sort_points
+from .extgrid import Point, as_product, leq, lt, point_sort_key, sort_points
 
 
 def _is_prime(p: int) -> bool:
@@ -247,7 +247,7 @@ def hstack(field, mats: list, nrows: int) -> Matrix:
     for m in mats:
         if m.nrows != nrows:
             raise InputError("row count mismatch in hstack")
-    rows = [sum((list(m.rows[i]) for m in mats), []) for i in range(nrows)]
+    rows = [tuple(itertools.chain.from_iterable(m.rows[i] for m in mats)) for i in range(nrows)]
     return Matrix(field, rows, ncols=sum(m.ncols for m in mats), _coerce=False)
 
 
@@ -499,11 +499,21 @@ class PosetDiagram:
 
 
 def validate_diagram(diagram: PosetDiagram) -> DiagramCheck:
-    """Shape conformance plus commutativity of all minimal squares.
+    """Shape conformance plus commutativity: all covering chains between two
+    points compose to the same map.
 
-    A minimal square is a pair of covers c < d1, c < d2 with a common upper
-    cover e.  On grid-shaped posets these squares generate all commutativity
-    relations; a full path-enumeration check is kept in the test suite.
+    On a point set that is a product of chains (``as_product`` recognises
+    it) the minimal squares generate every commutativity relation, so only
+    they are checked: pairs of covers c < d1, c < d2 with a common upper
+    cover e.  On other sets they do not: on (0,0), (2,0), (0,1), (1,1),
+    (2,1) the chains from (0,0) to (2,1) through (2,0) and through (1,1)
+    share no square.  There the composites from a point c are carried up
+    the covers in linear-extension order, and compared wherever a point e
+    is reached through two lower covers d1, d2; a mismatch is reported as
+    ``(c, d1, d2, e)``.  Every chain from a point with one upper cover runs
+    through that cover, and a point of dimension zero has only zero
+    composites, so only points with two or more upper covers and a non-zero
+    space are sources of that walk.
     """
     if diagram._validated is True:
         return DiagramCheck(True)
@@ -514,19 +524,35 @@ def validate_diagram(diagram: PosetDiagram) -> DiagramCheck:
                                 (c, d))
         if m.field != diagram.field:
             return DiagramCheck(False, f"map {c!r} -> {d!r} is over the wrong field", (c, d))
-    by_source = {}
-    above = {}
+    upper = {p: [] for p in diagram.points}
     for c, d in diagram.covers():
-        by_source.setdefault(c, []).append(d)
-        above.setdefault(c, set()).add(d)
-    for c, outs in by_source.items():
-        for i, d1 in enumerate(outs):
-            for d2 in outs[i + 1:]:
-                for e in above.get(d1, set()) & above.get(d2, set()):
-                    left = diagram.maps[(d1, e)] @ diagram.maps[(c, d1)]
-                    right = diagram.maps[(d2, e)] @ diagram.maps[(c, d2)]
-                    if left != right:
-                        return DiagramCheck(False, "square does not commute", (c, d1, d2, e))
+        upper[c].append(d)
+    if as_product(diagram.points) is not None:
+        above = {p: set(ups) for p, ups in upper.items()}
+        for c, outs in upper.items():
+            for i, d1 in enumerate(outs):
+                for d2 in outs[i + 1:]:
+                    for e in above[d1] & above[d2]:
+                        left = diagram.maps[(d1, e)] @ diagram.maps[(c, d1)]
+                        right = diagram.maps[(d2, e)] @ diagram.maps[(c, d2)]
+                        if left != right:
+                            return DiagramCheck(False, "square does not commute", (c, d1, d2, e))
+    else:
+        for start, c in enumerate(diagram.points):
+            if diagram.dims[c] == 0 or len(upper[c]) < 2:
+                continue
+            composite, via = {c: None}, {}  # None stands for the identity at c
+            for x in diagram.points[start:]:
+                if x not in composite:
+                    continue
+                here = composite[x]
+                for e in upper[x]:
+                    step = diagram.maps[(x, e)]
+                    mat = step if here is None else step @ here
+                    if e not in composite:
+                        composite[e], via[e] = mat, x
+                    elif composite[e] != mat:
+                        return DiagramCheck(False, "square does not commute", (c, via[e], x, e))
     diagram._validated = True
     return DiagramCheck(True)
 

@@ -134,25 +134,48 @@ def predecessor_colimit_map(diagram: PosetDiagram, c: Point) -> Matrix:
 
 
 def _generator_lifts(lam: Matrix) -> Matrix:
-    """Canonical representatives of a basis of the cokernel of ``lam``.
+    """Unit vectors lifting a basis of the cokernel of ``lam``, in one elimination.
 
-    The cokernel projection is in reduced echelon form, so the standard basis
-    vectors at its pivot columns map exactly onto the standard basis of the
-    cokernel; they are the lexicographically first choice.
+    The lifts are the e_j with e_j outside im(lam) + span(e_i : i < j): the
+    lexicographically first choice, and the unit vectors at the pivot
+    columns of the reduced-echelon cokernel projection.  e_j lies in that
+    sum exactly when some vector of the image has its last non-zero
+    coordinate at j.  The last non-zero coordinates of the vectors of a
+    subspace are the pivots of its echelon form with the coordinates in
+    reverse order, so one ``rref`` of lam transposed, its columns reversed,
+    gives every j that is not a lift.  A map with no columns has image zero,
+    and every unit vector lifts.
     """
-    _, pivots = rref(cokernel_projection(lam))
-    unit = Matrix.identity(lam.field, lam.nrows)
-    return Matrix.from_columns(lam.field, [unit.column(j) for j in pivots], nrows=lam.nrows)
+    field, n = lam.field, lam.nrows
+    taken = set()
+    if lam.ncols and n:
+        reversed_image = Matrix(field, [col[::-1] for col in zip(*lam.rows)], ncols=n,
+                                _coerce=False)
+        taken = {n - 1 - k for k in rref(reversed_image)[1]}
+    free = [j for j in range(n) if j not in taken]
+    zero_row = (field.zero,) * len(free)
+    rows = [zero_row] * n
+    for k, j in enumerate(free):
+        row = list(zero_row)
+        row[k] = field.one
+        rows[j] = row
+    return Matrix(field, rows, ncols=len(free), _coerce=False)
 
 
 def _present_diagram(diagram: PosetDiagram) -> tuple:
     """The presentation scan: (generators, relations, blocks, generator lifts).
 
     The generators at c lift a basis of the cokernel of its lower-cover maps
-    placed side by side.  The kernel of the evaluation map at c from the free
-    module on the generators below c contributes as relations the columns
-    that are new modulo the kernels embedded from the lower covers of c
-    (pivot columns of one rref).
+    placed side by side (one elimination, :func:`_generator_lifts`).  The
+    kernel of the evaluation map at c from the free module on the generators
+    below c (the second elimination) contributes as relations the columns
+    that are new modulo the kernels inherited from the lower covers of c:
+    the pivot columns of one rref of the inherited kernels followed by the
+    kernel at c (the third, made only when that kernel is non-zero).  The
+    generators active at a lower cover p are a sublist of those at c, so
+    the kernel at p is placed in the free module at c by copying its rows
+    to the offsets of p's generators, with zero rows elsewhere.  So each
+    point costs at most three eliminations.
 
     The evaluation map is carried up one lower cover at a time.  The block
     of a generator b < c is taken from map(p, c) @ ev_p for the first lower
@@ -175,7 +198,10 @@ def _present_diagram(diagram: PosetDiagram) -> tuple:
             lifts[c] = lift
             generators.append((c, lift.ncols))
         active = [(b, m) for b, m in generators if leq(b, c)]
-        total = sum(m for _, m in active)
+        offsets, total = {}, 0
+        for b, m in active:
+            offsets[b] = total
+            total += m
         carried = {c: (lift, 0)}
         for p in lower[c]:
             below, ev_p, _ = scanned[p]
@@ -196,21 +222,35 @@ def _present_diagram(diagram: PosetDiagram) -> tuple:
         ev = Matrix(field, rows, ncols=total, _coerce=False)
         ker = kernel_basis(ev)
         scanned[c] = (active, ev, ker)
-        embedded = [_generator_inclusion(field, scanned[p][0], active) @ scanned[p][2]
-                    for p in lower[c]]
-        inherited = hstack(field, embedded, nrows=total)
-        _, pivots = rref(hstack(field, [inherited, ker], nrows=total))
-        chosen = [ker.column(j - inherited.ncols) for j in pivots if j >= inherited.ncols]
+        if ker.ncols == 0:
+            continue
+        stacked = [[] for _ in range(total)]
+        width = 0
+        for p in lower[c]:
+            below, _, ker_p = scanned[p]
+            if ker_p.ncols == 0:
+                continue
+            placed = [(field.zero,) * ker_p.ncols] * total
+            src = 0
+            for b, m in below:
+                placed[offsets[b]:offsets[b] + m] = ker_p.rows[src:src + m]
+                src += m
+            for row, part in zip(stacked, placed):
+                row.extend(part)
+            width += ker_p.ncols
+        for row, part in zip(stacked, ker.rows):
+            row.extend(part)
+        _, pivots = rref(Matrix(field, stacked, ncols=width + ker.ncols, _coerce=False))
+        chosen = [ker.column(j - width) for j in pivots if j >= width]
         if not chosen:
             continue
         relations.append((c, len(chosen)))
-        offset = 0
         for b, mult in active:
+            offset = offsets[b]
             seg = Matrix(field, [[col[offset + i] for col in chosen] for i in range(mult)],
                          ncols=len(chosen), _coerce=False)
             if not seg.is_zero():
                 blocks[(c, b)] = seg
-            offset += mult
     return generators, relations, blocks, lifts
 
 

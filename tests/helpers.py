@@ -93,6 +93,22 @@ def path_commutativity_ok(diagram: PosetDiagram) -> bool:
     return True
 
 
+def minimal_squares_commute(diagram: PosetDiagram) -> bool:
+    """Do all squares of covers c < d1, d2 < e commute?  Enough on products
+    of chains only."""
+    covers = set(diagram.covers())
+    for c, d1 in covers:
+        for c2, d2 in covers:
+            if c2 != c or d2 == d1:
+                continue
+            for e in diagram.points:
+                if (d1, e) in covers and (d2, e) in covers and \
+                        diagram.maps[(d1, e)] @ diagram.maps[(c, d1)] != \
+                        diagram.maps[(d2, e)] @ diagram.maps[(c, d2)]:
+                    return False
+    return True
+
+
 def module_diagram(module: GridModule) -> PosetDiagram:
     """The stored box data as a generic poset diagram (covers are the unit steps)."""
     covers = []

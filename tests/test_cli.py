@@ -169,6 +169,26 @@ class TestArtifacts:
         assert code == 2 and out == ""
         assert "diagram does not validate: square does not commute" in err
 
+    def test_chains_that_share_no_square_are_checked(self, capsys, tmp_path):
+        """The chains (0,0) -> (2,0) -> (2,1) and (0,0) -> (0,1) -> (1,1) ->
+        (2,1) compose to 0 and 1 but share no minimal square."""
+        f = tmp_path / "square_free.json"
+        f.write_text(json.dumps({
+            "field": {"kind": "prime", "p": 2}, "n": 2,
+            "points": [[0, 0], [2, 0], [0, 1], [1, 1], [2, 1]], "dims": [1] * 5,
+            "maps": [{"from": [0, 0], "to": [2, 0], "matrix": [[1]]},
+                     {"from": [0, 0], "to": [0, 1], "matrix": [[1]]},
+                     {"from": [0, 1], "to": [1, 1], "matrix": [[1]]},
+                     {"from": [1, 1], "to": [2, 1], "matrix": [[1]]}]}), encoding="utf-8")
+        code, payload = run_json(capsys, "validate", str(f))
+        assert code == 1 and payload["ok"] is False
+        assert payload["square"] == [[0, 0], [1, 1], [2, 0], [2, 1]]
+        code, out, err = run(capsys, "births-deaths", str(f))
+        assert code == 2 and out == ""
+        assert "diagram does not validate: square does not commute" in err
+        code, out, err = run(capsys, "present", str(f))
+        assert code == 2 and out == ""
+
     def test_verify_requires_exactly_one_artifact(self, capsys):
         code, out, err = run(capsys, "verify", EXAMPLE_F2)
         assert code == 2

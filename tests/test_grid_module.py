@@ -207,6 +207,25 @@ class TestEvalMap:
                 left = view.eval_map(mid, top) @ view.eval_map(base, mid)
                 assert left == view.eval_map(base, top)
 
+    def test_unit_cover_returns_the_stored_step(self, monkeypatch):
+        module = random_module(F5, random.Random(29), box=Box((0, 0), (2, 2)))
+        view = ExtendedView(module)
+        products = []
+        matmul = Matrix.__matmul__
+
+        def counted(self, other):
+            products.append(other.shape)
+            return matmul(self, other)
+        monkeypatch.setattr(Matrix, "__matmul__", counted)
+        for (p, axis), step in module.steps.items():
+            assert view.eval_map(p, module._step_target(p, axis)) is step
+        below = (NEG_INF, 0)  # clamps onto (0, 0), one step below (1, 0)
+        assert view.eval_map(below, (1, 0)) is module.step((0, 0), 0)
+        assert products == []
+        assert view.eval_map((0, 0), (2, 0)) == \
+            module.step((1, 0), 0) @ module.step((0, 0), 0)
+        assert len(products) == 2
+
     def test_iso_when_clamps_agree(self):
         rng = random.Random(19)
         view = ExtendedView(random_module(F5, rng))

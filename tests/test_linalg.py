@@ -7,14 +7,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from detmod import (CartesianSet, ExtendedView, InputError, Matrix, NEG_INF,
+from detmod import (Box, CartesianSet, ExtendedView, InputError, Matrix, NEG_INF,
                     PosetDiagram, QQ, cokernel_projection, diagram_colimit,
                     diagram_limit, diagrams_isomorphic, encode, is_invertible,
                     join_closure, kernel_basis, leq, nat_basis, natural_isomorphism,
                     poset_covers, rank, solve, validate_diagram)
-from helpers import (F2, F5, all_cover_paths, canonical_set, module_diagram,
-                     path_commutativity_ok, poset_covers_bruteforce, random_invertible,
-                     random_module, random_point_set)
+from helpers import (F2, F5, all_cover_paths, canonical_set, minimal_squares_commute,
+                     module_diagram, path_commutativity_ok, poset_covers_bruteforce,
+                     random_invertible, random_module, random_point_set)
+from detmod.extgrid import as_product
 
 FIELDS = [F2, F5, QQ]
 
@@ -303,6 +304,59 @@ class TestValidation:
                     for c, d in skeleton.covers()}
             diagram = PosetDiagram(F2, pts, dims, maps)
             assert bool(validate_diagram(diagram)) == path_commutativity_ok(diagram)
+
+    @pytest.mark.parametrize("field", [F2, F5], ids=["f2", "f5"])
+    def test_non_product_closures_match_path_enumeration(self, field):
+        """Seeded join closures that are not products of chains.
+
+        Each closure carries a restricted module (it commutes), that
+        restriction with one cover map zeroed or shifted, and random maps.
+        Runs until both verdicts have been seen at least ten times, and one
+        diagram fails although all its minimal squares commute.
+        """
+        rng = random.Random(41 + field.p)
+        verdicts = {True: 0, False: 0}
+        square_free_failures = 0
+        while min(verdicts.values()) < 10 or not square_free_failures:
+            nparams = rng.choice([2, 2, 3])
+            pts = join_closure(random_point_set(rng, nparams, 6))
+            if len(pts) < 4 or as_product(pts) is not None:
+                continue
+            box = Box((0,) * nparams, (4 - nparams,) * nparams)
+            view = ExtendedView(random_module(field, rng, box=box, max_summands=4))
+            restricted = view.restrict_diagram(pts)
+            covers = restricted.covers()
+            maps = dict(restricted.maps)
+            edge = rng.choice(covers)
+            shape = maps[edge].shape
+            maps[edge] = maps[edge] + random_matrix(field, *shape, rng) \
+                if rng.random() < 0.5 else Matrix.zeros(field, *shape)
+            random_maps = {(c, d): random_matrix(field, restricted.dims[d], restricted.dims[c],
+                                                 rng) for c, d in covers}
+            for candidate in (maps, restricted.maps, random_maps):
+                diagram = PosetDiagram(field, restricted.points, restricted.dims, candidate,
+                                       covers=covers)
+                check = validate_diagram(diagram)
+                assert bool(check) == path_commutativity_ok(diagram)
+                verdicts[bool(check)] += 1
+                square_free_failures += not check and minimal_squares_commute(diagram)
+                if not check:
+                    c, d1, d2, e = check.square
+                    assert leq(c, d1) and leq(c, d2) and d1 != d2
+                    assert (d1, e) in diagram.maps and (d2, e) in diagram.maps
+
+    def test_square_free_counterexample(self):
+        """Two chains from (0,0) to (2,1) that share no minimal square."""
+        pts = [(0, 0), (2, 0), (0, 1), (1, 1), (2, 1)]
+        one = Matrix.identity(F2, 1)
+        maps = {((0, 0), (2, 0)): one, ((0, 0), (0, 1)): one, ((0, 1), (1, 1)): one,
+                ((1, 1), (2, 1)): one, ((2, 0), (2, 1)): Matrix.zeros(F2, 1, 1)}
+        diagram = PosetDiagram(F2, pts, {p: 1 for p in pts}, maps)
+        check = validate_diagram(diagram)
+        assert not check and not path_commutativity_ok(diagram)
+        assert check.square == ((0, 0), (1, 1), (2, 0), (2, 1))
+        maps[((2, 0), (2, 1))] = one
+        assert validate_diagram(PosetDiagram(F2, pts, {p: 1 for p in pts}, maps))
 
 
 class TestDiagramIsomorphism:

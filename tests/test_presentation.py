@@ -2,8 +2,11 @@
 
 import dataclasses
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from detmod import (Box, ExtendedView, GridModule, InputError,
                     Matrix, NEG_INF, NotDeterminedError, PosetDiagram,
@@ -12,13 +15,14 @@ from detmod import (Box, ExtendedView, GridModule, InputError,
                     in_upset, is_admissible, is_invertible, leq,
                     predecessor_colimit_map, rank, solve, unzip_module,
                     verify_presentation, window_module, zip_module)
-from helpers import (F2, F5, births_deaths_by_cone, canonical_set,
+from helpers import (F2, F5, births_deaths_by_cone, canonical_set, cokernel_lifts,
                      colimit_map_by_cone, corner_module,
                      diagram_presentation_by_full_scan, halfplane_table,
                      presentation_by_full_scan, random_module, random_point_set)
 from detmod import QQ, lt, pointed_closure
 from detmod.extgrid import as_product
-from detmod.presentation import _present_diagram
+from detmod import linalg
+from detmod.presentation import _generator_lifts, _present_diagram
 
 BOTTOM = (NEG_INF, NEG_INF)
 UNIT_SET = frozenset(ext_box(Box((1, 1), (1, 1))).points())
@@ -204,8 +208,51 @@ class TestLowerCoverRoutesMatchOracles:
         assert off_first_cover > 0
 
 
+@st.composite
+def low_rank_matrices(draw):
+    """Matrices over F2, F5 or Q with 0 to 5 rows and columns, drawn as a
+    product through an inner dimension of 0 to 3, so that ranks below both
+    sides are common; shapes 0 x k and k x 0 included."""
+    field = draw(st.sampled_from([F2, F5, QQ]))
+    nrows, inner, ncols = (draw(st.integers(0, 5)), draw(st.integers(0, 3)),
+                           draw(st.integers(0, 5)))
+    entry = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)) \
+        if field.kind == "rational" else st.integers(0, field.p - 1)
+
+    def block(r, c):
+        return Matrix(field, [[draw(entry) for _ in range(c)] for _ in range(r)], ncols=c)
+    return block(nrows, inner) @ block(inner, ncols)
+
+
+class TestGeneratorLifts:
+    @settings(max_examples=200, deadline=None)
+    @given(lam=low_rank_matrices())
+    @example(lam=Matrix.zeros(F5, 0, 0))
+    @example(lam=Matrix.zeros(F5, 0, 3))
+    @example(lam=Matrix.zeros(QQ, 3, 0))
+    def test_matches_cokernel_projection_pivots(self, lam):
+        lifts = _generator_lifts(lam)
+        assert lifts == cokernel_lifts(lam)
+        assert lifts.ncols == lam.nrows - rank(lam)
+
+    def test_one_rref_and_none_without_columns(self, monkeypatch):
+        calls = []
+        rref = linalg.rref
+
+        def counted(m):
+            calls.append(m.shape)
+            return rref(m)
+        monkeypatch.setattr("detmod.presentation.rref", counted)
+        lam = Matrix(F2, [[1, 0], [1, 0], [0, 1]])
+        assert _generator_lifts(lam) == Matrix(F2, [[1], [0], [0]])
+        assert calls == [(2, 3)]
+        _generator_lifts(Matrix.zeros(F2, 3, 0))
+        assert calls == [(2, 3)]
+
+
 class TestScanIsLinear:
-    """On a 400-point identity chain the scan walks no path from a generator."""
+    """On a 400-point identity chain the scan walks no path from a generator,
+    and makes a bounded number of eliminations and products per point."""
 
     N = 400
 
@@ -231,7 +278,19 @@ class TestScanIsLinear:
             return matmul(self, other)
         monkeypatch.setattr(Matrix, "__matmul__", counted)
         _present_diagram(chain)
-        assert len(products) <= 3 * self.N
+        assert len(products) <= self.N
+
+    def test_eliminations_linear_in_points(self, monkeypatch):
+        chain = self.chain()
+        eliminations = []
+        echelon = linalg._echelon
+
+        def counted(*args, **kwargs):
+            eliminations.append(args[2])
+            return echelon(*args, **kwargs)
+        monkeypatch.setattr(linalg, "_echelon", counted)
+        _present_diagram(chain)
+        assert len(eliminations) <= 3 * self.N
 
 
 class TestVerifyPresentation:
