@@ -5,14 +5,21 @@ admissible, project.  Inputs are the JSON formats documented in the README;
 set/lattice/box/points options accept inline JSON or a file path.  Exit codes:
 0 property holds or artifact produced, 1 property fails (the report carries a
 witness), 2 malformed input.  Output is deterministic byte for byte.
+
+Each verb's arguments are declared once, in ``VERBS``.  ``main`` reads argv
+in the canonical spellings straight off that table; help, usage errors and
+every other spelling go to the argparse parser that ``build_parser`` makes
+from the same table.  So a well-formed call neither builds a parser nor
+imports argparse, and argparse alone writes help and error messages.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
+from types import SimpleNamespace
+from typing import Callable, NamedTuple
 
 from . import io as dio
 from .errors import ConsistencyError, InputError, NotDeterminedError
@@ -236,78 +243,79 @@ def _cmd_project(args) -> int:
     return 0 if identity_holds else 1
 
 
-def _args_validate(p):
-    p.add_argument("input")
+class Option(NamedTuple):
+    """One ``--name`` option of a verb: a string, an int, or a flag (``bool``)."""
+    name: str
+    dest: str
+    kind: type = str
+    required: bool = False
+    help: str | None = None
 
 
-def _args_determinacy(p):
-    p.add_argument("input")
-    p.add_argument("--set", required=True, help="point set, inline JSON or file")
-    p.add_argument("--oracle", action="store_true", help="use the brute-force window method")
-    p.add_argument("--margin", type=int, default=None)
-    p.add_argument("--window", help="oracle window as a..b with JSON corner points")
-    p.add_argument("--no-support", action="store_true", help="skip the support condition")
+class Verb(NamedTuple):
+    """A verb's command, help line, positional names and options, in argparse order."""
+    run: Callable
+    help: str
+    positionals: tuple
+    options: tuple
 
 
-def _args_encode(p):
-    p.add_argument("input")
-    p.add_argument("--set", required=True)
-    p.add_argument("--margin", type=int, default=None)
+_OUT = Option("--out", "out", help="write the JSON report here instead of stdout")
+_MARGIN = Option("--margin", "margin", int)
 
-
-def _args_births_deaths(p):
-    p.add_argument("input")
-    p.add_argument("--set")
-    p.add_argument("--margin", type=int, default=None)
-
-
-_args_present = _args_births_deaths
-
-
-def _args_verify(p):
-    p.add_argument("input")
-    p.add_argument("--presentation")
-    p.add_argument("--encoding")
-    p.add_argument("--set")
-    p.add_argument("--window", help="extra integer test window as a..b")
-    p.add_argument("--margin", type=int, default=None)
-
-
-def _args_admissible(p):
-    p.add_argument("input")
-    p.add_argument("--lattice", required=True)
-    p.add_argument("--margin", type=int, default=None)
-
-
-def _args_project(p):
-    p.add_argument("--box", required=True)
-    p.add_argument("--points", required=True)
-
-
-# verb: (command, help line, function adding the verb's own arguments)
+# Every verb's arguments, declared once: ``build_parser`` adds them to
+# argparse in this order, and ``_parse_canonical`` reads canonical argv off
+# the same entries.
 VERBS = {
-    "validate": (_cmd_validate, "check shapes and commutativity", _args_validate),
-    "determinacy": (_cmd_determinacy, "decide whether a set determines the module",
-                    _args_determinacy),
-    "encode": (_cmd_encode, "emit the finite encoding diagram", _args_encode),
-    "births-deaths": (_cmd_births_deaths, "locate births and deaths", _args_births_deaths),
-    "present": (_cmd_present, "build a finite presentation", _args_present),
-    "verify": (_cmd_verify, "verify an emitted presentation or encoding", _args_verify),
-    "admissible": (_cmd_admissible, "test a join-closed lattice for admissibility",
-                   _args_admissible),
-    "project": (_cmd_project, "tabulate the projection morphisms for a box", _args_project),
+    "validate": Verb(_cmd_validate, "check shapes and commutativity", ("input",), (_OUT,)),
+    "determinacy": Verb(
+        _cmd_determinacy, "decide whether a set determines the module", ("input",),
+        (_OUT,
+         Option("--set", "set", required=True, help="point set, inline JSON or file"),
+         Option("--oracle", "oracle", bool, help="use the brute-force window method"),
+         _MARGIN,
+         Option("--window", "window", help="oracle window as a..b with JSON corner points"),
+         Option("--no-support", "no_support", bool, help="skip the support condition"))),
+    "encode": Verb(
+        _cmd_encode, "emit the finite encoding diagram", ("input",),
+        (_OUT, Option("--set", "set", required=True), _MARGIN)),
+    "births-deaths": Verb(
+        _cmd_births_deaths, "locate births and deaths", ("input",),
+        (_OUT, Option("--set", "set"), _MARGIN)),
+    "present": Verb(
+        _cmd_present, "build a finite presentation", ("input",),
+        (_OUT, Option("--set", "set"), _MARGIN)),
+    "verify": Verb(
+        _cmd_verify, "verify an emitted presentation or encoding", ("input",),
+        (_OUT,
+         Option("--presentation", "presentation"),
+         Option("--encoding", "encoding"),
+         Option("--set", "set"),
+         Option("--window", "window", help="extra integer test window as a..b"),
+         _MARGIN)),
+    "admissible": Verb(
+        _cmd_admissible, "test a join-closed lattice for admissibility", ("input",),
+        (_OUT, Option("--lattice", "lattice", required=True), _MARGIN)),
+    "project": Verb(
+        _cmd_project, "tabulate the projection morphisms for a box", (),
+        (_OUT, Option("--box", "box", required=True),
+         Option("--points", "points", required=True))),
 }
 
 
 def build_parser(verb: str | None = None) -> argparse.ArgumentParser:
-    """The argument parser; given a known ``verb``, with that verb's subparser only.
+    """The argparse parser of ``VERBS``; given a known ``verb``, with its subparser only.
 
-    A call names its verb first, so ``main`` builds just the subparser it
-    needs.  The usage line lists every verb either way, and an unknown or
-    missing verb gets the full parser, so help and error messages do not
-    change.
+    ``main`` calls it only for argv that ``_parse_canonical`` leaves alone
+    (help, usage errors and other spellings), so argparse is imported here.
+    The usage line lists every verb either way, and an unknown or missing
+    verb gets the full parser, so help and error messages do not depend on
+    which verb was named.
     """
-    parser = argparse.ArgumentParser(prog=PROG, description=__doc__)
+    import argparse
+
+    # the help text is the module docstring up to its note on parsing
+    parser = argparse.ArgumentParser(prog=PROG, description=__doc__.rsplit("\n\n", 1)[0])
     if verb in VERBS:
         # a single-verb parser keeps the usage line of the full one
         names, metavar = [verb], "{" + ",".join(VERBS) + "}"
@@ -315,17 +323,67 @@ def build_parser(verb: str | None = None) -> argparse.ArgumentParser:
         names, metavar = list(VERBS), None
     sub = parser.add_subparsers(dest="verb", required=True, metavar=metavar)
     for name in names:
-        fn, help_text, add_arguments = VERBS[name]
-        p = sub.add_parser(name, help=help_text)
-        p.set_defaults(fn=fn)
-        p.add_argument("--out", help="write the JSON report here instead of stdout")
-        add_arguments(p)
+        spec = VERBS[name]
+        p = sub.add_parser(name, help=spec.help)
+        p.set_defaults(fn=spec.run)
+        for positional in spec.positionals:
+            p.add_argument(positional)
+        for opt in spec.options:
+            if opt.kind is bool:
+                p.add_argument(opt.name, dest=opt.dest, action="store_true", help=opt.help)
+            else:
+                p.add_argument(opt.name, dest=opt.dest, type=opt.kind,
+                               required=opt.required, help=opt.help)
     return parser
+
+
+def _parse_canonical(argv: list):
+    """The namespace argparse would return for ``argv``, read off ``VERBS``; or None.
+
+    Only canonical spellings are read: a known verb first, then exact
+    ``--name value`` pairs and ``--flag``s, values and positionals that do
+    not start with ``-``, every required option, the verb's number of
+    positionals, and int values that ``int()`` accepts.  A repeated option
+    keeps its last value, as in argparse.  Anything else (help, unknown or
+    abbreviated options, ``--name=value``, ``--``, missing values, failed
+    conversions) returns None and is left to argparse.
+    """
+    spec = VERBS.get(argv[0]) if argv else None
+    if spec is None:
+        return None
+    by_name = {opt.name: opt for opt in spec.options}
+    values = {opt.dest: False if opt.kind is bool else None for opt in spec.options}
+    positionals = []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            positionals.append(token)
+            continue
+        opt = by_name.get(token)
+        if opt is None:
+            return None
+        if opt.kind is bool:
+            values[opt.dest] = True
+            continue
+        value = next(tokens, None)
+        if value is None or value.startswith("-"):
+            return None
+        try:
+            values[opt.dest] = opt.kind(value)
+        except ValueError:
+            return None
+    if len(positionals) != len(spec.positionals) or any(
+            opt.required and values[opt.dest] is None for opt in spec.options):
+        return None
+    values.update(zip(spec.positionals, positionals))
+    return SimpleNamespace(verb=argv[0], fn=spec.run, **values)
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = build_parser(argv[0] if argv else None).parse_args(argv)
+    args = _parse_canonical(argv)
+    if args is None:
+        args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.fn(args)
     except NotDeterminedError as exc:

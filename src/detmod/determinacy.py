@@ -77,11 +77,13 @@ def _first_failing_cover(module: GridModule, s: frozenset, factors: tuple,
             f, cl = factors[axis], clamps[axis]
             if k + 1 == len(f) or cl[k] == cl[k + 1]:
                 continue
+            key = (clamped, axis)
+            ok = invertible.get(key)
+            if ok:
+                continue
             d = c[:axis] + (f[k + 1],) + c[axis + 1:]
             if any(leq(p, d) for p in at_coord[axis].get(f[k + 1], ())):
                 continue
-            key = (clamped, axis)
-            ok = invertible.get(key)
             if ok is None:
                 ok = invertible[key] = is_invertible(module.steps[key])
             if not ok:

@@ -1,11 +1,18 @@
 """Command line front end: verbs, exit codes, artifacts, determinism."""
 
+import contextlib
+import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from detmod.cli import build_parser, main
+from detmod.cli import VERBS, _parse_canonical, build_parser, main
 
 REPO = Path(__file__).resolve().parent.parent
 EXAMPLE_F2 = str(REPO / "fixtures" / "example_f2.json")
@@ -13,6 +20,44 @@ EXAMPLE_Q = str(REPO / "fixtures" / "example_q.json")
 ZERO = str(REPO / "fixtures" / "zero_f2.json")
 UNIT_SET = '[["-inf","-inf"],["-inf",1],[1,"-inf"],[1,1]]'
 GOLDEN = REPO / "tests" / "golden"
+
+
+_NAMES = sorted(VERBS) + sorted({opt.name for spec in VERBS.values() for opt in spec.options})
+_VALUES = ["0", "2", "+2", " 3", "x", "", "-1", "--", UNIT_SET, "[]", "{}", "0..1",
+           "a.json", EXAMPLE_F2]
+_TOKENS = (_NAMES + sorted({name[:k] for name in _NAMES for k in range(2, len(name))})
+           + _VALUES + ["-h", "--help", "-", "x=1", "--set=[[1,1]]", "--margin=2"])
+
+
+@st.composite
+def argvs(draw):
+    """Argv from a token alphabet: verbs, options, prefixes, ``=`` forms and values.
+
+    Most draws spell out a call of some verb, each option as a canonical
+    pair, as ``--name=value`` or abbreviated, and then may add a stray token
+    or drop one; the rest are free sequences of tokens.
+    """
+    if draw(st.integers(0, 3)) == 0:
+        return draw(st.lists(st.sampled_from(_TOKENS), max_size=8))
+    verb = draw(st.sampled_from(sorted(VERBS)))
+    spec = VERBS[verb]
+    argv = [verb, *spec.positionals]
+    for opt in spec.options:
+        if not (opt.required or draw(st.booleans())):
+            continue
+        spelling = draw(st.sampled_from(["pair", "pair", "equals", "prefix"]))
+        name = opt.name[:draw(st.integers(3, len(opt.name)))] if spelling == "prefix" \
+            else opt.name
+        value = draw(st.sampled_from(_VALUES))
+        if spelling == "equals":
+            argv.append(f"{name}={value}")
+        else:
+            argv += [name] if opt.kind is bool else [name, value]
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        argv.insert(draw(st.integers(1, len(argv))), draw(st.sampled_from(_TOKENS)))
+    if draw(st.integers(0, 3)) == 0 and len(argv) > 1:
+        del argv[draw(st.integers(1, len(argv) - 1))]
+    return argv
 
 
 def run(capsys, *argv):
@@ -343,7 +388,8 @@ class TestDeterminism:
 
 
 class TestParser:
-    def test_main_builds_only_the_chosen_verb(self, monkeypatch, tmp_path):
+    def test_main_builds_only_the_chosen_verb(self, monkeypatch, tmp_path, capsys):
+        """A canonical call builds no parser; a malformed one only its verb's."""
         import detmod.cli as cli
 
         built = []
@@ -352,9 +398,60 @@ class TestParser:
                             lambda verb=None: built.append(verb) or real(verb))
         out = str(tmp_path / "report.json")
         assert main(["determinacy", EXAMPLE_F2, "--set", UNIT_SET, "--out", out]) == 0
-        parser = real("determinacy")
+        assert built == []
+        with pytest.raises(SystemExit):
+            main(["determinacy", EXAMPLE_F2, "--set", "--out", out])
+        assert "expected one argument" in capsys.readouterr().err
         assert built == ["determinacy"]
+        parser = real("determinacy")
         assert list(parser._subparsers._group_actions[0].choices) == ["determinacy"]
+
+    def test_canonical_call_imports_no_argparse(self, tmp_path):
+        """``python -m detmod.cli`` on canonical argv never imports argparse."""
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")])))
+
+        def imported(*argv):
+            proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "detmod.cli",
+                                   *argv], cwd=REPO, env=env, capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
+            return {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+                    if line.startswith("import time:")}
+
+        assert "argparse" not in imported("validate", "fixtures/example_f2.json")
+        out = str(tmp_path / "report.json")
+        assert "argparse" in imported("validate", "fixtures/example_f2.json", f"--out={out}")
+
+    def test_canonical_argv_is_read_off_the_table(self):
+        argvs = [["validate", EXAMPLE_F2],
+                 ["determinacy", EXAMPLE_F2, "--set", UNIT_SET, "--oracle", "--margin", "2"],
+                 ["determinacy", "--no-support", "--set", "s.json", EXAMPLE_F2,
+                  "--window", "[0,0]..[1,1]", "--out", "r.json"],
+                 ["encode", EXAMPLE_F2, "--set", UNIT_SET, "--margin", "+3"],
+                 ["births-deaths", EXAMPLE_F2, "--set", "a", "--set", "b"],
+                 ["present", EXAMPLE_F2, "--margin", "1"],
+                 ["verify", EXAMPLE_F2, "--presentation", "p.json", "--window", "0..1"],
+                 ["verify", EXAMPLE_F2, "--encoding", "e.json", "--set", ""],
+                 ["admissible", EXAMPLE_F2, "--lattice", "[]"],
+                 ["project", "--box", "{}", "--points", "[]"]]
+        for argv in argvs:
+            args = _parse_canonical(argv)
+            assert args is not None, argv
+            assert vars(args) == vars(build_parser(argv[0]).parse_args(argv)), argv
+
+    @settings(max_examples=400, deadline=None)
+    @given(argv=argvs())
+    def test_table_parse_agrees_with_argparse(self, argv):
+        """(a) a table namespace is argparse's namespace; (b) argparse exits => None."""
+        args = _parse_canonical(argv)
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                expected = build_parser(argv[0] if argv else None).parse_args(argv)
+        except SystemExit:
+            assert args is None
+        else:
+            assert args is None or vars(args) == vars(expected)
 
     def test_single_verb_parser_parses_like_the_full_one(self):
         argvs = [["determinacy", EXAMPLE_F2, "--set", UNIT_SET, "--oracle", "--margin", "2"],
@@ -376,6 +473,32 @@ class TestParser:
                     parser.parse_args(argv)
                 messages.append(capsys.readouterr().err)
             assert messages[0] == messages[1]
+        for argv in (["determinacy", EXAMPLE_F2, "--set"],
+                     ["determinacy", EXAMPLE_F2, "--set", UNIT_SET, "--margin", "x"],
+                     ["nonsense", EXAMPLE_F2],
+                     ["determinacy", "--help"],
+                     []):
+            results = []
+            for parse in (main, build_parser().parse_args):
+                with pytest.raises(SystemExit) as exc:
+                    parse(argv)
+                results.append((exc.value.code, *capsys.readouterr()))
+            assert results[0] == results[1], argv
+            assert results[0][0] in (0, 2)
+
+    def test_other_spellings_write_the_canonical_report(self, tmp_path):
+        def report(*argv):
+            out = tmp_path / "report.json"
+            main([*argv, "--out", str(out)])
+            return out.read_bytes()
+
+        failing = str(GOLDEN / "sets" / "failing.json")
+        assert report("determinacy", EXAMPLE_F2, f"--set={failing}") == \
+            report("determinacy", EXAMPLE_F2, "--set", failing)
+        pres = str(tmp_path / "pres.json")
+        assert main(["present", EXAMPLE_F2, "--out", pres]) == 0
+        assert report("verify", EXAMPLE_F2, "--pres", pres) == \
+            report("verify", EXAMPLE_F2, "--presentation", pres)
 
     def test_options_do_not_carry_over(self, capsys, monkeypatch):
         failing = str(GOLDEN / "sets" / "failing.json")
