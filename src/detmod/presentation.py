@@ -9,17 +9,18 @@ colimits (see :func:`diagram_births_deaths`).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import ConsistencyError, InputError
-from .extgrid import (Point, as_point, critical_grid, join_below, join_closure,
-                      leq, lt, min_point, sort_points)
+from .extgrid import (CartesianSet, Point, as_point, critical_grid, join_below,
+                      join_closure, leq, lt, min_point, sort_points)
 from .grid_module import EncodedView, ExtendedView, GridModule, restrict_view
 from .determinacy import DEFAULT_MARGIN, is_S_determined, encode
 from .linalg import (Matrix, PosetDiagram, _require_valid, cokernel_projection,
                      diagram_colimit, diagrams_isomorphic, hstack, is_invertible,
-                     kernel_basis, poset_covers, rank, rref, solve, vstack)
+                     kernel_basis, rank, rref, solve)
 
 
 @dataclass(frozen=True)
@@ -70,6 +71,11 @@ class Presentation:
     def __post_init__(self):
         gen_mult = dict(self.generators)
         rel_mult = dict(self.relations)
+        if len(gen_mult) != len(self.generators) or len(rel_mult) != len(self.relations):
+            raise InputError("a generator or relation point is listed twice")
+        # multiplicity lookups, built once for ``block``
+        object.__setattr__(self, "_gen_mult", gen_mult)
+        object.__setattr__(self, "_rel_mult", rel_mult)
         for pt, mult in list(self.generators) + list(self.relations):
             as_point(pt, dim=self.dim)
             if isinstance(mult, bool) or not isinstance(mult, int) or mult < 1:
@@ -97,9 +103,7 @@ class Presentation:
         got = self.blocks.get((d, b))
         if got is not None:
             return got
-        gen_mult = dict(self.generators)
-        rel_mult = dict(self.relations)
-        return Matrix.zeros(self.field, gen_mult[b], rel_mult[d])
+        return Matrix.zeros(self.field, self._gen_mult[b], self._rel_mult[d])
 
 
 def _lower_covers(diagram: PosetDiagram) -> dict:
@@ -283,59 +287,71 @@ def build_presentation(view: ExtendedView, s, margin: int = DEFAULT_MARGIN) -> P
                         generator_images=lifts)
 
 
-def _free_complex_at(pres: Presentation, pt: Point):
-    """Active generators/relations at a point and the induced block matrix."""
-    gens = [(b, m) for b, m in pres.generators if leq(b, pt)]
-    rels = [(d, m) for d, m in pres.relations if leq(d, pt)]
-    nrows = sum(m for _, m in gens)
-    blocks = []
-    for d, dm in rels:
-        col_block = []
-        for b, bm in gens:
-            col_block.append(pres.block(d, b))
-        blocks.append(vstack(pres.field, col_block, dm))
-    mat = hstack(pres.field, blocks, nrows=nrows) if blocks \
-        else Matrix.zeros(pres.field, nrows, 0)
-    return gens, rels, mat
+def _relation_matrix(pres: Presentation, gens: list, rels: list) -> Matrix:
+    """The relation matrix on the listed generators (rows) and relations (columns).
+
+    Both lists are (point, multiplicity) pairs; a block that is not stored is zero.
+    """
+    zero = pres.field.zero
+    rows = []
+    for b, m in gens:
+        parts = [(pres.blocks.get((d, b)), dm) for d, dm in rels]
+        for i in range(m):
+            row = []
+            for block, dm in parts:
+                row.extend(block.rows[i] if block is not None else (zero,) * dm)
+            rows.append(row)
+    return Matrix(pres.field, rows, ncols=sum(m for _, m in rels), _coerce=False)
 
 
 def verify_presentation(view: ExtendedView, pres: Presentation,
-                        test_points: Iterable[Point]) -> PresentationCheck:
-    """Check that the presentation's cokernel is the module on the test points.
+                        test_points: Iterable[Point] = ()) -> PresentationCheck:
+    """Check that the presentation's cokernel is the module at every point.
 
-    With ``generator_images`` the check is of that explicit map.  At each
-    test point pt, with R the relation matrix there and E the images of the
-    active generators carried into M(pt), the map passes when E R = 0, E has
-    rank dim M(pt) and the cokernel of R has dimension dim M(pt).  A map out
-    of a free module is natural, so these settle that E induces a natural
-    isomorphism from the cokernel onto the module.  An image with the wrong
-    number of rows fails at its generator point.
+    The check runs on G = ``critical_grid(view.box, grades, margin=1)``,
+    where the grades are the generator and relation points; ``test_points``
+    only add their coordinates to G.  That is enough for every point x of
+    the extended grid.  Let g be the greatest point of G below x: per axis,
+    the greatest coordinate of G not above x (every axis of G holds -inf).
+    G holds the box widened by one on every axis, so x and g clamp to the
+    same box point and M(g -> x) is the identity.  G holds every finite
+    coordinate of every grade, so a grade lies below x exactly when it lies
+    below g; F0 and F1 are then the same free modules at x and at g, with
+    the same relation matrix.  Miller (arXiv:1711.01933) gives the same
+    argument for finite encodings.  So a natural map that is an isomorphism
+    at every point of G is one everywhere, and ``ok`` means "everywhere",
+    not "on the test points".
 
-    Without images the cokernel dimensions are compared and the induced
-    maps between cokernels are searched for a natural isomorphism with the
+    With ``generator_images`` the check is of that explicit map, in one
+    upward scan of G (see :func:`_scan_images`), and a failure names the
+    first point of G, in lexicographic order, where a check fails.  Without
+    images the cokernel dimensions are compared on G and the induced maps
+    between cokernels are searched for a natural isomorphism with the
     module's structure maps; that search is the only route for such input.
     """
     if pres.field != view.field:
         raise InputError("presentation and module are over different fields")
-    pts = sort_points(as_point(p, dim=view.box.dim) for p in test_points)
-    if not pts:
-        raise InputError("no test points given")
+    grades = [b for b, _ in pres.generators] + [d for d, _ in pres.relations]
+    grades.extend(test_points)
+    grid = critical_grid(view.box, grades, margin=1)
     if pres.generator_images is not None:
-        return _check_generator_images(view, pres, pts)
+        return _scan_images(view, pres, grid)
     field = view.field
+    pts = grid.sorted_points()
     quotients = {}
     coker_dims = {}
     active_gens = {}
     for pt in pts:
-        gens, _, mat = _free_complex_at(pres, pt)
-        q = cokernel_projection(mat)
+        gens = [(b, m) for b, m in pres.generators if leq(b, pt)]
+        rels = [(d, m) for d, m in pres.relations if leq(d, pt)]
+        q = cokernel_projection(_relation_matrix(pres, gens, rels))
         quotients[pt] = q
         coker_dims[pt] = q.nrows
         active_gens[pt] = gens
         if q.nrows != view.eval_space(pt):
             return PresentationCheck(False, pt, f"cokernel dimension {q.nrows} differs from "
                                      f"module dimension {view.eval_space(pt)}")
-    covers = poset_covers(pts)
+    covers = list(grid.covers())
     maps = {}
     for c, d in covers:
         incl = _generator_inclusion(field, active_gens[c], active_gens[d])
@@ -345,32 +361,123 @@ def verify_presentation(view: ExtendedView, pres: Presentation,
             return PresentationCheck(False, d, "induced map does not descend to the cokernel")
         maps[(c, d)] = mu_t.transpose()
     candidate = PosetDiagram(field, pts, coker_dims, maps, covers=covers)
-    target = restrict_view(view, pts)
+    target = restrict_view(view, grid)
     if not diagrams_isomorphic(candidate, target):
         return PresentationCheck(False, None, "structure maps do not match the module")
     return PresentationCheck(True)
 
 
-def _check_generator_images(view: ExtendedView, pres: Presentation, pts: list
-                            ) -> PresentationCheck:
-    """The certificate check of :func:`verify_presentation`."""
+def _scan_images(view: ExtendedView, pres: Presentation, grid: CartesianSet
+                 ) -> PresentationCheck:
+    """The certificate check of :func:`verify_presentation`: one upward scan of the grid.
+
+    An image with the wrong number of rows fails at its generator point.
+    Otherwise E_c, the images of the generators below c carried into M(c),
+    is built from the lower covers q of c in the grid: the columns of
+    step(q -> c) @ E_q, with no product when q and c clamp to the same box
+    point, and the images of the generators at c.  The module is validated,
+    so E_c is M(b -> c) applied to the image of each generator b below c,
+    whichever covers carry it: E is a map out of a free module, natural by
+    construction.  At every point c the scan checks that E_c has rank
+    dim M(c) and that the relation matrix R_c there has a cokernel of
+    dimension dim M(c).  E R = 0 is checked only at relation grades, on the
+    new relation columns: naturality gives E_c R = M(d -> c) E_d R at every
+    c above a relation grade d.  Together these say that E induces an
+    isomorphism from the cokernel onto the module at c.
+
+    Two shortcuts repeat no check.  A point is skipped when a lower cover
+    has the same clamp, the same active generators and the same active
+    relations: everything there is as at that cover.  That is seen at once
+    when the step from the cover keeps the clamp and its coordinate is no
+    grade's, and otherwise by comparing the active sets.  And when a lower cover
+    has the same clamp, E_c holds the columns of E_q, which span M(q) = M(c),
+    so the rank of E_c is not taken.
+    """
     images = pres.generator_images
     for b, _ in pres.generators:
         if images[b].nrows != view.eval_space(b):
             return PresentationCheck(False, b, f"generator image has {images[b].nrows} rows, "
                                      f"module dimension is {view.eval_space(b)}")
-    for pt in pts:
-        gens, _, rel = _free_complex_at(pres, pt)
-        dim = view.eval_space(pt)
+    module, field = view.module, view.field
+    gens, rels = pres.generators, pres.relations
+    gen_at = {b: i for i, (b, _) in enumerate(gens)}
+    rel_at = {d: j for j, (d, _) in enumerate(rels)}
+    factors, box = grid.factors, view.box
+    clamps = tuple(tuple(lo if v < lo else min(v, hi) for v in f)
+                   for f, lo, hi in zip(factors, box.a, box.b))
+    # quiet[axis][k]: the step to the k-th coordinate of the axis keeps the
+    # clamp and crosses no grade coordinate, so the point repeats that cover
+    grade_coords = [{p[axis] for p in itertools.chain(gen_at, rel_at)}
+                    for axis in range(grid.dim)]
+    quiet = [[k > 0 and cl[k - 1] == cl[k] and f[k] not in coords for k in range(len(f))]
+             for f, cl, coords in zip(factors, clamps, grade_coords)]
+    strides = [1] * grid.dim  # lower cover along an axis: this many points back
+    for axis in reversed(range(grid.dim - 1)):
+        strides[axis] = strides[axis + 1] * len(factors[axis + 1])
+    # per grid point, in lexicographic order: (clamp, active generator
+    # indices, active relation indices, the generator indices in order, E)
+    scanned = []
+    indices = itertools.product(*(range(len(f)) for f in factors))
+    for flat, (idx, c, x) in enumerate(zip(indices, itertools.product(*factors),
+                                           itertools.product(*clamps))):
+        repeat = next((flat - strides[axis] for axis, k in enumerate(idx) if quiet[axis][k]),
+                      None)
+        if repeat is not None:
+            scanned.append(scanned[repeat])
+            continue
+        same, moved = [], []  # lower covers with the same clamp as c, and the others
+        for axis, k in enumerate(idx):
+            if k:
+                below = scanned[flat - strides[axis]]
+                if clamps[axis][k - 1] == clamps[axis][k]:
+                    same.append(below)
+                else:
+                    moved.append((axis, below))
+        new_gen, new_rel = gen_at.get(c), rel_at.get(c)
+        active = frozenset(() if new_gen is None else (new_gen,)).union(
+            *(s[1] for s in same), *(s[1] for _, s in moved))
+        active_rels = frozenset(() if new_rel is None else (new_rel,)).union(
+            *(s[2] for s in same), *(s[2] for _, s in moved))
+        repeat = next((s for s in same if s[1] == active and s[2] == active_rels), None)
+        if repeat is not None:
+            scanned.append(repeat)
+            continue
+        order = sorted(active)
+        carried = {} if new_gen is None else {new_gen: (images[c], 0)}
+        ev = None
+        for axis, s in [(None, s) for s in same] + moved:
+            below = s[3]
+            if all(i in carried for i in below):
+                continue
+            source = s[4] if axis is None else module.step(s[0], axis) @ s[4]
+            if len(below) == len(order):  # every active generator, in order
+                ev = source
+                break
+            offset = 0
+            for i in below:
+                carried.setdefault(i, (source, offset))
+                offset += gens[i][1]
+        dim = module.dims[x]
+        if ev is None:
+            rows = [[] for _ in range(dim)]
+            for i in order:
+                source, offset = carried[i]
+                m = gens[i][1]
+                for row, src in zip(rows, source.rows):
+                    row.extend(src[offset:offset + m])
+            ev = Matrix(field, rows, ncols=sum(gens[i][1] for i in order), _coerce=False)
+        active_gens = [gens[i] for i in order]
+        rel = _relation_matrix(pres, active_gens, [rels[j] for j in sorted(active_rels)])
         coker = rel.nrows - rank(rel)
         if coker != dim:
-            return PresentationCheck(False, pt, f"cokernel dimension {coker} differs from "
+            return PresentationCheck(False, c, f"cokernel dimension {coker} differs from "
                                      f"module dimension {dim}")
-        ev = hstack(view.field, [view.eval_map(b, pt) @ images[b] for b, _ in gens], nrows=dim)
-        if not (ev @ rel).is_zero():
-            return PresentationCheck(False, pt, "relations do not map to zero")
-        if rank(ev) != dim:
-            return PresentationCheck(False, pt, "generator images do not span the module")
+        if new_rel is not None and not (
+                ev @ _relation_matrix(pres, active_gens, [rels[new_rel]])).is_zero():
+            return PresentationCheck(False, c, "relations do not map to zero")
+        if not same and rank(ev) != dim:
+            return PresentationCheck(False, c, "generator images do not span the module")
+        scanned.append((x, active, active_rels, order, ev))
     return PresentationCheck(True)
 
 

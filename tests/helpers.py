@@ -11,11 +11,11 @@ import itertools
 import random
 
 from detmod import (Box, CartesianSet, DeterminacyReport, GridModule, Matrix,
-                    NEG_INF, PosetDiagram, Presentation, PrimeField,
-                    canonical_set, cokernel_projection, diagram_colimit,
-                    downset_of, encode, hstack, in_upset, is_invertible,
-                    kernel_basis, leq, lt, min_point, mub, rank, solve,
-                    validate_diagram)
+                    NEG_INF, PosetDiagram, Presentation, PresentationCheck,
+                    PrimeField, canonical_set, cokernel_projection,
+                    diagram_colimit, downset_of, encode, hstack, in_upset,
+                    is_invertible, kernel_basis, leq, lt, min_point, mub, rank,
+                    solve, sort_points, validate_diagram, vstack)
 
 F2 = PrimeField(2)
 F5 = PrimeField(5)
@@ -398,3 +398,55 @@ def presentation_by_full_scan(view, s) -> Presentation:
         encode(view, s), view.eval_map)
     return Presentation(view.field, view.box.dim, tuple(generators), tuple(relations), blocks,
                         generator_images=lifts)
+
+
+# ---------------------------------------------------------------------------
+# presentation certificate oracle: every test point checked on its own, with
+# the generator images rebuilt from the module's structure maps
+
+def free_complex_at(pres: Presentation, pt):
+    """Active generators and relations at a point, and the relation matrix there."""
+    gens = [(b, m) for b, m in pres.generators if leq(b, pt)]
+    rels = [(d, m) for d, m in pres.relations if leq(d, pt)]
+    nrows = sum(m for _, m in gens)
+    blocks = [vstack(pres.field, [pres.block(d, b) for b, _ in gens], dm) for d, dm in rels]
+    mat = hstack(pres.field, blocks, nrows=nrows) if blocks \
+        else Matrix.zeros(pres.field, nrows, 0)
+    return gens, rels, mat
+
+
+def certificate_check_at_points(view, pres: Presentation, pts) -> PresentationCheck:
+    """The generator images checked at each test point, in sorted order.
+
+    At each point: the cokernel of the relations has the module's dimension,
+    the relations map to zero and the images span the module, with the
+    images carried by ``eval_map`` from every generator below the point.
+    An image with the wrong number of rows fails at its generator first.
+    """
+    images = pres.generator_images
+    for b, _ in pres.generators:
+        if images[b].nrows != view.eval_space(b):
+            return PresentationCheck(False, b, f"generator image has {images[b].nrows} rows, "
+                                     f"module dimension is {view.eval_space(b)}")
+    for pt in sort_points(pts):
+        gens, _, rel = free_complex_at(pres, pt)
+        dim = view.eval_space(pt)
+        coker = rel.nrows - rank(rel)
+        if coker != dim:
+            return PresentationCheck(False, pt, f"cokernel dimension {coker} differs from "
+                                     f"module dimension {dim}")
+        ev = hstack(view.field, [view.eval_map(b, pt) @ images[b] for b, _ in gens], nrows=dim)
+        if not (ev @ rel).is_zero():
+            return PresentationCheck(False, pt, "relations do not map to zero")
+        if rank(ev) != dim:
+            return PresentationCheck(False, pt, "generator images do not span the module")
+    return PresentationCheck(True)
+
+
+def widened_box_points(view, width: int = 2) -> set:
+    """The canonical set together with the integer box widened by ``width``."""
+    pts = set(canonical_set(view.module))
+    lo = tuple(a - width for a in view.box.a)
+    hi = tuple(b + width for b in view.box.b)
+    pts.update(Box(lo, hi).integer_points())
+    return pts

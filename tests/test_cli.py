@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -283,6 +284,30 @@ class TestCertificate:
         code, payload = run_json(capsys, "verify", EXAMPLE_Q, "--presentation", str(out))
         assert code == 1 and payload["ok"] is False
         assert payload["point"] == ["-inf", "-inf"]
+
+    def test_stray_generator_far_outside_the_box_fails_at_its_point(self, capsys, tmp_path):
+        out = tmp_path / "pres.json"
+
+        def add_stray(obj):
+            obj["generators"].append({"point": [50, 50], "multiplicity": 1})
+            obj["generator_images"].append({"point": [50, 50], "images": []})
+        _present_to(capsys, EXAMPLE_F2, out, add_stray)
+        code, payload = run_json(capsys, "verify", EXAMPLE_F2, "--presentation", str(out))
+        assert code == 1 and payload["ok"] is False and payload["point"] == [50, 50]
+        assert payload["reason"] == "cokernel dimension 1 differs from module dimension 0"
+        _present_to(capsys, EXAMPLE_F2, out, lambda obj: (add_stray(obj),
+                                                          obj.pop("generator_images")))
+        code, payload = run_json(capsys, "verify", EXAMPLE_F2, "--presentation", str(out))
+        assert code == 1 and payload["point"] == [50, 50]
+
+    def test_wide_window_adds_only_its_corners(self, capsys, tmp_path):
+        out = tmp_path / "pres.json"
+        _present_to(capsys, EXAMPLE_Q, out)
+        start = time.perf_counter()
+        code, payload = run_json(capsys, "verify", EXAMPLE_Q, "--presentation", str(out),
+                                 "--window", "[-5000,-5000]..[5000,5000]")
+        assert code == 0 and payload["ok"] is True
+        assert time.perf_counter() - start < 2.0
 
     def test_image_at_non_generator_is_input_error(self, capsys, tmp_path):
         out = tmp_path / "pres.json"

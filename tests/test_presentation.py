@@ -15,11 +15,13 @@ from detmod import (Box, ExtendedView, GridModule, InputError,
                     in_upset, is_admissible, is_invertible, leq,
                     predecessor_colimit_map, rank, solve, unzip_module,
                     verify_presentation, window_module, zip_module)
-from helpers import (F2, F5, births_deaths_by_cone, canonical_set, cokernel_lifts,
+from helpers import (F2, F5, births_deaths_by_cone, canonical_set,
+                     certificate_check_at_points, cokernel_lifts,
                      colimit_map_by_cone, corner_module,
                      diagram_presentation_by_full_scan, halfplane_table,
-                     presentation_by_full_scan, random_module, random_point_set)
-from detmod import QQ, lt, pointed_closure
+                     presentation_by_full_scan, random_module, random_point_set,
+                     widened_box_points)
+from detmod import QQ, critical_grid, lt, pointed_closure
 from detmod.extgrid import as_product
 from detmod import linalg
 from detmod.presentation import _generator_lifts, _present_diagram
@@ -142,14 +144,6 @@ class TestBuildPresentation:
             pres = build_presentation(view, s)
             bd = births_deaths(view, s)
             assert dict(pres.generators) == bd.births
-
-
-def default_test_points(view):
-    pts = set(canonical_set(view.module))
-    lo = tuple(a - 2 for a in view.box.a)
-    hi = tuple(b + 2 for b in view.box.b)
-    pts.update(Box(lo, hi).integer_points())
-    return pts
 
 
 class TestLowerCoverRoutesMatchOracles:
@@ -306,13 +300,13 @@ class TestVerifyPresentation:
                             (((NEG_INF, 1), 1), ((1, NEG_INF), 1)),
                             {((NEG_INF, 1), BOTTOM): Matrix(F2, [[1]]),
                              ((1, NEG_INF), BOTTOM): Matrix(F2, [[1]])})
-        assert verify_presentation(view, pres, default_test_points(view))
+        assert verify_presentation(view, pres)
 
     def test_dropping_a_relation_fails_at_the_death_point(self):
         view = corner_view()
         pres = Presentation(F2, 2, ((BOTTOM, 1),), (((NEG_INF, 1), 1),),
                             {((NEG_INF, 1), BOTTOM): Matrix(F2, [[1]])})
-        check = verify_presentation(view, pres, default_test_points(view))
+        check = verify_presentation(view, pres)
         assert not check.ok
         assert check.point is not None
         assert leq((1, NEG_INF), check.point)
@@ -324,7 +318,7 @@ class TestVerifyPresentation:
                 view = ExtendedView(random_module(field, rng))
                 s = canonical_set(view.module)
                 pres = build_presentation(view, s)
-                assert verify_presentation(view, pres, default_test_points(view)), \
+                assert verify_presentation(view, pres), \
                     (field, view.box)
 
     def test_search_fallback_without_images(self):
@@ -334,7 +328,7 @@ class TestVerifyPresentation:
                 view = ExtendedView(random_module(field, rng))
                 pres = build_presentation(view, canonical_set(view.module))
                 bare = dataclasses.replace(pres, generator_images=None)
-                assert verify_presentation(view, bare, default_test_points(view))
+                assert verify_presentation(view, bare)
 
     def test_certificate_check_runs_no_search(self, monkeypatch):
         import detmod.presentation
@@ -344,7 +338,7 @@ class TestVerifyPresentation:
         monkeypatch.setattr(detmod.presentation, "diagrams_isomorphic", no_search)
         view = ExtendedView(random_module(F5, random.Random(69), max_summands=4))
         pres = build_presentation(view, canonical_set(view.module))
-        assert verify_presentation(view, pres, default_test_points(view))
+        assert verify_presentation(view, pres)
 
     def test_zero_image_column_fails(self):
         view = ExtendedView(random_module(F5, random.Random(70), max_summands=4))
@@ -353,8 +347,7 @@ class TestVerifyPresentation:
         zeroed = Matrix(F5, [(0,) + row[1:] for row in image.rows], ncols=image.ncols)
         images = dict(pres.generator_images)
         images[b] = zeroed
-        check = verify_presentation(view, dataclasses.replace(pres, generator_images=images),
-                                    default_test_points(view))
+        check = verify_presentation(view, dataclasses.replace(pres, generator_images=images))
         assert not check.ok and check.point == b
 
     def test_relations_inconsistent_with_images_fail(self):
@@ -370,17 +363,16 @@ class TestVerifyPresentation:
         block = pres.blocks[((1, 1), BOTTOM)]
         moved = dataclasses.replace(pres, blocks={((1, 1), BOTTOM): Matrix(
             F5, block.rows[::-1], ncols=1)})
-        check = verify_presentation(view, moved, default_test_points(view))
+        check = verify_presentation(view, moved)
         assert not check.ok and check.point == (1, 1) and "zero" in check.reason
         bare = dataclasses.replace(moved, generator_images=None)
-        assert verify_presentation(view, bare, default_test_points(view))
+        assert verify_presentation(view, bare)
 
     def test_image_with_wrong_row_count_fails_at_its_generator(self):
         view = corner_view()
         pres = build_presentation(view, UNIT_SET)
         images = {BOTTOM: Matrix(F2, [[1], [0]])}
-        check = verify_presentation(view, dataclasses.replace(pres, generator_images=images),
-                                    default_test_points(view))
+        check = verify_presentation(view, dataclasses.replace(pres, generator_images=images))
         assert not check.ok and check.point == BOTTOM and "rows" in check.reason
 
     def test_generator_images_validated(self):
@@ -395,12 +387,182 @@ class TestVerifyPresentation:
         view = ExtendedView(random_module(QQ, random.Random(5), box=Box((0, 0), (4, 4)),
                                           max_summands=10))
         pres = build_presentation(view, canonical_set(view.module))
-        assert verify_presentation(view, pres, default_test_points(view))
+        assert verify_presentation(view, pres)
+
+    def test_absent_block_is_zero_of_its_shape(self):
+        pres = Presentation(F2, 2, ((BOTTOM, 2),), (((1, 1), 3),), {})
+        assert pres.block((1, 1), BOTTOM) == Matrix.zeros(F2, 2, 3)
+
+    def test_repeated_points_rejected(self):
+        for gens, rels in ((((BOTTOM, 1), (BOTTOM, 1)), ()),
+                           (((BOTTOM, 1),), (((1, 1), 1), ((1, 1), 2)))):
+            with pytest.raises(InputError):
+                Presentation(F2, 2, gens, rels, {})
 
     def test_grading_enforced(self):
         with pytest.raises(InputError):
             Presentation(F2, 2, (((1, 1), 1),), ((BOTTOM, 1),),
                          {(BOTTOM, (1, 1)): Matrix(F2, [[1]])})
+
+
+def _perturb_block(view, pres, rng):
+    if not pres.blocks:
+        return None
+    key = rng.choice(sorted(pres.blocks, key=repr))
+    block = pres.blocks[key]
+    i, j = rng.randrange(block.nrows), rng.randrange(block.ncols)
+    rows = [list(r) for r in block.rows]
+    rows[i][j] = pres.field.add(rows[i][j], pres.field.one)
+    blocks = dict(pres.blocks)
+    blocks[key] = Matrix(pres.field, rows, ncols=block.ncols)
+    return dataclasses.replace(pres, blocks=blocks)
+
+
+def _drop_relation(view, pres, rng):
+    if not pres.relations:
+        return None
+    d, _ = rng.choice(pres.relations)
+    return dataclasses.replace(
+        pres, relations=tuple(r for r in pres.relations if r[0] != d),
+        blocks={k: v for k, v in pres.blocks.items() if k[0] != d})
+
+
+def _zero_image_column(view, pres, rng):
+    candidates = [b for b, image in pres.generator_images.items() if image.nrows]
+    if not candidates:
+        return None
+    b = rng.choice(sorted(candidates, key=repr))
+    image = pres.generator_images[b]
+    j = rng.randrange(image.ncols)
+    zero = pres.field.zero
+    images = dict(pres.generator_images)
+    images[b] = Matrix(pres.field, [row[:j] + (zero,) + row[j + 1:] for row in image.rows],
+                       ncols=image.ncols)
+    return dataclasses.replace(pres, generator_images=images)
+
+
+def _stray_point(view, rng):
+    """A point outside the box widened by 2: beyond it on one axis at least."""
+    box = view.box
+    far = rng.randrange(box.dim)
+    return tuple(box.b[i] + rng.randint(3, 9) if i == far
+                 else rng.choice([NEG_INF, box.a[i] - 3, box.b[i], box.b[i] + 4])
+                 for i in range(box.dim))
+
+
+def _add_stray_generator(view, pres, rng):
+    """One more generator beyond the box widened by 2, with a random image."""
+    g = _stray_point(view, rng)
+    dim = view.eval_space(g)
+    pool = range(pres.field.p) if pres.field.kind == "prime" else range(-2, 3)
+    image = Matrix(pres.field, [[rng.choice(pool)] for _ in range(dim)], ncols=1)
+    images = dict(pres.generator_images)
+    images[g] = image
+    return g, dataclasses.replace(pres, generators=pres.generators + ((g, 1),),
+                                  generator_images=images)
+
+
+def _add_stray_relation(view, pres, rng):
+    """One more relation beyond the box widened by 2, on the generators below it."""
+    d = _stray_point(view, rng)
+    below = [(b, m) for b, m in pres.generators if leq(b, d)]
+    if not below:
+        return None
+    field = pres.field
+    blocks = dict(pres.blocks)
+    for b, m in below:
+        blocks[(d, b)] = Matrix(field, [[rng.randrange(2)] for _ in range(m)], ncols=1)
+    blocks[(d, below[0][0])] = Matrix(field, [[1]] + [[0]] * (below[0][1] - 1), ncols=1)
+    return dataclasses.replace(pres, relations=pres.relations + ((d, 1),), blocks=blocks)
+
+
+CORRUPTIONS = {"block": _perturb_block, "relation": _drop_relation,
+               "image": _zero_image_column, "stray relation": _add_stray_relation}
+
+
+def _presented_module_with_relations(field, rng):
+    """A random module and its presentation, drawn until it has a relation."""
+    while True:
+        view = ExtendedView(random_module(field, rng, max_summands=5))
+        pres = build_presentation(view, canonical_set(view.module))
+        if pres.relations:
+            return view, pres
+
+
+def _scan_grid_points(view, pres):
+    grades = [b for b, _ in pres.generators] + [d for d, _ in pres.relations]
+    return critical_grid(view.box, grades, margin=1).sorted_points()
+
+
+def _assert_scan_matches_oracles(view, pres):
+    """The scan agrees with the pointwise oracle on its grid, verdict, point and
+    reason; and whatever the oracle catches on the box widened by 2 or at the
+    grades, it catches."""
+    check = verify_presentation(view, pres)
+    assert check == certificate_check_at_points(view, pres, _scan_grid_points(view, pres))
+    for pts in (widened_box_points(view), [p for p, _ in pres.generators + pres.relations]):
+        if not certificate_check_at_points(view, pres, pts):
+            assert not check.ok
+    return check
+
+
+class TestScanMatchesPointwiseOracle:
+    """The one-scan certificate check against the per-point oracle, on honest
+    and corrupted presentations."""
+
+    @pytest.mark.parametrize("field", [F2, F5, QQ], ids=["f2", "f5", "q"])
+    def test_seeded_honest_and_corrupted(self, field):
+        rng = random.Random(1100 + field.p if field.kind == "prime" else 1100)
+        caught = 0
+        for _ in range(8):
+            view, pres = _presented_module_with_relations(field, rng)
+            assert _assert_scan_matches_oracles(view, pres).ok
+            for corrupt in CORRUPTIONS.values():
+                bad = corrupt(view, pres, rng)
+                if bad is not None:
+                    caught += not _assert_scan_matches_oracles(view, bad).ok
+            g, stray = _add_stray_generator(view, pres, rng)
+            assert certificate_check_at_points(view, stray, widened_box_points(view))
+            check = _assert_scan_matches_oracles(view, stray)
+            assert not check.ok and check.point == g, (g, check)
+        assert caught >= 20  # most corruptions break the presentation
+
+    @given(seed=st.integers(0, 10 ** 6), field=st.sampled_from([F2, F5, QQ]),
+           corruption=st.sampled_from(sorted(CORRUPTIONS) + ["stray", "none"]))
+    @settings(max_examples=40, deadline=None)
+    def test_hypothesis_corruptions(self, seed, field, corruption):
+        rng = random.Random(seed)
+        if corruption in ("block", "relation", "stray relation"):
+            view, pres = _presented_module_with_relations(field, rng)
+        else:
+            view = ExtendedView(random_module(field, rng))
+            pres = build_presentation(view, canonical_set(view.module))
+        if corruption == "none":
+            assert _assert_scan_matches_oracles(view, pres).ok
+        elif corruption == "stray":
+            g, stray = _add_stray_generator(view, pres, rng)
+            check = _assert_scan_matches_oracles(view, stray)
+            assert not check.ok and check.point == g
+        else:
+            bad = CORRUPTIONS[corruption](view, pres, rng)
+            if bad is not None:
+                _assert_scan_matches_oracles(view, bad)
+
+    def test_key_less_route_rejects_a_stray_generator(self):
+        rng = random.Random(1104)
+        view = ExtendedView(random_module(F5, rng, max_summands=2))
+        pres = build_presentation(view, canonical_set(view.module))
+        g, stray = _add_stray_generator(view, pres, rng)
+        check = verify_presentation(view, dataclasses.replace(stray, generator_images=None))
+        assert not check.ok and check.point == g
+
+    def test_scan_makes_no_eval_map_call(self, monkeypatch):
+        def no_eval_map(*args):
+            raise AssertionError("eval_map called")
+        view = ExtendedView(random_module(QQ, random.Random(1105)))
+        pres = build_presentation(view, canonical_set(view.module))
+        monkeypatch.setattr(ExtendedView, "eval_map", no_eval_map)
+        assert verify_presentation(view, pres)
 
 
 class TestFreeCoverComparison:
