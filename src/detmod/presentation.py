@@ -425,27 +425,30 @@ def _scan_images(view: ExtendedView, pres: Presentation, grid: CartesianSet
         if repeat is not None:
             scanned.append(scanned[repeat])
             continue
-        same, moved = [], []  # lower covers with the same clamp as c, and the others
+        # lower covers as (axis of the step, scanned), or (None, scanned)
+        # when the clamp is the same as at c: those come first
+        same, moved = [], []
         for axis, k in enumerate(idx):
             if k:
                 below = scanned[flat - strides[axis]]
                 if clamps[axis][k - 1] == clamps[axis][k]:
-                    same.append(below)
+                    same.append((None, below))
                 else:
                     moved.append((axis, below))
+        lower = same + moved
         new_gen, new_rel = gen_at.get(c), rel_at.get(c)
         active = frozenset(() if new_gen is None else (new_gen,)).union(
-            *(s[1] for s in same), *(s[1] for _, s in moved))
+            *(s[1] for _, s in lower))
         active_rels = frozenset(() if new_rel is None else (new_rel,)).union(
-            *(s[2] for s in same), *(s[2] for _, s in moved))
-        repeat = next((s for s in same if s[1] == active and s[2] == active_rels), None)
+            *(s[2] for _, s in lower))
+        repeat = next((s for _, s in same if s[1] == active and s[2] == active_rels), None)
         if repeat is not None:
             scanned.append(repeat)
             continue
         order = sorted(active)
         carried = {} if new_gen is None else {new_gen: (images[c], 0)}
         ev = None
-        for axis, s in [(None, s) for s in same] + moved:
+        for axis, s in lower:
             below = s[3]
             if all(i in carried for i in below):
                 continue
