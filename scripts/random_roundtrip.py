@@ -3,13 +3,16 @@
 
 Generates random direct sums of convex indicator modules on small boxes,
 builds a presentation from the canonical determining set at infinity, and
-verifies it at every point of the extended grid.  Reports
-generator/relation statistics and fails loudly on the first bad round trip.
+verifies it at every point of the extended grid, once through its generator
+images and once with the images removed, which searches Hom out of the
+presentation for an isomorphism.  Reports generator/relation statistics and
+fails loudly on the first bad round trip or on two verdicts that differ.
 
 Usage: python scripts/random_roundtrip.py [--count 50] [--seed 7] [--field f2|f5|q]
 """
 
 import argparse
+import dataclasses
 import random
 import time
 
@@ -68,11 +71,15 @@ def main():
         if not check:
             raise SystemExit(f"round trip failed at trial {trial}: "
                              f"{check.reason} at {check.point}")
+        bare = verify_presentation(view, dataclasses.replace(pres, generator_images=None))
+        if bare.ok != check.ok:
+            raise SystemExit(f"verdicts differ at trial {trial}: {check.ok} with the "
+                             f"generator images, {bare.ok} without ({bare.reason})")
         gen_counts.append(sum(m for _, m in pres.generators))
         rel_counts.append(sum(m for _, m in pres.relations))
     elapsed = time.perf_counter() - start
-    print(f"{args.count} round trips over {args.field}: all verified "
-          f"in {elapsed:.2f}s")
+    print(f"{args.count} round trips over {args.field}: all verified, with and "
+          f"without generator images, in {elapsed:.2f}s")
     print(f"generators per module: min {min(gen_counts)}, "
           f"max {max(gen_counts)}, mean {sum(gen_counts) / len(gen_counts):.2f}")
     print(f"relations per module:  min {min(rel_counts)}, "

@@ -16,7 +16,7 @@ from .extgrid import (Box, CartesianSet, NEG_INF, as_point, convex_projection,
 from .linalg import (DiagramCheck, Matrix, PosetDiagram, PrimeField, QQ,
                      RationalField, cokernel_projection, diagram_colimit,
                      diagram_limit, diagrams_isomorphic, hstack, is_invertible,
-                     kernel_basis, kron, nat_basis, natural_isomorphism,
+                     kernel_basis, kron, nat_basis,
                      poset_covers, rank, rref, solve, validate_diagram, vstack)
 from .grid_module import (EncodedView, ExtendedView, GridModule, restrict_view,
                           validate_module, window_module)

@@ -4,7 +4,9 @@ Verbs: validate, determinacy, encode, births-deaths, present, verify,
 admissible, project.  Inputs are the JSON formats documented in the README;
 set/lattice/box/points options accept inline JSON or a file path.  Exit codes:
 0 property holds or artifact produced, 1 property fails (the report carries a
-witness), 2 malformed input.  Output is deterministic byte for byte.
+witness), 2 malformed input, 3 inconclusive (``verify`` when its isomorphism
+search runs out; the report says ``"ok": null``).  Output is deterministic
+byte for byte.
 
 Each verb's arguments are declared once, in ``VERBS``.  ``main`` reads argv
 in the canonical spellings straight off that table; help, usage errors and
@@ -191,14 +193,14 @@ def _cmd_verify(args) -> int:
             corners = (window.a, window.b)
         check = verify_presentation(view, pres, corners)
         _emit(dio.presentation_check_to_json(check), args.out)
-        return 0 if check.ok else 1
+        return 3 if check.ok is None else 0 if check.ok else 1
     if not args.set:
         raise InputError("verify --encoding also needs --set")
     diagram = dio.diagram_from_json(_read_json_arg(args.encoding))
     s = dio.pointset_from_json(_read_json_arg(args.set), dim=module.box.dim)
     ok = check_encoding(view, s, diagram, margin=_margin(args))
     _emit({"ok": ok}, args.out)
-    return 0 if ok else 1
+    return 3 if ok is None else 0 if ok else 1
 
 
 def _cmd_admissible(args) -> int:

@@ -208,7 +208,7 @@ def encode(view: ExtendedView, s, margin: int = DEFAULT_MARGIN) -> PosetDiagram:
 
 
 def check_encoding(view: ExtendedView, s, n: PosetDiagram,
-                   margin: int = DEFAULT_MARGIN) -> bool:
+                   margin: int = DEFAULT_MARGIN) -> bool | None:
     """Does restricting ``n`` along the collapse reproduce the module?
 
     ``n`` must be a commuting diagram on the pointed join closure of the set;
@@ -217,7 +217,8 @@ def check_encoding(view: ExtendedView, s, n: PosetDiagram,
     (the covering-pair condition) and ``n`` is isomorphic to the module's own
     restriction to the closure, so the isomorphism check runs on the closure
     only; it accepts at once when ``n`` equals that restriction, as the
-    output of :func:`encode` does.
+    output of :func:`encode` does.  ``None`` means the set determines the
+    module but the isomorphism search ran out.
     """
     pts = _normalize_set(view, s)
     closure = pointed_closure(pts, dim=view.box.dim)

@@ -3,16 +3,15 @@
 Matrices are dense, immutable, and carry their field.  On top of them sit
 finite poset diagrams of vector spaces with colimits, limits and
 commutativity validation.  Verdicts elsewhere in the package come from
-explicit maps checked with ranks and products; the one search left here,
-:func:`diagrams_isomorphic`, serves only input that carries no such map (a
-presentation file without generator images, an encoding that differs from
-the module's own restriction).  No floating point is used anywhere.
+explicit maps checked with ranks and products; :func:`diagrams_isomorphic`
+searches the maps out of a presentation, for input that carries no such
+map.  :func:`nat_basis` and :func:`kron` are kept as the tests' reference
+for Hom dimensions.  No floating point is used anywhere.
 """
 
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -740,143 +739,14 @@ def nat_basis(a: PosetDiagram, b: PosetDiagram) -> list:
     return basis
 
 
-def _nat_compose(outer: dict, inner: dict, points) -> dict:
-    return {p: outer[p] @ inner[p] for p in points}
-
-
-def _nat_combine(field, basis, coefficients, points) -> dict:
-    out = {}
-    for p in points:
-        acc = None
-        for c, nat in zip(coefficients, basis):
-            term = nat[p].scale(c)
-            acc = term if acc is None else acc + term
-        out[p] = acc
-    return out
-
-
-def _pointwise_invertible(nat: dict, points) -> bool:
-    return all(is_invertible(nat[p]) for p in points)
-
-
-def _invertible_search(field, basis, points):
-    """(iso or None, exhausted) over the span of ``basis``.
-
-    Tries single basis elements, the all-ones combination, then either every
-    coefficient tuple (small prime-field spaces, which makes a miss a
-    certificate of absence) or a deterministic pseudo-random sample.
-    """
-    if not basis:
-        return None, True
-    for nat in basis:
-        if _pointwise_invertible(nat, points):
-            return nat, False
-    ones = _nat_combine(field, basis, [field.one] * len(basis), points)
-    if _pointwise_invertible(ones, points):
-        return ones, False
-    k = len(basis)
-    if isinstance(field, PrimeField) and field.p ** k <= 4096:
-        for coeffs in itertools.product(range(field.p), repeat=k):
-            if not any(coeffs):
-                continue
-            nat = _nat_combine(field, basis, list(coeffs), points)
-            if _pointwise_invertible(nat, points):
-                return nat, False
-        return None, True
-    rng = random.Random(0x5EED)
-    for trial in range(1500):
-        bound = 2 + trial // 300
-        if isinstance(field, PrimeField):
-            coeffs = [rng.randrange(field.p) for _ in range(k)]
-        else:
-            coeffs = [Fraction(rng.randint(-bound, bound)) for _ in range(k)]
-        if not any(coeffs):
-            continue
-        nat = _nat_combine(field, basis, coeffs, points)
-        if _pointwise_invertible(nat, points):
-            return nat, False
-    return None, False
-
-
-def natural_isomorphism(a: PosetDiagram, b: PosetDiagram) -> dict | None:
-    """A pointwise-invertible natural transformation a -> b, if the search finds one.
-
-    Only returns certified isomorphisms; ``None`` means none was found, which
-    :func:`diagrams_isomorphic` refines into an actual decision.
-    """
-    if {p: a.dims[p] for p in a.points} != {p: b.dims[p] for p in b.points}:
-        return None
-    basis = nat_basis(a, b)
-    found, _ = _invertible_search(a.field, basis, a.points)
-    return found
-
-
-def _matrix_power(m: Matrix, n: int) -> Matrix:
-    out = Matrix.identity(m.field, m.nrows)
-    for _ in range(n):
-        out = out @ m
-    return out
-
-
-def _column_space_basis(m: Matrix) -> Matrix:
-    _, pivots = _echelon(m.field, m.rows, m.ncols)
-    return Matrix.from_columns(m.field, [m.column(j) for j in pivots], nrows=m.nrows)
-
-
-def _fitting_parts(diagram: PosetDiagram, endo: dict):
-    """Split a diagram along the stable kernel/image of a natural endomorphism.
-
-    Returns (kernel part, image part, image ranks).  The endomorphism's
-    stable power is invariant under every structure map, so in an adapted
-    basis the maps are block diagonal and both blocks are diagrams again.
-    """
-    field = diagram.field
-    n = max([diagram.dims[p] for p in diagram.points], default=0)
-    stable = {p: _matrix_power(endo[p], n) for p in diagram.points}
-    ker = {p: kernel_basis(stable[p]) for p in diagram.points}
-    img = {p: _column_space_basis(stable[p]) for p in diagram.points}
-    basis = {}
-    inverse = {}
-    for p in diagram.points:
-        t = hstack(field, [ker[p], img[p]], nrows=diagram.dims[p])
-        if not is_invertible(t):
-            return None
-        basis[p] = t
-        inverse[p] = _inverse(t)
-    ker_maps, img_maps = {}, {}
-    for (c, d) in diagram.covers():
-        m = inverse[d] @ diagram.maps[(c, d)] @ basis[c]
-        kc, kd = ker[c].ncols, ker[d].ncols
-        for i in range(kd, m.nrows):
-            if any(m.rows[i][j] != field.zero for j in range(kc)):
-                return None
-        for i in range(kd):
-            if any(m.rows[i][j] != field.zero for j in range(kc, m.ncols)):
-                return None
-        ker_maps[(c, d)] = Matrix(field, [m.rows[i][:kc] for i in range(kd)],
-                                  ncols=kc, _coerce=False)
-        img_maps[(c, d)] = Matrix(field, [m.rows[i][kc:] for i in range(kd, m.nrows)],
-                                  ncols=m.ncols - kc, _coerce=False)
-    ker_diag = PosetDiagram(field, diagram.points, {p: ker[p].ncols for p in diagram.points},
-                            ker_maps, covers=diagram.covers())
-    img_diag = PosetDiagram(field, diagram.points, {p: img[p].ncols for p in diagram.points},
-                            img_maps, covers=diagram.covers())
-    return ker_diag, img_diag
-
-
-def diagrams_isomorphic(a: PosetDiagram, b: PosetDiagram) -> bool:
+def diagrams_isomorphic(a: PosetDiagram, b: PosetDiagram) -> bool | None:
     """Decide whether two diagrams on the same poset are naturally isomorphic.
 
-    Isomorphisms are only ever reported when an explicit one is in hand.
-    The first is the identity: equal dimensions, covers and cover maps.
-    Otherwise a randomized search over natural transformations runs.
-    Non-isomorphism is certified by a pointwise dimension or cover rank
-    mismatch, by unequal hom-space dimensions, or by exhausting a small
-    transformation space; otherwise the decision is completed by splitting
-    off matched direct summands along a natural endomorphism (the two
-    stable images are isomorphic via the transformation itself, so the
-    verdict reduces to the complements) and recursing.  When the random
-    trials run out, the answer is ``False`` without a certificate.
+    After the cheap exits (dimensions, the identity, cover ranks), ``a`` is
+    presented by its scan and ``presentation._find_isomorphism`` searches the
+    maps out of that presentation into ``b``.  ``True`` comes with an
+    isomorphism in hand, ``False`` with a certificate, and ``None`` means
+    that the search ran out.
     """
     if a.points != b.points:
         raise InputError("diagrams must share the same point set")
@@ -892,46 +762,9 @@ def diagrams_isomorphic(a: PosetDiagram, b: PosetDiagram) -> bool:
     for e in a.covers():
         if rank(a.maps[e]) != rank(b.maps[e]):
             return False
-    forward = nat_basis(a, b)
-    if not forward:
-        return False
-    backward = nat_basis(b, a)
-    if len(forward) != len(backward):
-        return False
-    if len(nat_basis(a, a)) != len(nat_basis(b, b)):
-        return False
-    found, exhausted = _invertible_search(a.field, forward, a.points)
-    if found is not None:
-        return True
-    if exhausted:
-        return False
-
-    rng = random.Random(0xF177)
-    pairs = [(h, k) for h in forward for k in backward]
-    for _ in range(20):
-        hc = [a.field.coerce(rng.randrange(a.field.p)) if isinstance(a.field, PrimeField)
-              else Fraction(rng.randint(-2, 2)) for _ in forward]
-        kc = [a.field.coerce(rng.randrange(a.field.p)) if isinstance(a.field, PrimeField)
-              else Fraction(rng.randint(-2, 2)) for _ in backward]
-        if any(hc) and any(kc):
-            pairs.append((_nat_combine(a.field, forward, hc, a.points),
-                          _nat_combine(a.field, backward, kc, a.points)))
-    n = max(a.dims[p] for p in a.points)
-    for h, k in pairs:
-        e_a = _nat_compose(k, h, a.points)
-        stable_ranks = {p: rank(_matrix_power(e_a[p], n)) for p in a.points}
-        if all(stable_ranks[p] == a.dims[p] for p in a.points):
-            return True
-        if all(r == 0 for r in stable_ranks.values()):
-            continue
-        e_b = _nat_compose(h, k, b.points)
-        split_a = _fitting_parts(a, e_a)
-        split_b = _fitting_parts(b, e_b)
-        if split_a is None or split_b is None:
-            continue
-        a0, a1 = split_a
-        b0, b1 = split_b
-        if any(a1.dims[p] != b1.dims[p] for p in a.points):
-            continue
-        return diagrams_isomorphic(a0, b0)
-    return False
+    _require_valid(b)  # and the scan validates a
+    from .presentation import Presentation, _find_isomorphism, _present_diagram
+    generators, relations, blocks, _ = _present_diagram(a)
+    pres = Presentation(a.field, len(a.points[0]), tuple(generators), tuple(relations), blocks)
+    found = _find_isomorphism(pres, b.dims.__getitem__, b.path_map, a.points)
+    return None if found is None else found is not False

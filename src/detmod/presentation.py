@@ -9,18 +9,20 @@ colimits (see :func:`diagram_births_deaths`).
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
+import random
 from dataclasses import dataclass
-from typing import Iterable
+from fractions import Fraction
+from typing import Callable, Iterable
 
 from .errors import ConsistencyError, InputError
 from .extgrid import (CartesianSet, Point, as_point, critical_grid, join_below,
                       join_closure, leq, lt, min_point, sort_points)
-from .grid_module import EncodedView, ExtendedView, GridModule, restrict_view
+from .grid_module import EncodedView, ExtendedView, GridModule
 from .determinacy import DEFAULT_MARGIN, is_S_determined, encode
-from .linalg import (Matrix, PosetDiagram, _require_valid, cokernel_projection,
-                     diagram_colimit, diagrams_isomorphic, hstack, is_invertible,
-                     kernel_basis, rank, rref, solve)
+from .linalg import (Matrix, PosetDiagram, _require_valid, _vec, diagram_colimit, hstack,
+                     is_invertible, kernel_basis, rank, rref, solve)
 
 
 @dataclass(frozen=True)
@@ -36,12 +38,16 @@ class BirthDeathReport:
 
 @dataclass(frozen=True)
 class PresentationCheck:
-    ok: bool
+    """A verdict: ``ok`` is ``True``, ``False`` (with a point where one is
+    known), or ``None`` when the isomorphism search ran out; only ``True``
+    is truthy."""
+
+    ok: bool | None
     point: Point | None = None
     reason: str | None = None
 
     def __bool__(self) -> bool:
-        return self.ok
+        return self.ok is True
 
 
 @dataclass(frozen=True)
@@ -325,9 +331,10 @@ def verify_presentation(view: ExtendedView, pres: Presentation,
     With ``generator_images`` the check is of that explicit map, in one
     upward scan of G (see :func:`_scan_images`), and a failure names the
     first point of G, in lexicographic order, where a check fails.  Without
-    images the cokernel dimensions are compared on G and the induced maps
-    between cokernels are searched for a natural isomorphism with the
-    module's structure maps; that search is the only route for such input.
+    images the cokernel dimensions are compared on G, with the same failing
+    point, and then :func:`_find_isomorphism` searches Hom(coker, M) for a
+    map that passes that scan, at one point of G per clamp and set of
+    generators below it.  A search that runs out gives ``ok`` ``None``.
     """
     if pres.field != view.field:
         raise InputError("presentation and module are over different fields")
@@ -336,33 +343,23 @@ def verify_presentation(view: ExtendedView, pres: Presentation,
     grid = critical_grid(view.box, grades, margin=1)
     if pres.generator_images is not None:
         return _scan_images(view, pres, grid)
-    field = view.field
-    pts = grid.sorted_points()
-    quotients = {}
-    coker_dims = {}
-    active_gens = {}
-    for pt in pts:
+    points = {}  # one grid point per clamp and set of generators below it
+    for pt in grid.sorted_points():
         gens = [(b, m) for b, m in pres.generators if leq(b, pt)]
         rels = [(d, m) for d, m in pres.relations if leq(d, pt)]
-        q = cokernel_projection(_relation_matrix(pres, gens, rels))
-        quotients[pt] = q
-        coker_dims[pt] = q.nrows
-        active_gens[pt] = gens
-        if q.nrows != view.eval_space(pt):
-            return PresentationCheck(False, pt, f"cokernel dimension {q.nrows} differs from "
+        rel = _relation_matrix(pres, gens, rels)
+        coker = rel.nrows - rank(rel)
+        if coker != view.eval_space(pt):
+            return PresentationCheck(False, pt, f"cokernel dimension {coker} differs from "
                                      f"module dimension {view.eval_space(pt)}")
-    covers = list(grid.covers())
-    maps = {}
-    for c, d in covers:
-        incl = _generator_inclusion(field, active_gens[c], active_gens[d])
-        rhs = quotients[d] @ incl
-        mu_t = solve(quotients[c].transpose(), rhs.transpose())
-        if mu_t is None:
-            return PresentationCheck(False, d, "induced map does not descend to the cokernel")
-        maps[(c, d)] = mu_t.transpose()
-    candidate = PosetDiagram(field, pts, coker_dims, maps, covers=covers)
-    target = restrict_view(view, grid)
-    if not diagrams_isomorphic(candidate, target):
+        points.setdefault((view.clamp(pt), tuple(gens)), pt)
+    found = _find_isomorphism(
+        pres, view.eval_space, view.eval_map, list(points.values()),
+        lambda images: _scan_images(
+            view, dataclasses.replace(pres, generator_images=images), grid).ok)
+    if found is None:
+        return PresentationCheck(None, None, "the isomorphism search ran out of trials")
+    if found is False:
         return PresentationCheck(False, None, "structure maps do not match the module")
     return PresentationCheck(True)
 
@@ -484,22 +481,116 @@ def _scan_images(view: ExtendedView, pres: Presentation, grid: CartesianSet
     return PresentationCheck(True)
 
 
-def _generator_inclusion(field, gens_small, gens_large) -> Matrix:
-    """Matrix of the free-module inclusion induced by enlarging the active set."""
-    small_total = sum(m for _, m in gens_small)
-    offsets = {}
-    o = 0
-    for b, m in gens_small:
-        offsets[b] = o
-        o += m
-    rows = []
-    for b, m in gens_large:
-        for i in range(m):
-            row = [field.zero] * small_total
-            if b in offsets:
-                row[offsets[b] + i] = field.one
-            rows.append(row)
-    return Matrix(field, rows, ncols=small_total, _coerce=False)
+# Budgets of the isomorphism search: every coefficient tuple of a Hom space
+# over F_p with at most this many elements, else this many seeded trials.
+EXHAUSTIVE_LIMIT = 4096
+RANDOM_TRIALS = 1500
+
+
+def _hom_basis(pres: Presentation, dim: Callable, path: Callable) -> list:
+    """A basis of Hom(coker pres, N), one dict of generator images per element.
+
+    A map out of the cokernel is an image E_b, a dim N(b) x m_b matrix, for
+    every generator point b, such that the relations map to zero:
+    sum_b N(b -> d) E_b B_{d,b} = 0 at every relation point d.  That is one
+    ``kernel_basis``, with the entries of the E_b row by row as unknowns.
+    ``dim(p)`` is dim N(p) and ``path(b, d)`` the structure map N(b -> d):
+    ``view.eval_map`` for a module, ``PosetDiagram.path_map`` for a diagram.
+    """
+    field = pres.field
+    offsets, total = {}, 0
+    for b, m in pres.generators:
+        offsets[b] = total
+        total += dim(b) * m
+    rows = {d: [[field.zero] * total for _ in range(dim(d) * r)] for d, r in pres.relations}
+    for (d, b), block in pres.blocks.items():
+        o, r = offsets[b], block.ncols
+        # entry (i, j) of N(b -> d) E_b B is sum_{k, l} N[i][k] E_b[k][l] B[l][j]
+        for i, nrow in enumerate(path(b, d).rows):
+            for j, bcol in enumerate(zip(*block.rows)):
+                rows[d][i * r + j][o:o + dim(b) * block.nrows] = [
+                    field.mul(x, y) for x in nrow for y in bcol]
+    equations = [row for d, _ in pres.relations for row in rows[d]]
+    kernel = kernel_basis(Matrix(field, equations, ncols=total, _coerce=False))
+    return [{b: Matrix(field, [v[offsets[b] + k * m:offsets[b] + (k + 1) * m]
+                               for k in range(dim(b))], ncols=m, _coerce=False)
+             for b, m in pres.generators}
+            for v in kernel.columns()]
+
+
+def _find_isomorphism(pres: Presentation, dim: Callable, path: Callable, points,
+                      certify: Callable | None = None):
+    """Generator images of an isomorphism from coker pres onto N, found in
+    :func:`_hom_basis`; ``False`` when there is none; ``None`` when the
+    search ran out.
+
+    Callers check first that the cokernel has the dimension of N at every
+    point of ``points``, so a map is an isomorphism where the images of the
+    generators below a point, carried there, span N.  A candidate is judged
+    by those ranks, then by ``certify(images)`` when given.  A greedy pass
+    adds a basis element whenever the summed rank rises, taking them by their
+    own summed rank, largest first, and passes again while it rises.  Then,
+    over F_p with p^k <= ``EXHAUSTIVE_LIMIT``, every combination is tried, so
+    a miss certifies that there is none; otherwise ``RANDOM_TRIALS`` seeded
+    combinations.  Every step is deterministic.
+    """
+    field = pres.field
+    basis = _hom_basis(pres, dim, path)
+    shapes, carried = [], []  # per point: (dim, width), and the basis images carried there
+    for p in points:
+        below = [(b, m, path(b, p)) for b, m in pres.generators if leq(b, p)]
+        shapes.append((dim(p), sum(m for _, m, _ in below)))
+        carried.append(list(zip(*(_vec(hstack(field, [f @ h[b] for b, _, f in below],
+                                              nrows=dim(p))) for h in basis))))
+
+    def ranks(flats):  # lazily, point by point
+        for flat, (d, w) in zip(flats, shapes):
+            yield rank(Matrix(field, [flat[i * w:(i + 1) * w] for i in range(d)], ncols=w,
+                              _coerce=False))
+
+    def judge(coeffs):
+        flats = ([field.dot(coeffs, col) for col in cols] for cols in carried)
+        if any(r != d for r, (d, _) in zip(ranks(flats), shapes)):
+            return None
+        images = {b: Matrix.zeros(field, dim(b), m) for b, m in pres.generators}
+        for c, h in zip(coeffs, basis):
+            for b in images:
+                images[b] = images[b] + h[b].scale(c)
+        return images if certify is None or certify(images) else None
+
+    k, target = len(basis), sum(d for d, _ in shapes)
+    alone = [sum(ranks([col[i] for col in cols] for cols in carried)) for i in range(k)]
+    coeffs, current, best = [field.zero] * k, [[field.zero] * (d * w) for d, w in shapes], 0
+    rising = True
+    while rising and best < target:
+        rising = False
+        for i in sorted(range(k), key=lambda i: -alone[i]):
+            added = [[field.add(x, col[i]) for x, col in zip(flat, cols)]
+                     for flat, cols in zip(current, carried)]
+            added_best = sum(ranks(added))
+            if added_best > best:
+                coeffs[i] = field.add(coeffs[i], field.one)
+                current, best, rising = added, added_best, True
+                if best == target:
+                    break
+    found = judge(coeffs) if best == target else None
+    if found is not None:
+        return found
+    if not basis:
+        return False
+    exhaustive = field.kind == "prime" and field.p ** k <= EXHAUSTIVE_LIMIT
+    if exhaustive:
+        candidates = itertools.product(range(field.p), repeat=k)
+    else:
+        rng = random.Random(0x5EED)
+        candidates = ([rng.randrange(field.p) for _ in range(k)] if field.kind == "prime"
+                      else [Fraction(rng.randint(-2 - t // 300, 2 + t // 300)) for _ in range(k)]
+                      for t in range(RANDOM_TRIALS))
+    for coeffs in filter(any, candidates):
+        found = judge(coeffs)
+        if found is not None:
+            return found
+    return False if exhaustive else None
 
 
 def _require_join_closed(l) -> list:

@@ -300,6 +300,38 @@ class TestCertificate:
         code, payload = run_json(capsys, "verify", EXAMPLE_F2, "--presentation", str(out))
         assert code == 1 and payload["point"] == [50, 50]
 
+    def test_search_that_runs_out_is_null_and_exit_3(self, capsys, tmp_path, monkeypatch):
+        import detmod.presentation
+
+        module = tmp_path / "module.json"
+        module.write_text(json.dumps({
+            "field": {"kind": "rational"}, "n": 2, "box": {"a": [0, 0], "b": [1, 1]},
+            "dims": [1, 1, 1, 1],
+            "maps": [{"from": p, "axis": axis, "matrix": [[1]]}
+                     for p, axis in (([0, 0], 1), ([0, 0], 2), ([1, 0], 2), ([0, 1], 1))]}),
+            encoding="utf-8")
+        pres = tmp_path / "pres.json"
+        _present_to(capsys, str(module), pres, lambda obj: obj.pop("generator_images"))
+        encoding = tmp_path / "enc.json"
+        code, _, _ = run(capsys, "encode", str(module), "--set", UNIT_SET, "--out", str(encoding))
+        assert code == 0
+        obj = json.loads(encoding.read_text(encoding="utf-8"))
+        for entry in obj["maps"]:  # scale the top space by 2: isomorphic, not equal
+            if entry["to"] == [1, 1]:
+                entry["matrix"] = [[2]]
+        encoding.write_text(json.dumps(obj), encoding="utf-8")
+        verify_pres = ("verify", str(module), "--presentation", str(pres))
+        verify_enc = ("verify", str(module), "--encoding", str(encoding), "--set", UNIT_SET)
+        for argv in (verify_pres, verify_enc):
+            code, payload = run_json(capsys, *argv)
+            assert code == 0 and payload["ok"] is True
+        monkeypatch.setattr(detmod.presentation, "_find_isomorphism",
+                            lambda *args, **kwargs: None)
+        for argv in (verify_pres, verify_enc):
+            code, out, err = run(capsys, *argv)
+            assert code == 3 and err == "" and '"ok": null' in out
+            assert json.loads(out)["ok"] is None
+
     def test_wide_window_adds_only_its_corners(self, capsys, tmp_path):
         out = tmp_path / "pres.json"
         _present_to(capsys, EXAMPLE_Q, out)

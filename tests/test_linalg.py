@@ -8,9 +8,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from detmod import (Box, CartesianSet, ExtendedView, InputError, Matrix, NEG_INF,
-                    PosetDiagram, QQ, cokernel_projection, diagram_colimit,
-                    diagram_limit, diagrams_isomorphic, encode, is_invertible,
-                    join_closure, kernel_basis, leq, nat_basis, natural_isomorphism,
+                    PosetDiagram, Presentation, QQ, cokernel_projection, diagram_colimit,
+                    diagram_limit, diagrams_isomorphic, encode, hstack, is_invertible,
+                    join_closure, kernel_basis, leq, nat_basis,
                     poset_covers, rank, solve, validate_diagram)
 from helpers import (F2, F5, all_cover_paths, canonical_set, minimal_squares_commute,
                      module_diagram, path_commutativity_ok, poset_covers_bruteforce,
@@ -376,7 +376,11 @@ class TestDiagramIsomorphism:
             assert diagrams_isomorphic(a, b)
 
     def test_found_isomorphism_is_natural_and_invertible(self):
+        """The generator images the search finds induce, at every point, the map
+        sending a's carried generator lifts to the carried images; it is natural
+        and invertible."""
         from helpers import random_module
+        from detmod.presentation import _find_isomorphism, _present_diagram
 
         rng = random.Random(41)
         a = module_diagram(random_module(F5, rng, twist=False))
@@ -385,8 +389,20 @@ class TestDiagramIsomorphism:
         inv = {p: solve(twist[p], Matrix.identity(F5, a.dims[p])) for p in a.points}
         b_maps = {(c, d): twist[d] @ a.maps[(c, d)] @ inv[c] for c, d in a.covers()}
         b = PosetDiagram(F5, a.points, dict(a.dims), b_maps, covers=a.covers())
-        iso = natural_isomorphism(a, b)
-        assert iso is not None
+        generators, relations, blocks, lifts = _present_diagram(a)
+        pres = Presentation(F5, 2, tuple(generators), tuple(relations), blocks)
+        images = _find_isomorphism(pres, b.dims.__getitem__, b.path_map, a.points)
+        assert isinstance(images, dict)
+        iso = {}
+        for p in a.points:
+            below = [g for g, _ in generators if leq(g, p)]
+            lifted = hstack(F5, [a.path_map(g, p) @ lifts[g] for g in below], nrows=a.dims[p])
+            carried = hstack(F5, [b.path_map(g, p) @ images[g] for g in below],
+                             nrows=b.dims[p])
+            iso_t = solve(lifted.transpose(), carried.transpose())
+            assert iso_t is not None
+            iso[p] = iso_t.transpose()
+        assert any(not iso[p].is_zero() for p in a.points)
         for c, d in a.covers():
             assert iso[d] @ a.maps[(c, d)] == b.maps[(c, d)] @ iso[c]
         for p in a.points:
@@ -420,3 +436,36 @@ class TestDiagramIsomorphism:
     def test_zero_diagrams_isomorphic(self):
         a = PosetDiagram(F2, [(0,), (1,)], {(0,): 0, (1,): 0}, {})
         assert diagrams_isomorphic(a, a)
+
+    def test_equal_cover_ranks_unequal_composite_certified_false(self):
+        # dims (2, 2, 2) and cover ranks (1, 1) on both chains, but the
+        # composite 0 -> 2 has rank 0 in a and rank 1 in b: the Hom space over
+        # F2 is small, so the exhaustive search certifies the answer
+        keep_first = Matrix(F2, [[1, 0], [0, 0]])
+        a = chain_diagram(F2, [2, 2, 2], [keep_first, Matrix(F2, [[0, 0], [0, 1]])])
+        b = chain_diagram(F2, [2, 2, 2], [keep_first, keep_first])
+        assert diagrams_isomorphic(a, b) is False
+
+    def test_fourteen_distinct_twisted_intervals_over_f2(self):
+        """A twisted sum of 14 intervals with distinct supports on a 5x5 box is
+        found isomorphic to the plain sum.  Random combinations over F2 rarely
+        hit an isomorphism of so many summands, and on this seed a greedy pass
+        that takes the basis in index order, not by rank, falls short."""
+        from helpers import interval_module, twist_module
+
+        rng = random.Random(10)
+        box = Box((0, 0), (4, 4))
+        points = list(box.integer_points())
+        supports, starts, ends = set(), [], []
+        while len(starts) < 14:
+            g = tuple(rng.randint(0, 4) for _ in range(2))
+            d = tuple(rng.randint(g[i], 5) for i in range(2))
+            support = frozenset(p for p in points if leq(g, p) and not leq(d, p))
+            if support and support not in supports:
+                supports.add(support)
+                starts.append(g)
+                ends.append(d)
+        plain = interval_module(F2, box, starts, ends)
+        twisted = twist_module(plain, rng)
+        assert max(plain.dims.values()) >= 6
+        assert diagrams_isomorphic(module_diagram(twisted), module_diagram(plain)) is True

@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -10,21 +11,21 @@ from hypothesis import strategies as st
 
 from detmod import (Box, ExtendedView, GridModule, InputError,
                     Matrix, NEG_INF, NotDeterminedError, PosetDiagram,
-                    Presentation, births_deaths, build_presentation,
+                    Presentation, births_deaths, build_presentation, check_encoding,
                     diagram_births_deaths, diagram_colimit, encode, ext_box, hstack,
                     in_upset, is_admissible, is_invertible, leq,
-                    predecessor_colimit_map, rank, solve, unzip_module,
+                    predecessor_colimit_map, rank, restrict_view, solve, unzip_module,
                     verify_presentation, window_module, zip_module)
 from helpers import (F2, F5, births_deaths_by_cone, canonical_set,
                      certificate_check_at_points, cokernel_lifts,
-                     colimit_map_by_cone, corner_module,
+                     colimit_map_by_cone, corner_module, module_diagram,
                      diagram_presentation_by_full_scan, halfplane_table,
                      presentation_by_full_scan, random_module, random_point_set,
                      widened_box_points)
 from detmod import QQ, critical_grid, lt, pointed_closure
 from detmod.extgrid import as_product
 from detmod import linalg
-from detmod.presentation import _generator_lifts, _present_diagram
+from detmod.presentation import _generator_lifts, _hom_basis, _present_diagram
 
 BOTTOM = (NEG_INF, NEG_INF)
 UNIT_SET = frozenset(ext_box(Box((1, 1), (1, 1))).points())
@@ -322,6 +323,9 @@ class TestVerifyPresentation:
                     (field, view.box)
 
     def test_search_fallback_without_images(self):
+        # also with the box widened by 2 as test points: the search sees one
+        # point per clamp and set of generators below it, so coordinates that
+        # add nothing cost little
         rng = random.Random(68)
         for field in (F2, F5, QQ):
             for _ in range(3):
@@ -329,13 +333,16 @@ class TestVerifyPresentation:
                 pres = build_presentation(view, canonical_set(view.module))
                 bare = dataclasses.replace(pres, generator_images=None)
                 assert verify_presentation(view, bare)
+                start = time.perf_counter()
+                assert verify_presentation(view, bare, widened_box_points(view))
+                assert time.perf_counter() - start < 0.25, (field, view.box)
 
     def test_certificate_check_runs_no_search(self, monkeypatch):
         import detmod.presentation
 
         def no_search(*args):
             raise AssertionError("isomorphism search called")
-        monkeypatch.setattr(detmod.presentation, "diagrams_isomorphic", no_search)
+        monkeypatch.setattr(detmod.presentation, "_find_isomorphism", no_search)
         view = ExtendedView(random_module(F5, random.Random(69), max_summands=4))
         pres = build_presentation(view, canonical_set(view.module))
         assert verify_presentation(view, pres)
@@ -497,12 +504,19 @@ def _scan_grid_points(view, pres):
 def _assert_scan_matches_oracles(view, pres):
     """The scan agrees with the pointwise oracle on its grid, verdict, point and
     reason; and whatever the oracle catches on the box widened by 2 or at the
-    grades, it catches."""
+    grades, it catches.  Without the images, verify passes what the scan
+    passes and fails at the same point where the scan finds a cokernel of the
+    wrong dimension."""
     check = verify_presentation(view, pres)
     assert check == certificate_check_at_points(view, pres, _scan_grid_points(view, pres))
     for pts in (widened_box_points(view), [p for p, _ in pres.generators + pres.relations]):
         if not certificate_check_at_points(view, pres, pts):
             assert not check.ok
+    bare = verify_presentation(view, dataclasses.replace(pres, generator_images=None))
+    if check.ok:
+        assert bare.ok is True
+    elif check.reason.startswith("cokernel dimension"):
+        assert bare == check
     return check
 
 
@@ -563,6 +577,104 @@ class TestScanMatchesPointwiseOracle:
         pres = build_presentation(view, canonical_set(view.module))
         monkeypatch.setattr(ExtendedView, "eval_map", no_eval_map)
         assert verify_presentation(view, pres)
+
+
+def _diagram_presentation(diagram):
+    """The scan's presentation of a diagram, with no generator images."""
+    generators, relations, blocks, _ = _present_diagram(diagram)
+    return Presentation(diagram.field, len(diagram.points[0]), tuple(generators),
+                        tuple(relations), blocks)
+
+
+def _hom_dimensions(field, rng):
+    """Hom dimensions between two random modules on one box, as (helper,
+    nat_basis) pairs: for a diagram target (the box data of both) and for a
+    module target (a presentation of one, the extended view of the other).
+
+    Restriction to a grid G holding every grade of the presentation keeps it
+    a presentation, so Hom over G between the restrictions is the reference
+    for the module target.
+    """
+    m = random_module(field, rng, max_summands=4)
+    n = random_module(field, rng, box=m.box, max_summands=4)
+    a, b = module_diagram(m), module_diagram(n)
+    diagram = (len(_hom_basis(_diagram_presentation(a), b.dims.__getitem__, b.path_map)),
+               len(linalg.nat_basis(a, b)))
+    vm, vn = ExtendedView(m), ExtendedView(n)
+    pres = build_presentation(vm, canonical_set(m))
+    grid = critical_grid(m.box, [p for p, _ in pres.generators + pres.relations], margin=1)
+    module = (len(_hom_basis(pres, vn.eval_space, vn.eval_map)),
+              len(linalg.nat_basis(restrict_view(vm, grid), restrict_view(vn, grid))))
+    return diagram, module
+
+
+class TestHomFromPresentation:
+    """Hom out of a presentation, one linear system, against ``nat_basis``,
+    which solves naturality point by point; and the search on top of it."""
+
+    @pytest.mark.parametrize("field", [F2, F5, QQ], ids=["f2", "f5", "q"])
+    def test_seeded_dimensions_match_nat_basis(self, field):
+        rng = random.Random(1200)
+        nonzero = 0
+        for _ in range(16):
+            diagram, module = _hom_dimensions(field, rng)
+            assert diagram[0] == diagram[1] and module[0] == module[1], (diagram, module)
+            nonzero += diagram[0] > 0 and module[0] > 0
+        assert nonzero >= 6
+
+    @given(seed=st.integers(0, 10 ** 6), field=st.sampled_from([F2, F5, QQ]))
+    @settings(max_examples=30, deadline=None)
+    def test_hypothesis_dimensions_match_nat_basis(self, seed, field):
+        diagram, module = _hom_dimensions(field, random.Random(seed))
+        assert diagram[0] == diagram[1] and module[0] == module[1]
+
+    def test_basis_elements_map_relations_to_zero(self):
+        view = ExtendedView(random_module(QQ, random.Random(1201), max_summands=4))
+        pres = build_presentation(view, canonical_set(view.module))
+        basis = _hom_basis(pres, view.eval_space, view.eval_map)
+        assert basis and pres.relations
+        for images in basis:
+            for d, r in pres.relations:
+                total = Matrix.zeros(QQ, view.eval_space(d), r)
+                for b, _ in pres.generators:
+                    if leq(b, d):
+                        total = total + view.eval_map(b, d) @ images[b] @ pres.block(d, b)
+                assert total.is_zero()
+
+    def test_search_that_runs_out_is_inconclusive(self, monkeypatch):
+        import detmod.presentation
+
+        monkeypatch.setattr(detmod.presentation, "_find_isomorphism", lambda *args: None)
+        view = ExtendedView(random_module(F5, random.Random(1203), max_summands=4))
+        s = canonical_set(view.module)
+        pres = build_presentation(view, s)
+        check = verify_presentation(view, dataclasses.replace(pres, generator_images=None))
+        assert check.ok is None and check.point is None and not check
+        assert verify_presentation(view, pres).ok is True
+        diagram = encode(view, s)
+        assert linalg.diagrams_isomorphic(diagram, diagram) is True  # the identity exit
+
+    def test_no_route_calls_nat_basis(self, monkeypatch):
+        from helpers import random_invertible
+
+        def no_nat_basis(*args):
+            raise AssertionError("nat_basis called")
+        monkeypatch.setattr(linalg, "nat_basis", no_nat_basis)
+        rng = random.Random(1202)
+        view = ExtendedView(random_module(F5, rng, max_summands=4))
+        s = canonical_set(view.module)
+        pres = build_presentation(view, s)
+        assert verify_presentation(view, dataclasses.replace(pres, generator_images=None))
+        diagram = encode(view, s)
+        twist = {p: random_invertible(F5, diagram.dims[p], rng) for p in diagram.points}
+        maps = {(c, d): twist[d] @ diagram.maps[(c, d)] @ solve(
+                    twist[c], Matrix.identity(F5, diagram.dims[c]))
+                for c, d in diagram.covers()}
+        conjugated = PosetDiagram(F5, diagram.points, dict(diagram.dims), maps,
+                                  covers=diagram.covers())
+        assert any(conjugated.maps[e] != diagram.maps[e] for e in diagram.covers())
+        assert check_encoding(view, s, conjugated) is True
+        assert linalg.diagrams_isomorphic(conjugated, diagram) is True
 
 
 class TestFreeCoverComparison:
