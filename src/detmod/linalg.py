@@ -745,8 +745,9 @@ def diagrams_isomorphic(a: PosetDiagram, b: PosetDiagram) -> bool | None:
     After the cheap exits (dimensions, the identity, cover ranks), ``a`` is
     presented by its scan and ``presentation._find_isomorphism`` searches the
     maps out of that presentation into ``b``.  ``True`` comes with an
-    isomorphism in hand, ``False`` with a certificate, and ``None`` means
-    that the search ran out.
+    isomorphism in hand, ``False`` with a certificate: unequal dimensions or
+    cover ranks, dim Hom(a, b) unlike one of End(a), Hom(b, a) and End(b),
+    or an exhausted small search.  ``None`` means that the search ran out.
     """
     if a.points != b.points:
         raise InputError("diagrams must share the same point set")
@@ -763,8 +764,8 @@ def diagrams_isomorphic(a: PosetDiagram, b: PosetDiagram) -> bool | None:
         if rank(a.maps[e]) != rank(b.maps[e]):
             return False
     _require_valid(b)  # and the scan validates a
-    from .presentation import Presentation, _find_isomorphism, _present_diagram
-    generators, relations, blocks, _ = _present_diagram(a)
-    pres = Presentation(a.field, len(a.points[0]), tuple(generators), tuple(relations), blocks)
-    found = _find_isomorphism(pres, b.dims.__getitem__, b.path_map, a.points)
+    from .presentation import _find_isomorphism, present_diagram
+    found = _find_isomorphism(present_diagram(a), (a.dims.__getitem__, a.path_map),
+                              (b.dims.__getitem__, b.path_map), a.points,
+                              lambda: present_diagram(b))
     return None if found is None else found is not False

@@ -9,7 +9,7 @@ colimits (see :func:`diagram_births_deaths`).
 
 from __future__ import annotations
 
-import dataclasses
+import functools
 import itertools
 import random
 from dataclasses import dataclass
@@ -21,8 +21,8 @@ from .extgrid import (CartesianSet, Point, as_point, critical_grid, join_below,
                       join_closure, leq, lt, min_point, sort_points)
 from .grid_module import EncodedView, ExtendedView, GridModule
 from .determinacy import DEFAULT_MARGIN, is_S_determined, encode
-from .linalg import (Matrix, PosetDiagram, _require_valid, _vec, diagram_colimit, hstack,
-                     is_invertible, kernel_basis, rank, rref, solve)
+from .linalg import (Matrix, PosetDiagram, _require_valid, _vec, cokernel_projection,
+                     diagram_colimit, hstack, is_invertible, kernel_basis, rank, rref, solve)
 
 
 @dataclass(frozen=True)
@@ -285,12 +285,17 @@ def births_deaths(view: ExtendedView, s, margin: int = DEFAULT_MARGIN) -> BirthD
     return diagram_births_deaths(encode(view, s, margin=margin))
 
 
-def build_presentation(view: ExtendedView, s, margin: int = DEFAULT_MARGIN) -> Presentation:
-    """Graded presentation of a determined module: the scan of its encoding,
+def present_diagram(diagram: PosetDiagram) -> Presentation:
+    """The scan's presentation of a diagram on a non-empty set of points,
     with the generator lifts as ``generator_images``."""
-    generators, relations, blocks, lifts = _present_diagram(encode(view, s, margin=margin))
-    return Presentation(view.field, view.box.dim, tuple(generators), tuple(relations), blocks,
-                        generator_images=lifts)
+    generators, relations, blocks, lifts = _present_diagram(diagram)
+    return Presentation(diagram.field, len(diagram.points[0]), tuple(generators),
+                        tuple(relations), blocks, generator_images=lifts)
+
+
+def build_presentation(view: ExtendedView, s, margin: int = DEFAULT_MARGIN) -> Presentation:
+    """Graded presentation of a determined module: the scan of its encoding."""
+    return present_diagram(encode(view, s, margin=margin))
 
 
 def _relation_matrix(pres: Presentation, gens: list, rels: list) -> Matrix:
@@ -333,8 +338,14 @@ def verify_presentation(view: ExtendedView, pres: Presentation,
     first point of G, in lexicographic order, where a check fails.  Without
     images the cokernel dimensions are compared on G, with the same failing
     point, and then :func:`_find_isomorphism` searches Hom(coker, M) for a
-    map that passes that scan, at one point of G per clamp and set of
-    generators below it.  A search that runs out gives ``ok`` ``None``.
+    map onto M at one point of G per clamp and set of generators below it:
+    the other points of G with that clamp and those generators carry the
+    same images.  A map onto M of a cokernel of M's dimension on all of G is
+    an isomorphism on G, hence everywhere, so the scan need not re-check it.
+    The search's Hom-dimension certificates present M by its restriction to
+    G, which holds every grade, so they compare Hom spaces over G, where an
+    isomorphism would restrict to one.  A search that runs out gives ``ok``
+    ``None``.
     """
     if pres.field != view.field:
         raise InputError("presentation and module are over different fields")
@@ -343,25 +354,47 @@ def verify_presentation(view: ExtendedView, pres: Presentation,
     grid = critical_grid(view.box, grades, margin=1)
     if pres.generator_images is not None:
         return _scan_images(view, pres, grid)
+    coker = _cokernel_module(pres)
     points = {}  # one grid point per clamp and set of generators below it
     for pt in grid.sorted_points():
-        gens = [(b, m) for b, m in pres.generators if leq(b, pt)]
-        rels = [(d, m) for d, m in pres.relations if leq(d, pt)]
-        rel = _relation_matrix(pres, gens, rels)
-        coker = rel.nrows - rank(rel)
-        if coker != view.eval_space(pt):
-            return PresentationCheck(False, pt, f"cokernel dimension {coker} differs from "
+        coker_dim = coker[0](pt)
+        if coker_dim != view.eval_space(pt):
+            return PresentationCheck(False, pt, f"cokernel dimension {coker_dim} differs from "
                                      f"module dimension {view.eval_space(pt)}")
-        points.setdefault((view.clamp(pt), tuple(gens)), pt)
-    found = _find_isomorphism(
-        pres, view.eval_space, view.eval_map, list(points.values()),
-        lambda images: _scan_images(
-            view, dataclasses.replace(pres, generator_images=images), grid).ok)
+        points.setdefault((view.clamp(pt), tuple(b for b, _ in pres.generators
+                                                 if leq(b, pt))), pt)
+    found = _find_isomorphism(pres, coker, (view.eval_space, view.eval_map),
+                              list(points.values()),
+                              lambda: present_diagram(view.restrict_diagram(grid)))
     if found is None:
         return PresentationCheck(None, None, "the isomorphism search ran out of trials")
     if found is False:
         return PresentationCheck(False, None, "structure maps do not match the module")
     return PresentationCheck(True)
+
+
+def _cokernel_module(pres: Presentation) -> tuple:
+    """``(dim, path)`` of coker pres, as :func:`_hom_basis` takes them.
+
+    At x the basis is that of ``cokernel_projection`` q_x of the relation
+    matrix there; the map from b to d is the mu with mu q_b = q_d restricted
+    to the generators below b, which exists as the relations at b are
+    relations at d, and is unique as q_b is onto.
+    """
+    @functools.cache
+    def quotient(x):
+        gens = [(b, m) for b, m in pres.generators if leq(b, x)]
+        rels = [(d, m) for d, m in pres.relations if leq(d, x)]
+        return cokernel_projection(_relation_matrix(pres, gens, rels))
+
+    def path(b, d):
+        q_d = quotient(d)
+        cols = [g for g, m in pres.generators if leq(g, d) for _ in range(m)]
+        moved = Matrix.from_columns(pres.field, [q_d.column(j) for j, g in enumerate(cols)
+                                                 if leq(g, b)], nrows=q_d.nrows)
+        return solve(quotient(b).transpose(), moved.transpose()).transpose()
+
+    return (lambda x: quotient(x).nrows), path
 
 
 def _scan_images(view: ExtendedView, pres: Presentation, grid: CartesianSet
@@ -518,22 +551,27 @@ def _hom_basis(pres: Presentation, dim: Callable, path: Callable) -> list:
             for v in kernel.columns()]
 
 
-def _find_isomorphism(pres: Presentation, dim: Callable, path: Callable, points,
-                      certify: Callable | None = None):
+def _find_isomorphism(pres: Presentation, source: tuple, target: tuple, points,
+                      present_target: Callable):
     """Generator images of an isomorphism from coker pres onto N, found in
     :func:`_hom_basis`; ``False`` when there is none; ``None`` when the
     search ran out.
 
+    ``source`` and ``target`` are the ``(dim, path)`` of coker pres and of N,
+    as :func:`_hom_basis` takes them, and ``present_target()`` presents N.
     Callers check first that the cokernel has the dimension of N at every
     point of ``points``, so a map is an isomorphism where the images of the
-    generators below a point, carried there, span N.  A candidate is judged
-    by those ranks, then by ``certify(images)`` when given.  A greedy pass
-    adds a basis element whenever the summed rank rises, taking them by their
-    own summed rank, largest first, and passes again while it rises.  Then,
-    over F_p with p^k <= ``EXHAUSTIVE_LIMIT``, every combination is tried, so
-    a miss certifies that there is none; otherwise ``RANDOM_TRIALS`` seeded
-    combinations.  Every step is deterministic.
+    generators below a point, carried there, span N: a candidate is judged
+    by those ranks.  A greedy pass adds a basis element whenever the summed
+    rank rises, taking them by their own summed rank, largest first, and
+    passes again while it rises.  If it misses, dim Hom(coker pres, N) is
+    compared with End(coker pres), Hom(N, coker pres) and End(N), which it
+    equals when there is an isomorphism; a mismatch certifies that there is
+    none.  Then, over F_p with p^k <= ``EXHAUSTIVE_LIMIT``, every combination
+    is tried, so a miss certifies that there is none; otherwise
+    ``RANDOM_TRIALS`` seeded combinations.  Every step is deterministic.
     """
+    dim, path = target
     field = pres.field
     basis = _hom_basis(pres, dim, path)
     shapes, carried = [], []  # per point: (dim, width), and the basis images carried there
@@ -556,13 +594,13 @@ def _find_isomorphism(pres: Presentation, dim: Callable, path: Callable, points,
         for c, h in zip(coeffs, basis):
             for b in images:
                 images[b] = images[b] + h[b].scale(c)
-        return images if certify is None or certify(images) else None
+        return images
 
-    k, target = len(basis), sum(d for d, _ in shapes)
+    k, full = len(basis), sum(d for d, _ in shapes)
     alone = [sum(ranks([col[i] for col in cols] for cols in carried)) for i in range(k)]
     coeffs, current, best = [field.zero] * k, [[field.zero] * (d * w) for d, w in shapes], 0
     rising = True
-    while rising and best < target:
+    while rising and best < full:
         rising = False
         for i in sorted(range(k), key=lambda i: -alone[i]):
             added = [[field.add(x, col[i]) for x, col in zip(flat, cols)]
@@ -571,12 +609,18 @@ def _find_isomorphism(pres: Presentation, dim: Callable, path: Callable, points,
             if added_best > best:
                 coeffs[i] = field.add(coeffs[i], field.one)
                 current, best, rising = added, added_best, True
-                if best == target:
+                if best == full:
                     break
-    found = judge(coeffs) if best == target else None
+    found = judge(coeffs) if best == full else None
     if found is not None:
         return found
-    if not basis:
+
+    def expected():  # lazily: each presentation and Hom space only when needed
+        yield len(_hom_basis(pres, *source))
+        other = present_target()
+        yield len(_hom_basis(other, *source))
+        yield len(_hom_basis(other, *target))
+    if not basis or any(e != k for e in expected()):
         return False
     exhaustive = field.kind == "prime" and field.p ** k <= EXHAUSTIVE_LIMIT
     if exhaustive:

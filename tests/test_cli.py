@@ -332,6 +332,40 @@ class TestCertificate:
             assert code == 3 and err == "" and '"ok": null' in out
             assert json.loads(out)["ok"] is None
 
+    def test_non_isomorphic_over_q_with_equal_dimensions_is_certified(self, capsys, tmp_path):
+        """The chain [0,2]+[0,0]+[1,1]+[2,2] against [0,1]+[0,0]+[1,2]+[2,2]:
+        equal dimensions and cover ranks, no exhaustive search over Q, and
+        unequal Hom dimensions certify the failure (exit 1, not 3)."""
+        module = tmp_path / "module.json"
+        module.write_text(json.dumps({
+            "field": {"kind": "rational"}, "n": 1, "box": {"a": [0], "b": [2]},
+            "dims": [2, 2, 2],
+            "maps": [{"from": [p], "axis": 1, "matrix": [[1, 0], [0, 0]]} for p in (0, 1)]}),
+            encoding="utf-8")
+
+        def perturb(obj):  # the relation at 2 kills the first generator, not the one at 1
+            obj.pop("generator_images")
+            moved = {"relation": [2], "generator": ["-inf"], "block": [[1], [0]]}
+            obj["rel_matrix"] = [e for e in obj["rel_matrix"] if e["relation"] != [2]] + [moved]
+        pres = tmp_path / "pres.json"
+        _present_to(capsys, str(module), pres, perturb)
+        chain_set = '[["-inf"],[0],[1],[2]]'
+        encoding = tmp_path / "enc.json"
+        code, _, _ = run(capsys, "encode", str(module), "--set", chain_set,
+                         "--out", str(encoding))
+        assert code == 0
+        obj = json.loads(encoding.read_text(encoding="utf-8"))
+        for entry in obj["maps"]:
+            if entry["to"] == [2]:
+                entry["matrix"] = [[0, 0], [0, 1]]
+        encoding.write_text(json.dumps(obj), encoding="utf-8")
+        code, payload = run_json(capsys, "verify", str(module), "--presentation", str(pres))
+        assert code == 1 and payload == {
+            "ok": False, "point": None, "reason": "structure maps do not match the module"}
+        code, payload = run_json(capsys, "verify", str(module), "--encoding", str(encoding),
+                                 "--set", chain_set)
+        assert code == 1 and payload == {"ok": False}
+
     def test_wide_window_adds_only_its_corners(self, capsys, tmp_path):
         out = tmp_path / "pres.json"
         _present_to(capsys, EXAMPLE_Q, out)

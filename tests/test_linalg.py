@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from detmod import (Box, CartesianSet, ExtendedView, InputError, Matrix, NEG_INF,
-                    PosetDiagram, Presentation, QQ, cokernel_projection, diagram_colimit,
+                    PosetDiagram, QQ, cokernel_projection, diagram_colimit,
                     diagram_limit, diagrams_isomorphic, encode, hstack, is_invertible,
                     join_closure, kernel_basis, leq, nat_basis,
                     poset_covers, rank, solve, validate_diagram)
@@ -380,7 +380,7 @@ class TestDiagramIsomorphism:
         sending a's carried generator lifts to the carried images; it is natural
         and invertible."""
         from helpers import random_module
-        from detmod.presentation import _find_isomorphism, _present_diagram
+        from detmod.presentation import _find_isomorphism, present_diagram
 
         rng = random.Random(41)
         a = module_diagram(random_module(F5, rng, twist=False))
@@ -389,13 +389,15 @@ class TestDiagramIsomorphism:
         inv = {p: solve(twist[p], Matrix.identity(F5, a.dims[p])) for p in a.points}
         b_maps = {(c, d): twist[d] @ a.maps[(c, d)] @ inv[c] for c, d in a.covers()}
         b = PosetDiagram(F5, a.points, dict(a.dims), b_maps, covers=a.covers())
-        generators, relations, blocks, lifts = _present_diagram(a)
-        pres = Presentation(F5, 2, tuple(generators), tuple(relations), blocks)
-        images = _find_isomorphism(pres, b.dims.__getitem__, b.path_map, a.points)
+        pres = present_diagram(a)
+        lifts = pres.generator_images
+        images = _find_isomorphism(pres, (a.dims.__getitem__, a.path_map),
+                                   (b.dims.__getitem__, b.path_map), a.points,
+                                   lambda: present_diagram(b))
         assert isinstance(images, dict)
         iso = {}
         for p in a.points:
-            below = [g for g, _ in generators if leq(g, p)]
+            below = [g for g, _ in pres.generators if leq(g, p)]
             lifted = hstack(F5, [a.path_map(g, p) @ lifts[g] for g in below], nrows=a.dims[p])
             carried = hstack(F5, [b.path_map(g, p) @ images[g] for g in below],
                              nrows=b.dims[p])
@@ -437,14 +439,18 @@ class TestDiagramIsomorphism:
         a = PosetDiagram(F2, [(0,), (1,)], {(0,): 0, (1,): 0}, {})
         assert diagrams_isomorphic(a, a)
 
-    def test_equal_cover_ranks_unequal_composite_certified_false(self):
+    @pytest.mark.parametrize("field", [F2, QQ], ids=["f2", "q"])
+    def test_equal_cover_ranks_unequal_composite_certified_false(self, field):
         # dims (2, 2, 2) and cover ranks (1, 1) on both chains, but the
-        # composite 0 -> 2 has rank 0 in a and rank 1 in b: the Hom space over
-        # F2 is small, so the exhaustive search certifies the answer
-        keep_first = Matrix(F2, [[1, 0], [0, 0]])
-        a = chain_diagram(F2, [2, 2, 2], [keep_first, Matrix(F2, [[0, 0], [0, 1]])])
-        b = chain_diagram(F2, [2, 2, 2], [keep_first, keep_first])
+        # composite 0 -> 2 has rank 0 in a and rank 1 in b: a is
+        # [0,1]+[0,0]+[1,2]+[2,2] and b is [0,2]+[0,0]+[1,1]+[2,2], so
+        # dim Hom(a, b) = 6 differs from dim End(a) = 7, which certifies the
+        # answer over Q too, where no search is exhaustive
+        keep_first = Matrix(field, [[1, 0], [0, 0]])
+        a = chain_diagram(field, [2, 2, 2], [keep_first, Matrix(field, [[0, 0], [0, 1]])])
+        b = chain_diagram(field, [2, 2, 2], [keep_first, keep_first])
         assert diagrams_isomorphic(a, b) is False
+        assert diagrams_isomorphic(b, a) is False
 
     def test_fourteen_distinct_twisted_intervals_over_f2(self):
         """A twisted sum of 14 intervals with distinct supports on a 5x5 box is

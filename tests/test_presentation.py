@@ -25,7 +25,8 @@ from helpers import (F2, F5, births_deaths_by_cone, canonical_set,
 from detmod import QQ, critical_grid, lt, pointed_closure
 from detmod.extgrid import as_product
 from detmod import linalg
-from detmod.presentation import _generator_lifts, _hom_basis, _present_diagram
+from detmod.presentation import (_cokernel_module, _generator_lifts, _hom_basis,
+                                 _present_diagram, present_diagram)
 
 BOTTOM = (NEG_INF, NEG_INF)
 UNIT_SET = frozenset(ext_box(Box((1, 1), (1, 1))).points())
@@ -579,13 +580,6 @@ class TestScanMatchesPointwiseOracle:
         assert verify_presentation(view, pres)
 
 
-def _diagram_presentation(diagram):
-    """The scan's presentation of a diagram, with no generator images."""
-    generators, relations, blocks, _ = _present_diagram(diagram)
-    return Presentation(diagram.field, len(diagram.points[0]), tuple(generators),
-                        tuple(relations), blocks)
-
-
 def _hom_dimensions(field, rng):
     """Hom dimensions between two random modules on one box, as (helper,
     nat_basis) pairs: for a diagram target (the box data of both) and for a
@@ -598,7 +592,7 @@ def _hom_dimensions(field, rng):
     m = random_module(field, rng, max_summands=4)
     n = random_module(field, rng, box=m.box, max_summands=4)
     a, b = module_diagram(m), module_diagram(n)
-    diagram = (len(_hom_basis(_diagram_presentation(a), b.dims.__getitem__, b.path_map)),
+    diagram = (len(_hom_basis(present_diagram(a), b.dims.__getitem__, b.path_map)),
                len(linalg.nat_basis(a, b)))
     vm, vn = ExtendedView(m), ExtendedView(n)
     pres = build_presentation(vm, canonical_set(m))
@@ -640,6 +634,61 @@ class TestHomFromPresentation:
                     if leq(b, d):
                         total = total + view.eval_map(b, d) @ images[b] @ pres.block(d, b)
                 assert total.is_zero()
+
+    @pytest.mark.parametrize("field", [F2, F5, QQ], ids=["f2", "f5", "q"])
+    def test_cokernel_endomorphisms_match_module(self, field):
+        # coker P is M for an honest P, so End over either has one dimension
+        rng = random.Random(1204)
+        for _ in range(4):
+            view = ExtendedView(random_module(field, rng, max_summands=4))
+            pres = build_presentation(view, canonical_set(view.module))
+            assert len(_hom_basis(pres, *_cokernel_module(pres))) == \
+                len(_hom_basis(pres, view.eval_space, view.eval_map))
+
+    def test_unequal_hom_dimensions_certify_false_over_q(self):
+        # [0,1]+[0,0]+[1,2]+[2,2] against [0,2]+[0,0]+[1,1]+[2,2]: equal
+        # dimensions everywhere, no exhaustive search over Q, and
+        # dim Hom(a, b) = 6 against dim End(a) = 7 says no
+        from helpers import interval_module
+
+        box = Box((0,), (2,))
+        a = ExtendedView(interval_module(QQ, box, [(0,), (0,), (1,), (2,)],
+                                         [(2,), (1,), (3,), (3,)]))
+        b = ExtendedView(interval_module(QQ, box, [(0,), (0,), (1,), (2,)],
+                                         [(3,), (1,), (2,), (3,)]))
+        s = canonical_set(a.module)
+        assert canonical_set(b.module) == s
+        for x, y in ((a, b), (b, a)):  # End(x) or End(y) differs from Hom(x, y)
+            bare = dataclasses.replace(build_presentation(x, s), generator_images=None)
+            assert verify_presentation(x, bare).ok is True
+            check = verify_presentation(y, bare)
+            assert check.ok is False and check.point is None
+            assert check_encoding(y, s, encode(x, s)) is False
+
+    @pytest.mark.parametrize("field", [QQ, linalg.PrimeField(101)], ids=["q", "f101"])
+    def test_both_routes_decide_equal_dimension_pairs(self, field):
+        # twisted sums of intervals on a chain, paired by dimension vector:
+        # no exhaustive search over these fields, yet neither route is left
+        # without an answer, and the two routes agree
+        from helpers import interval_module, twist_module
+
+        rng = random.Random(1206)
+        box = Box((0,), (3,))
+        by_dims = {}
+        for _ in range(60):
+            starts = [(rng.randint(0, 3),) for _ in range(rng.randint(2, 4))]
+            ends = [(g + rng.randint(1, 3),) for (g,) in starts]
+            m = twist_module(interval_module(field, box, starts, ends), rng)
+            by_dims.setdefault(tuple(m.dims[p] for p in box.integer_points()), []).append(m)
+        verdicts = []
+        for group in by_dims.values():
+            for a, b in zip(group, group[1:3]):
+                bare = dataclasses.replace(build_presentation(ExtendedView(a), canonical_set(a)),
+                                           generator_images=None)
+                ok = verify_presentation(ExtendedView(b), bare).ok
+                assert ok is linalg.diagrams_isomorphic(module_diagram(a), module_diagram(b))
+                verdicts.append(ok)
+        assert verdicts.count(True) >= 3 and verdicts.count(False) >= 3
 
     def test_search_that_runs_out_is_inconclusive(self, monkeypatch):
         import detmod.presentation
