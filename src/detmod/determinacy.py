@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 from .errors import InputError, NotDeterminedError
 from .extgrid import (Box, CartesianSet, NEG_INF, as_point, check_margin,
-                      critical_grid, ext_box, in_upset, join_below, leq,
-                      min_point, pointed_closure)
+                      clamps_and_strides, critical_grid, ext_box, in_upset,
+                      join_below, leq, min_point, pointed_closure)
 from .grid_module import ExtendedView, GridModule
 from .linalg import PosetDiagram, diagrams_isomorphic, is_invertible, validate_diagram
 
@@ -101,9 +101,7 @@ def _condition_on_grid(view: ExtendedView, s: frozenset, grid: CartesianSet,
     threshold rule of the module docstring decides downset equality.
     """
     module = view.module
-    box = module.box
-    clamps = tuple(tuple(lo if v < lo else min(v, hi) for v in f)
-                   for f, lo, hi in zip(grid.factors, box.a, box.b))
+    clamps, _ = clamps_and_strides(grid, module.box)
     witness = _first_failing_cover(module, s, grid.factors, clamps)
     support_ok = None
     if check_support:
@@ -194,8 +192,8 @@ def canonical_set(module: GridModule) -> frozenset:
     return ext_box(module.box).points()
 
 
-def encode(view: ExtendedView, s, margin: int = DEFAULT_MARGIN) -> PosetDiagram:
-    """The finite model: the view restricted to the pointed join closure of the set.
+def determined_closure(view: ExtendedView, s, margin: int = DEFAULT_MARGIN) -> frozenset:
+    """The pointed join closure of a set that determines the module.
 
     Refuses with the witness pair when the covering-pair condition fails, in
     which case no encoding on that closure can restrict back to the module.
@@ -204,7 +202,13 @@ def encode(view: ExtendedView, s, margin: int = DEFAULT_MARGIN) -> PosetDiagram:
     report = is_S_determined(view, pts, check_support=False, margin=margin)
     if not report.holds:
         raise NotDeterminedError(report.witness)
-    return view.restrict_diagram(pointed_closure(pts, dim=view.box.dim))
+    return pointed_closure(pts, dim=view.box.dim)
+
+
+def encode(view: ExtendedView, s, margin: int = DEFAULT_MARGIN) -> PosetDiagram:
+    """The finite model: the view restricted to the pointed join closure of
+    the set, refused as by :func:`determined_closure`."""
+    return view.restrict_diagram(determined_closure(view, s, margin=margin))
 
 
 def check_encoding(view: ExtendedView, s, n: PosetDiagram,

@@ -192,14 +192,6 @@ class Box:
     def dim(self) -> int:
         return len(self.a)
 
-    @property
-    def unit_shift(self) -> Point:
-        """The all-ones vector of the ambient dimension."""
-        return (1,) * self.dim
-
-    def contains(self, c: Point) -> bool:
-        return is_integral(c) and leq(self.a, c) and leq(c, self.b)
-
     def integer_points(self) -> Iterator[Point]:
         """All integer points of the box in lexicographic order."""
         ranges = [range(lo, hi + 1) for lo, hi in zip(self.a, self.b)]
@@ -380,3 +372,21 @@ def critical_grid(box: Box, s: Iterable[Point] = (), margin: int = 1) -> Cartesi
                 vals.add(p[i])
         factors.append(tuple(sorted(vals)))
     return CartesianSet(tuple(factors))
+
+
+def clamps_and_strides(grid: CartesianSet, box: Box) -> tuple:
+    """Per axis of a product grid, the clamps and the stride.
+
+    ``clamps[axis][k]`` is the k-th coordinate of the axis clamped into the
+    box, as :func:`extended_projection` clamps it.  The stride is how many
+    points back in ``grid.sorted_points()`` the lower cover along the axis
+    lies: the point at flat index i with index k > 0 on the axis covers the
+    one at i - stride, whose index there is k - 1.
+    """
+    factors = grid.factors
+    clamps = tuple(tuple(lo if v < lo else min(v, hi) for v in f)
+                   for f, lo, hi in zip(factors, box.a, box.b))
+    strides = [1] * grid.dim
+    for axis in reversed(range(grid.dim - 1)):
+        strides[axis] = strides[axis + 1] * len(factors[axis + 1])
+    return clamps, tuple(strides)

@@ -285,10 +285,6 @@ def pointset_from_json(obj, dim: int | None = None) -> frozenset:
     return frozenset(decode_point(p, dim=dim) for p in obj)
 
 
-def pointset_to_json(points) -> list:
-    return [encode_point(p) for p in sorted(points, key=point_sort_key)]
-
-
 def determinacy_report_to_json(report: DeterminacyReport) -> dict:
     return {
         "holds": report.holds,

@@ -17,10 +17,11 @@ from fractions import Fraction
 from typing import Callable, Iterable
 
 from .errors import ConsistencyError, InputError
-from .extgrid import (CartesianSet, Point, as_point, critical_grid, join_below,
-                      join_closure, leq, lt, min_point, sort_points)
+from .extgrid import (CartesianSet, Point, as_point, as_product, clamps_and_strides,
+                      critical_grid, join_below, join_closure, leq, lt, min_point,
+                      sort_points)
 from .grid_module import EncodedView, ExtendedView, GridModule
-from .determinacy import DEFAULT_MARGIN, is_S_determined, encode
+from .determinacy import DEFAULT_MARGIN, determined_closure, is_S_determined
 from .linalg import (Matrix, PosetDiagram, _require_valid, _vec, cokernel_projection,
                      diagram_colimit, hstack, is_invertible, kernel_basis, rank, rref, solve)
 
@@ -172,96 +173,203 @@ def _generator_lifts(lam: Matrix) -> Matrix:
     return Matrix(field, rows, ncols=len(free), _coerce=False)
 
 
-def _present_diagram(diagram: PosetDiagram) -> tuple:
+def _scan(field, points: list, dims: list, lower: list, step: Callable,
+          covers_complete: bool) -> tuple:
     """The presentation scan: (generators, relations, blocks, generator lifts).
 
-    The generators at c lift a basis of the cokernel of its lower-cover maps
-    placed side by side (one elimination, :func:`_generator_lifts`).  The
-    kernel of the evaluation map at c from the free module on the generators
-    below c (the second elimination) contributes as relations the columns
-    that are new modulo the kernels inherited from the lower covers of c:
-    the pivot columns of one rref of the inherited kernels followed by the
-    kernel at c (the third, made only when that kernel is non-zero).  The
-    generators active at a lower cover p are a sublist of those at c, so
-    the kernel at p is placed in the free module at c by copying its rows
-    to the offsets of p's generators, with zero rows elsewhere.  So each
-    point costs at most three eliminations.
+    ``points`` is a finite poset in lexicographic order, ``dims[i]`` the
+    dimension at ``points[i]``, ``lower[i]`` the indices of its lower covers
+    and ``step(p, i)`` the map from ``points[p]`` to ``points[i]``, or
+    ``None`` for the identity.  Each point is visited once, upwards.
 
-    The evaluation map is carried up one lower cover at a time.  The block
-    of a generator b < c is taken from map(p, c) @ ev_p for the first lower
-    cover p of c above b; the new lifts at c are their own block, and the
-    blocks keep the order of the generators.  That block is the image of
-    the lift at b along one covering chain from b to c.  The validated
-    diagram commutes, so every such chain gives the path map from b to c,
-    and with exact arithmetic the matrix is entry for entry the one that
-    ``path_map(b, c) @ lifts[b]`` would give: each point costs one product
-    per lower cover instead of one per generator below it.
+    The generators at c lift a basis of the cokernel of its lower-cover maps
+    placed side by side (one elimination, :func:`_generator_lifts`; none
+    when a lower-cover map is the identity).  The generators active at c are
+    those at c and those active at its lower covers: every b < c lies below
+    a lower cover of c.  ``covers_complete`` says that the covers are those
+    of the poset; otherwise they come from a caller and may leave out a
+    chain, so a generator b <= c outside that union is an ``InputError``.
+
+    The evaluation map ev_c from the free module F_c on the generators
+    active at c is carried up one lower cover at a time.  The block of a
+    generator b < c is taken from step(p, c) @ ev_p for the first lower cover
+    p of c above b, identity steps first (they need no product); the new
+    lifts at c are their own block, and the blocks keep the order of the
+    generators.  That block is the image of the lift at b along one covering
+    chain from b to c, and as the diagram commutes, every chain gives the
+    same matrix, exactly, as ``path_map(b, c) @ lifts[b]``.
+
+    Relations are read off the kernels K_c of the ev_c, and only where a
+    relation can be born is a kernel basis taken:
+
+    - ev_c is onto M(c), by induction: the images of the ev_p at the lower
+      covers span the images of the lower-cover maps, and the lifts span
+      the rest.  So dim K_c is the number of generator columns at c minus
+      dim M(c), known without an elimination.
+    - The generators active at a lower cover p are a sublist of those at c,
+      and K_p placed in F_c (its rows copied to the offsets of p's
+      generators, zero rows elsewhere) lies in K_c, as step(p, c) @ ev_p is
+      ev_c on p's generators.  The new relations at c are the columns of K_c
+      that are new modulo the placed K_p.
+    - So when dim K_c is 0, or equals dim K_p for some lower cover p, the
+      placed K_p is all of K_c and no relation is born at c: neither
+      ``kernel_basis`` nor ``rref`` runs there.  K_c is kept as a reference
+      to the point r whose basis K_p was placed from (placing from r into
+      F_p and then into F_c is placing from r into F_c), so no basis is
+      built for c, and a point above places K_r directly.
+    - Otherwise ``kernel_basis`` gives K_c, and its new columns are the
+      pivot columns past the placed kernels in one ``rref`` of the placed
+      kernels followed by that basis, made only when some lower cover has a
+      non-zero kernel.  Which columns are new depends only on the span of
+      the placed kernels, so any basis of them serves, and the relations are
+      those of a scan that takes every kernel.
     """
-    _require_valid(diagram)
-    field = diagram.field
-    lower = _lower_covers(diagram)
-    lifts, generators, scanned, relations, blocks = {}, [], {}, [], {}
-    for c in diagram.points:
-        image = hstack(field, [diagram.map(p, c) for p in lower[c]], nrows=diagram.dims[c])
-        lift = _generator_lifts(image)
-        if lift.ncols > 0:
-            lifts[c] = lift
-            generators.append((c, lift.ncols))
-        active = [(b, m) for b, m in generators if leq(b, c)]
-        offsets, total = {}, 0
-        for b, m in active:
-            offsets[b] = total
-            total += m
-        carried = {c: (lift, 0)}
-        for p in lower[c]:
-            below, ev_p, _ = scanned[p]
-            if all(b in carried for b, _ in below):
+    generators, relations, blocks, lifts = [], [], {}, {}
+    mults = []  # per generator index, in scan order
+    # per point: the active generator indices (ascending), ev, dim K, and
+    # the point whose kernel basis, placed, spans K (None when K is zero)
+    active, evs, kdims, roots = [], [], [], []
+    kernels = {}
+    zero = field.zero
+    for c, dim in enumerate(dims):
+        covers = lower[c]
+        maps = [step(p, c) for p in covers]
+        new = None
+        if all(m is not None for m in maps):
+            lift = _generator_lifts(maps[0] if len(maps) == 1
+                                    else hstack(field, maps, nrows=dim))
+            if lift.ncols > 0:
+                new = len(mults)
+                mults.append(lift.ncols)
+                lifts[points[c]] = lift
+                generators.append((points[c], lift.ncols))
+        order = sorted(set().union(*(active[p] for p in covers)))
+        if new is not None:
+            order.append(new)
+        if not covers_complete:
+            below = [g for g, (b, _) in enumerate(generators) if leq(b, points[c])]
+            if len(below) != len(order):
+                missing = next(g for g in below if g not in order)
+                raise InputError(f"no covering chain from {generators[missing][0]!r} "
+                                 f"to {points[c]!r}")
+        carried = {} if new is None else {new: (lift, 0)}
+        ev = None
+        for p, m in sorted(zip(covers, maps), key=lambda pm: pm[1] is not None):
+            below = active[p]
+            if all(g in carried for g in below):
                 continue
-            moved = diagram.map(p, c) @ ev_p
+            moved = evs[p] if m is None else m @ evs[p]
+            if len(below) == len(order):  # every active generator, in order
+                ev = moved
+                break
             offset = 0
-            for b, m in below:
-                carried.setdefault(b, (moved, offset))
-                offset += m
-        rows = [[] for _ in range(diagram.dims[c])]
-        for b, m in active:
-            if b not in carried:
-                raise InputError(f"no covering chain from {b!r} to {c!r}")
-            source, offset = carried[b]
-            for row, src in zip(rows, source.rows):
-                row.extend(src[offset:offset + m])
-        ev = Matrix(field, rows, ncols=total, _coerce=False)
-        ker = kernel_basis(ev)
-        scanned[c] = (active, ev, ker)
-        if ker.ncols == 0:
+            for g in below:
+                carried.setdefault(g, (moved, offset))
+                offset += mults[g]
+        total = sum(mults[g] for g in order)
+        if ev is None:
+            rows = [[] for _ in range(dim)]
+            for g in order:
+                source, offset = carried[g]
+                m = mults[g]
+                for row, src in zip(rows, source.rows):
+                    row.extend(src[offset:offset + m])
+            ev = Matrix(field, rows, ncols=total, _coerce=False)
+        active.append(order)
+        evs.append(ev)
+        kdim = total - dim
+        kdims.append(kdim)
+        if kdim == 0:
+            roots.append(None)
             continue
+        same = next((p for p in covers if kdims[p] == kdim), None)
+        if same is not None:
+            roots.append(roots[same])
+            continue
+        roots.append(c)
+        ker = kernels[c] = kernel_basis(ev)
+        offsets, o = {}, 0
+        for g in order:
+            offsets[g] = o
+            o += mults[g]
         stacked = [[] for _ in range(total)]
         width = 0
-        for p in lower[c]:
-            below, _, ker_p = scanned[p]
-            if ker_p.ncols == 0:
-                continue
-            placed = [(field.zero,) * ker_p.ncols] * total
+        for r in dict.fromkeys(roots[p] for p in covers if roots[p] is not None):
+            ker_r = kernels[r]
+            placed = [(zero,) * ker_r.ncols] * total
             src = 0
-            for b, m in below:
-                placed[offsets[b]:offsets[b] + m] = ker_p.rows[src:src + m]
+            for g in active[r]:
+                m = mults[g]
+                placed[offsets[g]:offsets[g] + m] = ker_r.rows[src:src + m]
                 src += m
             for row, part in zip(stacked, placed):
                 row.extend(part)
-            width += ker_p.ncols
-        for row, part in zip(stacked, ker.rows):
-            row.extend(part)
-        _, pivots = rref(Matrix(field, stacked, ncols=width + ker.ncols, _coerce=False))
-        chosen = [ker.column(j - width) for j in pivots if j >= width]
+            width += ker_r.ncols
+        if width:
+            for row, part in zip(stacked, ker.rows):
+                row.extend(part)
+            _, pivots = rref(Matrix(field, stacked, ncols=width + kdim, _coerce=False))
+            chosen = [ker.column(j - width) for j in pivots if j >= width]
+        else:
+            chosen = ker.columns()
         if not chosen:
             continue
-        relations.append((c, len(chosen)))
-        for b, mult in active:
-            offset = offsets[b]
-            seg = Matrix(field, [[col[offset + i] for col in chosen] for i in range(mult)],
+        relations.append((points[c], len(chosen)))
+        for g in order:
+            offset, m = offsets[g], mults[g]
+            seg = Matrix(field, [[col[offset + i] for col in chosen] for i in range(m)],
                          ncols=len(chosen), _coerce=False)
             if not seg.is_zero():
-                blocks[(c, b)] = seg
+                blocks[(points[c], generators[g][0])] = seg
     return generators, relations, blocks, lifts
+
+
+def _present_diagram(diagram: PosetDiagram) -> tuple:
+    """The scan of a validated diagram, with its own covers and maps."""
+    _require_valid(diagram)
+    points, maps = diagram.points, diagram.maps
+    index = {p: i for i, p in enumerate(points)}
+    lower = [[] for _ in points]
+    for p, c in diagram.covers():
+        lower[index[c]].append(index[p])
+    return _scan(diagram.field, points, [diagram.dims[p] for p in points], lower,
+                 lambda p, c: maps[(points[p], points[c])], covers_complete=False)
+
+
+def _present_product(view: ExtendedView, grid: CartesianSet) -> tuple:
+    """The scan of the module on a product grid, read off its box.
+
+    The lower covers come from the strides and each step from the module at
+    the clamped points: ``None`` (the identity) when both clamp to the same
+    box point, the stored step when they are adjacent, else
+    ``view.eval_map``, the composite of the stored steps between them.  The
+    covers of a product are complete.
+    """
+    module = view.module
+    clamps, strides = clamps_and_strides(grid, module.box)
+    clamped = list(itertools.product(*clamps))
+    lower = [[flat - strides[axis] for axis, k in enumerate(idx) if k]
+             for flat, idx in enumerate(itertools.product(*(range(len(f))
+                                                            for f in grid.factors)))]
+
+    def step(p, c):
+        x, y = clamped[p], clamped[c]
+        if x == y:
+            return None
+        axis = next(i for i, (u, v) in enumerate(zip(x, y)) if u != v)
+        return module.step(x, axis) if y[axis] == x[axis] + 1 else view.eval_map(x, y)
+    return _scan(view.field, grid.sorted_points(), [module.dims[x] for x in clamped], lower,
+                 step, covers_complete=True)
+
+
+def _present_view(view: ExtendedView, s, margin: int) -> tuple:
+    """The scan of a determined module on the pointed join closure of the set:
+    on the product grid when the closure is one, else on its encoding."""
+    closure = determined_closure(view, s, margin=margin)
+    grid = as_product(closure)
+    if grid is None:
+        return _present_diagram(view.restrict_diagram(closure))
+    return _present_product(view, grid)
 
 
 def diagram_births_deaths(diagram: PosetDiagram) -> BirthDeathReport:
@@ -281,8 +389,10 @@ def diagram_births_deaths(diagram: PosetDiagram) -> BirthDeathReport:
 
 
 def births_deaths(view: ExtendedView, s, margin: int = DEFAULT_MARGIN) -> BirthDeathReport:
-    """Births and deaths of a determined module over its finite encoding."""
-    return diagram_births_deaths(encode(view, s, margin=margin))
+    """Births and deaths of a determined module: those of its encoding,
+    read off the same scan without building the encoding on a product."""
+    generators, relations, _, _ = _present_view(view, s, margin)
+    return BirthDeathReport(dict(generators), dict(relations))
 
 
 def present_diagram(diagram: PosetDiagram) -> Presentation:
@@ -294,8 +404,11 @@ def present_diagram(diagram: PosetDiagram) -> Presentation:
 
 
 def build_presentation(view: ExtendedView, s, margin: int = DEFAULT_MARGIN) -> Presentation:
-    """Graded presentation of a determined module: the scan of its encoding."""
-    return present_diagram(encode(view, s, margin=margin))
+    """Graded presentation of a determined module: the scan of its encoding,
+    without building the encoding on a product."""
+    generators, relations, blocks, lifts = _present_view(view, s, margin)
+    return Presentation(view.field, view.box.dim, tuple(generators), tuple(relations), blocks,
+                        generator_images=lifts)
 
 
 def _relation_matrix(pres: Presentation, gens: list, rels: list) -> Matrix:
@@ -432,18 +545,14 @@ def _scan_images(view: ExtendedView, pres: Presentation, grid: CartesianSet
     gens, rels = pres.generators, pres.relations
     gen_at = {b: i for i, (b, _) in enumerate(gens)}
     rel_at = {d: j for j, (d, _) in enumerate(rels)}
-    factors, box = grid.factors, view.box
-    clamps = tuple(tuple(lo if v < lo else min(v, hi) for v in f)
-                   for f, lo, hi in zip(factors, box.a, box.b))
+    factors = grid.factors
+    clamps, strides = clamps_and_strides(grid, view.box)
     # quiet[axis][k]: the step to the k-th coordinate of the axis keeps the
     # clamp and crosses no grade coordinate, so the point repeats that cover
     grade_coords = [{p[axis] for p in itertools.chain(gen_at, rel_at)}
                     for axis in range(grid.dim)]
     quiet = [[k > 0 and cl[k - 1] == cl[k] and f[k] not in coords for k in range(len(f))]
              for f, cl, coords in zip(factors, clamps, grade_coords)]
-    strides = [1] * grid.dim  # lower cover along an axis: this many points back
-    for axis in reversed(range(grid.dim - 1)):
-        strides[axis] = strides[axis + 1] * len(factors[axis + 1])
     # per grid point, in lexicographic order: (clamp, active generator
     # indices, active relation indices, the generator indices in order, E)
     scanned = []

@@ -1,6 +1,7 @@
 """Births, deaths, presentations, and the zip/unzip correspondence."""
 
 import dataclasses
+import itertools
 import random
 import time
 from fractions import Fraction
@@ -20,8 +21,8 @@ from helpers import (F2, F5, births_deaths_by_cone, canonical_set,
                      certificate_check_at_points, cokernel_lifts,
                      colimit_map_by_cone, corner_module, module_diagram,
                      diagram_presentation_by_full_scan, halfplane_table,
-                     presentation_by_full_scan, random_module, random_point_set,
-                     widened_box_points)
+                     interval_module, presentation_by_full_scan, random_module,
+                     random_point_set, twist_module, widened_box_points)
 from detmod import QQ, critical_grid, lt, pointed_closure
 from detmod.extgrid import as_product
 from detmod import linalg
@@ -155,7 +156,7 @@ class TestLowerCoverRoutesMatchOracles:
     @pytest.mark.parametrize("nparams", [1, 2, 3])
     def test_random_modules(self, field, nparams):
         rng = random.Random(1000 * nparams + (field.p if field.kind == "prime" else 0))
-        for _ in range(10):
+        for k in range(10):
             a = tuple(rng.randint(-1, 1) for _ in range(nparams))
             b = tuple(x + 4 - nparams for x in a)
             view = ExtendedView(random_module(field, rng, box=Box(a, b), max_summands=4))
@@ -166,6 +167,29 @@ class TestLowerCoverRoutesMatchOracles:
             report = births_deaths(view, s)
             assert (report.births, report.deaths) == births_deaths_by_cone(enc)
             assert build_presentation(view, s) == presentation_by_full_scan(view, s)
+            if k >= 3:  # the oracles are slow on the larger set
+                continue
+            # another determining product: the canonical factors with one
+            # coordinate below the box and one above it on every axis, where
+            # the scan of the product carries images across identity steps
+            wide = set(itertools.product(*({p[i] for p in s} | {a[i] - 1, b[i] + 1}
+                                           for i in range(nparams))))
+            assert as_product(pointed_closure(wide)) is not None
+            report = births_deaths(view, wide)
+            assert (report.births, report.deaths) == births_deaths_by_cone(encode(view, wide))
+            assert build_presentation(view, wide) == presentation_by_full_scan(view, wide)
+
+    @pytest.mark.parametrize("field", [F2, F5, QQ], ids=["f2", "f5", "q"])
+    def test_product_that_skips_box_coordinates(self, field):
+        """Steps between clamps two apart, composed from the stored steps."""
+        box = Box((0, 0), (4, 4))
+        module = interval_module(field, box, [(0, 0), (2, 1)], [(5, 5), (5, 5)])
+        view = ExtendedView(twist_module(module, random.Random(field.p if field.kind == "prime"
+                                                                else 0)))
+        s = set(itertools.product((NEG_INF, 2, 4), (NEG_INF, 1, 3)))
+        report = births_deaths(view, s)
+        assert (report.births, report.deaths) == births_deaths_by_cone(encode(view, s))
+        assert build_presentation(view, s) == presentation_by_full_scan(view, s)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_halfplane_windows(self, n):
@@ -287,6 +311,40 @@ class TestScanIsLinear:
         monkeypatch.setattr(linalg, "_echelon", counted)
         _present_diagram(chain)
         assert len(eliminations) <= 3 * self.N
+
+
+class TestScanCounts:
+    """What the scan skips: the encoding on a product closure, and every
+    kernel basis where no relation can be born."""
+
+    def whole_box_view(self):
+        box = Box((0, 0), (5, 5))
+        module = interval_module(F5, box, [box.a], [(6, 6)])
+        return ExtendedView(twist_module(module, random.Random(13)))
+
+    def test_product_closure_builds_no_encoding(self, monkeypatch):
+        def no_restrict(*args):
+            raise AssertionError("restrict_view called")
+        monkeypatch.setattr("detmod.grid_module.restrict_view", no_restrict)
+        view = ExtendedView(random_module(F5, random.Random(64), max_summands=4))
+        s = canonical_set(view.module)
+        build_presentation(view, s)
+        births_deaths(view, s)
+
+    def test_no_kernel_basis_without_deaths(self, monkeypatch):
+        calls = []
+        kernel_basis = linalg.kernel_basis
+
+        def counted(m):
+            calls.append(m.shape)
+            return kernel_basis(m)
+        monkeypatch.setattr("detmod.presentation.kernel_basis", counted)
+        view = self.whole_box_view()
+        report = births_deaths(view, canonical_set(view.module))
+        assert report.births == {BOTTOM: 1} and report.deaths == {}
+        report = diagram_births_deaths(TestScanIsLinear().chain())
+        assert report.births == {(0,): 1} and report.deaths == {}
+        assert calls == []
 
 
 class TestVerifyPresentation:
