@@ -9,7 +9,14 @@ prints the CPU time of the call (the least of ``--repeat`` runs) and its
 ratio to the previous size.  A linear scan grows about 2x per doubling; the
 check on the output holds at any speed, so the script has no timing gate.
 
-Usage: python scripts/chain_scaling.py [--sizes 50 100 200 400] [--fields f2 f5]
+It also prints how many eliminations (``linalg._echelon`` calls) and matrix
+products (``Matrix.__matmul__`` calls) one ``births-deaths`` call makes, and
+fails when either is not zero: every step of the chain is the identity, so
+determinacy settles every cover without a rank and the presentation scan
+carries its images up with no product and no lift elimination.  This is a
+count gate, not a timing gate.
+
+Usage: python scripts/chain_scaling.py [--sizes 50 100 200 400] [--fields f2 f5 q]
                                        [--repeat 3]
 """
 
@@ -20,11 +27,11 @@ import sys
 import tempfile
 import time
 
-from detmod import Box, GridModule, Matrix, PrimeField
+from detmod import QQ, Box, GridModule, Matrix, PrimeField, linalg
 from detmod import io as dio
 from detmod.cli import main as cli_main
 
-FIELDS = {"f2": PrimeField(2), "f5": PrimeField(5)}
+FIELDS = {"f2": PrimeField(2), "f5": PrimeField(5), "q": QQ}
 CLOSED_FORM = {"births": [{"multiplicity": 1, "point": ["-inf"]}], "deaths": []}
 
 
@@ -44,6 +51,26 @@ def timed_births_deaths(path: str, out: str) -> float:
     return elapsed
 
 
+def counted_births_deaths(path: str, out: str) -> tuple:
+    """(eliminations, matrix products) of one ``births-deaths`` call."""
+    counts = [0, 0]
+    echelon, matmul = linalg._echelon, Matrix.__matmul__
+
+    def counted_echelon(*args, **kwargs):
+        counts[0] += 1
+        return echelon(*args, **kwargs)
+
+    def counted_matmul(a, b):
+        counts[1] += 1
+        return matmul(a, b)
+    linalg._echelon, Matrix.__matmul__ = counted_echelon, counted_matmul
+    try:
+        timed_births_deaths(path, out)
+    finally:
+        linalg._echelon, Matrix.__matmul__ = echelon, matmul
+    return tuple(counts)
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -54,7 +81,7 @@ def main():
     if min(args.sizes) < 1 or args.repeat < 1:
         parser.error("sizes and --repeat must be positive")
 
-    print(f"{'field':>5} {'points':>7} {'cpu_s':>8} {'ratio':>6}")
+    print(f"{'field':>5} {'points':>7} {'cpu_s':>8} {'ratio':>6} {'echelon':>7} {'matmul':>6}")
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "report.json")
         for name in args.fields:
@@ -63,6 +90,7 @@ def main():
                 path = os.path.join(tmp, f"chain_{name}_{n}.json")
                 with open(path, "w") as fh:
                     json.dump(dio.module_to_json(chain_module(FIELDS[name], n)), fh)
+                eliminations, products = counted_births_deaths(path, out)
                 cpu = min(timed_births_deaths(path, out) for _ in range(args.repeat))
                 with open(out) as fh:
                     report = json.load(fh)
@@ -70,9 +98,13 @@ def main():
                     raise SystemExit(f"{name} chain of {n} points: expected one birth at "
                                      f"-inf and no deaths, got {report}")
                 ratio = f"{cpu / previous:6.2f}" if previous else f"{'':>6}"
-                print(f"{name:>5} {n:>7} {cpu:>8.3f} {ratio}")
+                print(f"{name:>5} {n:>7} {cpu:>8.3f} {ratio} {eliminations:>7} {products:>6}")
+                if eliminations or products:
+                    raise SystemExit(f"{name} chain of {n} points: births-deaths made "
+                                     f"{eliminations} eliminations and {products} products, "
+                                     "expected none on an identity chain")
                 previous = cpu
-    print("every chain has one birth at -inf and no deaths")
+    print("every chain has one birth at -inf and no deaths, with no elimination or product")
     return 0
 
 

@@ -64,7 +64,26 @@ def _first_failing_cover(module: GridModule, s: frozenset, factors: tuple,
     ``clamps[axis][k]`` is the clamp of ``factors[axis][k]`` into the box, so
     a cover whose two clamped coordinates agree maps by the identity, and any
     other cover by the stored step out of the clamped point.
+
+    The covers along an axis whose upper end has the (k+1)-th coordinate
+    there form a slab, and two things settle a whole slab before the walk.
+    Its clamps agree, so every cover in it maps by the identity.  Or the set
+    holds the axis point q with ``factors[axis][k + 1]`` on the axis and -inf
+    everywhere else: q lies below the upper end d of every cover in the slab
+    and not below its lower end, so every cover in it changes the downset.
+    The walk visits only the other, live, slabs, in the same order, so the
+    witness is the one a walk of every cover finds; with no live slab there
+    is nothing to walk.  The canonical set holds every axis point whose
+    coordinate clamps apart from the one below it, so it never has a live
+    slab, whatever the size of the grid.
     """
+    n = len(factors)
+    live = [[k + 1 < len(f) and cl[k] != cl[k + 1]
+             and (NEG_INF,) * axis + (f[k + 1],) + (NEG_INF,) * (n - axis - 1) not in s
+             for k in range(len(f))]
+            for axis, (f, cl) in enumerate(zip(factors, clamps))]
+    if not any(itertools.chain.from_iterable(live)):
+        return None
     at_coord = [{} for _ in factors]
     for p in s:
         for axis, v in enumerate(p):
@@ -74,15 +93,14 @@ def _first_failing_cover(module: GridModule, s: frozenset, factors: tuple,
     for idx, c, clamped in zip(indices, itertools.product(*factors),
                                itertools.product(*clamps)):
         for axis, k in enumerate(idx):
-            f, cl = factors[axis], clamps[axis]
-            if k + 1 == len(f) or cl[k] == cl[k + 1]:
+            if not live[axis][k]:
                 continue
             key = (clamped, axis)
             ok = invertible.get(key)
             if ok:
                 continue
-            d = c[:axis] + (f[k + 1],) + c[axis + 1:]
-            if any(leq(p, d) for p in at_coord[axis].get(f[k + 1], ())):
+            d = c[:axis] + (factors[axis][k + 1],) + c[axis + 1:]
+            if any(leq(p, d) for p in at_coord[axis].get(d[axis], ())):
                 continue
             if ok is None:
                 ok = invertible[key] = is_invertible(module.steps[key])

@@ -149,12 +149,16 @@ class Matrix:
     __slots__ = ("field", "nrows", "ncols", "rows")
 
     def __init__(self, field, rows, ncols: int | None = None, _coerce: bool = True):
-        rows = [tuple(r) for r in rows]
+        # internal callers (``_coerce=False``) pass field elements, often in
+        # rows that are already tuples: those are kept, not copied
+        if _coerce:
+            rows = [tuple(r) for r in rows]
+        else:
+            rows = [r if type(r) is tuple else tuple(r) for r in rows]
         if rows:
-            widths = {len(r) for r in rows}
-            if len(widths) != 1:
+            width = len(rows[0])
+            if any(len(r) != width for r in rows):
                 raise InputError("ragged matrix rows")
-            width = widths.pop()
             if ncols is not None and ncols != width:
                 raise InputError(f"matrix has {width} columns, expected {ncols}")
             ncols = width
@@ -195,6 +199,11 @@ class Matrix:
     def is_zero(self) -> bool:
         z = self.field.zero
         return all(x == z for r in self.rows for x in r)
+
+    def is_identity(self) -> bool:
+        n, z, o = self.nrows, self.field.zero, self.field.one
+        return n == self.ncols and all(r[i] == o and r.count(z) == n - 1
+                                       for i, r in enumerate(self.rows))
 
     def column(self, j: int) -> tuple:
         return tuple(r[j] for r in self.rows)
@@ -313,14 +322,12 @@ def kernel_basis(m: Matrix) -> Matrix:
     rows, pivots = _echelon(field, m.rows, m.ncols)
     pivot_set = set(pivots)
     free = [c for c in range(m.ncols) if c not in pivot_set]
-    columns = []
-    for f in free:
-        v = [field.zero] * m.ncols
-        v[f] = field.one
+    basis = [[field.zero] * len(free) for _ in range(m.ncols)]
+    for k, f in enumerate(free):
+        basis[f][k] = field.one
         for r, pc in enumerate(pivots):
-            v[pc] = field.neg(rows[r][f])
-        columns.append(v)
-    return Matrix.from_columns(field, columns, nrows=m.ncols)
+            basis[pc][k] = field.neg(rows[r][f])
+    return Matrix(field, basis, ncols=len(free), _coerce=False)
 
 
 def cokernel_projection(m: Matrix) -> Matrix:

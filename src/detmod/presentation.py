@@ -180,11 +180,15 @@ def _scan(field, points: list, dims: list, lower: list, step: Callable,
     ``points`` is a finite poset in lexicographic order, ``dims[i]`` the
     dimension at ``points[i]``, ``lower[i]`` the indices of its lower covers
     and ``step(p, i)`` the map from ``points[p]`` to ``points[i]``, or
-    ``None`` for the identity.  Each point is visited once, upwards.
+    ``None`` for the identity.  Both callers pass ``None`` for every step
+    that is the identity, whether between equal clamps or an identity
+    matrix (:func:`_unless_identity`).  Each point is visited once, upwards.
 
     The generators at c lift a basis of the cokernel of its lower-cover maps
-    placed side by side (one elimination, :func:`_generator_lifts`; none
-    when a lower-cover map is the identity).  The generators active at c are
+    placed side by side (one elimination, :func:`_generator_lifts`).  An
+    identity step is onto, so that cokernel is zero wherever a lower-cover
+    step is the identity: no lift is taken there, and ev is carried up that
+    step unchanged, with no product.  The generators active at c are
     those at c and those active at its lower covers: every b < c lies below
     a lower cover of c.  ``covers_complete`` says that the covers are those
     of the poset; otherwise they come from a caller and may leave out a
@@ -324,6 +328,11 @@ def _scan(field, points: list, dims: list, lower: list, step: Callable,
     return generators, relations, blocks, lifts
 
 
+def _unless_identity(m: Matrix) -> Matrix | None:
+    """A step as :func:`_scan` takes it: ``None`` when ``m`` is the identity."""
+    return None if m.is_identity() else m
+
+
 def _present_diagram(diagram: PosetDiagram) -> tuple:
     """The scan of a validated diagram, with its own covers and maps."""
     _require_valid(diagram)
@@ -333,7 +342,8 @@ def _present_diagram(diagram: PosetDiagram) -> tuple:
     for p, c in diagram.covers():
         lower[index[c]].append(index[p])
     return _scan(diagram.field, points, [diagram.dims[p] for p in points], lower,
-                 lambda p, c: maps[(points[p], points[c])], covers_complete=False)
+                 lambda p, c: _unless_identity(maps[(points[p], points[c])]),
+                 covers_complete=False)
 
 
 def _present_product(view: ExtendedView, grid: CartesianSet) -> tuple:
@@ -342,8 +352,9 @@ def _present_product(view: ExtendedView, grid: CartesianSet) -> tuple:
     The lower covers come from the strides and each step from the module at
     the clamped points: ``None`` (the identity) when both clamp to the same
     box point, the stored step when they are adjacent, else
-    ``view.eval_map``, the composite of the stored steps between them.  The
-    covers of a product are complete.
+    ``view.eval_map``, the composite of the stored steps between them; and
+    ``None`` again when that matrix is the identity.  The covers of a
+    product are complete.
     """
     module = view.module
     clamps, strides = clamps_and_strides(grid, module.box)
@@ -357,7 +368,8 @@ def _present_product(view: ExtendedView, grid: CartesianSet) -> tuple:
         if x == y:
             return None
         axis = next(i for i, (u, v) in enumerate(zip(x, y)) if u != v)
-        return module.step(x, axis) if y[axis] == x[axis] + 1 else view.eval_map(x, y)
+        return _unless_identity(module.step(x, axis) if y[axis] == x[axis] + 1
+                                else view.eval_map(x, y))
     return _scan(view.field, grid.sorted_points(), [module.dims[x] for x in clamped], lower,
                  step, covers_complete=True)
 

@@ -217,14 +217,16 @@ def random_invertible(field, n: int, rng: random.Random) -> Matrix:
             return m
 
 
-def twist_module(module: GridModule, rng: random.Random) -> GridModule:
+def twist_module(module: GridModule, rng: random.Random, keep=None) -> GridModule:
     """Conjugate every pointwise space by a random basis change.
 
     Keeps dimensions and commutativity while making the step matrices
-    generic instead of 0/1 diagonal.
+    generic instead of 0/1 diagonal.  The points where ``keep(p)`` holds keep
+    their basis, so a step between two of them stays as it was.
     """
     field = module.field
-    basis = {p: random_invertible(field, module.dims[p], rng)
+    basis = {p: (Matrix.identity(field, module.dims[p]) if keep is not None and keep(p)
+                 else random_invertible(field, module.dims[p], rng))
              for p in module.box.integer_points()}
     inverse = {}
     for p, b in basis.items():

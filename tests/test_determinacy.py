@@ -147,6 +147,62 @@ class TestStoredStepsMatchDownsetOracle:
         assert_matches_downset_oracle(view, s, margin)
 
 
+def axis_point(nparams, axis, v):
+    return tuple(v if i == axis else NEG_INF for i in range(nparams))
+
+
+class TestSettledSlabs:
+    """A slab of covers is settled before the walk when its clamps agree or
+    when the set holds its axis point; only the live slabs are walked."""
+
+    @pytest.mark.parametrize("nparams", [1, 2, 3])
+    def test_canonical_set_makes_no_rank(self, nparams, monkeypatch):
+        """Every slab is settled, so no cover is walked: no rank is taken and
+        no downset is compared."""
+        calls = []
+        monkeypatch.setattr("detmod.determinacy.is_invertible",
+                            lambda m: calls.append(m.shape) or is_invertible(m))
+        monkeypatch.setattr("detmod.determinacy.leq",
+                            lambda p, d: calls.append((p, d)) or leq(p, d))
+        rng = random.Random(300 + nparams)
+        for trial in range(12):
+            field = (F2, F5, QQ)[trial % 3]
+            margin = 1 + trial % 4
+            a = tuple(rng.randint(-2, 1) for _ in range(nparams))
+            box = Box(a, tuple(x + rng.randint(0, 5 - nparams) for x in a))
+            view = ExtendedView(random_module(field, rng, box=box, max_summands=4))
+            s = canonical_set(view.module)
+            assert is_S_determined(view, s, margin=margin).determined
+            window = default_oracle_window(view.box, s)
+            assert is_S_determined_oracle(view, s, window, margin=margin).determined
+            assert frozenset(encode(view, s, margin=margin).points) == pointed_closure(s)
+        assert calls == []
+
+    @pytest.mark.parametrize("field", [F2, F5, QQ], ids=["f2", "f5", "q"])
+    @pytest.mark.parametrize("nparams", [1, 2, 3])
+    def test_live_slabs_match_downset_oracle(self, field, nparams, monkeypatch):
+        """The canonical set with one or two axis points left out: the slabs
+        of the left-out points are walked, and the whole reports, witnesses
+        included, are those of the definition."""
+        calls = []
+        monkeypatch.setattr("detmod.determinacy.is_invertible",
+                            lambda m: calls.append(m.shape) or is_invertible(m))
+        rng = random.Random(500 * nparams + (field.p if field.kind == "prime" else 0))
+        verdicts = {"holds": 0, "fails": 0}
+        for trial in range(12):
+            a = tuple(rng.randint(-1, 1) for _ in range(nparams))
+            box = Box(a, tuple(x + rng.randint(1, 4 - nparams) for x in a))
+            view = ExtendedView(random_module(field, rng, box=box, max_summands=3))
+            droppable = [axis_point(nparams, axis, v) for axis in range(nparams)
+                         for v in range(box.a[axis] + 1, box.b[axis] + 1)]
+            dropped = rng.sample(droppable, min(len(droppable), 1 + trial % 2))
+            s = canonical_set(view.module) - frozenset(dropped)
+            report = assert_matches_downset_oracle(view, s, 1 + trial % 2)
+            verdicts["holds" if report.holds else "fails"] += 1
+        assert all(verdicts.values()), verdicts
+        assert calls
+
+
 def all_small_modules():
     """Exhaustive catalogs of tiny commutative modules over F2.
 

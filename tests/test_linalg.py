@@ -129,6 +129,26 @@ class TestElimination:
         with pytest.raises(InputError):
             solve(Matrix(F2, [[1]]), Matrix(F2, [[1], [0]]))
 
+    def test_internal_rows_kept_and_widths_checked(self):
+        row = (1, 2)
+        assert Matrix(F5, [row, [3, 4]], _coerce=False).rows == ((1, 2), (3, 4))
+        assert Matrix(F5, [row], _coerce=False).rows[0] is row
+        for coerce in (True, False):
+            with pytest.raises(InputError, match="ragged"):
+                Matrix(F5, [(1, 2), (3,)], _coerce=coerce)
+            with pytest.raises(InputError, match="expected 3"):
+                Matrix(F5, [(1, 2)], ncols=3, _coerce=coerce)
+
+    @pytest.mark.parametrize("field", FIELDS, ids=["f2", "f5", "q"])
+    def test_is_identity(self, field):
+        assert Matrix.identity(field, 0).is_identity()
+        assert Matrix.identity(field, 3).is_identity()
+        assert not Matrix.zeros(field, 2, 2).is_identity()
+        assert not Matrix.zeros(field, 2, 0).is_identity()
+        assert not Matrix(field, [[1, 1], [0, 1]]).is_identity()
+        assert not Matrix(field, [[0, 1], [1, 0]]).is_identity()
+        assert not Matrix(field, [[1, 0]]).is_identity()
+
 
 def chain_diagram(field, dims, mats):
     points = [(i,) for i in range(len(dims))]

@@ -270,16 +270,39 @@ class TestGeneratorLifts:
         assert calls == [(2, 3)]
 
 
+def count_linear_algebra(monkeypatch) -> dict:
+    """From here on, the shape of every elimination and matrix product."""
+    calls = {"echelon": [], "matmul": []}
+    echelon, matmul = linalg._echelon, Matrix.__matmul__
+
+    def counted_echelon(*args, **kwargs):
+        calls["echelon"].append((len(args[1]), args[2]))
+        return echelon(*args, **kwargs)
+
+    def counted_matmul(self, other):
+        calls["matmul"].append((self.shape, other.shape))
+        return matmul(self, other)
+    monkeypatch.setattr(linalg, "_echelon", counted_echelon)
+    monkeypatch.setattr(Matrix, "__matmul__", counted_matmul)
+    return calls
+
+
 class TestScanIsLinear:
-    """On a 400-point identity chain the scan walks no path from a generator,
-    and makes a bounded number of eliminations and products per point."""
+    """On a 400-point chain the scan walks no path from a generator, and
+    makes a bounded number of eliminations and products per point: none at
+    all when every step is the identity."""
 
     N = 400
 
-    def chain(self):
+    def chain(self, step=None):
+        step = step or Matrix.identity(F2, 1)
         pts = [(i,) for i in range(self.N)]
-        maps = {((i,), (i + 1,)): Matrix.identity(F2, 1) for i in range(self.N - 1)}
-        return PosetDiagram(F2, pts, {p: 1 for p in pts}, maps)
+        maps = {((i,), (i + 1,)): step for i in range(self.N - 1)}
+        return PosetDiagram(F2, pts, {p: step.nrows for p in pts}, maps)
+
+    def swap_chain(self):
+        """Invertible steps that are not the identity, so every point is scanned."""
+        return self.chain(Matrix(F2, [[0, 1], [1, 0]]))
 
     def test_no_path_map_call(self, monkeypatch):
         def no_path_map(*args):
@@ -287,30 +310,105 @@ class TestScanIsLinear:
         monkeypatch.setattr(PosetDiagram, "path_map", no_path_map)
         generators, relations, _, _ = _present_diagram(self.chain())
         assert generators == [((0,), 1)] and relations == []
+        generators, relations, _, _ = _present_diagram(self.swap_chain())
+        assert generators == [((0,), 2)] and relations == []
 
     def test_matrix_products_linear_in_points(self, monkeypatch):
-        chain = self.chain()
-        products = []
-        matmul = Matrix.__matmul__
-
-        def counted(self, other):
-            products.append(other.shape)
-            return matmul(self, other)
-        monkeypatch.setattr(Matrix, "__matmul__", counted)
+        chain = self.swap_chain()
+        calls = count_linear_algebra(monkeypatch)
         _present_diagram(chain)
-        assert len(products) <= self.N
+        assert 0 < len(calls["matmul"]) <= self.N
 
     def test_eliminations_linear_in_points(self, monkeypatch):
-        chain = self.chain()
-        eliminations = []
-        echelon = linalg._echelon
-
-        def counted(*args, **kwargs):
-            eliminations.append(args[2])
-            return echelon(*args, **kwargs)
-        monkeypatch.setattr(linalg, "_echelon", counted)
+        chain = self.swap_chain()
+        calls = count_linear_algebra(monkeypatch)
         _present_diagram(chain)
-        assert len(eliminations) <= 3 * self.N
+        assert 0 < len(calls["echelon"]) <= 3 * self.N
+
+    def test_identity_chain_makes_no_elimination_or_product(self, monkeypatch):
+        chain = self.chain()
+        calls = count_linear_algebra(monkeypatch)
+        generators, relations, _, lifts = _present_diagram(chain)
+        assert generators == [((0,), 1)] and relations == []
+        assert lifts == {(0,): Matrix.identity(F2, 1)}
+        assert calls == {"echelon": [], "matmul": []}
+
+
+class TestIdentitySteps:
+    """A step that is the identity matrix is scanned as the identity: no
+    lift elimination and no product there, and the same presentation."""
+
+    @pytest.mark.parametrize("field", [F2, F5, QQ], ids=["f2", "f5", "q"])
+    def test_identity_chain_on_the_product(self, field, monkeypatch):
+        box = Box((0,), (59,))
+        view = ExtendedView(interval_module(field, box, [(0,), (0,)], [(60,), (60,)]))
+        s = canonical_set(view.module)
+        calls = count_linear_algebra(monkeypatch)
+        report = births_deaths(view, s)
+        pres = build_presentation(view, s)
+        assert report.births == {(NEG_INF,): 2} and report.deaths == {}
+        assert pres.generator_images == {(NEG_INF,): Matrix.identity(field, 2)}
+        assert calls == {"echelon": [], "matmul": []}
+
+    @pytest.mark.parametrize("field", [F2, F5, QQ], ids=["f2", "f5", "q"])
+    def test_identity_composite_between_clamps_two_apart(self, field):
+        """Twisted at odd first coordinates only: each unit step there is
+        twisted, and the composite across it is the identity again."""
+        box = Box((0, 0), (4, 4))
+        module = interval_module(field, box, [(0, 0), (2, 1), (2, 3)], [(5, 5), (5, 5), (4, 3)])
+        view = ExtendedView(twist_module(module, random.Random(7), keep=lambda p: p[0] % 2 == 0))
+        assert not view.module.step((2, 1), 0).is_identity()
+        assert view.eval_map((2, 1), (4, 1)).is_identity()
+        s = set(itertools.product((NEG_INF, 2, 4), (NEG_INF, 1, 3)))
+        enc = encode(view, s)
+        report = births_deaths(view, s)
+        assert (report.births, report.deaths) == births_deaths_by_cone(enc)
+        assert report.deaths
+        assert build_presentation(view, s) == presentation_by_full_scan(view, s)
+        assert present_diagram(enc) == presentation_by_full_scan(view, s)
+
+    @pytest.mark.parametrize("field", [F2, F5, QQ], ids=["f2", "f5", "q"])
+    def test_mixed_steps_match_oracles(self, field, monkeypatch):
+        """On the product route and on the diagram route of the encoding:
+        random modules on the canonical set, twisted except at first
+        coordinates 0 and 2 mod 3; and modules with grades at even offsets
+        from the lower corner on the set of even offsets, twisted at odd
+        first offsets only, whose steps skip the odd offsets and compose to
+        the identity where no grade lies between."""
+        identities = []
+        is_identity = Matrix.is_identity
+
+        def counted(m):
+            got = is_identity(m)
+            identities.append(got and m.nrows > 0)
+            return got
+        monkeypatch.setattr(Matrix, "is_identity", counted)
+        rng = random.Random(41 + (field.p if field.kind == "prime" else 0))
+        for nparams in (1, 2, 3):
+            for k in range(4):
+                a = tuple(rng.randint(-1, 1) for _ in range(nparams))
+                box = Box(a, tuple(x + 5 - nparams for x in a))
+                if k % 2:
+                    starts = [tuple(rng.randrange(lo, hi + 1, 2) for lo, hi in zip(a, box.b))
+                              for _ in range(rng.randint(1, 4))]
+                    ends = [tuple(x + 2 * rng.randint(1, 3) for x in g) for g in starts]
+                    module = twist_module(interval_module(field, box, starts, ends), rng,
+                                          keep=lambda p: (p[0] - a[0]) % 2 == 0)
+                    s = set(itertools.product(*({NEG_INF} | set(range(lo + 2, hi + 1, 2))
+                                                for lo, hi in zip(a, box.b))))
+                else:
+                    module = twist_module(random_module(field, rng, box=box, max_summands=4,
+                                                        twist=False),
+                                          rng, keep=lambda p: p[0] % 3 != 1)
+                    s = canonical_set(module)
+                view = ExtendedView(module)
+                enc = encode(view, s)
+                report = births_deaths(view, s)
+                assert (report.births, report.deaths) == births_deaths_by_cone(enc)
+                expected = presentation_by_full_scan(view, s)
+                assert build_presentation(view, s) == expected
+                assert present_diagram(enc) == expected
+        assert any(identities) and not all(identities)
 
 
 class TestScanCounts:
