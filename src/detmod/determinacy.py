@@ -2,16 +2,22 @@
 
 The defining condition: whenever two comparable points see the same part of
 the set below them, the structure map between them must be an isomorphism.
-Checking it on the covering pairs of a finite critical grid suffices because
-both the module data and the downset predicate are constant between
-consecutive grid representatives; a brute-force window oracle is shipped
-alongside so results can be certified independently.
+It suffices to check it on the covering pairs of a finite critical grid,
+because the module data and the downset predicate are constant between
+consecutive grid representatives.  Since every coordinate of the set lies
+in the grid, the downsets of a cover (c, d) along an axis differ exactly
+when some s in the set has s_axis = d_axis and s <= d.
 
-Both grids are read off the stored steps.  A cover (c, d) along an axis
-clamps either onto one point, where its map is the identity, or onto exactly
-one stored unit step, whose invertibility is tested once per step.  Since
-every coordinate of the set lies in the grid, the downsets of c and d differ
-exactly when some s in the set has s_axis = d_axis and s <= d.
+The verdict is read off the stored steps.  A cover of the grid clamps into
+the box onto one point, where its map is the identity, or onto one stored
+unit step (q, axis).  The covers onto that step are a product of ranges,
+one per axis, least at the corner of q: q with every coordinate at the
+box's lower bound sent to -inf, except along ``axis``.  Equal downsets are
+closed downwards on that product.  So the step breaks the condition exactly
+when the covers at its corner see equal downsets and the step is not
+invertible, and the corner is its cover that a walk of the grid meets first.
+The brute-force window oracle walks every cover of its window instead, so
+results can be certified independently.
 """
 
 from __future__ import annotations
@@ -130,16 +136,71 @@ def _condition_on_grid(view: ExtendedView, s: frozenset, grid: CartesianSet,
     return DeterminacyReport(witness is None, witness, support_ok, method)
 
 
+def _corner_factors(box: Box) -> list:
+    """Per axis, the corner coordinate of each box coordinate in order: -inf
+    for the lower bound, and every other coordinate itself."""
+    return [(NEG_INF,) + tuple(range(lo + 1, hi + 1)) for lo, hi in zip(box.a, box.b)]
+
+
+def _first_failing_step(module: GridModule, s: frozenset):
+    """The cover (c, d = c + e_axis) at the corner c of the first failing step.
+
+    The steps along an axis into v are settled at once when the set holds
+    the axis point with v there.  Otherwise a step that is not 0 x 0 is a
+    candidate when no s in the set with s_axis = v lies below d; candidates
+    are tested for invertibility in the order of (c, axis), where tuples
+    order -inf below every integer as ``point_sort_key`` does.
+    """
+    box = module.box
+    n, lower, top = box.dim, box.a, box.b
+    at_coord = [{} for _ in range(n)]
+    for p in s:
+        for axis, v in enumerate(p):
+            at_coord[axis].setdefault(v, []).append(p)
+    candidates = []
+    for axis in range(n):
+        # per axis the box coordinates and, in step with them, those of the corners
+        qs = [range(lo, hi + 1) for lo, hi in zip(lower, top)]
+        cs = _corner_factors(box)
+        for v in range(lower[axis] + 1, top[axis] + 1):
+            if (NEG_INF,) * axis + (v,) + (NEG_INF,) * (n - axis - 1) in s:
+                continue
+            qs[axis] = cs[axis] = (v - 1,)
+            ds = cs[:axis] + [(v,)] + cs[axis + 1:]
+            below = at_coord[axis].get(v, ())
+            for q, c, d in zip(itertools.product(*qs), itertools.product(*cs),
+                               itertools.product(*ds)):
+                step = module.steps[(q, axis)]
+                if (step.nrows or step.ncols) and not any(leq(p, d) for p in below):
+                    candidates.append((c, axis, d, step))
+    candidates.sort(key=lambda x: x[:2])
+    for c, axis, d, step in candidates:
+        if not is_invertible(step):
+            return c, d
+    return None
+
+
 def is_S_determined(view: ExtendedView, s, check_support: bool = True,
                     margin: int = DEFAULT_MARGIN) -> DeterminacyReport:
     """Covering-pair condition on the critical grid, plus optional support check.
 
-    The support check is skipped (reported True) when the bottom element
-    belongs to the set, since then every point lies in its upset.
+    Both are read off the stored steps, with no grid built (see the module
+    docstring): the witness is the corner cover of the first failing step,
+    which a walk of the grid meets first whatever the margin.  Support holds
+    when the bottom element is in the set, or when the corner of every box
+    point of non-zero dimension is in its upset: the points that clamp to
+    a box point lie above its corner.
     """
     pts = _normalize_set(view, s)
-    grid = critical_grid(view.box, pts, margin=margin)
-    return _condition_on_grid(view, pts, grid, "critical-grid", check_support)
+    check_margin(margin)
+    module = view.module
+    witness = _first_failing_step(module, pts)
+    support_ok = None
+    if check_support:
+        corners = itertools.product(*_corner_factors(module.box))
+        support_ok = min_point(module.box.dim) in pts or all(
+            in_upset(pts, c) for c, dq in zip(corners, module.dims.values()) if dq)
+    return DeterminacyReport(witness is None, witness, support_ok, "critical-grid")
 
 
 def default_oracle_window(box: Box, s) -> Box:

@@ -10,6 +10,8 @@ copying data.
 
 from __future__ import annotations
 
+import math
+from operator import mul
 from typing import Callable
 
 from .errors import InputError
@@ -33,29 +35,29 @@ class GridModule:
     def __init__(self, field, box: Box, dims: dict, steps: dict):
         self.field = field
         self.box = box
-        self.dims = {}
-        for p in box.integer_points():
-            if p not in dims:
-                raise InputError(f"missing dimension at box point {p!r}")
-            self.dims[p] = dims[p]
-        if len(dims) != len(self.dims):
-            extra = set(dims) - set(self.dims)
-            raise InputError(f"dimensions given outside the box: {sorted(extra)[:3]!r}")
+        pts = list(box.integer_points())
+        if list(dims) != pts:  # the loader gives the box points in order
+            for p in pts:
+                if p not in dims:
+                    raise InputError(f"missing dimension at box point {p!r}")
+            if len(dims) != len(pts):
+                extra = set(dims) - set(pts)
+                raise InputError(f"dimensions given outside the box: {sorted(extra)[:3]!r}")
+            dims = {p: dims[p] for p in pts}
+        self.dims = dict(dims)
         n, top = box.dim, box.b
         self.steps = {}
         for (p, axis), mat in steps.items():
             if not (p in self.dims and 0 <= axis < n and p[axis] < top[axis]):
                 raise InputError(f"step at {p!r} along axis {axis} leaves the box")
             self.steps[(p, axis)] = mat
-        self._zeros = {}
-        for p, dp in self.dims.items():
-            for axis in range(n):
-                if p[axis] < top[axis] and (p, axis) not in self.steps:
-                    shape = (self.dims[self._step_target(p, axis)], dp)
-                    zero = self._zeros.get(shape)
-                    if zero is None:
-                        zero = self._zeros[shape] = Matrix.zeros(field, *shape)
-                    self.steps[(p, axis)] = zero
+        strides, values = _strides(box), list(self.dims.values())
+        left_out = [((p, axis), (values[x + strides[axis]], values[x]))
+                    for x, p in enumerate(pts) for axis in range(n)
+                    if p[axis] < top[axis] and (p, axis) not in self.steps]
+        self._zeros = {shape: Matrix.zeros(field, *shape)
+                       for shape in {shape for _, shape in left_out}}
+        self.steps.update((key, self._zeros[shape]) for key, shape in left_out)
         self._validated = None
 
     def _step_target(self, p: Point, axis: int) -> Point:
@@ -63,6 +65,45 @@ class GridModule:
 
     def step(self, p: Point, axis: int) -> Matrix:
         return self.steps[(p, axis)]
+
+
+def _strides(box: Box) -> list:
+    """Per axis, how far apart in ``box.integer_points()`` a point and the
+    next one along the axis lie."""
+    strides = [1] * box.dim
+    for axis in reversed(range(box.dim - 1)):
+        strides[axis] = strides[axis + 1] * (box.b[axis + 1] - box.a[axis + 1] + 1)
+    return strides
+
+
+def _integer_rows(mat: Matrix) -> tuple:
+    """A matrix as integer rows over one positive denominator: its own rows
+    over 1 on F_p, and over the least common denominator on Q."""
+    if mat.field.kind == "prime":
+        return mat.rows, 1
+    den = math.lcm(*(x.denominator for r in mat.rows for x in r))
+    return [[x.numerator * (den // x.denominator) for x in r] for r in mat.rows], den
+
+
+def _composite(outer: tuple, inner: tuple) -> tuple:
+    """The product of two steps given as (integer rows, denominator), unreduced."""
+    (a, da), (b, db) = outer, inner
+    cols = list(zip(*b))
+    return [[sum(map(mul, r, col)) for col in cols] for r in a], da * db
+
+
+def _composites_agree(left, right, p: int) -> bool:
+    """Equality of two composites, each (integer rows, denominator) or
+    ``None`` for the zero map: mod p over F_p (``p`` > 0), and by
+    cross-multiplying the denominators over Q (``p`` = 0)."""
+    if left is None or right is None:
+        rows = (left or right)[0]
+        return not any(x % p for r in rows for x in r) if p else not any(map(any, rows))
+    (a, da), (b, db) = left, right
+    pairs = ((x, y) for ra, rb in zip(a, b) for x, y in zip(ra, rb))
+    if p:
+        return not any((x - y) % p for x, y in pairs)
+    return all(x * db == y * da for x, y in pairs)
 
 
 def validate_module(module: GridModule) -> DiagramCheck:
@@ -74,14 +115,20 @@ def validate_module(module: GridModule) -> DiagramCheck:
     order of their bottom corner c, and at each c the pairs of axes j > i in
     the order (n-1, n-2), (n-1, n-3), ..., (1, 0); the first failure is
     reported as ``(c, c + e_j, c + e_i, c + e_i + e_j)``.  A square commutes
-    without a product when c or its top corner has dimension zero, and a
-    composite through a left-out step (a shared zero) is zero, so at most one
-    product is formed then.
+    without a product when c or its top corner has dimension zero.  A
+    composite through a zero-dimensional corner or a left-out step (a shared
+    zero) is zero, so at most one product is formed then.  Products are made
+    on the rows, with no :class:`Matrix`: over F_p the two sides are compared
+    mod p unreduced, and over Q each step is cleared once to integer rows
+    over one denominator and the two sides are compared cross-multiplied.
     """
     if module._validated is True:
         return DiagramCheck(True)
     dims, steps, field = module.dims, module.steps, module.field
+    zero_ids = {id(z) for z in module._zeros.values()}
     for (p, axis), mat in steps.items():
+        if id(mat) in zero_ids:  # built to the shape of the dimensions
+            continue
         q = module._step_target(p, axis)
         expected = (dims[q], dims[p])
         if mat.shape != expected:
@@ -90,38 +137,42 @@ def validate_module(module: GridModule) -> DiagramCheck:
         if mat.field != field:
             return DiagramCheck(False, f"step at {p!r} along axis {axis + 1} is over the "
                                 "wrong field", (p, q))
-    for p, d in dims.items():  # a bad dimension is an input error, not a verdict
-        if isinstance(d, bool) or not isinstance(d, int) or d < 0:
-            raise InputError(f"invalid dimension {d!r} at {p!r}")
-    zero_ids = {id(z) for z in module._zeros.values()}
+    if not all(type(d) is int and d >= 0 for d in dims.values()):
+        for p, d in dims.items():  # a bad dimension is an input error, not a verdict
+            if isinstance(d, bool) or not isinstance(d, int) or d < 0:
+                raise InputError(f"invalid dimension {d!r} at {p!r}")
+    prime = field.p if field.kind == "prime" else 0
+    memo = {}  # each step is cleared once, a shared one too
+
+    def cleared(mat):
+        got = memo.get(id(mat))
+        if got is None:
+            got = memo[id(mat)] = _integer_rows(mat)
+        return got
     n, top = module.box.dim, module.box.b
-    target = module._step_target
-    for c, dc in dims.items():
-        axes = [axis for axis in reversed(range(n)) if c[axis] < top[axis]]
-        if dc == 0 or len(axes) < 2:
+    pts, values, strides = list(dims), list(dims.values()), _strides(module.box)
+    for x, c in enumerate(pts):  # the point at x + strides[axis] is c + e_axis
+        if values[x] == 0:
             continue
+        axes = [axis for axis in reversed(range(n)) if c[axis] < top[axis]]
         for k, j in enumerate(axes):
-            cj = target(c, j)
-            c_j = steps[(c, j)]
+            xj = x + strides[j]
+            cj, c_j = pts[xj], steps[(c, j)]
+            j_zero = values[xj] == 0 or id(c_j) in zero_ids
             for i in axes[k + 1:]:
-                e = target(cj, i)
-                if dims[e] == 0:
+                xi = x + strides[i]
+                if values[xj + strides[i]] == 0:
                     continue
-                ci = target(c, i)
-                c_i = steps[(c, i)]
+                ci, c_i = pts[xi], steps[(c, i)]
                 up_i, up_j = steps[(cj, i)], steps[(ci, j)]
-                left_zero = id(c_j) in zero_ids or id(up_i) in zero_ids
-                right_zero = id(c_i) in zero_ids or id(up_j) in zero_ids
-                if left_zero and right_zero:
-                    continue
-                if left_zero:
-                    ok = (up_j @ c_i).is_zero()
-                elif right_zero:
-                    ok = (up_i @ c_j).is_zero()
-                else:
-                    ok = up_i @ c_j == up_j @ c_i
-                if not ok:
-                    return DiagramCheck(False, "square does not commute", (c, cj, ci, e))
+                left = right = None
+                if not (j_zero or id(up_i) in zero_ids):
+                    left = _composite(cleared(up_i), cleared(c_j))
+                if not (values[xi] == 0 or id(c_i) in zero_ids or id(up_j) in zero_ids):
+                    right = _composite(cleared(up_j), cleared(c_i))
+                if (left or right) and not _composites_agree(left, right, prime):
+                    return DiagramCheck(False, "square does not commute",
+                                        (c, cj, ci, pts[xj + strides[i]]))
     module._validated = True
     return DiagramCheck(True)
 

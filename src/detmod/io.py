@@ -72,12 +72,14 @@ def matrix_to_json(m: Matrix) -> list:
 
 def matrix_from_json(field, obj, shape: tuple) -> Matrix:
     nrows, ncols = shape
-    if not isinstance(obj, list) or not all(isinstance(r, list) for r in obj):
-        raise InputError(f"invalid matrix {obj!r}")
-    if len(obj) != nrows or any(len(r) != ncols for r in obj):
-        raise InputError(f"matrix has shape ({len(obj)}, ...), expected {shape}")
+    if not (type(obj) is list and len(obj) == nrows
+            and all(type(r) is list and len(r) == ncols for r in obj)):
+        if not isinstance(obj, list) or not all(isinstance(r, list) for r in obj):
+            raise InputError(f"invalid matrix {obj!r}")
+        if len(obj) != nrows or any(len(r) != ncols for r in obj):
+            raise InputError(f"matrix has shape ({len(obj)}, ...), expected {shape}")
     try:
-        return Matrix(field, obj, ncols=ncols)
+        return Matrix(field, field.coerce_rows(obj), ncols=ncols, _coerce=False)
     except InputError:
         raise
     except (TypeError, ValueError) as exc:
@@ -137,12 +139,17 @@ def module_from_json(obj) -> GridModule:
         raise InputError(f"dims has {len(dims_list)} entries, the box has {len(pts)} points")
     dims = dict(zip(pts, dims_list))
     steps = {}
+    n = box.dim  # the declared n may be True for 1
     for entry in obj.get("maps", []):
         if not isinstance(entry, dict):
             raise InputError(f"invalid map entry {entry!r}")
-        p = decode_point(entry.get("from"), dim=box.dim)
+        src = entry.get("from")
+        if type(src) is list and len(src) == n and all(type(v) is int for v in src):
+            p = tuple(src)
+        else:
+            p = decode_point(src, dim=n)
         axis = entry.get("axis")
-        if isinstance(axis, bool) or not isinstance(axis, int) or not (1 <= axis <= box.dim):
+        if isinstance(axis, bool) or not isinstance(axis, int) or not (1 <= axis <= n):
             raise InputError(f"invalid axis {axis!r}; axes are 1-based")
         if p not in dims:
             raise InputError(f"map source {p!r} is outside the box")

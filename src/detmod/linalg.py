@@ -54,6 +54,12 @@ class PrimeField:
             raise InputError(f"cannot coerce {x!r} into F_{self.p}")
         return x % self.p
 
+    def coerce_rows(self, rows) -> list:
+        """Rows of entries as tuples of field elements: a plain int is reduced
+        at once, anything else goes through :meth:`coerce`."""
+        p, coerce = self.p, self.coerce
+        return [tuple([x % p if type(x) is int else coerce(x) for x in r]) for r in rows]
+
     def add(self, a, b):
         return (a + b) % self.p
 
@@ -101,6 +107,10 @@ class RationalField:
             except (ValueError, ZeroDivisionError) as exc:
                 raise InputError(f"cannot parse rational {x!r}") from exc
         raise InputError(f"cannot coerce {x!r} into Q")
+
+    def coerce_rows(self, rows) -> list:
+        coerce = self.coerce
+        return [tuple([Fraction(x) if type(x) is int else coerce(x) for x in r]) for r in rows]
 
     def add(self, a, b):
         return a + b
@@ -165,7 +175,7 @@ class Matrix:
         elif ncols is None:
             raise InputError("a matrix with zero rows needs an explicit column count")
         if _coerce:
-            rows = [tuple(field.coerce(x) for x in r) for r in rows]
+            rows = field.coerce_rows(rows)
         self.field = field
         self.nrows = len(rows)
         self.ncols = ncols
@@ -268,8 +278,12 @@ def vstack(field, mats: list, ncols: int) -> Matrix:
     return Matrix(field, rows, ncols=ncols, _coerce=False)
 
 
-def _echelon(field, rows, ncols, pivot_limit=None):
-    """Reduced row echelon form in place; returns (rows, pivot columns)."""
+def _echelon(field, rows, ncols, pivot_limit=None, reduce=True):
+    """Reduced row echelon form in place; returns (rows, pivot columns).
+
+    With ``reduce`` false only the rows below each pivot are cleared: the
+    pivots are the same, and the rows are an echelon form, not the reduced one.
+    """
     rows = [list(r) for r in rows]
     if pivot_limit is None:
         pivot_limit = ncols
@@ -292,7 +306,7 @@ def _echelon(field, rows, ncols, pivot_limit=None):
         if rows[r][c] != one:
             rows[r] = field.scale_row(field.inv(rows[r][c]), rows[r])
         prow = rows[r]
-        for i in range(nrows):
+        for i in range(0 if reduce else r + 1, nrows):
             if i != r and rows[i][c] != zero:
                 rows[i] = field.subtract_scaled(rows[i], rows[i][c], prow)
         pivots.append(c)
@@ -306,9 +320,13 @@ def rref(m: Matrix) -> tuple:
     return Matrix(m.field, rows, ncols=m.ncols, _coerce=False), tuple(pivots)
 
 
+def pivot_columns(field, rows, ncols: int) -> list:
+    """The pivot columns of the echelon form of ``rows``, with no result matrix."""
+    return _echelon(field, rows, ncols, reduce=False)[1]
+
+
 def rank(m: Matrix) -> int:
-    _, pivots = _echelon(m.field, m.rows, m.ncols)
-    return len(pivots)
+    return len(pivot_columns(m.field, m.rows, m.ncols))
 
 
 def is_invertible(m: Matrix) -> bool:

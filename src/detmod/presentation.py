@@ -23,7 +23,8 @@ from .extgrid import (CartesianSet, Point, as_point, as_product, clamps_and_stri
 from .grid_module import EncodedView, ExtendedView, GridModule
 from .determinacy import DEFAULT_MARGIN, determined_closure, is_S_determined
 from .linalg import (Matrix, PosetDiagram, _require_valid, _vec, cokernel_projection,
-                     diagram_colimit, hstack, is_invertible, kernel_basis, rank, rref, solve)
+                     diagram_colimit, hstack, is_invertible, kernel_basis, pivot_columns,
+                     rank, solve)
 
 
 @dataclass(frozen=True)
@@ -153,16 +154,15 @@ def _generator_lifts(lam: Matrix) -> Matrix:
     sum exactly when some vector of the image has its last non-zero
     coordinate at j.  The last non-zero coordinates of the vectors of a
     subspace are the pivots of its echelon form with the coordinates in
-    reverse order, so one ``rref`` of lam transposed, its columns reversed,
-    gives every j that is not a lift.  A map with no columns has image zero,
+    reverse order, so the pivots of lam transposed, its columns reversed,
+    give every j that is not a lift.  A map with no columns has image zero,
     and every unit vector lifts.
     """
     field, n = lam.field, lam.nrows
     taken = set()
     if lam.ncols and n:
-        reversed_image = Matrix(field, [col[::-1] for col in zip(*lam.rows)], ncols=n,
-                                _coerce=False)
-        taken = {n - 1 - k for k in rref(reversed_image)[1]}
+        reversed_image = [col[::-1] for col in zip(*lam.rows)]
+        taken = {n - 1 - k for k in pivot_columns(field, reversed_image, n)}
     free = [j for j in range(n) if j not in taken]
     zero_row = (field.zero,) * len(free)
     rows = [zero_row] * n
@@ -216,13 +216,13 @@ def _scan(field, points: list, dims: list, lower: list, step: Callable,
       ev_c on p's generators.  The new relations at c are the columns of K_c
       that are new modulo the placed K_p.
     - So when dim K_c is 0, or equals dim K_p for some lower cover p, the
-      placed K_p is all of K_c and no relation is born at c: neither
-      ``kernel_basis`` nor ``rref`` runs there.  K_c is kept as a reference
-      to the point r whose basis K_p was placed from (placing from r into
-      F_p and then into F_c is placing from r into F_c), so no basis is
-      built for c, and a point above places K_r directly.
+      placed K_p is all of K_c and no relation is born at c: no elimination
+      runs there.  K_c is kept as a reference to the point r whose basis
+      K_p was placed from (placing from r into F_p and then into F_c is
+      placing from r into F_c), so no basis is built for c, and a point
+      above places K_r directly.
     - Otherwise ``kernel_basis`` gives K_c, and its new columns are the
-      pivot columns past the placed kernels in one ``rref`` of the placed
+      pivot columns past the placed kernels in one elimination of the placed
       kernels followed by that basis, made only when some lower cover has a
       non-zero kernel.  Which columns are new depends only on the span of
       the placed kernels, so any basis of them serves, and the relations are
@@ -312,7 +312,7 @@ def _scan(field, points: list, dims: list, lower: list, step: Callable,
         if width:
             for row, part in zip(stacked, ker.rows):
                 row.extend(part)
-            _, pivots = rref(Matrix(field, stacked, ncols=width + kdim, _coerce=False))
+            pivots = pivot_columns(field, stacked, width + kdim)
             chosen = [ker.column(j - width) for j in pivots if j >= width]
         else:
             chosen = ker.columns()

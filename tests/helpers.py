@@ -10,9 +10,9 @@ from __future__ import annotations
 import itertools
 import random
 
-from detmod import (Box, CartesianSet, DeterminacyReport, GridModule, Matrix,
-                    NEG_INF, PosetDiagram, Presentation, PresentationCheck,
-                    PrimeField, canonical_set, cokernel_projection,
+from detmod import (Box, CartesianSet, DeterminacyReport, DiagramCheck,
+                    GridModule, Matrix, NEG_INF, PosetDiagram, Presentation,
+                    PresentationCheck, PrimeField, canonical_set, cokernel_projection,
                     diagram_colimit, downset_of, encode, hstack, in_upset,
                     is_invertible, kernel_basis, leq, lt, min_point, mub, rank,
                     solve, sort_points, validate_diagram, vstack)
@@ -128,6 +128,49 @@ def validate_module_by_diagram(module: GridModule):
     """Commutativity of the box data by the generic route: every minimal square
     of the module's poset diagram, with covers sorted by the linear extension."""
     return validate_diagram(module_diagram(module))
+
+
+def validate_by_products(module: GridModule):
+    """Unit squares of the box checked with :class:`Matrix` products, in the
+    order and with the reports of ``validate_module``.
+
+    Shapes and fields first, then every square whose bottom and top corners
+    have non-zero dimension, with a composite through a left-out step (a
+    shared zero) taken as zero; the products are those of ``Matrix.__matmul__``
+    and the sides are compared as matrices over the field.
+    """
+    dims, steps, field = module.dims, module.steps, module.field
+    for (p, axis), mat in steps.items():
+        q = module._step_target(p, axis)
+        expected = (dims[q], dims[p])
+        if mat.shape != expected:
+            return DiagramCheck(False, f"step at {p!r} along axis {axis + 1} has shape "
+                                f"{mat.shape}, expected {expected}", (p, q))
+        if mat.field != field:
+            return DiagramCheck(False, f"step at {p!r} along axis {axis + 1} is over the "
+                                "wrong field", (p, q))
+    zero_ids = {id(z) for z in module._zeros.values()}
+    n, top = module.box.dim, module.box.b
+    target = module._step_target
+    for c, dc in dims.items():
+        axes = [axis for axis in reversed(range(n)) if c[axis] < top[axis]]
+        if dc == 0:
+            continue
+        for k, j in enumerate(axes):
+            cj = target(c, j)
+            for i in axes[k + 1:]:
+                e = target(cj, i)
+                if dims[e] == 0:
+                    continue
+                ci = target(c, i)
+                c_j, c_i = steps[(c, j)], steps[(c, i)]
+                up_i, up_j = steps[(cj, i)], steps[(ci, j)]
+                zero = Matrix.zeros(field, dims[e], dc)
+                left = zero if id(c_j) in zero_ids or id(up_i) in zero_ids else up_i @ c_j
+                right = zero if id(c_i) in zero_ids or id(up_j) in zero_ids else up_j @ c_i
+                if left != right:
+                    return DiagramCheck(False, "square does not commute", (c, cj, ci, e))
+    return DiagramCheck(True)
 
 
 # ---------------------------------------------------------------------------

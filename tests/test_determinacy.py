@@ -6,14 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from detmod import (QQ, Box, ExtendedView, InputError, Matrix, NEG_INF,
+from detmod import (QQ, Box, ExtendedView, GridModule, InputError, Matrix, NEG_INF,
                     NotDeterminedError, PosetDiagram, canonical_map_check,
                     check_encoding, critical_grid, default_oracle_window,
                     downset_of, encode, ext_box, finitely_determined_check,
                     is_S_determined, is_S_determined_oracle, is_invertible,
                     leq, pointed_closure, poset_covers, sort_points)
+from detmod.determinacy import _condition_on_grid
 from helpers import F2, F5, canonical_set, condition_by_downsets, \
-    corner_module, oracle_grid, random_module, random_point_set
+    corner_module, oracle_grid, random_ext_point, random_module, random_point_set
 
 BOTTOM = (NEG_INF, NEG_INF)
 UNIT_SET = frozenset(ext_box(Box((1, 1), (1, 1))).points())
@@ -99,13 +100,16 @@ def random_box(rng, nparams):
 
 
 def assert_matches_downset_oracle(view, s, margin):
-    """Both grid routes against the definition on the same grid; the whole
-    report is compared, so the witness must be the same cover."""
+    """The corner rule against the walk of every cover of the critical grid
+    and against the definition on that grid, and the oracle against the
+    definition on its window; the whole report is compared, so the witness
+    must be the same cover."""
     pts = frozenset(s)
     for support in (True, False):
         grid = critical_grid(view.box, pts, margin=margin)
-        assert is_S_determined(view, pts, check_support=support, margin=margin) == \
-            condition_by_downsets(view, pts, grid, "critical-grid", support)
+        report = is_S_determined(view, pts, check_support=support, margin=margin)
+        assert report == _condition_on_grid(view, pts, grid, "critical-grid", support)
+        assert report == condition_by_downsets(view, pts, grid, "critical-grid", support)
         window = default_oracle_window(view.box, pts)
         assert is_S_determined_oracle(view, pts, window, margin=margin,
                                       check_support=support) == \
@@ -201,6 +205,71 @@ class TestSettledSlabs:
             verdicts["holds" if report.holds else "fails"] += 1
         assert all(verdicts.values()), verdicts
         assert calls
+
+
+class TestCornerRule:
+    """``is_S_determined`` reads the verdict off the stored steps: each step
+    is decided at its corner cover, and the support at the corners of the
+    box points.  Its whole report is that of the walk of every cover."""
+
+    @pytest.mark.parametrize("field", [F2, F5, QQ], ids=["f2", "f5", "q"])
+    @pytest.mark.parametrize("nparams", [1, 2, 3])
+    def test_sets_far_outside_the_box(self, field, nparams):
+        rng = random.Random(900 * nparams + (field.p if field.kind == "prime" else 0))
+        verdicts = {"holds": 0, "fails": 0, "support_fails": 0}
+        for trial in range(30 if nparams < 3 else 16):
+            view = ExtendedView(random_module(field, rng, box=random_box(rng, nparams),
+                                              max_summands=4))
+            span = 5 if nparams < 3 else 3
+            s = {random_ext_point(rng, nparams, lo=-span, hi=span + 1, bottom_prob=0.4)
+                 for _ in range(rng.randint(0, 6))}
+            if trial % 4 == 1:
+                s |= canonical_set(view.module)
+            if trial % 2:  # less one or two points
+                s = set(rng.sample(sorted(s, key=str), max(0, len(s) - rng.randint(1, 2))))
+            report = assert_matches_downset_oracle(view, s, 1 + trial % 3)
+            verdicts["holds" if report.holds else "fails"] += 1
+            verdicts["support_fails"] += report.support_ok is False
+        assert all(verdicts.values()), verdicts
+
+    @pytest.mark.parametrize("nparams", [1, 2, 3])
+    def test_canonical_set_minus_any_points(self, nparams):
+        rng = random.Random(950 + nparams)
+        for trial in range(20):
+            field = (F2, F5, QQ)[trial % 3]
+            view = ExtendedView(random_module(field, rng, box=random_box(rng, nparams),
+                                              max_summands=3))
+            canonical = sorted(canonical_set(view.module), key=str)
+            dropped = rng.sample(canonical, min(len(canonical), 1 + trial % 2))
+            assert_matches_downset_oracle(view, frozenset(canonical) - frozenset(dropped),
+                                          1 + trial % 3)
+
+    def test_builds_no_grid_and_tests_each_step_once(self, monkeypatch):
+        """Every step is its own matrix here (no shared zeros), so the
+        matrices tested tell the steps apart."""
+        import detmod.determinacy as determinacy
+
+        def no_grid(*args, **kwargs):
+            raise AssertionError("is_S_determined built a critical grid")
+        tested = []
+        monkeypatch.setattr(determinacy, "critical_grid", no_grid)
+        monkeypatch.setattr(determinacy, "is_invertible",
+                            lambda m: tested.append(id(m)) or is_invertible(m))
+        rng = random.Random(29)
+        verdicts = set()
+        for trial in range(60):
+            nparams = 1 + trial % 3
+            field = (F2, F5, QQ)[trial % 3]
+            module = random_module(field, rng, box=random_box(rng, nparams), max_summands=4)
+            steps = {k: Matrix(field, m.rows, ncols=m.ncols) for k, m in module.steps.items()}
+            view = ExtendedView(GridModule(field, module.box, dict(module.dims), steps))
+            s = random_point_set(rng, nparams, 5, lo=-3, hi=4)
+            tested.clear()
+            report = is_S_determined(view, s, margin=1 + trial % 3)
+            verdicts.add(report.holds)
+            assert len(tested) == len(set(tested))
+            assert set(tested) <= {id(m) for m in view.module.steps.values()}
+        assert verdicts == {True, False}
 
 
 def all_small_modules():

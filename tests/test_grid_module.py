@@ -1,6 +1,7 @@
 """Grid modules, their extended semantics, and window diagrams."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -10,7 +11,7 @@ from detmod import (Box, ExtendedView, GridModule, InputError, Matrix,
                     validate_diagram, validate_module, window_module)
 from helpers import (F2, F5, corner_module, halfplane_table, module_diagram,
                      path_commutativity_ok, random_module, stabilization_window,
-                     validate_module_by_diagram)
+                     validate_by_products, validate_module_by_diagram)
 
 BOTTOM = (NEG_INF, NEG_INF)
 
@@ -134,6 +135,106 @@ class TestValidateModuleRoutes:
         for mat in module.steps.values():
             assert mat.is_zero()
             assert zeros.setdefault(mat.shape, mat) is mat
+
+
+def _perturbed(module, rng):
+    """Copies of the module with one entry of one given step changed."""
+    field = module.field
+    keys = [k for k, m in module.steps.items() if m.nrows and m.ncols]
+    out = []
+    for key in rng.sample(keys, min(3, len(keys))):
+        rows = [list(r) for r in module.steps[key].rows]
+        r, c = rng.randrange(len(rows)), rng.randrange(len(rows[0]))
+        if field.kind == "prime":
+            rows[r][c] = (rows[r][c] + rng.randrange(1, field.p)) % field.p
+        else:
+            rows[r][c] += Fraction(rng.choice([-2, -1, 1, 3]), rng.choice([1, 2, 3]))
+        steps = {**module.steps, key: Matrix(field, rows, ncols=len(rows[0]))}
+        out.append(GridModule(field, module.box, dict(module.dims), steps))
+    return out
+
+
+def _unit_square(field, dims, c_j, up_i, c_i, up_j):
+    """The 2 x 2 box with the given dimensions at (0,0), (0,1), (1,0), (1,1)
+    and every step given: (0,0) -> (0,1) -> (1,1) is up_i @ c_j and
+    (0,0) -> (1,0) -> (1,1) is up_j @ c_i."""
+    box = Box((0, 0), (1, 1))
+    steps = {((0, 0), 1): c_j, ((0, 1), 0): up_i, ((0, 0), 0): c_i, ((1, 0), 1): up_j}
+    steps = {k: m if isinstance(m, Matrix) else Matrix(field, m, ncols=len(m[0]))
+             for k, m in steps.items()}
+    return GridModule(field, box, dict(zip(box.integer_points(), dims)), steps)
+
+
+SQUARE = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+
+class TestValidateMatchesProducts:
+    """validate_module, which multiplies rows, against ``validate_by_products``,
+    which multiplies matrices: the same verdict and the same square."""
+
+    @pytest.mark.parametrize("field", [F2, F5, QQ], ids=["f2", "f5", "q"])
+    @pytest.mark.parametrize("nparams", [1, 2, 3])
+    def test_perturbed_modules(self, field, nparams):
+        rng = random.Random(700 * nparams + (field.p if field.kind == "prime" else 0))
+        verdicts = set()
+        for _ in range(25):
+            base = random_module(field, rng, box=_random_box(rng, nparams), max_summands=4)
+            for module in [base] + _perturbed(base, rng) + _module_variants(base, rng):
+                fast = validate_module(module)
+                assert fast == validate_by_products(module)
+                verdicts.add(fast.ok)
+        assert verdicts == ({True} if nparams == 1 else {True, False})
+
+    @pytest.mark.parametrize("field", [F2, F5, QQ], ids=["f2", "f5", "q"])
+    def test_square_through_a_zero_dimensional_corner(self, field):
+        """Steps into and out of the zero space at (1, 0) given explicitly, so
+        that route is the zero map although no shared zero is on it."""
+        one = Matrix.identity(field, 1)
+        into, out_of = Matrix.zeros(field, 0, 1), Matrix.zeros(field, 1, 0)
+        for up_i, ok in ((one, False), (Matrix.zeros(field, 1, 1), True)):
+            module = _unit_square(field, (1, 1, 0, 1), one, up_i, into, out_of)
+            check = validate_module(module)
+            assert check == validate_by_products(module)
+            assert check.ok is ok and check.square == (None if ok else SQUARE)
+        # both routes through zero spaces
+        module = _unit_square(field, (1, 0, 0, 1), into, out_of, into, out_of)
+        assert validate_module(module).ok
+
+    def test_products_equal_only_mod_p(self):
+        """2 * 3 = 6 against 1 * 1 = 1 over F5: equal in the field, not as integers."""
+        module = _unit_square(F5, (1, 1, 1, 1), [[2]], [[3]], [[1]], [[1]])
+        assert validate_module(module).ok and validate_by_products(module).ok
+        module = _unit_square(F5, (1, 1, 1, 1), [[2]], [[3]], [[1]], [[2]])
+        assert validate_module(module) == validate_by_products(module)
+        assert validate_module(module).square == SQUARE
+        # 2 x 2 blocks whose products differ by 5 and 10 in two entries
+        module = _unit_square(F5, (2, 2, 2, 2), [[1, 2], [3, 4]], [[4, 4], [1, 0]],
+                              [[1, 2], [3, 4]], [[4, 4], [1, 0]])
+        assert validate_module(module).ok
+        module = _unit_square(F5, (2, 2, 2, 2), [[1, 2], [3, 4]], [[4, 4], [1, 0]],
+                              [[1, 2], [3, 4]], [[4, 4], [1, 1]])
+        assert not validate_module(module).ok
+
+    def test_rational_sides_cross_multiplied(self):
+        """1/2 * 4 against 2/3 * 3: both 2, over different denominators."""
+        half, third = Fraction(1, 2), Fraction(2, 3)
+        module = _unit_square(QQ, (1, 1, 1, 1), [[half]], [[4]], [[third]], [[3]])
+        assert validate_module(module).ok and validate_by_products(module).ok
+        module = _unit_square(QQ, (1, 1, 1, 1), [[half]], [[4]], [[third]], [["7/2"]])
+        assert not validate_module(module).ok
+
+    def test_makes_no_matrix_product(self, monkeypatch):
+        rng = random.Random(23)
+        modules = []
+        for field in (F2, F5, QQ):
+            for nparams in (2, 3):
+                base = random_module(field, rng, box=_random_box(rng, nparams), max_summands=4)
+                modules += [base] + _perturbed(base, rng)
+
+        def forbidden(self, other):
+            raise AssertionError("validate_module formed a Matrix product")
+        monkeypatch.setattr(Matrix, "__matmul__", forbidden)
+        assert {validate_module(module).ok for module in modules} == {True, False}
 
 
 class TestEvalSpace:

@@ -1,6 +1,7 @@
 """Round-trips and error handling of the JSON formats."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -182,3 +183,81 @@ class TestDetectKind:
         assert box_from_json({"a": [0, 0], "b": [1, 1]}) == Box((0, 0), (1, 1))
         with pytest.raises(InputError):
             box_from_json({"a": [1, 1], "b": [0, 0]})
+
+
+def _module_obj(field=None, **map_changes):
+    """A valid 2 x 2 module file over F5 (or ``field``) whose first map
+    takes ``map_changes``; the second map goes into a 2-dimensional space."""
+    obj = {"field": field or {"kind": "prime", "p": 5}, "n": 2,
+           "box": {"a": [0, 0], "b": [1, 1]}, "dims": [1, 1, 1, 2],
+           "maps": [{"from": [0, 0], "axis": 1, "matrix": [[1]]},
+                    {"from": [0, 1], "axis": 1, "matrix": [[1], [2]]}]}
+    obj["maps"][0].update(map_changes)
+    return obj
+
+
+def _second_map(entry):
+    obj = _module_obj()
+    obj["maps"][1] = entry
+    return obj
+
+
+def _second_matrix(matrix):
+    obj = _module_obj()
+    obj["maps"][1]["matrix"] = matrix
+    return obj
+
+
+QQ_SPEC = {"kind": "rational"}
+MALFORMED_MODULES = [
+    ("bool entry", _module_obj(matrix=[[True]]), "cannot coerce True into F_5"),
+    ("float entry", _module_obj(matrix=[[1.0]]), "cannot coerce 1.0 into F_5"),
+    ("str entry", _module_obj(matrix=[["1"]]), "cannot coerce '1' into F_5"),
+    ("bad rational", _module_obj(QQ_SPEC, matrix=[["1/0"]]), "cannot parse rational '1/0'"),
+    ("rational word", _module_obj(QQ_SPEC, matrix=[["one"]]), "cannot parse rational 'one'"),
+    ("rational bool", _module_obj(QQ_SPEC, matrix=[[False]]), "cannot coerce False into Q"),
+    ("from -inf", _module_obj(**{"from": ["-inf", 0]}),
+     "map source (-inf, 0) is outside the box"),
+    ("from float", _module_obj(**{"from": [0.0, 0]}),
+     'invalid coordinate 0.0; expected an integer or "-inf"'),
+    ("from bool", _module_obj(**{"from": [False, 0]}),
+     'invalid coordinate False; expected an integer or "-inf"'),
+    ("from short", _module_obj(**{"from": [0]}), "point (0,) does not have dimension 2"),
+    ("from long", _module_obj(**{"from": [0, 0, 0]}),
+     "point (0, 0, 0) does not have dimension 2"),
+    ("from missing", _module_obj(**{"from": None}), "invalid point None; expected a JSON array"),
+    ("axis 0", _module_obj(axis=0), "invalid axis 0; axes are 1-based"),
+    ("axis n+1", _module_obj(axis=3), "invalid axis 3; axes are 1-based"),
+    ("axis true", _module_obj(axis=True), "invalid axis True; axes are 1-based"),
+    ("duplicate map", _second_map(_module_obj()["maps"][0]),
+     "duplicate map at (0, 0) along axis 1"),
+    ("source outside", _module_obj(**{"from": [2, 0]}), "map source (2, 0) is outside the box"),
+    ("target outside", _module_obj(**{"from": [1, 0]}),
+     "map at (1, 0) along axis 1 leaves the box"),
+    ("ragged rows", _second_matrix([[1], [2, 3]]), "matrix has shape (2, ...), expected (2, 1)"),
+    ("short matrix", _second_matrix([[1]]), "matrix has shape (1, ...), expected (2, 1)"),
+    ("row not a list", _second_matrix([[1], 2]), "invalid matrix [[1], 2]"),
+]
+
+
+class TestMalformedModules:
+    """The loader's error texts, as the command line prints them."""
+
+    @pytest.mark.parametrize("obj,message", [case[1:] for case in MALFORMED_MODULES],
+                             ids=[case[0] for case in MALFORMED_MODULES])
+    def test_error_text(self, obj, message):
+        with pytest.raises(InputError) as err:
+            module_from_json(obj)
+        assert str(err.value) == message
+
+    def test_the_valid_base_loads(self):
+        for field in (None, QQ_SPEC):
+            module = module_from_json(_module_obj(field))
+            assert module.steps[((0, 1), 0)].rows in (((1,), (2,)), ((QQ.one,), (2 * QQ.one,)))
+            assert validate_module(module).ok
+
+    def test_entries_are_reduced_into_the_field(self):
+        module = module_from_json(_module_obj(matrix=[[-4]]))
+        assert module.steps[((0, 0), 0)].rows == ((1,),)
+        module = module_from_json(_module_obj(QQ_SPEC, matrix=[["-6/4"]]))
+        assert module.steps[((0, 0), 0)].rows == ((Fraction(-3, 2),),)

@@ -255,19 +255,35 @@ class TestGeneratorLifts:
         assert lifts == cokernel_lifts(lam)
         assert lifts.ncols == lam.nrows - rank(lam)
 
-    def test_one_rref_and_none_without_columns(self, monkeypatch):
-        calls = []
-        rref = linalg.rref
+    def test_one_elimination_and_none_without_columns(self, monkeypatch):
+        """One pivots-only elimination of lam transposed, and no matrix built
+        but the lifts."""
+        calls, built = [], []
+        pivot_columns, init = linalg.pivot_columns, Matrix.__init__
 
-        def counted(m):
-            calls.append(m.shape)
-            return rref(m)
-        monkeypatch.setattr("detmod.presentation.rref", counted)
+        def counted(field, rows, ncols):
+            calls.append((len(rows), ncols))
+            return pivot_columns(field, rows, ncols)
+
+        def counted_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
         lam = Matrix(F2, [[1, 0], [1, 0], [0, 1]])
-        assert _generator_lifts(lam) == Matrix(F2, [[1], [0], [0]])
+        monkeypatch.setattr("detmod.presentation.pivot_columns", counted)
+        monkeypatch.setattr(Matrix, "__init__", counted_init)
+        lifts = _generator_lifts(lam)
+        assert built == [lifts]
+        assert lifts == Matrix(F2, [[1], [0], [0]])
         assert calls == [(2, 3)]
         _generator_lifts(Matrix.zeros(F2, 3, 0))
         assert calls == [(2, 3)]
+
+    @settings(max_examples=100, deadline=None)
+    @given(m=low_rank_matrices())
+    def test_pivot_columns_are_those_of_rref(self, m):
+        rows = [list(r) for r in m.rows]
+        assert tuple(linalg.pivot_columns(m.field, m.rows, m.ncols)) == linalg.rref(m)[1]
+        assert [list(r) for r in m.rows] == rows
 
 
 def count_linear_algebra(monkeypatch) -> dict:
