@@ -386,7 +386,13 @@ def clamps_and_strides(grid: CartesianSet, box: Box) -> tuple:
     factors = grid.factors
     clamps = tuple(tuple(lo if v < lo else min(v, hi) for v in f)
                    for f, lo, hi in zip(factors, box.a, box.b))
-    strides = [1] * grid.dim
-    for axis in reversed(range(grid.dim - 1)):
-        strides[axis] = strides[axis + 1] * len(factors[axis + 1])
-    return clamps, tuple(strides)
+    return clamps, lex_strides([len(f) for f in factors])
+
+
+def lex_strides(lengths) -> tuple:
+    """Per axis of a product with these axis lengths, how far apart in
+    lexicographic order a point and the next one along the axis lie."""
+    strides = [1] * len(lengths)
+    for axis in reversed(range(len(lengths) - 1)):
+        strides[axis] = strides[axis + 1] * lengths[axis + 1]
+    return tuple(strides)

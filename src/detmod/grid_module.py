@@ -16,8 +16,8 @@ from typing import Callable
 
 from .errors import InputError
 from .extgrid import (Box, CartesianSet, Point, NEG_INF, as_product,
-                      extended_projection, join_below, leq, pointed_closure,
-                      sort_points)
+                      extended_projection, join_below, leq, lex_strides,
+                      pointed_closure, sort_points)
 from .linalg import (DiagramCheck, Matrix, PosetDiagram, poset_covers,
                      validate_diagram)
 
@@ -67,13 +67,10 @@ class GridModule:
         return self.steps[(p, axis)]
 
 
-def _strides(box: Box) -> list:
+def _strides(box: Box) -> tuple:
     """Per axis, how far apart in ``box.integer_points()`` a point and the
     next one along the axis lie."""
-    strides = [1] * box.dim
-    for axis in reversed(range(box.dim - 1)):
-        strides[axis] = strides[axis + 1] * (box.b[axis + 1] - box.a[axis + 1] + 1)
-    return strides
+    return lex_strides([hi - lo + 1 for lo, hi in zip(box.a, box.b)])
 
 
 def _integer_rows(mat: Matrix) -> tuple:

@@ -18,8 +18,8 @@ from typing import Callable, Iterable
 
 from .errors import ConsistencyError, InputError
 from .extgrid import (CartesianSet, Point, as_point, as_product, clamps_and_strides,
-                      critical_grid, join_below, join_closure, leq, lt, min_point,
-                      sort_points)
+                      critical_grid, join_below, join_closure, leq, lex_strides, lt,
+                      min_point, sort_points)
 from .grid_module import EncodedView, ExtendedView, GridModule
 from .determinacy import DEFAULT_MARGIN, determined_closure, is_S_determined
 from .linalg import (Matrix, PosetDiagram, _require_valid, _vec, cokernel_projection,
@@ -173,96 +173,68 @@ def _generator_lifts(lam: Matrix) -> Matrix:
     return Matrix(field, rows, ncols=len(free), _coerce=False)
 
 
-def _scan(field, points: list, dims: list, lower: list, step: Callable,
-          covers_complete: bool) -> tuple:
-    """The presentation scan: (generators, relations, blocks, generator lifts).
+def _walk(field, poset: tuple, new_columns: Callable, gens: list):
+    """One upward walk of a finite poset, carrying the images of its generators.
 
-    ``points`` is a finite poset in lexicographic order, ``dims[i]`` the
-    dimension at ``points[i]``, ``lower[i]`` the indices of its lower covers
-    and ``step(p, i)`` the map from ``points[p]`` to ``points[i]``, or
-    ``None`` for the identity.  Both callers pass ``None`` for every step
-    that is the identity, whether between equal clamps or an identity
-    matrix (:func:`_unless_identity`).  Each point is visited once, upwards.
+    ``poset`` is ``(points, dims, lower, step)``: the points in
+    lexicographic order, ``dims[i]`` the dimension at ``points[i]``,
+    ``lower[i]`` the indices of its lower covers, and ``step(p, i)`` the map
+    from ``points[p]`` to ``points[i]``, or ``None`` for the identity,
+    whether between equal clamps or an identity matrix
+    (:func:`_unless_identity`).
 
-    The generators at c lift a basis of the cokernel of its lower-cover maps
-    placed side by side (one elimination, :func:`_generator_lifts`).  An
-    identity step is onto, so that cokernel is zero wherever a lower-cover
-    step is the identity: no lift is taken there, and ev is carried up that
-    step unchanged, with no product.  The generators active at c are
-    those at c and those active at its lower covers: every b < c lies below
-    a lower cover of c.  ``covers_complete`` says that the covers are those
-    of the poset; otherwise they come from a caller and may leave out a
-    chain, so a generator b <= c outside that union is an ``InputError``.
+    At each point c, ``new_columns(points[c], dims[c], maps)``, with
+    ``maps`` the steps from the lower covers, gives the images of the
+    generators at c, or ``None``; ``gens`` collects them in walk order as
+    (point, columns).  The generators active at c are those at c and those
+    active at its lower covers.  Their images in M(c), side by side in the
+    order of ``gens``, make ev_c, carried up one lower cover at a time: the
+    columns of a generator b < c are taken from step(p, c) @ ev_p for the
+    first lower cover p of c that has b, identity steps first (they need no
+    product), and where p has every active generator, that is all of ev_c.
+    As the poset's maps commute, every covering chain from b to c gives the
+    same columns, exactly M(b -> c) applied to the images at b.
 
-    The evaluation map ev_c from the free module F_c on the generators
-    active at c is carried up one lower cover at a time.  The block of a
-    generator b < c is taken from step(p, c) @ ev_p for the first lower cover
-    p of c above b, identity steps first (they need no product); the new
-    lifts at c are their own block, and the blocks keep the order of the
-    generators.  That block is the image of the lift at b along one covering
-    chain from b to c, and as the diagram commutes, every chain gives the
-    same matrix, exactly, as ``path_map(b, c) @ lifts[b]``.
+    The kernel rule.  Let K_c be the kernel of ev_c.  Where ev_c is onto
+    M(c), dim K_c is the number of generator columns at c minus dim M(c),
+    known without an elimination.  The generators active at a lower cover p
+    are a sublist of those at c, and ev_c on them is step(p, c) @ ev_p, so
+    K_p placed in F_c, the free module on the generators active at c (its
+    rows copied to the offsets of p's generators, zero rows elsewhere),
+    lies in K_c.  So where dim K_c is
+    0, or equals dim K_p for some lower cover p, the placed K_p is all of
+    K_c: the kernel does not grow at c.  The walk keeps per point a root,
+    ``None`` for a zero kernel, the root of such a p, else c itself; as
+    placing from r into F_p and then into F_c is placing from r into F_c,
+    K_c is the placed kernel of its root.
 
-    Relations are read off the kernels K_c of the ev_c, and only where a
-    relation can be born is a kernel basis taken:
-
-    - ev_c is onto M(c), by induction: the images of the ev_p at the lower
-      covers span the images of the lower-cover maps, and the lifts span
-      the rest.  So dim K_c is the number of generator columns at c minus
-      dim M(c), known without an elimination.
-    - The generators active at a lower cover p are a sublist of those at c,
-      and K_p placed in F_c (its rows copied to the offsets of p's
-      generators, zero rows elsewhere) lies in K_c, as step(p, c) @ ev_p is
-      ev_c on p's generators.  The new relations at c are the columns of K_c
-      that are new modulo the placed K_p.
-    - So when dim K_c is 0, or equals dim K_p for some lower cover p, the
-      placed K_p is all of K_c and no relation is born at c: no elimination
-      runs there.  K_c is kept as a reference to the point r whose basis
-      K_p was placed from (placing from r into F_p and then into F_c is
-      placing from r into F_c), so no basis is built for c, and a point
-      above places K_r directly.
-    - Otherwise ``kernel_basis`` gives K_c, and its new columns are the
-      pivot columns past the placed kernels in one elimination of the placed
-      kernels followed by that basis, made only when some lower cover has a
-      non-zero kernel.  Which columns are new depends only on the span of
-      the placed kernels, so any basis of them serves, and the relations are
-      those of a scan that takes every kernel.
+    Yields per point (point, dim, the active generator indices in
+    order, ev, whether a lower-cover step is the identity, roots): ``roots``
+    is ``None`` where the kernel does not grow, else the distinct roots of
+    the lower covers, so that their placed kernels are those of the covers.
+    The build (:func:`_scan`) takes a kernel basis, and verify
+    (:func:`_check_images`) a rank of the relation matrix, only where
+    ``roots`` is not ``None``.
     """
-    generators, relations, blocks, lifts = [], [], {}, {}
-    mults = []  # per generator index, in scan order
-    # per point: the active generator indices (ascending), ev, dim K, and
-    # the point whose kernel basis, placed, spans K (None when K is zero)
-    active, evs, kdims, roots = [], [], [], []
-    kernels = {}
-    zero = field.zero
-    for c, dim in enumerate(dims):
-        covers = lower[c]
+    points, dims, lower, step = poset
+    mults = []  # per generator index
+    states = []  # per point: (active generator indices, ev, dim K, kernel root)
+    for c, (pt, dim, covers) in enumerate(zip(points, dims, lower)):
         maps = [step(p, c) for p in covers]
-        new = None
-        if all(m is not None for m in maps):
-            lift = _generator_lifts(maps[0] if len(maps) == 1
-                                    else hstack(field, maps, nrows=dim))
-            if lift.ncols > 0:
-                new = len(mults)
-                mults.append(lift.ncols)
-                lifts[points[c]] = lift
-                generators.append((points[c], lift.ncols))
-        order = sorted(set().union(*(active[p] for p in covers)))
+        new = new_columns(pt, dim, maps)
+        order = sorted(set().union(*(states[p][0] for p in covers)))
+        carried = {}
         if new is not None:
-            order.append(new)
-        if not covers_complete:
-            below = [g for g, (b, _) in enumerate(generators) if leq(b, points[c])]
-            if len(below) != len(order):
-                missing = next(g for g in below if g not in order)
-                raise InputError(f"no covering chain from {generators[missing][0]!r} "
-                                 f"to {points[c]!r}")
-        carried = {} if new is None else {new: (lift, 0)}
+            carried[len(mults)] = (new, 0)
+            order.append(len(mults))
+            mults.append(new.ncols)
+            gens.append((pt, new))
         ev = None
         for p, m in sorted(zip(covers, maps), key=lambda pm: pm[1] is not None):
-            below = active[p]
+            below, ev_p, _, _ = states[p]
             if all(g in carried for g in below):
                 continue
-            moved = evs[p] if m is None else m @ evs[p]
+            moved = ev_p if m is None else m @ ev_p
             if len(below) == len(order):  # every active generator, in order
                 ev = moved
                 break
@@ -270,7 +242,6 @@ def _scan(field, points: list, dims: list, lower: list, step: Callable,
             for g in below:
                 carried.setdefault(g, (moved, offset))
                 offset += mults[g]
-        total = sum(mults[g] for g in order)
         if ev is None:
             rows = [[] for _ in range(dim)]
             for g in order:
@@ -278,32 +249,76 @@ def _scan(field, points: list, dims: list, lower: list, step: Callable,
                 m = mults[g]
                 for row, src in zip(rows, source.rows):
                     row.extend(src[offset:offset + m])
-            ev = Matrix(field, rows, ncols=total, _coerce=False)
-        active.append(order)
-        evs.append(ev)
-        kdim = total - dim
-        kdims.append(kdim)
-        if kdim == 0:
-            roots.append(None)
+            ev = Matrix(field, rows, ncols=sum(mults[g] for g in order), _coerce=False)
+        kdim, root = ev.ncols - dim, None
+        if kdim:
+            same = next((p for p in covers if states[p][2] == kdim), None)
+            root = pt if same is None else states[same][3]
+        states.append((order, ev, kdim, root))
+        roots = None
+        if root is pt:
+            roots = list(dict.fromkeys(states[p][3] for p in covers
+                                       if states[p][3] is not None))
+        yield pt, dim, order, ev, None in maps, roots
+
+
+def _scan(field, poset: tuple, covers_complete: bool) -> tuple:
+    """The presentation scan: (generators, relations, blocks, generator lifts).
+
+    One :func:`_walk` of the poset, upwards.  The generators at c lift a
+    basis of the cokernel of its lower-cover maps placed side by side (one
+    elimination, :func:`_generator_lifts`).  An identity step is onto, so
+    that cokernel is zero wherever a lower-cover step is the identity, and
+    no lift is taken there.  ev_c is onto M(c), by induction: the images of
+    the ev_p at the lower covers span the images of the lower-cover maps,
+    and the lifts span the rest.  Every b < c lies below a lower cover of c,
+    so the active generators are all those below c when ``covers_complete``
+    says that the covers are those of the poset; otherwise they come from a
+    caller and may leave out a chain, and a generator b <= c outside them is
+    an ``InputError``.  ev_c on the generator at b is the image of the lift
+    at b along a covering chain, ``path_map(b, c) @ lifts[b]``.
+
+    Relations are read off the kernels K_c of the ev_c: the new relations at
+    c are the columns of K_c that are new modulo the placed kernels of its
+    lower covers.  By the kernel rule of :func:`_walk`, none is born where
+    the kernel does not grow, and no elimination runs there.  Where it
+    grows, ``kernel_basis`` gives K_c, and its new columns are the pivot
+    columns past the placed kernels in one elimination of the placed kernels
+    of the lower covers' roots followed by that basis, made only when some
+    lower cover has a non-zero kernel.  Which columns are new depends only
+    on the span of the placed kernels, so any basis of them serves, and the
+    relations are those of a scan that takes every kernel.
+    """
+    gens, relations, blocks, kernels = [], [], {}, {}
+    zero = field.zero
+
+    def lifts(pt, dim, maps):
+        if None in maps:
+            return None
+        lift = _generator_lifts(maps[0] if len(maps) == 1 else hstack(field, maps, nrows=dim))
+        return lift if lift.ncols else None
+    for pt, _, order, ev, _, roots in _walk(field, poset, lifts, gens):
+        if not covers_complete:
+            below = [g for g, (b, _) in enumerate(gens) if leq(b, pt)]
+            if len(below) != len(order):
+                missing = next(g for g in below if g not in order)
+                raise InputError(f"no covering chain from {gens[missing][0]!r} to {pt!r}")
+        if roots is None:
             continue
-        same = next((p for p in covers if kdims[p] == kdim), None)
-        if same is not None:
-            roots.append(roots[same])
-            continue
-        roots.append(c)
-        ker = kernels[c] = kernel_basis(ev)
+        ker = kernel_basis(ev)
+        kernels[pt] = (order, ker)
+        total, width = ev.ncols, 0
         offsets, o = {}, 0
         for g in order:
             offsets[g] = o
-            o += mults[g]
+            o += gens[g][1].ncols
         stacked = [[] for _ in range(total)]
-        width = 0
-        for r in dict.fromkeys(roots[p] for p in covers if roots[p] is not None):
-            ker_r = kernels[r]
+        for r in roots:
+            active_r, ker_r = kernels[r]
             placed = [(zero,) * ker_r.ncols] * total
             src = 0
-            for g in active[r]:
-                m = mults[g]
+            for g in active_r:
+                m = gens[g][1].ncols
                 placed[offsets[g]:offsets[g] + m] = ker_r.rows[src:src + m]
                 src += m
             for row, part in zip(stacked, placed):
@@ -312,24 +327,24 @@ def _scan(field, points: list, dims: list, lower: list, step: Callable,
         if width:
             for row, part in zip(stacked, ker.rows):
                 row.extend(part)
-            pivots = pivot_columns(field, stacked, width + kdim)
+            pivots = pivot_columns(field, stacked, width + ker.ncols)
             chosen = [ker.column(j - width) for j in pivots if j >= width]
         else:
             chosen = ker.columns()
         if not chosen:
             continue
-        relations.append((points[c], len(chosen)))
+        relations.append((pt, len(chosen)))
         for g in order:
-            offset, m = offsets[g], mults[g]
+            offset, m = offsets[g], gens[g][1].ncols
             seg = Matrix(field, [[col[offset + i] for col in chosen] for i in range(m)],
                          ncols=len(chosen), _coerce=False)
             if not seg.is_zero():
-                blocks[(points[c], generators[g][0])] = seg
-    return generators, relations, blocks, lifts
+                blocks[(pt, gens[g][0])] = seg
+    return [(b, lift.ncols) for b, lift in gens], relations, blocks, dict(gens)
 
 
 def _unless_identity(m: Matrix) -> Matrix | None:
-    """A step as :func:`_scan` takes it: ``None`` when ``m`` is the identity."""
+    """A step as :func:`_walk` takes it: ``None`` when ``m`` is the identity."""
     return None if m.is_identity() else m
 
 
@@ -341,13 +356,27 @@ def _present_diagram(diagram: PosetDiagram) -> tuple:
     lower = [[] for _ in points]
     for p, c in diagram.covers():
         lower[index[c]].append(index[p])
-    return _scan(diagram.field, points, [diagram.dims[p] for p in points], lower,
-                 lambda p, c: _unless_identity(maps[(points[p], points[c])]),
-                 covers_complete=False)
+    poset = (points, [diagram.dims[p] for p in points], lower,
+             lambda p, c: _unless_identity(maps[(points[p], points[c])]))
+    return _scan(diagram.field, poset, covers_complete=False)
 
 
-def _present_product(view: ExtendedView, grid: CartesianSet) -> tuple:
-    """The scan of the module on a product grid, read off its box.
+def _product_poset(view: ExtendedView, grid: CartesianSet, grades=()) -> tuple:
+    """A product grid as :func:`_walk` takes it, read off the module's box,
+    without the coordinates that repeat the one below.
+
+    A coordinate repeats the one below it on its axis when both clamp to the
+    same box coordinate and no point of ``grades`` has it.  A grid point
+    with such a coordinate repeats its lower cover along that axis: a grade
+    lies below the point exactly when it lies below the cover, and the step
+    between them is the identity, so the walk would carry the cover's state
+    there, with the same active generators and relations, ev and kernel.
+    Verify passes its generator and relation points.  The build passes
+    none: it takes a generator only where no lower-cover step is the
+    identity, so never at such a coordinate, and a relation only where the
+    kernel grows, which it does not across an identity step that brings no
+    generator.  What is left is a product grid again, and as the
+    coordinates left out keep the clamp, its steps are those of the grid.
 
     The lower covers come from the strides and each step from the module at
     the clamped points: ``None`` (the identity) when both clamp to the same
@@ -357,11 +386,16 @@ def _present_product(view: ExtendedView, grid: CartesianSet) -> tuple:
     product are complete.
     """
     module = view.module
-    clamps, strides = clamps_and_strides(grid, module.box)
+    factors, clamps = [], []
+    for axis, (f, cl) in enumerate(zip(grid.factors, clamps_and_strides(grid, module.box)[0])):
+        pins = {p[axis] for p in grades}
+        kept = [k for k, v in enumerate(f) if not k or cl[k - 1] != cl[k] or v in pins]
+        factors.append([f[k] for k in kept])
+        clamps.append([cl[k] for k in kept])
+    strides = lex_strides([len(f) for f in factors])
     clamped = list(itertools.product(*clamps))
     lower = [[flat - strides[axis] for axis, k in enumerate(idx) if k]
-             for flat, idx in enumerate(itertools.product(*(range(len(f))
-                                                            for f in grid.factors)))]
+             for flat, idx in enumerate(itertools.product(*(range(len(f)) for f in factors)))]
 
     def step(p, c):
         x, y = clamped[p], clamped[c]
@@ -370,8 +404,7 @@ def _present_product(view: ExtendedView, grid: CartesianSet) -> tuple:
         axis = next(i for i, (u, v) in enumerate(zip(x, y)) if u != v)
         return _unless_identity(module.step(x, axis) if y[axis] == x[axis] + 1
                                 else view.eval_map(x, y))
-    return _scan(view.field, grid.sorted_points(), [module.dims[x] for x in clamped], lower,
-                 step, covers_complete=True)
+    return list(itertools.product(*factors)), [module.dims[x] for x in clamped], lower, step
 
 
 def _present_view(view: ExtendedView, s, margin: int) -> tuple:
@@ -381,7 +414,7 @@ def _present_view(view: ExtendedView, s, margin: int) -> tuple:
     grid = as_product(closure)
     if grid is None:
         return _present_diagram(view.restrict_diagram(closure))
-    return _present_product(view, grid)
+    return _scan(view.field, _product_poset(view, grid), covers_complete=True)
 
 
 def diagram_births_deaths(diagram: PosetDiagram) -> BirthDeathReport:
@@ -458,15 +491,17 @@ def verify_presentation(view: ExtendedView, pres: Presentation,
     at every point of G is one everywhere, and ``ok`` means "everywhere",
     not "on the test points".
 
-    With ``generator_images`` the check is of that explicit map, in one
-    upward scan of G (see :func:`_scan_images`), and a failure names the
-    first point of G, in lexicographic order, where a check fails.  Without
-    images the cokernel dimensions are compared on G, with the same failing
-    point, and then :func:`_find_isomorphism` searches Hom(coker, M) for a
-    map onto M at one point of G per clamp and set of generators below it:
-    the other points of G with that clamp and those generators carry the
-    same images.  A map onto M of a cokernel of M's dimension on all of G is
-    an isomorphism on G, hence everywhere, so the scan need not re-check it.
+    With ``generator_images`` the check is of that explicit map, carried up
+    G by the walk that builds presentations too (:func:`_walk`), and each
+    check at a point runs only where it can fail (:func:`_check_images`).
+    A failure names the first point of G, in lexicographic order, where a
+    check fails, and the first check that fails there.  Without images the
+    cokernel dimensions are compared on G, with the same failing point, and
+    then :func:`_find_isomorphism` searches Hom(coker, M) for a map onto M
+    at one point of G per clamp and set of generators below it: the other
+    points of G with that clamp and those generators carry the same images.
+    A map onto M of a cokernel of M's dimension on all of G is an
+    isomorphism on G, hence everywhere, so the search need not re-check it.
     The search's Hom-dimension certificates present M by its restriction to
     G, which holds every grade, so they compare Hom spaces over G, where an
     isomorphism would restrict to one.  A search that runs out gives ``ok``
@@ -478,7 +513,7 @@ def verify_presentation(view: ExtendedView, pres: Presentation,
     grades.extend(test_points)
     grid = critical_grid(view.box, grades, margin=1)
     if pres.generator_images is not None:
-        return _scan_images(view, pres, grid)
+        return _check_images(view, pres, grid)
     coker = _cokernel_module(pres)
     points = {}  # one grid point per clamp and set of generators below it
     for pt in grid.sorted_points():
@@ -522,116 +557,61 @@ def _cokernel_module(pres: Presentation) -> tuple:
     return (lambda x: quotient(x).nrows), path
 
 
-def _scan_images(view: ExtendedView, pres: Presentation, grid: CartesianSet
-                 ) -> PresentationCheck:
-    """The certificate check of :func:`verify_presentation`: one upward scan of the grid.
+def _check_images(view: ExtendedView, pres: Presentation, grid: CartesianSet
+                  ) -> PresentationCheck:
+    """The certificate check of :func:`verify_presentation`: one :func:`_walk` of the grid.
 
     An image with the wrong number of rows fails at its generator point.
-    Otherwise E_c, the images of the generators below c carried into M(c),
-    is built from the lower covers q of c in the grid: the columns of
-    step(q -> c) @ E_q, with no product when q and c clamp to the same box
-    point, and the images of the generators at c.  The module is validated,
-    so E_c is M(b -> c) applied to the image of each generator b below c,
-    whichever covers carry it: E is a map out of a free module, natural by
-    construction.  At every point c the scan checks that E_c has rank
-    dim M(c) and that the relation matrix R_c there has a cokernel of
-    dimension dim M(c).  E R = 0 is checked only at relation grades, on the
-    new relation columns: naturality gives E_c R = M(d -> c) E_d R at every
-    c above a relation grade d.  Together these say that E induces an
-    isomorphism from the cokernel onto the module at c.
+    Otherwise the walk carries E_c, the images of the generators below c in
+    M(c), up from the lower covers of c.  The module is validated, so E is
+    a map out of a free module, natural by construction.  It induces an
+    isomorphism from the cokernel of the relation matrix R_c onto M(c)
+    when three checks hold at c: R_c has a cokernel of dimension dim M(c),
+    E R = 0, and E_c has rank dim M(c).  Each is computed only where it can
+    fail:
 
-    Two shortcuts repeat no check.  A point is skipped when a lower cover
-    has the same clamp, the same active generators and the same active
-    relations: everything there is as at that cover.  That is seen at once
-    when the step from the cover keeps the clamp and its coordinate is no
-    grade's, and otherwise by comparing the active sets.  And when a lower cover
-    has the same clamp, E_c holds the columns of E_q, which span M(q) = M(c),
-    so the rank of E_c is not taken.
+    - E_c spans M(c) where a lower-cover step is the identity, as E there
+      spans M(p) = M(c), so its rank is taken only where none is;
+    - E R = 0 is checked only at relation grades, on the new relation
+      columns: naturality gives E_c R = M(d -> c) E_d R at every c above a
+      relation grade d;
+    - once both hold, im R_c lies in ker E_c, and at a lower cover p, which
+      passed, im R_p is ker E_p.  The relations at p are relations at c, so
+      where the kernel does not grow (the kernel rule of :func:`_walk`),
+      im R_c holds the placed ker E_p, which is all of ker E_c, and the
+      cokernel has dimension dim M(c): the rank of R_c is taken only where
+      the kernel grows.
+
+    Where a check fails, all three run, in that order, so the point and the
+    reason are those of checking every point in full.  A grid point the
+    walk leaves out (:func:`_product_poset`) repeats a lower cover, with the
+    same generators, relations and E, so its checks are those of the cover.
     """
     images = pres.generator_images
     for b, _ in pres.generators:
         if images[b].nrows != view.eval_space(b):
             return PresentationCheck(False, b, f"generator image has {images[b].nrows} rows, "
                                      f"module dimension is {view.eval_space(b)}")
-    module, field = view.module, view.field
-    gens, rels = pres.generators, pres.relations
-    gen_at = {b: i for i, (b, _) in enumerate(gens)}
-    rel_at = {d: j for j, (d, _) in enumerate(rels)}
-    factors = grid.factors
-    clamps, strides = clamps_and_strides(grid, view.box)
-    # quiet[axis][k]: the step to the k-th coordinate of the axis keeps the
-    # clamp and crosses no grade coordinate, so the point repeats that cover
-    grade_coords = [{p[axis] for p in itertools.chain(gen_at, rel_at)}
-                    for axis in range(grid.dim)]
-    quiet = [[k > 0 and cl[k - 1] == cl[k] and f[k] not in coords for k in range(len(f))]
-             for f, cl, coords in zip(factors, clamps, grade_coords)]
-    # per grid point, in lexicographic order: (clamp, active generator
-    # indices, active relation indices, the generator indices in order, E)
-    scanned = []
-    indices = itertools.product(*(range(len(f)) for f in factors))
-    for flat, (idx, c, x) in enumerate(zip(indices, itertools.product(*factors),
-                                           itertools.product(*clamps))):
-        repeat = next((flat - strides[axis] for axis, k in enumerate(idx) if quiet[axis][k]),
-                      None)
-        if repeat is not None:
-            scanned.append(scanned[repeat])
+    rel_mult = dict(pres.relations)
+    gens = []
+    poset = _product_poset(view, grid, grades=list(images) + list(rel_mult))
+    for c, dim, order, ev, onto, roots in _walk(view.field, poset,
+                                                lambda pt, dim, maps: images.get(pt), gens):
+        active = [(gens[g][0], gens[g][1].ncols) for g in order]
+        spans = onto or rank(ev) == dim
+        zero = c not in rel_mult or (
+            ev @ _relation_matrix(pres, active, [(c, rel_mult[c])])).is_zero()
+        if spans and zero and roots is None:
             continue
-        # lower covers as (axis of the step, scanned), or (None, scanned)
-        # when the clamp is the same as at c: those come first
-        same, moved = [], []
-        for axis, k in enumerate(idx):
-            if k:
-                below = scanned[flat - strides[axis]]
-                if clamps[axis][k - 1] == clamps[axis][k]:
-                    same.append((None, below))
-                else:
-                    moved.append((axis, below))
-        lower = same + moved
-        new_gen, new_rel = gen_at.get(c), rel_at.get(c)
-        active = frozenset(() if new_gen is None else (new_gen,)).union(
-            *(s[1] for _, s in lower))
-        active_rels = frozenset(() if new_rel is None else (new_rel,)).union(
-            *(s[2] for _, s in lower))
-        repeat = next((s for _, s in same if s[1] == active and s[2] == active_rels), None)
-        if repeat is not None:
-            scanned.append(repeat)
-            continue
-        order = sorted(active)
-        carried = {} if new_gen is None else {new_gen: (images[c], 0)}
-        ev = None
-        for axis, s in lower:
-            below = s[3]
-            if all(i in carried for i in below):
-                continue
-            source = s[4] if axis is None else module.step(s[0], axis) @ s[4]
-            if len(below) == len(order):  # every active generator, in order
-                ev = source
-                break
-            offset = 0
-            for i in below:
-                carried.setdefault(i, (source, offset))
-                offset += gens[i][1]
-        dim = module.dims[x]
-        if ev is None:
-            rows = [[] for _ in range(dim)]
-            for i in order:
-                source, offset = carried[i]
-                m = gens[i][1]
-                for row, src in zip(rows, source.rows):
-                    row.extend(src[offset:offset + m])
-            ev = Matrix(field, rows, ncols=sum(gens[i][1] for i in order), _coerce=False)
-        active_gens = [gens[i] for i in order]
-        rel = _relation_matrix(pres, active_gens, [rels[j] for j in sorted(active_rels)])
+        rel = _relation_matrix(pres, active, [(d, m) for d, m in pres.relations if leq(d, c)])
         coker = rel.nrows - rank(rel)
         if coker != dim:
             return PresentationCheck(False, c, f"cokernel dimension {coker} differs from "
                                      f"module dimension {dim}")
-        if new_rel is not None and not (
-                ev @ _relation_matrix(pres, active_gens, [rels[new_rel]])).is_zero():
+        if not zero:
             return PresentationCheck(False, c, "relations do not map to zero")
-        if not same and rank(ev) != dim:
+        if not spans:
             return PresentationCheck(False, c, "generator images do not span the module")
-        scanned.append((x, active, active_rels, order, ev))
     return PresentationCheck(True)
 
 

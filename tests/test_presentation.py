@@ -461,6 +461,62 @@ class TestScanCounts:
         assert calls == []
 
 
+class TestVerifyCounts:
+    """What verify with generator images computes: the rank of the images
+    only where no lower-cover step is the identity, and the rank of the
+    relation matrix only where the kernel grows or a check fails."""
+
+    def test_whole_box_interval_makes_one_elimination(self, monkeypatch):
+        box = Box((0, 0), (5, 5))
+        view = ExtendedView(interval_module(F5, box, [box.a], [(6, 6)]))
+        pres = build_presentation(view, canonical_set(view.module))
+        calls = count_linear_algebra(monkeypatch)
+        assert verify_presentation(view, pres)
+        assert len(calls["echelon"]) == 1 and calls["matmul"] == []
+
+    @pytest.mark.parametrize("corrupt", [None, "block", "relation"])
+    def test_relation_rank_only_where_the_kernel_grows(self, corrupt, monkeypatch):
+        import detmod.presentation as presentation
+        view, pres = _presented_module_with_relations(F5, random.Random(1107))
+        if corrupt is not None:
+            pres = CORRUPTIONS[corrupt](view, pres, random.Random(1108))
+        grid = critical_grid(view.box, [p for p, _ in pres.generators + pres.relations],
+                             margin=1)
+
+        def kdim(c):
+            return sum(m for b, m in pres.generators if leq(b, c)) - view.eval_space(c)
+
+        def grows(c):
+            covers = [c[:axis] + (f[f.index(v) - 1],) + c[axis + 1:]
+                      for axis, (f, v) in enumerate(zip(grid.factors, c)) if v != f[0]]
+            return all(kdim(p) != kdim(c) for p in covers)
+
+        current, relation_matrices, taken = [None], [], []
+        walk, relation_matrix, rank_ = presentation._walk, presentation._relation_matrix, rank
+
+        def recorded_walk(*args):
+            for visit in walk(*args):
+                current[0] = visit[0]
+                yield visit
+
+        def recorded_relation_matrix(*args):
+            got = relation_matrix(*args)
+            relation_matrices.append(got)
+            return got
+
+        def recorded_rank(m):
+            if any(m is r for r in relation_matrices):
+                taken.append(current[0])
+            return rank_(m)
+        monkeypatch.setattr(presentation, "_walk", recorded_walk)
+        monkeypatch.setattr(presentation, "_relation_matrix", recorded_relation_matrix)
+        monkeypatch.setattr(presentation, "rank", recorded_rank)
+        check = verify_presentation(view, pres)
+        assert check.ok is (corrupt is None)
+        assert taken and all(grows(c) or c == check.point for c in taken), taken
+        assert len(taken) < len(grid.sorted_points()) // 4
+
+
 class TestVerifyPresentation:
     def test_worked_example_passes_everywhere(self):
         view = corner_view()
@@ -734,6 +790,35 @@ class TestScanMatchesPointwiseOracle:
             bad = CORRUPTIONS[corruption](view, pres, rng)
             if bad is not None:
                 _assert_scan_matches_oracles(view, bad)
+
+    @pytest.mark.parametrize("field", [F2, F5, QQ], ids=["f2", "f5", "q"])
+    def test_stored_identity_steps(self, field):
+        """The walk takes an identity matrix between distinct clamps as onto:
+        on the whole-box interval, on untwisted random modules and on random
+        modules twisted at odd first coordinates only."""
+        rng = random.Random(1106)
+        box = Box((0, 0), (5, 5))
+        modules = [interval_module(field, box, [box.a], [(6, 6)])]
+        for k in range(8):
+            module = random_module(field, rng, box=Box((0, 0), (3, 3)), max_summands=5,
+                                   twist=False)
+            modules.append(twist_module(module, rng, keep=lambda p: p[0] % 2 == 0)
+                           if k % 2 else module)
+        assert sum(any(m.nrows and m.is_identity() for m in module.steps.values())
+                   for module in modules) >= 6
+        caught = 0
+        for module in modules:
+            view = ExtendedView(module)
+            pres = build_presentation(view, canonical_set(module))
+            assert _assert_scan_matches_oracles(view, pres).ok
+            for corrupt in CORRUPTIONS.values():
+                bad = corrupt(view, pres, rng)
+                if bad is not None:
+                    caught += not _assert_scan_matches_oracles(view, bad).ok
+            g, stray = _add_stray_generator(view, pres, rng)
+            check = _assert_scan_matches_oracles(view, stray)
+            assert not check.ok and check.point == g, (g, check)
+        assert caught >= 12
 
     def test_key_less_route_rejects_a_stray_generator(self):
         rng = random.Random(1104)
