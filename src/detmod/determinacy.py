@@ -109,7 +109,7 @@ def _first_failing_cover(module: GridModule, s: frozenset, factors: tuple,
             if any(leq(p, d) for p in at_coord[axis].get(d[axis], ())):
                 continue
             if ok is None:
-                ok = invertible[key] = is_invertible(module.steps[key])
+                ok = invertible[key] = is_invertible(module.step(*key))
             if not ok:
                 return c, d
     return None
@@ -149,35 +149,52 @@ def _first_failing_step(module: GridModule, s: frozenset):
     the axis point with v there.  Otherwise a step that is not 0 x 0 is a
     candidate when no s in the set with s_axis = v lies below d; candidates
     are tested for invertibility in the order of (c, axis), where tuples
-    order -inf below every integer as ``point_sort_key`` does.
+    order -inf below every integer as ``point_sort_key`` does.  Steps are
+    read by flat index; a left-out step that is not 0 x 0 is a zero map, so
+    it fails with no test.
     """
     box = module.box
-    n, lower, top = box.dim, box.a, box.b
+    n, lower, top, strides = box.dim, box.a, box.b, box.strides()
+    flat, values = module.flat_steps, list(module.dims.values())
     at_coord = [{} for _ in range(n)]
     for p in s:
         for axis, v in enumerate(p):
             at_coord[axis].setdefault(v, []).append(p)
     candidates = []
-    for axis in range(n):
-        # per axis the box coordinates and, in step with them, those of the corners
-        qs = [range(lo, hi + 1) for lo, hi in zip(lower, top)]
-        cs = _corner_factors(box)
+    for axis, stride in enumerate(strides):
+        block = stride * (top[axis] - lower[axis] + 1)
+        cs = _corner_factors(box)  # per axis the corner coordinates, in box order
         for v in range(lower[axis] + 1, top[axis] + 1):
             if (NEG_INF,) * axis + (v,) + (NEG_INF,) * (n - axis - 1) in s:
                 continue
-            qs[axis] = cs[axis] = (v - 1,)
+            # the flat indices of the box points q with q_axis = v - 1, in order
+            base = (v - 1 - lower[axis]) * stride
+            xs = [x for o in range(base, len(values), block) for x in range(o, o + stride)]
+            cs[axis] = (v - 1,)
             ds = cs[:axis] + [(v,)] + cs[axis + 1:]
             below = at_coord[axis].get(v, ())
-            for q, c, d in zip(itertools.product(*qs), itertools.product(*cs),
-                               itertools.product(*ds)):
-                step = module.steps[(q, axis)]
-                if (step.nrows or step.ncols) and not any(leq(p, d) for p in below):
-                    candidates.append((c, axis, d, step))
+            for x, c, d in zip(xs, itertools.product(*cs), itertools.product(*ds)):
+                if (values[x] or values[x + stride]) and not any(leq(p, d) for p in below):
+                    candidates.append((c, axis, d, flat.get(x * n + axis)))
     candidates.sort(key=lambda x: x[:2])
     for c, axis, d, step in candidates:
-        if not is_invertible(step):
+        if step is None or not is_invertible(step):
             return c, d
     return None
+
+
+def determinacy_report(module: GridModule, pts: frozenset,
+                        check_support: bool) -> DeterminacyReport:
+    """:func:`is_S_determined` on a set of points the caller has normalized
+    (as ``as_point`` does, in the module's dimension) and a margin it has
+    checked: the margin does not change the verdict."""
+    witness = _first_failing_step(module, pts)
+    support_ok = None
+    if check_support:
+        corners = itertools.product(*_corner_factors(module.box))
+        support_ok = min_point(module.box.dim) in pts or all(
+            in_upset(pts, c) for c, dq in zip(corners, module.dims.values()) if dq)
+    return DeterminacyReport(witness is None, witness, support_ok, "critical-grid")
 
 
 def is_S_determined(view: ExtendedView, s, check_support: bool = True,
@@ -193,14 +210,7 @@ def is_S_determined(view: ExtendedView, s, check_support: bool = True,
     """
     pts = _normalize_set(view, s)
     check_margin(margin)
-    module = view.module
-    witness = _first_failing_step(module, pts)
-    support_ok = None
-    if check_support:
-        corners = itertools.product(*_corner_factors(module.box))
-        support_ok = min_point(module.box.dim) in pts or all(
-            in_upset(pts, c) for c, dq in zip(corners, module.dims.values()) if dq)
-    return DeterminacyReport(witness is None, witness, support_ok, "critical-grid")
+    return determinacy_report(view.module, pts, check_support)
 
 
 def default_oracle_window(box: Box, s) -> Box:
@@ -278,7 +288,8 @@ def determined_closure(view: ExtendedView, s, margin: int = DEFAULT_MARGIN) -> f
     which case no encoding on that closure can restrict back to the module.
     """
     pts = _normalize_set(view, s)
-    report = is_S_determined(view, pts, check_support=False, margin=margin)
+    check_margin(margin)
+    report = determinacy_report(view.module, pts, check_support=False)
     if not report.holds:
         raise NotDeterminedError(report.witness)
     return pointed_closure(pts, dim=view.box.dim)
@@ -312,7 +323,8 @@ def check_encoding(view: ExtendedView, s, n: PosetDiagram,
     check = validate_diagram(n)
     if not check:
         raise InputError(f"diagram does not validate: {check.message} at {check.square!r}")
-    return (is_S_determined(view, pts, check_support=False, margin=margin).holds
+    check_margin(margin)
+    return (determinacy_report(view.module, pts, check_support=False).holds
             and diagrams_isomorphic(n, view.restrict_diagram(closure)))
 
 

@@ -197,6 +197,11 @@ class Box:
         ranges = [range(lo, hi + 1) for lo, hi in zip(self.a, self.b)]
         return itertools.product(*ranges)
 
+    def strides(self) -> tuple:
+        """Per axis, how far apart in :meth:`integer_points` a point and the
+        next one along the axis lie."""
+        return lex_strides([hi - lo + 1 for lo, hi in zip(self.a, self.b)])
+
     def cartesian(self) -> "CartesianSet":
         return CartesianSet(tuple(tuple(range(lo, hi + 1)) for lo, hi in zip(self.a, self.b)))
 

@@ -16,8 +16,8 @@ from typing import Callable
 
 from .errors import InputError
 from .extgrid import (Box, CartesianSet, Point, NEG_INF, as_product,
-                      extended_projection, join_below, leq, lex_strides,
-                      pointed_closure, sort_points)
+                      extended_projection, join_below, leq, pointed_closure,
+                      sort_points)
 from .linalg import (DiagramCheck, Matrix, PosetDiagram, poset_covers,
                      validate_diagram)
 
@@ -25,52 +25,67 @@ from .linalg import (DiagramCheck, Matrix, PosetDiagram, poset_covers,
 class GridModule:
     """Box-shaped grid of vector spaces with one step matrix per unit move.
 
-    ``dims`` maps every integer point of the box to a dimension.  ``steps``
-    maps ``(point, axis)`` to the matrix of the move from ``point`` to
-    ``point + e_axis``; omitted steps are the zero matrix of the forced
-    shape, one shared (immutable) matrix per shape.  Axes are 0-based here
-    (the file format is 1-based).
+    ``dims`` maps every integer point of the box, in lexicographic order, to
+    a dimension.  ``steps`` maps ``(point, axis)`` to the matrix of the move
+    from ``point`` to ``point + e_axis`` for the steps given, and nothing
+    else; ``flat_steps`` holds the same matrices by flat index ``x * n +
+    axis``, where x is the point's place in ``box.integer_points()``.
+    :meth:`step` reads any step: one the input leaves out is the zero matrix
+    of the forced shape, one shared (immutable) matrix per shape, made on
+    first use.  Axes are 0-based here (the file format is 1-based).
     """
 
     def __init__(self, field, box: Box, dims: dict, steps: dict):
-        self.field = field
-        self.box = box
         pts = list(box.integer_points())
-        if list(dims) != pts:  # the loader gives the box points in order
+        if list(dims) != pts:
             for p in pts:
                 if p not in dims:
                     raise InputError(f"missing dimension at box point {p!r}")
             if len(dims) != len(pts):
                 extra = set(dims) - set(pts)
                 raise InputError(f"dimensions given outside the box: {sorted(extra)[:3]!r}")
-            dims = {p: dims[p] for p in pts}
-        self.dims = dict(dims)
-        n, top = box.dim, box.b
-        self.steps = {}
+        dims = {p: dims[p] for p in pts}
+        for p, d in dims.items():
+            if isinstance(d, bool) or not isinstance(d, int) or d < 0:
+                raise InputError(f"invalid dimension {d!r} at {p!r}")
+        n, lower, top, strides = box.dim, box.a, box.b, box.strides()
+        flat = {}
         for (p, axis), mat in steps.items():
-            if not (p in self.dims and 0 <= axis < n and p[axis] < top[axis]):
+            if not (p in dims and 0 <= axis < n and p[axis] < top[axis]):
                 raise InputError(f"step at {p!r} along axis {axis} leaves the box")
-            self.steps[(p, axis)] = mat
-        strides, values = _strides(box), list(self.dims.values())
-        left_out = [((p, axis), (values[x + strides[axis]], values[x]))
-                    for x, p in enumerate(pts) for axis in range(n)
-                    if p[axis] < top[axis] and (p, axis) not in self.steps]
-        self._zeros = {shape: Matrix.zeros(field, *shape)
-                       for shape in {shape for _, shape in left_out}}
-        self.steps.update((key, self._zeros[shape]) for key, shape in left_out)
+            flat[sum((v - lo) * s for v, lo, s in zip(p, lower, strides)) * n + axis] = mat
+        self._fill(field, box, dims, dict(steps), flat)
+
+    @classmethod
+    def _checked(cls, field, box: Box, dims: dict, steps: dict, flat_steps: dict):
+        """A module from data the caller has checked as ``__init__`` does:
+        ``dims`` on the box points in order and each a dimension, each step
+        inside the box, and ``flat_steps`` the same steps by flat index, in
+        the same order."""
+        module = cls.__new__(cls)
+        module._fill(field, box, dims, steps, flat_steps)
+        return module
+
+    def _fill(self, field, box, dims, steps, flat_steps):
+        self.field = field
+        self.box = box
+        self.dims = dims
+        self.steps = steps
+        self.flat_steps = flat_steps
+        self._zero = {}
         self._validated = None
 
     def _step_target(self, p: Point, axis: int) -> Point:
         return p[:axis] + (p[axis] + 1,) + p[axis + 1:]
 
     def step(self, p: Point, axis: int) -> Matrix:
-        return self.steps[(p, axis)]
-
-
-def _strides(box: Box) -> tuple:
-    """Per axis, how far apart in ``box.integer_points()`` a point and the
-    next one along the axis lie."""
-    return lex_strides([hi - lo + 1 for lo, hi in zip(box.a, box.b)])
+        mat = self.steps.get((p, axis))
+        if mat is None:
+            shape = (self.dims[self._step_target(p, axis)], self.dims[p])
+            mat = self._zero.get(shape)
+            if mat is None:
+                mat = self._zero[shape] = Matrix.zeros(self.field, *shape)
+        return mat
 
 
 def _integer_rows(mat: Matrix) -> tuple:
@@ -111,65 +126,55 @@ def validate_module(module: GridModule) -> DiagramCheck:
     they are the only squares checked.  They are walked in lexicographic
     order of their bottom corner c, and at each c the pairs of axes j > i in
     the order (n-1, n-2), (n-1, n-3), ..., (1, 0); the first failure is
-    reported as ``(c, c + e_j, c + e_i, c + e_i + e_j)``.  A square commutes
+    reported as ``(c, c + e_j, c + e_i, c + e_i + e_j)``.  Points and steps
+    are read by flat index (see :class:`GridModule`).  A square commutes
     without a product when c or its top corner has dimension zero.  A
-    composite through a zero-dimensional corner or a left-out step (a shared
-    zero) is zero, so at most one product is formed then.  Products are made
-    on the rows, with no :class:`Matrix`: over F_p the two sides are compared
-    mod p unreduced, and over Q each step is cleared once to integer rows
-    over one denominator and the two sides are compared cross-multiplied.
+    composite through a zero-dimensional corner or a left-out step is zero,
+    so at most one product is formed then.  Products are made on the rows,
+    with no :class:`Matrix`: over F_p the two sides are compared mod p
+    unreduced, and over Q each step is cleared once to integer rows over one
+    denominator and the two sides are compared cross-multiplied.
     """
     if module._validated is True:
         return DiagramCheck(True)
-    dims, steps, field = module.dims, module.steps, module.field
-    zero_ids = {id(z) for z in module._zeros.values()}
-    for (p, axis), mat in steps.items():
-        if id(mat) in zero_ids:  # built to the shape of the dimensions
-            continue
-        q = module._step_target(p, axis)
-        expected = (dims[q], dims[p])
+    dims, flat, field = module.dims, module.flat_steps, module.field
+    n, top, strides = module.box.dim, module.box.b, module.box.strides()
+    pts, values = list(dims), list(dims.values())
+    cleared = {}  # each given step as integer rows over a denominator
+    for key, mat in flat.items():
+        x, axis = divmod(key, n)
+        expected = (values[x + strides[axis]], values[x])
         if mat.shape != expected:
+            p, q = pts[x], pts[x + strides[axis]]
             return DiagramCheck(False, f"step at {p!r} along axis {axis + 1} has shape "
                                 f"{mat.shape}, expected {expected}", (p, q))
         if mat.field != field:
+            p, q = pts[x], pts[x + strides[axis]]
             return DiagramCheck(False, f"step at {p!r} along axis {axis + 1} is over the "
                                 "wrong field", (p, q))
-    if not all(type(d) is int and d >= 0 for d in dims.values()):
-        for p, d in dims.items():  # a bad dimension is an input error, not a verdict
-            if isinstance(d, bool) or not isinstance(d, int) or d < 0:
-                raise InputError(f"invalid dimension {d!r} at {p!r}")
+        cleared[key] = _integer_rows(mat)
     prime = field.p if field.kind == "prime" else 0
-    memo = {}  # each step is cleared once, a shared one too
-
-    def cleared(mat):
-        got = memo.get(id(mat))
-        if got is None:
-            got = memo[id(mat)] = _integer_rows(mat)
-        return got
-    n, top = module.box.dim, module.box.b
-    pts, values, strides = list(dims), list(dims.values()), _strides(module.box)
-    for x, c in enumerate(pts):  # the point at x + strides[axis] is c + e_axis
+    # both composites of a square out of a point with no step given are zero
+    for x in sorted({key // n for key in flat}):  # the point at x + strides[a] is c + e_a
         if values[x] == 0:
             continue
+        c = pts[x]
         axes = [axis for axis in reversed(range(n)) if c[axis] < top[axis]]
         for k, j in enumerate(axes):
             xj = x + strides[j]
-            cj, c_j = pts[xj], steps[(c, j)]
-            j_zero = values[xj] == 0 or id(c_j) in zero_ids
+            c_j = values[xj] and cleared.get(x * n + j)
             for i in axes[k + 1:]:
-                xi = x + strides[i]
-                if values[xj + strides[i]] == 0:
+                xi, xe = x + strides[i], xj + strides[i]
+                if values[xe] == 0:
                     continue
-                ci, c_i = pts[xi], steps[(c, i)]
-                up_i, up_j = steps[(cj, i)], steps[(ci, j)]
-                left = right = None
-                if not (j_zero or id(up_i) in zero_ids):
-                    left = _composite(cleared(up_i), cleared(c_j))
-                if not (values[xi] == 0 or id(c_i) in zero_ids or id(up_j) in zero_ids):
-                    right = _composite(cleared(up_j), cleared(c_i))
+                up_i = c_j and cleared.get(xj * n + i)
+                c_i = values[xi] and cleared.get(x * n + i)
+                up_j = c_i and cleared.get(xi * n + j)
+                left = _composite(up_i, c_j) if up_i else None
+                right = _composite(up_j, c_i) if up_j else None
                 if (left or right) and not _composites_agree(left, right, prime):
                     return DiagramCheck(False, "square does not commute",
-                                        (c, cj, ci, pts[xj + strides[i]]))
+                                        (c, pts[xj], pts[xi], pts[xe]))
     module._validated = True
     return DiagramCheck(True)
 

@@ -8,8 +8,9 @@ order so that identical inputs produce identical bytes.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _escape
+from operator import le, mul, sub
 
 from .errors import InputError
 from .extgrid import Box, NEG_INF, Point, as_point, as_product, point_sort_key
@@ -36,6 +37,8 @@ def encode_point(p: Point) -> list:
 
 
 def decode_point(obj, dim: int | None = None) -> Point:
+    if type(obj) is list and {*map(type, obj)} == {int} and dim in (None, len(obj)):
+        return tuple(obj)  # plain ints, as most points are written
     if not isinstance(obj, list):
         raise InputError(f"invalid point {obj!r}; expected a JSON array")
     return as_point((decode_coord(v) for v in obj), dim=dim)
@@ -73,13 +76,13 @@ def matrix_to_json(m: Matrix) -> list:
 def matrix_from_json(field, obj, shape: tuple) -> Matrix:
     nrows, ncols = shape
     if not (type(obj) is list and len(obj) == nrows
-            and all(type(r) is list and len(r) == ncols for r in obj)):
+            and {*map(type, obj)} <= {list} and {*map(len, obj)} <= {ncols}):
         if not isinstance(obj, list) or not all(isinstance(r, list) for r in obj):
             raise InputError(f"invalid matrix {obj!r}")
         if len(obj) != nrows or any(len(r) != ncols for r in obj):
             raise InputError(f"matrix has shape ({len(obj)}, ...), expected {shape}")
     try:
-        return Matrix(field, field.coerce_rows(obj), ncols=ncols, _coerce=False)
+        return Matrix._of_rows(field, field.coerce_rows(obj), ncols)
     except InputError:
         raise
     except (TypeError, ValueError) as exc:
@@ -89,6 +92,8 @@ def matrix_from_json(field, obj, shape: tuple) -> Matrix:
 def _dim_list(obj) -> list:
     if not isinstance(obj, list):
         raise InputError("dims must be a JSON array")
+    if {*map(type, obj)} <= {int} and min(obj, default=0) >= 0:
+        return obj
     for d in obj:
         if isinstance(d, bool) or not isinstance(d, int) or d < 0:
             raise InputError(f"invalid dimension {d!r}")
@@ -108,24 +113,31 @@ def box_to_json(box: Box) -> dict:
 
 
 def module_to_json(module: GridModule) -> dict:
-    pts = list(module.box.integer_points())
+    pts, n = list(module.dims), module.box.dim
     maps = []
-    for p in pts:
-        for axis in range(module.box.dim):
-            step = module.steps.get((p, axis))
-            if step is None or step.nrows == 0 or step.ncols == 0 or step.is_zero():
-                continue
-            maps.append({"from": list(p), "axis": axis + 1, "matrix": matrix_to_json(step)})
+    for key in sorted(module.flat_steps):  # the order of (point, axis)
+        step = module.flat_steps[key]
+        if step.nrows == 0 or step.ncols == 0 or step.is_zero():
+            continue
+        x, axis = divmod(key, n)
+        maps.append({"from": list(pts[x]), "axis": axis + 1, "matrix": matrix_to_json(step)})
     return {
         "field": field_to_json(module.field),
-        "n": module.box.dim,
+        "n": n,
         "box": box_to_json(module.box),
-        "dims": [module.dims[p] for p in pts],
+        "dims": list(module.dims.values()),
         "maps": maps,
     }
 
 
 def module_from_json(obj) -> GridModule:
+    """A module file read and checked in one pass over its map entries.
+
+    Each entry's source is checked against the box corners and its flat
+    index (see :class:`GridModule`) is computed from the box strides, so no
+    point is looked up.  The checks are those of ``GridModule.__init__``,
+    with the loader's own messages, and are not made again.
+    """
     if not isinstance(obj, dict):
         raise InputError("module file must contain a JSON object")
     field = field_from_json(obj.get("field"))
@@ -137,29 +149,28 @@ def module_from_json(obj) -> GridModule:
     dims_list = _dim_list(obj.get("dims"))
     if len(dims_list) != len(pts):
         raise InputError(f"dims has {len(dims_list)} entries, the box has {len(pts)} points")
-    dims = dict(zip(pts, dims_list))
-    steps = {}
-    n = box.dim  # the declared n may be True for 1
+    n, lower, top, strides = box.dim, box.a, box.b, box.strides()  # n may be True for 1
+    steps, flat = {}, {}
     for entry in obj.get("maps", []):
         if not isinstance(entry, dict):
             raise InputError(f"invalid map entry {entry!r}")
-        src = entry.get("from")
-        if type(src) is list and len(src) == n and all(type(v) is int for v in src):
-            p = tuple(src)
-        else:
-            p = decode_point(src, dim=n)
+        p = decode_point(entry.get("from"), dim=n)
         axis = entry.get("axis")
-        if isinstance(axis, bool) or not isinstance(axis, int) or not (1 <= axis <= n):
+        if type(axis) is not int or not 1 <= axis <= n:
             raise InputError(f"invalid axis {axis!r}; axes are 1-based")
-        if p not in dims:
+        if not (all(map(le, lower, p)) and all(map(le, p, top))):
             raise InputError(f"map source {p!r} is outside the box")
-        q = p[:axis - 1] + (p[axis - 1] + 1,) + p[axis:]
-        if q not in dims:
-            raise InputError(f"map at {p!r} along axis {axis} leaves the box")
-        if (p, axis - 1) in steps:
-            raise InputError(f"duplicate map at {p!r} along axis {axis}")
-        steps[(p, axis - 1)] = matrix_from_json(field, entry.get("matrix"), (dims[q], dims[p]))
-    return GridModule(field, box, dims, steps)
+        x = sum(map(mul, map(sub, p, lower), strides))
+        axis -= 1
+        if p[axis] == top[axis]:
+            raise InputError(f"map at {p!r} along axis {axis + 1} leaves the box")
+        key = x * n + axis
+        if key in flat:
+            raise InputError(f"duplicate map at {p!r} along axis {axis + 1}")
+        x_to = x + strides[axis]
+        flat[key] = steps[(p, axis)] = matrix_from_json(
+            field, entry.get("matrix"), (dims_list[x_to], dims_list[x]))
+    return GridModule._checked(field, box, dict(zip(pts, dims_list)), steps, flat)
 
 
 def diagram_to_json(diagram: PosetDiagram) -> dict:
@@ -318,7 +329,55 @@ def presentation_check_to_json(check: PresentationCheck) -> dict:
 
 
 def canonical_dumps(payload) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    """``json.dumps(payload, sort_keys=True, indent=2) + "\\n"``, byte for
+    byte, without the standard library's pure-Python indenting encoder.
+
+    Only dicts with string keys, lists, strings, ints, bools and None are
+    written; anything else raises :class:`TypeError`.
+    """
+    out = []
+    _dump(payload, "\n", out.append)
+    out.append("\n")
+    return "".join(out)
+
+
+def _dump(obj, newline: str, out) -> None:
+    """Append the JSON text of ``obj`` to ``out`` piece by piece; ``newline``
+    is a line break followed by the indent of the line ``obj`` starts on."""
+    if isinstance(obj, str):
+        out(_escape(obj))
+    elif obj is None:
+        out("null")
+    elif obj is True:
+        out("true")
+    elif obj is False:
+        out("false")
+    elif isinstance(obj, int):
+        out(int.__repr__(obj))
+    elif isinstance(obj, list):
+        if not obj:
+            out("[]")
+            return
+        inner = newline + "  "
+        out("[")
+        for k, item in enumerate(obj):
+            out("," + inner if k else inner)
+            _dump(item, inner, out)
+        out(newline + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            out("{}")
+            return
+        if not all(isinstance(key, str) for key in obj):
+            raise TypeError("keys must be str")
+        inner = newline + "  "
+        out("{")
+        for k, key in enumerate(sorted(obj)):
+            out(("," + inner if k else inner) + _escape(key) + ": ")
+            _dump(obj[key], inner, out)
+        out(newline + "}")
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def detect_kind(obj) -> str:

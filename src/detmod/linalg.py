@@ -182,6 +182,14 @@ class Matrix:
         self.rows = tuple(rows)
 
     @classmethod
+    def _of_rows(cls, field, rows: list, ncols: int) -> "Matrix":
+        """A matrix from rows of field elements, each a tuple of length
+        ``ncols``, taken as they are: the caller has checked them."""
+        m = cls.__new__(cls)
+        m.field, m.nrows, m.ncols, m.rows = field, len(rows), ncols, tuple(rows)
+        return m
+
+    @classmethod
     def zeros(cls, field, nrows: int, ncols: int) -> "Matrix":
         z = field.zero
         return cls(field, [(z,) * ncols for _ in range(nrows)], ncols=ncols, _coerce=False)

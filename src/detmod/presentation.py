@@ -21,7 +21,7 @@ from .extgrid import (CartesianSet, Point, as_point, as_product, clamps_and_stri
                       critical_grid, join_below, join_closure, leq, lex_strides, lt,
                       min_point, sort_points)
 from .grid_module import EncodedView, ExtendedView, GridModule
-from .determinacy import DEFAULT_MARGIN, determined_closure, is_S_determined
+from .determinacy import DEFAULT_MARGIN, determinacy_report, determined_closure
 from .linalg import (Matrix, PosetDiagram, _require_valid, _vec, cokernel_projection,
                      diagram_colimit, hstack, is_invertible, kernel_basis, pivot_columns,
                      rank, solve)
@@ -791,7 +791,8 @@ def is_admissible(module: GridModule, l, margin: int = DEFAULT_MARGIN) -> bool:
 
     grid = critical_grid(module.box, pts, margin=margin)
     via_unzip = all(comparison_invertible(c) for c in grid.sorted_points())
-    via_determinacy = is_S_determined(view, pts, check_support=True, margin=margin).determined
+    # the grid has checked the margin and every point of the lattice
+    via_determinacy = determinacy_report(module, lattice, check_support=True).determined
     if via_unzip != via_determinacy:
         raise ConsistencyError(f"admissibility checks disagree: reconstruction says "
                                f"{via_unzip}, determinacy says {via_determinacy}")

@@ -109,11 +109,24 @@ def minimal_squares_commute(diagram: PosetDiagram) -> bool:
     return True
 
 
+def every_step(module: GridModule) -> dict:
+    """Every unit step of the box by ``(point, axis)``, read through
+    ``GridModule.step``: the given steps in their order, then the left-out
+    ones in lexicographic order."""
+    steps = dict(module.steps)
+    top = module.box.b
+    for p in module.box.integer_points():
+        for axis in range(module.box.dim):
+            if p[axis] < top[axis] and (p, axis) not in steps:
+                steps[(p, axis)] = module.step(p, axis)
+    return steps
+
+
 def module_diagram(module: GridModule) -> PosetDiagram:
     """The stored box data as a generic poset diagram (covers are the unit steps)."""
     covers = []
     maps = {}
-    for (p, axis), mat in module.steps.items():
+    for (p, axis), mat in every_step(module).items():
         q = module._step_target(p, axis)
         covers.append((p, q))
         maps[(p, q)] = mat
@@ -134,13 +147,13 @@ def validate_by_products(module: GridModule):
     """Unit squares of the box checked with :class:`Matrix` products, in the
     order and with the reports of ``validate_module``.
 
-    Shapes and fields first, then every square whose bottom and top corners
-    have non-zero dimension, with a composite through a left-out step (a
-    shared zero) taken as zero; the products are those of ``Matrix.__matmul__``
-    and the sides are compared as matrices over the field.
+    Shapes and fields of the given steps first, then every unit square, with
+    each step read through ``GridModule.step`` (a left-out one is a zero
+    matrix); the products are those of ``Matrix.__matmul__`` and the sides
+    are compared as matrices over the field.
     """
-    dims, steps, field = module.dims, module.steps, module.field
-    for (p, axis), mat in steps.items():
+    dims, step, field = module.dims, module.step, module.field
+    for (p, axis), mat in module.steps.items():
         q = module._step_target(p, axis)
         expected = (dims[q], dims[p])
         if mat.shape != expected:
@@ -149,26 +162,15 @@ def validate_by_products(module: GridModule):
         if mat.field != field:
             return DiagramCheck(False, f"step at {p!r} along axis {axis + 1} is over the "
                                 "wrong field", (p, q))
-    zero_ids = {id(z) for z in module._zeros.values()}
     n, top = module.box.dim, module.box.b
     target = module._step_target
-    for c, dc in dims.items():
+    for c in dims:
         axes = [axis for axis in reversed(range(n)) if c[axis] < top[axis]]
-        if dc == 0:
-            continue
         for k, j in enumerate(axes):
             cj = target(c, j)
             for i in axes[k + 1:]:
-                e = target(cj, i)
-                if dims[e] == 0:
-                    continue
-                ci = target(c, i)
-                c_j, c_i = steps[(c, j)], steps[(c, i)]
-                up_i, up_j = steps[(cj, i)], steps[(ci, j)]
-                zero = Matrix.zeros(field, dims[e], dc)
-                left = zero if id(c_j) in zero_ids or id(up_i) in zero_ids else up_i @ c_j
-                right = zero if id(c_i) in zero_ids or id(up_j) in zero_ids else up_j @ c_i
-                if left != right:
+                ci, e = target(c, i), target(cj, i)
+                if step(cj, i) @ step(c, j) != step(ci, j) @ step(c, i):
                     return DiagramCheck(False, "square does not commute", (c, cj, ci, e))
     return DiagramCheck(True)
 
@@ -277,7 +279,7 @@ def twist_module(module: GridModule, rng: random.Random, keep=None) -> GridModul
         inv = solve(b, Matrix.identity(field, n))
         inverse[p] = inv
     steps = {}
-    for (p, axis), mat in module.steps.items():
+    for (p, axis), mat in every_step(module).items():
         q = module._step_target(p, axis)
         steps[(p, axis)] = basis[q] @ mat @ inverse[p]
     return GridModule(field, module.box, dict(module.dims), steps)

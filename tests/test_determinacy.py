@@ -14,7 +14,8 @@ from detmod import (QQ, Box, ExtendedView, GridModule, InputError, Matrix, NEG_I
                     leq, pointed_closure, poset_covers, sort_points)
 from detmod.determinacy import _condition_on_grid
 from helpers import F2, F5, canonical_set, condition_by_downsets, \
-    corner_module, oracle_grid, random_ext_point, random_module, random_point_set
+    corner_module, every_step, oracle_grid, random_ext_point, random_module, \
+    random_point_set
 
 BOTTOM = (NEG_INF, NEG_INF)
 UNIT_SET = frozenset(ext_box(Box((1, 1), (1, 1))).points())
@@ -261,7 +262,8 @@ class TestCornerRule:
             nparams = 1 + trial % 3
             field = (F2, F5, QQ)[trial % 3]
             module = random_module(field, rng, box=random_box(rng, nparams), max_summands=4)
-            steps = {k: Matrix(field, m.rows, ncols=m.ncols) for k, m in module.steps.items()}
+            steps = {k: Matrix(field, m.rows, ncols=m.ncols)
+                     for k, m in every_step(module).items()}
             view = ExtendedView(GridModule(field, module.box, dict(module.dims), steps))
             s = random_point_set(rng, nparams, 5, lo=-3, hi=4)
             tested.clear()

@@ -9,9 +9,11 @@ from detmod import (Box, ExtendedView, GridModule, InputError, Matrix,
                     NEG_INF, QQ, diagram_limit, ext_box, is_invertible,
                     poset_covers, restrict_view, sort_points,
                     validate_diagram, validate_module, window_module)
-from helpers import (F2, F5, corner_module, halfplane_table, module_diagram,
-                     path_commutativity_ok, random_module, stabilization_window,
-                     validate_by_products, validate_module_by_diagram)
+from detmod.io import matrix_to_json, module_from_json, module_to_json
+from helpers import (F2, F5, corner_module, every_step, halfplane_table,
+                     module_diagram, path_commutativity_ok, random_module,
+                     stabilization_window, validate_by_products,
+                     validate_module_by_diagram)
 
 BOTTOM = (NEG_INF, NEG_INF)
 
@@ -64,10 +66,11 @@ def _random_matrix(field, nrows, ncols, rng):
 def _module_variants(module, rng):
     """The module with every step given, with its zero steps left out, and
     copies of the latter with one step replaced or left out at random."""
-    given = {k: m for k, m in module.steps.items() if not m.is_zero()}
-    variants = [dict(module.steps), given]
-    for key in rng.sample(sorted(module.steps), min(3, len(module.steps))):
-        shape = module.steps[key].shape
+    every = every_step(module)
+    given = {k: m for k, m in every.items() if not m.is_zero()}
+    variants = [every, given]
+    for key in rng.sample(sorted(every), min(3, len(every))):
+        shape = every[key].shape
         variants.append({**given, key: _random_matrix(module.field, *shape, rng)})
     if given:
         dropped = rng.choice(sorted(given))
@@ -132,7 +135,7 @@ class TestValidateModuleRoutes:
     def test_left_out_steps_share_one_zero_per_shape(self):
         module = corner_module(F2, top=(1, 1), box=Box((0, 0), (3, 3)))
         zeros = {}
-        for mat in module.steps.values():
+        for mat in every_step(module).values():
             assert mat.is_zero()
             assert zeros.setdefault(mat.shape, mat) is mat
 
@@ -140,16 +143,17 @@ class TestValidateModuleRoutes:
 def _perturbed(module, rng):
     """Copies of the module with one entry of one given step changed."""
     field = module.field
-    keys = [k for k, m in module.steps.items() if m.nrows and m.ncols]
+    every = every_step(module)
+    keys = [k for k, m in every.items() if m.nrows and m.ncols]
     out = []
     for key in rng.sample(keys, min(3, len(keys))):
-        rows = [list(r) for r in module.steps[key].rows]
+        rows = [list(r) for r in every[key].rows]
         r, c = rng.randrange(len(rows)), rng.randrange(len(rows[0]))
         if field.kind == "prime":
             rows[r][c] = (rows[r][c] + rng.randrange(1, field.p)) % field.p
         else:
             rows[r][c] += Fraction(rng.choice([-2, -1, 1, 3]), rng.choice([1, 2, 3]))
-        steps = {**module.steps, key: Matrix(field, rows, ncols=len(rows[0]))}
+        steps = {**every, key: Matrix(field, rows, ncols=len(rows[0]))}
         out.append(GridModule(field, module.box, dict(module.dims), steps))
     return out
 
@@ -222,6 +226,34 @@ class TestValidateMatchesProducts:
         assert validate_module(module).ok and validate_by_products(module).ok
         module = _unit_square(QQ, (1, 1, 1, 1), [[half]], [[4]], [[third]], [["7/2"]])
         assert not validate_module(module).ok
+
+    @pytest.mark.parametrize("field", [F2, F5, QQ], ids=["f2", "f5", "q"])
+    @pytest.mark.parametrize("nparams", [2, 3])
+    def test_module_files_with_steps_left_out_or_zero(self, field, nparams):
+        """Each module and its perturbations loaded from two files: one that
+        leaves its zero steps out, as ``module_to_json`` writes it, and one
+        that gives every step, zeros explicit.  Both validate as the oracle
+        says, and every step reads the same from either and from the module."""
+        rng = random.Random(610 * nparams + (field.p if field.kind == "prime" else 0))
+        verdicts, left_out = set(), 0
+        for _ in range(12):
+            base = random_module(field, rng, box=_random_box(rng, nparams), max_summands=4)
+            for module in [base] + _perturbed(base, rng):
+                sparse = module_to_json(module)
+                dense = dict(sparse, maps=[
+                    {"from": list(p), "axis": axis + 1, "matrix": matrix_to_json(m)}
+                    for (p, axis), m in sorted(every_step(module).items())])
+                loaded = [module_from_json(obj) for obj in (sparse, dense)]
+                assert len(loaded[1].steps) == len(every_step(module))
+                left_out += len(loaded[1].steps) - len(loaded[0].steps)
+                for m in loaded:
+                    fast, slow = validate_module(m), validate_by_products(m)
+                    assert (fast.ok, fast.message, fast.square) == \
+                        (slow.ok, slow.message, slow.square)
+                    verdicts.add(fast.ok)
+                for (p, axis), step in every_step(module).items():
+                    assert loaded[0].step(p, axis) == loaded[1].step(p, axis) == step
+        assert verdicts == {True, False} and left_out
 
     def test_makes_no_matrix_product(self, monkeypatch):
         rng = random.Random(23)
@@ -318,7 +350,7 @@ class TestEvalMap:
             products.append(other.shape)
             return matmul(self, other)
         monkeypatch.setattr(Matrix, "__matmul__", counted)
-        for (p, axis), step in module.steps.items():
+        for (p, axis), step in every_step(module).items():
             assert view.eval_map(p, module._step_target(p, axis)) is step
         below = (NEG_INF, 0)  # clamps onto (0, 0), one step below (1, 0)
         assert view.eval_map(below, (1, 0)) is module.step((0, 0), 0)

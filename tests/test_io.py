@@ -1,11 +1,14 @@
 """Round-trips and error handling of the JSON formats."""
 
+import json
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from detmod import (Box, ExtendedView, InputError, NEG_INF, QQ,
+from detmod import (Box, ExtendedView, InputError, Matrix, NEG_INF, QQ,
                     build_presentation, ext_box, point_sort_key, validate_module)
 from detmod.extgrid import as_product
 from detmod.io import (box_from_json, canonical_dumps, decode_point,
@@ -13,7 +16,7 @@ from detmod.io import (box_from_json, canonical_dumps, decode_point,
                        field_from_json, matrix_from_json, module_from_json,
                        module_to_json, pointset_from_json,
                        presentation_from_json, presentation_to_json)
-from helpers import F2, F5, canonical_set, corner_module, random_module
+from helpers import F2, F5, canonical_set, corner_module, every_step, random_module
 
 
 class TestPoints:
@@ -68,14 +71,14 @@ class TestModuleRoundtrip:
                 again = module_from_json(module_to_json(m))
                 assert again.box == m.box
                 assert again.dims == m.dims
-                assert all(again.steps[k] == m.steps[k] for k in m.steps)
+                assert every_step(again) == every_step(m)
                 assert validate_module(again).ok
 
     def test_omitted_maps_default_to_zero(self):
         obj = {"field": {"kind": "prime", "p": 2}, "n": 1,
                "box": {"a": [0], "b": [1]}, "dims": [1, 1], "maps": []}
         m = module_from_json(obj)
-        assert m.steps[((0,), 0)].is_zero()
+        assert m.steps == {} and m.step((0,), 0).is_zero()
 
     def test_dims_length_checked(self):
         obj = {"field": {"kind": "prime", "p": 2}, "n": 2,
@@ -95,6 +98,69 @@ class TestModuleRoundtrip:
         once = canonical_dumps(module_to_json(m))
         twice = canonical_dumps(module_to_json(module_from_json(module_to_json(m))))
         assert once == twice
+
+
+class TestNoZeroFill:
+    """A loaded module keeps the steps its file gives, and nothing else: a
+    left-out step is made on first use, one zero matrix per shape."""
+
+    def test_one_matrix_per_map_entry_and_one_zero_per_shape(self, monkeypatch):
+        import detmod.io as dio
+        built, zeros = [], []
+        from_json, make_zeros = dio.matrix_from_json, Matrix.zeros
+        monkeypatch.setattr(dio, "matrix_from_json",
+                            lambda *args: built.append(args[2]) or from_json(*args))
+        monkeypatch.setattr(Matrix, "zeros", classmethod(
+            lambda cls, field, nrows, ncols: zeros.append((nrows, ncols))
+            or make_zeros(field, nrows, ncols)))
+        rng = random.Random(41)
+        for field in (F2, F5, QQ):
+            for box in (Box((0,), (4,)), Box((0, -1), (2, 1)), Box((0, 0, 0), (1, 2, 1))):
+                obj = module_to_json(random_module(field, rng, box=box, max_summands=4))
+                built.clear()
+                zeros.clear()
+                module = module_from_json(obj)
+                assert len(built) == len(obj["maps"]) == len(module.steps)
+                assert validate_module(module).ok and zeros == []
+                left_out = {key: m.shape for key, m in every_step(module).items()
+                            if key not in module.steps}
+                assert sorted(zeros) == sorted(set(left_out.values()))
+                every_step(module)
+                assert len(zeros) == len(set(left_out.values()))
+
+    def test_a_large_box_with_no_maps_stores_no_step(self):
+        obj = {"field": {"kind": "prime", "p": 2}, "n": 2,
+               "box": {"a": [0, 0], "b": [99, 99]}, "dims": [1] * 10_000, "maps": []}
+        module = module_from_json(obj)
+        assert len(module.steps) == 0 and module.flat_steps == {}
+        assert validate_module(module).ok
+        assert module.step((5, 7), 1) is module.step((7, 5), 0)
+        assert module.step((5, 7), 1).is_zero() and len(module._zero) == 1
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-2 ** 200, 2 ** 200)
+    | st.text() | st.text(st.characters(max_codepoint=0x1f)),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=25)
+
+
+class TestCanonicalDumps:
+    @settings(max_examples=300, deadline=None)
+    @given(JSON_VALUES)
+    def test_bytes_of_json_dumps(self, payload):
+        assert canonical_dumps(payload) == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+    def test_empty_containers_and_escapes(self):
+        payload = {"": [], "a": {}, "\u00e9\n\t\x00": [[], {}, [[]]], "z": "\"\\\u2028"}
+        assert canonical_dumps(payload) == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+    @pytest.mark.parametrize("payload",
+                             [1.5, (1, 2), {1: 2}, {"a": {"b": set()}}, [Fraction(1, 2)]],
+                             ids=["float", "tuple", "int key", "set", "fraction"])
+    def test_other_types_refused(self, payload):
+        with pytest.raises(TypeError):
+            canonical_dumps(payload)
 
 
 class TestDiagramRoundtrip:
