@@ -6,7 +6,9 @@ set/lattice/box/points options accept inline JSON or a file path.  Exit codes:
 0 property holds or artifact produced, 1 property fails (the report carries a
 witness), 2 malformed input, 3 inconclusive (``verify`` when its isomorphism
 search runs out; the report says ``"ok": null``).  Output is deterministic
-byte for byte.
+byte for byte.  An option that the chosen mode would ignore (``--window``
+without ``--oracle``, ``--set`` with a presentation or a diagram file,
+``--window`` with an encoding) is malformed input.
 
 Each verb's arguments are declared once, in ``VERBS``.  ``main`` reads argv
 in the canonical spellings straight off that table; help, usage errors and
@@ -18,18 +20,16 @@ imports argparse, and argparse alone writes help and error messages.
 from __future__ import annotations
 
 import json
-import os
 import sys
 from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
 from . import io as dio
-from .errors import ConsistencyError, InputError, NotDeterminedError
+from .errors import InputError, NotDeterminedError
 from .extgrid import Box, convex_projection, ext_box, extended_projection, \
     is_integral, join_below, meet_above, sort_points
-from .determinacy import (DEFAULT_MARGIN, canonical_set, check_encoding,
-                          default_oracle_window, encode, is_S_determined,
-                          is_S_determined_oracle)
+from .determinacy import (canonical_set, check_encoding, default_oracle_window, encode,
+                          is_S_determined, is_S_determined_oracle)
 from .grid_module import ExtendedView, validate_module
 from .linalg import validate_diagram
 from .presentation import (births_deaths, build_presentation,
@@ -75,22 +75,6 @@ def _coerce_json(text: str):
         raise InputError(f"invalid JSON fragment {text!r}: {exc}") from exc
 
 
-def _margin(args) -> int:
-    if args.margin is not None:
-        value = args.margin
-    else:
-        env = os.environ.get("DETMOD_MARGIN")
-        if env is None:
-            return DEFAULT_MARGIN
-        try:
-            value = int(env)
-        except ValueError as exc:
-            raise InputError(f"DETMOD_MARGIN={env!r} is not an integer") from exc
-    if value < 1:
-        raise InputError(f"margin must be a positive integer, got {value}")
-    return value
-
-
 def _emit(payload, out_path: str | None) -> None:
     text = dio.canonical_dumps(payload)
     if out_path:
@@ -124,18 +108,24 @@ def _cmd_validate(args) -> int:
     return 0 if check.ok else 1
 
 
+def _refuse(option: str, given: bool, mode: str) -> None:
+    """An option the chosen mode would ignore is malformed input."""
+    if given:
+        raise InputError(f"{option} applies only {mode}")
+
+
 def _cmd_determinacy(args) -> int:
+    _refuse("--window", args.window is not None and not args.oracle, "with --oracle")
     module = _load_module(args.input)
     view = ExtendedView(module)
     s = dio.pointset_from_json(_read_json_arg(args.set), dim=module.box.dim)
-    margin = _margin(args)
     support = not args.no_support
     if args.oracle:
         window = _parse_window(args.window, module.box.dim) if args.window \
             else default_oracle_window(module.box, s)
-        report = is_S_determined_oracle(view, s, window, margin=margin, check_support=support)
+        report = is_S_determined_oracle(view, s, window, check_support=support)
     else:
-        report = is_S_determined(view, s, check_support=support, margin=margin)
+        report = is_S_determined(view, s, check_support=support)
     _emit(dio.determinacy_report_to_json(report), args.out)
     return 0 if report.determined else 1
 
@@ -144,7 +134,7 @@ def _cmd_encode(args) -> int:
     module = _load_module(args.input)
     view = ExtendedView(module)
     s = dio.pointset_from_json(_read_json_arg(args.set), dim=module.box.dim)
-    diagram = encode(view, s, margin=_margin(args))
+    diagram = encode(view, s)
     _emit(dio.diagram_to_json(diagram), args.out)
     return 0
 
@@ -153,6 +143,7 @@ def _cmd_births_deaths(args) -> int:
     obj = _read_input(args.input)
     kind = dio.detect_kind(obj)
     if kind == "diagram":
+        _refuse("--set", args.set is not None, "to a module file")
         report = diagram_births_deaths(dio.diagram_from_json(obj))
     elif kind == "module":
         module = dio.module_from_json(obj)
@@ -161,7 +152,7 @@ def _cmd_births_deaths(args) -> int:
             s = dio.pointset_from_json(_read_json_arg(args.set), dim=module.box.dim)
         else:
             s = canonical_set(module)
-        report = births_deaths(view, s, margin=_margin(args))
+        report = births_deaths(view, s)
     else:
         raise InputError("births-deaths expects a module or diagram file")
     _emit(dio.birth_death_to_json(report), args.out)
@@ -175,7 +166,7 @@ def _cmd_present(args) -> int:
         s = dio.pointset_from_json(_read_json_arg(args.set), dim=module.box.dim)
     else:
         s = canonical_set(module)
-    pres = build_presentation(view, s, margin=_margin(args))
+    pres = build_presentation(view, s)
     _emit(dio.presentation_to_json(pres), args.out)
     return 0
 
@@ -186,6 +177,7 @@ def _cmd_verify(args) -> int:
     if bool(args.presentation) == bool(args.encoding):
         raise InputError("verify needs exactly one of --presentation or --encoding")
     if args.presentation:
+        _refuse("--set", args.set is not None, "with --encoding")
         pres = dio.presentation_from_json(_read_json_arg(args.presentation))
         corners = ()
         if args.window:  # redundant, as the check covers every point: adds grid coordinates
@@ -194,11 +186,12 @@ def _cmd_verify(args) -> int:
         check = verify_presentation(view, pres, corners)
         _emit(dio.presentation_check_to_json(check), args.out)
         return 3 if check.ok is None else 0 if check.ok else 1
+    _refuse("--window", args.window is not None, "with --presentation")
     if not args.set:
         raise InputError("verify --encoding also needs --set")
     diagram = dio.diagram_from_json(_read_json_arg(args.encoding))
     s = dio.pointset_from_json(_read_json_arg(args.set), dim=module.box.dim)
-    ok = check_encoding(view, s, diagram, margin=_margin(args))
+    ok = check_encoding(view, s, diagram)
     _emit({"ok": ok}, args.out)
     return 3 if ok is None else 0 if ok else 1
 
@@ -206,7 +199,7 @@ def _cmd_verify(args) -> int:
 def _cmd_admissible(args) -> int:
     module = _load_module(args.input)
     lattice = dio.pointset_from_json(_read_json_arg(args.lattice), dim=module.box.dim)
-    verdict = is_admissible(module, lattice, margin=_margin(args))
+    verdict = is_admissible(module, lattice)
     _emit({"admissible": verdict}, args.out)
     return 0 if verdict else 1
 
@@ -238,7 +231,7 @@ def _cmd_project(args) -> int:
 
 
 class Option(NamedTuple):
-    """One ``--name`` option of a verb: a string, an int, or a flag (``bool``)."""
+    """One ``--name`` option of a verb: a string, or a flag (``bool``)."""
     name: str
     dest: str
     kind: type = str
@@ -255,7 +248,6 @@ class Verb(NamedTuple):
 
 
 _OUT = Option("--out", "out", help="write the JSON report here instead of stdout")
-_MARGIN = Option("--margin", "margin", int)
 
 # Every verb's arguments, declared once: ``build_parser`` adds them to
 # argparse in this order, and ``_parse_canonical`` reads canonical argv off
@@ -267,18 +259,17 @@ VERBS = {
         (_OUT,
          Option("--set", "set", required=True, help="point set, inline JSON or file"),
          Option("--oracle", "oracle", bool, help="use the brute-force window method"),
-         _MARGIN,
          Option("--window", "window", help="oracle window as a..b with JSON corner points"),
          Option("--no-support", "no_support", bool, help="skip the support condition"))),
     "encode": Verb(
         _cmd_encode, "emit the finite encoding diagram", ("input",),
-        (_OUT, Option("--set", "set", required=True), _MARGIN)),
+        (_OUT, Option("--set", "set", required=True))),
     "births-deaths": Verb(
         _cmd_births_deaths, "locate births and deaths", ("input",),
-        (_OUT, Option("--set", "set"), _MARGIN)),
+        (_OUT, Option("--set", "set"))),
     "present": Verb(
         _cmd_present, "build a finite presentation", ("input",),
-        (_OUT, Option("--set", "set"), _MARGIN)),
+        (_OUT, Option("--set", "set"))),
     "verify": Verb(
         _cmd_verify, "verify an emitted presentation or encoding", ("input",),
         (_OUT,
@@ -286,11 +277,10 @@ VERBS = {
          Option("--encoding", "encoding"),
          Option("--set", "set"),
          Option("--window", "window",
-                help="window as a..b; its corners only add grid coordinates"),
-         _MARGIN)),
+                help="window as a..b; its corners only add grid coordinates"))),
     "admissible": Verb(
         _cmd_admissible, "test a join-closed lattice for admissibility", ("input",),
-        (_OUT, Option("--lattice", "lattice", required=True), _MARGIN)),
+        (_OUT, Option("--lattice", "lattice", required=True))),
     "project": Verb(
         _cmd_project, "tabulate the projection morphisms for a box", (),
         (_OUT, Option("--box", "box", required=True),
@@ -327,8 +317,7 @@ def build_parser(verb: str | None = None) -> argparse.ArgumentParser:
             if opt.kind is bool:
                 p.add_argument(opt.name, dest=opt.dest, action="store_true", help=opt.help)
             else:
-                p.add_argument(opt.name, dest=opt.dest, type=opt.kind,
-                               required=opt.required, help=opt.help)
+                p.add_argument(opt.name, dest=opt.dest, required=opt.required, help=opt.help)
     return parser
 
 
@@ -337,11 +326,10 @@ def _parse_canonical(argv: list):
 
     Only canonical spellings are read: a known verb first, then exact
     ``--name value`` pairs and ``--flag``s, values and positionals that do
-    not start with ``-``, every required option, the verb's number of
-    positionals, and int values that ``int()`` accepts.  A repeated option
-    keeps its last value, as in argparse.  Anything else (help, unknown or
-    abbreviated options, ``--name=value``, ``--``, missing values, failed
-    conversions) returns None and is left to argparse.
+    not start with ``-``, every required option, and the verb's number of
+    positionals.  A repeated option keeps its last value, as in argparse.
+    Anything else (help, unknown or abbreviated options, ``--name=value``,
+    ``--``, missing values) returns None and is left to argparse.
     """
     spec = VERBS.get(argv[0]) if argv else None
     if spec is None:
@@ -363,10 +351,7 @@ def _parse_canonical(argv: list):
         value = next(tokens, None)
         if value is None or value.startswith("-"):
             return None
-        try:
-            values[opt.dest] = opt.kind(value)
-        except ValueError:
-            return None
+        values[opt.dest] = value
     if len(positionals) != len(spec.positionals) or any(
             opt.required and values[opt.dest] is None for opt in spec.options):
         return None
@@ -388,9 +373,6 @@ def main(argv=None) -> int:
         return 1
     except (InputError, OSError) as exc:
         print(f"{PROG}: error: {exc}", file=sys.stderr)
-        return 2
-    except ConsistencyError as exc:
-        print(f"{PROG}: internal consistency error: {exc}", file=sys.stderr)
         return 2
 
 

@@ -26,13 +26,11 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import InputError, NotDeterminedError
-from .extgrid import (Box, CartesianSet, NEG_INF, as_point, check_margin,
-                      clamps_and_strides, critical_grid, ext_box, in_upset,
-                      join_below, leq, min_point, pointed_closure)
+from .extgrid import (Box, CartesianSet, NEG_INF, as_point, clamps_and_strides,
+                      critical_grid, ext_box, in_upset, join_below, leq, min_point,
+                      pointed_closure)
 from .grid_module import ExtendedView, GridModule
 from .linalg import PosetDiagram, diagrams_isomorphic, is_invertible, validate_diagram
-
-DEFAULT_MARGIN = 1
 
 
 @dataclass(frozen=True)
@@ -186,8 +184,7 @@ def _first_failing_step(module: GridModule, s: frozenset):
 def determinacy_report(module: GridModule, pts: frozenset,
                         check_support: bool) -> DeterminacyReport:
     """:func:`is_S_determined` on a set of points the caller has normalized
-    (as ``as_point`` does, in the module's dimension) and a margin it has
-    checked: the margin does not change the verdict."""
+    (as ``as_point`` does, in the module's dimension)."""
     witness = _first_failing_step(module, pts)
     support_ok = None
     if check_support:
@@ -197,20 +194,17 @@ def determinacy_report(module: GridModule, pts: frozenset,
     return DeterminacyReport(witness is None, witness, support_ok, "critical-grid")
 
 
-def is_S_determined(view: ExtendedView, s, check_support: bool = True,
-                    margin: int = DEFAULT_MARGIN) -> DeterminacyReport:
+def is_S_determined(view: ExtendedView, s, check_support: bool = True) -> DeterminacyReport:
     """Covering-pair condition on the critical grid, plus optional support check.
 
     Both are read off the stored steps, with no grid built (see the module
     docstring): the witness is the corner cover of the first failing step,
-    which a walk of the grid meets first whatever the margin.  Support holds
-    when the bottom element is in the set, or when the corner of every box
-    point of non-zero dimension is in its upset: the points that clamp to
-    a box point lie above its corner.
+    which a walk of the grid meets first.  Support holds when the bottom
+    element is in the set, or when the corner of every box point of
+    non-zero dimension is in its upset: the points that clamp to a box
+    point lie above its corner.
     """
-    pts = _normalize_set(view, s)
-    check_margin(margin)
-    return determinacy_report(view.module, pts, check_support)
+    return determinacy_report(view.module, _normalize_set(view, s), check_support)
 
 
 def default_oracle_window(box: Box, s) -> Box:
@@ -225,16 +219,14 @@ def default_oracle_window(box: Box, s) -> Box:
 
 
 def is_S_determined_oracle(view: ExtendedView, s, window: Box,
-                           margin: int = DEFAULT_MARGIN,
                            check_support: bool = True) -> DeterminacyReport:
     """Brute force over every covering pair of an extended window.
 
     The window must contain the data box and all finite coordinates of the
-    set; it is widened by ``margin`` (a positive integer, as for the critical
-    grid) and extended by the -inf faces before enumeration.  Exists so
-    critical-grid results can be cross-certified.
+    set; it is widened by one, as the critical grid is, and extended by the
+    -inf faces before enumeration.  Exists so critical-grid results can be
+    cross-certified.
     """
-    check_margin(margin)
     pts = _normalize_set(view, s)
     if window.dim != view.box.dim:
         raise InputError("window dimension mismatch")
@@ -245,14 +237,13 @@ def is_S_determined_oracle(view: ExtendedView, s, window: Box,
         for i, v in enumerate(p):
             if v != NEG_INF and not (window.a[i] <= v <= window.b[i]):
                 raise InputError(f"oracle window must contain the set point {p!r}")
-    factors = tuple((NEG_INF,) + tuple(range(window.a[i] - margin, window.b[i] + margin + 1))
+    factors = tuple((NEG_INF,) + tuple(range(window.a[i] - 1, window.b[i] + 2))
                     for i in range(window.dim))
     grid = CartesianSet(factors)
     return _condition_on_grid(view, pts, grid, "oracle", check_support)
 
 
-def canonical_map_check(view: ExtendedView, s,
-                        margin: int = DEFAULT_MARGIN) -> DeterminacyReport:
+def canonical_map_check(view: ExtendedView, s) -> DeterminacyReport:
     """Invertibility of the map from the collapsed reference point.
 
     For every critical point c the structure map from the join of the set
@@ -260,7 +251,7 @@ def canonical_map_check(view: ExtendedView, s,
     covering-pair condition.
     """
     pts = _normalize_set(view, s)
-    grid = critical_grid(view.box, pts, margin=margin)
+    grid = critical_grid(view.box, pts)
     for c in grid.sorted_points():
         a = join_below(pts, c)
         if not is_invertible(view.eval_map(a, c)):
@@ -281,28 +272,26 @@ def canonical_set(module: GridModule) -> frozenset:
     return ext_box(module.box).points()
 
 
-def determined_closure(view: ExtendedView, s, margin: int = DEFAULT_MARGIN) -> frozenset:
+def determined_closure(view: ExtendedView, s) -> frozenset:
     """The pointed join closure of a set that determines the module.
 
     Refuses with the witness pair when the covering-pair condition fails, in
     which case no encoding on that closure can restrict back to the module.
     """
     pts = _normalize_set(view, s)
-    check_margin(margin)
     report = determinacy_report(view.module, pts, check_support=False)
     if not report.holds:
         raise NotDeterminedError(report.witness)
     return pointed_closure(pts, dim=view.box.dim)
 
 
-def encode(view: ExtendedView, s, margin: int = DEFAULT_MARGIN) -> PosetDiagram:
+def encode(view: ExtendedView, s) -> PosetDiagram:
     """The finite model: the view restricted to the pointed join closure of
     the set, refused as by :func:`determined_closure`."""
-    return view.restrict_diagram(determined_closure(view, s, margin=margin))
+    return view.restrict_diagram(determined_closure(view, s))
 
 
-def check_encoding(view: ExtendedView, s, n: PosetDiagram,
-                   margin: int = DEFAULT_MARGIN) -> bool | None:
+def check_encoding(view: ExtendedView, s, n: PosetDiagram) -> bool | None:
     """Does restricting ``n`` along the collapse reproduce the module?
 
     ``n`` must be a commuting diagram on the pointed join closure of the set;
@@ -323,13 +312,11 @@ def check_encoding(view: ExtendedView, s, n: PosetDiagram,
     check = validate_diagram(n)
     if not check:
         raise InputError(f"diagram does not validate: {check.message} at {check.square!r}")
-    check_margin(margin)
     return (determinacy_report(view.module, pts, check_support=False).holds
             and diagrams_isomorphic(n, view.restrict_diagram(closure)))
 
 
-def finitely_determined_check(module: GridModule, candidate_box: Box,
-                              margin: int = DEFAULT_MARGIN) -> bool:
+def finitely_determined_check(module: GridModule, candidate_box: Box) -> bool:
     """Is the module already determined by the given (possibly smaller) box?
 
     True iff the extension is determined by the extended box with the lower
@@ -344,4 +331,4 @@ def finitely_determined_check(module: GridModule, candidate_box: Box,
                          f"exceeds {candidate_box.b!r}")
     s = ext_box(Box(shifted, candidate_box.b)).points()
     view = ExtendedView(module)
-    return is_S_determined(view, s, check_support=True, margin=margin).determined
+    return is_S_determined(view, s, check_support=True).determined

@@ -350,27 +350,22 @@ def extended_projection(box: Box, c: Point) -> Point:
     return tuple(lo if v < lo else min(v, hi) for v, lo, hi in zip(c, box.a, box.b))
 
 
-def check_margin(margin) -> None:
-    """Grids are widened past the box by a positive integer margin."""
-    if not isinstance(margin, int) or isinstance(margin, bool) or margin < 1:
-        raise InputError(f"margin must be a positive integer, got {margin!r}")
-
-
-def critical_grid(box: Box, s: Iterable[Point] = (), margin: int = 1) -> CartesianSet:
+def critical_grid(box: Box, s: Iterable[Point] = ()) -> CartesianSet:
     """Finite product grid on which box data and downset predicates are constant.
 
-    Per axis it collects -inf, the box range widened by ``margin``, and for
+    Per axis it collects -inf, the box range widened by one, and for
     every point of ``s`` the threshold coordinate together with its
     predecessor.  Between consecutive representatives nothing changes: module
     values only move inside the widened box, and membership of a downset of
-    ``s`` only flips at coordinates of ``s``.
+    ``s`` only flips at coordinates of ``s``.  Widening by one gives every
+    clamp class of an axis (below the box, each box coordinate, above it) a
+    representative; a wider grid only repeats classes.
     """
-    check_margin(margin)
     pts = [as_point(p, dim=box.dim) for p in s]
     factors = []
     for i in range(box.dim):
         vals = {NEG_INF}
-        vals.update(range(box.a[i] - margin, box.b[i] + margin + 1))
+        vals.update(range(box.a[i] - 1, box.b[i] + 2))
         for p in pts:
             if p[i] != NEG_INF:
                 vals.add(p[i] - 1)

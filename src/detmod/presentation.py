@@ -18,13 +18,12 @@ from typing import Callable, Iterable
 
 from .errors import ConsistencyError, InputError
 from .extgrid import (CartesianSet, Point, as_point, as_product, clamps_and_strides,
-                      critical_grid, join_below, join_closure, leq, lex_strides, lt,
-                      min_point, sort_points)
+                      critical_grid, join_closure, leq, lex_strides, lt, min_point,
+                      sort_points)
 from .grid_module import EncodedView, ExtendedView, GridModule
-from .determinacy import DEFAULT_MARGIN, determinacy_report, determined_closure
+from .determinacy import determinacy_report, determined_closure
 from .linalg import (Matrix, PosetDiagram, _require_valid, _vec, cokernel_projection,
-                     diagram_colimit, hstack, is_invertible, kernel_basis, pivot_columns,
-                     rank, solve)
+                     diagram_colimit, hstack, kernel_basis, pivot_columns, rank, solve)
 
 
 @dataclass(frozen=True)
@@ -407,10 +406,10 @@ def _product_poset(view: ExtendedView, grid: CartesianSet, grades=()) -> tuple:
     return list(itertools.product(*factors)), [module.dims[x] for x in clamped], lower, step
 
 
-def _present_view(view: ExtendedView, s, margin: int) -> tuple:
+def _present_view(view: ExtendedView, s) -> tuple:
     """The scan of a determined module on the pointed join closure of the set:
     on the product grid when the closure is one, else on its encoding."""
-    closure = determined_closure(view, s, margin=margin)
+    closure = determined_closure(view, s)
     grid = as_product(closure)
     if grid is None:
         return _present_diagram(view.restrict_diagram(closure))
@@ -433,10 +432,10 @@ def diagram_births_deaths(diagram: PosetDiagram) -> BirthDeathReport:
     return BirthDeathReport(dict(generators), dict(relations))
 
 
-def births_deaths(view: ExtendedView, s, margin: int = DEFAULT_MARGIN) -> BirthDeathReport:
+def births_deaths(view: ExtendedView, s) -> BirthDeathReport:
     """Births and deaths of a determined module: those of its encoding,
     read off the same scan without building the encoding on a product."""
-    generators, relations, _, _ = _present_view(view, s, margin)
+    generators, relations, _, _ = _present_view(view, s)
     return BirthDeathReport(dict(generators), dict(relations))
 
 
@@ -448,10 +447,10 @@ def present_diagram(diagram: PosetDiagram) -> Presentation:
                         tuple(relations), blocks, generator_images=lifts)
 
 
-def build_presentation(view: ExtendedView, s, margin: int = DEFAULT_MARGIN) -> Presentation:
+def build_presentation(view: ExtendedView, s) -> Presentation:
     """Graded presentation of a determined module: the scan of its encoding,
     without building the encoding on a product."""
-    generators, relations, blocks, lifts = _present_view(view, s, margin)
+    generators, relations, blocks, lifts = _present_view(view, s)
     return Presentation(view.field, view.box.dim, tuple(generators), tuple(relations), blocks,
                         generator_images=lifts)
 
@@ -477,7 +476,7 @@ def verify_presentation(view: ExtendedView, pres: Presentation,
                         test_points: Iterable[Point] = ()) -> PresentationCheck:
     """Check that the presentation's cokernel is the module at every point.
 
-    The check runs on G = ``critical_grid(view.box, grades, margin=1)``,
+    The check runs on G = ``critical_grid(view.box, grades)``,
     where the grades are the generator and relation points; ``test_points``
     only add their coordinates to G.  That is enough for every point x of
     the extended grid.  Let g be the greatest point of G below x: per axis,
@@ -511,7 +510,7 @@ def verify_presentation(view: ExtendedView, pres: Presentation,
         raise InputError("presentation and module are over different fields")
     grades = [b for b, _ in pres.generators] + [d for d, _ in pres.relations]
     grades.extend(test_points)
-    grid = critical_grid(view.box, grades, margin=1)
+    grid = critical_grid(view.box, grades)
     if pres.generator_images is not None:
         return _check_images(view, pres, grid)
     coker = _cokernel_module(pres)
@@ -767,33 +766,20 @@ def unzip_module(l, n: PosetDiagram) -> EncodedView:
     return EncodedView(n.with_bottom(bottom))
 
 
-def is_admissible(module: GridModule, l, margin: int = DEFAULT_MARGIN) -> bool:
+def is_admissible(module: GridModule, l) -> bool:
     """Does zipping then unzipping along the lattice reproduce the module?
 
-    The reconstruction ``unzip_module(l, zip_module(view, l))`` maps into the
-    module at c by the structure map from the collapse a of c when a lies in
-    the lattice, and by the zero map out of the zero space otherwise.  It
-    reproduces the module exactly when that map is invertible at every point
-    of the critical grid, which holds every collapse.  The determinacy check
-    with support must reach the same verdict.
+    The lattice must be join-closed.  The reconstruction
+    ``unzip_module(l, zip_module(view, l))`` at c is the module at the join
+    a of the lattice points below c, mapped in by M(a -> c), and zero when
+    there are none.  So it reproduces the module exactly when the lattice
+    determines it (each M(a -> c) is invertible) with support (the module
+    is zero off the upset of the lattice): the determinacy check with
+    support decides it.
     """
     pts = _require_join_closed(l)
-    view = ExtendedView(module)
+    ExtendedView(module)  # refuses a module that does not validate
     if len(pts[0]) != module.box.dim:
         raise InputError("lattice dimension mismatch")
-    lattice = frozenset(pts)
-
-    def comparison_invertible(c: Point) -> bool:
-        a = join_below(pts, c)
-        if a in lattice:
-            return is_invertible(view.eval_map(a, c))
-        return view.eval_space(c) == 0
-
-    grid = critical_grid(module.box, pts, margin=margin)
-    via_unzip = all(comparison_invertible(c) for c in grid.sorted_points())
-    # the grid has checked the margin and every point of the lattice
-    via_determinacy = determinacy_report(module, lattice, check_support=True).determined
-    if via_unzip != via_determinacy:
-        raise ConsistencyError(f"admissibility checks disagree: reconstruction says "
-                               f"{via_unzip}, determinacy says {via_determinacy}")
-    return via_unzip
+    lattice = frozenset(as_point(p, dim=module.box.dim) for p in pts)
+    return determinacy_report(module, lattice, check_support=True).determined

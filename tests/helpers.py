@@ -11,11 +11,11 @@ import itertools
 import random
 
 from detmod import (Box, CartesianSet, DeterminacyReport, DiagramCheck,
-                    GridModule, Matrix, NEG_INF, PosetDiagram, Presentation,
+                    ExtendedView, GridModule, Matrix, NEG_INF, PosetDiagram, Presentation,
                     PresentationCheck, PrimeField, canonical_set, cokernel_projection,
-                    diagram_colimit, downset_of, encode, hstack, in_upset,
-                    is_invertible, kernel_basis, leq, lt, min_point, mub, rank,
-                    solve, sort_points, validate_diagram, vstack)
+                    critical_grid, diagram_colimit, downset_of, encode, hstack, in_upset,
+                    is_invertible, join_below, kernel_basis, leq, lt, min_point, mub,
+                    rank, solve, sort_points, validate_diagram, vstack)
 
 F2 = PrimeField(2)
 F5 = PrimeField(5)
@@ -178,9 +178,11 @@ def validate_by_products(module: GridModule):
 # ---------------------------------------------------------------------------
 # determinacy oracle: downsets compared at every grid point
 
-def oracle_grid(window: Box, margin: int) -> CartesianSet:
-    """The grid of ``is_S_determined_oracle``: -inf and the widened window per axis."""
-    return CartesianSet(tuple((NEG_INF,) + tuple(range(lo - margin, hi + margin + 1))
+def oracle_grid(window: Box, widen: int = 1) -> CartesianSet:
+    """-inf and the window widened by ``widen`` per axis; widened by one it is
+    the grid of ``is_S_determined_oracle``, and wider it checks that one is
+    enough."""
+    return CartesianSet(tuple((NEG_INF,) + tuple(range(lo - widen, hi + widen + 1))
                               for lo, hi in zip(window.a, window.b)))
 
 
@@ -204,6 +206,30 @@ def condition_by_downsets(view, s, grid: CartesianSet, method: str,
             support_ok = all(view.eval_space(p) == 0
                              for p in points if not in_upset(s, p))
     return DeterminacyReport(holds, witness, support_ok, method)
+
+
+def admissible_by_reconstruction(module: GridModule, l) -> bool:
+    """Zip then unzip along a join-closed lattice, compared with the module
+    at every critical point.
+
+    The reconstruction maps into the module at c by the structure map from
+    the collapse a of c when a lies in the lattice, and by the zero map out
+    of the zero space otherwise.  It reproduces the module exactly when that
+    map is invertible at every point of the critical grid, which holds every
+    collapse.
+    """
+    pts = sort_points(l)
+    view = ExtendedView(module)
+    lattice = frozenset(pts)
+
+    def comparison_invertible(c) -> bool:
+        a = join_below(pts, c)
+        if a in lattice:
+            return is_invertible(view.eval_map(a, c))
+        return view.eval_space(c) == 0
+
+    grid = critical_grid(module.box, pts)
+    return all(comparison_invertible(c) for c in grid.sorted_points())
 
 
 # ---------------------------------------------------------------------------

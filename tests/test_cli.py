@@ -27,7 +27,7 @@ _NAMES = sorted(VERBS) + sorted({opt.name for spec in VERBS.values() for opt in 
 _VALUES = ["0", "2", "+2", " 3", "x", "", "-1", "--", UNIT_SET, "[]", "{}", "0..1",
            "a.json", EXAMPLE_F2]
 _TOKENS = (_NAMES + sorted({name[:k] for name in _NAMES for k in range(2, len(name))})
-           + _VALUES + ["-h", "--help", "-", "x=1", "--set=[[1,1]]", "--margin=2"])
+           + _VALUES + ["-h", "--help", "-", "x=1", "--set=[[1,1]]"])
 
 
 @st.composite
@@ -515,12 +515,12 @@ class TestParser:
 
     def test_canonical_argv_is_read_off_the_table(self):
         argvs = [["validate", EXAMPLE_F2],
-                 ["determinacy", EXAMPLE_F2, "--set", UNIT_SET, "--oracle", "--margin", "2"],
+                 ["determinacy", EXAMPLE_F2, "--set", UNIT_SET, "--oracle"],
                  ["determinacy", "--no-support", "--set", "s.json", EXAMPLE_F2,
                   "--window", "[0,0]..[1,1]", "--out", "r.json"],
-                 ["encode", EXAMPLE_F2, "--set", UNIT_SET, "--margin", "+3"],
+                 ["encode", EXAMPLE_F2, "--set", UNIT_SET],
                  ["births-deaths", EXAMPLE_F2, "--set", "a", "--set", "b"],
-                 ["present", EXAMPLE_F2, "--margin", "1"],
+                 ["present", EXAMPLE_F2],
                  ["verify", EXAMPLE_F2, "--presentation", "p.json", "--window", "0..1"],
                  ["verify", EXAMPLE_F2, "--encoding", "e.json", "--set", ""],
                  ["admissible", EXAMPLE_F2, "--lattice", "[]"],
@@ -545,7 +545,7 @@ class TestParser:
             assert args is None or vars(args) == vars(expected)
 
     def test_single_verb_parser_parses_like_the_full_one(self):
-        argvs = [["determinacy", EXAMPLE_F2, "--set", UNIT_SET, "--oracle", "--margin", "2"],
+        argvs = [["determinacy", EXAMPLE_F2, "--set", UNIT_SET, "--oracle"],
                  ["encode", EXAMPLE_F2, "--set", UNIT_SET],
                  ["verify", EXAMPLE_F2, "--presentation", "p.json", "--window", "0..1"],
                  ["project", "--box", "{}", "--points", "[]"]]
@@ -565,7 +565,6 @@ class TestParser:
                 messages.append(capsys.readouterr().err)
             assert messages[0] == messages[1]
         for argv in (["determinacy", EXAMPLE_F2, "--set"],
-                     ["determinacy", EXAMPLE_F2, "--set", UNIT_SET, "--margin", "x"],
                      ["nonsense", EXAMPLE_F2],
                      ["determinacy", "--help"],
                      []):
@@ -591,40 +590,47 @@ class TestParser:
         assert report("verify", EXAMPLE_F2, "--pres", pres) == \
             report("verify", EXAMPLE_F2, "--presentation", pres)
 
-    def test_options_do_not_carry_over(self, capsys, monkeypatch):
+    def test_options_do_not_carry_over(self, capsys):
         failing = str(GOLDEN / "sets" / "failing.json")
         plain = ["determinacy", EXAMPLE_F2, "--set", failing]
         expected = run(capsys, *plain)
         assert expected[0] == 1
         changed = {"--oracle": ("method", "oracle"), "--no-support": ("support_ok", None)}
-        for extra in (["--oracle"], ["--margin", "2"], ["--no-support"], ["--margin", "0"]):
+        for extra in (["--oracle"], ["--no-support"], ["--window", "garbage"]):
             code, out, err = run(capsys, *plain, *extra)
-            if extra == ["--margin", "0"]:
-                assert code == 2 and "margin" in err
-            elif extra[0] in changed:
+            if extra[0] in changed:
                 key, value = changed[extra[0]]
                 assert json.loads(out)[key] == value
+            else:
+                assert code == 2
             assert run(capsys, *plain) == expected, extra
-        monkeypatch.setenv("DETMOD_MARGIN", "zero")
-        assert run(capsys, *plain)[0] == 2
-        monkeypatch.delenv("DETMOD_MARGIN")
-        assert run(capsys, *plain) == expected
 
 
-class TestMarginEnv:
-    def test_env_override(self, capsys, monkeypatch):
-        monkeypatch.setenv("DETMOD_MARGIN", "2")
-        code, payload = run_json(capsys, "determinacy", EXAMPLE_F2,
-                                 "--set", UNIT_SET)
-        assert code == 0 and payload["holds"]
+class TestIgnoredOptions:
+    """An option the chosen mode would ignore is an input error naming it."""
 
-    def test_bad_env_rejected(self, capsys, monkeypatch):
-        monkeypatch.setenv("DETMOD_MARGIN", "zero")
-        code, out, err = run(capsys, "determinacy", EXAMPLE_F2, "--set", UNIT_SET)
-        assert code == 2
+    def refused(self, capsys, option, *argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith(f"detmod: error: {option} applies only"), err
 
-    def test_flag_beats_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("DETMOD_MARGIN", "zero")
-        code, payload = run_json(capsys, "determinacy", EXAMPLE_F2,
-                                 "--set", UNIT_SET, "--margin", "1")
-        assert code == 0
+    def test_window_without_oracle(self, capsys):
+        self.refused(capsys, "--window", "determinacy", EXAMPLE_F2, "--set", UNIT_SET,
+                     "--window", "garbage")
+
+    def test_window_with_encoding(self, capsys, tmp_path):
+        enc = str(tmp_path / "enc.json")
+        assert run(capsys, "encode", EXAMPLE_F2, "--set", UNIT_SET, "--out", enc)[0] == 0
+        self.refused(capsys, "--window", "verify", EXAMPLE_F2, "--encoding", enc,
+                     "--set", UNIT_SET, "--window", "[0,0]..[1,1]")
+
+    def test_set_with_presentation(self, capsys, tmp_path):
+        pres = str(tmp_path / "pres.json")
+        assert run(capsys, "present", EXAMPLE_F2, "--out", pres)[0] == 0
+        self.refused(capsys, "--set", "verify", EXAMPLE_F2, "--presentation", pres,
+                     "--set", UNIT_SET)
+
+    def test_set_with_diagram_file(self, capsys, tmp_path):
+        enc = str(tmp_path / "enc.json")
+        assert run(capsys, "encode", EXAMPLE_F2, "--set", UNIT_SET, "--out", enc)[0] == 0
+        self.refused(capsys, "--set", "births-deaths", enc, "--set", UNIT_SET)

@@ -100,22 +100,26 @@ def random_box(rng, nparams):
     return Box(a, tuple(x + rng.randint(0, width) for x in a))
 
 
-def assert_matches_downset_oracle(view, s, margin):
+def assert_matches_downset_oracle(view, s):
     """The corner rule against the walk of every cover of the critical grid
     and against the definition on that grid, and the oracle against the
     definition on its window; the whole report is compared, so the witness
-    must be the same cover."""
+    must be the same cover.  The definition on the window widened by two
+    and by three reaches the same verdicts: widening by one is enough."""
     pts = frozenset(s)
     for support in (True, False):
-        grid = critical_grid(view.box, pts, margin=margin)
-        report = is_S_determined(view, pts, check_support=support, margin=margin)
+        grid = critical_grid(view.box, pts)
+        report = is_S_determined(view, pts, check_support=support)
         assert report == _condition_on_grid(view, pts, grid, "critical-grid", support)
         assert report == condition_by_downsets(view, pts, grid, "critical-grid", support)
         window = default_oracle_window(view.box, pts)
-        assert is_S_determined_oracle(view, pts, window, margin=margin,
-                                      check_support=support) == \
-            condition_by_downsets(view, pts, oracle_grid(window, margin), "oracle", support)
-    return is_S_determined(view, pts, margin=margin)
+        assert is_S_determined_oracle(view, pts, window, check_support=support) == \
+            condition_by_downsets(view, pts, oracle_grid(window), "oracle", support)
+        for widen in (2, 3):
+            wide = condition_by_downsets(view, pts, oracle_grid(window, widen), "oracle",
+                                         support)
+            assert (wide.holds, wide.support_ok) == (report.holds, report.support_ok), widen
+    return is_S_determined(view, pts)
 
 
 class TestStoredStepsMatchDownsetOracle:
@@ -126,14 +130,13 @@ class TestStoredStepsMatchDownsetOracle:
         verdicts = {"holds": 0, "fails": 0, "support_fails": 0}
         for trial in range(30):
             view = ExtendedView(random_module(field, rng, box=random_box(rng, nparams)))
-            margin = 1 + trial % 3
             if trial % 3 == 0:
                 s = canonical_set(view.module)
             else:
                 s = random_point_set(rng, nparams, 4, lo=-2, hi=2)
                 if trial % 3 == 2:
                     s = pointed_closure(s, dim=nparams)
-            report = assert_matches_downset_oracle(view, s, margin)
+            report = assert_matches_downset_oracle(view, s)
             verdicts["holds" if report.holds else "fails"] += 1
             verdicts["support_fails"] += report.support_ok is False
         assert all(verdicts.values()), verdicts
@@ -142,14 +145,13 @@ class TestStoredStepsMatchDownsetOracle:
     @given(seed=st.integers(0, 2 ** 32 - 1),
            field=st.sampled_from([F2, F5, QQ]),
            nparams=st.integers(1, 3),
-           margin=st.integers(1, 3),
            data=st.data())
-    def test_hypothesis_sets(self, seed, field, nparams, margin, data):
+    def test_hypothesis_sets(self, seed, field, nparams, data):
         rng = random.Random(seed)
         view = ExtendedView(random_module(field, rng, box=random_box(rng, nparams)))
         coord = st.one_of(st.just(NEG_INF), st.integers(-2, 3))
         s = data.draw(st.frozensets(st.tuples(*[coord] * nparams), max_size=4))
-        assert_matches_downset_oracle(view, s, margin)
+        assert_matches_downset_oracle(view, s)
 
 
 def axis_point(nparams, axis, v):
@@ -172,15 +174,14 @@ class TestSettledSlabs:
         rng = random.Random(300 + nparams)
         for trial in range(12):
             field = (F2, F5, QQ)[trial % 3]
-            margin = 1 + trial % 4
             a = tuple(rng.randint(-2, 1) for _ in range(nparams))
             box = Box(a, tuple(x + rng.randint(0, 5 - nparams) for x in a))
             view = ExtendedView(random_module(field, rng, box=box, max_summands=4))
             s = canonical_set(view.module)
-            assert is_S_determined(view, s, margin=margin).determined
+            assert is_S_determined(view, s).determined
             window = default_oracle_window(view.box, s)
-            assert is_S_determined_oracle(view, s, window, margin=margin).determined
-            assert frozenset(encode(view, s, margin=margin).points) == pointed_closure(s)
+            assert is_S_determined_oracle(view, s, window).determined
+            assert frozenset(encode(view, s).points) == pointed_closure(s)
         assert calls == []
 
     @pytest.mark.parametrize("field", [F2, F5, QQ], ids=["f2", "f5", "q"])
@@ -202,7 +203,7 @@ class TestSettledSlabs:
                          for v in range(box.a[axis] + 1, box.b[axis] + 1)]
             dropped = rng.sample(droppable, min(len(droppable), 1 + trial % 2))
             s = canonical_set(view.module) - frozenset(dropped)
-            report = assert_matches_downset_oracle(view, s, 1 + trial % 2)
+            report = assert_matches_downset_oracle(view, s)
             verdicts["holds" if report.holds else "fails"] += 1
         assert all(verdicts.values()), verdicts
         assert calls
@@ -228,7 +229,7 @@ class TestCornerRule:
                 s |= canonical_set(view.module)
             if trial % 2:  # less one or two points
                 s = set(rng.sample(sorted(s, key=str), max(0, len(s) - rng.randint(1, 2))))
-            report = assert_matches_downset_oracle(view, s, 1 + trial % 3)
+            report = assert_matches_downset_oracle(view, s)
             verdicts["holds" if report.holds else "fails"] += 1
             verdicts["support_fails"] += report.support_ok is False
         assert all(verdicts.values()), verdicts
@@ -242,8 +243,7 @@ class TestCornerRule:
                                               max_summands=3))
             canonical = sorted(canonical_set(view.module), key=str)
             dropped = rng.sample(canonical, min(len(canonical), 1 + trial % 2))
-            assert_matches_downset_oracle(view, frozenset(canonical) - frozenset(dropped),
-                                          1 + trial % 3)
+            assert_matches_downset_oracle(view, frozenset(canonical) - frozenset(dropped))
 
     def test_builds_no_grid_and_tests_each_step_once(self, monkeypatch):
         """Every step is its own matrix here (no shared zeros), so the
@@ -267,7 +267,7 @@ class TestCornerRule:
             view = ExtendedView(GridModule(field, module.box, dict(module.dims), steps))
             s = random_point_set(rng, nparams, 5, lo=-3, hi=4)
             tested.clear()
-            report = is_S_determined(view, s, margin=1 + trial % 3)
+            report = is_S_determined(view, s)
             verdicts.add(report.holds)
             assert len(tested) == len(set(tested))
             assert set(tested) <= {id(m) for m in view.module.steps.values()}
@@ -399,13 +399,6 @@ class TestOracle:
     def test_window_must_contain_set_points(self):
         with pytest.raises(InputError):
             is_S_determined_oracle(corner_view(), {(7, 0)}, Box((0, 0), (1, 1)))
-
-    @pytest.mark.parametrize("margin", [0, -1, -2, True, 1.0])
-    def test_margin_must_be_a_positive_integer(self, margin):
-        view = corner_view()
-        window = default_oracle_window(view.box, UNIT_SET)
-        with pytest.raises(InputError, match="margin"):
-            is_S_determined_oracle(view, UNIT_SET, window, margin=margin)
 
 
 class TestCanonicalMap:

@@ -259,20 +259,16 @@ class TestProjections:
 
 class TestCriticalGrid:
     def test_axis_values(self):
-        grid = critical_grid(Box((0, 0), (1, 1)), [(1, 1)], margin=1)
+        grid = critical_grid(Box((0, 0), (1, 1)), [(1, 1)])
         assert grid.factors == ((NEG_INF, -1, 0, 1, 2), (NEG_INF, -1, 0, 1, 2))
 
     def test_empty_set_is_box_driven(self):
-        grid = critical_grid(Box((0, 0), (1, 1)), [], margin=1)
+        grid = critical_grid(Box((0, 0), (1, 1)), [])
         assert grid.factors == ((NEG_INF, -1, 0, 1, 2), (NEG_INF, -1, 0, 1, 2))
 
     def test_contains_set_and_extended_box(self):
         box = Box((0, 0), (1, 1))
         s = {(3, NEG_INF), (-4, 2)}
-        grid = critical_grid(box, s, margin=1).points()
+        grid = critical_grid(box, s).points()
         assert s <= grid
         assert ext_box(box).points() <= grid
-
-    def test_margin_must_be_positive(self):
-        with pytest.raises(InputError):
-            critical_grid(Box((0, 0), (1, 1)), [], margin=0)

@@ -17,13 +17,13 @@ from detmod import (Box, ExtendedView, GridModule, InputError,
                     in_upset, is_admissible, is_invertible, leq,
                     predecessor_colimit_map, rank, restrict_view, solve, unzip_module,
                     verify_presentation, window_module, zip_module)
-from helpers import (F2, F5, births_deaths_by_cone, canonical_set,
-                     certificate_check_at_points, cokernel_lifts,
+from helpers import (F2, F5, admissible_by_reconstruction, births_deaths_by_cone,
+                     canonical_set, certificate_check_at_points, cokernel_lifts,
                      colimit_map_by_cone, corner_module, module_diagram,
                      diagram_presentation_by_full_scan, halfplane_table,
-                     interval_module, presentation_by_full_scan, random_module,
-                     random_point_set, twist_module, widened_box_points)
-from detmod import QQ, critical_grid, lt, pointed_closure
+                     interval_module, presentation_by_full_scan, random_ext_point,
+                     random_module, random_point_set, twist_module, widened_box_points)
+from detmod import QQ, critical_grid, join_closure, lt, min_point, pointed_closure
 from detmod.extgrid import as_product
 from detmod import linalg
 from detmod.presentation import (_cokernel_module, _generator_lifts, _hom_basis,
@@ -480,8 +480,7 @@ class TestVerifyCounts:
         view, pres = _presented_module_with_relations(F5, random.Random(1107))
         if corrupt is not None:
             pres = CORRUPTIONS[corrupt](view, pres, random.Random(1108))
-        grid = critical_grid(view.box, [p for p, _ in pres.generators + pres.relations],
-                             margin=1)
+        grid = critical_grid(view.box, [p for p, _ in pres.generators + pres.relations])
 
         def kdim(c):
             return sum(m for b, m in pres.generators if leq(b, c)) - view.eval_space(c)
@@ -727,7 +726,7 @@ def _presented_module_with_relations(field, rng):
 
 def _scan_grid_points(view, pres):
     grades = [b for b, _ in pres.generators] + [d for d, _ in pres.relations]
-    return critical_grid(view.box, grades, margin=1).sorted_points()
+    return critical_grid(view.box, grades).sorted_points()
 
 
 def _assert_scan_matches_oracles(view, pres):
@@ -853,7 +852,7 @@ def _hom_dimensions(field, rng):
                len(linalg.nat_basis(a, b)))
     vm, vn = ExtendedView(m), ExtendedView(n)
     pres = build_presentation(vm, canonical_set(m))
-    grid = critical_grid(m.box, [p for p, _ in pres.generators + pres.relations], margin=1)
+    grid = critical_grid(m.box, [p for p, _ in pres.generators + pres.relations])
     module = (len(_hom_basis(pres, vn.eval_space, vn.eval_map)),
               len(linalg.nat_basis(restrict_view(vm, grid), restrict_view(vn, grid))))
     return diagram, module
@@ -1134,18 +1133,85 @@ class TestAdmissibility:
         m = GridModule(F2, box, dims, steps)
         assert is_admissible(m, [BOTTOM])
 
-    def test_both_sides_agree_on_random_instances(self):
-        rng = random.Random(83)
+    @pytest.mark.parametrize("field", [F2, F5, QQ], ids=["f2", "f5", "q"])
+    @pytest.mark.parametrize("nparams", [1, 2, 3])
+    def test_matches_reconstruction_on_seeded_instances(self, field, nparams):
+        rng = random.Random(1150 * nparams + (field.p if field.kind == "prime" else 0))
         verdicts = set()
-        for trial in range(40):
-            module = random_module(F5, rng)
+        for trial in range(24):
+            module = random_module(field, rng, box=_admissibility_box(rng, nparams))
             if trial % 3 == 0:
-                lattice = sorted(canonical_set(module))
+                pts = canonical_set(module)
             else:
-                from detmod import join_closure
-                pts = join_closure({(rng.randint(-2, 3), rng.randint(-2, 3))
-                                    for _ in range(rng.randint(1, 3))})
-                lattice = sorted(pts)
-            # is_admissible raises ConsistencyError if the two routes differ
+                pts = {random_ext_point(rng, nparams) for _ in range(rng.randint(1, 4))}
+            lattice = _lattice(pts, nparams, with_bottom=trial % 2 == 0)
+            verdict = is_admissible(module, lattice)
+            assert verdict == admissible_by_reconstruction(module, lattice), (trial, lattice)
+            verdicts.add(verdict)
+        assert verdicts == {True, False}
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           field=st.sampled_from([F2, F5, QQ]),
+           nparams=st.integers(1, 3),
+           with_bottom=st.booleans(),
+           data=st.data())
+    def test_matches_reconstruction_on_hypothesis_instances(self, seed, field, nparams,
+                                                            with_bottom, data):
+        rng = random.Random(seed)
+        module = random_module(field, rng, box=_admissibility_box(rng, nparams))
+        coord = st.one_of(st.just(NEG_INF), st.integers(-2, 3))
+        pts = data.draw(st.frozensets(st.tuples(*[coord] * nparams), min_size=1, max_size=4))
+        lattice = _lattice(pts, nparams, with_bottom)
+        assert is_admissible(module, lattice) == admissible_by_reconstruction(module, lattice)
+
+    def test_evaluates_no_map(self, monkeypatch):
+        def no_eval_map(*args):
+            raise AssertionError("is_admissible evaluated a structure map")
+        monkeypatch.setattr(ExtendedView, "eval_map", no_eval_map)
+        rng = random.Random(1160)
+        verdicts = set()
+        for trial in range(12):
+            nparams = 1 + trial % 3
+            module = random_module(F5, rng, box=_admissibility_box(rng, nparams))
+            lattice = _lattice(canonical_set(module) if trial % 2 else
+                               {random_ext_point(rng, nparams) for _ in range(3)},
+                               nparams, with_bottom=trial % 4 < 2)
             verdicts.add(is_admissible(module, lattice))
         assert verdicts == {True, False}
+
+    def test_refuses_malformed_input(self):
+        box = Box((0, 0), (1, 1))
+        dims = {p: 1 for p in box.integer_points()}
+        # (0, 0) -> (1, 0) -> (1, 1) is 1, (0, 0) -> (0, 1) -> (1, 1) a left-out zero
+        bad = GridModule(F2, box, dims, {((0, 0), 0): Matrix.identity(F2, 1),
+                                         ((1, 0), 1): Matrix.identity(F2, 1)})
+        good = corner_module(F2)
+        cases = [(bad, [(1, 1)], "module does not validate: square does not commute"),
+                 (good, [(1.5, 0)], "invalid coordinate 1.5 in cartesian factor"),
+                 (good, [(0, 0), (1.5, 1)],
+                  "invalid coordinate 1.5; expected an integer or -inf"),
+                 (good, [], "the lattice must be non-empty"),
+                 (good, [(0, 1), (1, 0)], "the point set is not closed under joins"),
+                 (good, [(0, 1, 2)], "lattice dimension mismatch"),
+                 # the checks run in this order: join closure, module, dimension
+                 (bad, [(0, 1), (1, 0)], "the point set is not closed under joins"),
+                 (bad, [(0, 1, 2)], "module does not validate")]
+        for module, lattice, message in cases:
+            with pytest.raises(InputError) as exc:
+                is_admissible(module, lattice)
+            assert str(exc.value).startswith(message), (lattice, str(exc.value))
+
+
+def _admissibility_box(rng, nparams):
+    width = 2 if nparams < 3 else 1
+    a = tuple(rng.randint(-1, 1) for _ in range(nparams))
+    return Box(a, tuple(x + rng.randint(0, width) for x in a))
+
+
+def _lattice(pts, nparams, with_bottom):
+    """The join closure of the points other than the bottom, with the bottom
+    added or not; a lattice of one axis point when no other point is left."""
+    bottom = min_point(nparams)
+    closed = join_closure(set(pts) - {bottom}) or {(0,) + bottom[1:]}
+    return sorted(closed | {bottom} if with_bottom else closed, key=str)
