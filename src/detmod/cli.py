@@ -6,9 +6,8 @@ set/lattice/box/points options accept inline JSON or a file path.  Exit codes:
 0 property holds or artifact produced, 1 property fails (the report carries a
 witness), 2 malformed input, 3 inconclusive (``verify`` when its isomorphism
 search runs out; the report says ``"ok": null``).  Output is deterministic
-byte for byte.  An option that the chosen mode would ignore (``--window``
-without ``--oracle``, ``--set`` with a presentation or a diagram file,
-``--window`` with an encoding) is malformed input.
+byte for byte.  An option that the chosen mode would ignore (``--set`` with
+a presentation or a diagram file) is malformed input.
 
 Each verb's arguments are declared once, in ``VERBS``.  ``main`` reads argv
 in the canonical spellings straight off that table; help, usage errors and
@@ -26,8 +25,8 @@ from typing import Callable, NamedTuple
 
 from . import io as dio
 from .errors import InputError, NotDeterminedError
-from .extgrid import Box, convex_projection, ext_box, extended_projection, \
-    is_integral, join_below, meet_above, sort_points
+from .extgrid import convex_projection, ext_box, extended_projection, is_integral, \
+    join_below, meet_above, sort_points
 from .determinacy import (canonical_set, check_encoding, default_oracle_window, encode,
                           is_S_determined, is_S_determined_oracle)
 from .grid_module import ExtendedView, validate_module
@@ -57,22 +56,6 @@ def _read_input(path: str):
             return json.load(fh)
         except json.JSONDecodeError as exc:
             raise InputError(f"{path}: invalid JSON: {exc}") from exc
-
-
-def _parse_window(value: str, dim: int) -> Box:
-    parts = value.split("..")
-    if len(parts) != 2:
-        raise InputError(f"invalid window {value!r}; expected a..b with JSON points")
-    a = dio.decode_point(_coerce_json(parts[0]), dim=dim)
-    b = dio.decode_point(_coerce_json(parts[1]), dim=dim)
-    return Box(a, b)
-
-
-def _coerce_json(text: str):
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"invalid JSON fragment {text!r}: {exc}") from exc
 
 
 def _emit(payload, out_path: str | None) -> None:
@@ -115,17 +98,13 @@ def _refuse(option: str, given: bool, mode: str) -> None:
 
 
 def _cmd_determinacy(args) -> int:
-    _refuse("--window", args.window is not None and not args.oracle, "with --oracle")
     module = _load_module(args.input)
     view = ExtendedView(module)
     s = dio.pointset_from_json(_read_json_arg(args.set), dim=module.box.dim)
-    support = not args.no_support
     if args.oracle:
-        window = _parse_window(args.window, module.box.dim) if args.window \
-            else default_oracle_window(module.box, s)
-        report = is_S_determined_oracle(view, s, window, check_support=support)
+        report = is_S_determined_oracle(view, s, default_oracle_window(module.box, s))
     else:
-        report = is_S_determined(view, s, check_support=support)
+        report = is_S_determined(view, s)
     _emit(dio.determinacy_report_to_json(report), args.out)
     return 0 if report.determined else 1
 
@@ -179,14 +158,9 @@ def _cmd_verify(args) -> int:
     if args.presentation:
         _refuse("--set", args.set is not None, "with --encoding")
         pres = dio.presentation_from_json(_read_json_arg(args.presentation))
-        corners = ()
-        if args.window:  # redundant, as the check covers every point: adds grid coordinates
-            window = _parse_window(args.window, module.box.dim)
-            corners = (window.a, window.b)
-        check = verify_presentation(view, pres, corners)
+        check = verify_presentation(view, pres)
         _emit(dio.presentation_check_to_json(check), args.out)
         return 3 if check.ok is None else 0 if check.ok else 1
-    _refuse("--window", args.window is not None, "with --presentation")
     if not args.set:
         raise InputError("verify --encoding also needs --set")
     diagram = dio.diagram_from_json(_read_json_arg(args.encoding))
@@ -258,9 +232,7 @@ VERBS = {
         _cmd_determinacy, "decide whether a set determines the module", ("input",),
         (_OUT,
          Option("--set", "set", required=True, help="point set, inline JSON or file"),
-         Option("--oracle", "oracle", bool, help="use the brute-force window method"),
-         Option("--window", "window", help="oracle window as a..b with JSON corner points"),
-         Option("--no-support", "no_support", bool, help="skip the support condition"))),
+         Option("--oracle", "oracle", bool, help="use the brute-force window method"))),
     "encode": Verb(
         _cmd_encode, "emit the finite encoding diagram", ("input",),
         (_OUT, Option("--set", "set", required=True))),
@@ -275,9 +247,7 @@ VERBS = {
         (_OUT,
          Option("--presentation", "presentation"),
          Option("--encoding", "encoding"),
-         Option("--set", "set"),
-         Option("--window", "window",
-                help="window as a..b; its corners only add grid coordinates"))),
+         Option("--set", "set"))),
     "admissible": Verb(
         _cmd_admissible, "test a join-closed lattice for admissibility", ("input",),
         (_OUT, Option("--lattice", "lattice", required=True))),

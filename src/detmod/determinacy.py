@@ -27,8 +27,7 @@ from dataclasses import dataclass
 
 from .errors import InputError, NotDeterminedError
 from .extgrid import (Box, CartesianSet, NEG_INF, as_point, clamps_and_strides,
-                      critical_grid, ext_box, in_upset, join_below, leq, min_point,
-                      pointed_closure)
+                      ext_box, in_upset, leq, min_point, pointed_closure)
 from .grid_module import ExtendedView, GridModule
 from .linalg import PosetDiagram, diagrams_isomorphic, is_invertible, validate_diagram
 
@@ -38,9 +37,12 @@ class DeterminacyReport:
     """Outcome of a determinacy check.
 
     ``holds`` is the covering-pair condition alone; ``support_ok`` is the
-    separate support condition (``None`` when it was skipped), and a failing
-    ``witness`` is a covering pair with equal downsets whose map is not
-    invertible.
+    separate support condition, and a failing ``witness`` is a covering pair
+    with equal downsets whose map is not invertible.  The public deciders
+    always check support.  ``support_ok`` is ``None`` only from
+    :func:`determinacy_report` with ``check_support=False``, which
+    :func:`determined_closure` and :func:`check_encoding` use, as they read
+    ``holds`` alone.
     """
 
     holds: bool
@@ -114,7 +116,7 @@ def _first_failing_cover(module: GridModule, s: frozenset, factors: tuple,
 
 
 def _condition_on_grid(view: ExtendedView, s: frozenset, grid: CartesianSet,
-                       method: str, check_support: bool) -> DeterminacyReport:
+                       method: str) -> DeterminacyReport:
     """The covering-pair and support conditions on a product grid.
 
     Every factor of ``grid`` must hold every integer of the data box and
@@ -125,12 +127,9 @@ def _condition_on_grid(view: ExtendedView, s: frozenset, grid: CartesianSet,
     module = view.module
     clamps, _ = clamps_and_strides(grid, module.box)
     witness = _first_failing_cover(module, s, grid.factors, clamps)
-    support_ok = None
-    if check_support:
-        dims = module.dims
-        support_ok = min_point(grid.dim) in s or all(
-            in_upset(s, p) for p, q in zip(itertools.product(*grid.factors),
-                                           itertools.product(*clamps)) if dims[q])
+    support_ok = min_point(grid.dim) in s or all(
+        in_upset(s, p) for p, q in zip(itertools.product(*grid.factors),
+                                       itertools.product(*clamps)) if module.dims[q])
     return DeterminacyReport(witness is None, witness, support_ok, method)
 
 
@@ -194,8 +193,8 @@ def determinacy_report(module: GridModule, pts: frozenset,
     return DeterminacyReport(witness is None, witness, support_ok, "critical-grid")
 
 
-def is_S_determined(view: ExtendedView, s, check_support: bool = True) -> DeterminacyReport:
-    """Covering-pair condition on the critical grid, plus optional support check.
+def is_S_determined(view: ExtendedView, s) -> DeterminacyReport:
+    """Covering-pair condition on the critical grid, and the support check.
 
     Both are read off the stored steps, with no grid built (see the module
     docstring): the witness is the corner cover of the first failing step,
@@ -204,7 +203,7 @@ def is_S_determined(view: ExtendedView, s, check_support: bool = True) -> Determ
     non-zero dimension is in its upset: the points that clamp to a box
     point lie above its corner.
     """
-    return determinacy_report(view.module, _normalize_set(view, s), check_support)
+    return determinacy_report(view.module, _normalize_set(view, s), check_support=True)
 
 
 def default_oracle_window(box: Box, s) -> Box:
@@ -218,8 +217,7 @@ def default_oracle_window(box: Box, s) -> Box:
     return Box(tuple(lo), tuple(hi))
 
 
-def is_S_determined_oracle(view: ExtendedView, s, window: Box,
-                           check_support: bool = True) -> DeterminacyReport:
+def is_S_determined_oracle(view: ExtendedView, s, window: Box) -> DeterminacyReport:
     """Brute force over every covering pair of an extended window.
 
     The window must contain the data box and all finite coordinates of the
@@ -240,23 +238,7 @@ def is_S_determined_oracle(view: ExtendedView, s, window: Box,
     factors = tuple((NEG_INF,) + tuple(range(window.a[i] - 1, window.b[i] + 2))
                     for i in range(window.dim))
     grid = CartesianSet(factors)
-    return _condition_on_grid(view, pts, grid, "oracle", check_support)
-
-
-def canonical_map_check(view: ExtendedView, s) -> DeterminacyReport:
-    """Invertibility of the map from the collapsed reference point.
-
-    For every critical point c the structure map from the join of the set
-    elements below c into c must be an isomorphism.  Equivalent to the
-    covering-pair condition.
-    """
-    pts = _normalize_set(view, s)
-    grid = critical_grid(view.box, pts)
-    for c in grid.sorted_points():
-        a = join_below(pts, c)
-        if not is_invertible(view.eval_map(a, c)):
-            return DeterminacyReport(False, (a, c), None, "critical-grid")
-    return DeterminacyReport(True, None, None, "critical-grid")
+    return _condition_on_grid(view, pts, grid, "oracle")
 
 
 def canonical_set(module: GridModule) -> frozenset:
@@ -331,4 +313,4 @@ def finitely_determined_check(module: GridModule, candidate_box: Box) -> bool:
                          f"exceeds {candidate_box.b!r}")
     s = ext_box(Box(shifted, candidate_box.b)).points()
     view = ExtendedView(module)
-    return is_S_determined(view, s, check_support=True).determined
+    return is_S_determined(view, s).determined

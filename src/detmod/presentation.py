@@ -14,7 +14,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Callable
 
 from .errors import ConsistencyError, InputError
 from .extgrid import (CartesianSet, Point, as_point, as_product, clamps_and_strides,
@@ -472,23 +472,21 @@ def _relation_matrix(pres: Presentation, gens: list, rels: list) -> Matrix:
     return Matrix(pres.field, rows, ncols=sum(m for _, m in rels), _coerce=False)
 
 
-def verify_presentation(view: ExtendedView, pres: Presentation,
-                        test_points: Iterable[Point] = ()) -> PresentationCheck:
+def verify_presentation(view: ExtendedView, pres: Presentation) -> PresentationCheck:
     """Check that the presentation's cokernel is the module at every point.
 
-    The check runs on G = ``critical_grid(view.box, grades)``,
-    where the grades are the generator and relation points; ``test_points``
-    only add their coordinates to G.  That is enough for every point x of
-    the extended grid.  Let g be the greatest point of G below x: per axis,
-    the greatest coordinate of G not above x (every axis of G holds -inf).
-    G holds the box widened by one on every axis, so x and g clamp to the
-    same box point and M(g -> x) is the identity.  G holds every finite
-    coordinate of every grade, so a grade lies below x exactly when it lies
-    below g; F0 and F1 are then the same free modules at x and at g, with
-    the same relation matrix.  Miller (arXiv:1711.01933) gives the same
-    argument for finite encodings.  So a natural map that is an isomorphism
-    at every point of G is one everywhere, and ``ok`` means "everywhere",
-    not "on the test points".
+    The check runs on G = ``critical_grid(view.box, grades)``, where the
+    grades are the generator and relation points.  That is enough for every
+    point x of the extended grid.  Let g be the greatest point of G below x:
+    per axis, the greatest coordinate of G not above x (every axis of G
+    holds -inf).  G holds the box widened by one on every axis, so x and g
+    clamp to the same box point and M(g -> x) is the identity.  G holds
+    every finite coordinate of every grade, so a grade lies below x exactly
+    when it lies below g; F0 and F1 are then the same free modules at x and
+    at g, with the same relation matrix.  Miller (arXiv:1711.01933) gives
+    the same argument for finite encodings.  So a natural map that is an
+    isomorphism at every point of G is one everywhere: ``ok`` means
+    "everywhere", and no wider grid could change it.
 
     With ``generator_images`` the check is of that explicit map, carried up
     G by the walk that builds presentations too (:func:`_walk`), and each
@@ -509,7 +507,6 @@ def verify_presentation(view: ExtendedView, pres: Presentation,
     if pres.field != view.field:
         raise InputError("presentation and module are over different fields")
     grades = [b for b, _ in pres.generators] + [d for d, _ in pres.relations]
-    grades.extend(test_points)
     grid = critical_grid(view.box, grades)
     if pres.generator_images is not None:
         return _check_images(view, pres, grid)

@@ -12,10 +12,10 @@ import random
 
 from detmod import (Box, CartesianSet, DeterminacyReport, DiagramCheck,
                     ExtendedView, GridModule, Matrix, NEG_INF, PosetDiagram, Presentation,
-                    PresentationCheck, PrimeField, canonical_set, cokernel_projection,
-                    critical_grid, diagram_colimit, downset_of, encode, hstack, in_upset,
-                    is_invertible, join_below, kernel_basis, leq, lt, min_point, mub,
-                    rank, solve, sort_points, validate_diagram, vstack)
+                    PresentationCheck, PrimeField, as_point, canonical_set,
+                    cokernel_projection, critical_grid, diagram_colimit, downset_of, encode,
+                    hstack, in_upset, is_invertible, join_below, kernel_basis, leq, lt,
+                    min_point, mub, rank, solve, sort_points, validate_diagram, vstack)
 
 F2 = PrimeField(2)
 F5 = PrimeField(5)
@@ -186,8 +186,7 @@ def oracle_grid(window: Box, widen: int = 1) -> CartesianSet:
                               for lo, hi in zip(window.a, window.b)))
 
 
-def condition_by_downsets(view, s, grid: CartesianSet, method: str,
-                          check_support: bool = True) -> DeterminacyReport:
+def condition_by_downsets(view, s, grid: CartesianSet, method: str) -> DeterminacyReport:
     """The covering-pair and support conditions straight from the definition:
     a downset of ``s`` at every grid point, and the map of every cover with
     equal downsets evaluated and tested for invertibility."""
@@ -198,14 +197,27 @@ def condition_by_downsets(view, s, grid: CartesianSet, method: str,
         if downsets[c] == downsets[d] and not is_invertible(view.eval_map(c, d)):
             holds, witness = False, (c, d)
             break
-    support_ok = None
-    if check_support:
-        if min_point(grid.dim) in s:
-            support_ok = True
-        else:
-            support_ok = all(view.eval_space(p) == 0
-                             for p in points if not in_upset(s, p))
+    support_ok = min_point(grid.dim) in s or all(
+        view.eval_space(p) == 0 for p in points if not in_upset(s, p))
     return DeterminacyReport(holds, witness, support_ok, method)
+
+
+def canonical_map_check(view, s) -> DeterminacyReport:
+    """The paper's condition 2: invertibility of the map from the collapsed
+    reference point.
+
+    For every critical point c the structure map from the join of the set
+    elements below c into c must be an isomorphism.  Equivalent to the
+    covering-pair condition; support is not checked (``support_ok`` is
+    ``None``).
+    """
+    pts = frozenset(as_point(p, dim=view.box.dim) for p in s)
+    grid = critical_grid(view.box, pts)
+    for c in grid.sorted_points():
+        a = join_below(pts, c)
+        if not is_invertible(view.eval_map(a, c)):
+            return DeterminacyReport(False, (a, c), None, "critical-grid")
+    return DeterminacyReport(True, None, None, "critical-grid")
 
 
 def admissible_by_reconstruction(module: GridModule, l) -> bool:
@@ -474,8 +486,8 @@ def presentation_by_full_scan(view, s) -> Presentation:
 
 
 # ---------------------------------------------------------------------------
-# presentation certificate oracle: every test point checked on its own, with
-# the generator images rebuilt from the module's structure maps
+# presentation oracle: every given point checked on its own, with the
+# generator images carried there by the module's structure maps
 
 def free_complex_at(pres: Presentation, pt):
     """Active generators and relations at a point, and the relation matrix there."""
@@ -488,17 +500,19 @@ def free_complex_at(pres: Presentation, pt):
     return gens, rels, mat
 
 
-def certificate_check_at_points(view, pres: Presentation, pts) -> PresentationCheck:
-    """The generator images checked at each test point, in sorted order.
+def presentation_check_at_points(view, pres: Presentation, pts) -> PresentationCheck:
+    """The presentation checked at each given point on its own, in sorted order.
 
-    At each point: the cokernel of the relations has the module's dimension,
-    the relations map to zero and the images span the module, with the
-    images carried by ``eval_map`` from every generator below the point.
-    An image with the wrong number of rows fails at its generator first.
+    At each point the cokernel of the relations there has the module's
+    dimension.  With ``generator_images``, the images carried to the point
+    by ``eval_map`` from every generator below it must also send the
+    relations to zero and span the module; an image with the wrong number
+    of rows fails at its generator first.  So a verify that holds on its
+    grid can be checked on any points, from the definition.
     """
     images = pres.generator_images
     for b, _ in pres.generators:
-        if images[b].nrows != view.eval_space(b):
+        if images is not None and images[b].nrows != view.eval_space(b):
             return PresentationCheck(False, b, f"generator image has {images[b].nrows} rows, "
                                      f"module dimension is {view.eval_space(b)}")
     for pt in sort_points(pts):
@@ -508,6 +522,8 @@ def certificate_check_at_points(view, pres: Presentation, pts) -> PresentationCh
         if coker != dim:
             return PresentationCheck(False, pt, f"cokernel dimension {coker} differs from "
                                      f"module dimension {dim}")
+        if images is None:
+            continue
         ev = hstack(view.field, [view.eval_map(b, pt) @ images[b] for b, _ in gens], nrows=dim)
         if not (ev @ rel).is_zero():
             return PresentationCheck(False, pt, "relations do not map to zero")

@@ -11,7 +11,7 @@ import time
 from contextlib import contextmanager
 
 from detmod import (Box, ExtendedView, NEG_INF, NotDeterminedError,
-                    build_presentation, canonical_map_check, check_encoding,
+                    build_presentation, check_encoding,
                     critical_grid, convex_projection, default_oracle_window,
                     diagram_births_deaths, diagram_limit, diagrams_isomorphic,
                     encode, ext_box, is_S_determined, is_S_determined_oracle,
@@ -19,8 +19,9 @@ from detmod import (Box, ExtendedView, NEG_INF, NotDeterminedError,
                     unzip_module, verify_presentation, window_module,
                     zip_module)
 from detmod import QQ
-from helpers import (F2, F5, canonical_set, corner_module, halfplane_table,
-                     random_module, random_point_set, stabilization_window)
+from helpers import (F2, F5, canonical_map_check, canonical_set, corner_module,
+                     halfplane_table, presentation_check_at_points, random_module,
+                     random_point_set, stabilization_window)
 
 BOTTOM = (NEG_INF, NEG_INF)
 UNIT_SET = frozenset(ext_box(Box((1, 1), (1, 1))).points())
@@ -52,7 +53,8 @@ def test_criterion_1_worked_example_presentation():
                 block = pres.block(rel_point, BOTTOM)
                 assert block.shape == (1, 1) and not block.is_zero()
             points = set(UNIT_SET) | set(Box((-2, -2), (2, 2)).integer_points())
-            assert verify_presentation(view, pres, points)
+            assert verify_presentation(view, pres)
+            assert presentation_check_at_points(view, pres, points)
 
 
 def test_criterion_2_worked_example_determinacy():
@@ -86,7 +88,7 @@ def test_criterion_4_equivalence_of_the_three_conditions():
                 s = canonical_set(view.module)
             else:
                 s = random_point_set(rng, 2, 5)
-            condition_1 = is_S_determined(view, s, check_support=False).holds
+            condition_1 = is_S_determined(view, s).holds
             condition_2 = canonical_map_check(view, s).holds
             try:
                 condition_3 = check_encoding(view, s, encode(view, s))
@@ -165,8 +167,7 @@ def test_criterion_8_admissibility_equivalence():
             grid = critical_grid(module.box, lattice)
             via_unzip = diagrams_isomorphic(restrict_view(reconstructed, grid),
                                             restrict_view(view, grid))
-            via_determinacy = is_S_determined(view, lattice,
-                                              check_support=True).determined
+            via_determinacy = is_S_determined(view, lattice).determined
             assert via_unzip == via_determinacy, (trial, module.box, lattice)
 
 
@@ -184,4 +185,5 @@ def test_criterion_9_presentation_roundtrip():
                 lo = tuple(a - 2 for a in view.box.a)
                 hi = tuple(b + 2 for b in view.box.b)
                 points.update(Box(lo, hi).integer_points())
-                assert verify_presentation(view, pres, points), (field, view.box)
+                assert verify_presentation(view, pres), (field, view.box)
+                assert presentation_check_at_points(view, pres, points), (field, view.box)

@@ -6,7 +6,6 @@ import json
 import os
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 import pytest
@@ -141,10 +140,21 @@ class TestDeterminacy:
                                  "--set", str(sfile))
         assert code == 0 and payload["holds"]
 
-    def test_explicit_window(self, capsys):
-        code, payload = run_json(capsys, "determinacy", EXAMPLE_F2, "--set",
-                                 UNIT_SET, "--oracle", "--window", "[-1,-1]..[3,3]")
-        assert code == 0 and payload["holds"]
+    def test_support_failure_exits_one_with_holds(self, capsys, tmp_path):
+        # a constant module meets the covering condition for {(0, 0)}, but
+        # it is non-zero at the bottom corner, outside the upset of the set
+        steps = [{"from": p, "axis": axis, "matrix": [[1]]}
+                 for p, axis in (([0, 0], 1), ([0, 0], 2), ([0, 1], 1), ([1, 0], 2))]
+        module = tmp_path / "constant.json"
+        module.write_text(json.dumps({"field": {"kind": "prime", "p": 2}, "n": 2,
+                                      "box": {"a": [0, 0], "b": [1, 1]},
+                                      "dims": [1, 1, 1, 1], "maps": steps}), encoding="utf-8")
+        for extra in ([], ["--oracle"]):
+            code, payload = run_json(capsys, "determinacy", str(module), "--set", "[[0,0]]",
+                                     *extra)
+            assert code == 1
+            assert payload["holds"] is True and payload["support_ok"] is False
+            assert payload["witness"] is None
 
 
 class TestArtifacts:
@@ -366,15 +376,6 @@ class TestCertificate:
                                  "--set", chain_set)
         assert code == 1 and payload == {"ok": False}
 
-    def test_wide_window_adds_only_its_corners(self, capsys, tmp_path):
-        out = tmp_path / "pres.json"
-        _present_to(capsys, EXAMPLE_Q, out)
-        start = time.perf_counter()
-        code, payload = run_json(capsys, "verify", EXAMPLE_Q, "--presentation", str(out),
-                                 "--window", "[-5000,-5000]..[5000,5000]")
-        assert code == 0 and payload["ok"] is True
-        assert time.perf_counter() - start < 2.0
-
     def test_image_at_non_generator_is_input_error(self, capsys, tmp_path):
         out = tmp_path / "pres.json"
         _present_to(capsys, EXAMPLE_F2, out, lambda obj: obj["generator_images"].append(
@@ -516,12 +517,11 @@ class TestParser:
     def test_canonical_argv_is_read_off_the_table(self):
         argvs = [["validate", EXAMPLE_F2],
                  ["determinacy", EXAMPLE_F2, "--set", UNIT_SET, "--oracle"],
-                 ["determinacy", "--no-support", "--set", "s.json", EXAMPLE_F2,
-                  "--window", "[0,0]..[1,1]", "--out", "r.json"],
+                 ["determinacy", "--set", "s.json", EXAMPLE_F2, "--out", "r.json"],
                  ["encode", EXAMPLE_F2, "--set", UNIT_SET],
                  ["births-deaths", EXAMPLE_F2, "--set", "a", "--set", "b"],
                  ["present", EXAMPLE_F2],
-                 ["verify", EXAMPLE_F2, "--presentation", "p.json", "--window", "0..1"],
+                 ["verify", EXAMPLE_F2, "--presentation", "p.json"],
                  ["verify", EXAMPLE_F2, "--encoding", "e.json", "--set", ""],
                  ["admissible", EXAMPLE_F2, "--lattice", "[]"],
                  ["project", "--box", "{}", "--points", "[]"]]
@@ -547,7 +547,7 @@ class TestParser:
     def test_single_verb_parser_parses_like_the_full_one(self):
         argvs = [["determinacy", EXAMPLE_F2, "--set", UNIT_SET, "--oracle"],
                  ["encode", EXAMPLE_F2, "--set", UNIT_SET],
-                 ["verify", EXAMPLE_F2, "--presentation", "p.json", "--window", "0..1"],
+                 ["verify", EXAMPLE_F2, "--presentation", "p.json"],
                  ["project", "--box", "{}", "--points", "[]"]]
         for argv in argvs:
             assert vars(build_parser(argv[0]).parse_args(argv)) == \
@@ -595,15 +595,9 @@ class TestParser:
         plain = ["determinacy", EXAMPLE_F2, "--set", failing]
         expected = run(capsys, *plain)
         assert expected[0] == 1
-        changed = {"--oracle": ("method", "oracle"), "--no-support": ("support_ok", None)}
-        for extra in (["--oracle"], ["--no-support"], ["--window", "garbage"]):
-            code, out, err = run(capsys, *plain, *extra)
-            if extra[0] in changed:
-                key, value = changed[extra[0]]
-                assert json.loads(out)[key] == value
-            else:
-                assert code == 2
-            assert run(capsys, *plain) == expected, extra
+        out = run(capsys, *plain, "--oracle")[1]
+        assert json.loads(out)["method"] == "oracle"
+        assert run(capsys, *plain) == expected
 
 
 class TestIgnoredOptions:
@@ -613,16 +607,6 @@ class TestIgnoredOptions:
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert err.startswith(f"detmod: error: {option} applies only"), err
-
-    def test_window_without_oracle(self, capsys):
-        self.refused(capsys, "--window", "determinacy", EXAMPLE_F2, "--set", UNIT_SET,
-                     "--window", "garbage")
-
-    def test_window_with_encoding(self, capsys, tmp_path):
-        enc = str(tmp_path / "enc.json")
-        assert run(capsys, "encode", EXAMPLE_F2, "--set", UNIT_SET, "--out", enc)[0] == 0
-        self.refused(capsys, "--window", "verify", EXAMPLE_F2, "--encoding", enc,
-                     "--set", UNIT_SET, "--window", "[0,0]..[1,1]")
 
     def test_set_with_presentation(self, capsys, tmp_path):
         pres = str(tmp_path / "pres.json")

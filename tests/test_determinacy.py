@@ -7,13 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from detmod import (QQ, Box, ExtendedView, GridModule, InputError, Matrix, NEG_INF,
-                    NotDeterminedError, PosetDiagram, canonical_map_check,
-                    check_encoding, critical_grid, default_oracle_window,
-                    downset_of, encode, ext_box, finitely_determined_check,
-                    is_S_determined, is_S_determined_oracle, is_invertible,
-                    leq, pointed_closure, poset_covers, sort_points)
+                    NotDeterminedError, PosetDiagram, check_encoding, critical_grid,
+                    default_oracle_window, downset_of, encode, ext_box,
+                    finitely_determined_check, is_S_determined, is_S_determined_oracle,
+                    is_invertible, leq, pointed_closure, poset_covers, sort_points)
 from detmod.determinacy import _condition_on_grid
-from helpers import F2, F5, canonical_set, condition_by_downsets, \
+from helpers import F2, F5, canonical_map_check, canonical_set, condition_by_downsets, \
     corner_module, every_step, oracle_grid, random_ext_point, random_module, \
     random_point_set
 
@@ -107,19 +106,17 @@ def assert_matches_downset_oracle(view, s):
     must be the same cover.  The definition on the window widened by two
     and by three reaches the same verdicts: widening by one is enough."""
     pts = frozenset(s)
-    for support in (True, False):
-        grid = critical_grid(view.box, pts)
-        report = is_S_determined(view, pts, check_support=support)
-        assert report == _condition_on_grid(view, pts, grid, "critical-grid", support)
-        assert report == condition_by_downsets(view, pts, grid, "critical-grid", support)
-        window = default_oracle_window(view.box, pts)
-        assert is_S_determined_oracle(view, pts, window, check_support=support) == \
-            condition_by_downsets(view, pts, oracle_grid(window), "oracle", support)
-        for widen in (2, 3):
-            wide = condition_by_downsets(view, pts, oracle_grid(window, widen), "oracle",
-                                         support)
-            assert (wide.holds, wide.support_ok) == (report.holds, report.support_ok), widen
-    return is_S_determined(view, pts)
+    grid = critical_grid(view.box, pts)
+    report = is_S_determined(view, pts)
+    assert report == _condition_on_grid(view, pts, grid, "critical-grid")
+    assert report == condition_by_downsets(view, pts, grid, "critical-grid")
+    window = default_oracle_window(view.box, pts)
+    assert is_S_determined_oracle(view, pts, window) == \
+        condition_by_downsets(view, pts, oracle_grid(window), "oracle")
+    for widen in (2, 3):
+        wide = condition_by_downsets(view, pts, oracle_grid(window, widen), "oracle")
+        assert (wide.holds, wide.support_ok) == (report.holds, report.support_ok), widen
+    return report
 
 
 class TestStoredStepsMatchDownsetOracle:
@@ -249,11 +246,13 @@ class TestCornerRule:
         """Every step is its own matrix here (no shared zeros), so the
         matrices tested tell the steps apart."""
         import detmod.determinacy as determinacy
+        import detmod.extgrid as extgrid
 
         def no_grid(*args, **kwargs):
-            raise AssertionError("is_S_determined built a critical grid")
+            raise AssertionError("is_S_determined built a grid")
         tested = []
-        monkeypatch.setattr(determinacy, "critical_grid", no_grid)
+        for module in (determinacy, extgrid):
+            monkeypatch.setattr(module, "CartesianSet", no_grid)
         monkeypatch.setattr(determinacy, "is_invertible",
                             lambda m: tested.append(id(m)) or is_invertible(m))
         rng = random.Random(29)
@@ -408,7 +407,7 @@ class TestCanonicalMap:
             view = ExtendedView(random_module(F5, rng))
             s = random_point_set(rng, 2, 4)
             assert canonical_map_check(view, s).holds == \
-                is_S_determined(view, s, check_support=False).holds
+                is_S_determined(view, s).holds
 
     def test_worked_example(self):
         assert canonical_map_check(corner_view(), UNIT_SET).holds
@@ -531,7 +530,7 @@ class TestCheckEncoding:
     def test_non_commuting_diagram_rejected_even_when_set_does_not_determine(self):
         view = corner_view()
         s = {(0, NEG_INF), (NEG_INF, 0)}
-        assert not is_S_determined(view, s, check_support=False).holds
+        assert not is_S_determined(view, s).holds
         top = (0, 0)
         points = sorted(pointed_closure(s))
         maps = {(BOTTOM, (0, NEG_INF)): Matrix.identity(F2, 1),
@@ -552,7 +551,7 @@ class TestEquivalenceOfConditions:
                 s = canonical_set(view.module)
             else:
                 s = random_point_set(rng, 2, 4)
-            cond1 = is_S_determined(view, s, check_support=False).holds
+            cond1 = is_S_determined(view, s).holds
             cond2 = canonical_map_check(view, s).holds
             try:
                 cond3 = check_encoding(view, s, encode(view, s))
@@ -566,10 +565,10 @@ class TestEquivalenceOfConditions:
         for trial in range(40):
             view = ExtendedView(random_module(F5, rng))
             s = canonical_set(view.module) if trial % 2 else random_point_set(rng, 2, 3)
-            if is_S_determined(view, s, check_support=False).holds:
+            if is_S_determined(view, s).holds:
                 hits += 1
                 closed = pointed_closure(s, dim=2)
-                assert is_S_determined(view, closed, check_support=False).holds
+                assert is_S_determined(view, closed).holds
         assert hits > 0
 
 
