@@ -147,12 +147,13 @@ def _first_failing_step(module: GridModule, s: frozenset):
     candidate when no s in the set with s_axis = v lies below d; candidates
     are tested for invertibility in the order of (c, axis), where tuples
     order -inf below every integer as ``point_sort_key`` does.  Steps are
-    read by flat index; a left-out step that is not 0 x 0 is a zero map, so
-    it fails with no test.
+    read by flat index, and a step's matrix is made only when it is tested;
+    a left-out step that is not 0 x 0 is a zero map, so it fails with no
+    test.
     """
     box = module.box
     n, lower, top, strides = box.dim, box.a, box.b, box.strides()
-    flat, values = module.flat_steps, list(module.dims.values())
+    values = list(module.dims.values())
     at_coord = [{} for _ in range(n)]
     for p in s:
         for axis, v in enumerate(p):
@@ -172,9 +173,10 @@ def _first_failing_step(module: GridModule, s: frozenset):
             below = at_coord[axis].get(v, ())
             for x, c, d in zip(xs, itertools.product(*cs), itertools.product(*ds)):
                 if (values[x] or values[x + stride]) and not any(leq(p, d) for p in below):
-                    candidates.append((c, axis, d, flat.get(x * n + axis)))
+                    candidates.append((c, axis, d, x * n + axis))
     candidates.sort(key=lambda x: x[:2])
-    for c, axis, d, step in candidates:
+    for c, axis, d, key in candidates:
+        step = module.flat_step(key)
         if step is None or not is_invertible(step):
             return c, d
     return None

@@ -76,13 +76,18 @@ def min_point(dim: int) -> Point:
 
 
 def point_sort_key(p: Point):
-    """Total order with -inf below every integer, refining the product order."""
+    """Total order with -inf below every integer, refining the product order.
+
+    It is the order of the point tuples themselves, since the float -inf
+    compares below every int; :func:`sort_points` sorts by that directly.
+    """
     return tuple((0, 0) if c == NEG_INF else (1, c) for c in p)
 
 
 def sort_points(points: Iterable[Point]) -> list[Point]:
-    """Deduplicate and sort lexicographically (a linear extension of <=)."""
-    return sorted(set(points), key=point_sort_key)
+    """Deduplicate and sort lexicographically (a linear extension of <=), in
+    the order of :func:`point_sort_key`."""
+    return sorted(set(points))
 
 
 def mub(points: Iterable[Point], dim: int | None = None) -> Point:
@@ -112,7 +117,7 @@ def mlb(points: Iterable[Point]) -> Point:
 
 
 def join(p: Point, q: Point) -> Point:
-    return tuple(max(a, b) for a, b in zip(p, q))
+    return tuple(map(max, p, q))
 
 
 def join_closure(points: Iterable[Point]) -> frozenset:
@@ -120,23 +125,20 @@ def join_closure(points: Iterable[Point]) -> frozenset:
 
     Because the join operation is associative, the fixpoint of pairwise joins
     equals the set of minimal upper bounds of all non-empty subsets, without
-    enumerating the subsets.
+    enumerating the subsets.  Every element of the closure is the join of
+    some input points, so each new element needs joining with the input
+    points only: the join of k of them is found in the (k-1)-th round.
     """
     closed = set(points)
     if closed:
         common_dim(closed)
         if as_product(closed) is not None:  # a product of chains is join-closed
             return frozenset(closed)
-    frontier = set(closed)
+    given = list(closed)
+    frontier = given
     while frontier:
-        new = set()
-        for p in frontier:
-            for q in closed:
-                j = join(p, q)
-                if j not in closed:
-                    new.add(j)
-        closed |= new
-        frontier = new
+        frontier = {join(p, q) for p in frontier for q in given} - closed
+        closed |= frontier
     return frozenset(closed)
 
 
@@ -187,6 +189,15 @@ class Box:
             raise InputError(f"box corners out of order: {a!r} > {b!r}")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
+
+    @classmethod
+    def _checked(cls, a: Point, b: Point) -> "Box":
+        """A box from corners the caller has checked as ``__post_init__``
+        does: points of one dimension, integral, with a <= b."""
+        box = cls.__new__(cls)
+        object.__setattr__(box, "a", a)
+        object.__setattr__(box, "b", b)
+        return box
 
     @property
     def dim(self) -> int:
@@ -347,7 +358,7 @@ def extended_projection(box: Box, c: Point) -> Point:
     """
     if len(c) != box.dim:
         raise InputError(f"point {c!r} does not match box dimension {box.dim}")
-    return tuple(lo if v < lo else min(v, hi) for v, lo, hi in zip(c, box.a, box.b))
+    return tuple(map(max, box.a, map(min, c, box.b)))
 
 
 def critical_grid(box: Box, s: Iterable[Point] = ()) -> CartesianSet:

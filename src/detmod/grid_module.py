@@ -10,8 +10,10 @@ copying data.
 
 from __future__ import annotations
 
+import itertools
 import math
-from operator import mul
+from fractions import Fraction
+from operator import mul, sub
 from typing import Callable
 
 from .errors import InputError
@@ -26,13 +28,16 @@ class GridModule:
     """Box-shaped grid of vector spaces with one step matrix per unit move.
 
     ``dims`` maps every integer point of the box, in lexicographic order, to
-    a dimension.  ``steps`` maps ``(point, axis)`` to the matrix of the move
-    from ``point`` to ``point + e_axis`` for the steps given, and nothing
-    else; ``flat_steps`` holds the same matrices by flat index ``x * n +
-    axis``, where x is the point's place in ``box.integer_points()``.
-    :meth:`step` reads any step: one the input leaves out is the zero matrix
-    of the forced shape, one shared (immutable) matrix per shape, made on
-    first use.  Axes are 0-based here (the file format is 1-based).
+    a dimension.  A step is the move from a point to ``point + e_axis``, kept
+    by its flat index ``x * n + axis``, where x is the point's place in
+    ``box.integer_points()``.  ``step_rows`` holds each given step, and no
+    other, as ``(rows, den)``: integer rows over one positive denominator,
+    the rows themselves over F_p (den 1) and the rows times their least
+    common denominator over Q.  That is the form the square check
+    multiplies.  :meth:`flat_step` and :meth:`step` make a step's
+    :class:`Matrix` on first use and keep it; a step the input leaves out is
+    the zero matrix of the forced shape, one shared (immutable) matrix per
+    shape.  Axes are 0-based here (the file format is 1-based).
     """
 
     def __init__(self, field, box: Box, dims: dict, steps: dict):
@@ -48,49 +53,79 @@ class GridModule:
         for p, d in dims.items():
             if isinstance(d, bool) or not isinstance(d, int) or d < 0:
                 raise InputError(f"invalid dimension {d!r} at {p!r}")
-        n, lower, top, strides = box.dim, box.a, box.b, box.strides()
-        flat = {}
+        index, n, top = dict(zip(pts, range(len(pts)))), box.dim, box.b
+        mats = {}
         for (p, axis), mat in steps.items():
-            if not (p in dims and 0 <= axis < n and p[axis] < top[axis]):
+            if not (p in index and 0 <= axis < n and p[axis] < top[axis]):
                 raise InputError(f"step at {p!r} along axis {axis} leaves the box")
-            flat[sum((v - lo) * s for v, lo, s in zip(p, lower, strides)) * n + axis] = mat
-        self._fill(field, box, dims, dict(steps), flat)
+            mats[index[p] * n + axis] = mat
+        self._fill(field, box, dims, index, {key: _integer_rows(mat) for key, mat in mats.items()})
+        self._mats = mats  # checked for shape and field by validate_module
 
     @classmethod
-    def _checked(cls, field, box: Box, dims: dict, steps: dict, flat_steps: dict):
-        """A module from data the caller has checked as ``__init__`` does:
-        ``dims`` on the box points in order and each a dimension, each step
-        inside the box, and ``flat_steps`` the same steps by flat index, in
-        the same order."""
+    def _checked(cls, field, box: Box, dims: dict, index: dict, step_rows: dict):
+        """A module from data the caller has checked as ``__init__`` and
+        :func:`validate_module` do: ``dims`` on the box points in order and
+        each a dimension, ``index`` the place of each box point in that
+        order, and ``step_rows`` the given steps by flat index, each inside
+        the box, of its forced shape and over ``field``."""
         module = cls.__new__(cls)
-        module._fill(field, box, dims, steps, flat_steps)
+        module._fill(field, box, dims, index, step_rows)
         return module
 
-    def _fill(self, field, box, dims, steps, flat_steps):
+    def _fill(self, field, box, dims, index, step_rows):
         self.field = field
         self.box = box
         self.dims = dims
-        self.steps = steps
-        self.flat_steps = flat_steps
+        self.step_rows = step_rows
+        self._index = index
+        self._mats = {}
         self._zero = {}
         self._validated = None
 
     def _step_target(self, p: Point, axis: int) -> Point:
         return p[:axis] + (p[axis] + 1,) + p[axis + 1:]
 
-    def step(self, p: Point, axis: int) -> Matrix:
-        mat = self.steps.get((p, axis))
+    def flat_step(self, key: int) -> Matrix | None:
+        """The matrix of the given step at flat index ``key``, made from its
+        rows on first use, or ``None`` when the input leaves that step out."""
+        mat = self._mats.get(key)
         if mat is None:
-            shape = (self.dims[self._step_target(p, axis)], self.dims[p])
-            mat = self._zero.get(shape)
-            if mat is None:
-                mat = self._zero[shape] = Matrix.zeros(self.field, *shape)
+            given = self.step_rows.get(key)
+            if given is None:
+                return None
+            rows, den = given
+            if rows:
+                ncols = len(rows[0])
+            else:  # no rows: the width is the dimension at the source
+                ncols = next(itertools.islice(self.dims.values(), key // self.box.dim, None))
+            if self.field.kind == "rational":
+                rows = [tuple([Fraction(x, den) for x in r]) for r in rows]
+            mat = self._mats[key] = Matrix._of_rows(self.field, rows, ncols)
         return mat
+
+    def step(self, p: Point, axis: int) -> Matrix:
+        x = self._index.get(p)
+        if x is not None and x * self.box.dim + axis in self.step_rows:
+            return self.flat_step(x * self.box.dim + axis)
+        shape = (self.dims[self._step_target(p, axis)], self.dims[p])
+        mat = self._zero.get(shape)
+        if mat is None:
+            mat = self._zero[shape] = Matrix.zeros(self.field, *shape)
+        return mat
+
+    @property
+    def steps(self) -> dict:
+        """Every given step's matrix by ``(point, axis)``, in the order of
+        ``step_rows``; the matrices not made yet are made now."""
+        pts, n = list(self.dims), self.box.dim
+        return {(pts[key // n], key % n): self.flat_step(key) for key in self.step_rows}
 
 
 def _integer_rows(mat: Matrix) -> tuple:
-    """A matrix as integer rows over one positive denominator: its own rows
-    over 1 on F_p, and over the least common denominator on Q."""
+    """A matrix as integer rows over one positive denominator, as
+    ``GridModule.step_rows`` keeps a step: its own rows over 1 on F_p, and
+    over the least common denominator on Q."""
     if mat.field.kind == "prime":
         return mat.rows, 1
     den = math.lcm(*(x.denominator for r in mat.rows for x in r))
@@ -98,24 +133,24 @@ def _integer_rows(mat: Matrix) -> tuple:
 
 
 def _composite(outer: tuple, inner: tuple) -> tuple:
-    """The product of two steps given as (integer rows, denominator), unreduced."""
+    """The product of two steps given as (integer rows, denominator),
+    unreduced, as its entries in row-major order over a denominator."""
     (a, da), (b, db) = outer, inner
     cols = list(zip(*b))
-    return [[sum(map(mul, r, col)) for col in cols] for r in a], da * db
+    return [sum(map(mul, r, col)) for r in a for col in cols], da * db
 
 
 def _composites_agree(left, right, p: int) -> bool:
-    """Equality of two composites, each (integer rows, denominator) or
-    ``None`` for the zero map: mod p over F_p (``p`` > 0), and by
-    cross-multiplying the denominators over Q (``p`` = 0)."""
+    """Equality of two composites, each (entries, denominator) or ``None``
+    for the zero map: mod p over F_p (``p`` > 0), and by cross-multiplying
+    the denominators over Q (``p`` = 0)."""
     if left is None or right is None:
-        rows = (left or right)[0]
-        return not any(x % p for r in rows for x in r) if p else not any(map(any, rows))
+        entries = (left or right)[0]
+        return not any(map(p.__rmod__, entries)) if p else not any(entries)
     (a, da), (b, db) = left, right
-    pairs = ((x, y) for ra, rb in zip(a, b) for x, y in zip(ra, rb))
     if p:
-        return not any((x - y) % p for x, y in pairs)
-    return all(x * db == y * da for x, y in pairs)
+        return not any(map(p.__rmod__, map(sub, a, b)))
+    return a == b if da == db else list(map(db.__mul__, a)) == list(map(da.__mul__, b))
 
 
 def validate_module(module: GridModule) -> DiagramCheck:
@@ -130,18 +165,19 @@ def validate_module(module: GridModule) -> DiagramCheck:
     are read by flat index (see :class:`GridModule`).  A square commutes
     without a product when c or its top corner has dimension zero.  A
     composite through a zero-dimensional corner or a left-out step is zero,
-    so at most one product is formed then.  Products are made on the rows,
-    with no :class:`Matrix`: over F_p the two sides are compared mod p
-    unreduced, and over Q each step is cleared once to integer rows over one
-    denominator and the two sides are compared cross-multiplied.
+    so at most one product is formed then.  Products are made on the stored
+    integer rows, with no :class:`Matrix`: over F_p the two sides are
+    compared mod p unreduced, and over Q cross-multiplied by their
+    denominators.  Shapes and fields are checked on the matrices made so
+    far, those given to ``GridModule.__init__``; the loader checks the
+    shape of every step it decodes.
     """
     if module._validated is True:
         return DiagramCheck(True)
-    dims, flat, field = module.dims, module.flat_steps, module.field
+    dims, given, field = module.dims, module.step_rows, module.field
     n, top, strides = module.box.dim, module.box.b, module.box.strides()
     pts, values = list(dims), list(dims.values())
-    cleared = {}  # each given step as integer rows over a denominator
-    for key, mat in flat.items():
+    for key, mat in module._mats.items():
         x, axis = divmod(key, n)
         expected = (values[x + strides[axis]], values[x])
         if mat.shape != expected:
@@ -152,24 +188,23 @@ def validate_module(module: GridModule) -> DiagramCheck:
             p, q = pts[x], pts[x + strides[axis]]
             return DiagramCheck(False, f"step at {p!r} along axis {axis + 1} is over the "
                                 "wrong field", (p, q))
-        cleared[key] = _integer_rows(mat)
     prime = field.p if field.kind == "prime" else 0
     # both composites of a square out of a point with no step given are zero
-    for x in sorted({key // n for key in flat}):  # the point at x + strides[a] is c + e_a
+    for x in sorted({key // n for key in given}):  # the point at x + strides[a] is c + e_a
         if values[x] == 0:
             continue
         c = pts[x]
         axes = [axis for axis in reversed(range(n)) if c[axis] < top[axis]]
         for k, j in enumerate(axes):
             xj = x + strides[j]
-            c_j = values[xj] and cleared.get(x * n + j)
+            c_j = values[xj] and given.get(x * n + j)
             for i in axes[k + 1:]:
                 xi, xe = x + strides[i], xj + strides[i]
                 if values[xe] == 0:
                     continue
-                up_i = c_j and cleared.get(xj * n + i)
-                c_i = values[xi] and cleared.get(x * n + i)
-                up_j = c_i and cleared.get(xi * n + j)
+                up_i = c_j and given.get(xj * n + i)
+                c_i = values[xi] and given.get(x * n + i)
+                up_j = c_i and given.get(xi * n + j)
                 left = _composite(up_i, c_j) if up_i else None
                 right = _composite(up_j, c_i) if up_j else None
                 if (left or right) and not _composites_agree(left, right, prime):

@@ -8,9 +8,11 @@ order so that identical inputs produce identical bytes.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _escape
-from operator import le, mul, sub
+from operator import le
 
 from .errors import InputError
 from .extgrid import Box, NEG_INF, Point, as_point, as_product, point_sort_key
@@ -37,8 +39,11 @@ def encode_point(p: Point) -> list:
 
 
 def decode_point(obj, dim: int | None = None) -> Point:
-    if type(obj) is list and {*map(type, obj)} == {int} and dim in (None, len(obj)):
-        return tuple(obj)  # plain ints, as most points are written
+    if type(obj) is list and obj and dim in (None, len(obj)):
+        # one pass over plain ints and "-inf", as points are written
+        pt = tuple([v if type(v) is int else NEG_INF if v == "-inf" else None for v in obj])
+        if None not in pt:
+            return pt
     if not isinstance(obj, list):
         raise InputError(f"invalid point {obj!r}; expected a JSON array")
     return as_point((decode_coord(v) for v in obj), dim=dim)
@@ -73,7 +78,8 @@ def matrix_to_json(m: Matrix) -> list:
     return [[_entry_to_json(m.field, x) for x in row] for row in m.rows]
 
 
-def matrix_from_json(field, obj, shape: tuple) -> Matrix:
+def _check_shape(obj, shape: tuple) -> None:
+    """Refuse anything but a list of ``shape[0]`` lists of ``shape[1]`` entries."""
     nrows, ncols = shape
     if not (type(obj) is list and len(obj) == nrows
             and {*map(type, obj)} <= {list} and {*map(len, obj)} <= {ncols}):
@@ -81,12 +87,70 @@ def matrix_from_json(field, obj, shape: tuple) -> Matrix:
             raise InputError(f"invalid matrix {obj!r}")
         if len(obj) != nrows or any(len(r) != ncols for r in obj):
             raise InputError(f"matrix has shape ({len(obj)}, ...), expected {shape}")
+
+
+def matrix_from_json(field, obj, shape: tuple) -> Matrix:
+    _check_shape(obj, shape)
     try:
-        return Matrix._of_rows(field, field.coerce_rows(obj), ncols)
+        return Matrix._of_rows(field, field.coerce_rows(obj), shape[1])
     except InputError:
         raise
     except (TypeError, ValueError) as exc:
         raise InputError(f"invalid matrix entry: {exc}") from exc
+
+
+def _rational(field, x) -> tuple:
+    """A rational entry other than an int as (numerator, denominator) in
+    lowest terms.  "p/q" and "-p/q" in decimal digits are read with no
+    :class:`Fraction`; any other spelling goes through ``field.coerce``,
+    which accepts what :class:`Fraction` parses and words every refusal."""
+    if type(x) is str:
+        num, slash, den = x.partition("/")
+        digits = num[1:] if num[:1] == "-" else num
+        if (slash and digits.isascii() and digits.isdigit()
+                and den.isascii() and den.isdigit() and int(den)):
+            num, den = int(num), int(den)
+            g = math.gcd(num, den)
+            return num // g, den // g
+    frac = field.coerce(x)
+    return frac.numerator, frac.denominator
+
+
+def step_from_json(field, obj, shape: tuple, tokens: dict) -> tuple:
+    """A step's matrix from a module file as ``(rows, den)``, the form
+    :class:`GridModule` keeps: the reduced rows over 1 on F_p, and on Q
+    integer rows over their least common denominator.  An int stays an int,
+    and ``tokens`` holds every string entry of the same file read so far,
+    as :func:`_rational` reads it, so each is parsed once per file.  The
+    shape and error texts are those of :func:`matrix_from_json`."""
+    _check_shape(obj, shape)
+    if set(map(type, chain.from_iterable(obj))) <= {int}:  # plain ints, as most are written
+        if field.kind == "prime":
+            return [tuple(map(field.p.__rmod__, r)) for r in obj], 1
+        return list(map(tuple, obj)), 1
+    try:
+        if field.kind == "prime":
+            return field.coerce_rows(obj), 1
+        parsed = []
+        for r in obj:
+            row = []
+            for x in r:
+                if type(x) is str:
+                    q = tokens.get(x)
+                    if q is None:
+                        q = tokens[x] = _rational(field, x)
+                    x = q
+                elif type(x) is not int:
+                    x = _rational(field, x)
+                row.append(x)
+            parsed.append(row)
+    except InputError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"invalid matrix entry: {exc}") from exc
+    den = math.lcm(*{x[1] for r in parsed for x in r if type(x) is tuple})
+    return [tuple([x * den if type(x) is int else x[0] * (den // x[1]) for x in r])
+            for r in parsed], den
 
 
 def _dim_list(obj) -> list:
@@ -105,7 +169,11 @@ def box_from_json(obj) -> Box:
         raise InputError(f"invalid box {obj!r}; expected {{\"a\": [...], \"b\": [...]}}")
     a = decode_point(obj["a"])
     b = decode_point(obj["b"], dim=len(a))
-    return Box(a, b)
+    if NEG_INF in a or NEG_INF in b:
+        raise InputError("box corners must be integer points")
+    if not all(map(le, a, b)):
+        raise InputError(f"box corners out of order: {a!r} > {b!r}")
+    return Box._checked(a, b)
 
 
 def box_to_json(box: Box) -> dict:
@@ -115,8 +183,8 @@ def box_to_json(box: Box) -> dict:
 def module_to_json(module: GridModule) -> dict:
     pts, n = list(module.dims), module.box.dim
     maps = []
-    for key in sorted(module.flat_steps):  # the order of (point, axis)
-        step = module.flat_steps[key]
+    for key in sorted(module.step_rows):  # the order of (point, axis)
+        step = module.flat_step(key)
         if step.nrows == 0 or step.ncols == 0 or step.is_zero():
             continue
         x, axis = divmod(key, n)
@@ -133,10 +201,11 @@ def module_to_json(module: GridModule) -> dict:
 def module_from_json(obj) -> GridModule:
     """A module file read and checked in one pass over its map entries.
 
-    Each entry's source is checked against the box corners and its flat
-    index (see :class:`GridModule`) is computed from the box strides, so no
-    point is looked up.  The checks are those of ``GridModule.__init__``,
-    with the loader's own messages, and are not made again.
+    Each entry's source is looked up among the box points, which gives its
+    flat index (see :class:`GridModule`), and its matrix is decoded straight
+    into the integer rows the module keeps (:func:`step_from_json`), with no
+    :class:`Matrix`.  The checks are those of ``GridModule.__init__``, with
+    the loader's own messages, and are not made again.
     """
     if not isinstance(obj, dict):
         raise InputError("module file must contain a JSON object")
@@ -149,28 +218,31 @@ def module_from_json(obj) -> GridModule:
     dims_list = _dim_list(obj.get("dims"))
     if len(dims_list) != len(pts):
         raise InputError(f"dims has {len(dims_list)} entries, the box has {len(pts)} points")
-    n, lower, top, strides = box.dim, box.a, box.b, box.strides()  # n may be True for 1
-    steps, flat = {}, {}
+    n, top, strides = box.dim, box.b, box.strides()  # n may be True for 1
+    index = dict(zip(pts, range(len(pts))))
+    given, tokens = {}, {}
     for entry in obj.get("maps", []):
         if not isinstance(entry, dict):
             raise InputError(f"invalid map entry {entry!r}")
-        p = decode_point(entry.get("from"), dim=n)
+        p = entry.get("from")
+        # a source of plain ints in the box has its place there; any other
+        # is decoded for its error text
+        x = index.get(tuple(p)) if type(p) is list and {*map(type, p)} == {int} else None
+        p = pts[x] if x is not None else decode_point(p, dim=n)
         axis = entry.get("axis")
         if type(axis) is not int or not 1 <= axis <= n:
             raise InputError(f"invalid axis {axis!r}; axes are 1-based")
-        if not (all(map(le, lower, p)) and all(map(le, p, top))):
+        if x is None:
             raise InputError(f"map source {p!r} is outside the box")
-        x = sum(map(mul, map(sub, p, lower), strides))
         axis -= 1
         if p[axis] == top[axis]:
             raise InputError(f"map at {p!r} along axis {axis + 1} leaves the box")
         key = x * n + axis
-        if key in flat:
+        if key in given:
             raise InputError(f"duplicate map at {p!r} along axis {axis + 1}")
-        x_to = x + strides[axis]
-        flat[key] = steps[(p, axis)] = matrix_from_json(
-            field, entry.get("matrix"), (dims_list[x_to], dims_list[x]))
-    return GridModule._checked(field, box, dict(zip(pts, dims_list)), steps, flat)
+        given[key] = step_from_json(field, entry.get("matrix"),
+                                    (dims_list[x + strides[axis]], dims_list[x]), tokens)
+    return GridModule._checked(field, box, dict(zip(pts, dims_list)), index, given)
 
 
 def diagram_to_json(diagram: PosetDiagram) -> dict:
@@ -343,25 +415,29 @@ def canonical_dumps(payload) -> str:
 
 def _dump(obj, newline: str, out) -> None:
     """Append the JSON text of ``obj`` to ``out`` piece by piece; ``newline``
-    is a line break followed by the indent of the line ``obj`` starts on."""
-    if isinstance(obj, str):
-        out(_escape(obj))
-    elif obj is None:
-        out("null")
-    elif obj is True:
-        out("true")
-    elif obj is False:
-        out("false")
-    elif isinstance(obj, int):
-        out(int.__repr__(obj))
-    elif isinstance(obj, list):
+    is a line break followed by the indent of the line ``obj`` starts on.
+    A list of plain ints and strings, such as a point or a matrix row, goes
+    in one piece."""
+    if isinstance(obj, list):
         if not obj:
             out("[]")
             return
         inner = newline + "  "
+        sep = "," + inner
+        pieces = []
+        for item in obj:
+            if type(item) is int:
+                pieces.append(int.__repr__(item))
+            elif type(item) is str:
+                pieces.append(_escape(item))
+            else:
+                break
+        else:
+            out("[" + inner + sep.join(pieces) + newline + "]")
+            return
         out("[")
         for k, item in enumerate(obj):
-            out("," + inner if k else inner)
+            out(sep if k else inner)
             _dump(item, inner, out)
         out(newline + "]")
     elif isinstance(obj, dict):
@@ -376,6 +452,16 @@ def _dump(obj, newline: str, out) -> None:
             out(("," + inner if k else inner) + _escape(key) + ": ")
             _dump(obj[key], inner, out)
         out(newline + "}")
+    elif isinstance(obj, str):
+        out(_escape(obj))
+    elif obj is None:
+        out("null")
+    elif obj is True:
+        out("true")
+    elif obj is False:
+        out("false")
+    elif isinstance(obj, int):
+        out(int.__repr__(obj))
     else:
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 

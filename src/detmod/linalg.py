@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .errors import InputError
-from .extgrid import Point, as_product, leq, lt, point_sort_key, sort_points
+from .extgrid import Point, as_product, leq, lt, sort_points
 
 
 def _is_prime(p: int) -> bool:
@@ -393,17 +393,30 @@ def solve(m: Matrix, rhs: Matrix) -> Matrix | None:
 def poset_covers(points: list) -> list:
     """Covering pairs of an arbitrary finite subposet of the extended grid.
 
-    In a linear extension, q > p covers p exactly when no cover of p met
-    before q lies below q.
+    The points are indexed in a linear extension, and bit j of ``up[i]`` is
+    set when point j lies above point i: the AND, over the axes, of the
+    points whose coordinate there is at least point i's.  Scanning up(p)
+    without p from the least index, the first point left is a cover q of p,
+    and every point above q is dropped before the next.  So the covers come
+    out by p, then by q, in the linear extension.
     """
     ordered = sort_points(points)
+    up = [-1] * len(ordered)
+    for axis in range(len(ordered[0]) if ordered else 0):
+        at = {}
+        for i, p in enumerate(ordered):
+            at[p[axis]] = at.get(p[axis], 0) | 1 << i
+        at_least, acc = {}, 0
+        for v in sorted(at, reverse=True):
+            acc = at_least[v] = acc | at[v]
+        up = [u & at_least[p[axis]] for u, p in zip(up, ordered)]
     covers = []
     for i, p in enumerate(ordered):
-        ups = []
-        for q in ordered[i + 1:]:
-            if lt(p, q) and not any(lt(r, q) for r in ups):
-                ups.append(q)
-                covers.append((p, q))
+        rest = up[i] & ~(1 << i)
+        while rest:
+            j = (rest & -rest).bit_length() - 1
+            covers.append((p, ordered[j]))
+            rest &= ~up[j]
     return covers
 
 
@@ -443,7 +456,7 @@ class PosetDiagram:
             covers = poset_covers(list(self.points))
         else:
             covers = list(covers)
-        self._covers = tuple(sorted(covers, key=lambda e: (point_sort_key(e[0]), point_sort_key(e[1]))))
+        self._covers = tuple(sorted(covers))  # by source, then target, as sort_points orders
         cover_set = set(self._covers)
         self.maps = {}
         for key, mat in maps.items():

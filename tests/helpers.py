@@ -15,7 +15,8 @@ from detmod import (Box, CartesianSet, DeterminacyReport, DiagramCheck,
                     PresentationCheck, PrimeField, as_point, canonical_set,
                     cokernel_projection, critical_grid, diagram_colimit, downset_of, encode,
                     hstack, in_upset, is_invertible, join_below, kernel_basis, leq, lt,
-                    min_point, mub, rank, solve, sort_points, validate_diagram, vstack)
+                    min_point, mub, point_sort_key, rank, solve, sort_points,
+                    validate_diagram, vstack)
 
 F2 = PrimeField(2)
 F5 = PrimeField(5)
@@ -60,6 +61,22 @@ def poset_covers_bruteforce(points):
         ups = [q for q in pts if lt(p, q)]
         for q in ups:
             if not any(lt(r, q) for r in ups if r is not q):
+                covers.append((p, q))
+    return covers
+
+
+def poset_covers_by_scan(points):
+    """Covering pairs by a quadratic scan of a linear extension, in the order
+    ``poset_covers`` gives them (by p, then by q): in the order of
+    ``point_sort_key``, q > p covers p exactly when no cover of p met before
+    q lies below q."""
+    ordered = sorted(set(points), key=point_sort_key)
+    covers = []
+    for i, p in enumerate(ordered):
+        ups = []
+        for q in ordered[i + 1:]:
+            if lt(p, q) and not any(lt(r, q) for r in ups):
+                ups.append(q)
                 covers.append((p, q))
     return covers
 

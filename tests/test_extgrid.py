@@ -1,6 +1,7 @@
 """Order theory of the extended grid, checked against brute-force oracles."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -9,10 +10,10 @@ from hypothesis import strategies as st
 from detmod import (Box, CartesianSet, InputError, NEG_INF, convex_projection,
                     critical_grid, downset_of, ext_box, extended_projection,
                     join_below, join_closure, leq, meet_above, mlb, mub,
-                    pointed_closure)
+                    point_sort_key, pointed_closure, sort_points)
 from detmod.extgrid import as_product
 from helpers import (join_closure_by_subsets, maximal_lower_bounds_bruteforce,
-                     minimal_upper_bounds_bruteforce, window_ext_points)
+                     minimal_upper_bounds_bruteforce, random_point_set, window_ext_points)
 
 ext_coords = st.one_of(st.just(NEG_INF), st.integers(-3, 3))
 
@@ -102,11 +103,32 @@ class TestClosures:
         assert join_closure(pts) == pts
         assert pointed_closure(pts) == pts | {(NEG_INF, NEG_INF, NEG_INF)}
 
+    def test_closures_that_are_not_products_match_subset_enumeration(self):
+        """Joined with the input points only, the frontier still reaches every
+        join of a subset, also where the closure is not a product."""
+        rng = random.Random(31)
+        checked = 0
+        for nparams in (1, 2, 3):
+            for _ in range(40):
+                points = random_point_set(rng, nparams, max_size=7)
+                closed = join_closure(points)
+                assert closed == join_closure_by_subsets(points)
+                checked += as_product(closed) is None
+        assert checked > 60
+
+    @given(point_sets(3, min_size=0, max_size=6))
+    def test_matches_subset_enumeration_in_three_parameters(self, points):
+        assert join_closure(points) == join_closure_by_subsets(points)
+
     @given(point_sets(2, min_size=0, max_size=5))
     def test_idempotent_and_extensive(self, points):
         closed = join_closure(points)
         assert points <= closed
         assert join_closure(closed) == closed
+
+    @given(st.lists(ext_points(3), max_size=12))
+    def test_sort_points_is_the_order_of_point_sort_key(self, points):
+        assert sort_points(points) == sorted(set(points), key=point_sort_key)
 
     def test_pointed_closure_singleton(self):
         assert pointed_closure([(1, 1)]) == {(1, 1), (NEG_INF, NEG_INF)}

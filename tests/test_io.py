@@ -34,6 +34,26 @@ class TestPoints:
     def test_pointset_accepts_wrapper(self):
         assert pointset_from_json({"points": [[0, 0]]}) == {(0, 0)}
 
+    @pytest.mark.parametrize("obj,dim,message", [
+        ([1, 1.5], None, 'invalid coordinate 1.5; expected an integer or "-inf"'),
+        (["-inf", True], 2, 'invalid coordinate True; expected an integer or "-inf"'),
+        (["inf", 0], 2, "invalid coordinate 'inf'; expected an integer or \"-inf\""),
+        ([float("-inf"), 0], 2, 'invalid coordinate -inf; expected an integer or "-inf"'),
+        (["-inf", 0.5], 3, 'invalid coordinate 0.5; expected an integer or "-inf"'),
+        (["-inf", 0], 3, "point (-inf, 0) does not have dimension 3"),
+        ([], None, "points must have dimension at least 1"),
+        ((0, 1), None, "invalid point (0, 1); expected a JSON array"),
+    ])
+    def test_one_pass_keeps_the_error_texts(self, obj, dim, message):
+        with pytest.raises(InputError) as err:
+            decode_point(obj, dim=dim)
+        assert str(err.value) == message
+
+    def test_bottom_coordinates_in_one_pass(self):
+        assert decode_point(["-inf", 2, "-inf"], dim=3) == (NEG_INF, 2, NEG_INF)
+        assert pointset_from_json([["-inf", 1], [0, "-inf"], ["-inf", 1]], dim=2) == {
+            (NEG_INF, 1), (0, NEG_INF)}
+
 
 class TestFieldSpec:
     def test_prime(self):
@@ -101,15 +121,16 @@ class TestModuleRoundtrip:
 
 
 class TestNoZeroFill:
-    """A loaded module keeps the steps its file gives, and nothing else: a
-    left-out step is made on first use, one zero matrix per shape."""
+    """A loaded module keeps the steps its file gives, and nothing else: each
+    map entry is decoded once into integer rows, its matrix is made on first
+    use, and a left-out step is made on first use, one zero matrix per shape."""
 
     def test_one_matrix_per_map_entry_and_one_zero_per_shape(self, monkeypatch):
         import detmod.io as dio
-        built, zeros = [], []
-        from_json, make_zeros = dio.matrix_from_json, Matrix.zeros
-        monkeypatch.setattr(dio, "matrix_from_json",
-                            lambda *args: built.append(args[2]) or from_json(*args))
+        decoded, zeros = [], []
+        from_json, make_zeros = dio.step_from_json, Matrix.zeros
+        monkeypatch.setattr(dio, "step_from_json",
+                            lambda *args: decoded.append(args[2]) or from_json(*args))
         monkeypatch.setattr(Matrix, "zeros", classmethod(
             lambda cls, field, nrows, ncols: zeros.append((nrows, ncols))
             or make_zeros(field, nrows, ncols)))
@@ -117,22 +138,24 @@ class TestNoZeroFill:
         for field in (F2, F5, QQ):
             for box in (Box((0,), (4,)), Box((0, -1), (2, 1)), Box((0, 0, 0), (1, 2, 1))):
                 obj = module_to_json(random_module(field, rng, box=box, max_summands=4))
-                built.clear()
+                decoded.clear()
                 zeros.clear()
                 module = module_from_json(obj)
-                assert len(built) == len(obj["maps"]) == len(module.steps)
-                assert validate_module(module).ok and zeros == []
+                assert len(decoded) == len(obj["maps"]) == len(module.step_rows)
+                assert validate_module(module).ok and zeros == [] and module._mats == {}
+                assert len(module.steps) == len(obj["maps"]) == len(module._mats)
                 left_out = {key: m.shape for key, m in every_step(module).items()
                             if key not in module.steps}
                 assert sorted(zeros) == sorted(set(left_out.values()))
                 every_step(module)
                 assert len(zeros) == len(set(left_out.values()))
+                assert len(module._mats) == len(obj["maps"])
 
     def test_a_large_box_with_no_maps_stores_no_step(self):
         obj = {"field": {"kind": "prime", "p": 2}, "n": 2,
                "box": {"a": [0, 0], "b": [99, 99]}, "dims": [1] * 10_000, "maps": []}
         module = module_from_json(obj)
-        assert len(module.steps) == 0 and module.flat_steps == {}
+        assert len(module.steps) == 0 and module.step_rows == {}
         assert validate_module(module).ok
         assert module.step((5, 7), 1) is module.step((7, 5), 0)
         assert module.step((5, 7), 1).is_zero() and len(module._zero) == 1
@@ -250,6 +273,25 @@ class TestDetectKind:
         with pytest.raises(InputError):
             box_from_json({"a": [1, 1], "b": [0, 0]})
 
+    @pytest.mark.parametrize("obj,message", [
+        ({"a": [1, 1], "b": [0, 2]}, "box corners out of order: (1, 1) > (0, 2)"),
+        ({"a": ["-inf", 0], "b": [0, 0]}, "box corners must be integer points"),
+        ({"a": [0, 0], "b": [0, "-inf"]}, "box corners must be integer points"),
+        ({"a": [0, 0], "b": [1]}, "point (1,) does not have dimension 2"),
+        ({"a": [], "b": []}, "points must have dimension at least 1"),
+        ({"a": [0]}, "invalid box {'a': [0]}; expected {\"a\": [...], \"b\": [...]}"),
+    ])
+    def test_box_error_texts(self, obj, message):
+        with pytest.raises(InputError) as err:
+            box_from_json(obj)
+        assert str(err.value) == message
+
+    def test_decoded_box_equals_the_checked_one(self):
+        box, checked = box_from_json({"a": [-1, 0, 2], "b": [1, 0, 5]}), Box((-1, 0, 2), (1, 0, 5))
+        assert box == checked and hash(box) == hash(checked)
+        assert box.strides() == checked.strides() == (4, 4, 1)
+        assert list(box.integer_points()) == list(checked.integer_points())
+
 
 def _module_obj(field=None, **map_changes):
     """A valid 2 x 2 module file over F5 (or ``field``) whose first map
@@ -327,3 +369,113 @@ class TestMalformedModules:
         assert module.steps[((0, 0), 0)].rows == ((1,),)
         module = module_from_json(_module_obj(QQ_SPEC, matrix=[["-6/4"]]))
         assert module.steps[((0, 0), 0)].rows == ((Fraction(-3, 2),),)
+
+
+def _q_module(*entries):
+    """A 1 x 2 box over Q with dimensions 1 and k, whose one step is the
+    k x 1 column of ``entries``."""
+    return {"field": QQ_SPEC, "n": 1, "box": {"a": [0], "b": [1]},
+            "dims": [1, len(entries)],
+            "maps": [{"from": [0], "axis": 1, "matrix": [[x] for x in entries]}]}
+
+
+class TestRationalTokens:
+    """Entries over Q are decoded into integer rows over one denominator,
+    each distinct string once per file, and read back as fractions."""
+
+    @pytest.mark.parametrize("entries,column", [
+        ((3, -2, 0), (3, -2, 0)),
+        (("1/2", "-3/4", 5), (Fraction(1, 2), Fraction(-3, 4), 5)),
+        (("2/4", "-6/4", "0/7"), (Fraction(1, 2), Fraction(-3, 2), 0)),
+        (("7", "-0/3", " 1/3", "+1/6", "1.5", "2e1"),
+         (7, 0, Fraction(1, 3), Fraction(1, 6), Fraction(3, 2), 20)),
+    ])
+    def test_accepted_spellings(self, entries, column):
+        module = module_from_json(_q_module(*entries))
+        assert module.step((0,), 0).rows == tuple((Fraction(x),) for x in column)
+        rows, den = module.step_rows[0]
+        assert all(type(r[0]) is int for r in rows)
+        assert [Fraction(r[0], den) for r in rows] == [Fraction(x) for x in column]
+
+    def test_rows_over_the_least_common_denominator(self):
+        module = module_from_json(_q_module("1/2", "-2/3", 4, "2/4"))
+        assert module.step_rows[0] == ([(3,), (-4,), (24,), (3,)], 6)
+        assert module_from_json(_q_module(1, -2)).step_rows[0] == ([(1,), (-2,)], 1)
+
+    @pytest.mark.parametrize("entries,message", [
+        (("1/0",), "cannot parse rational '1/0'"),
+        (("x",), "cannot parse rational 'x'"),
+        ((1.5,), "cannot coerce 1.5 into Q"),
+        ((True,), "cannot coerce True into Q"),
+        ((None,), "cannot coerce None into Q"),
+        (([1],), "cannot coerce [1] into Q"),
+        (("1/2", "1/0", 1.5), "cannot parse rational '1/0'"),
+        ((1.5, "1/0"), "cannot coerce 1.5 into Q"),
+    ])
+    def test_error_texts(self, entries, message):
+        with pytest.raises(InputError) as err:
+            module_from_json(_q_module(*entries))
+        assert str(err.value) == message
+
+    def test_each_string_parsed_once_per_file(self, monkeypatch):
+        import detmod.io as dio
+        parsed, rational = [], dio._rational
+        monkeypatch.setattr(dio, "_rational", lambda field, x: parsed.append(x)
+                            or rational(field, x))
+        obj = _q_module("1/2", "1/2", 3, "-1/2", "1/2")
+        module_from_json(obj)
+        assert parsed == ["1/2", "-1/2"]
+        module_from_json(obj)  # a new file, a new table
+        assert parsed == ["1/2", "-1/2"] * 2
+
+    def test_file_round_trip_is_byte_identical(self):
+        rng = random.Random(23)
+        objs = [_q_module("1/2", "-3/4", 5, 0), _q_module(0, 0)]  # the zero step is not written
+        objs[1]["maps"] = []
+        for field in (QQ, F5):
+            for box in (Box((0,), (3,)), Box((0, 0), (2, 1)), Box((-1, 0, 0), (0, 1, 1))):
+                objs.append(module_to_json(random_module(field, rng, box=box, max_summands=3)))
+        assert any(type(x) is str for obj in objs for e in obj["maps"]
+                   for r in e["matrix"] for x in r)
+        for obj in objs:
+            text = canonical_dumps(obj)
+            assert canonical_dumps(module_to_json(module_from_json(obj))) == text
+            assert canonical_dumps(module_to_json(module_from_json(json.loads(text)))) == text
+
+
+class TestLazySteps:
+    """A loaded step becomes a :class:`Matrix` only when it is read."""
+
+    def test_no_matrix_at_load_or_validation(self):
+        obj = module_to_json(random_module(QQ, random.Random(5), box=Box((0, 0), (2, 2))))
+        module = module_from_json(obj)
+        assert len(module.step_rows) == len(obj["maps"]) > 0
+        assert validate_module(module).ok and module._mats == {}
+
+    def test_matrix_made_once_and_kept(self):
+        module = module_from_json(_module_obj())
+        first = module.step((0, 1), 0)
+        assert module.step((0, 1), 0) is first is module.flat_step(1 * 2 + 0)
+        assert module.flat_step(1) is None  # (0, 0) along axis 2 is left out
+
+    def test_prime_matrix_shares_the_decoded_rows(self):
+        module = module_from_json(_module_obj())
+        key = 1 * 2 + 0  # (0, 1) along axis 1
+        assert module.flat_step(key).rows[1] is module.step_rows[key][0][1]
+
+    def test_determinacy_makes_no_matrix_it_does_not_test(self):
+        from detmod import is_S_determined
+        from detmod.determinacy import determinacy_report
+        rng = random.Random(9)
+        for field in (F2, QQ):
+            module = module_from_json(module_to_json(random_module(field, rng)))
+            view = ExtendedView(module)
+            # the canonical set holds every axis point, so no step is a candidate
+            assert is_S_determined(view, canonical_set(module)).holds
+            assert module._mats == {}
+            s = frozenset(p for p in canonical_set(module) if p.count(NEG_INF) != 1)
+            report = determinacy_report(module, s, check_support=False)
+            n = module.box.dim
+            made = {(list(module.dims)[key // n], key % n) for key in module._mats}
+            assert made <= set(module.steps)  # only given steps that were tested
+            assert report.holds or report.witness is not None

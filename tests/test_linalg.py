@@ -4,16 +4,17 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from detmod import (Box, CartesianSet, ExtendedView, InputError, Matrix, NEG_INF,
                     PosetDiagram, QQ, cokernel_projection, diagram_colimit,
                     diagram_limit, diagrams_isomorphic, encode, hstack, is_invertible,
-                    join_closure, kernel_basis, leq, nat_basis,
+                    join_closure, kernel_basis, leq, nat_basis, pointed_closure,
                     poset_covers, rank, solve, validate_diagram)
 from helpers import (F2, F5, all_cover_paths, canonical_set, minimal_squares_commute,
                      module_diagram, path_commutativity_ok, poset_covers_bruteforce,
+                     poset_covers_by_scan,
                      random_invertible, random_module, random_point_set)
 from detmod.extgrid import as_product
 
@@ -249,6 +250,35 @@ class TestPosetCovers:
                 rng.shuffle(ordered)
                 assert set(poset_covers(ordered)) == set(poset_covers_bruteforce(ordered))
             assert set(product.covers()) == set(poset_covers_bruteforce(product.points()))
+
+    @pytest.mark.parametrize("nparams", [1, 2, 3])
+    def test_bitmasks_give_the_scan_in_its_order(self, nparams):
+        """Equal lists, order included, on sets with -inf coordinates, ties on
+        an axis (coordinates from a range of 4), closed and not join-closed."""
+        rng = random.Random(70 + nparams)
+        seen_open = seen_tie = 0
+        for _ in range(60):
+            pts = random_point_set(rng, nparams, max_size=14, lo=0, hi=3)
+            for candidate in (pts, join_closure(pts)):
+                ordered = list(candidate)
+                rng.shuffle(ordered)
+                assert poset_covers(ordered) == poset_covers_by_scan(ordered)
+            seen_open += join_closure(pts) != pts
+            seen_tie += any(len({p[a] for p in pts}) < len(pts) for a in range(nparams))
+        assert nparams == 1 or (seen_open and seen_tie)  # a chain is closed, with no tie
+
+    def test_bitmasks_on_a_lattice_that_is_not_a_product(self):
+        pts = pointed_closure(set(CartesianSet(((NEG_INF, 0, 1), (0, 2))).points())
+                              | {(2, 1), (-1, 3)})
+        assert as_product(pts) is None
+        assert poset_covers(list(pts)) == poset_covers_by_scan(pts)
+        assert set(poset_covers(list(pts))) == set(poset_covers_bruteforce(list(pts)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 3).flatmap(lambda n: st.lists(
+        st.tuples(*[st.sampled_from(TestPosetCovers.COORDS)] * n), max_size=16)))
+    def test_bitmasks_match_the_scan(self, pts):
+        assert poset_covers(pts) == poset_covers_by_scan(pts)
 
 
 class TestLimit:
