@@ -1,24 +1,31 @@
 #!/usr/bin/env python3
-"""Scaling of ``births-deaths`` on one-parameter identity chains.
+"""Scaling of ``births-deaths`` on identity chains and products of two of them.
 
-The module is one-dimensional on every point of the box [0, N - 1] with
-identity steps.  Its extension has one birth, at -inf, and no deaths, for
-every N.  The script writes each chain as a module file, runs the CLI verb
-through ``detmod.cli.main`` in this process, checks that closed form, and
-prints the CPU time of the call (the least of ``--repeat`` runs) and its
-ratio to the previous size.  A linear scan grows about 2x per doubling; the
-check on the output holds at any speed, so the script has no timing gate.
+The module is one-dimensional on every point of its box with identity
+steps: the box [0, N - 1] for a chain, and for the two-parameter case a box
+[0, a - 1] x [0, N // a - 1] of about N points with a = floor(sqrt(N)).
+Its extension has one birth, at the bottom point, and no deaths, for every
+N.  The script writes each module as a file, runs the CLI verb through
+``detmod.cli.main`` in this process, checks that closed form, and prints the
+CPU time of the call (the least of ``--repeat`` runs) and its ratio to the
+previous size.  A linear scan grows about 2x per doubling; the check on the
+output holds at any speed, so the script has no timing gate.
 
 It also prints how many eliminations (``linalg._echelon`` calls) and matrix
-products (``Matrix.__matmul__`` calls) one ``births-deaths`` call makes, and
-one ``verify --presentation`` call on the output of ``present``.  It fails
-when ``births-deaths`` makes any: every step of the chain is the identity,
-so determinacy settles every cover without a rank and the presentation scan
-carries its images up with no product and no lift elimination.  It fails
-when verify makes more than one elimination or any product: the walk
-checks that the generator images span the module at the one generator, at
--inf, and every other point has an identity step from below and a kernel
-that does not grow.  These are count gates, not timing gates.
+products (``Matrix.__matmul__`` calls) one ``births-deaths`` call makes, how
+many points its presentation walk visits (``presentation._walk``), and the
+eliminations and products of one ``verify --presentation`` call on the
+output of ``present``.  It fails when ``births-deaths`` makes any
+elimination or product: every step is the identity, so determinacy settles
+every cover without a rank and the presentation scan carries its images up
+with no product and no lift elimination.  It fails when the walk visits
+more than the bottom point, at any N: every coordinate above the bottom
+repeats the one below it (a slab of identity steps), so the walk leaves it
+out.  It fails when verify makes more than one elimination or any product:
+the walk checks that the generator images span the module at the one
+generator, at the bottom, and every other point has an identity step from
+below and a kernel that does not grow.  These are count gates, not timing
+gates.
 
 Usage: python scripts/chain_scaling.py [--sizes 50 100 200 400] [--fields f2 f5 q]
                                        [--repeat 3]
@@ -31,19 +38,30 @@ import sys
 import tempfile
 import time
 
-from detmod import QQ, Box, GridModule, Matrix, PrimeField, linalg
+from detmod import QQ, Box, GridModule, Matrix, PrimeField, linalg, presentation
 from detmod import io as dio
 from detmod.cli import main as cli_main
 
 FIELDS = {"f2": PrimeField(2), "f5": PrimeField(5), "q": QQ}
-CLOSED_FORM = {"births": [{"multiplicity": 1, "point": ["-inf"]}], "deaths": []}
 
 
-def chain_module(field, n: int) -> GridModule:
-    box = Box((0,), (n - 1,))
-    dims = {(i,): 1 for i in range(n)}
-    steps = {((i,), 0): Matrix.identity(field, 1) for i in range(n - 1)}
+def closed_form(nparams: int) -> dict:
+    return {"births": [{"multiplicity": 1, "point": ["-inf"] * nparams}], "deaths": []}
+
+
+def identity_module(field, sides: tuple) -> GridModule:
+    """One-dimensional on the box [0, side - 1] per axis, every step the identity."""
+    box = Box((0,) * len(sides), tuple(side - 1 for side in sides))
+    dims = {p: 1 for p in box.integer_points()}
+    steps = {(p, axis): Matrix.identity(field, 1) for p in dims
+             for axis in range(len(sides)) if p[axis] < box.b[axis]}
     return GridModule(field, box, dims, steps)
+
+
+def shapes(n: int) -> list:
+    """The chain of n points and a product of two chains of about n points."""
+    a = max(2, int(n ** 0.5))
+    return [(n,), (a, max(2, n // a))]
 
 
 def timed_births_deaths(path: str, out: str) -> float:
@@ -56,9 +74,10 @@ def timed_births_deaths(path: str, out: str) -> float:
 
 
 def counted(argv: list) -> tuple:
-    """(eliminations, matrix products) of one CLI call, which must exit 0."""
-    counts = [0, 0]
-    echelon, matmul = linalg._echelon, Matrix.__matmul__
+    """(eliminations, matrix products, points walked) of one CLI call, which
+    must exit 0."""
+    counts = [0, 0, 0]
+    echelon, matmul, walk = linalg._echelon, Matrix.__matmul__, presentation._walk
 
     def counted_echelon(*args, **kwargs):
         counts[0] += 1
@@ -67,11 +86,17 @@ def counted(argv: list) -> tuple:
     def counted_matmul(a, b):
         counts[1] += 1
         return matmul(a, b)
+
+    def counted_walk(*args):
+        for visit in walk(*args):
+            counts[2] += 1
+            yield visit
     linalg._echelon, Matrix.__matmul__ = counted_echelon, counted_matmul
+    presentation._walk = counted_walk
     try:
         code = cli_main(argv)
     finally:
-        linalg._echelon, Matrix.__matmul__ = echelon, matmul
+        linalg._echelon, Matrix.__matmul__, presentation._walk = echelon, matmul, walk
     if code != 0:
         raise SystemExit(f"{argv[0]} exited {code} on {argv[1]}")
     return tuple(counts)
@@ -87,41 +112,52 @@ def main():
     if min(args.sizes) < 1 or args.repeat < 1:
         parser.error("sizes and --repeat must be positive")
 
-    print(f"{'field':>5} {'points':>7} {'cpu_s':>8} {'ratio':>6} {'echelon':>7} {'matmul':>6} "
-          f"{'verify_echelon':>14} {'verify_matmul':>13}")
+    print(f"{'field':>5} {'shape':>9} {'points':>7} {'cpu_s':>8} {'ratio':>6} {'echelon':>7} "
+          f"{'matmul':>6} {'walked':>6} {'verify_echelon':>14} {'verify_matmul':>13}")
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "report.json")
         pres = os.path.join(tmp, "presentation.json")
         for name in args.fields:
-            previous = None
-            for n in args.sizes:
-                path = os.path.join(tmp, f"chain_{name}_{n}.json")
-                with open(path, "w") as fh:
-                    json.dump(dio.module_to_json(chain_module(FIELDS[name], n)), fh)
-                eliminations, products = counted(["births-deaths", path, "--out", out])
-                cpu = min(timed_births_deaths(path, out) for _ in range(args.repeat))
-                with open(out) as fh:
-                    report = json.load(fh)
-                if report != CLOSED_FORM:
-                    raise SystemExit(f"{name} chain of {n} points: expected one birth at "
-                                     f"-inf and no deaths, got {report}")
-                counted(["present", path, "--out", pres])
-                checks, check_products = counted(["verify", path, "--presentation", pres,
-                                                   "--out", out])
-                ratio = f"{cpu / previous:6.2f}" if previous else f"{'':>6}"
-                print(f"{name:>5} {n:>7} {cpu:>8.3f} {ratio} {eliminations:>7} {products:>6} "
-                      f"{checks:>14} {check_products:>13}")
-                if eliminations or products:
-                    raise SystemExit(f"{name} chain of {n} points: births-deaths made "
-                                     f"{eliminations} eliminations and {products} products, "
-                                     "expected none on an identity chain")
-                if checks > 1 or check_products:
-                    raise SystemExit(f"{name} chain of {n} points: verify made {checks} "
-                                     f"eliminations and {check_products} products, expected "
-                                     "at most one elimination and no product")
-                previous = cpu
-    print("every chain has one birth at -inf and no deaths, with no elimination or product; "
-          "verify of its presentation makes one elimination and no product")
+            for nparams in (1, 2):
+                previous = None
+                for n in args.sizes:
+                    sides = shapes(n)[nparams - 1]
+                    label = "x".join(map(str, sides))
+                    points = 1
+                    for side in sides:
+                        points *= side
+                    path = os.path.join(tmp, f"identity_{name}_{label}.json")
+                    with open(path, "w") as fh:
+                        json.dump(dio.module_to_json(identity_module(FIELDS[name], sides)), fh)
+                    eliminations, products, walked = counted(["births-deaths", path, "--out", out])
+                    cpu = min(timed_births_deaths(path, out) for _ in range(args.repeat))
+                    with open(out) as fh:
+                        report = json.load(fh)
+                    if report != closed_form(nparams):
+                        raise SystemExit(f"{name} module on {label}: expected one birth at the "
+                                         f"bottom and no deaths, got {report}")
+                    counted(["present", path, "--out", pres])
+                    checks, check_products, _ = counted(["verify", path, "--presentation", pres,
+                                                         "--out", out])
+                    ratio = f"{cpu / previous:6.2f}" if previous else f"{'':>6}"
+                    print(f"{name:>5} {label:>9} {points:>7} {cpu:>8.3f} {ratio} {eliminations:>7} "
+                          f"{products:>6} {walked:>6} {checks:>14} {check_products:>13}")
+                    if eliminations or products:
+                        raise SystemExit(f"{name} module on {label}: births-deaths made "
+                                         f"{eliminations} eliminations and {products} products, "
+                                         "expected none on identity steps")
+                    if walked != 1:
+                        raise SystemExit(f"{name} module on {label}: the presentation walk "
+                                         f"visited {walked} points, expected the bottom point "
+                                         "only at every size")
+                    if checks > 1 or check_products:
+                        raise SystemExit(f"{name} module on {label}: verify made {checks} "
+                                         f"eliminations and {check_products} products, expected "
+                                         "at most one elimination and no product")
+                    previous = cpu
+    print("every module has one birth at the bottom and no deaths, with no elimination or "
+          "product and one point walked at every size; verify of its presentation makes at "
+          "most one elimination and no product")
     return 0
 
 

@@ -20,7 +20,7 @@ from .linalg import (DiagramCheck, Matrix, PosetDiagram, PrimeField, QQ,
                      poset_covers, rank, rref, solve, validate_diagram, vstack)
 from .grid_module import (EncodedView, ExtendedView, GridModule, restrict_view,
                           validate_module, window_module)
-from .determinacy import (DeterminacyReport, canonical_set, check_encoding,
+from .determinacy import (DeterminacyReport, canonical_grid, canonical_set, check_encoding,
                           default_oracle_window, encode, finitely_determined_check,
                           is_S_determined, is_S_determined_oracle)
 from .presentation import (BirthDeathReport, Presentation, PresentationCheck,

@@ -27,7 +27,7 @@ from . import io as dio
 from .errors import InputError, NotDeterminedError
 from .extgrid import convex_projection, ext_box, extended_projection, is_integral, \
     join_below, meet_above, sort_points
-from .determinacy import (canonical_set, check_encoding, default_oracle_window, encode,
+from .determinacy import (canonical_grid, check_encoding, default_oracle_window, encode,
                           is_S_determined, is_S_determined_oracle)
 from .grid_module import ExtendedView, validate_module
 from .linalg import validate_diagram
@@ -130,7 +130,7 @@ def _cmd_births_deaths(args) -> int:
         if args.set:
             s = dio.pointset_from_json(_read_json_arg(args.set), dim=module.box.dim)
         else:
-            s = canonical_set(module)
+            s = canonical_grid(module)
         report = births_deaths(view, s)
     else:
         raise InputError("births-deaths expects a module or diagram file")
@@ -144,7 +144,7 @@ def _cmd_present(args) -> int:
     if args.set:
         s = dio.pointset_from_json(_read_json_arg(args.set), dim=module.box.dim)
     else:
-        s = canonical_set(module)
+        s = canonical_grid(module)
     pres = build_presentation(view, s)
     _emit(dio.presentation_to_json(pres), args.out)
     return 0

@@ -58,9 +58,15 @@ class DeterminacyReport:
         return self.determined
 
 
-def _normalize_set(view: ExtendedView, s) -> frozenset:
-    pts = frozenset(as_point(p, dim=view.box.dim) for p in s)
-    return pts
+def _normalize_set(view: ExtendedView, s):
+    """The set as points of the module's dimension: a :class:`CartesianSet`
+    of that dimension as it is, any other collection as a frozenset."""
+    n = view.box.dim
+    if isinstance(s, frozenset) or not isinstance(s, CartesianSet):
+        return frozenset(as_point(p, dim=n) for p in s)
+    if s.dim != n:
+        raise InputError(f"point set has dimension {s.dim}, expected {n}")
+    return s
 
 
 def _first_failing_cover(module: GridModule, s: frozenset, factors: tuple,
@@ -139,7 +145,7 @@ def _corner_factors(box: Box) -> list:
     return [(NEG_INF,) + tuple(range(lo + 1, hi + 1)) for lo, hi in zip(box.a, box.b)]
 
 
-def _first_failing_step(module: GridModule, s: frozenset):
+def _first_failing_step(module: GridModule, s):
     """The cover (c, d = c + e_axis) at the corner c of the first failing step.
 
     The steps along an axis into v are settled at once when the set holds
@@ -149,22 +155,25 @@ def _first_failing_step(module: GridModule, s: frozenset):
     order -inf below every integer as ``point_sort_key`` does.  Steps are
     read by flat index, and a step's matrix is made only when it is tested;
     a left-out step that is not 0 x 0 is a zero map, so it fails with no
-    test.
+    test, and an identity step passes with none.
     """
     box = module.box
     n, lower, top, strides = box.dim, box.a, box.b, box.strides()
     values = list(module.dims.values())
-    at_coord = [{} for _ in range(n)]
-    for p in s:
-        for axis, v in enumerate(p):
-            at_coord[axis].setdefault(v, []).append(p)
+    settled = _axis_coordinates(s, n)
+    at_coord = None  # per axis, the points of the set by their coordinate there
     candidates = []
     for axis, stride in enumerate(strides):
         block = stride * (top[axis] - lower[axis] + 1)
         cs = _corner_factors(box)  # per axis the corner coordinates, in box order
         for v in range(lower[axis] + 1, top[axis] + 1):
-            if (NEG_INF,) * axis + (v,) + (NEG_INF,) * (n - axis - 1) in s:
+            if v in settled[axis]:
                 continue
+            if at_coord is None:
+                at_coord = [{} for _ in range(n)]
+                for p in s:
+                    for i, u in enumerate(p):
+                        at_coord[i].setdefault(u, []).append(p)
             # the flat indices of the box points q with q_axis = v - 1, in order
             base = (v - 1 - lower[axis]) * stride
             xs = [x for o in range(base, len(values), block) for x in range(o, o + stride)]
@@ -176,16 +185,35 @@ def _first_failing_step(module: GridModule, s: frozenset):
                     candidates.append((c, axis, d, x * n + axis))
     candidates.sort(key=lambda x: x[:2])
     for c, axis, d, key in candidates:
+        if key in module.identities:
+            continue
         step = module.flat_step(key)
         if step is None or not is_invertible(step):
             return c, d
     return None
 
 
-def determinacy_report(module: GridModule, pts: frozenset,
-                        check_support: bool) -> DeterminacyReport:
+def _axis_coordinates(s, n: int) -> list:
+    """Per axis, the coordinates v for which the set holds the axis point
+    with v on that axis and -inf on every other: on a product, every
+    coordinate of the axis's factor when the other factors all hold -inf.
+    ``s`` is normalized: a frozenset or a :class:`CartesianSet`."""
+    if not isinstance(s, frozenset):
+        bottom = [f[0] == NEG_INF for f in s.factors]
+        return [set(f) if all(bottom[:axis] + bottom[axis + 1:]) else set()
+                for axis, f in enumerate(s.factors)]
+    out = [set() for _ in range(n)]
+    for p in s:
+        finite = [axis for axis, v in enumerate(p) if v != NEG_INF]
+        if len(finite) == 1:
+            out[finite[0]].add(p[finite[0]])
+    return out
+
+
+def determinacy_report(module: GridModule, pts, check_support: bool) -> DeterminacyReport:
     """:func:`is_S_determined` on a set of points the caller has normalized
-    (as ``as_point`` does, in the module's dimension)."""
+    as :func:`_normalize_set` does: a frozenset of points of the module's
+    dimension, or a :class:`CartesianSet` of that dimension."""
     witness = _first_failing_step(module, pts)
     support_ok = None
     if check_support:
@@ -243,29 +271,40 @@ def is_S_determined_oracle(view: ExtendedView, s, window: Box) -> DeterminacyRep
     return _condition_on_grid(view, pts, grid, "oracle")
 
 
-def canonical_set(module: GridModule) -> frozenset:
-    """Default determining set of a stored module: the extended box [a + 1, b].
+def canonical_grid(module: GridModule) -> CartesianSet:
+    """Default determining set of a stored module, as the product it is: the
+    extended box [a + 1, b].
 
     The data box [a, b] itself is extended instead when a + 1 exceeds b on
-    some axis.
+    some axis.  It holds the bottom point, so it is its own pointed join
+    closure.
     """
     a, b = module.box.a, module.box.b
-    shifted = tuple(x + 1 for x in a)
-    if all(s <= y for s, y in zip(shifted, b)):
-        return ext_box(Box(shifted, b)).points()
-    return ext_box(module.box).points()
+    lo = tuple(x + 1 for x in a)
+    if not all(s <= y for s, y in zip(lo, b)):
+        lo = a
+    return CartesianSet(tuple((NEG_INF,) + tuple(range(u, v + 1)) for u, v in zip(lo, b)))
 
 
-def determined_closure(view: ExtendedView, s) -> frozenset:
+def canonical_set(module: GridModule) -> frozenset:
+    """The points of :func:`canonical_grid`."""
+    return canonical_grid(module).points()
+
+
+def determined_closure(view: ExtendedView, s):
     """The pointed join closure of a set that determines the module.
 
     Refuses with the witness pair when the covering-pair condition fails, in
     which case no encoding on that closure can restrict back to the module.
+    A :class:`CartesianSet` with -inf on every axis, such as
+    :func:`canonical_grid`, is its own closure and is returned as it is.
     """
     pts = _normalize_set(view, s)
     report = determinacy_report(view.module, pts, check_support=False)
     if not report.holds:
         raise NotDeterminedError(report.witness)
+    if not isinstance(pts, frozenset) and all(f[0] == NEG_INF for f in pts.factors):
+        return pts
     return pointed_closure(pts, dim=view.box.dim)
 
 

@@ -248,6 +248,10 @@ class CartesianSet:
     def __contains__(self, c: Point) -> bool:
         return len(c) == self.dim and all(v in f for v, f in zip(c, self.factors))
 
+    def __iter__(self) -> Iterator[Point]:
+        """The points in lexicographic order."""
+        return itertools.product(*self.factors)
+
     def sorted_points(self) -> list[Point]:
         """The product enumerated in lexicographic order."""
         return list(itertools.product(*self.factors))
@@ -260,14 +264,16 @@ class CartesianSet:
         return CartesianSet(tuple((NEG_INF,) + f if f[0] != NEG_INF else f for f in self.factors))
 
     def covers(self) -> Iterator[tuple]:
-        """Covering pairs of the product poset: one axis stepped to its successor."""
-        sizes = [range(len(f)) for f in self.factors]
-        for idx in itertools.product(*sizes):
-            pt = tuple(f[i] for f, i in zip(self.factors, idx))
-            for axis, f in enumerate(self.factors):
-                if idx[axis] + 1 < len(f):
-                    succ = pt[:axis] + (f[idx[axis] + 1],) + pt[axis + 1:]
-                    yield pt, succ
+        """Covering pairs of the product poset: one axis stepped to its
+        successor, by source in lexicographic order, then by axis.  The
+        successor along an axis lies one stride further in that order."""
+        lengths = [len(f) for f in self.factors]
+        strides = lex_strides(lengths)
+        pts = self.sorted_points()
+        for i, idx in enumerate(itertools.product(*map(range, lengths))):
+            for axis, k in enumerate(idx):
+                if k + 1 < lengths[axis]:
+                    yield pts[i], pts[i + strides[axis]]
 
     def join_below(self, c: Point) -> Point:
         """Coordinatewise version of :func:`join_below`; factors must contain -inf."""

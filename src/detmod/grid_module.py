@@ -34,10 +34,13 @@ class GridModule:
     other, as ``(rows, den)``: integer rows over one positive denominator,
     the rows themselves over F_p (den 1) and the rows times their least
     common denominator over Q.  That is the form the square check
-    multiplies.  :meth:`flat_step` and :meth:`step` make a step's
-    :class:`Matrix` on first use and keep it; a step the input leaves out is
-    the zero matrix of the forced shape, one shared (immutable) matrix per
-    shape.  Axes are 0-based here (the file format is 1-based).
+    multiplies.  ``identities`` holds the flat index of each given step that
+    is the identity, decided once, when the step is stored (by the loader on
+    the rows it decodes).
+    :meth:`flat_step` and :meth:`step` make a step's :class:`Matrix` on
+    first use and keep it; a step the input leaves out is the zero matrix of
+    the forced shape, one shared (immutable) matrix per shape.  Axes are
+    0-based here (the file format is 1-based).
     """
 
     def __init__(self, field, box: Box, dims: dict, steps: dict):
@@ -59,26 +62,31 @@ class GridModule:
             if not (p in index and 0 <= axis < n and p[axis] < top[axis]):
                 raise InputError(f"step at {p!r} along axis {axis} leaves the box")
             mats[index[p] * n + axis] = mat
-        self._fill(field, box, dims, index, {key: _integer_rows(mat) for key, mat in mats.items()})
+        self._fill(field, box, dims, index, {key: _integer_rows(mat) for key, mat in mats.items()},
+                   {key for key, mat in mats.items() if mat.is_identity()})
         self._mats = mats  # checked for shape and field by validate_module
 
     @classmethod
-    def _checked(cls, field, box: Box, dims: dict, index: dict, step_rows: dict):
+    def _checked(cls, field, box: Box, dims: dict, index: dict, step_rows: dict,
+                 identities: set):
         """A module from data the caller has checked as ``__init__`` and
         :func:`validate_module` do: ``dims`` on the box points in order and
         each a dimension, ``index`` the place of each box point in that
-        order, and ``step_rows`` the given steps by flat index, each inside
-        the box, of its forced shape and over ``field``."""
+        order, ``step_rows`` the given steps by flat index, each inside the
+        box, of its forced shape and over ``field``, and ``identities`` the
+        flat indices of those that are the identity."""
         module = cls.__new__(cls)
-        module._fill(field, box, dims, index, step_rows)
+        module._fill(field, box, dims, index, step_rows, identities)
         return module
 
-    def _fill(self, field, box, dims, index, step_rows):
+    def _fill(self, field, box, dims, index, step_rows, identities):
         self.field = field
         self.box = box
         self.dims = dims
         self.step_rows = step_rows
+        self.identities = identities
         self._index = index
+        self._layout_cache = None
         self._mats = {}
         self._zero = {}
         self._validated = None
@@ -100,19 +108,57 @@ class GridModule:
             else:  # no rows: the width is the dimension at the source
                 ncols = next(itertools.islice(self.dims.values(), key // self.box.dim, None))
             if self.field.kind == "rational":
-                rows = [tuple([Fraction(x, den) for x in r]) for r in rows]
+                rows = [tuple(map(Fraction, r)) if den == 1
+                        else tuple([Fraction(x, den) for x in r]) for r in rows]
             mat = self._mats[key] = Matrix._of_rows(self.field, rows, ncols)
         return mat
 
     def step(self, p: Point, axis: int) -> Matrix:
         x = self._index.get(p)
-        if x is not None and x * self.box.dim + axis in self.step_rows:
-            return self.flat_step(x * self.box.dim + axis)
+        if x is not None:
+            key = x * self.box.dim + axis
+            if key in self.step_rows:
+                return self.flat_step(key)
         shape = (self.dims[self._step_target(p, axis)], self.dims[p])
         mat = self._zero.get(shape)
         if mat is None:
             mat = self._zero[shape] = Matrix.zeros(self.field, *shape)
         return mat
+
+    def _layout(self) -> tuple:
+        """The dimensions in box order and the box strides, made once."""
+        if self._layout_cache is None:
+            self._layout_cache = list(self.dims.values()), self.box.strides()
+        return self._layout_cache
+
+    def is_identity_step(self, p: Point, axis: int) -> bool:
+        """Whether the step from the box point ``p`` along ``axis`` is the
+        identity, with no :class:`Matrix` made: a given step as stored, a
+        left-out one when both its ends are zero spaces (the 0 x 0
+        identity)."""
+        x = self._index[p]
+        key = x * self.box.dim + axis
+        if key in self.identities:
+            return True
+        if key in self.step_rows:
+            return False
+        values, strides = self._layout()
+        return not values[x] and not values[x + strides[axis]]
+
+    def is_identity_slab(self, axis: int, t: int) -> bool:
+        """Whether every step along ``axis`` out of a box point with
+        coordinate ``t`` there is the identity."""
+        values, strides = self._layout()
+        n, stride, lo = len(strides), strides[axis], self.box.a[axis]
+        block = stride * (self.box.b[axis] - lo + 1)
+        identities, given = self.identities, self.step_rows
+        for o in range((t - lo) * stride, len(values), block):
+            for x in range(o, o + stride):
+                key = x * n + axis
+                if key not in identities and (key in given or values[x]
+                                              or values[x + stride]):
+                    return False
+        return True
 
     @property
     def steps(self) -> dict:
@@ -163,18 +209,19 @@ def validate_module(module: GridModule) -> DiagramCheck:
     the order (n-1, n-2), (n-1, n-3), ..., (1, 0); the first failure is
     reported as ``(c, c + e_j, c + e_i, c + e_i + e_j)``.  Points and steps
     are read by flat index (see :class:`GridModule`).  A square commutes
-    without a product when c or its top corner has dimension zero.  A
-    composite through a zero-dimensional corner or a left-out step is zero,
-    so at most one product is formed then.  Products are made on the stored
-    integer rows, with no :class:`Matrix`: over F_p the two sides are
-    compared mod p unreduced, and over Q cross-multiplied by their
-    denominators.  Shapes and fields are checked on the matrices made so
-    far, those given to ``GridModule.__init__``; the loader checks the
-    shape of every step it decodes.
+    without a product when c or its top corner has dimension zero, or when
+    its four steps are identities.  A composite through a zero-dimensional
+    corner or a left-out step is zero, so at most one product is formed
+    then.  Products are made on the stored integer rows, with no
+    :class:`Matrix`: over F_p the two sides are compared mod p unreduced,
+    and over Q cross-multiplied by their denominators.  Shapes and fields
+    are checked on the matrices made so far, those given to
+    ``GridModule.__init__``; the loader checks the shape of every step it
+    decodes.
     """
     if module._validated is True:
         return DiagramCheck(True)
-    dims, given, field = module.dims, module.step_rows, module.field
+    dims, given, field, identities = module.dims, module.step_rows, module.field, module.identities
     n, top, strides = module.box.dim, module.box.b, module.box.strides()
     pts, values = list(dims), list(dims.values())
     for key, mat in module._mats.items():
@@ -189,8 +236,9 @@ def validate_module(module: GridModule) -> DiagramCheck:
             return DiagramCheck(False, f"step at {p!r} along axis {axis + 1} is over the "
                                 "wrong field", (p, q))
     prime = field.p if field.kind == "prime" else 0
-    # both composites of a square out of a point with no step given are zero
-    for x in sorted({key // n for key in given}):  # the point at x + strides[a] is c + e_a
+    # both composites of a square out of a point with no step given are zero,
+    # and a box of one axis has no square; c + e_a is at x + strides[a]
+    for x in sorted({key // n for key in given}) if n > 1 else ():
         if values[x] == 0:
             continue
         c = pts[x]
@@ -201,6 +249,9 @@ def validate_module(module: GridModule) -> DiagramCheck:
             for i in axes[k + 1:]:
                 xi, xe = x + strides[i], xj + strides[i]
                 if values[xe] == 0:
+                    continue
+                if (x * n + j in identities and xj * n + i in identities
+                        and x * n + i in identities and xi * n + j in identities):
                     continue
                 up_i = c_j and given.get(xj * n + i)
                 c_i = values[xi] and given.get(x * n + i)
@@ -245,16 +296,20 @@ class ExtendedView:
         return self.module.dims[self.clamp(c)]
 
     def eval_map(self, c: Point, d: Point) -> Matrix:
-        """The structure map from c to d: the stored steps composed along the
-        staircase from clamp(c) to clamp(d).
+        """The structure map from c to d: :meth:`box_map` from clamp(c) to
+        clamp(d)."""
+        if not leq(c, d):
+            raise InputError(f"{c!r} is not below {d!r}")
+        return self.box_map(self.clamp(c), self.clamp(d))
+
+    def box_map(self, p: Point, q: Point) -> Matrix:
+        """The map between box points p <= q: the stored steps composed
+        along the staircase from p to q.
 
         The composite starts from the first step, so a unit cover returns
         the stored step itself and a path of k steps makes k - 1 products;
-        the identity is built only when both points clamp to the same point.
+        the identity is built only when p = q.
         """
-        if not leq(c, d):
-            raise InputError(f"{c!r} is not below {d!r}")
-        p, q = self.clamp(c), self.clamp(d)
         key = (p, q)
         cached = self._map_cache.get(key)
         if cached is not None:
@@ -282,9 +337,11 @@ def restrict_view(view, points) -> PosetDiagram:
     When ``points`` is a :class:`CartesianSet`, or a set equal to the product
     of its per-axis coordinate sets (tested by size first, so a sparse set
     never builds its product), the covering relations of the product poset
-    are used directly instead of being recomputed.  The diagram is marked
-    validated: both view classes validate their data when they are built, and
-    a functor restricts to a functor.
+    are used directly instead of being recomputed.  Each point is sent once
+    to where the view reads it (its clamp into the box, or its collapse into
+    the points of an encoding), and dims and maps are read off those points.
+    The diagram is marked validated: both view classes validate their data
+    when they are built, and a functor restricts to a functor.
     """
     if not isinstance(points, CartesianSet):
         points = frozenset(points)
@@ -295,8 +352,13 @@ def restrict_view(view, points) -> PosetDiagram:
     else:
         pts = sort_points(points)
         covers = poset_covers(pts)
-    dims = {p: view.eval_space(p) for p in pts}
-    maps = {e: view.eval_map(*e) for e in covers}
+    if isinstance(view, ExtendedView):
+        send, space, between = view.clamp, view.module.dims, view.box_map
+    else:
+        send, space, between = view.collapse, view.diagram.dims, view.diagram.path_map
+    at = {p: send(p) for p in pts}
+    dims = {p: space[at[p]] for p in pts}
+    maps = {(c, d): between(at[c], at[d]) for c, d in covers}
     diagram = PosetDiagram(view.field, pts, dims, maps, covers=covers)
     diagram._validated = True
     return diagram

@@ -12,8 +12,10 @@ for Hom dimensions.  No floating point is used anywhere.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul, xor
 from typing import Iterable
 
 from .errors import InputError
@@ -149,6 +151,18 @@ class RationalField:
 QQ = RationalField()
 
 
+_IDENTITY_ROWS = {}
+
+
+def identity_rows(n: int) -> list:
+    """The n x n identity as a list of integer row tuples, made once per n.
+    Entries of either field compare equal to these integers."""
+    rows = _IDENTITY_ROWS.get(n)
+    if rows is None:
+        rows = _IDENTITY_ROWS[n] = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    return rows
+
+
 class Matrix:
     """Immutable dense matrix over an exact field.
 
@@ -219,9 +233,8 @@ class Matrix:
         return all(x == z for r in self.rows for x in r)
 
     def is_identity(self) -> bool:
-        n, z, o = self.nrows, self.field.zero, self.field.one
-        return n == self.ncols and all(r[i] == o and r.count(z) == n - 1
-                                       for i, r in enumerate(self.rows))
+        n = self.nrows
+        return n == self.ncols and list(self.rows) == identity_rows(n)
 
     def column(self, j: int) -> tuple:
         return tuple(r[j] for r in self.rows)
@@ -248,18 +261,30 @@ class Matrix:
                       ncols=self.ncols, _coerce=False)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
-        if self.field != other.field:
+        """The product on integer rows: over F_p each entry is one sum of
+        products taken mod p; over Q each row of ``self`` and each column of
+        ``other`` is cleared to integers over its own denominator, and each
+        entry is one :class:`Fraction` of an integer sum."""
+        field = self.field
+        if field != other.field:
             raise InputError("field mismatch in matrix product")
         if self.ncols != other.nrows:
             raise InputError(f"shape mismatch {self.shape} @ {other.shape}")
-        if self.nrows == 0 or other.ncols == 0:
-            return Matrix.zeros(self.field, self.nrows, other.ncols)
-        if self.ncols == 0:
-            return Matrix.zeros(self.field, self.nrows, other.ncols)
-        dot = self.field.dot
-        cols = list(zip(*other.rows))
-        rows = [tuple(dot(r, c) for c in cols) for r in self.rows]
-        return Matrix(self.field, rows, ncols=other.ncols, _coerce=False)
+        if self.nrows == 0 or other.ncols == 0 or self.ncols == 0:
+            return Matrix.zeros(field, self.nrows, other.ncols)
+        if field.kind == "prime":
+            p = field.p
+            cols = list(zip(*other.rows))
+            rows = [tuple([sum(map(mul, r, c)) % p for c in cols]) for r in self.rows]
+        else:
+            cols = [_cleared(c) for c in zip(*other.rows)]
+            rows = []
+            for r in self.rows:
+                r, dr = _cleared(r)
+                rows.append(tuple([Fraction(sum(map(mul, r, c))) if dr * dc == 1
+                                   else Fraction(sum(map(mul, r, c)), dr * dc)
+                                   for c, dc in cols]))
+        return Matrix._of_rows(field, rows, other.ncols)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Matrix) and self.field == other.field
@@ -286,19 +311,66 @@ def vstack(field, mats: list, ncols: int) -> Matrix:
     return Matrix(field, rows, ncols=ncols, _coerce=False)
 
 
-def _echelon(field, rows, ncols, pivot_limit=None, reduce=True):
-    """Reduced row echelon form in place; returns (rows, pivot columns).
+def _cleared(vector) -> tuple:
+    """A vector of rationals as (integer entries, denominator): the entries
+    times their least common denominator, and that denominator."""
+    pairs = [x.as_integer_ratio() for x in vector]
+    den = math.lcm(*[q for _, q in pairs])
+    if den == 1:
+        return [n for n, _ in pairs], 1
+    return [n * (den // q) for n, q in pairs], den
 
-    With ``reduce`` false only the rows below each pivot are cleared: the
-    pivots are the same, and the rows are an echelon form, not the reduced one.
+
+def _echelon(field, rows, ncols, pivot_limit=None, reduce=True):
+    """Reduced row echelon form; returns (rows, pivot columns).
+
+    With ``reduce`` false only the pivot columns are wanted, and the rows
+    returned are ``None``.  Each row below a pivot is then cleared on
+    integer rows, which gives the same pivots: over F_p the update
+    a * row - b * pivot row takes one ``%`` per entry, with no inverse (over
+    F_2 it is the XOR of the two rows); over Q every row is first cleared of
+    denominators, and the update is fraction-free, each new row divided by
+    the gcd of its entries so that they stay small.
     """
-    rows = [list(r) for r in rows]
     if pivot_limit is None:
         pivot_limit = ncols
-    zero, one = field.zero, field.one
+    nrows = len(rows)
     pivots = []
     r = 0
-    nrows = len(rows)
+    if not reduce:
+        prime = field.p if field.kind == "prime" else 0
+        # rows are replaced, never changed in place, so the given ones are shared
+        rows = list(rows) if prime else [_cleared(row)[0] for row in rows]
+        for c in range(pivot_limit):
+            if r == nrows:
+                break
+            for pr in range(r, nrows):
+                if rows[pr][c]:
+                    break
+            else:
+                continue
+            prow = rows[pr]
+            if pr != r:
+                rows[r], rows[pr] = prow, rows[r]
+            a = prow[c]
+            for i in range(r + 1, nrows):
+                row = rows[i]
+                b = row[c]
+                if not b:
+                    continue
+                if prime == 2:
+                    rows[i] = list(map(xor, row, prow))
+                elif prime:
+                    rows[i] = [(a * x - b * y) % prime for x, y in zip(row, prow)]
+                else:
+                    new = [a * x - b * y for x, y in zip(row, prow)]
+                    g = math.gcd(*new)
+                    rows[i] = [x // g for x in new] if g > 1 else new
+            pivots.append(c)
+            r += 1
+        return None, pivots
+    rows = [list(r) for r in rows]
+    zero, one = field.zero, field.one
     for c in range(pivot_limit):
         if r == nrows:
             break
@@ -314,7 +386,7 @@ def _echelon(field, rows, ncols, pivot_limit=None, reduce=True):
         if rows[r][c] != one:
             rows[r] = field.scale_row(field.inv(rows[r][c]), rows[r])
         prow = rows[r]
-        for i in range(0 if reduce else r + 1, nrows):
+        for i in range(nrows):
             if i != r and rows[i][c] != zero:
                 rows[i] = field.subtract_scaled(rows[i], rows[i][c], prow)
         pivots.append(c)
@@ -437,10 +509,14 @@ class PosetDiagram:
 
     Stores a dimension per point and a matrix per covering relation; maps
     between comparable points are composites along covering chains, which is
-    unambiguous once the diagram validates.
+    unambiguous once the diagram validates.  A cover left out of ``maps``
+    maps by the zero matrix of its shape, one shared matrix per shape.
+    ``identities``, when the caller knows them, are the given covers whose
+    map is the identity; :meth:`identity_covers` otherwise decides them on
+    first use.
     """
 
-    def __init__(self, field, points, dims, maps, covers=None):
+    def __init__(self, field, points, dims, maps, covers=None, identities=None):
         self.field = field
         self.points = tuple(sort_points(points))
         point_set = set(self.points)
@@ -463,15 +539,31 @@ class PosetDiagram:
             if key not in cover_set:
                 raise InputError(f"map given for non-covering pair {key!r}")
             self.maps[key] = mat
+        zeros, empty = {}, []
         for c, d in self._covers:
             if (c, d) not in self.maps:
-                self.maps[(c, d)] = Matrix.zeros(field, self.dims[d], self.dims[c])
+                shape = (self.dims[d], self.dims[c])
+                mat = zeros.get(shape)
+                if mat is None:
+                    mat = zeros[shape] = Matrix.zeros(field, *shape)
+                self.maps[(c, d)] = mat
+                if shape == (0, 0):
+                    empty.append((c, d))
+        if identities is not None:  # a left-out cover between zero spaces is the 0 x 0 identity
+            identities = frozenset(identities).union(empty)
+        self._identities = identities
         self._path_cache = {}
         self._upper = None
         self._validated = None
 
     def covers(self) -> tuple:
         return self._covers
+
+    def identity_covers(self) -> frozenset:
+        """The covers whose map is the identity."""
+        if self._identities is None:
+            self._identities = frozenset(e for e, m in self.maps.items() if m.is_identity())
+        return self._identities
 
     def map(self, c: Point, d: Point) -> Matrix:
         return self.maps[(c, d)]
@@ -550,34 +642,41 @@ def validate_diagram(diagram: PosetDiagram) -> DiagramCheck:
     On a point set that is a product of chains (``as_product`` recognises
     it) the minimal squares generate every commutativity relation, so only
     they are checked: pairs of covers c < d1, c < d2 with a common upper
-    cover e.  On other sets they do not: on (0,0), (2,0), (0,1), (1,1),
-    (2,1) the chains from (0,0) to (2,1) through (2,0) and through (1,1)
-    share no square.  There the composites from a point c are carried up
-    the covers in linear-extension order, and compared wherever a point e
-    is reached through two lower covers d1, d2; a mismatch is reported as
-    ``(c, d1, d2, e)``.  Every chain from a point with one upper cover runs
-    through that cover, and a point of dimension zero has only zero
-    composites, so only points with two or more upper covers and a non-zero
-    space are sources of that walk.
+    cover e.  A square commutes with no product when c or e is a zero
+    space, or when its four maps are identities.  On other sets they do
+    not: on (0,0), (2,0), (0,1), (1,1), (2,1) the chains from (0,0) to
+    (2,1) through (2,0) and through (1,1) share no square.  There the
+    composites from a point c are carried up the covers in linear-extension
+    order, and compared wherever a point e is reached through two lower
+    covers d1, d2; a mismatch is reported as ``(c, d1, d2, e)``.  Every
+    chain from a point with one upper cover runs through that cover, and a
+    point of dimension zero has only zero composites, so only points with
+    two or more upper covers and a non-zero space are sources of that walk.
     """
     if diagram._validated is True:
         return DiagramCheck(True)
+    dims, field = diagram.dims, diagram.field
     for (c, d), m in diagram.maps.items():
-        expected = (diagram.dims[d], diagram.dims[c])
-        if m.shape != expected:
-            return DiagramCheck(False, f"map {c!r} -> {d!r} has shape {m.shape}, expected {expected}",
-                                (c, d))
-        if m.field != diagram.field:
+        if m.nrows != dims[d] or m.ncols != dims[c]:
+            return DiagramCheck(False, f"map {c!r} -> {d!r} has shape {m.shape}, expected "
+                                f"{(dims[d], dims[c])}", (c, d))
+        if m.field is not field and m.field != field:
             return DiagramCheck(False, f"map {c!r} -> {d!r} is over the wrong field", (c, d))
     upper = {p: [] for p in diagram.points}
     for c, d in diagram.covers():
         upper[c].append(d)
     if as_product(diagram.points) is not None:
         above = {p: set(ups) for p, ups in upper.items()}
+        identities = diagram.identity_covers()
         for c, outs in upper.items():
+            if not dims[c]:
+                continue
             for i, d1 in enumerate(outs):
                 for d2 in outs[i + 1:]:
                     for e in above[d1] & above[d2]:
+                        if not dims[e] or ((c, d1) in identities and (d1, e) in identities
+                                           and (c, d2) in identities and (d2, e) in identities):
+                            continue
                         left = diagram.maps[(d1, e)] @ diagram.maps[(c, d1)]
                         right = diagram.maps[(d2, e)] @ diagram.maps[(c, d2)]
                         if left != right:

@@ -178,9 +178,8 @@ def _walk(field, poset: tuple, new_columns: Callable, gens: list):
     ``poset`` is ``(points, dims, lower, step)``: the points in
     lexicographic order, ``dims[i]`` the dimension at ``points[i]``,
     ``lower[i]`` the indices of its lower covers, and ``step(p, i)`` the map
-    from ``points[p]`` to ``points[i]``, or ``None`` for the identity,
-    whether between equal clamps or an identity matrix
-    (:func:`_unless_identity`).
+    from ``points[p]`` to ``points[i]``, or ``None`` for the identity
+    (:func:`_product_poset`, :func:`_present_diagram`).
 
     At each point c, ``new_columns(points[c], dims[c], maps)``, with
     ``maps`` the steps from the lower covers, gives the images of the
@@ -342,21 +341,20 @@ def _scan(field, poset: tuple, covers_complete: bool) -> tuple:
     return [(b, lift.ncols) for b, lift in gens], relations, blocks, dict(gens)
 
 
-def _unless_identity(m: Matrix) -> Matrix | None:
-    """A step as :func:`_walk` takes it: ``None`` when ``m`` is the identity."""
-    return None if m.is_identity() else m
-
-
 def _present_diagram(diagram: PosetDiagram) -> tuple:
-    """The scan of a validated diagram, with its own covers and maps."""
+    """The scan of a validated diagram, with its own covers and maps, and
+    the diagram's identity covers as identity steps."""
     _require_valid(diagram)
-    points, maps = diagram.points, diagram.maps
+    points, maps, identities = diagram.points, diagram.maps, diagram.identity_covers()
     index = {p: i for i, p in enumerate(points)}
     lower = [[] for _ in points]
     for p, c in diagram.covers():
         lower[index[c]].append(index[p])
-    poset = (points, [diagram.dims[p] for p in points], lower,
-             lambda p, c: _unless_identity(maps[(points[p], points[c])]))
+
+    def step(p, c):
+        cover = (points[p], points[c])
+        return None if cover in identities else maps[cover]
+    poset = (points, [diagram.dims[p] for p in points], lower, step)
     return _scan(diagram.field, poset, covers_complete=False)
 
 
@@ -364,31 +362,38 @@ def _product_poset(view: ExtendedView, grid: CartesianSet, grades=()) -> tuple:
     """A product grid as :func:`_walk` takes it, read off the module's box,
     without the coordinates that repeat the one below.
 
-    A coordinate repeats the one below it on its axis when both clamp to the
-    same box coordinate and no point of ``grades`` has it.  A grid point
-    with such a coordinate repeats its lower cover along that axis: a grade
-    lies below the point exactly when it lies below the cover, and the step
+    A coordinate repeats the one below it on its axis when no point of
+    ``grades`` has it and every step along the axis between their clamps is
+    the identity, at every box point of that slab: equal clamps are the case
+    with no step.  A grid point with such a coordinate repeats its lower
+    cover along that axis: a grade lies below the point exactly when it
+    lies below the cover, the two have the same dimension, and the map
     between them is the identity, so the walk would carry the cover's state
     there, with the same active generators and relations, ev and kernel.
     Verify passes its generator and relation points.  The build passes
     none: it takes a generator only where no lower-cover step is the
     identity, so never at such a coordinate, and a relation only where the
     kernel grows, which it does not across an identity step that brings no
-    generator.  What is left is a product grid again, and as the
-    coordinates left out keep the clamp, its steps are those of the grid.
+    generator.  What is left is a product grid again, whose steps are the
+    composites of those of the grid, and the step into a left-out
+    coordinate is the identity, so they are the steps of the grid with the
+    identities taken out.
 
     The lower covers come from the strides and each step from the module at
     the clamped points: ``None`` (the identity) when both clamp to the same
-    box point, the stored step when they are adjacent, else
-    ``view.eval_map``, the composite of the stored steps between them; and
-    ``None`` again when that matrix is the identity.  The covers of a
-    product are complete.
+    box point; when they are adjacent, ``None`` again for a step the module
+    knows to be the identity, with no :class:`Matrix`, else the stored
+    step; and otherwise ``view.box_map``, the composite of the stored steps
+    between them, or ``None`` when that matrix is the identity.  The covers
+    of a product are complete.
     """
     module = view.module
     factors, clamps = [], []
     for axis, (f, cl) in enumerate(zip(grid.factors, clamps_and_strides(grid, module.box)[0])):
         pins = {p[axis] for p in grades}
-        kept = [k for k, v in enumerate(f) if not k or cl[k - 1] != cl[k] or v in pins]
+        kept = [k for k, v in enumerate(f)
+                if not k or v in pins or not all(module.is_identity_slab(axis, t)
+                                                 for t in range(cl[k - 1], cl[k]))]
         factors.append([f[k] for k in kept])
         clamps.append([cl[k] for k in kept])
     strides = lex_strides([len(f) for f in factors])
@@ -401,14 +406,19 @@ def _product_poset(view: ExtendedView, grid: CartesianSet, grades=()) -> tuple:
         if x == y:
             return None
         axis = next(i for i, (u, v) in enumerate(zip(x, y)) if u != v)
-        return _unless_identity(module.step(x, axis) if y[axis] == x[axis] + 1
-                                else view.eval_map(x, y))
+        if y[axis] == x[axis] + 1:
+            return None if module.is_identity_step(x, axis) else module.step(x, axis)
+        composite = view.box_map(x, y)
+        return None if composite.is_identity() else composite
     return list(itertools.product(*factors)), [module.dims[x] for x in clamped], lower, step
 
 
 def _present_view(view: ExtendedView, s) -> tuple:
     """The scan of a determined module on the pointed join closure of the set:
-    on the product grid when the closure is one, else on its encoding."""
+    on the product grid when the closure is one, else on its encoding.  A
+    :class:`CartesianSet` with -inf on every axis, such as the default
+    ``canonical_grid``, is that product as it is, with no pass over its
+    points."""
     closure = determined_closure(view, s)
     grid = as_product(closure)
     if grid is None:

@@ -23,6 +23,43 @@ F5 = PrimeField(5)
 
 
 # ---------------------------------------------------------------------------
+# linear-algebra references: elimination and products by field methods
+
+def echelon_by_field_methods(field, rows, ncols: int, pivot_limit=None) -> tuple:
+    """(rows, pivot columns) of an echelon form made with the field's own
+    operations: each pivot row scaled by the inverse of its pivot, and the
+    rows below it cleared with ``field.subtract_scaled``.  This is how the
+    pivots-only elimination ran before it moved to integer rows."""
+    rows = [list(r) for r in rows]
+    limit = ncols if pivot_limit is None else pivot_limit
+    pivots, r = [], 0
+    for c in range(limit):
+        if r == len(rows):
+            break
+        pr = next((i for i in range(r, len(rows)) if rows[i][c] != field.zero), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        if rows[r][c] != field.one:
+            rows[r] = field.scale_row(field.inv(rows[r][c]), rows[r])
+        for i in range(r + 1, len(rows)):
+            if rows[i][c] != field.zero:
+                rows[i] = field.subtract_scaled(rows[i], rows[i][c], rows[r])
+        pivots.append(c)
+        r += 1
+    return rows, pivots
+
+
+def matmul_by_field_methods(a: Matrix, b: Matrix) -> Matrix:
+    """The product with one ``field.dot`` per entry, entries as field elements."""
+    if a.nrows == 0 or b.ncols == 0 or a.ncols == 0:
+        return Matrix.zeros(a.field, a.nrows, b.ncols)
+    cols = list(zip(*b.rows))
+    return Matrix(a.field, [[a.field.dot(r, c) for c in cols] for r in a.rows],
+                  ncols=b.ncols, _coerce=False)
+
+
+# ---------------------------------------------------------------------------
 # order-theory oracles
 
 def window_ext_points(lo: int, hi: int, n: int):

@@ -12,10 +12,12 @@ from detmod import (Box, CartesianSet, ExtendedView, InputError, Matrix, NEG_INF
                     diagram_limit, diagrams_isomorphic, encode, hstack, is_invertible,
                     join_closure, kernel_basis, leq, nat_basis, pointed_closure,
                     poset_covers, rank, solve, validate_diagram)
-from helpers import (F2, F5, all_cover_paths, canonical_set, minimal_squares_commute,
+from helpers import (F2, F5, all_cover_paths, canonical_set, echelon_by_field_methods,
+                     matmul_by_field_methods, minimal_squares_commute,
                      module_diagram, path_commutativity_ok, poset_covers_bruteforce,
                      poset_covers_by_scan,
                      random_invertible, random_module, random_point_set)
+from detmod import linalg
 from detmod.extgrid import as_product
 
 FIELDS = [F2, F5, QQ]
@@ -149,6 +151,91 @@ class TestElimination:
         assert not Matrix(field, [[1, 1], [0, 1]]).is_identity()
         assert not Matrix(field, [[0, 1], [1, 0]]).is_identity()
         assert not Matrix(field, [[1, 0]]).is_identity()
+
+
+def kernel_matrix(rng, field, nrows, ncols, rank_at_most=None, big=False):
+    """A seeded matrix for the kernel comparison: a product through an inner
+    dimension (so ranks below both sides are common), with some rows and
+    columns zeroed; over Q with denominators up to 10^6 when ``big``."""
+    def entry():
+        if field.kind == "prime":
+            return rng.randrange(field.p)
+        den = rng.randint(1, 10 ** 6) if big else rng.randint(1, 4)
+        return Fraction(rng.randint(-10 ** 6 if big else -4, 10 ** 6 if big else 4), den)
+    inner = rng.randint(0, max(nrows, ncols)) if rank_at_most is None else rank_at_most
+    a = Matrix(field, [[entry() for _ in range(inner)] for _ in range(nrows)], ncols=inner)
+    b = Matrix(field, [[entry() for _ in range(ncols)] for _ in range(inner)], ncols=ncols)
+    rows = [list(r) for r in matmul_by_field_methods(a, b).rows]
+    for i in range(nrows):
+        if rng.random() < 0.15:
+            rows[i] = [field.zero] * ncols
+    for j in range(ncols):
+        if rng.random() < 0.15:
+            for r in rows:
+                r[j] = field.zero
+    return Matrix(field, rows, ncols=ncols, _coerce=False)
+
+
+@st.composite
+def kernel_inputs(draw):
+    """Two multipliable matrices over F2, F5 or Q, 0 to 5 on each side, with
+    rational denominators up to 10^6; shapes 0 x k and k x 0 included."""
+    field = draw(st.sampled_from(FIELDS))
+    n, k, m = (draw(st.integers(0, 5)) for _ in range(3))
+    entry = st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6), st.integers(1, 10 ** 6)) \
+        if field.kind == "rational" else st.integers(0, field.p - 1)
+    entry = st.one_of(st.just(field.zero), entry)
+
+    def block(r, c):
+        return Matrix(field, [[draw(entry) for _ in range(c)] for _ in range(r)], ncols=c)
+    return block(n, k), block(k, m)
+
+
+class TestIntegerRowKernel:
+    """The pivots-only elimination and the product on integer rows agree
+    with the same computations by field methods (``tests/helpers.py``)."""
+
+    @staticmethod
+    def assert_agrees(a, b):
+        field = a.field
+        for m in (a, b, matmul_by_field_methods(a, b)):
+            expected = echelon_by_field_methods(field, m.rows, m.ncols)[1]
+            assert linalg.pivot_columns(field, m.rows, m.ncols) == expected
+            assert rank(m) == len(expected)
+            for limit in range(m.ncols + 1):
+                assert linalg._echelon(field, m.rows, m.ncols, pivot_limit=limit,
+                                       reduce=False)[1] == \
+                    echelon_by_field_methods(field, m.rows, m.ncols, limit)[1]
+        product = a @ b
+        assert product == matmul_by_field_methods(a, b)
+        assert product.shape == (a.nrows, b.ncols)
+        if field.kind == "rational":
+            assert all(type(x) is Fraction for r in product.rows for x in r)
+
+    @pytest.mark.parametrize("field", FIELDS, ids=["f2", "f5", "q"])
+    def test_seeded(self, field):
+        rng = random.Random(2501 + (field.p if field.kind == "prime" else 0))
+        for trial in range(300):
+            n, k, m = rng.randint(0, 6), rng.randint(0, 6), rng.randint(0, 6)
+            big = trial % 2 == 1
+            a = kernel_matrix(rng, field, n, k, big=big)
+            b = kernel_matrix(rng, field, k, m, rank_at_most=rng.randint(0, 3), big=big)
+            self.assert_agrees(a, b)
+
+    @pytest.mark.parametrize("field", FIELDS, ids=["f2", "f5", "q"])
+    def test_edge_shapes(self, field):
+        for n, k, m in [(0, 0, 0), (0, 3, 2), (3, 0, 2), (2, 3, 0), (1, 1, 1)]:
+            self.assert_agrees(Matrix.zeros(field, n, k), Matrix.zeros(field, k, m))
+            self.assert_agrees(Matrix.identity(field, n), Matrix.zeros(field, n, m))
+        big = Fraction(999_983, 1_000_000)
+        if field.kind == "rational":
+            a = Matrix(field, [[big, 1 / big, 0], [0, 0, 0], [-big, 0, Fraction(1, 999_999)]])
+            self.assert_agrees(a, a)
+
+    @settings(max_examples=300, deadline=None)
+    @given(pair=kernel_inputs())
+    def test_hypothesis(self, pair):
+        self.assert_agrees(*pair)
 
 
 def chain_diagram(field, dims, mats):

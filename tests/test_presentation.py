@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -23,7 +24,8 @@ from helpers import (F2, F5, admissible_by_reconstruction, births_deaths_by_cone
                      presentation_check_at_points, random_ext_point, random_module, random_point_set, twist_module, widened_box_points)
 from detmod import QQ, critical_grid, join_closure, lt, min_point, pointed_closure
 from detmod.extgrid import as_product
-from detmod import linalg
+from detmod import canonical_grid, linalg
+from detmod import presentation as presentation_module
 from detmod.presentation import (_cokernel_module, _generator_lifts, _hom_basis,
                                  _present_diagram, present_diagram)
 
@@ -1212,3 +1214,102 @@ def _lattice(pts, nparams, with_bottom):
     bottom = min_point(nparams)
     closed = join_closure(set(pts) - {bottom}) or {(0,) + bottom[1:]}
     return sorted(closed | {bottom} if with_bottom else closed, key=str)
+
+
+def _constant_run_modules(field, rng):
+    """Seeded 2- and 3-parameter modules with slabs of identity steps.
+
+    Interval sums twisted by a basis change at every point whose offset
+    along one axis is 1 mod 3 (a slab of steps along that axis between two
+    other offsets is the identity wherever no interval starts or ends), and
+    untwisted interval sums, two of which span the whole box: products of
+    identity chains, every step the identity.
+    """
+    for nparams in (2, 3):
+        side = 5 if nparams == 2 else 3
+        for trial in range(4):
+            a = tuple(rng.randint(-1, 1) for _ in range(nparams))
+            box = Box(a, tuple(x + side for x in a))
+            starts = [tuple(rng.randint(lo, hi) for lo, hi in zip(a, box.b))
+                      for _ in range(rng.randint(1, 3))]
+            ends = [tuple(rng.randint(x + 1, hi + 1) for x, hi in zip(g, box.b))
+                    for g in starts]
+            module = interval_module(field, box, starts, ends)
+            if trial % 2:
+                axis = trial % nparams
+                module = twist_module(module, rng,
+                                      keep=lambda p, axis=axis: (p[axis] - a[axis]) % 3 != 1)
+            yield module
+        top = tuple(x + side + 1 for x in a)
+        yield interval_module(field, box, [a] * (1 + nparams % 2), [top] * (1 + nparams % 2))
+
+
+class TestConstantRuns:
+    """The product walk leaves out every coordinate whose slab of steps is
+    all identities, and what it reads off is that of the walk that keeps
+    them: the identity flags of the module patched to ``False`` leave out
+    only coordinates that clamp alike, as before."""
+
+    @staticmethod
+    def read_off(view, s, presentations):
+        walked = [0]
+        walk = presentation_module._walk
+
+        def counted(*args):
+            for visit in walk(*args):
+                walked[0] += 1
+                yield visit
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(presentation_module, "_walk", counted)
+            report = births_deaths(view, s)
+            built = build_presentation(view, s)
+            checks = [verify_presentation(view, p) for p in presentations]
+        return (report, built, checks), walked[0]
+
+    @pytest.mark.parametrize("field", [F2, F5, QQ], ids=["f2", "f5", "q"])
+    def test_same_as_the_walk_without_the_drop(self, field, monkeypatch):
+        rng = random.Random(2502 + (field.p if field.kind == "prime" else 0))
+        walked = {"drop": 0, "kept": 0}
+        failing = 0
+        for module in _constant_run_modules(field, rng):
+            view = ExtendedView(module)
+            s = canonical_grid(module)
+            pres = build_presentation(view, s)
+            presentations = [pres, _add_stray_generator(view, pres, rng)[1]]
+            presentations += [c for c in (corrupt(view, pres, rng)
+                                          for corrupt in CORRUPTIONS.values()) if c is not None]
+            got, walked_drop = self.read_off(view, s, presentations)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(GridModule, "is_identity_slab", lambda *args: False)
+                mp.setattr(GridModule, "is_identity_step", lambda *args: False)
+                expected, walked_kept = self.read_off(view, s, presentations)
+            assert got == expected
+            assert got[0] == births_deaths(view, canonical_set(module))
+            assert got[2][0].ok and not got[2][1].ok  # the presentation, and a stray generator
+            walked["drop"] += walked_drop
+            walked["kept"] += walked_kept
+            failing += sum(not check.ok for check in got[2])
+        assert walked["drop"] < walked["kept"] // 2, walked
+        assert failing
+
+    def test_a_chain_walks_one_point(self, tmp_path):
+        """births-deaths on the 80-point identity chain walks its bottom point only."""
+        from detmod import io as dio
+        from detmod.cli import main
+        path, out = tmp_path / "chain.json", tmp_path / "report.json"
+        box = Box((0,), (79,))
+        path.write_text(json.dumps(dio.module_to_json(
+            interval_module(F2, box, [(0,)], [(80,)]))), encoding="utf-8")
+        visits = []
+        walk = presentation_module._walk
+
+        def recorded(*args):
+            for visit in walk(*args):
+                visits.append(visit[0])
+                yield visit
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(presentation_module, "_walk", recorded)
+            assert main(["births-deaths", str(path), "--out", str(out)]) == 0
+        assert visits == [(NEG_INF,)]
+        assert json.loads(out.read_text()) == {
+            "births": [{"multiplicity": 1, "point": ["-inf"]}], "deaths": []}
