@@ -20,7 +20,7 @@ from .errors import InputError
 from .extgrid import (Box, CartesianSet, Point, NEG_INF, as_product,
                       extended_projection, join_below, leq, pointed_closure,
                       sort_points)
-from .linalg import (DiagramCheck, Matrix, PosetDiagram, poset_covers,
+from .linalg import (DiagramCheck, Matrix, PosetDiagram, identity_rows, poset_covers,
                      validate_diagram)
 
 
@@ -35,8 +35,7 @@ class GridModule:
     the rows themselves over F_p (den 1) and the rows times their least
     common denominator over Q.  That is the form the square check
     multiplies.  ``identities`` holds the flat index of each given step that
-    is the identity, decided once, when the step is stored (by the loader on
-    the rows it decodes).
+    is the identity, decided once from its rows, on first use.
     :meth:`flat_step` and :meth:`step` make a step's :class:`Matrix` on
     first use and keep it; a step the input leaves out is the zero matrix of
     the forced shape, one shared (immutable) matrix per shape.  Axes are
@@ -62,31 +61,28 @@ class GridModule:
             if not (p in index and 0 <= axis < n and p[axis] < top[axis]):
                 raise InputError(f"step at {p!r} along axis {axis} leaves the box")
             mats[index[p] * n + axis] = mat
-        self._fill(field, box, dims, index, {key: _integer_rows(mat) for key, mat in mats.items()},
-                   {key for key, mat in mats.items() if mat.is_identity()})
+        self._fill(field, box, dims, index, {key: _integer_rows(mat) for key, mat in mats.items()})
         self._mats = mats  # checked for shape and field by validate_module
 
     @classmethod
-    def _checked(cls, field, box: Box, dims: dict, index: dict, step_rows: dict,
-                 identities: set):
+    def _checked(cls, field, box: Box, dims: dict, index: dict, step_rows: dict):
         """A module from data the caller has checked as ``__init__`` and
         :func:`validate_module` do: ``dims`` on the box points in order and
         each a dimension, ``index`` the place of each box point in that
         order, ``step_rows`` the given steps by flat index, each inside the
-        box, of its forced shape and over ``field``, and ``identities`` the
-        flat indices of those that are the identity."""
+        box, of its forced shape and over ``field``."""
         module = cls.__new__(cls)
-        module._fill(field, box, dims, index, step_rows, identities)
+        module._fill(field, box, dims, index, step_rows)
         return module
 
-    def _fill(self, field, box, dims, index, step_rows, identities):
+    def _fill(self, field, box, dims, index, step_rows):
         self.field = field
         self.box = box
         self.dims = dims
         self.step_rows = step_rows
-        self.identities = identities
         self._index = index
         self._layout_cache = None
+        self._identities = None
         self._mats = {}
         self._zero = {}
         self._validated = None
@@ -131,6 +127,19 @@ class GridModule:
             self._layout_cache = list(self.dims.values()), self.box.strides()
         return self._layout_cache
 
+    @property
+    def identities(self) -> set:
+        """The flat indices of the given steps that are the identity: square
+        over their source, over denominator 1, with the identity's rows.
+        Decided once, on first use, so a module that is only loaded pays
+        nothing."""
+        if self._identities is None:
+            values, n = self._layout()[0], self.box.dim
+            self._identities = {key for key, (rows, den) in self.step_rows.items()
+                                if den == 1 and len(rows) == values[key // n]
+                                and rows == identity_rows(len(rows))}
+        return self._identities
+
     def is_identity_step(self, p: Point, axis: int) -> bool:
         """Whether the step from the box point ``p`` along ``axis`` is the
         identity, with no :class:`Matrix` made: a given step as stored, a
@@ -170,12 +179,12 @@ class GridModule:
 
 def _integer_rows(mat: Matrix) -> tuple:
     """A matrix as integer rows over one positive denominator, as
-    ``GridModule.step_rows`` keeps a step: its own rows over 1 on F_p, and
-    over the least common denominator on Q."""
+    ``GridModule.step_rows`` keeps a step: a list of its own row tuples over
+    1 on F_p, and over the least common denominator on Q."""
     if mat.field.kind == "prime":
-        return mat.rows, 1
+        return list(mat.rows), 1
     den = math.lcm(*(x.denominator for r in mat.rows for x in r))
-    return [[x.numerator * (den // x.denominator) for x in r] for r in mat.rows], den
+    return [tuple([x.numerator * (den // x.denominator) for x in r]) for r in mat.rows], den
 
 
 def _composite(outer: tuple, inner: tuple) -> tuple:
@@ -292,6 +301,14 @@ class ExtendedView:
     def clamp(self, c: Point) -> Point:
         return extended_projection(self.module.box, c)
 
+    # where the view reads a point (its anchor), the dims there and the map
+    # between two anchors, as restrict_view reads every view
+    anchor = clamp
+
+    @property
+    def anchor_dims(self) -> dict:
+        return self.module.dims
+
     def eval_space(self, c: Point) -> int:
         return self.module.dims[self.clamp(c)]
 
@@ -327,6 +344,8 @@ class ExtendedView:
         self._map_cache[key] = mat
         return mat
 
+    anchor_map = box_map
+
     def restrict_diagram(self, points) -> PosetDiagram:
         return restrict_view(self, points)
 
@@ -339,7 +358,8 @@ def restrict_view(view, points) -> PosetDiagram:
     never builds its product), the covering relations of the product poset
     are used directly instead of being recomputed.  Each point is sent once
     to where the view reads it (its clamp into the box, or its collapse into
-    the points of an encoding), and dims and maps are read off those points.
+    the points of an encoding: the view's ``anchor``), and dims and maps are
+    read off those points (``anchor_dims``, ``anchor_map``).
     The diagram is marked validated: both view classes validate their data
     when they are built, and a functor restricts to a functor.
     """
@@ -352,13 +372,10 @@ def restrict_view(view, points) -> PosetDiagram:
     else:
         pts = sort_points(points)
         covers = poset_covers(pts)
-    if isinstance(view, ExtendedView):
-        send, space, between = view.clamp, view.module.dims, view.box_map
-    else:
-        send, space, between = view.collapse, view.diagram.dims, view.diagram.path_map
-    at = {p: send(p) for p in pts}
+    at = {p: view.anchor(p) for p in pts}
+    space = view.anchor_dims
     dims = {p: space[at[p]] for p in pts}
-    maps = {(c, d): between(at[c], at[d]) for c, d in covers}
+    maps = {(c, d): view.anchor_map(at[c], at[d]) for c, d in covers}
     diagram = PosetDiagram(view.field, pts, dims, maps, covers=covers)
     diagram._validated = True
     return diagram
@@ -396,6 +413,15 @@ class EncodedView:
             cached = join_below(self._points, c)
             self._collapse_cache[key] = cached
         return cached
+
+    anchor = collapse
+
+    @property
+    def anchor_dims(self) -> dict:
+        return self.diagram.dims
+
+    def anchor_map(self, p: Point, q: Point) -> Matrix:
+        return self.diagram.path_map(p, q)
 
     def eval_space(self, c: Point) -> int:
         return self.diagram.dims[self.collapse(c)]

@@ -18,8 +18,7 @@ from .errors import InputError
 from .extgrid import Box, NEG_INF, Point, as_point, as_product, point_sort_key
 from .determinacy import DeterminacyReport
 from .grid_module import GridModule
-from .linalg import (Matrix, PosetDiagram, PrimeField, RationalField, identity_rows,
-                     poset_covers)
+from .linalg import Matrix, PosetDiagram, PrimeField, RationalField, poset_covers
 from .presentation import BirthDeathReport, Presentation, PresentationCheck
 
 
@@ -124,10 +123,7 @@ def step_from_json(field, obj, shape: tuple, tokens: dict) -> tuple:
     and ``tokens`` holds every string entry of the same file read so far,
     as :func:`_rational` reads it, so each is parsed once per file.  The
     shape and error texts are those of :func:`matrix_from_json`."""
-    nrows, ncols = shape
-    if not (type(obj) is list and len(obj) == nrows
-            and {*map(type, obj)} <= {list} and {*map(len, obj)} <= {ncols}):
-        _check_shape(obj, shape)  # raises with the texts of matrix_from_json
+    _check_shape(obj, shape)
     if set(map(type, chain.from_iterable(obj))) <= {int}:  # plain ints, as most are written
         if field.kind == "prime":
             return [tuple(map(field.p.__rmod__, r)) for r in obj], 1
@@ -208,9 +204,8 @@ def module_from_json(obj) -> GridModule:
     Each entry's source is looked up among the box points, which gives its
     flat index (see :class:`GridModule`), and its matrix is decoded straight
     into the integer rows the module keeps (:func:`step_from_json`), with no
-    :class:`Matrix`; a square step is tested there for the identity.  The
-    checks are those of ``GridModule.__init__``, with the loader's own
-    messages, and are not made again.
+    :class:`Matrix`.  The checks are those of ``GridModule.__init__``, with
+    the loader's own messages, and are not made again.
     """
     if not isinstance(obj, dict):
         raise InputError("module file must contain a JSON object")
@@ -225,7 +220,7 @@ def module_from_json(obj) -> GridModule:
         raise InputError(f"dims has {len(dims_list)} entries, the box has {len(pts)} points")
     n, top, strides = box.dim, box.b, box.strides()  # n may be True for 1
     index = dict(zip(pts, range(len(pts))))
-    given, tokens, identities = {}, {}, set()
+    given, tokens = {}, {}
     for entry in obj.get("maps", []):
         if not isinstance(entry, dict):
             raise InputError(f"invalid map entry {entry!r}")
@@ -245,11 +240,9 @@ def module_from_json(obj) -> GridModule:
         key = x * n + axis
         if key in given:
             raise InputError(f"duplicate map at {p!r} along axis {axis + 1}")
-        shape = (dims_list[x + strides[axis]], dims_list[x])
-        rows, den = given[key] = step_from_json(field, entry.get("matrix"), shape, tokens)
-        if shape[0] == shape[1] and rows == identity_rows(shape[0]) and den == 1:
-            identities.add(key)
-    return GridModule._checked(field, box, dict(zip(pts, dims_list)), index, given, identities)
+        given[key] = step_from_json(field, entry.get("matrix"),
+                                    (dims_list[x + strides[axis]], dims_list[x]), tokens)
+    return GridModule._checked(field, box, dict(zip(pts, dims_list)), index, given)
 
 
 def diagram_to_json(diagram: PosetDiagram) -> dict:
@@ -289,7 +282,7 @@ def diagram_from_json(obj) -> PosetDiagram:
     product = as_product(points)
     covers = list(product.covers()) if product is not None else poset_covers(points)
     cover_set = set(covers)
-    maps, identities = {}, set()
+    maps = {}
     for entry in obj.get("maps", []):
         if not isinstance(entry, dict):
             raise InputError(f"invalid map entry {entry!r}")
@@ -299,10 +292,8 @@ def diagram_from_json(obj) -> PosetDiagram:
             raise InputError(f"map {c!r} -> {d!r} is not a covering pair of the points")
         if (c, d) in maps:
             raise InputError(f"duplicate map {c!r} -> {d!r}")
-        m = maps[(c, d)] = matrix_from_json(field, entry.get("matrix"), (dims[d], dims[c]))
-        if m.nrows == m.ncols and m.is_identity():
-            identities.add((c, d))
-    return PosetDiagram(field, points, dims, maps, covers=covers, identities=identities)
+        maps[(c, d)] = matrix_from_json(field, entry.get("matrix"), (dims[d], dims[c]))
+    return PosetDiagram(field, points, dims, maps, covers=covers)
 
 
 def presentation_to_json(pres: Presentation) -> dict:
@@ -474,12 +465,7 @@ def _dump(obj, newline: str, out) -> None:
         out("{")
         for k, key in enumerate(sorted(obj)):
             out(("," + inner if k else inner) + _escape(key) + ": ")
-            value = obj[key]
-            text = _inline(value, inner) if type(value) is list else None
-            if text is None:
-                _dump(value, inner, out)
-            else:
-                out(text)
+            _dump(obj[key], inner, out)
         out(newline + "}")
     elif isinstance(obj, str):
         out(_escape(obj))

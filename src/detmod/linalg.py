@@ -511,12 +511,9 @@ class PosetDiagram:
     between comparable points are composites along covering chains, which is
     unambiguous once the diagram validates.  A cover left out of ``maps``
     maps by the zero matrix of its shape, one shared matrix per shape.
-    ``identities``, when the caller knows them, are the given covers whose
-    map is the identity; :meth:`identity_covers` otherwise decides them on
-    first use.
     """
 
-    def __init__(self, field, points, dims, maps, covers=None, identities=None):
+    def __init__(self, field, points, dims, maps, covers=None):
         self.field = field
         self.points = tuple(sort_points(points))
         point_set = set(self.points)
@@ -539,7 +536,7 @@ class PosetDiagram:
             if key not in cover_set:
                 raise InputError(f"map given for non-covering pair {key!r}")
             self.maps[key] = mat
-        zeros, empty = {}, []
+        zeros = {}
         for c, d in self._covers:
             if (c, d) not in self.maps:
                 shape = (self.dims[d], self.dims[c])
@@ -547,11 +544,7 @@ class PosetDiagram:
                 if mat is None:
                     mat = zeros[shape] = Matrix.zeros(field, *shape)
                 self.maps[(c, d)] = mat
-                if shape == (0, 0):
-                    empty.append((c, d))
-        if identities is not None:  # a left-out cover between zero spaces is the 0 x 0 identity
-            identities = frozenset(identities).union(empty)
-        self._identities = identities
+        self._identities = None
         self._path_cache = {}
         self._upper = None
         self._validated = None
@@ -560,7 +553,7 @@ class PosetDiagram:
         return self._covers
 
     def identity_covers(self) -> frozenset:
-        """The covers whose map is the identity."""
+        """The covers whose map is the identity, decided on first use."""
         if self._identities is None:
             self._identities = frozenset(e for e, m in self.maps.items() if m.is_identity())
         return self._identities

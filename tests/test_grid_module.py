@@ -5,9 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from detmod import (Box, ExtendedView, GridModule, InputError, Matrix,
-                    NEG_INF, QQ, diagram_limit, ext_box, is_invertible,
-                    poset_covers, restrict_view, sort_points,
+from detmod import (Box, EncodedView, ExtendedView, GridModule, InputError, Matrix,
+                    NEG_INF, QQ, canonical_set, diagram_limit, ext_box, is_invertible,
+                    pointed_closure, poset_covers, restrict_view, sort_points,
                     validate_diagram, validate_module, window_module)
 from detmod.io import matrix_to_json, module_from_json, module_to_json
 from helpers import (F2, F5, corner_module, every_step, halfplane_table,
@@ -419,6 +419,53 @@ class TestRestrictDiagram:
             m.setattr(grid_module.CartesianSet, "points", None)
             diagram = restrict_view(view, chain)
         assert sorted(diagram.covers()) == [(chain[i], chain[i + 1]) for i in range(39)]
+
+    def test_encoded_view_restriction_matches_evaluation(self):
+        rng = random.Random(41)
+        for _ in range(6):
+            view = ExtendedView(random_module(F5, rng))
+            enc = EncodedView(view.restrict_diagram(pointed_closure(canonical_set(view.module))))
+            pts = {tuple(NEG_INF if rng.random() < 0.3 else rng.randint(-3, 3)
+                         for _ in range(view.box.dim)) for _ in range(6)}
+            diagram = restrict_view(enc, pts)
+            assert diagram.dims == {p: enc.eval_space(p) for p in diagram.points}
+            assert all(diagram.maps[e] == enc.eval_map(*e) for e in diagram.covers())
+
+
+class TestIdentitySteps:
+    """Whether a step is the identity is decided once from its stored rows,
+    alike for modules from the loader and from ``GridModule.__init__``."""
+
+    @pytest.mark.parametrize("field", [F2, F5, QQ], ids=["F2", "F5", "Q"])
+    def test_identity_steps_match_matrices(self, field):
+        rng = random.Random(31)
+        for _ in range(20):
+            module = random_module(field, rng, twist=rng.random() < 0.5)
+            every = every_step(module)
+            expected = {e for e, m in every.items() if m.is_identity()}
+            for built in (module, GridModule(field, module.box, dict(module.dims), every),
+                          module_from_json(module_to_json(module))):
+                assert {e for e in every if built.is_identity_step(*e)} == expected
+                assert built.identities == {key for key in built.step_rows
+                                            if built.flat_step(key).is_identity()}
+
+    def test_shape_and_denominator_decide(self):
+        # dims 2, 2, 1, 0, 0 on a chain: I2, then [1 0] (not square), then
+        # 1 -> 0 and a left-out 0 -> 0 (the 0 x 0 identity)
+        steps = {((0,), 0): Matrix(QQ, [[1, 0], [0, 1]]),
+                 ((1,), 0): Matrix(QQ, [[1, 0]]),
+                 ((2,), 0): Matrix.zeros(QQ, 0, 1)}
+        box = Box((0,), (4,))
+        dims = dict(zip(box.integer_points(), [2, 2, 1, 0, 0]))
+        module = GridModule(QQ, box, dims, steps)
+        obj = module_to_json(module)
+        obj["maps"][0]["matrix"] = [["2/2", "0/3"], [0, "7/7"]]
+        halves = module_to_json(module)
+        halves["maps"][0]["matrix"] = [["1/2", 0], [0, "1/2"]]
+        for built, first in ((module, True), (module_from_json(obj), True),
+                             (module_from_json(halves), False)):
+            assert [built.is_identity_step((t,), 0) for t in range(4)] == \
+                [first, False, False, True]
 
 
 class TestWindowModule:
