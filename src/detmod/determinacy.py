@@ -27,8 +27,8 @@ from dataclasses import dataclass
 
 from .errors import InputError, NotDeterminedError
 from .extgrid import (Box, CartesianSet, NEG_INF, as_point, clamps_and_strides,
-                      ext_box, in_upset, leq, min_point, pointed_closure)
-from .grid_module import ExtendedView, GridModule
+                      in_upset, leq, min_point, pointed_closure)
+from .grid_module import ExtendedView, GridModule, restrict_view
 from .linalg import PosetDiagram, diagrams_isomorphic, is_invertible, validate_diagram
 
 
@@ -311,7 +311,7 @@ def determined_closure(view: ExtendedView, s):
 def encode(view: ExtendedView, s) -> PosetDiagram:
     """The finite model: the view restricted to the pointed join closure of
     the set, refused as by :func:`determined_closure`."""
-    return view.restrict_diagram(determined_closure(view, s))
+    return restrict_view(view, determined_closure(view, s))
 
 
 def check_encoding(view: ExtendedView, s, n: PosetDiagram) -> bool | None:
@@ -336,22 +336,4 @@ def check_encoding(view: ExtendedView, s, n: PosetDiagram) -> bool | None:
     if not check:
         raise InputError(f"diagram does not validate: {check.message} at {check.square!r}")
     return (determinacy_report(view.module, pts, check_support=False).holds
-            and diagrams_isomorphic(n, view.restrict_diagram(closure)))
-
-
-def finitely_determined_check(module: GridModule, candidate_box: Box) -> bool:
-    """Is the module already determined by the given (possibly smaller) box?
-
-    True iff the extension is determined by the extended box with the lower
-    corner shifted up by one in every axis.  A candidate where that shift
-    crosses the upper corner is degenerate and rejected.
-    """
-    if candidate_box.dim != module.box.dim:
-        raise InputError("candidate box dimension mismatch")
-    shifted = tuple(a + 1 for a in candidate_box.a)
-    if not all(s <= b for s, b in zip(shifted, candidate_box.b)):
-        raise InputError(f"degenerate candidate box: {candidate_box.a!r} + 1 "
-                         f"exceeds {candidate_box.b!r}")
-    s = ext_box(Box(shifted, candidate_box.b)).points()
-    view = ExtendedView(module)
-    return is_S_determined(view, s).determined
+            and diagrams_isomorphic(n, restrict_view(view, closure)))

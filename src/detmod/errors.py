@@ -20,6 +20,7 @@ class NotDeterminedError(DetmodError):
         super().__init__(f"module is not determined by the given set; witness pair {witness!r}")
 
 
+# raised only by presentation.predecessor_colimit_map, which no verb calls
 class ConsistencyError(DetmodError):
     """Two independent computations of the same fact disagreed.
 

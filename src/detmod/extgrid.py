@@ -107,15 +107,6 @@ def mub(points: Iterable[Point], dim: int | None = None) -> Point:
     return tuple(max(p[i] for p in pts) for i in range(n))
 
 
-def mlb(points: Iterable[Point]) -> Point:
-    """Maximal lower bound: the coordinatewise minimum of a non-empty set."""
-    pts = list(points)
-    if not pts:
-        raise InputError("mlb of an empty set is undefined")
-    n = common_dim(pts)
-    return tuple(min(p[i] for p in pts) for i in range(n))
-
-
 def join(p: Point, q: Point) -> Point:
     return tuple(map(max, p, q))
 
@@ -163,6 +154,7 @@ def join_below(s: Iterable[Point], c: Point) -> Point:
     return mub(below, dim=len(c))
 
 
+# no verb calls downset_of; perfbench/bench_trace.py binds it by name
 def downset_of(s: Iterable[Point], c: Point) -> frozenset:
     """The part of ``s`` lying below ``c``."""
     return frozenset(p for p in s if leq(p, c))

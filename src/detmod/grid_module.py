@@ -18,8 +18,7 @@ from typing import Callable
 
 from .errors import InputError
 from .extgrid import (Box, CartesianSet, Point, NEG_INF, as_product,
-                      extended_projection, join_below, leq, pointed_closure,
-                      sort_points)
+                      extended_projection, leq, sort_points)
 from .linalg import (DiagramCheck, Matrix, PosetDiagram, identity_rows, poset_covers,
                      validate_diagram)
 
@@ -301,14 +300,6 @@ class ExtendedView:
     def clamp(self, c: Point) -> Point:
         return extended_projection(self.module.box, c)
 
-    # where the view reads a point (its anchor), the dims there and the map
-    # between two anchors, as restrict_view reads every view
-    anchor = clamp
-
-    @property
-    def anchor_dims(self) -> dict:
-        return self.module.dims
-
     def eval_space(self, c: Point) -> int:
         return self.module.dims[self.clamp(c)]
 
@@ -344,24 +335,18 @@ class ExtendedView:
         self._map_cache[key] = mat
         return mat
 
-    anchor_map = box_map
 
-    def restrict_diagram(self, points) -> PosetDiagram:
-        return restrict_view(self, points)
-
-
-def restrict_view(view, points) -> PosetDiagram:
+def restrict_view(view: ExtendedView, points) -> PosetDiagram:
     """Diagram of a view on a finite point set, with dims and maps evaluated.
 
     When ``points`` is a :class:`CartesianSet`, or a set equal to the product
     of its per-axis coordinate sets (tested by size first, so a sparse set
     never builds its product), the covering relations of the product poset
-    are used directly instead of being recomputed.  Each point is sent once
-    to where the view reads it (its clamp into the box, or its collapse into
-    the points of an encoding: the view's ``anchor``), and dims and maps are
-    read off those points (``anchor_dims``, ``anchor_map``).
-    The diagram is marked validated: both view classes validate their data
-    when they are built, and a functor restricts to a functor.
+    are used directly instead of being recomputed.  Each point is clamped
+    into the box once, and dims and maps are read off the clamped points
+    (:meth:`ExtendedView.box_map`).  The diagram is marked validated: the
+    view validates its module when it is built, and a functor restricts to
+    a functor.
     """
     if not isinstance(points, CartesianSet):
         points = frozenset(points)
@@ -372,67 +357,13 @@ def restrict_view(view, points) -> PosetDiagram:
     else:
         pts = sort_points(points)
         covers = poset_covers(pts)
-    at = {p: view.anchor(p) for p in pts}
-    space = view.anchor_dims
+    at = {p: view.clamp(p) for p in pts}
+    space = view.module.dims
     dims = {p: space[at[p]] for p in pts}
-    maps = {(c, d): view.anchor_map(at[c], at[d]) for c, d in covers}
+    maps = {(c, d): view.box_map(at[c], at[d]) for c, d in covers}
     diagram = PosetDiagram(view.field, pts, dims, maps, covers=covers)
     diagram._validated = True
     return diagram
-
-
-class EncodedView:
-    """Evaluator of a diagram on a join-closed pointed set over the whole grid.
-
-    The underlying diagram must live on a set closed under joins and
-    containing the bottom element.  The value at c is the diagram's value at
-    the join of the diagram points below c, so the evaluator is the
-    restriction of the diagram along that collapse; the support is contained
-    in the upset of the points with non-zero values.
-    """
-
-    def __init__(self, diagram: PosetDiagram):
-        pts = frozenset(diagram.points)
-        if pointed_closure(pts) != pts:
-            raise InputError("encoded views need a join-closed point set containing the bottom")
-        check = validate_diagram(diagram)
-        if not check:
-            raise InputError(f"diagram does not validate: {check.message} at {check.square!r}")
-        self.diagram = diagram
-        self._points = pts
-        self._collapse_cache = {}
-
-    @property
-    def field(self):
-        return self.diagram.field
-
-    def collapse(self, c: Point) -> Point:
-        key = c
-        cached = self._collapse_cache.get(key)
-        if cached is None:
-            cached = join_below(self._points, c)
-            self._collapse_cache[key] = cached
-        return cached
-
-    anchor = collapse
-
-    @property
-    def anchor_dims(self) -> dict:
-        return self.diagram.dims
-
-    def anchor_map(self, p: Point, q: Point) -> Matrix:
-        return self.diagram.path_map(p, q)
-
-    def eval_space(self, c: Point) -> int:
-        return self.diagram.dims[self.collapse(c)]
-
-    def eval_map(self, c: Point, d: Point) -> Matrix:
-        if not leq(c, d):
-            raise InputError(f"{c!r} is not below {d!r}")
-        return self.diagram.path_map(self.collapse(c), self.collapse(d))
-
-    def restrict_diagram(self, points) -> PosetDiagram:
-        return restrict_view(self, points)
 
 
 def window_module(field, window: Box, table: Callable[[Point], int],

@@ -15,10 +15,10 @@ from json.encoder import encode_basestring_ascii as _escape
 from operator import le
 
 from .errors import InputError
-from .extgrid import Box, NEG_INF, Point, as_point, as_product, point_sort_key
+from .extgrid import Box, NEG_INF, Point, as_point, point_sort_key
 from .determinacy import DeterminacyReport
 from .grid_module import GridModule
-from .linalg import Matrix, PosetDiagram, PrimeField, RationalField, poset_covers
+from .linalg import Matrix, PosetDiagram, PrimeField, RationalField
 from .presentation import BirthDeathReport, Presentation, PresentationCheck
 
 
@@ -279,10 +279,9 @@ def diagram_from_json(obj) -> PosetDiagram:
     if len(dims_list) != len(points):
         raise InputError("dims and points have different lengths")
     dims = dict(zip(points, dims_list))
-    product = as_product(points)
-    covers = list(product.covers()) if product is not None else poset_covers(points)
-    cover_set = set(covers)
-    maps = {}
+    # the diagram derives its covers, and the given maps replace its zero maps
+    diagram = PosetDiagram(field, points, dims, {})
+    cover_set, maps = set(diagram.covers()), {}
     for entry in obj.get("maps", []):
         if not isinstance(entry, dict):
             raise InputError(f"invalid map entry {entry!r}")
@@ -293,7 +292,8 @@ def diagram_from_json(obj) -> PosetDiagram:
         if (c, d) in maps:
             raise InputError(f"duplicate map {c!r} -> {d!r}")
         maps[(c, d)] = matrix_from_json(field, entry.get("matrix"), (dims[d], dims[c]))
-    return PosetDiagram(field, points, dims, maps, covers=covers)
+    diagram.maps.update(maps)
+    return diagram
 
 
 def presentation_to_json(pres: Presentation) -> dict:

@@ -1,12 +1,11 @@
 """Exact linear algebra over prime fields and the rationals.
 
 Matrices are dense, immutable, and carry their field.  On top of them sit
-finite poset diagrams of vector spaces with colimits, limits and
-commutativity validation.  Verdicts elsewhere in the package come from
-explicit maps checked with ranks and products; :func:`diagrams_isomorphic`
-searches the maps out of a presentation, for input that carries no such
-map.  :func:`nat_basis` and :func:`kron` are kept as the tests' reference
-for Hom dimensions.  No floating point is used anywhere.
+finite poset diagrams of vector spaces with commutativity validation.
+Verdicts elsewhere in the package come from explicit maps checked with
+ranks and products; :func:`diagrams_isomorphic` searches the maps out of a
+presentation, for input that carries no such map.  No floating point is
+used anywhere.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from operator import mul, xor
 from typing import Iterable
 
 from .errors import InputError
-from .extgrid import Point, as_product, leq, lt, sort_points
+from .extgrid import Point, as_product, leq, sort_points
 
 
 def _is_prime(p: int) -> bool:
@@ -302,15 +301,6 @@ def hstack(field, mats: list, nrows: int) -> Matrix:
     return Matrix(field, rows, ncols=sum(m.ncols for m in mats), _coerce=False)
 
 
-def vstack(field, mats: list, ncols: int) -> Matrix:
-    rows = []
-    for m in mats:
-        if m.ncols != ncols:
-            raise InputError("column count mismatch in vstack")
-        rows.extend(m.rows)
-    return Matrix(field, rows, ncols=ncols, _coerce=False)
-
-
 def _cleared(vector) -> tuple:
     """A vector of rationals as (integer entries, denominator): the entries
     times their least common denominator, and that denominator."""
@@ -394,6 +384,7 @@ def _echelon(field, rows, ncols, pivot_limit=None, reduce=True):
     return rows, pivots
 
 
+# no verb calls rref; perfbench/bench_trace.py binds it by name
 def rref(m: Matrix) -> tuple:
     """Reduced row echelon form together with the pivot columns."""
     rows, pivots = _echelon(m.field, m.rows, m.ncols)
@@ -511,13 +502,15 @@ class PosetDiagram:
     between comparable points are composites along covering chains, which is
     unambiguous once the diagram validates.  A cover left out of ``maps``
     maps by the zero matrix of its shape, one shared matrix per shape.
+    Without ``covers`` it derives all of them, from :attr:`product` or by
+    :func:`poset_covers`, and ``covers_complete`` is true; a caller's may not be.
     """
 
     def __init__(self, field, points, dims, maps, covers=None):
         self.field = field
+        points = list(points)
         self.points = tuple(sort_points(points))
-        point_set = set(self.points)
-        if len(point_set) != len(self.points):
+        if len(self.points) != len(points):
             raise InputError("duplicate points in diagram")
         self.dims = {}
         for p in self.points:
@@ -525,10 +518,11 @@ class PosetDiagram:
             if isinstance(d, bool) or not isinstance(d, int) or d < 0:
                 raise InputError(f"invalid dimension {d!r} at {p!r}")
             self.dims[p] = d
+        self.covers_complete = covers is None
+        self._product = False  # not decided yet
         if covers is None:
-            covers = poset_covers(list(self.points))
-        else:
-            covers = list(covers)
+            product = self.product
+            covers = poset_covers(list(self.points)) if product is None else product.covers()
         self._covers = tuple(sorted(covers))  # by source, then target, as sort_points orders
         cover_set = set(self._covers)
         self.maps = {}
@@ -552,14 +546,18 @@ class PosetDiagram:
     def covers(self) -> tuple:
         return self._covers
 
+    @property
+    def product(self):
+        """The points as a :class:`CartesianSet` if they are one, else ``None``; decided once."""
+        if self._product is False:
+            self._product = as_product(self.points)
+        return self._product
+
     def identity_covers(self) -> frozenset:
         """The covers whose map is the identity, decided on first use."""
         if self._identities is None:
             self._identities = frozenset(e for e, m in self.maps.items() if m.is_identity())
         return self._identities
-
-    def map(self, c: Point, d: Point) -> Matrix:
-        return self.maps[(c, d)]
 
     def path_map(self, c: Point, d: Point) -> Matrix:
         """Structure map between comparable points, composed along covers.
@@ -599,6 +597,7 @@ class PosetDiagram:
             self._path_cache[(x, d)] = result
         return result
 
+    # used only by presentation.predecessor_colimit_map, which no verb calls
     def restrict_downclosed(self, points: Iterable[Point]) -> "PosetDiagram":
         """Restriction to a down-closed subset; covers are inherited verbatim."""
         keep = set(points)
@@ -608,24 +607,6 @@ class PosetDiagram:
         if self._validated is True:
             sub._validated = True
         return sub
-
-    def with_bottom(self, bottom: Point) -> "PosetDiagram":
-        """Add a global minimum of dimension zero below every point."""
-        if bottom in self.dims:
-            return self
-        if not all(lt(bottom, p) for p in self.points):
-            raise InputError(f"{bottom!r} is not below every diagram point")
-        minimal = [p for p in self.points if not any(lt(q, p) for q in self.points)]
-        covers = list(self._covers) + [(bottom, m) for m in minimal]
-        dims = dict(self.dims)
-        dims[bottom] = 0
-        maps = dict(self.maps)
-        for m in minimal:
-            maps[(bottom, m)] = Matrix.zeros(self.field, self.dims[m], 0)
-        out = PosetDiagram(self.field, list(self.points) + [bottom], dims, maps, covers=covers)
-        if self._validated is True:
-            out._validated = True
-        return out
 
 
 def validate_diagram(diagram: PosetDiagram) -> DiagramCheck:
@@ -658,7 +639,7 @@ def validate_diagram(diagram: PosetDiagram) -> DiagramCheck:
     upper = {p: [] for p in diagram.points}
     for c, d in diagram.covers():
         upper[c].append(d)
-    if as_product(diagram.points) is not None:
+    if diagram.product is not None:
         above = {p: set(ups) for p, ups in upper.items()}
         identities = diagram.identity_covers()
         for c, outs in upper.items():
@@ -700,6 +681,7 @@ def _require_valid(diagram: PosetDiagram):
         raise InputError(f"diagram does not validate: {check.message} at {check.square!r}")
 
 
+# diagram_colimit and _block_offsets serve no verb; perfbench/bench_trace.py binds the first
 def _block_offsets(diagram: PosetDiagram) -> tuple:
     offsets = {}
     total = 0
@@ -739,35 +721,7 @@ def diagram_colimit(diagram: PosetDiagram) -> tuple:
     return q.nrows, injections
 
 
-def diagram_limit(diagram: PosetDiagram) -> tuple:
-    """Limit of the diagram: (dimension, projection matrix per point).
-
-    The kernel of the difference map from the direct sum of all spaces into
-    the direct sum over covers of the target spaces.
-    """
-    _require_valid(diagram)
-    field = diagram.field
-    offsets, total = _block_offsets(diagram)
-    rows = []
-    for c, d in diagram.covers():
-        f = diagram.maps[(c, d)]
-        oc, od = offsets[c], offsets[d]
-        for i in range(diagram.dims[d]):
-            row = [field.zero] * total
-            for j in range(f.ncols):
-                row[oc + j] = f.rows[i][j]
-            row[od + i] = field.sub(row[od + i], field.one)
-            rows.append(row)
-    difference = Matrix(field, rows, ncols=total, _coerce=False)
-    k = kernel_basis(difference)
-    projections = {}
-    for p in diagram.points:
-        o = offsets[p]
-        projections[p] = Matrix(field, [k.rows[o + i] for i in range(diagram.dims[p])],
-                                ncols=k.ncols, _coerce=False)
-    return k.ncols, projections
-
-
+# kron, _unvec and _inverse serve only nat_basis, below
 def kron(p: Matrix, q: Matrix) -> Matrix:
     """Kronecker product; with row-major vec, vec(P M R) = kron(P, R^T) vec(M)."""
     field = p.field
@@ -798,6 +752,7 @@ def _inverse(m: Matrix) -> Matrix:
     return inv
 
 
+# no verb calls nat_basis; perfbench/bench_trace.py binds it by name
 def nat_basis(a: PosetDiagram, b: PosetDiagram) -> list:
     """Basis of the space of natural transformations a -> b.
 

@@ -11,12 +11,15 @@ import itertools
 import random
 
 from detmod import (Box, CartesianSet, DeterminacyReport, DiagramCheck,
-                    ExtendedView, GridModule, Matrix, NEG_INF, PosetDiagram, Presentation,
-                    PresentationCheck, PrimeField, as_point, canonical_set,
-                    cokernel_projection, critical_grid, diagram_colimit, downset_of, encode,
-                    hstack, in_upset, is_invertible, join_below, kernel_basis, leq, lt,
-                    min_point, mub, point_sort_key, rank, solve, sort_points,
-                    validate_diagram, vstack)
+                    ExtendedView, GridModule, InputError, Matrix, NEG_INF, PosetDiagram,
+                    Presentation, PresentationCheck, PrimeField, as_point, canonical_set,
+                    cokernel_projection, critical_grid, encode, hstack, in_upset,
+                    is_invertible, join_below, kernel_basis, leq, lt, min_point, mub,
+                    point_sort_key, poset_covers, rank, restrict_view, solve,
+                    sort_points, validate_diagram)
+from detmod.extgrid import downset_of
+from detmod.linalg import _block_offsets, _require_valid, diagram_colimit
+from detmod.presentation import _require_join_closed
 
 F2 = PrimeField(2)
 F5 = PrimeField(5)
@@ -191,6 +194,29 @@ def module_diagram(module: GridModule) -> PosetDiagram:
     return diagram
 
 
+def diagram_limit(diagram: PosetDiagram) -> tuple:
+    """Limit of the diagram: (dimension, projection matrix per point).
+
+    The kernel of the difference map from the direct sum of all spaces into
+    the direct sum over covers of the target spaces.
+    """
+    _require_valid(diagram)
+    field = diagram.field
+    offsets, total = _block_offsets(diagram)
+    rows = []
+    for c, d in diagram.covers():
+        f = diagram.maps[(c, d)]
+        oc, od = offsets[c], offsets[d]
+        for i in range(diagram.dims[d]):
+            row = [field.zero] * total
+            row[oc:oc + f.ncols] = f.rows[i]
+            row[od + i] = field.sub(row[od + i], field.one)
+            rows.append(row)
+    k = kernel_basis(Matrix(field, rows, ncols=total, _coerce=False))
+    return k.ncols, {p: Matrix(field, k.rows[offsets[p]:offsets[p] + diagram.dims[p]],
+                               ncols=k.ncols, _coerce=False) for p in diagram.points}
+
+
 def validate_module_by_diagram(module: GridModule):
     """Commutativity of the box data by the generic route: every minimal square
     of the module's poset diagram, with covers sorted by the linear extension."""
@@ -296,6 +322,56 @@ def admissible_by_reconstruction(module: GridModule, l) -> bool:
 
     grid = critical_grid(module.box, pts)
     return all(comparison_invertible(c) for c in grid.sorted_points())
+
+
+# ---------------------------------------------------------------------------
+# zip and unzip: restriction to a join-closed lattice and back (Miller's
+# encoding by collapse, arXiv:1711.01933), which is_admissible decides
+
+def zip_module(view, l) -> PosetDiagram:
+    """Restriction of the extended module to a join-closed point set."""
+    return restrict_view(view, _require_join_closed(l))
+
+
+class Unzipped:
+    """A diagram on a join-closed lattice spread over the whole extended grid:
+    the value at c is the diagram's value at the join of the lattice points
+    below c, and zero where there are none."""
+
+    def __init__(self, lattice, diagram: PosetDiagram):
+        _require_valid(diagram)
+        self.lattice, self.diagram, self.field = lattice, diagram, diagram.field
+
+    def collapse(self, c):
+        below = [p for p in self.lattice if leq(p, c)]
+        return mub(below) if below else None
+
+    def eval_space(self, c) -> int:
+        a = self.collapse(c)
+        return 0 if a is None else self.diagram.dims[a]
+
+    def eval_map(self, c, d) -> Matrix:
+        if not leq(c, d):
+            raise InputError(f"{c!r} is not below {d!r}")
+        a = self.collapse(c)
+        if a is None:
+            return Matrix.zeros(self.field, self.eval_space(d), 0)
+        return self.diagram.path_map(a, self.collapse(d))
+
+    def restrict(self, points) -> PosetDiagram:
+        """The evaluator on a finite point set, with every cover evaluated."""
+        pts = sort_points(points)
+        covers = poset_covers(pts)
+        return PosetDiagram(self.field, pts, {p: self.eval_space(p) for p in pts},
+                            {e: self.eval_map(*e) for e in covers}, covers=covers)
+
+
+def unzip_module(l, n: PosetDiagram) -> Unzipped:
+    """Spread a diagram on a join-closed set back over the whole extended grid."""
+    pts = _require_join_closed(l)
+    if frozenset(n.points) != frozenset(pts):
+        raise InputError("diagram points do not match the lattice")
+    return Unzipped(pts, n)
 
 
 # ---------------------------------------------------------------------------
@@ -548,7 +624,8 @@ def free_complex_at(pres: Presentation, pt):
     gens = [(b, m) for b, m in pres.generators if leq(b, pt)]
     rels = [(d, m) for d, m in pres.relations if leq(d, pt)]
     nrows = sum(m for _, m in gens)
-    blocks = [vstack(pres.field, [pres.block(d, b) for b, _ in gens], dm) for d, dm in rels]
+    blocks = [Matrix(pres.field, [r for b, _ in gens for r in pres.block(d, b).rows], ncols=dm)
+              for d, dm in rels]
     mat = hstack(pres.field, blocks, nrows=nrows) if blocks \
         else Matrix.zeros(pres.field, nrows, 0)
     return gens, rels, mat

@@ -13,15 +13,15 @@ from contextlib import contextmanager
 from detmod import (Box, ExtendedView, NEG_INF, NotDeterminedError,
                     build_presentation, check_encoding,
                     critical_grid, convex_projection, default_oracle_window,
-                    diagram_births_deaths, diagram_limit, diagrams_isomorphic,
+                    diagram_births_deaths, diagrams_isomorphic,
                     encode, ext_box, is_S_determined, is_S_determined_oracle,
                     join_below, join_closure, pointed_closure, restrict_view,
-                    unzip_module, verify_presentation, window_module,
-                    zip_module)
+                    verify_presentation, window_module)
 from detmod import QQ
 from helpers import (F2, F5, canonical_map_check, canonical_set, corner_module,
-                     halfplane_table, presentation_check_at_points, random_module,
-                     random_point_set, stabilization_window)
+                     diagram_limit, halfplane_table, presentation_check_at_points,
+                     random_module, random_point_set, stabilization_window, unzip_module,
+                     zip_module)
 
 BOTTOM = (NEG_INF, NEG_INF)
 UNIT_SET = frozenset(ext_box(Box((1, 1), (1, 1))).points())
@@ -165,7 +165,7 @@ def test_criterion_8_admissibility_equivalence():
                 lattice = sorted(pts)
             reconstructed = unzip_module(lattice, zip_module(view, lattice))
             grid = critical_grid(module.box, lattice)
-            via_unzip = diagrams_isomorphic(restrict_view(reconstructed, grid),
+            via_unzip = diagrams_isomorphic(reconstructed.restrict(grid),
                                             restrict_view(view, grid))
             via_determinacy = is_S_determined(view, lattice).determined
             assert via_unzip == via_determinacy, (trial, module.box, lattice)

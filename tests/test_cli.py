@@ -213,6 +213,27 @@ class TestArtifacts:
         deaths = {tuple(e["point"]) for e in payload["deaths"]}
         assert {(-1, 1), (0, 0), (1, -1)} <= deaths
 
+    @pytest.mark.parametrize("fixture", [EXAMPLE_F2, EXAMPLE_Q, ZERO], ids=["f2", "q", "zero"])
+    def test_births_deaths_of_the_encoding_file_match_the_module(self, capsys, tmp_path,
+                                                                 fixture):
+        """The scan of a module and the scan of the diagram file that
+        ``encode`` writes print the same bytes, on the canonical set (a
+        product) and on a lattice that is not one."""
+        from detmod import canonical_set, join_closure, point_sort_key
+        from detmod.extgrid import as_product
+        from detmod.io import encode_point, module_from_json
+
+        module = module_from_json(json.loads(Path(fixture).read_text(encoding="utf-8")))
+        canonical = canonical_set(module)
+        lattice = join_closure(canonical | {tuple(v + 1 for v in module.box.b)})
+        assert as_product(canonical) is not None and as_product(lattice) is None
+        encoding = str(tmp_path / "encoding.json")
+        for s in (canonical, lattice):
+            points = json.dumps([encode_point(p) for p in sorted(s, key=point_sort_key)])
+            assert run(capsys, "encode", fixture, "--set", points, "--out", encoding)[0] == 0
+            assert run(capsys, "births-deaths", encoding) == \
+                run(capsys, "births-deaths", fixture, "--set", points)
+
     def test_births_deaths_on_non_commuting_diagram_is_input_error(self, capsys, tmp_path):
         f = tmp_path / "top_square.json"
         f.write_text(json.dumps({

@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 
 from detmod import (QQ, Box, ExtendedView, GridModule, InputError, Matrix, NEG_INF,
                     NotDeterminedError, PosetDiagram, check_encoding, critical_grid,
-                    default_oracle_window, downset_of, encode, ext_box,
-                    finitely_determined_check, is_S_determined, is_S_determined_oracle,
-                    is_invertible, leq, pointed_closure, poset_covers, sort_points)
+                    default_oracle_window, encode, ext_box, is_S_determined,
+                    is_S_determined_oracle, is_invertible, leq, pointed_closure,
+                    poset_covers, sort_points)
 from detmod.determinacy import _condition_on_grid
+from detmod.extgrid import downset_of
 from helpers import F2, F5, canonical_map_check, canonical_set, condition_by_downsets, \
     corner_module, every_step, oracle_grid, random_ext_point, random_module, \
     random_point_set
@@ -572,9 +573,15 @@ class TestEquivalenceOfConditions:
         assert hits > 0
 
 
+def determined_by_box(module, a, b) -> bool:
+    """Is the module determined by the extended box [a + 1, b]?"""
+    s = ext_box(Box(tuple(x + 1 for x in a), b)).points()
+    return is_S_determined(ExtendedView(module), s).determined
+
+
 class TestFinitelyDetermined:
     def test_worked_example(self):
-        assert finitely_determined_check(corner_module(F2), Box((0, 0), (1, 1)))
+        assert determined_by_box(corner_module(F2), (0, 0), (1, 1))
 
     def test_constant_module_any_candidate(self):
         from detmod import GridModule
@@ -586,15 +593,11 @@ class TestFinitelyDetermined:
                 if p[axis] + 1 <= 2:
                     steps[(p, axis)] = Matrix.identity(F2, 1)
         m = GridModule(F2, box, dims, steps)
-        assert finitely_determined_check(m, Box((0, 0), (2, 2)))
-        assert finitely_determined_check(m, Box((1, 1), (2, 2)))
+        assert determined_by_box(m, (0, 0), (2, 2))
+        assert determined_by_box(m, (1, 1), (2, 2))
 
     def test_smaller_candidate_can_fail(self):
         # data changes along the box edge, so shrinking the candidate breaks it
         m = corner_module(F2, top=(1, 1), box=Box((0, 0), (2, 2)))
-        assert finitely_determined_check(m, Box((0, 0), (2, 2)))
-        assert not finitely_determined_check(m, Box((0, 0), (1, 2)))
-
-    def test_degenerate_candidate_rejected(self):
-        with pytest.raises(InputError):
-            finitely_determined_check(corner_module(F2), Box((0, 0), (0, 0)))
+        assert determined_by_box(m, (0, 0), (2, 2))
+        assert not determined_by_box(m, (0, 0), (1, 2))

@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from detmod import (Box, CartesianSet, InputError, NEG_INF, convex_projection,
-                    critical_grid, downset_of, ext_box, extended_projection,
-                    join_below, join_closure, leq, meet_above, mlb, mub,
+                    critical_grid, ext_box, extended_projection,
+                    join_below, join_closure, leq, meet_above, mub,
                     point_sort_key, pointed_closure, sort_points)
-from detmod.extgrid import as_product
+from detmod.extgrid import as_product, downset_of
 from helpers import (join_closure_by_subsets, maximal_lower_bounds_bruteforce,
                      minimal_upper_bounds_bruteforce, random_point_set, window_ext_points)
 
@@ -50,34 +50,14 @@ class TestBounds:
         with pytest.raises(InputError):
             mub([])
 
-    def test_mlb_coordinatewise_min(self):
-        assert mlb([(1, 2), (3, 0)]) == (1, 0)
-
-    def test_mlb_singleton(self):
-        assert mlb([(0, 0)]) == (0, 0)
-
-    def test_mlb_with_bottom(self):
-        points = [(NEG_INF, 1), (2, 3)]
-        assert mlb(points) == (NEG_INF, 1)
-        window = window_ext_points(-4, 4, 2)
-        assert maximal_lower_bounds_bruteforce(points, window) == {(NEG_INF, 1)}
-
     def test_dimension_mismatch(self):
         with pytest.raises(InputError):
             mub([(1, 2), (3,)])
-        with pytest.raises(InputError):
-            mlb([(1, 2), (1, 2, 3)])
 
     @given(point_sets(2))
     def test_mub_is_unique_minimal_upper_bound(self, points):
         window = window_ext_points(-4, 4, 2)
         assert minimal_upper_bounds_bruteforce(points, window) == {mub(points)}
-
-    @given(point_sets(3, max_size=3))
-    @settings(max_examples=40)
-    def test_mlb_is_unique_maximal_lower_bound_3d(self, points):
-        window = window_ext_points(-3, 3, 3)
-        assert maximal_lower_bounds_bruteforce(points, window) == {mlb(points)}
 
 
 class TestClosures:

@@ -5,14 +5,14 @@ from fractions import Fraction
 
 import pytest
 
-from detmod import (Box, EncodedView, ExtendedView, GridModule, InputError, Matrix,
-                    NEG_INF, QQ, canonical_set, diagram_limit, ext_box, is_invertible,
+from detmod import (Box, ExtendedView, GridModule, InputError, Matrix,
+                    NEG_INF, QQ, canonical_set, ext_box, is_invertible,
                     pointed_closure, poset_covers, restrict_view, sort_points,
                     validate_diagram, validate_module, window_module)
 from detmod.io import matrix_to_json, module_from_json, module_to_json
-from helpers import (F2, F5, corner_module, every_step, halfplane_table,
+from helpers import (F2, F5, corner_module, diagram_limit, every_step, halfplane_table,
                      module_diagram, path_commutativity_ok, random_module,
-                     stabilization_window, validate_by_products,
+                     stabilization_window, unzip_module, validate_by_products,
                      validate_module_by_diagram)
 
 BOTTOM = (NEG_INF, NEG_INF)
@@ -372,13 +372,13 @@ class TestEvalMap:
 class TestRestrictDiagram:
     def test_worked_example_restriction(self):
         view = ExtendedView(corner_module(F2))
-        diagram = view.restrict_diagram(ext_box(Box((1, 1), (1, 1))).points())
+        diagram = restrict_view(view, ext_box(Box((1, 1), (1, 1))).points())
         assert [diagram.dims[p] for p in diagram.points] == [1, 0, 0, 0]
         assert diagram.points[0] == BOTTOM
 
     def test_single_point(self):
         view = ExtendedView(corner_module(F2))
-        diagram = view.restrict_diagram([(0, 0)])
+        diagram = restrict_view(view, [(0, 0)])
         assert diagram.points == ((0, 0),)
         assert diagram.dims[(0, 0)] == 1
 
@@ -388,7 +388,7 @@ class TestRestrictDiagram:
             view = ExtendedView(random_module(F5, rng))
             pts = {tuple(NEG_INF if rng.random() < 0.3 else rng.randint(-3, 3)
                          for _ in range(view.box.dim)) for _ in range(6)}
-            diagram = view.restrict_diagram(pts)
+            diagram = restrict_view(view, pts)
             assert diagram._validated is True
             diagram._validated = None  # check the squares, not the inherited flag
             assert validate_diagram(diagram).ok
@@ -424,10 +424,11 @@ class TestRestrictDiagram:
         rng = random.Random(41)
         for _ in range(6):
             view = ExtendedView(random_module(F5, rng))
-            enc = EncodedView(view.restrict_diagram(pointed_closure(canonical_set(view.module))))
+            lattice = pointed_closure(canonical_set(view.module))
+            enc = unzip_module(lattice, restrict_view(view, lattice))
             pts = {tuple(NEG_INF if rng.random() < 0.3 else rng.randint(-3, 3)
                          for _ in range(view.box.dim)) for _ in range(6)}
-            diagram = restrict_view(enc, pts)
+            diagram = enc.restrict(pts)
             assert diagram.dims == {p: enc.eval_space(p) for p in diagram.points}
             assert all(diagram.maps[e] == enc.eval_map(*e) for e in diagram.covers())
 

@@ -8,11 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from detmod import (Box, CartesianSet, ExtendedView, InputError, Matrix, NEG_INF,
-                    PosetDiagram, QQ, cokernel_projection, diagram_colimit,
-                    diagram_limit, diagrams_isomorphic, encode, hstack, is_invertible,
-                    join_closure, kernel_basis, leq, nat_basis, pointed_closure,
-                    poset_covers, rank, solve, validate_diagram)
-from helpers import (F2, F5, all_cover_paths, canonical_set, echelon_by_field_methods,
+                    PosetDiagram, QQ, cokernel_projection, diagrams_isomorphic, encode,
+                    hstack, is_invertible, join_closure, kernel_basis, leq,
+                    pointed_closure, poset_covers, rank, restrict_view, solve,
+                    validate_diagram)
+from detmod.linalg import diagram_colimit, nat_basis
+from helpers import (F2, F5, all_cover_paths, canonical_set, diagram_limit,
+                     echelon_by_field_methods,
                      matmul_by_field_methods, minimal_squares_commute,
                      module_diagram, path_commutativity_ok, poset_covers_bruteforce,
                      poset_covers_by_scan,
@@ -300,7 +302,6 @@ class TestPathMap:
                 calls[0] += 1
                 return fn(a, b)
             return wrapper
-        monkeypatch.setattr(detmod.linalg, "lt", counting(detmod.linalg.lt))
         monkeypatch.setattr(detmod.linalg, "leq", counting(detmod.linalg.leq))
         assert d.path_map(points[0], points[-1]) == Matrix.identity(F2, 1)
         assert calls[0] <= 4 * n
@@ -392,6 +393,27 @@ class TestLimit:
             assert d.maps[(c, e)] @ proj[c] == proj[e]
 
 
+class TestDiagramCovers:
+    def test_duplicate_points_refused(self):
+        with pytest.raises(InputError, match="duplicate points in diagram"):
+            PosetDiagram(F2, [(0,), (0,)], {(0,): 1}, {})
+
+    def test_derived_covers_are_complete_and_decide_the_product_once(self, monkeypatch):
+        calls = []
+        as_product_of = linalg.as_product
+        monkeypatch.setattr(linalg, "as_product", lambda pts: calls.append(pts) or as_product_of(pts))
+        grid = CartesianSet(((NEG_INF, 0, 1), (0, 2)))
+        lattice = pointed_closure({(0, 1), (1, 0)})
+        for pts, product in ((grid.sorted_points(), grid), (lattice, None)):
+            diagram = PosetDiagram(F2, pts, {p: 1 for p in pts}, {})
+            assert diagram.covers_complete and diagram.product == product
+            assert diagram.covers() == tuple(sorted(poset_covers(list(pts))))
+            assert validate_diagram(diagram)
+        assert len(calls) == 2
+        given = PosetDiagram(F2, grid.sorted_points(), {p: 1 for p in grid}, {}, covers=[])
+        assert not given.covers_complete and given.product == grid
+
+
 class TestValidation:
     def test_valid_grid(self):
         pts = [(i, j) for i in range(2) for j in range(2)]
@@ -461,7 +483,7 @@ class TestValidation:
                 continue
             box = Box((0,) * nparams, (4 - nparams,) * nparams)
             view = ExtendedView(random_module(field, rng, box=box, max_summands=4))
-            restricted = view.restrict_diagram(pts)
+            restricted = restrict_view(view, pts)
             covers = restricted.covers()
             maps = dict(restricted.maps)
             edge = rng.choice(covers)

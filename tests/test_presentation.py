@@ -13,15 +13,16 @@ from hypothesis import strategies as st
 from detmod import (Box, ExtendedView, GridModule, InputError,
                     Matrix, NEG_INF, NotDeterminedError, PosetDiagram,
                     Presentation, births_deaths, build_presentation, check_encoding,
-                    diagram_births_deaths, diagram_colimit, encode, ext_box, hstack,
+                    diagram_births_deaths, encode, ext_box, hstack,
                     in_upset, is_admissible, is_invertible, leq,
-                    predecessor_colimit_map, rank, restrict_view, solve, unzip_module,
-                    verify_presentation, window_module, zip_module)
+                    rank, restrict_view, solve, verify_presentation, window_module)
+from detmod.linalg import diagram_colimit
+from detmod.presentation import predecessor_colimit_map
 from helpers import (F2, F5, admissible_by_reconstruction, births_deaths_by_cone,
                      canonical_set, cokernel_lifts, colimit_map_by_cone,
                      corner_module, module_diagram, diagram_presentation_by_full_scan,
                      halfplane_table, interval_module, presentation_by_full_scan,
-                     presentation_check_at_points, random_ext_point, random_module, random_point_set, twist_module, widened_box_points)
+                     presentation_check_at_points, random_ext_point, random_module, random_point_set, twist_module, unzip_module, widened_box_points, zip_module)
 from detmod import QQ, critical_grid, join_closure, lt, min_point, pointed_closure
 from detmod.extgrid import as_product
 from detmod import canonical_grid, linalg
@@ -38,7 +39,7 @@ def corner_view(field=F2):
 
 
 def corner_encoding(field=F2):
-    return corner_view(field).restrict_diagram(UNIT_SET)
+    return restrict_view(corner_view(field), UNIT_SET)
 
 
 class TestPredecessorColimitMap:
@@ -96,6 +97,21 @@ class TestBirthsDeaths:
                              {((0,), (1,)): Matrix.identity(F2, 1)}, covers=[((0,), (1,))])
         with pytest.raises(InputError, match="no covering chain"):
             diagram_births_deaths(chain)
+
+    def test_only_covers_from_a_caller_are_tested_for_chains(self, monkeypatch):
+        from detmod.io import diagram_from_json, diagram_to_json
+
+        given = window_module(F2, Box((-3, -3), (3, 3)), halfplane_table)
+        derived = diagram_from_json(json.loads(json.dumps(diagram_to_json(given))))
+        assert derived.covers_complete and not given.covers_complete
+        expected = diagram_births_deaths(given)
+
+        def no_leq(*args):
+            raise AssertionError("a generator was tested against a point")
+        monkeypatch.setattr("detmod.presentation.leq", no_leq)
+        assert diagram_births_deaths(derived) == expected
+        with pytest.raises(AssertionError, match="tested against a point"):
+            diagram_births_deaths(window_module(F2, Box((-3, -3), (3, 3)), halfplane_table))
 
     def test_no_downset_colimit_on_any_route(self, monkeypatch):
         import detmod
@@ -218,7 +234,7 @@ class TestLowerCoverRoutesMatchOracles:
             pts = pointed_closure(random_point_set(rng, nparams, 6), dim=nparams)
             if as_product(pts) is not None:
                 continue
-            diagram = view.restrict_diagram(pts)
+            diagram = restrict_view(view, pts)
             got = _present_diagram(diagram)
             assert got == diagram_presentation_by_full_scan(diagram)
             lower = {c: [p for p, d in diagram.covers() if d == c] for c in diagram.points}
@@ -439,7 +455,7 @@ class TestScanCounts:
     def test_product_closure_builds_no_encoding(self, monkeypatch):
         def no_restrict(*args):
             raise AssertionError("restrict_view called")
-        monkeypatch.setattr("detmod.grid_module.restrict_view", no_restrict)
+        monkeypatch.setattr("detmod.presentation.restrict_view", no_restrict)
         view = ExtendedView(random_module(F5, random.Random(64), max_summands=4))
         s = canonical_set(view.module)
         build_presentation(view, s)
@@ -991,7 +1007,7 @@ class TestFreeCoverComparison:
             s = canonical_set(view.module)
             closed = sorted(join_closure(s), key=lambda p: tuple(
                 (0, 0) if c == NEG_INF else (1, c) for c in p))
-            enc = view.restrict_diagram(closed)
+            enc = restrict_view(view, closed)
             for c in critical_grid(view.box, s).sorted_points():
                 below = [p for p in closed if leq(p, c)]
                 sub = enc.restrict_downclosed(below)
@@ -1104,7 +1120,7 @@ class TestZipUnzip:
         lattice = sorted(canonical_set(view.module))
         diagram = zip_module(view, lattice)
         evaluator = unzip_module(lattice, diagram)
-        again = zip_module(evaluator, lattice)
+        again = evaluator.restrict(lattice)
         assert again.points == diagram.points
         assert again.dims == diagram.dims
         assert all(again.maps[e] == diagram.maps[e] for e in diagram.covers())
