@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Scaling of ``births-deaths`` on identity chains and products of two of them.
+"""Scaling of ``births-deaths`` on identity chains and products of two of
+them, and the linear algebra of ``births-deaths`` and ``present`` on swap chains.
 
 The module is one-dimensional on every point of its box with identity
 steps: the box [0, N - 1] for a chain, and for the two-parameter case a box
@@ -24,8 +25,16 @@ repeats the one below it (a slab of identity steps), so the walk leaves it
 out.  It fails when verify makes more than one elimination or any product:
 the walk checks that the generator images span the module at the one
 generator, at the bottom, and every other point has an identity step from
-below and a kernel that does not grow.  These are count gates, not timing
-gates.
+below and a kernel that does not grow.
+
+Beside them it runs a swap chain of each size: two-dimensional on [0, N - 1]
+with every step the swap of the two basis vectors, invertible but not the
+identity.  Its extension has one birth of multiplicity two at the bottom
+and no deaths.  Every step is onto, so no lift is taken above the bottom,
+and no relation is born, so no evaluation map is formed: the script fails
+when ``births-deaths`` or ``present`` makes any product there, or more
+eliminations than the points its walk visits.  These are count gates, not
+timing gates.
 
 Usage: python scripts/chain_scaling.py [--sizes 50 100 200 400] [--fields f2 f5 q]
                                        [--repeat 3]
@@ -56,6 +65,14 @@ def identity_module(field, sides: tuple) -> GridModule:
     steps = {(p, axis): Matrix.identity(field, 1) for p in dims
              for axis in range(len(sides)) if p[axis] < box.b[axis]}
     return GridModule(field, box, dims, steps)
+
+
+def swap_module(field, n: int) -> GridModule:
+    """Two-dimensional on the box [0, n - 1], every step the swap."""
+    box = Box((0,), (n - 1,))
+    swap = Matrix(field, [[0, 1], [1, 0]])
+    return GridModule(field, box, {p: 2 for p in box.integer_points()},
+                      {((i,), 0): swap for i in range(n - 1)})
 
 
 def shapes(n: int) -> list:
@@ -155,9 +172,34 @@ def main():
                                          f"eliminations and {check_products} products, expected "
                                          "at most one elimination and no product")
                     previous = cpu
-    print("every module has one birth at the bottom and no deaths, with no elimination or "
-          "product and one point walked at every size; verify of its presentation makes at "
-          "most one elimination and no product")
+        print(f"{'field':>5} {'swap chain':>10} {'verb':>13} {'echelon':>7} {'matmul':>6} "
+              f"{'walked':>6}")
+        for name in args.fields:
+            for n in args.sizes:
+                path = os.path.join(tmp, f"swap_{name}_{n}.json")
+                with open(path, "w") as fh:
+                    json.dump(dio.module_to_json(swap_module(FIELDS[name], n)), fh)
+                for verb, target in (("births-deaths", out), ("present", pres)):
+                    eliminations, products, walked = counted([verb, path, "--out", target])
+                    print(f"{name:>5} {n:>10} {verb:>13} {eliminations:>7} {products:>6} "
+                          f"{walked:>6}")
+                    if products or eliminations > walked:
+                        raise SystemExit(f"{name} swap chain of {n} points: {verb} made "
+                                         f"{eliminations} eliminations and {products} products "
+                                         f"walking {walked} points, expected no product and "
+                                         "at most one elimination per point")
+                with open(out) as fh:
+                    report = json.load(fh)
+                expected = closed_form(1)
+                expected["births"][0]["multiplicity"] = 2
+                if report != expected:
+                    raise SystemExit(f"{name} swap chain of {n} points: expected one birth of "
+                                     f"multiplicity two at the bottom and no deaths, got {report}")
+    print("every identity module has one birth at the bottom and no deaths, with no "
+          "elimination or product and one point walked at every size; verify of its "
+          "presentation makes at most one elimination and no product; every swap chain has "
+          "one birth of multiplicity two at the bottom, and births-deaths and present make no "
+          "product and at most one elimination per point walked")
     return 0
 
 

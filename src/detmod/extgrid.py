@@ -267,16 +267,6 @@ class CartesianSet:
                 if k + 1 < lengths[axis]:
                     yield pts[i], pts[i + strides[axis]]
 
-    def join_below(self, c: Point) -> Point:
-        """Coordinatewise version of :func:`join_below`; factors must contain -inf."""
-        out = []
-        for v, f in zip(c, self.factors):
-            if f[0] != NEG_INF:
-                raise InputError("coordinatewise join_below needs -inf in every factor")
-            below = [x for x in f if x <= v]
-            out.append(below[-1])
-        return tuple(out)
-
 
 def as_product(points) -> CartesianSet | None:
     """The finite collection ``points`` as a :class:`CartesianSet` when it is

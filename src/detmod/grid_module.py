@@ -19,8 +19,8 @@ from typing import Callable
 from .errors import InputError
 from .extgrid import (Box, CartesianSet, Point, NEG_INF, as_product,
                       extended_projection, leq, sort_points)
-from .linalg import (DiagramCheck, Matrix, PosetDiagram, identity_rows, poset_covers,
-                     validate_diagram)
+from .linalg import (DiagramCheck, Matrix, PosetDiagram, full_row_rank, identity_rows,
+                     poset_covers, validate_diagram)
 
 
 class GridModule:
@@ -153,6 +153,17 @@ class GridModule:
         values, strides = self._layout()
         return not values[x] and not values[x + strides[axis]]
 
+    def is_onto_step(self, p: Point, axis: int) -> bool:
+        """Whether the step from the box point ``p`` along ``axis`` is onto,
+        with no :class:`Matrix` made: a given step whose integer rows have
+        full row rank, a left-out one when its target is a zero space."""
+        x = self._index[p]
+        values, strides = self._layout()
+        given = self.step_rows.get(x * self.box.dim + axis)
+        if given is None:
+            return not values[x + strides[axis]]
+        return full_row_rank(self.field, given[0], values[x])
+
     def is_identity_slab(self, axis: int, t: int) -> bool:
         """Whether every step along ``axis`` out of a box point with
         coordinate ``t`` there is the identity."""
@@ -167,13 +178,6 @@ class GridModule:
                                               or values[x + stride]):
                     return False
         return True
-
-    @property
-    def steps(self) -> dict:
-        """Every given step's matrix by ``(point, axis)``, in the order of
-        ``step_rows``; the matrices not made yet are made now."""
-        pts, n = list(self.dims), self.box.dim
-        return {(pts[key // n], key % n): self.flat_step(key) for key in self.step_rows}
 
 
 def _integer_rows(mat: Matrix) -> tuple:
@@ -346,7 +350,8 @@ def restrict_view(view: ExtendedView, points) -> PosetDiagram:
     into the box once, and dims and maps are read off the clamped points
     (:meth:`ExtendedView.box_map`).  The diagram is marked validated: the
     view validates its module when it is built, and a functor restricts to
-    a functor.
+    a functor.  Its covers are complete: those of the product, or of
+    :func:`poset_covers`.
     """
     if not isinstance(points, CartesianSet):
         points = frozenset(points)
@@ -362,7 +367,7 @@ def restrict_view(view: ExtendedView, points) -> PosetDiagram:
     dims = {p: space[at[p]] for p in pts}
     maps = {(c, d): view.box_map(at[c], at[d]) for c, d in covers}
     diagram = PosetDiagram(view.field, pts, dims, maps, covers=covers)
-    diagram._validated = True
+    diagram._validated = diagram.covers_complete = True
     return diagram
 
 

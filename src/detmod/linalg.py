@@ -400,6 +400,14 @@ def rank(m: Matrix) -> int:
     return len(pivot_columns(m.field, m.rows, m.ncols))
 
 
+def full_row_rank(field, rows, ncols: int) -> bool:
+    """Whether the rows are independent, so that their map is onto; no
+    elimination for fewer than two rows."""
+    if len(rows) < 2:
+        return not rows or any(rows[0])
+    return len(rows) <= ncols and len(pivot_columns(field, rows, ncols)) == len(rows)
+
+
 def is_invertible(m: Matrix) -> bool:
     """Square with full rank; non-square shapes never qualify."""
     return m.nrows == m.ncols and rank(m) == m.nrows

@@ -22,7 +22,8 @@ from .extgrid import (CartesianSet, Point, as_point, as_product, clamps_and_stri
 from .grid_module import ExtendedView, GridModule, restrict_view
 from .determinacy import determinacy_report, determined_closure
 from .linalg import (Matrix, PosetDiagram, _require_valid, _vec, cokernel_projection,
-                     diagram_colimit, hstack, kernel_basis, pivot_columns, rank, solve)
+                     diagram_colimit, full_row_rank, hstack, kernel_basis, pivot_columns, rank,
+                     solve)
 
 
 @dataclass(frozen=True)
@@ -172,26 +173,39 @@ def _generator_lifts(lam: Matrix) -> Matrix:
     return Matrix(field, rows, ncols=len(free), _coerce=False)
 
 
+def _onto(m: Matrix) -> bool:
+    return full_row_rank(m.field, m.rows, m.ncols)
+
+
 def _walk(field, poset: tuple, new_columns: Callable, gens: list):
-    """One upward walk of a finite poset, carrying the images of its generators.
+    """One upward walk of a finite poset, with the images of its generators
+    formed on demand.
 
-    ``poset`` is ``(points, dims, lower, step)``: the points in
-    lexicographic order, ``dims[i]`` the dimension at ``points[i]``,
-    ``lower[i]`` the indices of its lower covers, and ``step(p, i)`` the map
-    from ``points[p]`` to ``points[i]``, or ``None`` for the identity
-    (:func:`_product_poset`, :func:`_present_diagram`).
+    ``poset`` is ``(points, dims, lower, identity, onto, step)``: the points
+    in lexicographic order, ``dims[i]`` the dimension at ``points[i]``,
+    ``lower[i]`` the indices of its lower covers, ``identity(p, i)`` whether
+    the step from ``points[p]`` to ``points[i]`` is the identity,
+    ``onto(p, i)`` whether a step that is not the identity is onto, and
+    ``step(p, i)`` its matrix (:func:`_product_poset`,
+    :func:`_present_diagram`).  At each point c the identity is asked of
+    every lower-cover step first, and ``onto`` only where none is.
 
-    At each point c, ``new_columns(points[c], dims[c], maps)``, with
-    ``maps`` the steps from the lower covers, gives the images of the
-    generators at c, or ``None``; ``gens`` collects them in walk order as
-    (point, columns).  The generators active at c are those at c and those
-    active at its lower covers.  Their images in M(c), side by side in the
-    order of ``gens``, make ev_c, carried up one lower cover at a time: the
-    columns of a generator b < c are taken from step(p, c) @ ev_p for the
-    first lower cover p of c that has b, identity steps first (they need no
-    product), and where p has every active generator, that is all of ev_c.
+    ``new_columns(points[c], dims[c], maps)`` gives the images of the
+    generators at c, or ``None``; ``maps`` is ``None`` where a lower-cover
+    step is onto, which leaves no cokernel, else the steps from the lower
+    covers.  ``gens`` collects the images in walk order as (point,
+    columns).  The generators active at c are those at c and those active
+    at its lower covers.  Their images in M(c), side by side in the order
+    of ``gens``, make ev_c.  The walk records where each generator's
+    columns come from: those of a generator b < c from step(p, c) @ ev_p
+    for the first lower cover p of c that has b, identity steps first (they
+    need no product), and where p has every active generator, all of ev_c.
     As the poset's maps commute, every covering chain from b to c gives the
-    same columns, exactly M(b -> c) applied to the images at b.
+    same columns, exactly M(b -> c) applied to the images at b.  ev_c is
+    formed only when a caller asks for it, from the ev_p it reads, each
+    formed first: memoized, in walk order and without recursion, so a
+    point far up a long chain costs at most one product per step below it
+    and no stack depth.
 
     The kernel rule.  Let K_c be the kernel of ev_c.  Where ev_c is onto
     M(c), dim K_c is the number of generator columns at c minus dim M(c),
@@ -206,58 +220,77 @@ def _walk(field, poset: tuple, new_columns: Callable, gens: list):
     placing from r into F_p and then into F_c is placing from r into F_c,
     K_c is the placed kernel of its root.
 
-    Yields per point (point, dim, the active generator indices in
-    order, ev, whether a lower-cover step is the identity, roots): ``roots``
-    is ``None`` where the kernel does not grow, else the distinct roots of
-    the lower covers, so that their placed kernels are those of the covers.
-    The build (:func:`_scan`) takes a kernel basis, and verify
-    (:func:`_check_images`) a rank of the relation matrix, only where
-    ``roots`` is not ``None``.
+    Yields per point (point, dim, the active generator indices in order, a
+    function of no arguments that gives ev, whether a lower-cover step is
+    onto, roots): ``roots`` is ``None`` where the kernel does not grow, else
+    the distinct roots of the lower covers, so that their placed kernels are
+    those of the covers.  The build (:func:`_scan`) forms ev and takes a
+    kernel basis only where ``roots`` is not ``None``; verify
+    (:func:`_check_images`) forms it where no lower-cover step is onto and
+    at relation grades.
     """
-    points, dims, lower, step = poset
+    points, dims, lower, identity, onto, step = poset
     mults = []  # per generator index
-    states = []  # per point: (active generator indices, ev, dim K, kernel root)
+    # per point: active generator indices, dim K, kernel root, identity
+    # covers, the covers that ev_c is carried from, and the source of each
+    # generator, (cover or None for the new columns, offset), or None when
+    # the one cover carries all of ev_c
+    states, evs = [], {}
+
+    def form(c: int) -> Matrix:
+        todo, stack = set(), [c]
+        while stack:
+            x = stack.pop()
+            if x not in evs and x not in todo:
+                todo.add(x)
+                stack.extend(states[x][4])
+        for x in sorted(todo):
+            order, _, _, same, below, source = states[x]
+            moved = {p: evs[p] if p in same else step(p, x) @ evs[p] for p in below}
+            if source is None:
+                evs[x] = moved[below[0]]
+                continue
+            rows = [[] for _ in range(dims[x])]
+            for g in order:
+                p, offset = source[g]
+                for row, src in zip(rows, (gens[g][1] if p is None else moved[p]).rows):
+                    row.extend(src[offset:offset + mults[g]])
+            evs[x] = Matrix(field, rows, ncols=sum(mults[g] for g in order), _coerce=False)
+        return evs[c]
+
     for c, (pt, dim, covers) in enumerate(zip(points, dims, lower)):
-        maps = [step(p, c) for p in covers]
-        new = new_columns(pt, dim, maps)
+        same = [p for p in covers if identity(p, c)]
+        spans = bool(same) or any(onto(p, c) for p in covers)
+        new = new_columns(pt, dim, None if spans else [step(p, c) for p in covers])
         order = sorted(set().union(*(states[p][0] for p in covers)))
-        carried = {}
+        source, below = {}, []
         if new is not None:
-            carried[len(mults)] = (new, 0)
+            source[len(mults)] = (None, 0)
             order.append(len(mults))
             mults.append(new.ncols)
             gens.append((pt, new))
-        ev = None
-        for p, m in sorted(zip(covers, maps), key=lambda pm: pm[1] is not None):
-            below, ev_p, _, _ = states[p]
-            if all(g in carried for g in below):
+        for p in same + [p for p in covers if p not in same]:
+            active = states[p][0]
+            if all(g in source for g in active):
                 continue
-            moved = ev_p if m is None else m @ ev_p
-            if len(below) == len(order):  # every active generator, in order
-                ev = moved
+            below.append(p)
+            if len(active) == len(order):  # every active generator, in order
+                source, below = None, [p]
                 break
             offset = 0
-            for g in below:
-                carried.setdefault(g, (moved, offset))
+            for g in active:
+                source.setdefault(g, (p, offset))
                 offset += mults[g]
-        if ev is None:
-            rows = [[] for _ in range(dim)]
-            for g in order:
-                source, offset = carried[g]
-                m = mults[g]
-                for row, src in zip(rows, source.rows):
-                    row.extend(src[offset:offset + m])
-            ev = Matrix(field, rows, ncols=sum(mults[g] for g in order), _coerce=False)
-        kdim, root = ev.ncols - dim, None
+        kdim, root = sum(mults[g] for g in order) - dim, None
         if kdim:
-            same = next((p for p in covers if states[p][2] == kdim), None)
-            root = pt if same is None else states[same][3]
-        states.append((order, ev, kdim, root))
+            equal = next((p for p in covers if states[p][1] == kdim), None)
+            root = pt if equal is None else states[equal][2]
+        states.append((order, kdim, root, same, below, source))
         roots = None
         if root is pt:
-            roots = list(dict.fromkeys(states[p][3] for p in covers
-                                       if states[p][3] is not None))
-        yield pt, dim, order, ev, None in maps, roots
+            roots = list(dict.fromkeys(states[p][2] for p in covers
+                                       if states[p][2] is not None))
+        yield pt, dim, order, functools.partial(form, c), spans, roots
 
 
 def _scan(field, poset: tuple, covers_complete: bool) -> tuple:
@@ -265,11 +298,11 @@ def _scan(field, poset: tuple, covers_complete: bool) -> tuple:
 
     One :func:`_walk` of the poset, upwards.  The generators at c lift a
     basis of the cokernel of its lower-cover maps placed side by side (one
-    elimination, :func:`_generator_lifts`).  An identity step is onto, so
-    that cokernel is zero wherever a lower-cover step is the identity, and
-    no lift is taken there.  ev_c is onto M(c), by induction: the images of
-    the ev_p at the lower covers span the images of the lower-cover maps,
-    and the lifts span the rest.  Every b < c lies below a lower cover of c,
+    elimination, :func:`_generator_lifts`).  That cokernel is zero wherever
+    a lower-cover step is onto, an identity or any step of full row rank,
+    and no lift is taken there.  ev_c is onto M(c), by induction: the images
+    of the ev_p at the lower covers span the images of the lower-cover
+    maps, and the lifts span the rest.  Every b < c lies below a lower cover of c,
     so the active generators are all those below c when ``covers_complete``
     says that the covers are those of the poset; otherwise they come from a
     caller and may leave out a chain, and a generator b <= c outside them is
@@ -285,13 +318,14 @@ def _scan(field, poset: tuple, covers_complete: bool) -> tuple:
     of the lower covers' roots followed by that basis, made only when some
     lower cover has a non-zero kernel.  Which columns are new depends only
     on the span of the placed kernels, so any basis of them serves, and the
-    relations are those of a scan that takes every kernel.
+    relations are those of a scan that takes every kernel.  ev is formed
+    only there, with the ev below it that it is carried from.
     """
     gens, relations, blocks, kernels = [], [], {}, {}
     zero = field.zero
 
     def lifts(pt, dim, maps):
-        if None in maps:
+        if maps is None:
             return None
         lift = _generator_lifts(maps[0] if len(maps) == 1 else hstack(field, maps, nrows=dim))
         return lift if lift.ncols else None
@@ -303,13 +337,12 @@ def _scan(field, poset: tuple, covers_complete: bool) -> tuple:
                 raise InputError(f"no covering chain from {gens[missing][0]!r} to {pt!r}")
         if roots is None:
             continue
-        ker = kernel_basis(ev)
+        ker = kernel_basis(ev())
         kernels[pt] = (order, ker)
-        total, width = ev.ncols, 0
-        offsets, o = {}, 0
+        offsets, total, width = {}, 0, 0
         for g in order:
-            offsets[g] = o
-            o += gens[g][1].ncols
+            offsets[g] = total
+            total += gens[g][1].ncols
         stacked = [[] for _ in range(total)]
         for r in roots:
             active_r, ker_r = kernels[r]
@@ -342,8 +375,9 @@ def _scan(field, poset: tuple, covers_complete: bool) -> tuple:
 
 
 def _present_diagram(diagram: PosetDiagram) -> tuple:
-    """The scan of a validated diagram, with its own covers and maps, and
-    the diagram's identity covers as identity steps."""
+    """The scan of a validated diagram, with its own covers and maps, the
+    diagram's identity covers as identity steps, and a map onto when it has
+    full row rank."""
     _require_valid(diagram)
     points, maps, identities = diagram.points, diagram.maps, diagram.identity_covers()
     index = {p: i for i, p in enumerate(points)}
@@ -352,9 +386,10 @@ def _present_diagram(diagram: PosetDiagram) -> tuple:
         lower[index[c]].append(index[p])
 
     def step(p, c):
-        cover = (points[p], points[c])
-        return None if cover in identities else maps[cover]
-    poset = (points, [diagram.dims[p] for p in points], lower, step)
+        return maps[(points[p], points[c])]
+    poset = (points, [diagram.dims[p] for p in points], lower,
+             lambda p, c: (points[p], points[c]) in identities,
+             lambda p, c: _onto(step(p, c)), step)
     return _scan(diagram.field, poset, diagram.covers_complete)
 
 
@@ -371,8 +406,8 @@ def _product_poset(view: ExtendedView, grid: CartesianSet, grades=()) -> tuple:
     between them is the identity, so the walk would carry the cover's state
     there, with the same active generators and relations, ev and kernel.
     Verify passes its generator and relation points.  The build passes
-    none: it takes a generator only where no lower-cover step is the
-    identity, so never at such a coordinate, and a relation only where the
+    none: it takes a generator only where no lower-cover step is onto, so
+    never at such a coordinate, and a relation only where the
     kernel grows, which it does not across an identity step that brings no
     generator.  What is left is a product grid again, whose steps are the
     composites of those of the grid, and the step into a left-out
@@ -380,12 +415,11 @@ def _product_poset(view: ExtendedView, grid: CartesianSet, grades=()) -> tuple:
     identities taken out.
 
     The lower covers come from the strides and each step from the module at
-    the clamped points: ``None`` (the identity) when both clamp to the same
-    box point; when they are adjacent, ``None`` again for a step the module
-    knows to be the identity, with no :class:`Matrix`, else the stored
-    step; and otherwise ``view.box_map``, the composite of the stored steps
-    between them, or ``None`` when that matrix is the identity.  The covers
-    of a product are complete.
+    the clamped points: the identity when both clamp to the same box point;
+    when they are adjacent, the stored step, which the module says is the
+    identity or onto with no :class:`Matrix`; and otherwise
+    ``view.box_map``, the composite of the stored steps between them,
+    tested as a matrix.  The covers of a product are complete.
     """
     module = view.module
     factors, clamps = [], []
@@ -402,15 +436,20 @@ def _product_poset(view: ExtendedView, grid: CartesianSet, grades=()) -> tuple:
              for flat, idx in enumerate(itertools.product(*(range(len(f)) for f in factors)))]
 
     def step(p, c):
-        x, y = clamped[p], clamped[c]
-        if x == y:
-            return None
-        axis = next(i for i, (u, v) in enumerate(zip(x, y)) if u != v)
+        return view.box_map(clamped[p], clamped[c])
+
+    # the axis of a cover from its stride; an axis of one coordinate, whose
+    # stride may repeat the next, has no cover
+    axis_of = {stride: axis for axis, stride in reversed(list(enumerate(strides)))}
+
+    def holds(of_step, of_map, p, c):  # equal clamps: the identity
+        x, y, axis = clamped[p], clamped[c], axis_of[c - p]
         if y[axis] == x[axis] + 1:
-            return None if module.is_identity_step(x, axis) else module.step(x, axis)
-        composite = view.box_map(x, y)
-        return None if composite.is_identity() else composite
-    return list(itertools.product(*factors)), [module.dims[x] for x in clamped], lower, step
+            return of_step(x, axis)
+        return x == y or of_map(view.box_map(x, y))
+    return (list(itertools.product(*factors)), [module.dims[x] for x in clamped], lower,
+            functools.partial(holds, module.is_identity_step, Matrix.is_identity),
+            functools.partial(holds, module.is_onto_step, _onto), step)
 
 
 def _present_view(view: ExtendedView, s) -> tuple:
@@ -498,7 +537,7 @@ def verify_presentation(view: ExtendedView, pres: Presentation) -> PresentationC
     isomorphism at every point of G is one everywhere: ``ok`` means
     "everywhere", and no wider grid could change it.
 
-    With ``generator_images`` the check is of that explicit map, carried up
+    With ``generator_images`` the check is of that explicit map, formed on
     G by the walk that builds presentations too (:func:`_walk`), and each
     check at a point runs only where it can fail (:func:`_check_images`).
     A failure names the first point of G, in lexicographic order, where a
@@ -568,16 +607,17 @@ def _check_images(view: ExtendedView, pres: Presentation, grid: CartesianSet
     """The certificate check of :func:`verify_presentation`: one :func:`_walk` of the grid.
 
     An image with the wrong number of rows fails at its generator point.
-    Otherwise the walk carries E_c, the images of the generators below c in
-    M(c), up from the lower covers of c.  The module is validated, so E is
-    a map out of a free module, natural by construction.  It induces an
-    isomorphism from the cokernel of the relation matrix R_c onto M(c)
-    when three checks hold at c: R_c has a cokernel of dimension dim M(c),
-    E R = 0, and E_c has rank dim M(c).  Each is computed only where it can
-    fail:
+    Otherwise the walk forms E_c, the images of the generators below c in
+    M(c), from those at the lower covers of c, where a check reads it.  The
+    module is validated, so E is a map out of a free module, natural by
+    construction.  It induces an isomorphism from the cokernel of the
+    relation matrix R_c onto M(c) when three checks hold at c: R_c has a
+    cokernel of dimension dim M(c), E R = 0, and E_c has rank dim M(c).
+    Each is computed only where it can fail:
 
-    - E_c spans M(c) where a lower-cover step is the identity, as E there
-      spans M(p) = M(c), so its rank is taken only where none is;
+    - E_c spans M(c) where a lower-cover step M(p -> c) is onto, as E_p,
+      which passed, spans M(p), and the columns of E_c hold M(p -> c) E_p:
+      E_c is formed and its rank taken only where no such step is;
     - E R = 0 is checked only at relation grades, on the new relation
       columns: naturality gives E_c R = M(d -> c) E_d R at every c above a
       relation grade d;
@@ -589,9 +629,10 @@ def _check_images(view: ExtendedView, pres: Presentation, grid: CartesianSet
       the kernel grows.
 
     Where a check fails, all three run, in that order, so the point and the
-    reason are those of checking every point in full.  A grid point the
-    walk leaves out (:func:`_product_poset`) repeats a lower cover, with the
-    same generators, relations and E, so its checks are those of the cover.
+    reason are those of checking every point in full; none of them reads
+    E_c beyond the two cases above.  A grid point the walk leaves out
+    (:func:`_product_poset`) repeats a lower cover, with the same
+    generators, relations and E, so its checks are those of the cover.
     """
     images = pres.generator_images
     for b, _ in pres.generators:
@@ -601,12 +642,12 @@ def _check_images(view: ExtendedView, pres: Presentation, grid: CartesianSet
     rel_mult = dict(pres.relations)
     gens = []
     poset = _product_poset(view, grid, grades=list(images) + list(rel_mult))
-    for c, dim, order, ev, onto, roots in _walk(view.field, poset,
-                                                lambda pt, dim, maps: images.get(pt), gens):
+    for c, dim, order, ev, spans, roots in _walk(view.field, poset,
+                                                 lambda pt, dim, maps: images.get(pt), gens):
         active = [(gens[g][0], gens[g][1].ncols) for g in order]
-        spans = onto or rank(ev) == dim
+        spans = spans or rank(ev()) == dim
         zero = c not in rel_mult or (
-            ev @ _relation_matrix(pres, active, [(c, rel_mult[c])])).is_zero()
+            ev() @ _relation_matrix(pres, active, [(c, rel_mult[c])])).is_zero()
         if spans and zero and roots is None:
             continue
         rel = _relation_matrix(pres, active, [(d, m) for d, m in pres.relations if leq(d, c)])

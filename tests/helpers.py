@@ -82,6 +82,17 @@ def maximal_lower_bounds_bruteforce(points, candidates):
     return {w for w in lowers if not any(lt(w, v) for v in lowers)}
 
 
+def coordinatewise_join_below(cart: CartesianSet, c):
+    """``join_below`` on a product whose factors all hold -inf, read off
+    coordinate by coordinate."""
+    out = []
+    for v, f in zip(c, cart.factors):
+        if f[0] != NEG_INF:
+            raise InputError("coordinatewise join_below needs -inf in every factor")
+        out.append([x for x in f if x <= v][-1])
+    return tuple(out)
+
+
 def join_closure_by_subsets(points):
     """Closure computed straight from the definition: one join per non-empty subset."""
     pts = list(points)
@@ -166,11 +177,18 @@ def minimal_squares_commute(diagram: PosetDiagram) -> bool:
     return True
 
 
+def given_steps(module: GridModule) -> dict:
+    """Every given step's matrix by ``(point, axis)``, in the order of
+    ``module.step_rows``; the matrices not made yet are made now."""
+    pts, n = list(module.dims), module.box.dim
+    return {(pts[key // n], key % n): module.flat_step(key) for key in module.step_rows}
+
+
 def every_step(module: GridModule) -> dict:
     """Every unit step of the box by ``(point, axis)``, read through
     ``GridModule.step``: the given steps in their order, then the left-out
     ones in lexicographic order."""
-    steps = dict(module.steps)
+    steps = given_steps(module)
     top = module.box.b
     for p in module.box.integer_points():
         for axis in range(module.box.dim):
@@ -233,7 +251,7 @@ def validate_by_products(module: GridModule):
     are compared as matrices over the field.
     """
     dims, step, field = module.dims, module.step, module.field
-    for (p, axis), mat in module.steps.items():
+    for (p, axis), mat in given_steps(module).items():
         q = module._step_target(p, axis)
         expected = (dims[q], dims[p])
         if mat.shape != expected:

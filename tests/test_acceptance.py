@@ -18,8 +18,8 @@ from detmod import (Box, ExtendedView, NEG_INF, NotDeterminedError,
                     join_below, join_closure, pointed_closure, restrict_view,
                     verify_presentation, window_module)
 from detmod import QQ
-from helpers import (F2, F5, canonical_map_check, canonical_set, corner_module,
-                     diagram_limit, halfplane_table, presentation_check_at_points,
+from helpers import (F2, F5, canonical_map_check, canonical_set, coordinatewise_join_below,
+                     corner_module, diagram_limit, halfplane_table, presentation_check_at_points,
                      random_module, random_point_set, stabilization_window, unzip_module,
                      zip_module)
 
@@ -110,7 +110,7 @@ def test_criterion_5_projection_factorization():
                 box = Box((a1, a2), (b1, b2))
                 extended = ext_box(box)
                 for c in cs:
-                    via_morphisms = meet_above(box, extended.join_below(c))
+                    via_morphisms = meet_above(box, coordinatewise_join_below(extended, c))
                     assert via_morphisms == convex_projection(box, c)
                     checked += 1
         assert checked == 15 * 15 * 121

@@ -14,7 +14,7 @@ from detmod import (QQ, Box, ExtendedView, GridModule, InputError, Matrix, NEG_I
 from detmod.determinacy import _condition_on_grid
 from detmod.extgrid import downset_of
 from helpers import F2, F5, canonical_map_check, canonical_set, condition_by_downsets, \
-    corner_module, every_step, oracle_grid, random_ext_point, random_module, \
+    corner_module, every_step, given_steps, oracle_grid, random_ext_point, random_module, \
     random_point_set
 
 BOTTOM = (NEG_INF, NEG_INF)
@@ -270,7 +270,7 @@ class TestCornerRule:
             report = is_S_determined(view, s)
             verdicts.add(report.holds)
             assert len(tested) == len(set(tested))
-            assert set(tested) <= {id(m) for m in view.module.steps.values()}
+            assert set(tested) <= {id(m) for m in given_steps(view.module).values()}
         assert verdicts == {True, False}
 
 

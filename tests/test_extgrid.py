@@ -12,8 +12,9 @@ from detmod import (Box, CartesianSet, InputError, NEG_INF, convex_projection,
                     join_below, join_closure, leq, meet_above, mub,
                     point_sort_key, pointed_closure, sort_points)
 from detmod.extgrid import as_product, downset_of
-from helpers import (join_closure_by_subsets, maximal_lower_bounds_bruteforce,
-                     minimal_upper_bounds_bruteforce, random_point_set, window_ext_points)
+from helpers import (coordinatewise_join_below, join_closure_by_subsets,
+                     maximal_lower_bounds_bruteforce, minimal_upper_bounds_bruteforce,
+                     random_point_set, window_ext_points)
 
 ext_coords = st.one_of(st.just(NEG_INF), st.integers(-3, 3))
 
@@ -180,7 +181,7 @@ class TestJoinBelow:
         cart = ext_box(Box((0, 0), (2, 1)))
         pts = cart.points()
         for c in window_ext_points(-2, 4, 2):
-            assert cart.join_below(c) == join_below(pts, c)
+            assert coordinatewise_join_below(cart, c) == join_below(pts, c)
 
 
 class TestMeetAbove:

@@ -7,11 +7,11 @@ import pytest
 
 from detmod import (Box, ExtendedView, GridModule, InputError, Matrix,
                     NEG_INF, QQ, canonical_set, ext_box, is_invertible,
-                    pointed_closure, poset_covers, restrict_view, sort_points,
+                    pointed_closure, poset_covers, rank, restrict_view, sort_points,
                     validate_diagram, validate_module, window_module)
 from detmod.io import matrix_to_json, module_from_json, module_to_json
-from helpers import (F2, F5, corner_module, diagram_limit, every_step, halfplane_table,
-                     module_diagram, path_commutativity_ok, random_module,
+from helpers import (F2, F5, corner_module, diagram_limit, every_step, given_steps,
+                     halfplane_table, module_diagram, path_commutativity_ok, random_module,
                      stabilization_window, unzip_module, validate_by_products,
                      validate_module_by_diagram)
 
@@ -244,8 +244,8 @@ class TestValidateMatchesProducts:
                     {"from": list(p), "axis": axis + 1, "matrix": matrix_to_json(m)}
                     for (p, axis), m in sorted(every_step(module).items())])
                 loaded = [module_from_json(obj) for obj in (sparse, dense)]
-                assert len(loaded[1].steps) == len(every_step(module))
-                left_out += len(loaded[1].steps) - len(loaded[0].steps)
+                assert len(given_steps(loaded[1])) == len(every_step(module))
+                left_out += len(given_steps(loaded[1])) - len(given_steps(loaded[0]))
                 for m in loaded:
                     fast, slow = validate_module(m), validate_by_products(m)
                     assert (fast.ok, fast.message, fast.square) == \
@@ -435,7 +435,8 @@ class TestRestrictDiagram:
 
 class TestIdentitySteps:
     """Whether a step is the identity is decided once from its stored rows,
-    alike for modules from the loader and from ``GridModule.__init__``."""
+    alike for modules from the loader and from ``GridModule.__init__``; so
+    is whether it is onto."""
 
     @pytest.mark.parametrize("field", [F2, F5, QQ], ids=["F2", "F5", "Q"])
     def test_identity_steps_match_matrices(self, field):
@@ -444,9 +445,11 @@ class TestIdentitySteps:
             module = random_module(field, rng, twist=rng.random() < 0.5)
             every = every_step(module)
             expected = {e for e, m in every.items() if m.is_identity()}
+            onto = {e for e, m in every.items() if rank(m) == m.nrows}
             for built in (module, GridModule(field, module.box, dict(module.dims), every),
                           module_from_json(module_to_json(module))):
                 assert {e for e in every if built.is_identity_step(*e)} == expected
+                assert {e for e in every if built.is_onto_step(*e)} == onto
                 assert built.identities == {key for key in built.step_rows
                                             if built.flat_step(key).is_identity()}
 

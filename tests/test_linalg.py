@@ -204,6 +204,7 @@ class TestIntegerRowKernel:
             expected = echelon_by_field_methods(field, m.rows, m.ncols)[1]
             assert linalg.pivot_columns(field, m.rows, m.ncols) == expected
             assert rank(m) == len(expected)
+            assert linalg.full_row_rank(field, m.rows, m.ncols) == (len(expected) == m.nrows)
             for limit in range(m.ncols + 1):
                 assert linalg._echelon(field, m.rows, m.ncols, pivot_limit=limit,
                                        reduce=False)[1] == \

@@ -20,7 +20,7 @@ from detmod.linalg import diagram_colimit
 from detmod.presentation import predecessor_colimit_map
 from helpers import (F2, F5, admissible_by_reconstruction, births_deaths_by_cone,
                      canonical_set, cokernel_lifts, colimit_map_by_cone,
-                     corner_module, module_diagram, diagram_presentation_by_full_scan,
+                     corner_module, module_diagram, diagram_presentation_by_full_scan, given_steps,
                      halfplane_table, interval_module, presentation_by_full_scan,
                      presentation_check_at_points, random_ext_point, random_module, random_point_set, twist_module, unzip_module, widened_box_points, zip_module)
 from detmod import QQ, critical_grid, join_closure, lt, min_point, pointed_closure
@@ -112,6 +112,22 @@ class TestBirthsDeaths:
         assert diagram_births_deaths(derived) == expected
         with pytest.raises(AssertionError, match="tested against a point"):
             diagram_births_deaths(window_module(F2, Box((-3, -3), (3, 3)), halfplane_table))
+
+    def test_restricted_diagrams_test_no_generator_for_chains(self, monkeypatch):
+        """``restrict_view`` derives the covers of a lattice that is not a
+        product, so its scan tests no generator against a point."""
+        view = ExtendedView(random_module(F5, random.Random(65), max_summands=4))
+        lattice = join_closure(canonical_set(view.module) | {tuple(v + 1 for v in view.box.b)})
+        assert as_product(lattice) is None and restrict_view(view, lattice).covers_complete
+        calls, leq_of = [], presentation_module.leq
+
+        def counted(*args):
+            calls.append(args)
+            return leq_of(*args)
+        monkeypatch.setattr("detmod.presentation.leq", counted)
+        report = births_deaths(view, lattice)
+        assert calls == []
+        assert (report.births, report.deaths) == births_deaths_by_cone(encode(view, lattice))
 
     def test_no_downset_colimit_on_any_route(self, monkeypatch):
         import detmod
@@ -322,19 +338,23 @@ def count_linear_algebra(monkeypatch) -> dict:
 class TestScanIsLinear:
     """On a 400-point chain the scan walks no path from a generator, and
     makes a bounded number of eliminations and products per point: none at
-    all when every step is the identity."""
+    all when every step is the identity, and no product where no relation
+    is born."""
 
     N = 400
+    SWAP = Matrix(F2, [[0, 1], [1, 0]])
 
-    def chain(self, step=None):
+    def chain(self, step=None, n=N, last=None):
         step = step or Matrix.identity(F2, 1)
-        pts = [(i,) for i in range(self.N)]
-        maps = {((i,), (i + 1,)): step for i in range(self.N - 1)}
+        pts = [(i,) for i in range(n)]
+        maps = {((i,), (i + 1,)): step for i in range(n - 1)}
+        if last is not None:
+            maps[((n - 2,), (n - 1,))] = last
         return PosetDiagram(F2, pts, {p: step.nrows for p in pts}, maps)
 
-    def swap_chain(self):
+    def swap_chain(self, n=N, last=None):
         """Invertible steps that are not the identity, so every point is scanned."""
-        return self.chain(Matrix(F2, [[0, 1], [1, 0]]))
+        return self.chain(self.SWAP, n, last)
 
     def test_no_path_map_call(self, monkeypatch):
         def no_path_map(*args):
@@ -346,10 +366,20 @@ class TestScanIsLinear:
         assert generators == [((0,), 2)] and relations == []
 
     def test_matrix_products_linear_in_points(self, monkeypatch):
+        """No relation is born on the swap chain, so no evaluation map is
+        formed; with its last step zero, two are born at the top, and the
+        map there is formed up the whole chain, with no recursion: also at
+        2,000 points under the default recursion limit."""
         chain = self.swap_chain()
         calls = count_linear_algebra(monkeypatch)
         _present_diagram(chain)
-        assert 0 < len(calls["matmul"]) <= self.N
+        assert calls["matmul"] == []
+        for n in (self.N, 2000):
+            chain = self.swap_chain(n, last=Matrix.zeros(F2, 2, 2))
+            calls["matmul"].clear()
+            generators, relations, _, _ = _present_diagram(chain)
+            assert generators == [((0,), 2), ((n - 1,), 2)] and relations == [((n - 1,), 2)]
+            assert 0 < len(calls["matmul"]) <= n
 
     def test_eliminations_linear_in_points(self, monkeypatch):
         chain = self.swap_chain()
@@ -443,14 +473,139 @@ class TestIdentitySteps:
         assert any(identities) and not all(identities)
 
 
-class TestScanCounts:
-    """What the scan skips: the encoding on a product closure, and every
-    kernel basis where no relation can be born."""
+class TestOntoSteps:
+    """Steps that are onto but not invertible settle the cokernel as an
+    identity does: twisted interval sums whose intervals all start at the
+    lower corner and end apart, so that every step is onto and a k -> k - 1
+    projection where an interval ends.  The build takes one lift, at the
+    bottom, and agrees with the oracles; verify agrees with the pointwise
+    oracle on the presentation and its corruptions."""
 
-    def whole_box_view(self):
+    @staticmethod
+    def projection_modules(field, rng):
+        for nparams in (1, 2, 3):
+            for _ in range(3):
+                a = tuple(rng.randint(-1, 1) for _ in range(nparams))
+                box = Box(a, tuple(x + 4 - nparams for x in a))
+                ends = [tuple(rng.randint(x + 1, y + 1) for x, y in zip(a, box.b))
+                        for _ in range(rng.randint(2, 4))]
+                yield twist_module(interval_module(field, box, [a] * len(ends), ends), rng)
+
+    @pytest.mark.parametrize("field", [F2, F5, QQ], ids=["f2", "f5", "q"])
+    def test_projections_match_oracles(self, field, monkeypatch):
+        rng = random.Random(2801 + (field.p if field.kind == "prime" else 0))
+        lifts, generator_lifts = [], presentation_module._generator_lifts
+
+        def counted(lam):
+            lifts.append(lam.shape)
+            return generator_lifts(lam)
+        monkeypatch.setattr(presentation_module, "_generator_lifts", counted)
+        projections = caught = 0
+        for module in self.projection_modules(field, rng):
+            projections += sum(m.nrows < m.ncols for m in given_steps(module).values())
+            view = ExtendedView(module)
+            s = canonical_set(module)
+            lifts.clear()
+            report = births_deaths(view, s)
+            assert list(report.births) == [min_point(module.box.dim)] and len(lifts) == 1
+            assert (report.births, report.deaths) == births_deaths_by_cone(encode(view, s))
+            pres = build_presentation(view, s)
+            assert pres == presentation_by_full_scan(view, s)
+            assert present_diagram(encode(view, s)) == pres
+            assert _assert_scan_matches_oracles(view, pres).ok
+            for corrupt in CORRUPTIONS.values():
+                bad = corrupt(view, pres, rng)
+                if bad is not None:
+                    caught += not _assert_scan_matches_oracles(view, bad).ok
+        assert projections >= 9 and caught >= 9, (projections, caught)
+
+
+class TestScanCounts:
+    """What the scan skips: the encoding on a product closure, every kernel
+    basis where no relation can be born, every lift elimination where a
+    lower-cover step is onto, and every product off the points below a
+    kernel that grows."""
+
+    def whole_box_view(self, field=F5, starts=(), ends=()):
         box = Box((0, 0), (5, 5))
-        module = interval_module(F5, box, [box.a], [(6, 6)])
+        module = interval_module(field, box, [box.a, *starts], [(6, 6), *ends])
         return ExtendedView(twist_module(module, random.Random(13)))
+
+    @staticmethod
+    def record(mp, names) -> tuple:
+        """From here on, the points the presentation walk visits, and the
+        point it stands on, from the new columns there on, at each call of
+        the named functions of ``detmod.presentation`` and at each matrix
+        product."""
+        walk, matmul = presentation_module._walk, Matrix.__matmul__
+        current, walked, at = [None], [], {name: [] for name in names + ("matmul",)}
+
+        def recorded_walk(field, poset, new_columns, gens):
+            def at_point(pt, dim, maps):
+                current[0] = pt
+                return new_columns(pt, dim, maps)
+            for visit in walk(field, poset, at_point, gens):
+                walked.append(visit[0])
+                yield visit
+
+        def recorder(name, f):
+            def recorded(*args):
+                at[name].append(current[0])
+                return f(*args)
+            return recorded
+        mp.setattr(presentation_module, "_walk", recorded_walk)
+        for name in names:
+            f = getattr(presentation_module, name)
+            mp.setattr(presentation_module, name, recorder(name, f))
+        mp.setattr(Matrix, "__matmul__", recorder("matmul", matmul))
+        return walked, at
+
+    @staticmethod
+    def read_off(view, walked, grades) -> tuple:
+        """On the product of the walked coordinates, by evaluation on a
+        fresh view: the points with no onto lower-cover step, and those
+        where the kernel of the evaluation map grows, for generators with
+        the multiplicities ``grades``."""
+        view = ExtendedView(view.module)
+        factors = [sorted({c[i] for c in walked}) for i in range(len(walked[0]))]
+        covers = {c: [c[:i] + (f[f.index(v) - 1],) + c[i + 1:]
+                      for i, (f, v) in enumerate(zip(factors, c)) if v != f[0]] for c in walked}
+
+        def kdim(c):
+            return sum(m for b, m in grades.items() if leq(b, c)) - view.eval_space(c)
+        not_onto = [c for c in walked if not any(
+            rank(view.eval_map(p, c)) == view.eval_space(c) for p in covers[c])]
+        growth = {c for c in walked if kdim(c) and all(kdim(p) != kdim(c) for p in covers[c])}
+        return not_onto, growth
+
+    @pytest.mark.parametrize("field", [F5, QQ], ids=["f5", "q"])
+    def test_linear_algebra_only_where_a_generator_or_relation_can_be_born(self, field):
+        """The twisted box with a second interval: births at the bottom and
+        at (2, 2), a death at (4, 4).  Lift eliminations run exactly at the
+        points with no onto lower-cover step, and products only where the
+        kernel grows, for the points below it; verify takes ranks and
+        products only where no lower-cover step is onto, at relation grades
+        and where the kernel grows."""
+        view = self.whole_box_view(field, [(2, 2)], [(4, 4)])
+        s = canonical_set(view.module)
+        with pytest.MonkeyPatch.context() as mp:
+            walked, at = self.record(mp, ("_generator_lifts",))
+            report = births_deaths(view, s)
+        assert report.births == {BOTTOM: 1, (2, 2): 1} and report.deaths == {(4, 4): 1}
+        not_onto, growth = self.read_off(view, walked, report.births)
+        assert at["_generator_lifts"] == not_onto
+        assert set(report.births) <= set(not_onto) and len(not_onto) < len(walked) // 8
+        assert growth == {(4, 4)} and set(at["matmul"]) <= growth
+        assert 0 < len(at["matmul"]) <= sum(leq(c, (4, 4)) for c in walked)
+
+        pres = build_presentation(view, s)
+        with pytest.MonkeyPatch.context() as mp:
+            walked, at = self.record(mp, ("rank",))
+            assert verify_presentation(view, pres)
+        not_onto, growth = self.read_off(view, walked, dict(pres.generators))
+        relations = {d for d, _ in pres.relations}
+        assert at["rank"] and set(at["rank"]) <= set(not_onto) | growth
+        assert at["matmul"] and set(at["matmul"]) <= set(not_onto) | relations
 
     def test_product_closure_builds_no_encoding(self, monkeypatch):
         def no_restrict(*args):
@@ -479,8 +634,8 @@ class TestScanCounts:
 
 class TestVerifyCounts:
     """What verify with generator images computes: the rank of the images
-    only where no lower-cover step is the identity, and the rank of the
-    relation matrix only where the kernel grows or a check fails."""
+    only where no lower-cover step is onto, and the rank of the relation
+    matrix only where the kernel grows or a check fails."""
 
     def test_whole_box_interval_makes_one_elimination(self, monkeypatch):
         box = Box((0, 0), (5, 5))
@@ -816,7 +971,7 @@ class TestScanMatchesPointwiseOracle:
                                    twist=False)
             modules.append(twist_module(module, rng, keep=lambda p: p[0] % 2 == 0)
                            if k % 2 else module)
-        assert sum(any(m.nrows and m.is_identity() for m in module.steps.values())
+        assert sum(any(m.nrows and m.is_identity() for m in given_steps(module).values())
                    for module in modules) >= 6
         caught = 0
         for module in modules:
