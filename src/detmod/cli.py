@@ -38,24 +38,28 @@ from .presentation import (births_deaths, build_presentation,
 PROG = "detmod"
 
 
+def _parse_json(where: str, text: str | None = None, path: str | None = None):
+    """JSON from ``text``, or else from the UTF-8 file at ``path``.  Bytes
+    that are not UTF-8, overlong integers and nesting past the recursion
+    limit are malformed input, as syntax errors are."""
+    try:
+        if text is None:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise InputError(f"{where}{exc}") from exc
+
+
 def _read_json_arg(value: str):
     """Inline JSON when the value looks like JSON, otherwise a file path."""
     text = value.strip()
-    if not text.startswith(("[", "{")):
-        with open(value, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"invalid JSON in {value!r}: {exc}") from exc
+    return _parse_json(f"invalid JSON in {value!r}: ",
+                       text if text.startswith(("[", "{")) else None, value)
 
 
 def _read_input(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"{path}: invalid JSON: {exc}") from exc
+    return _parse_json(f"{path}: invalid JSON: ", path=path)
 
 
 def _emit(payload, out_path: str | None) -> None:

@@ -164,6 +164,14 @@ def _dim_list(obj) -> list:
     return obj
 
 
+def _array(obj: dict, key: str) -> list:
+    """The array under ``key``, empty when the key is left out."""
+    value = obj.get(key, [])
+    if not isinstance(value, list):
+        raise InputError(f"{key} must be a JSON array")
+    return value
+
+
 def box_from_json(obj) -> Box:
     if not isinstance(obj, dict) or "a" not in obj or "b" not in obj:
         raise InputError(f"invalid box {obj!r}; expected {{\"a\": [...], \"b\": [...]}}")
@@ -214,14 +222,15 @@ def module_from_json(obj) -> GridModule:
     n = obj.get("n")
     if n != box.dim:
         raise InputError(f"declared dimension {n!r} does not match the box")
-    pts = list(box.integer_points())
+    size = math.prod(hi - lo + 1 for lo, hi in zip(box.a, box.b))
     dims_list = _dim_list(obj.get("dims"))
-    if len(dims_list) != len(pts):
-        raise InputError(f"dims has {len(dims_list)} entries, the box has {len(pts)} points")
+    if len(dims_list) != size:
+        raise InputError(f"dims has {len(dims_list)} entries, the box has {size} points")
+    pts = list(box.integer_points())
     n, top, strides = box.dim, box.b, box.strides()  # n may be True for 1
     index = dict(zip(pts, range(len(pts))))
     given, tokens = {}, {}
-    for entry in obj.get("maps", []):
+    for entry in _array(obj, "maps"):
         if not isinstance(entry, dict):
             raise InputError(f"invalid map entry {entry!r}")
         p = entry.get("from")
@@ -282,7 +291,7 @@ def diagram_from_json(obj) -> PosetDiagram:
     # the diagram derives its covers, and the given maps replace its zero maps
     diagram = PosetDiagram(field, points, dims, {})
     cover_set, maps = set(diagram.covers()), {}
-    for entry in obj.get("maps", []):
+    for entry in _array(obj, "maps"):
         if not isinstance(entry, dict):
             raise InputError(f"invalid map entry {entry!r}")
         c = decode_point(entry.get("from"), dim=n)
@@ -328,17 +337,20 @@ def presentation_from_json(obj) -> Presentation:
         for e in entries:
             if not isinstance(e, dict) or "point" not in e or "multiplicity" not in e:
                 raise InputError(f"invalid {label} entry {e!r}")
-            out.append((decode_point(e["point"], dim=n), e["multiplicity"]))
+            pt, mult = decode_point(e["point"], dim=n), e["multiplicity"]
+            if type(mult) is not int or mult < 1:
+                raise InputError(f"multiplicity at {pt!r} must be a positive integer")
+            out.append((pt, mult))
         if len({p for p, _ in out}) != len(out):
             raise InputError(f"duplicate {label} points")
         return tuple(sorted(out, key=lambda e: point_sort_key(e[0])))
 
-    generators = read_graded(obj.get("generators", []), "generator")
-    relations = read_graded(obj.get("relations", []), "relation")
+    generators = read_graded(_array(obj, "generators"), "generator")
+    relations = read_graded(_array(obj, "relations"), "relation")
     gen_mult = dict(generators)
     rel_mult = dict(relations)
     blocks = {}
-    for entry in obj.get("rel_matrix", []):
+    for entry in _array(obj, "rel_matrix"):
         if not isinstance(entry, dict):
             raise InputError(f"invalid rel_matrix entry {entry!r}")
         d = decode_point(entry.get("relation"), dim=n)
@@ -350,10 +362,8 @@ def presentation_from_json(obj) -> Presentation:
         blocks[(d, b)] = matrix_from_json(field, entry.get("block"), (gen_mult[b], rel_mult[d]))
     images = None
     if "generator_images" in obj:
-        if not isinstance(obj["generator_images"], list):
-            raise InputError("generator_images must be a JSON array")
         images = {}
-        for entry in obj["generator_images"]:
+        for entry in _array(obj, "generator_images"):
             if not isinstance(entry, dict) or "point" not in entry or "images" not in entry:
                 raise InputError(f"invalid generator_images entry {entry!r}")
             b = decode_point(entry["point"], dim=n)

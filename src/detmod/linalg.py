@@ -70,24 +70,8 @@ class PrimeField:
     def mul(self, a, b):
         return (a * b) % self.p
 
-    def neg(self, a):
-        return (-a) % self.p
-
-    def inv(self, a):
-        if a % self.p == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return pow(a, -1, self.p)
-
     def dot(self, u, v):
         return sum(a * b for a, b in zip(u, v)) % self.p
-
-    def scale_row(self, k, row):
-        p = self.p
-        return [(k * x) % p for x in row]
-
-    def subtract_scaled(self, row, k, prow):
-        p = self.p
-        return [(x - k * y) % p for x, y in zip(row, prow)]
 
 
 class RationalField:
@@ -122,20 +106,8 @@ class RationalField:
     def mul(self, a, b):
         return a * b
 
-    def neg(self, a):
-        return -a
-
-    def inv(self, a):
-        return Fraction(1) / a
-
     def dot(self, u, v):
         return sum(a * b for a, b in zip(u, v))
-
-    def scale_row(self, k, row):
-        return [k * x for x in row]
-
-    def subtract_scaled(self, row, k, prow):
-        return [x - k * y for x, y in zip(row, prow)]
 
     def __eq__(self, other):
         return isinstance(other, RationalField)
@@ -312,75 +284,62 @@ def _cleared(vector) -> tuple:
 
 
 def _echelon(field, rows, ncols, pivot_limit=None, reduce=True):
-    """Reduced row echelon form; returns (rows, pivot columns).
+    """Reduced row echelon form on integer rows; returns (rows, pivot columns).
 
-    With ``reduce`` false only the pivot columns are wanted, and the rows
-    returned are ``None``.  Each row below a pivot is then cleared on
-    integer rows, which gives the same pivots: over F_p the update
-    a * row - b * pivot row takes one ``%`` per entry, with no inverse (over
-    F_2 it is the XOR of the two rows); over Q every row is first cleared of
-    denominators, and the update is fraction-free, each new row divided by
-    the gcd of its entries so that they stay small.
+    Entry b of a row is cleared against pivot a by a * row - b * pivot row:
+    over F_p on residues, one ``%`` per entry and no inverse (a XOR over F_2);
+    over Q on rows cleared of denominators, each new row divided by the gcd
+    of its entries.  So each row is a non-zero multiple of the row that field
+    operations give.  With ``reduce`` false only rows below a pivot are
+    cleared, and the rows returned are ``None``.  Otherwise rows above it are
+    cleared too, and one pass divides each row of the rank by its pivot: a
+    row whose pivot is 1 is kept over F_p, and over Q each entry becomes one
+    ``Fraction``.  Later rows keep integer entries up to a non-zero factor.
     """
     if pivot_limit is None:
         pivot_limit = ncols
     nrows = len(rows)
+    prime = field.p if field.kind == "prime" else 0
+    # rows are replaced, never changed in place, so the given ones are shared
+    rows = list(rows) if prime else [_cleared(row)[0] for row in rows]
     pivots = []
     r = 0
-    if not reduce:
-        prime = field.p if field.kind == "prime" else 0
-        # rows are replaced, never changed in place, so the given ones are shared
-        rows = list(rows) if prime else [_cleared(row)[0] for row in rows]
-        for c in range(pivot_limit):
-            if r == nrows:
-                break
-            for pr in range(r, nrows):
-                if rows[pr][c]:
-                    break
-            else:
-                continue
-            prow = rows[pr]
-            if pr != r:
-                rows[r], rows[pr] = prow, rows[r]
-            a = prow[c]
-            for i in range(r + 1, nrows):
-                row = rows[i]
-                b = row[c]
-                if not b:
-                    continue
-                if prime == 2:
-                    rows[i] = list(map(xor, row, prow))
-                elif prime:
-                    rows[i] = [(a * x - b * y) % prime for x, y in zip(row, prow)]
-                else:
-                    new = [a * x - b * y for x, y in zip(row, prow)]
-                    g = math.gcd(*new)
-                    rows[i] = [x // g for x in new] if g > 1 else new
-            pivots.append(c)
-            r += 1
-        return None, pivots
-    rows = [list(r) for r in rows]
-    zero, one = field.zero, field.one
     for c in range(pivot_limit):
         if r == nrows:
             break
-        pr = None
-        for i in range(r, nrows):
-            if rows[i][c] != zero:
-                pr = i
+        for pr in range(r, nrows):
+            if rows[pr][c]:
                 break
-        if pr is None:
+        else:
             continue
+        prow = rows[pr]
         if pr != r:
-            rows[r], rows[pr] = rows[pr], rows[r]
-        if rows[r][c] != one:
-            rows[r] = field.scale_row(field.inv(rows[r][c]), rows[r])
-        prow = rows[r]
-        for i in range(nrows):
-            if i != r and rows[i][c] != zero:
-                rows[i] = field.subtract_scaled(rows[i], rows[i][c], prow)
+            rows[r], rows[pr] = prow, rows[r]
+        a = prow[c]
+        for i in range(0 if reduce else r + 1, nrows):
+            row = rows[i]
+            b = row[c]
+            if not b or i == r:
+                continue
+            if prime == 2:
+                rows[i] = list(map(xor, row, prow))
+            elif prime:
+                rows[i] = [(a * x - b * y) % prime for x, y in zip(row, prow)]
+            else:
+                new = [a * x - b * y for x, y in zip(row, prow)]
+                g = math.gcd(*new)
+                rows[i] = [x // g for x in new] if g > 1 else new
         pivots.append(c)
         r += 1
+    if not reduce:
+        return None, pivots
+    for k, c in enumerate(pivots):
+        a = rows[k][c]
+        if not prime:
+            rows[k] = [Fraction(x, a) for x in rows[k]]
+        elif a != 1:
+            a = pow(a, -1, prime)
+            rows[k] = [x * a % prime for x in rows[k]]
     return rows, pivots
 
 
@@ -388,7 +347,8 @@ def _echelon(field, rows, ncols, pivot_limit=None, reduce=True):
 def rref(m: Matrix) -> tuple:
     """Reduced row echelon form together with the pivot columns."""
     rows, pivots = _echelon(m.field, m.rows, m.ncols)
-    return Matrix(m.field, rows, ncols=m.ncols, _coerce=False), tuple(pivots)
+    # coerced, for the integer zero rows past the rank
+    return Matrix(m.field, rows, ncols=m.ncols), tuple(pivots)
 
 
 def pivot_columns(field, rows, ncols: int) -> list:
@@ -423,7 +383,7 @@ def kernel_basis(m: Matrix) -> Matrix:
     for k, f in enumerate(free):
         basis[f][k] = field.one
         for r, pc in enumerate(pivots):
-            basis[pc][k] = field.neg(rows[r][f])
+            basis[pc][k] = field.sub(field.zero, rows[r][f])
     return Matrix(field, basis, ncols=len(free), _coerce=False)
 
 

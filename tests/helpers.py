@@ -28,26 +28,31 @@ F5 = PrimeField(5)
 # ---------------------------------------------------------------------------
 # linear-algebra references: elimination and products by field methods
 
-def echelon_by_field_methods(field, rows, ncols: int, pivot_limit=None) -> tuple:
-    """(rows, pivot columns) of an echelon form made with the field's own
-    operations: each pivot row scaled by the inverse of its pivot, and the
-    rows below it cleared with ``field.subtract_scaled``.  This is how the
-    pivots-only elimination ran before it moved to integer rows."""
+def echelon_by_field_methods(field, rows, ncols: int, pivot_limit=None, reduce=True) -> tuple:
+    """(rows, pivot columns) of an echelon form made entry by entry with the
+    field's ``mul`` and ``sub``: each pivot row scaled by the inverse of its
+    pivot, then the rows below it cleared, and with ``reduce`` the rows above
+    it too.  This is how ``linalg._echelon`` ran before it moved to integer
+    rows; its reduced rows are those of the reduced form, and every row past
+    the rank is a non-zero multiple of the one ``_echelon`` returns."""
+    mul, sub, zero = field.mul, field.sub, field.zero
     rows = [list(r) for r in rows]
     limit = ncols if pivot_limit is None else pivot_limit
     pivots, r = [], 0
     for c in range(limit):
         if r == len(rows):
             break
-        pr = next((i for i in range(r, len(rows)) if rows[i][c] != field.zero), None)
+        pr = next((i for i in range(r, len(rows)) if rows[i][c] != zero), None)
         if pr is None:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
         if rows[r][c] != field.one:
-            rows[r] = field.scale_row(field.inv(rows[r][c]), rows[r])
-        for i in range(r + 1, len(rows)):
-            if rows[i][c] != field.zero:
-                rows[i] = field.subtract_scaled(rows[i], rows[i][c], rows[r])
+            inv = pow(rows[r][c], -1, field.p) if field.kind == "prime" else 1 / rows[r][c]
+            rows[r] = [mul(inv, x) for x in rows[r]]
+        for i in range(len(rows)) if reduce else range(r + 1, len(rows)):
+            k = rows[i][c]
+            if i != r and k != zero:
+                rows[i] = [sub(x, mul(k, y)) for x, y in zip(rows[i], rows[r])]
         pivots.append(c)
         r += 1
     return rows, pivots

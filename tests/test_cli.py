@@ -117,6 +117,59 @@ class TestValidate:
                                         expected["stderr"]), module.name
 
 
+# text that ``json.loads`` refuses with an error other than JSONDecodeError
+_NOT_JSON = {
+    "non_utf8": b'[[1, 1], \xff]',
+    "long_integer": b"[[1, " + b"9" * 5000 + b"]]",
+    "deep_nesting": b"[" * 100_000 + b"]" * 100_000,
+}
+
+
+def assert_one_error_line(code, out, err):
+    assert code == 2 and out == ""
+    assert err.startswith("detmod: error: ") and err.count("\n") == 1, err[:300]
+
+
+class TestMalformedJson:
+    """Text that is not JSON is malformed input, from a module file, an
+    option's file or an option's inline value: exit 2, one error line."""
+
+    @pytest.mark.parametrize("case", sorted(_NOT_JSON))
+    def test_module_file(self, capsys, tmp_path, case):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(_NOT_JSON[case])
+        assert_one_error_line(*run(capsys, "validate", str(bad)))
+
+    @pytest.mark.parametrize("case", sorted(_NOT_JSON))
+    def test_option_file(self, capsys, tmp_path, case):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(_NOT_JSON[case])
+        assert_one_error_line(*run(capsys, "determinacy", EXAMPLE_F2, "--set", str(bad)))
+
+    @pytest.mark.parametrize("case", sorted(_NOT_JSON))
+    def test_option_inline(self, capsys, case):
+        # argv carries bytes that are not UTF-8 as lone surrogates
+        value = _NOT_JSON[case].decode("utf-8", "surrogateescape")
+        assert_one_error_line(*run(capsys, "determinacy", EXAMPLE_F2, "--set", value))
+
+    def test_declared_box_is_sized_before_its_points_are_listed(self, capsys, tmp_path,
+                                                                monkeypatch):
+        from detmod.extgrid import Box
+
+        def refuse(self):
+            raise AssertionError("the box's points were listed")
+        monkeypatch.setattr(Box, "integer_points", refuse)
+        huge = tmp_path / "huge.json"
+        huge.write_text(json.dumps({"field": {"kind": "prime", "p": 2}, "n": 2,
+                                    "box": {"a": [0, 0], "b": [999_999, 999_999]},
+                                    "dims": [1], "maps": []}), encoding="utf-8")
+        for verb in ("validate", "births-deaths", "present"):
+            code, out, err = run(capsys, verb, str(huge))
+            assert_one_error_line(code, out, err)
+            assert err == "detmod: error: dims has 1 entries, the box has " \
+                          "1000000000000 points\n"
+
+
 class TestDeterminacy:
     def test_fast_and_oracle_agree(self, capsys):
         code1, fast = run_json(capsys, "determinacy", EXAMPLE_F2, "--set", UNIT_SET)

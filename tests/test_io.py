@@ -260,6 +260,24 @@ class TestPresentationRoundtrip:
         with pytest.raises(InputError):
             presentation_from_json(obj)
 
+    @pytest.mark.parametrize("key,value,message", [
+        ("generators", None, "generators must be a JSON array"),
+        ("relations", 3, "relations must be a JSON array"),
+        ("rel_matrix", None, "rel_matrix must be a JSON array"),
+        ("generator_images", {}, "generator_images must be a JSON array"),
+        ("relations", [{"point": [0, 0], "multiplicity": []}],
+         "multiplicity at (0, 0) must be a positive integer"),
+    ])
+    def test_malformed_arrays_and_multiplicities(self, key, value, message):
+        obj = {"field": {"kind": "prime", "p": 2}, "n": 2,
+               "generators": [{"point": [0, 0], "multiplicity": 1}],
+               "relations": [{"point": [0, 0], "multiplicity": 1}],
+               "rel_matrix": [{"relation": [0, 0], "generator": [0, 0], "block": [[1]]}],
+               key: value}
+        with pytest.raises(InputError) as err:
+            presentation_from_json(obj)
+        assert str(err.value) == message
+
 
 class TestDetectKind:
     def test_kinds(self):
@@ -346,6 +364,7 @@ MALFORMED_MODULES = [
     ("ragged rows", _second_matrix([[1], [2, 3]]), "matrix has shape (2, ...), expected (2, 1)"),
     ("short matrix", _second_matrix([[1]]), "matrix has shape (1, ...), expected (2, 1)"),
     ("row not a list", _second_matrix([[1], 2]), "invalid matrix [[1], 2]"),
+    ("maps null", {**_module_obj(), "maps": None}, "maps must be a JSON array"),
 ]
 
 

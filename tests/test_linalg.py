@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -193,14 +194,26 @@ def kernel_inputs(draw):
     return block(n, k), block(k, m)
 
 
+def _is_multiple(field, u, v) -> bool:
+    """Whether u is a non-zero multiple of v (both zero counts)."""
+    zero = field.zero
+    if [x != zero for x in u] != [y != zero for y in v]:
+        return False
+    j = next((j for j, y in enumerate(v) if y != zero), None)
+    return j is None or all(field.sub(field.mul(x, v[j]), field.mul(u[j], y)) == zero
+                            for x, y in zip(u, v))
+
+
 class TestIntegerRowKernel:
-    """The pivots-only elimination and the product on integer rows agree
-    with the same computations by field methods (``tests/helpers.py``)."""
+    """The elimination in both modes, the kernels and solutions built on its
+    reduced mode, and the product on integer rows agree with the same
+    computations by field methods (``tests/helpers.py``)."""
 
     @staticmethod
     def assert_agrees(a, b):
         field = a.field
-        for m in (a, b, matmul_by_field_methods(a, b)):
+        product = matmul_by_field_methods(a, b)
+        for m in (a, b, product):
             expected = echelon_by_field_methods(field, m.rows, m.ncols)[1]
             assert linalg.pivot_columns(field, m.rows, m.ncols) == expected
             assert rank(m) == len(expected)
@@ -209,11 +222,39 @@ class TestIntegerRowKernel:
                 assert linalg._echelon(field, m.rows, m.ncols, pivot_limit=limit,
                                        reduce=False)[1] == \
                     echelon_by_field_methods(field, m.rows, m.ncols, limit)[1]
-        product = a @ b
-        assert product == matmul_by_field_methods(a, b)
-        assert product.shape == (a.nrows, b.ncols)
+            TestIntegerRowKernel.assert_reduced_agrees(m, Matrix.identity(field, m.nrows))
+        TestIntegerRowKernel.assert_reduced_agrees(a, product)
+        got = a @ b
+        assert got == product
+        assert got.shape == (a.nrows, b.ncols)
         if field.kind == "rational":
-            assert all(type(x) is Fraction for r in product.rows for x in r)
+            assert all(type(x) is Fraction for r in got.rows for x in r)
+
+    @staticmethod
+    def assert_reduced_agrees(m, rhs):
+        """The reduced mode on ``m`` beside ``rhs``, at every pivot limit, and
+        ``kernel_basis``, ``cokernel_projection`` and ``solve``: the rows of
+        the rank equal the reference's, each later row is a non-zero multiple
+        of the reference's, and every entry of a result over Q is a Fraction."""
+        field = m.field
+        aug = [r + s for r, s in zip(m.rows, rhs.rows)]
+        width = m.ncols + rhs.ncols
+        for limit in range(width + 1):
+            rows, pivots = linalg._echelon(field, aug, width, pivot_limit=limit)
+            ref_rows, ref_pivots = echelon_by_field_methods(field, aug, width, limit)
+            assert pivots == ref_pivots
+            k = len(pivots)
+            assert [tuple(r) for r in rows[:k]] == [tuple(r) for r in ref_rows[:k]]
+            assert all(type(x) is type(y) for r, s in zip(rows[:k], ref_rows[:k])
+                       for x, y in zip(r, s))
+            assert all(_is_multiple(field, r, s) for r, s in zip(rows[k:], ref_rows[k:]))
+            assert len(rows) == len(ref_rows)
+        got = kernel_basis(m), cokernel_projection(m), solve(m, rhs)
+        with mock.patch.object(linalg, "_echelon", echelon_by_field_methods):
+            assert got == (kernel_basis(m), cokernel_projection(m), solve(m, rhs))
+        if field.kind == "rational":
+            assert all(type(x) is Fraction for out in got if out is not None
+                       for r in out.rows for x in r)
 
     @pytest.mark.parametrize("field", FIELDS, ids=["f2", "f5", "q"])
     def test_seeded(self, field):
@@ -234,6 +275,25 @@ class TestIntegerRowKernel:
         if field.kind == "rational":
             a = Matrix(field, [[big, 1 / big, 0], [0, 0, 0], [-big, 0, Fraction(1, 999_999)]])
             self.assert_agrees(a, a)
+
+    @pytest.mark.parametrize("field", FIELDS, ids=["f2", "f5", "q"])
+    def test_reduced_rank_deficient(self, field):
+        """Zero rows, a rank below both sides, and an augmented part that is
+        inconsistent past ``pivot_limit``: ``solve`` finds no solution."""
+        m = Matrix(field, [[1, 1, 0], [0, 0, 0], [1, 1, 0], [0, 1, 1]])
+        inconsistent = Matrix(field, [[1, 0], [0, 0], [0, 1], [1, 1]])
+        assert solve(m, inconsistent) is None
+        self.assert_reduced_agrees(m, inconsistent)
+        self.assert_reduced_agrees(m, m @ Matrix(field, [[1, 0], [1, 1], [0, 1]]))
+        self.assert_reduced_agrees(m.transpose(), Matrix.zeros(field, 3, 0))
+        for n, k in [(0, 0), (0, 3), (3, 0), (2, 2)]:
+            self.assert_reduced_agrees(Matrix.zeros(field, n, k), Matrix.identity(field, n))
+        if field.kind == "rational":
+            u = [Fraction(999_983, 10 ** 6), Fraction(1, 999_999), 0]
+            v = [Fraction(-1, 10 ** 6), Fraction(7, 3), Fraction(5, 999_998)]
+            big = Matrix(field, [u, v, [x + y for x, y in zip(u, v)]])
+            assert rank(big) == 2
+            self.assert_reduced_agrees(big, Matrix.identity(field, 3))
 
     @settings(max_examples=300, deadline=None)
     @given(pair=kernel_inputs())
