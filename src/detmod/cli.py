@@ -25,8 +25,8 @@ from typing import Callable, NamedTuple
 
 from . import io as dio
 from .errors import InputError, NotDeterminedError
-from .extgrid import convex_projection, ext_box, extended_projection, is_integral, \
-    join_below, meet_above, sort_points
+from .extgrid import NEG_INF, convex_projection, extended_projection, is_integral, \
+    meet_above, sort_points
 from .determinacy import (canonical_grid, check_encoding, default_oracle_window, encode,
                           is_S_determined, is_S_determined_oracle)
 from .grid_module import ExtendedView, validate_module
@@ -185,11 +185,11 @@ def _cmd_admissible(args) -> int:
 def _cmd_project(args) -> int:
     box = dio.box_from_json(_read_json_arg(args.box))
     points = sort_points(dio.pointset_from_json(_read_json_arg(args.points), dim=box.dim))
-    extended = ext_box(box).points()
     rows = []
     identity_holds = True
     for c in points:
-        a = join_below(extended, c)
+        # the join of the extended box below c, read per axis off the corners
+        a = tuple(NEG_INF if v < lo else min(v, hi) for v, lo, hi in zip(c, box.a, box.b))
         ba = meet_above(box, a)
         row = {
             "point": dio.encode_point(c),

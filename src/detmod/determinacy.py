@@ -16,8 +16,9 @@ box's lower bound sent to -inf, except along ``axis``.  Equal downsets are
 closed downwards on that product.  So the step breaks the condition exactly
 when the covers at its corner see equal downsets and the step is not
 invertible, and the corner is its cover that a walk of the grid meets first.
-The brute-force window oracle walks every cover of its window instead, so
-results can be certified independently.
+The brute-force window oracle walks every cover of its window's critical
+grid instead, so results can be certified independently.  Both test a
+step through :meth:`GridModule.is_invertible_step`, with no matrix made.
 """
 
 from __future__ import annotations
@@ -26,10 +27,10 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import InputError, NotDeterminedError
-from .extgrid import (Box, CartesianSet, NEG_INF, as_point, clamps_and_strides,
+from .extgrid import (Box, CartesianSet, NEG_INF, as_point, critical_grid, grid_clamps,
                       in_upset, leq, min_point, pointed_closure)
 from .grid_module import ExtendedView, GridModule, restrict_view
-from .linalg import PosetDiagram, diagrams_isomorphic, is_invertible, validate_diagram
+from .linalg import PosetDiagram, diagrams_isomorphic, validate_diagram
 
 
 @dataclass(frozen=True)
@@ -69,76 +70,6 @@ def _normalize_set(view: ExtendedView, s):
     return s
 
 
-def _first_failing_cover(module: GridModule, s: frozenset, factors: tuple,
-                         clamps: tuple):
-    """First cover of the grid, in the order of ``covers()``, that breaks the condition.
-
-    ``clamps[axis][k]`` is the clamp of ``factors[axis][k]`` into the box, so
-    a cover whose two clamped coordinates agree maps by the identity, and any
-    other cover by the stored step out of the clamped point.
-
-    The covers along an axis whose upper end has the (k+1)-th coordinate
-    there form a slab, and two things settle a whole slab before the walk.
-    Its clamps agree, so every cover in it maps by the identity.  Or the set
-    holds the axis point q with ``factors[axis][k + 1]`` on the axis and -inf
-    everywhere else: q lies below the upper end d of every cover in the slab
-    and not below its lower end, so every cover in it changes the downset.
-    The walk visits only the other, live, slabs, in the same order, so the
-    witness is the one a walk of every cover finds; with no live slab there
-    is nothing to walk.  The canonical set holds every axis point whose
-    coordinate clamps apart from the one below it, so it never has a live
-    slab, whatever the size of the grid.
-    """
-    n = len(factors)
-    live = [[k + 1 < len(f) and cl[k] != cl[k + 1]
-             and (NEG_INF,) * axis + (f[k + 1],) + (NEG_INF,) * (n - axis - 1) not in s
-             for k in range(len(f))]
-            for axis, (f, cl) in enumerate(zip(factors, clamps))]
-    if not any(itertools.chain.from_iterable(live)):
-        return None
-    at_coord = [{} for _ in factors]
-    for p in s:
-        for axis, v in enumerate(p):
-            at_coord[axis].setdefault(v, []).append(p)
-    invertible = {}
-    indices = itertools.product(*(range(len(f)) for f in factors))
-    for idx, c, clamped in zip(indices, itertools.product(*factors),
-                               itertools.product(*clamps)):
-        for axis, k in enumerate(idx):
-            if not live[axis][k]:
-                continue
-            key = (clamped, axis)
-            ok = invertible.get(key)
-            if ok:
-                continue
-            d = c[:axis] + (factors[axis][k + 1],) + c[axis + 1:]
-            if any(leq(p, d) for p in at_coord[axis].get(d[axis], ())):
-                continue
-            if ok is None:
-                ok = invertible[key] = is_invertible(module.step(*key))
-            if not ok:
-                return c, d
-    return None
-
-
-def _condition_on_grid(view: ExtendedView, s: frozenset, grid: CartesianSet,
-                       method: str) -> DeterminacyReport:
-    """The covering-pair and support conditions on a product grid.
-
-    Every factor of ``grid`` must hold every integer of the data box and
-    every coordinate of ``s``, as the critical grid and the oracle window
-    do: then each cover clamps onto one point or one unit step, and the
-    threshold rule of the module docstring decides downset equality.
-    """
-    module = view.module
-    clamps, _ = clamps_and_strides(grid, module.box)
-    witness = _first_failing_cover(module, s, grid.factors, clamps)
-    support_ok = min_point(grid.dim) in s or all(
-        in_upset(s, p) for p, q in zip(itertools.product(*grid.factors),
-                                       itertools.product(*clamps)) if module.dims[q])
-    return DeterminacyReport(witness is None, witness, support_ok, method)
-
-
 def _corner_factors(box: Box) -> list:
     """Per axis, the corner coordinate of each box coordinate in order: -inf
     for the lower bound, and every other coordinate itself."""
@@ -153,9 +84,8 @@ def _first_failing_step(module: GridModule, s):
     candidate when no s in the set with s_axis = v lies below d; candidates
     are tested for invertibility in the order of (c, axis), where tuples
     order -inf below every integer as ``point_sort_key`` does.  Steps are
-    read by flat index, and a step's matrix is made only when it is tested;
-    a left-out step that is not 0 x 0 is a zero map, so it fails with no
-    test, and an identity step passes with none.
+    tested by :meth:`GridModule.is_invertible_step` at the clamp of c, the
+    box point the step leaves, with no :class:`Matrix` made.
     """
     box = module.box
     n, lower, top, strides = box.dim, box.a, box.b, box.strides()
@@ -182,13 +112,10 @@ def _first_failing_step(module: GridModule, s):
             below = at_coord[axis].get(v, ())
             for x, c, d in zip(xs, itertools.product(*cs), itertools.product(*ds)):
                 if (values[x] or values[x + stride]) and not any(leq(p, d) for p in below):
-                    candidates.append((c, axis, d, x * n + axis))
-    candidates.sort(key=lambda x: x[:2])
-    for c, axis, d, key in candidates:
-        if key in module.identities:
-            continue
-        step = module.flat_step(key)
-        if step is None or not is_invertible(step):
+                    candidates.append((c, axis, d))
+    candidates.sort()  # (c, axis) is unique, so d is never compared
+    for c, axis, d in candidates:
+        if not module.is_invertible_step(tuple(map(max, lower, c)), axis):
             return c, d
     return None
 
@@ -251,9 +178,14 @@ def is_S_determined_oracle(view: ExtendedView, s, window: Box) -> DeterminacyRep
     """Brute force over every covering pair of an extended window.
 
     The window must contain the data box and all finite coordinates of the
-    set; it is widened by one, as the critical grid is, and extended by the
-    -inf faces before enumeration.  Exists so critical-grid results can be
-    cross-certified.
+    set.  Its critical grid (the window widened by one, and -inf on every
+    axis) is walked cover by cover in the order of ``CartesianSet.covers``,
+    and the first cover that breaks the condition is the witness.  A cover
+    whose ends clamp to one box point maps by the identity; any other
+    clamps onto one stored unit step, tested once by
+    :meth:`GridModule.is_invertible_step`.  Downsets are compared by the
+    threshold rule of the module docstring, and support is checked at every
+    grid point.  Exists so critical-grid results can be cross-certified.
     """
     pts = _normalize_set(view, s)
     if window.dim != view.box.dim:
@@ -265,10 +197,33 @@ def is_S_determined_oracle(view: ExtendedView, s, window: Box) -> DeterminacyRep
         for i, v in enumerate(p):
             if v != NEG_INF and not (window.a[i] <= v <= window.b[i]):
                 raise InputError(f"oracle window must contain the set point {p!r}")
-    factors = tuple((NEG_INF,) + tuple(range(window.a[i] - 1, window.b[i] + 2))
-                    for i in range(window.dim))
-    grid = CartesianSet(factors)
-    return _condition_on_grid(view, pts, grid, "oracle")
+    module = view.module
+    grid = critical_grid(window)
+    factors, clamps = grid.factors, grid_clamps(grid, module.box)
+    support_ok = min_point(window.dim) in pts or all(
+        in_upset(pts, p) for p, q in zip(itertools.product(*factors),
+                                         itertools.product(*clamps)) if module.dims[q])
+    # per axis and index k, None when the cover out of the k-th coordinate
+    # clamps to one point, else the set points with the next coordinate there
+    above = [[[p for p in pts if p[axis] == f[k + 1]] if k + 1 < len(f) and cl[k] != cl[k + 1]
+              else None for k in range(len(f))]
+             for axis, (f, cl) in enumerate(zip(factors, clamps))]
+    invertible = {}
+    indices = itertools.product(*(range(len(f)) for f in factors))
+    for idx, c, q in zip(indices, itertools.product(*factors), itertools.product(*clamps)):
+        for axis, k in enumerate(idx):
+            at = above[axis][k]
+            if at is None:
+                continue
+            d = c[:axis] + (factors[axis][k + 1],) + c[axis + 1:]
+            if at and any(leq(p, d) for p in at):
+                continue
+            ok = invertible.get((q, axis))
+            if ok is None:
+                ok = invertible[q, axis] = module.is_invertible_step(q, axis)
+            if not ok:
+                return DeterminacyReport(False, (c, d), support_ok, "oracle")
+    return DeterminacyReport(True, None, support_ok, "oracle")
 
 
 def canonical_grid(module: GridModule) -> CartesianSet:

@@ -308,12 +308,18 @@ def ext_box(source) -> CartesianSet:
 
 
 def meet_above(source, c: Point) -> Point:
-    """Meet of the elements of a cartesian set above ``c``.
+    """Meet of the elements of a cartesian set (or box) above ``c``.
 
     Defined for ``c`` in the extended set: each bottom coordinate is replaced
     by the least element of the corresponding factor, finite coordinates must
-    belong to their factor and are kept.
+    belong to their factor and are kept.  A box is read off its corners.
     """
+    if isinstance(source, Box):
+        if len(c) != source.dim:
+            raise InputError(f"point {c!r} does not match dimension {source.dim}")
+        if not all(v == NEG_INF or lo <= v <= hi for v, lo, hi in zip(c, source.a, source.b)):
+            raise InputError(f"point {c!r} is not in the extended cartesian set")
+        return tuple(map(max, source.a, c))
     cart = _to_cartesian(source)
     if len(c) != cart.dim:
         raise InputError(f"point {c!r} does not match dimension {cart.dim}")
@@ -373,19 +379,11 @@ def critical_grid(box: Box, s: Iterable[Point] = ()) -> CartesianSet:
     return CartesianSet(tuple(factors))
 
 
-def clamps_and_strides(grid: CartesianSet, box: Box) -> tuple:
-    """Per axis of a product grid, the clamps and the stride.
-
-    ``clamps[axis][k]`` is the k-th coordinate of the axis clamped into the
-    box, as :func:`extended_projection` clamps it.  The stride is how many
-    points back in ``grid.sorted_points()`` the lower cover along the axis
-    lies: the point at flat index i with index k > 0 on the axis covers the
-    one at i - stride, whose index there is k - 1.
-    """
-    factors = grid.factors
-    clamps = tuple(tuple(lo if v < lo else min(v, hi) for v in f)
-                   for f, lo, hi in zip(factors, box.a, box.b))
-    return clamps, lex_strides([len(f) for f in factors])
+def grid_clamps(grid: CartesianSet, box: Box) -> tuple:
+    """Per axis of a product grid, its coordinates clamped into the box, as
+    :func:`extended_projection` clamps them."""
+    return tuple(tuple(lo if v < lo else min(v, hi) for v in f)
+                 for f, lo, hi in zip(grid.factors, box.a, box.b))
 
 
 def lex_strides(lengths) -> tuple:

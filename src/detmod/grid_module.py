@@ -164,6 +164,15 @@ class GridModule:
             return not values[x + strides[axis]]
         return full_row_rank(self.field, given[0], values[x])
 
+    def is_invertible_step(self, p: Point, axis: int) -> bool:
+        """Whether the step from the box point ``p`` along ``axis`` is
+        invertible, with no :class:`Matrix` made: square, and the identity
+        or onto."""
+        values, strides = self._layout()
+        x = self._index[p]
+        return values[x] == values[x + strides[axis]] and (
+            self.is_identity_step(p, axis) or self.is_onto_step(p, axis))
+
     def is_identity_slab(self, axis: int, t: int) -> bool:
         """Whether every step along ``axis`` out of a box point with
         coordinate ``t`` there is the identity."""

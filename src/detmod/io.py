@@ -153,14 +153,20 @@ def step_from_json(field, obj, shape: tuple, tokens: dict) -> tuple:
             for r in parsed], den
 
 
+# the walks make d x d matrices, so a larger dimension is refused at once
+MAX_DIM = 4096
+
+
 def _dim_list(obj) -> list:
     if not isinstance(obj, list):
         raise InputError("dims must be a JSON array")
-    if {*map(type, obj)} <= {int} and min(obj, default=0) >= 0:
+    if {*map(type, obj)} <= {int} and 0 <= min(obj, default=0) and max(obj, default=0) <= MAX_DIM:
         return obj
     for d in obj:
         if isinstance(d, bool) or not isinstance(d, int) or d < 0:
             raise InputError(f"invalid dimension {d!r}")
+        if d > MAX_DIM:
+            raise InputError(f"dimension {d} exceeds the bound {MAX_DIM}")
     return obj
 
 

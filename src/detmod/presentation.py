@@ -17,8 +17,8 @@ from fractions import Fraction
 from typing import Callable
 
 from .errors import ConsistencyError, InputError
-from .extgrid import (CartesianSet, Point, as_point, as_product, clamps_and_strides,
-                      critical_grid, join_closure, leq, lex_strides, lt, sort_points)
+from .extgrid import (CartesianSet, Point, as_point, as_product, critical_grid,
+                      grid_clamps, join_closure, leq, lex_strides, lt, sort_points)
 from .grid_module import ExtendedView, GridModule, restrict_view
 from .determinacy import determinacy_report, determined_closure
 from .linalg import (Matrix, PosetDiagram, _require_valid, _vec, cokernel_projection,
@@ -423,7 +423,7 @@ def _product_poset(view: ExtendedView, grid: CartesianSet, grades=()) -> tuple:
     """
     module = view.module
     factors, clamps = [], []
-    for axis, (f, cl) in enumerate(zip(grid.factors, clamps_and_strides(grid, module.box)[0])):
+    for axis, (f, cl) in enumerate(zip(grid.factors, grid_clamps(grid, module.box))):
         pins = {p[axis] for p in grades}
         kept = [k for k, v in enumerate(f)
                 if not k or v in pins or not all(module.is_identity_slab(axis, t)

@@ -480,6 +480,35 @@ class TestAdmissible:
         assert code == 1 and payload["admissible"] is False
 
 
+class TestDimensionBound:
+    """A dimension above ``io.MAX_DIM`` is refused by both readers, at once."""
+
+    @pytest.mark.parametrize("verb", ["validate", "births-deaths"])
+    @pytest.mark.parametrize("kind", ["module", "diagram"])
+    def test_huge_dimension_is_refused(self, capsys, tmp_path, verb, kind):
+        from detmod.io import MAX_DIM
+        if kind == "module":
+            obj = {"field": {"kind": "prime", "p": 2}, "n": 2,
+                   "box": {"a": [0, 0], "b": [1, 1]}, "dims": [1, 10 ** 30, 0, 0]}
+        else:
+            obj = {"field": {"kind": "prime", "p": 2}, "n": 1,
+                   "points": [["-inf"], [0]], "dims": [0, 10 ** 30], "maps": []}
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        code, out, err = run(capsys, verb, str(path))
+        assert code == 2 and out == ""
+        assert err == f"detmod: error: dimension {10 ** 30} exceeds the bound {MAX_DIM}\n"
+
+    def test_the_bound_is_accepted(self, capsys, tmp_path):
+        from detmod.io import MAX_DIM
+        obj = {"field": {"kind": "prime", "p": 2}, "n": 1, "box": {"a": [0], "b": [1]},
+               "dims": [MAX_DIM, 0]}
+        path = tmp_path / "bound.json"
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        code, payload = run_json(capsys, "validate", str(path))
+        assert code == 0 and payload == {"ok": True}
+
+
 class TestProject:
     def test_worked_values(self, capsys):
         code, payload = run_json(capsys, "project",
@@ -512,6 +541,29 @@ class TestProject:
                                  "--points", '[["-inf",5]]')
         assert code == 0
         assert payload["rows"][0]["convex_projection"] is None
+
+    def test_rows_are_those_of_the_extended_box(self, capsys):
+        from detmod import Box, ext_box, extended_projection, join_below, sort_points
+        from detmod.io import decode_point, encode_point
+        box = Box((-1, 0), (1, 2))
+        extended = ext_box(box).points()
+        pts = [["-inf" if x < -3 else x, y] for x in range(-4, 4) for y in range(-2, 5)]
+        code, payload = run_json(capsys, "project", "--box", '{"a":[-1,0],"b":[1,2]}',
+                                 "--points", json.dumps(pts))
+        assert code == 0
+        points = sort_points(decode_point(p) for p in pts)
+        assert [row["point"] for row in payload["rows"]] == [encode_point(c) for c in points]
+        for c, row in zip(points, payload["rows"]):
+            assert row["join_below"] == encode_point(join_below(extended, c))
+            assert row["extended_projection"] == encode_point(extended_projection(box, c))
+
+    def test_huge_box_answers_at_once(self, capsys):
+        side = 10 ** 12
+        code, payload = run_json(capsys, "project", "--box", f'{{"a":[0,0],"b":[{side},1]}}',
+                                 "--points", f'[[-5,3],[{side + 7},"-inf"],[17,0]]')
+        assert code == 0 and payload["identity_holds"]
+        assert [row["extended_projection"] for row in payload["rows"]] == \
+            [[0, 1], [17, 0], [side, 0]]
 
 
 class TestDeterminism:

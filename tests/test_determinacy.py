@@ -11,10 +11,9 @@ from detmod import (QQ, Box, ExtendedView, GridModule, InputError, Matrix, NEG_I
                     default_oracle_window, encode, ext_box, is_S_determined,
                     is_S_determined_oracle, is_invertible, leq, pointed_closure,
                     poset_covers, sort_points)
-from detmod.determinacy import _condition_on_grid
 from detmod.extgrid import downset_of
 from helpers import F2, F5, canonical_map_check, canonical_set, condition_by_downsets, \
-    corner_module, every_step, given_steps, oracle_grid, random_ext_point, random_module, \
+    corner_module, every_step, oracle_grid, random_ext_point, random_module, \
     random_point_set
 
 BOTTOM = (NEG_INF, NEG_INF)
@@ -100,16 +99,25 @@ def random_box(rng, nparams):
     return Box(a, tuple(x + rng.randint(0, width) for x in a))
 
 
+def record_step_tests(monkeypatch) -> list:
+    """The list that gets the (point, axis) of every later
+    ``GridModule.is_invertible_step`` call."""
+    calls = []
+    tested = GridModule.is_invertible_step
+    monkeypatch.setattr(GridModule, "is_invertible_step",
+                        lambda m, p, axis: calls.append((p, axis)) or tested(m, p, axis))
+    return calls
+
+
 def assert_matches_downset_oracle(view, s):
-    """The corner rule against the walk of every cover of the critical grid
-    and against the definition on that grid, and the oracle against the
-    definition on its window; the whole report is compared, so the witness
-    must be the same cover.  The definition on the window widened by two
-    and by three reaches the same verdicts: widening by one is enough."""
+    """The corner rule against the definition on the critical grid, and the
+    oracle against the definition on its window; the whole report is
+    compared, so the witness must be the same cover.  The definition on the
+    window widened by two and by three reaches the same verdicts: widening
+    by one is enough."""
     pts = frozenset(s)
     grid = critical_grid(view.box, pts)
     report = is_S_determined(view, pts)
-    assert report == _condition_on_grid(view, pts, grid, "critical-grid")
     assert report == condition_by_downsets(view, pts, grid, "critical-grid")
     window = default_oracle_window(view.box, pts)
     assert is_S_determined_oracle(view, pts, window) == \
@@ -157,16 +165,15 @@ def axis_point(nparams, axis, v):
 
 
 class TestSettledSlabs:
-    """A slab of covers is settled before the walk when its clamps agree or
-    when the set holds its axis point; only the live slabs are walked."""
+    """The deciders that read the stored steps settle every step into a
+    coordinate the set holds as an axis point, and test only the others."""
 
     @pytest.mark.parametrize("nparams", [1, 2, 3])
     def test_canonical_set_makes_no_rank(self, nparams, monkeypatch):
-        """Every slab is settled, so no cover is walked: no rank is taken and
-        no downset is compared."""
-        calls = []
-        monkeypatch.setattr("detmod.determinacy.is_invertible",
-                            lambda m: calls.append(m.shape) or is_invertible(m))
+        """Every step is settled by an axis point, so the deciders that read
+        the stored steps test none: no rank is taken and no downset is
+        compared.  The oracle, which walks every cover, agrees."""
+        calls = record_step_tests(monkeypatch)
         monkeypatch.setattr("detmod.determinacy.leq",
                             lambda p, d: calls.append((p, d)) or leq(p, d))
         rng = random.Random(300 + nparams)
@@ -177,20 +184,19 @@ class TestSettledSlabs:
             view = ExtendedView(random_module(field, rng, box=box, max_summands=4))
             s = canonical_set(view.module)
             assert is_S_determined(view, s).determined
+            assert frozenset(encode(view, s).points) == pointed_closure(s)
+            assert calls == []
             window = default_oracle_window(view.box, s)
             assert is_S_determined_oracle(view, s, window).determined
-            assert frozenset(encode(view, s).points) == pointed_closure(s)
-        assert calls == []
+            calls.clear()
 
     @pytest.mark.parametrize("field", [F2, F5, QQ], ids=["f2", "f5", "q"])
     @pytest.mark.parametrize("nparams", [1, 2, 3])
     def test_live_slabs_match_downset_oracle(self, field, nparams, monkeypatch):
-        """The canonical set with one or two axis points left out: the slabs
-        of the left-out points are walked, and the whole reports, witnesses
-        included, are those of the definition."""
-        calls = []
-        monkeypatch.setattr("detmod.determinacy.is_invertible",
-                            lambda m: calls.append(m.shape) or is_invertible(m))
+        """The canonical set with one or two axis points left out: the steps
+        into the left-out coordinates are tested, and the whole reports,
+        witnesses included, are those of the definition."""
+        calls = record_step_tests(monkeypatch)
         rng = random.Random(500 * nparams + (field.p if field.kind == "prime" else 0))
         verdicts = {"holds": 0, "fails": 0}
         for trial in range(12):
@@ -244,33 +250,27 @@ class TestCornerRule:
             assert_matches_downset_oracle(view, frozenset(canonical) - frozenset(dropped))
 
     def test_builds_no_grid_and_tests_each_step_once(self, monkeypatch):
-        """Every step is its own matrix here (no shared zeros), so the
-        matrices tested tell the steps apart."""
         import detmod.determinacy as determinacy
         import detmod.extgrid as extgrid
 
         def no_grid(*args, **kwargs):
             raise AssertionError("is_S_determined built a grid")
-        tested = []
         for module in (determinacy, extgrid):
             monkeypatch.setattr(module, "CartesianSet", no_grid)
-        monkeypatch.setattr(determinacy, "is_invertible",
-                            lambda m: tested.append(id(m)) or is_invertible(m))
+        calls = record_step_tests(monkeypatch)
         rng = random.Random(29)
         verdicts = set()
         for trial in range(60):
             nparams = 1 + trial % 3
             field = (F2, F5, QQ)[trial % 3]
-            module = random_module(field, rng, box=random_box(rng, nparams), max_summands=4)
-            steps = {k: Matrix(field, m.rows, ncols=m.ncols)
-                     for k, m in every_step(module).items()}
-            view = ExtendedView(GridModule(field, module.box, dict(module.dims), steps))
+            view = ExtendedView(random_module(field, rng, box=random_box(rng, nparams),
+                                              max_summands=4))
             s = random_point_set(rng, nparams, 5, lo=-3, hi=4)
-            tested.clear()
+            calls.clear()
             report = is_S_determined(view, s)
             verdicts.add(report.holds)
-            assert len(tested) == len(set(tested))
-            assert set(tested) <= {id(m) for m in given_steps(view.module).values()}
+            assert len(calls) == len(set(calls))
+            assert set(calls) <= set(every_step(view.module))
         assert verdicts == {True, False}
 
 
@@ -399,6 +399,36 @@ class TestOracle:
     def test_window_must_contain_set_points(self):
         with pytest.raises(InputError):
             is_S_determined_oracle(corner_view(), {(7, 0)}, Box((0, 0), (1, 1)))
+
+    @pytest.mark.parametrize("field", [F2, F5, QQ], ids=["f2", "f5", "q"])
+    def test_walks_every_step_of_the_canonical_set(self, field, monkeypatch):
+        """On a canonical set the axis points settle every step, yet the
+        oracle still reaches the covers onto each step of the box and
+        compares their downsets; with the first axis point dropped it tests
+        a step.  Its reports are those of the definition."""
+        compared, calls = [], record_step_tests(monkeypatch)
+        monkeypatch.setattr("detmod.determinacy.leq",
+                            lambda p, d: compared.append(d) or leq(p, d))
+        rng = random.Random(61 + (field.p if field.kind == "prime" else 0))
+        for nparams in (1, 2, 3):
+            box = Box((0,) * nparams, (2 if nparams < 3 else 1,) * nparams)
+            module = random_module(field, rng, box=box, max_summands=3)
+            while all(module.is_identity_step(*step) for step in every_step(module)):
+                module = random_module(field, rng, box=box, max_summands=3)
+            view = ExtendedView(module)
+            canonical = canonical_set(module)
+            first = min(p for p in canonical if p.count(NEG_INF) == nparams - 1)
+            for s in (canonical, canonical - {first}):
+                compared.clear(), calls.clear()
+                window = default_oracle_window(view.box, s)
+                report = is_S_determined_oracle(view, s, window)
+                assert report == condition_by_downsets(view, s, oracle_grid(window), "oracle")
+                if s is canonical:  # no step is tested, yet every step is reached
+                    targets = {p[:axis] + (p[axis] + 1,) + p[axis + 1:]
+                               for p, axis in every_step(module)}
+                    assert not calls and {view.clamp(d) for d in compared} >= targets
+                else:  # the steps into the dropped coordinate are tested
+                    assert calls
 
 
 class TestCanonicalMap:
