@@ -39,21 +39,17 @@ class DeterminacyReport:
 
     ``holds`` is the covering-pair condition alone; ``support_ok`` is the
     separate support condition, and a failing ``witness`` is a covering pair
-    with equal downsets whose map is not invertible.  The public deciders
-    always check support.  ``support_ok`` is ``None`` only from
-    :func:`determinacy_report` with ``check_support=False``, which
-    :func:`determined_closure` and :func:`check_encoding` use, as they read
-    ``holds`` alone.
+    with equal downsets whose map is not invertible.
     """
 
     holds: bool
     witness: tuple | None
-    support_ok: bool | None
+    support_ok: bool
     method: str
 
     @property
     def determined(self) -> bool:
-        return self.holds and self.support_ok is not False
+        return self.holds and self.support_ok
 
     def __bool__(self) -> bool:
         return self.determined
@@ -137,19 +133,6 @@ def _axis_coordinates(s, n: int) -> list:
     return out
 
 
-def determinacy_report(module: GridModule, pts, check_support: bool) -> DeterminacyReport:
-    """:func:`is_S_determined` on a set of points the caller has normalized
-    as :func:`_normalize_set` does: a frozenset of points of the module's
-    dimension, or a :class:`CartesianSet` of that dimension."""
-    witness = _first_failing_step(module, pts)
-    support_ok = None
-    if check_support:
-        corners = itertools.product(*_corner_factors(module.box))
-        support_ok = min_point(module.box.dim) in pts or all(
-            in_upset(pts, c) for c, dq in zip(corners, module.dims.values()) if dq)
-    return DeterminacyReport(witness is None, witness, support_ok, "critical-grid")
-
-
 def is_S_determined(view: ExtendedView, s) -> DeterminacyReport:
     """Covering-pair condition on the critical grid, and the support check.
 
@@ -160,7 +143,12 @@ def is_S_determined(view: ExtendedView, s) -> DeterminacyReport:
     non-zero dimension is in its upset: the points that clamp to a box
     point lie above its corner.
     """
-    return determinacy_report(view.module, _normalize_set(view, s), check_support=True)
+    module, pts = view.module, _normalize_set(view, s)
+    witness = _first_failing_step(module, pts)
+    corners = itertools.product(*_corner_factors(module.box))
+    support_ok = min_point(module.box.dim) in pts or all(
+        in_upset(pts, c) for c, dq in zip(corners, module.dims.values()) if dq)
+    return DeterminacyReport(witness is None, witness, support_ok, "critical-grid")
 
 
 def default_oracle_window(box: Box, s) -> Box:
@@ -255,9 +243,9 @@ def determined_closure(view: ExtendedView, s):
     :func:`canonical_grid`, is its own closure and is returned as it is.
     """
     pts = _normalize_set(view, s)
-    report = determinacy_report(view.module, pts, check_support=False)
-    if not report.holds:
-        raise NotDeterminedError(report.witness)
+    witness = _first_failing_step(view.module, pts)
+    if witness is not None:
+        raise NotDeterminedError(witness)
     if not isinstance(pts, frozenset) and all(f[0] == NEG_INF for f in pts.factors):
         return pts
     return pointed_closure(pts, dim=view.box.dim)
@@ -290,5 +278,5 @@ def check_encoding(view: ExtendedView, s, n: PosetDiagram) -> bool | None:
     check = validate_diagram(n)
     if not check:
         raise InputError(f"diagram does not validate: {check.message} at {check.square!r}")
-    return (determinacy_report(view.module, pts, check_support=False).holds
+    return (_first_failing_step(view.module, pts) is None
             and diagrams_isomorphic(n, restrict_view(view, closure)))

@@ -355,6 +355,10 @@ def extended_projection(box: Box, c: Point) -> Point:
     return tuple(map(max, box.a, map(min, c, box.b)))
 
 
+# the grids are walked point by point, so a larger one is refused before it is built
+MAX_GRID_POINTS = 10 ** 6
+
+
 def critical_grid(box: Box, s: Iterable[Point] = ()) -> CartesianSet:
     """Finite product grid on which box data and downset predicates are constant.
 
@@ -364,19 +368,22 @@ def critical_grid(box: Box, s: Iterable[Point] = ()) -> CartesianSet:
     values only move inside the widened box, and membership of a downset of
     ``s`` only flips at coordinates of ``s``.  Widening by one gives every
     clamp class of an axis (below the box, each box coordinate, above it) a
-    representative; a wider grid only repeats classes.
+    representative; a wider grid only repeats classes.  Each axis is sized
+    before its range is listed, and a grid of more than ``MAX_GRID_POINTS``
+    points is an ``InputError``.
     """
     pts = [as_point(p, dim=box.dim) for p in s]
-    factors = []
+    outside, size = [], 1
     for i in range(box.dim):
-        vals = {NEG_INF}
-        vals.update(range(box.a[i] - 1, box.b[i] + 2))
-        for p in pts:
-            if p[i] != NEG_INF:
-                vals.add(p[i] - 1)
-                vals.add(p[i])
-        factors.append(tuple(sorted(vals)))
-    return CartesianSet(tuple(factors))
+        lo, hi = box.a[i] - 1, box.b[i] + 1
+        out = {v for p in pts if p[i] != NEG_INF for v in (p[i] - 1, p[i])
+               if not lo <= v <= hi}
+        outside.append(out)
+        size *= hi - lo + 2 + len(out)
+    if size > MAX_GRID_POINTS:
+        raise InputError(f"the critical grid has {size} points, above the bound {MAX_GRID_POINTS}")
+    return CartesianSet(tuple(tuple(sorted({NEG_INF, *range(lo - 1, hi + 2), *out}))
+                              for lo, hi, out in zip(box.a, box.b, outside)))
 
 
 def grid_clamps(grid: CartesianSet, box: Box) -> tuple:

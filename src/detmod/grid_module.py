@@ -17,10 +17,9 @@ from operator import mul, sub
 from typing import Callable
 
 from .errors import InputError
-from .extgrid import (Box, CartesianSet, Point, NEG_INF, as_product,
-                      extended_projection, leq, sort_points)
+from .extgrid import Box, CartesianSet, Point, NEG_INF, extended_projection, leq
 from .linalg import (DiagramCheck, Matrix, PosetDiagram, full_row_rank, identity_rows,
-                     poset_covers, validate_diagram)
+                     validate_diagram)
 
 
 class GridModule:
@@ -352,64 +351,43 @@ class ExtendedView:
 def restrict_view(view: ExtendedView, points) -> PosetDiagram:
     """Diagram of a view on a finite point set, with dims and maps evaluated.
 
-    When ``points`` is a :class:`CartesianSet`, or a set equal to the product
-    of its per-axis coordinate sets (tested by size first, so a sparse set
-    never builds its product), the covering relations of the product poset
-    are used directly instead of being recomputed.  Each point is clamped
-    into the box once, and dims and maps are read off the clamped points
-    (:meth:`ExtendedView.box_map`).  The diagram is marked validated: the
-    view validates its module when it is built, and a functor restricts to
-    a functor.  Its covers are complete: those of the product, or of
-    :func:`poset_covers`.
+    The diagram derives its covers: those of the product when the points are
+    one, such as a :class:`CartesianSet`, else by ``poset_covers``.  Each
+    point is clamped into the box once, and dims and maps are read off the
+    clamped points (:meth:`ExtendedView.box_map`).  The diagram is marked
+    validated: the view validates its module when it is built, and a
+    functor restricts to a functor.
     """
     if not isinstance(points, CartesianSet):
         points = frozenset(points)
-    product = as_product(points)
-    if product is not None:
-        pts = product.sorted_points()
-        covers = list(product.covers())
-    else:
-        pts = sort_points(points)
-        covers = poset_covers(pts)
-    at = {p: view.clamp(p) for p in pts}
+    at = {p: view.clamp(p) for p in points}
     space = view.module.dims
-    dims = {p: space[at[p]] for p in pts}
-    maps = {(c, d): view.box_map(at[c], at[d]) for c, d in covers}
-    diagram = PosetDiagram(view.field, pts, dims, maps, covers=covers)
-    diagram._validated = diagram.covers_complete = True
+    diagram = PosetDiagram(view.field, points, {p: space[q] for p, q in at.items()},
+                           lambda c, d: view.box_map(at[c], at[d]))
+    diagram._validated = True
     return diagram
 
 
-def window_module(field, window: Box, table: Callable[[Point], int],
-                  include_bottom_faces: bool = True) -> PosetDiagram:
+def window_module(field, window: Box, table: Callable[[Point], int]) -> PosetDiagram:
     """Diagram on a window built from a dimension table, for example studies.
 
     Points are the integer points of the window, together with all faces
-    obtained by sending coordinates to -inf when ``include_bottom_faces`` is
-    set.  Each covering map is the identity when the two dimensions agree and
-    the zero map otherwise, which is the right choice for indicator-style
-    tables; any commutativity violation is reported as an error.
+    obtained by sending coordinates to -inf.  Each covering map is the
+    identity when the two dimensions agree and the zero map otherwise, which
+    is the right choice for indicator-style tables; any commutativity
+    violation is reported as an error.
     """
-    factors = []
-    for lo, hi in zip(window.a, window.b):
-        f = tuple(range(lo, hi + 1))
-        factors.append((NEG_INF,) + f if include_bottom_faces else f)
-    grid = CartesianSet(tuple(factors))
-    pts = grid.sorted_points()
+    grid = CartesianSet(tuple((NEG_INF,) + tuple(range(lo, hi + 1))
+                              for lo, hi in zip(window.a, window.b)))
     dims = {}
-    for p in pts:
+    for p in grid:
         d = table(p)
         if isinstance(d, bool) or not isinstance(d, int) or d < 0:
             raise InputError(f"table value {d!r} at {p!r} is not a dimension")
         dims[p] = d
-    covers = list(grid.covers())
-    maps = {}
-    for c, d in covers:
-        if dims[c] == dims[d]:
-            maps[(c, d)] = Matrix.identity(field, dims[c])
-        else:
-            maps[(c, d)] = Matrix.zeros(field, dims[d], dims[c])
-    diagram = PosetDiagram(field, pts, dims, maps, covers=covers)
+    diagram = PosetDiagram(field, grid, dims, {})  # the covers of other dimensions map by zero
+    diagram.maps.update(((c, d), Matrix.identity(field, dims[c]))
+                        for c, d in diagram.covers() if dims[c] == dims[d])
     check = validate_diagram(diagram)
     if not check:
         raise InputError(f"window table is not functorial: {check.message} at {check.square!r}")

@@ -18,7 +18,7 @@ from operator import mul, xor
 from typing import Iterable
 
 from .errors import InputError
-from .extgrid import Point, as_product, leq, sort_points
+from .extgrid import CartesianSet, Point, as_product, leq, sort_points
 
 
 def _is_prime(p: int) -> bool:
@@ -468,44 +468,46 @@ class PosetDiagram:
 
     Stores a dimension per point and a matrix per covering relation; maps
     between comparable points are composites along covering chains, which is
-    unambiguous once the diagram validates.  A cover left out of ``maps``
-    maps by the zero matrix of its shape, one shared matrix per shape.
-    Without ``covers`` it derives all of them, from :attr:`product` or by
-    :func:`poset_covers`, and ``covers_complete`` is true; a caller's may not be.
+    unambiguous once the diagram validates.  The covers are derived: from
+    :attr:`product`, the points as a :class:`CartesianSet` when they are one
+    (else ``None``), or by :func:`poset_covers`.  ``maps`` is a function of
+    a cover's two ends that gives its matrix, or a dict of matrices by
+    cover, where a cover left out maps by the zero matrix of its shape, one
+    shared matrix per shape.
     """
 
-    def __init__(self, field, points, dims, maps, covers=None):
+    def __init__(self, field, points, dims, maps):
         self.field = field
-        points = list(points)
+        given, points = points, list(points)
         self.points = tuple(sort_points(points))
         if len(self.points) != len(points):
             raise InputError("duplicate points in diagram")
+        self.product = as_product(given if isinstance(given, CartesianSet) else self.points)
         self.dims = {}
         for p in self.points:
             d = dims[p]
             if isinstance(d, bool) or not isinstance(d, int) or d < 0:
                 raise InputError(f"invalid dimension {d!r} at {p!r}")
             self.dims[p] = d
-        self.covers_complete = covers is None
-        self._product = False  # not decided yet
-        if covers is None:
-            product = self.product
-            covers = poset_covers(list(self.points)) if product is None else product.covers()
+        covers = poset_covers(list(self.points)) if self.product is None \
+            else self.product.covers()
         self._covers = tuple(sorted(covers))  # by source, then target, as sort_points orders
-        cover_set = set(self._covers)
-        self.maps = {}
-        for key, mat in maps.items():
-            if key not in cover_set:
-                raise InputError(f"map given for non-covering pair {key!r}")
-            self.maps[key] = mat
-        zeros = {}
-        for c, d in self._covers:
-            if (c, d) not in self.maps:
-                shape = (self.dims[d], self.dims[c])
-                mat = zeros.get(shape)
-                if mat is None:
-                    mat = zeros[shape] = Matrix.zeros(field, *shape)
-                self.maps[(c, d)] = mat
+        if callable(maps):
+            self.maps = {(c, d): maps(c, d) for c, d in self._covers}
+        else:
+            cover_set, self.maps = set(self._covers), {}
+            for key, mat in maps.items():
+                if key not in cover_set:
+                    raise InputError(f"map given for non-covering pair {key!r}")
+                self.maps[key] = mat
+            zeros = {}
+            for c, d in self._covers:
+                if (c, d) not in self.maps:
+                    shape = (self.dims[d], self.dims[c])
+                    mat = zeros.get(shape)
+                    if mat is None:
+                        mat = zeros[shape] = Matrix.zeros(field, *shape)
+                    self.maps[(c, d)] = mat
         self._identities = None
         self._path_cache = {}
         self._upper = None
@@ -513,13 +515,6 @@ class PosetDiagram:
 
     def covers(self) -> tuple:
         return self._covers
-
-    @property
-    def product(self):
-        """The points as a :class:`CartesianSet` if they are one, else ``None``; decided once."""
-        if self._product is False:
-            self._product = as_product(self.points)
-        return self._product
 
     def identity_covers(self) -> frozenset:
         """The covers whose map is the identity, decided on first use."""
@@ -567,11 +562,12 @@ class PosetDiagram:
 
     # used only by presentation.predecessor_colimit_map, which no verb calls
     def restrict_downclosed(self, points: Iterable[Point]) -> "PosetDiagram":
-        """Restriction to a down-closed subset; covers are inherited verbatim."""
+        """Restriction to a down-closed subset, whose covers are those of the
+        diagram between its points."""
         keep = set(points)
-        covers = [e for e in self._covers if e[0] in keep and e[1] in keep]
         sub = PosetDiagram(self.field, keep, {p: self.dims[p] for p in keep},
-                           {e: self.maps[e] for e in covers}, covers=covers)
+                           {e: self.maps[e] for e in self._covers
+                            if e[0] in keep and e[1] in keep})
         if self._validated is True:
             sub._validated = True
         return sub

@@ -20,7 +20,7 @@ from .errors import ConsistencyError, InputError
 from .extgrid import (CartesianSet, Point, as_point, as_product, critical_grid,
                       grid_clamps, join_closure, leq, lex_strides, lt, sort_points)
 from .grid_module import ExtendedView, GridModule, restrict_view
-from .determinacy import determinacy_report, determined_closure
+from .determinacy import determined_closure, is_S_determined
 from .linalg import (Matrix, PosetDiagram, _require_valid, _vec, cokernel_projection,
                      diagram_colimit, full_row_rank, hstack, kernel_basis, pivot_columns, rank,
                      solve)
@@ -293,7 +293,7 @@ def _walk(field, poset: tuple, new_columns: Callable, gens: list):
         yield pt, dim, order, functools.partial(form, c), spans, roots
 
 
-def _scan(field, poset: tuple, covers_complete: bool) -> tuple:
+def _scan(field, poset: tuple) -> tuple:
     """The presentation scan: (generators, relations, blocks, generator lifts).
 
     One :func:`_walk` of the poset, upwards.  The generators at c lift a
@@ -302,11 +302,9 @@ def _scan(field, poset: tuple, covers_complete: bool) -> tuple:
     a lower-cover step is onto, an identity or any step of full row rank,
     and no lift is taken there.  ev_c is onto M(c), by induction: the images
     of the ev_p at the lower covers span the images of the lower-cover
-    maps, and the lifts span the rest.  Every b < c lies below a lower cover of c,
-    so the active generators are all those below c when ``covers_complete``
-    says that the covers are those of the poset; otherwise they come from a
-    caller and may leave out a chain, and a generator b <= c outside them is
-    an ``InputError``.  ev_c on the generator at b is the image of the lift
+    maps, and the lifts span the rest.  Every b < c lies below a lower cover
+    of c, as the covers are those of the poset, so the active generators are
+    all those below c.  ev_c on the generator at b is the image of the lift
     at b along a covering chain, ``path_map(b, c) @ lifts[b]``.
 
     Relations are read off the kernels K_c of the ev_c: the new relations at
@@ -330,11 +328,6 @@ def _scan(field, poset: tuple, covers_complete: bool) -> tuple:
         lift = _generator_lifts(maps[0] if len(maps) == 1 else hstack(field, maps, nrows=dim))
         return lift if lift.ncols else None
     for pt, _, order, ev, _, roots in _walk(field, poset, lifts, gens):
-        if not covers_complete:
-            below = [g for g, (b, _) in enumerate(gens) if leq(b, pt)]
-            if len(below) != len(order):
-                missing = next(g for g in below if g not in order)
-                raise InputError(f"no covering chain from {gens[missing][0]!r} to {pt!r}")
         if roots is None:
             continue
         ker = kernel_basis(ev())
@@ -390,7 +383,7 @@ def _present_diagram(diagram: PosetDiagram) -> tuple:
     poset = (points, [diagram.dims[p] for p in points], lower,
              lambda p, c: (points[p], points[c]) in identities,
              lambda p, c: _onto(step(p, c)), step)
-    return _scan(diagram.field, poset, diagram.covers_complete)
+    return _scan(diagram.field, poset)
 
 
 def _product_poset(view: ExtendedView, grid: CartesianSet, grades=()) -> tuple:
@@ -462,7 +455,7 @@ def _present_view(view: ExtendedView, s) -> tuple:
     grid = as_product(closure)
     if grid is None:
         return _present_diagram(restrict_view(view, closure))
-    return _scan(view.field, _product_poset(view, grid), covers_complete=True)
+    return _scan(view.field, _product_poset(view, grid))
 
 
 def diagram_births_deaths(diagram: PosetDiagram) -> BirthDeathReport:
@@ -488,20 +481,23 @@ def births_deaths(view: ExtendedView, s) -> BirthDeathReport:
     return BirthDeathReport(dict(generators), dict(relations))
 
 
+def _presentation(field, dim: int, scan: tuple) -> Presentation:
+    """The :class:`Presentation` of a scan, with the generator lifts as
+    ``generator_images``."""
+    generators, relations, blocks, lifts = scan
+    return Presentation(field, dim, tuple(generators), tuple(relations), blocks,
+                        generator_images=lifts)
+
+
 def present_diagram(diagram: PosetDiagram) -> Presentation:
-    """The scan's presentation of a diagram on a non-empty set of points,
-    with the generator lifts as ``generator_images``."""
-    generators, relations, blocks, lifts = _present_diagram(diagram)
-    return Presentation(diagram.field, len(diagram.points[0]), tuple(generators),
-                        tuple(relations), blocks, generator_images=lifts)
+    """The scan's presentation of a diagram on a non-empty set of points."""
+    return _presentation(diagram.field, len(diagram.points[0]), _present_diagram(diagram))
 
 
 def build_presentation(view: ExtendedView, s) -> Presentation:
     """Graded presentation of a determined module: the scan of its encoding,
     without building the encoding on a product."""
-    generators, relations, blocks, lifts = _present_view(view, s)
-    return Presentation(view.field, view.box.dim, tuple(generators), tuple(relations), blocks,
-                        generator_images=lifts)
+    return _presentation(view.field, view.box.dim, _present_view(view, s))
 
 
 def _relation_matrix(pres: Presentation, gens: list, rels: list) -> Matrix:
@@ -548,10 +544,10 @@ def verify_presentation(view: ExtendedView, pres: Presentation) -> PresentationC
     points of G with that clamp and those generators carry the same images.
     A map onto M of a cokernel of M's dimension on all of G is an
     isomorphism on G, hence everywhere, so the search need not re-check it.
-    The search's Hom-dimension certificates present M by its restriction to
-    G, which holds every grade, so they compare Hom spaces over G, where an
-    isomorphism would restrict to one.  A search that runs out gives ``ok``
-    ``None``.
+    The search's Hom-dimension certificates present M by the walk of the
+    product G that :func:`build_presentation` takes on a product; a Hom
+    dimension does not depend on which presentation of M is used.  A search
+    that runs out gives ``ok`` ``None``.
     """
     if pres.field != view.field:
         raise InputError("presentation and module are over different fields")
@@ -570,7 +566,8 @@ def verify_presentation(view: ExtendedView, pres: Presentation) -> PresentationC
                                                  if leq(b, pt))), pt)
     found = _find_isomorphism(pres, coker, (view.eval_space, view.eval_map),
                               list(points.values()),
-                              lambda: present_diagram(restrict_view(view, grid)))
+                              lambda: _presentation(view.field, view.box.dim,
+                                                    _scan(view.field, _product_poset(view, grid))))
     if found is None:
         return PresentationCheck(None, None, "the isomorphism search ran out of trials")
     if found is False:
@@ -806,8 +803,7 @@ def is_admissible(module: GridModule, l) -> bool:
     support decides it.
     """
     pts = _require_join_closed(l)
-    ExtendedView(module)  # refuses a module that does not validate
+    view = ExtendedView(module)  # refuses a module that does not validate
     if len(pts[0]) != module.box.dim:
         raise InputError("lattice dimension mismatch")
-    lattice = frozenset(as_point(p, dim=module.box.dim) for p in pts)
-    return determinacy_report(module, lattice, check_support=True).determined
+    return is_S_determined(view, pts).determined

@@ -15,7 +15,7 @@ from detmod import (Box, CartesianSet, DeterminacyReport, DiagramCheck,
                     Presentation, PresentationCheck, PrimeField, as_point, canonical_set,
                     cokernel_projection, critical_grid, encode, hstack, in_upset,
                     is_invertible, join_below, kernel_basis, leq, lt, min_point, mub,
-                    point_sort_key, poset_covers, rank, restrict_view, solve,
+                    point_sort_key, rank, restrict_view, solve,
                     sort_points, validate_diagram)
 from detmod.extgrid import downset_of
 from detmod.linalg import _block_offsets, _require_valid, diagram_colimit
@@ -211,7 +211,7 @@ def module_diagram(module: GridModule) -> PosetDiagram:
         covers.append((p, q))
         maps[(p, q)] = mat
     diagram = PosetDiagram(module.field, list(module.box.integer_points()),
-                           dict(module.dims), maps, covers=covers)
+                           dict(module.dims), maps)
     if module._validated is True:
         diagram._validated = True
     return diagram
@@ -384,9 +384,7 @@ class Unzipped:
     def restrict(self, points) -> PosetDiagram:
         """The evaluator on a finite point set, with every cover evaluated."""
         pts = sort_points(points)
-        covers = poset_covers(pts)
-        return PosetDiagram(self.field, pts, {p: self.eval_space(p) for p in pts},
-                            {e: self.eval_map(*e) for e in covers}, covers=covers)
+        return PosetDiagram(self.field, pts, {p: self.eval_space(p) for p in pts}, self.eval_map)
 
 
 def unzip_module(l, n: PosetDiagram) -> Unzipped:

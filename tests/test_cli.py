@@ -509,6 +509,32 @@ class TestDimensionBound:
         assert code == 0 and payload == {"ok": True}
 
 
+class TestGridBound:
+    """A critical grid above ``extgrid.MAX_GRID_POINTS`` points is refused
+    before it is built."""
+
+    def test_far_set_point_is_refused_at_once(self):
+        # the child's address space is capped, so a grid that were built
+        # would end the child with a MemoryError, not this process
+        import resource
+        from detmod.extgrid import MAX_GRID_POINTS
+
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "detmod.cli", "determinacy", EXAMPLE_F2,
+                               "--set", "[[1000000000, 0]]", "--oracle"], cwd=REPO, env=env,
+                              capture_output=True, text=True, timeout=60, preexec_fn=cap)
+        assert_one_error_line(proc.returncode, proc.stdout, proc.stderr)
+        assert proc.stderr.endswith(f"above the bound {MAX_GRID_POINTS}\n")
+
+    def test_set_point_at_a_thousand_answers(self, capsys):
+        code, report = run_json(capsys, "determinacy", EXAMPLE_F2, "--set", "[[1000, 0]]",
+                                "--oracle")
+        assert code in (0, 1) and report["method"] == "oracle"
+
+
 class TestProject:
     def test_worked_values(self, capsys):
         code, payload = run_json(capsys, "project",

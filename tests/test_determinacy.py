@@ -479,7 +479,7 @@ class TestEncode:
         assert frozenset(diagram.points) == pointed_closure(s)
 
     def test_product_closure_skips_generic_covers(self, monkeypatch):
-        import detmod.grid_module as grid_module
+        import detmod.linalg as linalg
 
         rng = random.Random(61)
         for field in (F2, F5, QQ):
@@ -487,7 +487,7 @@ class TestEncode:
             s = canonical_set(view.module)
             closure = sort_points(pointed_closure(s))
             with monkeypatch.context() as m:
-                m.setattr(grid_module, "poset_covers", None)
+                m.setattr(linalg, "poset_covers", None)
                 diagram = encode(view, s)
             assert list(diagram.points) == closure
             assert diagram.dims == {p: view.eval_space(p) for p in closure}
@@ -496,7 +496,7 @@ class TestEncode:
             assert diagram._validated is True
 
     def test_non_product_closure_uses_generic_covers(self, monkeypatch):
-        import detmod.grid_module as grid_module
+        import detmod.linalg as linalg
 
         view = ExtendedView(corner_module(F5))
         s = UNIT_SET | {(0, 0)}
@@ -504,7 +504,7 @@ class TestEncode:
         assert len(closure) == 7  # (0, -inf) and (-inf, 0) are missing
         calls = []
         with monkeypatch.context() as m:
-            m.setattr(grid_module, "poset_covers",
+            m.setattr(linalg, "poset_covers",
                       lambda pts: calls.append(pts) or poset_covers(pts))
             diagram = encode(view, s)
         assert calls == [sort_points(closure)]
@@ -532,7 +532,7 @@ class TestCheckEncoding:
         # fake surviving direction by bumping a dimension instead
         dims = dict(diagram.dims)
         dims[(1, 1)] = 1
-        bad = PosetDiagram(F5, diagram.points, dims, {}, covers=diagram.covers())
+        bad = PosetDiagram(F5, diagram.points, dims, {})
         assert not check_encoding(view, s, bad)
 
     def test_conjugated_encoding_still_passes(self):
@@ -548,8 +548,7 @@ class TestCheckEncoding:
                for p in diagram.points}
         maps = {(c, d): twist[d] @ diagram.maps[(c, d)] @ inv[c]
                 for c, d in diagram.covers()}
-        conjugated = PosetDiagram(F5, diagram.points, dict(diagram.dims), maps,
-                                  covers=diagram.covers())
+        conjugated = PosetDiagram(F5, diagram.points, dict(diagram.dims), maps)
         assert check_encoding(view, s, conjugated)
 
     def test_requires_diagram_on_pointed_closure(self):

@@ -11,7 +11,8 @@ from detmod import (Box, ExtendedView, GridModule, InputError, Matrix,
                     validate_diagram, validate_module, window_module)
 from detmod.io import matrix_to_json, module_from_json, module_to_json
 from helpers import (F2, F5, corner_module, diagram_limit, every_step, given_steps,
-                     halfplane_table, module_diagram, path_commutativity_ok, random_module,
+                     halfplane_table, module_diagram, path_commutativity_ok,
+                    poset_covers_bruteforce, random_module,
                      stabilization_window, unzip_module, validate_by_products,
                      validate_module_by_diagram)
 
@@ -390,18 +391,21 @@ class TestRestrictDiagram:
                          for _ in range(view.box.dim)) for _ in range(6)}
             diagram = restrict_view(view, pts)
             assert diagram._validated is True
+            assert sorted(diagram.covers()) == sorted(poset_covers_bruteforce(pts))
+            assert diagram.dims == {p: view.eval_space(p) for p in pts}
+            assert all(m == view.eval_map(*e) for e, m in diagram.maps.items())
             diagram._validated = None  # check the squares, not the inherited flag
             assert validate_diagram(diagram).ok
 
     def test_cartesian_fast_path_matches_generic(self, monkeypatch):
-        import detmod.grid_module as grid_module
+        import detmod.linalg as linalg
 
         view = ExtendedView(corner_module(F2))
         cart = ext_box(Box((0, 0), (1, 1)))
         pts = sort_points(cart.points())
         generic = poset_covers(pts)
         with monkeypatch.context() as m:
-            m.setattr(grid_module, "poset_covers", None)
+            m.setattr(linalg, "poset_covers", None)
             for points in (cart, cart.points(), list(reversed(pts))):
                 fast = restrict_view(view, points)
                 assert list(fast.points) == pts
@@ -485,15 +489,8 @@ class TestWindowModule:
         diagram = window_module(F2, Box((0, 0), (1, 1)), lambda p: 0)
         assert all(d == 0 for d in diagram.dims.values())
 
-    def test_without_bottom_faces(self):
-        diagram = window_module(F2, Box((0, 0), (1, 1)), lambda p: 1,
-                                include_bottom_faces=False)
-        assert all(c != NEG_INF for p in diagram.points for c in p)
-
     def test_rejects_non_functorial_table(self):
         # a bump at one corner: the square through it composes to zero while
         # the other path is an identity, so the table cannot be a functor
-        with pytest.raises(InputError):
-            window_module(F2, Box((0, 0), (1, 1)),
-                          lambda p: 2 if p == (1, 0) else 1,
-                          include_bottom_faces=False)
+        with pytest.raises(InputError, match=r"at \(\(0, 0\), \(0, 1\), \(1, 0\), \(1, 1\)\)"):
+            window_module(F2, Box((0, 0), (1, 1)), lambda p: 2 if p == (1, 0) else 1)

@@ -344,7 +344,7 @@ class TestPathMap:
         points = [(i,) for i in range(n)]
         covers = list(zip(points, points[1:]))
         d = PosetDiagram(F2, points, {p: 1 for p in points},
-                         {e: Matrix.identity(F2, 1) for e in covers}, covers=covers)
+                         {e: Matrix.identity(F2, 1) for e in covers})
         assert d.path_map(points[0], points[-1]) == Matrix.identity(F2, 1)
         assert d.path_map(points[1], points[-1]) == Matrix.identity(F2, 1)
 
@@ -355,7 +355,7 @@ class TestPathMap:
         points = [(i,) for i in range(n)]
         covers = list(zip(points, points[1:]))
         d = PosetDiagram(F2, points, {p: 1 for p in points},
-                         {e: Matrix.identity(F2, 1) for e in covers}, covers=covers)
+                         {e: Matrix.identity(F2, 1) for e in covers})
         calls = [0]
 
         def counting(fn):
@@ -465,14 +465,12 @@ class TestDiagramCovers:
         monkeypatch.setattr(linalg, "as_product", lambda pts: calls.append(pts) or as_product_of(pts))
         grid = CartesianSet(((NEG_INF, 0, 1), (0, 2)))
         lattice = pointed_closure({(0, 1), (1, 0)})
-        for pts, product in ((grid.sorted_points(), grid), (lattice, None)):
+        for pts, product in ((grid.sorted_points(), grid), (grid, grid), (lattice, None)):
             diagram = PosetDiagram(F2, pts, {p: 1 for p in pts}, {})
-            assert diagram.covers_complete and diagram.product == product
+            assert diagram.product == product
             assert diagram.covers() == tuple(sorted(poset_covers(list(pts))))
             assert validate_diagram(diagram)
-        assert len(calls) == 2
-        given = PosetDiagram(F2, grid.sorted_points(), {p: 1 for p in grid}, {}, covers=[])
-        assert not given.covers_complete and given.product == grid
+        assert len(calls) == 3 and calls[1] is grid  # a CartesianSet is its own product
 
 
 class TestValidation:
@@ -554,8 +552,7 @@ class TestValidation:
             random_maps = {(c, d): random_matrix(field, restricted.dims[d], restricted.dims[c],
                                                  rng) for c, d in covers}
             for candidate in (maps, restricted.maps, random_maps):
-                diagram = PosetDiagram(field, restricted.points, restricted.dims, candidate,
-                                       covers=covers)
+                diagram = PosetDiagram(field, restricted.points, restricted.dims, candidate)
                 check = validate_diagram(diagram)
                 assert bool(check) == path_commutativity_ok(diagram)
                 verdicts[bool(check)] += 1
@@ -592,7 +589,7 @@ class TestDiagramIsomorphism:
             twist = {p: random_invertible(field, dims[p], rng) for p in a.points}
             inv = {p: solve(twist[p], Matrix.identity(field, dims[p])) for p in a.points}
             b_maps = {(c, d): twist[d] @ a.maps[(c, d)] @ inv[c] for c, d in a.covers()}
-            b = PosetDiagram(field, a.points, dict(dims), b_maps, covers=a.covers())
+            b = PosetDiagram(field, a.points, dict(dims), b_maps)
             assert diagrams_isomorphic(a, b)
 
     def test_found_isomorphism_is_natural_and_invertible(self):
@@ -608,7 +605,7 @@ class TestDiagramIsomorphism:
         twist = {p: random_invertible(F5, a.dims[p], rng) for p in a.points}
         inv = {p: solve(twist[p], Matrix.identity(F5, a.dims[p])) for p in a.points}
         b_maps = {(c, d): twist[d] @ a.maps[(c, d)] @ inv[c] for c, d in a.covers()}
-        b = PosetDiagram(F5, a.points, dict(a.dims), b_maps, covers=a.covers())
+        b = PosetDiagram(F5, a.points, dict(a.dims), b_maps)
         pres = present_diagram(a)
         lifts = pres.generator_images
         images = _find_isomorphism(pres, (a.dims.__getitem__, a.path_map),

@@ -91,34 +91,12 @@ class TestBirthsDeaths:
         assert interior == {(k, -k): 1 for k in range(-(n - 1), n)}
         assert report.births == {BOTTOM: 1}
 
-    def test_generator_with_no_covering_chain_is_input_error(self):
-        pts = [(0,), (1,), (2,)]
-        chain = PosetDiagram(F2, pts, {p: 1 for p in pts},
-                             {((0,), (1,)): Matrix.identity(F2, 1)}, covers=[((0,), (1,))])
-        with pytest.raises(InputError, match="no covering chain"):
-            diagram_births_deaths(chain)
-
-    def test_only_covers_from_a_caller_are_tested_for_chains(self, monkeypatch):
-        from detmod.io import diagram_from_json, diagram_to_json
-
-        given = window_module(F2, Box((-3, -3), (3, 3)), halfplane_table)
-        derived = diagram_from_json(json.loads(json.dumps(diagram_to_json(given))))
-        assert derived.covers_complete and not given.covers_complete
-        expected = diagram_births_deaths(given)
-
-        def no_leq(*args):
-            raise AssertionError("a generator was tested against a point")
-        monkeypatch.setattr("detmod.presentation.leq", no_leq)
-        assert diagram_births_deaths(derived) == expected
-        with pytest.raises(AssertionError, match="tested against a point"):
-            diagram_births_deaths(window_module(F2, Box((-3, -3), (3, 3)), halfplane_table))
-
     def test_restricted_diagrams_test_no_generator_for_chains(self, monkeypatch):
-        """``restrict_view`` derives the covers of a lattice that is not a
-        product, so its scan tests no generator against a point."""
+        """On a lattice that is not a product the scan presents the encoding,
+        which derives its covers, and tests no generator against a point."""
         view = ExtendedView(random_module(F5, random.Random(65), max_summands=4))
         lattice = join_closure(canonical_set(view.module) | {tuple(v + 1 for v in view.box.b)})
-        assert as_product(lattice) is None and restrict_view(view, lattice).covers_complete
+        assert as_product(lattice) is None
         calls, leq_of = [], presentation_module.leq
 
         def counted(*args):
@@ -1090,12 +1068,17 @@ class TestHomFromPresentation:
             assert check_encoding(y, s, encode(x, s)) is False
 
     @pytest.mark.parametrize("field", [QQ, linalg.PrimeField(101)], ids=["q", "f101"])
-    def test_both_routes_decide_equal_dimension_pairs(self, field):
+    def test_both_routes_decide_equal_dimension_pairs(self, field, monkeypatch):
         # twisted sums of intervals on a chain, paired by dimension vector:
         # no exhaustive search over these fields, yet neither route is left
-        # without an answer, and the two routes agree
+        # without an answer, and the two routes agree; key-less verify
+        # presents the module on its critical grid with no restriction
         from helpers import interval_module, twist_module
 
+        def no_restrict(*args):
+            raise AssertionError("restrict_view called")
+        monkeypatch.setattr("detmod.grid_module.restrict_view", no_restrict)
+        monkeypatch.setattr("detmod.presentation.restrict_view", no_restrict)
         rng = random.Random(1206)
         box = Box((0,), (3,))
         by_dims = {}
@@ -1113,6 +1096,31 @@ class TestHomFromPresentation:
                 assert ok is linalg.diagrams_isomorphic(module_diagram(a), module_diagram(b))
                 verdicts.append(ok)
         assert verdicts.count(True) >= 3 and verdicts.count(False) >= 3
+
+    @pytest.mark.parametrize("field", [F2, F5, QQ], ids=["f2", "f5", "q"])
+    def test_product_walk_and_restriction_give_equal_hom_dimensions(self, field):
+        # key-less verify presents M by the product walk of its critical
+        # grid; Hom out of that presentation, into M and into another module,
+        # has the dimension it has out of the presentation of M restricted
+        # to the grid
+        from detmod.presentation import _presentation, _product_poset, _scan
+
+        rng = random.Random(1207)
+        nonzero = 0
+        for _ in range(8):
+            m = random_module(field, rng, max_summands=4)
+            n = random_module(field, rng, box=m.box, max_summands=4)
+            vm, vn = ExtendedView(m), ExtendedView(n)
+            pres = build_presentation(vm, canonical_set(m))
+            grid = critical_grid(m.box, [p for p, _ in pres.generators + pres.relations])
+            walked = _presentation(field, m.box.dim, _scan(field, _product_poset(vm, grid)))
+            restricted = present_diagram(restrict_view(vm, grid))
+            for target in (vm, vn):
+                dims = [len(_hom_basis(p, target.eval_space, target.eval_map))
+                        for p in (walked, restricted)]
+                assert dims[0] == dims[1], dims
+                nonzero += dims[0] > 0
+        assert nonzero >= 6
 
     def test_search_that_runs_out_is_inconclusive(self, monkeypatch):
         import detmod.presentation
@@ -1143,8 +1151,7 @@ class TestHomFromPresentation:
         maps = {(c, d): twist[d] @ diagram.maps[(c, d)] @ solve(
                     twist[c], Matrix.identity(F5, diagram.dims[c]))
                 for c, d in diagram.covers()}
-        conjugated = PosetDiagram(F5, diagram.points, dict(diagram.dims), maps,
-                                  covers=diagram.covers())
+        conjugated = PosetDiagram(F5, diagram.points, dict(diagram.dims), maps)
         assert any(conjugated.maps[e] != diagram.maps[e] for e in diagram.covers())
         assert check_encoding(view, s, conjugated) is True
         assert linalg.diagrams_isomorphic(conjugated, diagram) is True
