@@ -111,6 +111,10 @@ def join(p: Point, q: Point) -> Point:
     return tuple(map(max, p, q))
 
 
+# k points can have 2^k - 1 joins, so a closure is refused once it grows past this
+MAX_CLOSURE_POINTS = 4096
+
+
 def join_closure(points: Iterable[Point]) -> frozenset:
     """Closure of a finite set under pairwise joins.
 
@@ -118,16 +122,21 @@ def join_closure(points: Iterable[Point]) -> frozenset:
     equals the set of minimal upper bounds of all non-empty subsets, without
     enumerating the subsets.  Every element of the closure is the join of
     some input points, so each new element needs joining with the input
-    points only: the join of k of them is found in the (k-1)-th round.
+    points only: the join of k of them is found in the (k-1)-th round.  A
+    product of chains is join-closed as it is; any other closure of more
+    than ``MAX_CLOSURE_POINTS`` points is refused after the round that passes it.
     """
     closed = set(points)
     if closed:
         common_dim(closed)
-        if as_product(closed) is not None:  # a product of chains is join-closed
+        if as_product(closed) is not None:
             return frozenset(closed)
     given = list(closed)
     frontier = given
     while frontier:
+        if len(closed) > MAX_CLOSURE_POINTS:
+            raise InputError(f"the join closure has at least {len(closed)} points, "
+                             f"above the bound {MAX_CLOSURE_POINTS}")
         frontier = {join(p, q) for p in frontier for q in given} - closed
         closed |= frontier
     return frozenset(closed)
@@ -181,15 +190,6 @@ class Box:
             raise InputError(f"box corners out of order: {a!r} > {b!r}")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
-
-    @classmethod
-    def _checked(cls, a: Point, b: Point) -> "Box":
-        """A box from corners the caller has checked as ``__post_init__``
-        does: points of one dimension, integral, with a <= b."""
-        box = cls.__new__(cls)
-        object.__setattr__(box, "a", a)
-        object.__setattr__(box, "b", b)
-        return box
 
     @property
     def dim(self) -> int:

@@ -36,8 +36,9 @@ class GridModule:
     is the identity, decided once from its rows, on first use.
     :meth:`flat_step` and :meth:`step` make a step's :class:`Matrix` on
     first use and keep it; a step the input leaves out is the zero matrix of
-    the forced shape, one shared (immutable) matrix per shape.  Axes are
-    0-based here (the file format is 1-based).
+    the forced shape, one shared (immutable) matrix per shape.  A step of
+    another shape, or over another field, is refused when the module is
+    built.  Axes are 0-based here (the file format is 1-based).
     """
 
     def __init__(self, field, box: Box, dims: dict, steps: dict):
@@ -54,21 +55,26 @@ class GridModule:
             if isinstance(d, bool) or not isinstance(d, int) or d < 0:
                 raise InputError(f"invalid dimension {d!r} at {p!r}")
         index, n, top = dict(zip(pts, range(len(pts)))), box.dim, box.b
-        mats = {}
+        step_rows = {}
         for (p, axis), mat in steps.items():
             if not (p in index and 0 <= axis < n and p[axis] < top[axis]):
                 raise InputError(f"step at {p!r} along axis {axis} leaves the box")
-            mats[index[p] * n + axis] = mat
-        self._fill(field, box, dims, index, {key: _integer_rows(mat) for key, mat in mats.items()})
-        self._mats = mats  # checked for shape and field by validate_module
+            expected = (dims[self._step_target(p, axis)], dims[p])
+            if mat.shape != expected:
+                raise InputError(f"step at {p!r} along axis {axis + 1} has shape {mat.shape}, "
+                                 f"expected {expected}")
+            if mat.field != field:
+                raise InputError(f"step at {p!r} along axis {axis + 1} is over the wrong field")
+            step_rows[index[p] * n + axis] = _integer_rows(mat)
+        self._fill(field, box, dims, index, step_rows)
 
     @classmethod
     def _checked(cls, field, box: Box, dims: dict, index: dict, step_rows: dict):
-        """A module from data the caller has checked as ``__init__`` and
-        :func:`validate_module` do: ``dims`` on the box points in order and
-        each a dimension, ``index`` the place of each box point in that
-        order, ``step_rows`` the given steps by flat index, each inside the
-        box, of its forced shape and over ``field``."""
+        """A module from data the caller has checked as ``__init__`` does:
+        ``dims`` on the box points in order and each a dimension, ``index``
+        the place of each box point in that order, ``step_rows`` the given
+        steps by flat index, each inside the box, of its forced shape and
+        over ``field``."""
         module = cls.__new__(cls)
         module._fill(field, box, dims, index, step_rows)
         return module
@@ -220,7 +226,8 @@ def _composites_agree(left, right, p: int) -> bool:
 
 
 def validate_module(module: GridModule) -> DiagramCheck:
-    """Shape, field and commutativity checks for the stored box data.
+    """Commutativity of the stored box data; a module is well shaped from
+    the moment it is built.
 
     The unit squares of the box generate every commutativity relation of the
     grid, and through the extended projection of the whole extended grid, so
@@ -234,27 +241,13 @@ def validate_module(module: GridModule) -> DiagramCheck:
     corner or a left-out step is zero, so at most one product is formed
     then.  Products are made on the stored integer rows, with no
     :class:`Matrix`: over F_p the two sides are compared mod p unreduced,
-    and over Q cross-multiplied by their denominators.  Shapes and fields
-    are checked on the matrices made so far, those given to
-    ``GridModule.__init__``; the loader checks the shape of every step it
-    decodes.
+    and over Q cross-multiplied by their denominators.
     """
     if module._validated is True:
         return DiagramCheck(True)
     dims, given, field, identities = module.dims, module.step_rows, module.field, module.identities
     n, top, strides = module.box.dim, module.box.b, module.box.strides()
     pts, values = list(dims), list(dims.values())
-    for key, mat in module._mats.items():
-        x, axis = divmod(key, n)
-        expected = (values[x + strides[axis]], values[x])
-        if mat.shape != expected:
-            p, q = pts[x], pts[x + strides[axis]]
-            return DiagramCheck(False, f"step at {p!r} along axis {axis + 1} has shape "
-                                f"{mat.shape}, expected {expected}", (p, q))
-        if mat.field != field:
-            p, q = pts[x], pts[x + strides[axis]]
-            return DiagramCheck(False, f"step at {p!r} along axis {axis + 1} is over the "
-                                "wrong field", (p, q))
     prime = field.p if field.kind == "prime" else 0
     # both composites of a square out of a point with no step given are zero,
     # and a box of one axis has no square; c + e_a is at x + strides[a]

@@ -74,6 +74,7 @@ class PrimeField:
         return sum(a * b for a, b in zip(u, v)) % self.p
 
 
+@dataclass(frozen=True)
 class RationalField:
     """Q with exact Fraction arithmetic."""
 
@@ -109,15 +110,6 @@ class RationalField:
     def dot(self, u, v):
         return sum(a * b for a, b in zip(u, v))
 
-    def __eq__(self, other):
-        return isinstance(other, RationalField)
-
-    def __hash__(self):
-        return hash("rational-field")
-
-    def __repr__(self):
-        return "RationalField()"
-
 
 QQ = RationalField()
 
@@ -143,13 +135,8 @@ class Matrix:
 
     __slots__ = ("field", "nrows", "ncols", "rows")
 
-    def __init__(self, field, rows, ncols: int | None = None, _coerce: bool = True):
-        # internal callers (``_coerce=False``) pass field elements, often in
-        # rows that are already tuples: those are kept, not copied
-        if _coerce:
-            rows = [tuple(r) for r in rows]
-        else:
-            rows = [r if type(r) is tuple else tuple(r) for r in rows]
+    def __init__(self, field, rows, ncols: int | None = None):
+        rows = [tuple(r) for r in rows]
         if rows:
             width = len(rows[0])
             if any(len(r) != width for r in rows):
@@ -159,31 +146,30 @@ class Matrix:
             ncols = width
         elif ncols is None:
             raise InputError("a matrix with zero rows needs an explicit column count")
-        if _coerce:
-            rows = field.coerce_rows(rows)
         self.field = field
         self.nrows = len(rows)
         self.ncols = ncols
-        self.rows = tuple(rows)
+        self.rows = tuple(field.coerce_rows(rows))
 
     @classmethod
     def _of_rows(cls, field, rows: list, ncols: int) -> "Matrix":
-        """A matrix from rows of field elements, each a tuple of length
-        ``ncols``, taken as they are: the caller has checked them."""
+        """A matrix from the package's own rows of field elements, each
+        ``ncols`` wide: a tuple row is kept, any other made a tuple, and
+        nothing is checked."""
         m = cls.__new__(cls)
-        m.field, m.nrows, m.ncols, m.rows = field, len(rows), ncols, tuple(rows)
+        m.field, m.nrows, m.ncols = field, len(rows), ncols
+        m.rows = tuple([r if type(r) is tuple else tuple(r) for r in rows])
         return m
 
     @classmethod
     def zeros(cls, field, nrows: int, ncols: int) -> "Matrix":
         z = field.zero
-        return cls(field, [(z,) * ncols for _ in range(nrows)], ncols=ncols, _coerce=False)
+        return cls._of_rows(field, [(z,) * ncols for _ in range(nrows)], ncols)
 
     @classmethod
     def identity(cls, field, n: int) -> "Matrix":
         z, o = field.zero, field.one
-        return cls(field, [tuple(o if i == j else z for j in range(n)) for i in range(n)],
-                   ncols=n, _coerce=False)
+        return cls._of_rows(field, [(z,) * i + (o,) + (z,) * (n - 1 - i) for i in range(n)], n)
 
     @classmethod
     def from_columns(cls, field, columns: Iterable, nrows: int) -> "Matrix":
@@ -216,20 +202,19 @@ class Matrix:
     def transpose(self) -> "Matrix":
         if self.nrows == 0 or self.ncols == 0:
             return Matrix.zeros(self.field, self.ncols, self.nrows)
-        return Matrix(self.field, list(zip(*self.rows)), ncols=self.nrows, _coerce=False)
+        return Matrix._of_rows(self.field, list(zip(*self.rows)), self.nrows)
 
     def scale(self, c) -> "Matrix":
         f = self.field
-        return Matrix(f, [[f.mul(c, x) for x in row] for row in self.rows],
-                      ncols=self.ncols, _coerce=False)
+        return Matrix._of_rows(f, [[f.mul(c, x) for x in row] for row in self.rows], self.ncols)
 
     def __add__(self, other: "Matrix") -> "Matrix":
         if self.field != other.field or self.shape != other.shape:
             raise InputError(f"shape mismatch {self.shape} + {other.shape}")
         f = self.field
-        return Matrix(f, [[f.add(x, y) for x, y in zip(r, s)]
-                          for r, s in zip(self.rows, other.rows)],
-                      ncols=self.ncols, _coerce=False)
+        return Matrix._of_rows(f, [[f.add(x, y) for x, y in zip(r, s)]
+                                   for r, s in zip(self.rows, other.rows)],
+                               self.ncols)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         """The product on integer rows: over F_p each entry is one sum of
@@ -270,7 +255,7 @@ def hstack(field, mats: list, nrows: int) -> Matrix:
         if m.nrows != nrows:
             raise InputError("row count mismatch in hstack")
     rows = [tuple(itertools.chain.from_iterable(m.rows[i] for m in mats)) for i in range(nrows)]
-    return Matrix(field, rows, ncols=sum(m.ncols for m in mats), _coerce=False)
+    return Matrix._of_rows(field, rows, sum(m.ncols for m in mats))
 
 
 def _cleared(vector) -> tuple:
@@ -286,15 +271,16 @@ def _cleared(vector) -> tuple:
 def _echelon(field, rows, ncols, pivot_limit=None, reduce=True):
     """Reduced row echelon form on integer rows; returns (rows, pivot columns).
 
-    Entry b of a row is cleared against pivot a by a * row - b * pivot row:
-    over F_p on residues, one ``%`` per entry and no inverse (a XOR over F_2);
-    over Q on rows cleared of denominators, each new row divided by the gcd
-    of its entries.  So each row is a non-zero multiple of the row that field
-    operations give.  With ``reduce`` false only rows below a pivot are
-    cleared, and the rows returned are ``None``.  Otherwise rows above it are
-    cleared too, and one pass divides each row of the rank by its pivot: a
-    row whose pivot is 1 is kept over F_p, and over Q each entry becomes one
-    ``Fraction``.  Later rows keep integer entries up to a non-zero factor.
+    Over F_p each pivot row is scaled to pivot 1 when its pivot is chosen
+    (one inverse per pivot that is not 1), and entry b of a row is cleared
+    by row - b * pivot row on residues, one ``%`` per entry (a XOR over
+    F_2).  Over Q, on rows cleared of denominators, entry b is cleared
+    against pivot a by a * row - b * pivot row, and each new row divided by
+    the gcd of its entries.  With ``reduce`` false only rows below a pivot
+    are cleared, and the rows returned are ``None``.  Otherwise rows above
+    it are cleared too, and over Q one pass divides each row of the rank by
+    its pivot, each entry one ``Fraction``.  Later rows keep integer entries
+    up to a non-zero factor.
     """
     if pivot_limit is None:
         pivot_limit = ncols
@@ -313,9 +299,11 @@ def _echelon(field, rows, ncols, pivot_limit=None, reduce=True):
         else:
             continue
         prow = rows[pr]
-        if pr != r:
-            rows[r], rows[pr] = prow, rows[r]
         a = prow[c]
+        if prime and a != 1:
+            a = pow(a, -1, prime)
+            prow = [x * a % prime for x in prow]
+        rows[pr], rows[r] = rows[r], prow
         for i in range(0 if reduce else r + 1, nrows):
             row = rows[i]
             b = row[c]
@@ -324,23 +312,17 @@ def _echelon(field, rows, ncols, pivot_limit=None, reduce=True):
             if prime == 2:
                 rows[i] = list(map(xor, row, prow))
             elif prime:
-                rows[i] = [(a * x - b * y) % prime for x, y in zip(row, prow)]
+                rows[i] = [(x - b * y) % prime for x, y in zip(row, prow)]
             else:
                 new = [a * x - b * y for x, y in zip(row, prow)]
                 g = math.gcd(*new)
                 rows[i] = [x // g for x in new] if g > 1 else new
         pivots.append(c)
         r += 1
-    if not reduce:
-        return None, pivots
-    for k, c in enumerate(pivots):
-        a = rows[k][c]
-        if not prime:
-            rows[k] = [Fraction(x, a) for x in rows[k]]
-        elif a != 1:
-            a = pow(a, -1, prime)
-            rows[k] = [x * a % prime for x in rows[k]]
-    return rows, pivots
+    if reduce and not prime:
+        for k, c in enumerate(pivots):
+            rows[k] = [Fraction(x, rows[k][c]) for x in rows[k]]
+    return (rows if reduce else None), pivots
 
 
 # no verb calls rref; perfbench/bench_trace.py binds it by name
@@ -384,7 +366,7 @@ def kernel_basis(m: Matrix) -> Matrix:
         basis[f][k] = field.one
         for r, pc in enumerate(pivots):
             basis[pc][k] = field.sub(field.zero, rows[r][f])
-    return Matrix(field, basis, ncols=len(free), _coerce=False)
+    return Matrix._of_rows(field, basis, len(free))
 
 
 def cokernel_projection(m: Matrix) -> Matrix:
@@ -395,7 +377,7 @@ def cokernel_projection(m: Matrix) -> Matrix:
     """
     left = kernel_basis(m.transpose()).transpose()
     rows, _ = _echelon(m.field, left.rows, left.ncols)
-    return Matrix(m.field, rows, ncols=m.nrows, _coerce=False)
+    return Matrix._of_rows(m.field, rows, m.nrows)
 
 
 def solve(m: Matrix, rhs: Matrix) -> Matrix | None:
@@ -418,7 +400,7 @@ def solve(m: Matrix, rhs: Matrix) -> Matrix | None:
     sol = [[zero] * rhs.ncols for _ in range(m.ncols)]
     for r, pc in enumerate(pivots):
         sol[pc] = list(rows[r][m.ncols:])
-    return Matrix(field, sol, ncols=rhs.ncols, _coerce=False)
+    return Matrix._of_rows(field, sol, rhs.ncols)
 
 
 def poset_covers(points: list) -> list:
@@ -510,11 +492,23 @@ class PosetDiagram:
                     self.maps[(c, d)] = mat
         self._identities = None
         self._path_cache = {}
-        self._upper = None
+        self._cover_lists = None
         self._validated = None
 
     def covers(self) -> tuple:
         return self._covers
+
+    def cover_lists(self) -> tuple:
+        """``(upper, lower)``: per point, its upper and its lower covers,
+        made once, on first use.  The covers are sorted by source and then
+        by target, so every list comes out in the linear extension."""
+        if self._cover_lists is None:
+            upper, lower = {p: [] for p in self.points}, {p: [] for p in self.points}
+            for c, d in self._covers:
+                upper[c].append(d)
+                lower[d].append(c)
+            self._cover_lists = upper, lower
+        return self._cover_lists
 
     def identity_covers(self) -> frozenset:
         """The covers whose map is the identity, decided on first use."""
@@ -536,17 +530,11 @@ class PosetDiagram:
             return cached
         if not leq(c, d):
             raise InputError(f"{c!r} is not below {d!r} in the diagram")
-        if self._upper is None:
-            self._upper = {p: [] for p in self.points}
-            for x, y in self._covers:
-                self._upper[x].append(y)
-            position = {p: i for i, p in enumerate(self.points)}
-            for ups in self._upper.values():
-                ups.sort(key=position.__getitem__)
+        upper = self.cover_lists()[0]
         steps = []
         x = c
         while True:
-            nxt = next((y for y in self._upper[x] if leq(y, d)), None)
+            nxt = next((y for y in upper[x] if leq(y, d)), None)
             if nxt is None:
                 raise InputError(f"no covering chain from {x!r} to {d!r}")
             steps.append((x, nxt))
@@ -600,9 +588,7 @@ def validate_diagram(diagram: PosetDiagram) -> DiagramCheck:
                                 f"{(dims[d], dims[c])}", (c, d))
         if m.field is not field and m.field != field:
             return DiagramCheck(False, f"map {c!r} -> {d!r} is over the wrong field", (c, d))
-    upper = {p: [] for p in diagram.points}
-    for c, d in diagram.covers():
-        upper[c].append(d)
+    upper = diagram.cover_lists()[0]
     if diagram.product is not None:
         above = {p: set(ups) for p, ups in upper.items()}
         identities = diagram.identity_covers()
@@ -680,8 +666,8 @@ def diagram_colimit(diagram: PosetDiagram) -> tuple:
     injections = {}
     for p in diagram.points:
         o = offsets[p]
-        injections[p] = Matrix(field, [r[o:o + diagram.dims[p]] for r in q.rows],
-                               ncols=diagram.dims[p], _coerce=False)
+        injections[p] = Matrix._of_rows(field, [r[o:o + diagram.dims[p]] for r in q.rows],
+                                        diagram.dims[p])
     return q.nrows, injections
 
 
@@ -697,7 +683,7 @@ def kron(p: Matrix, q: Matrix) -> Matrix:
                 pij = p.rows[i][j]
                 row.extend(field.mul(pij, x) for x in q.rows[r])
             rows.append(row)
-    return Matrix(field, rows, ncols=p.ncols * q.ncols, _coerce=False)
+    return Matrix._of_rows(field, rows, p.ncols * q.ncols)
 
 
 def _vec(m: Matrix) -> list:
@@ -706,7 +692,7 @@ def _vec(m: Matrix) -> list:
 
 def _unvec(field, vec, nrows, ncols) -> Matrix:
     rows = [vec[i * ncols:(i + 1) * ncols] for i in range(nrows)]
-    return Matrix(field, rows, ncols=ncols, _coerce=False)
+    return Matrix._of_rows(field, rows, ncols)
 
 
 def _inverse(m: Matrix) -> Matrix:
@@ -733,9 +719,7 @@ def nat_basis(a: PosetDiagram, b: PosetDiagram) -> list:
     field = a.field
     _require_valid(a)
     _require_valid(b)
-    in_covers = {p: [] for p in a.points}
-    for c, d in a.covers():
-        in_covers[d].append(c)
+    in_covers = a.cover_lists()[1]
 
     free_offset = {}
     total = 0
@@ -764,7 +748,7 @@ def nat_basis(a: PosetDiagram, b: PosetDiagram) -> list:
                 row = [zero] * total
                 row[o + i] = field.one
                 rows.append(row)
-            expr[p] = Matrix(field, rows, ncols=total, _coerce=False)
+            expr[p] = Matrix._of_rows(field, rows, total)
             remaining = in_covers[p]
         else:
             c = propagate[p]
@@ -782,7 +766,7 @@ def nat_basis(a: PosetDiagram, b: PosetDiagram) -> list:
     if total == 0:
         # no parameters anywhere: the zero transformation is the whole space
         return []
-    system = Matrix(field, constraints, ncols=total, _coerce=False) if constraints \
+    system = Matrix._of_rows(field, constraints, total) if constraints \
         else Matrix.zeros(field, 0, total)
     kernel = kernel_basis(system)
     basis = []

@@ -17,8 +17,8 @@ from fractions import Fraction
 from typing import Callable
 
 from .errors import ConsistencyError, InputError
-from .extgrid import (CartesianSet, Point, as_point, as_product, critical_grid,
-                      grid_clamps, join_closure, leq, lex_strides, lt, sort_points)
+from .extgrid import (CartesianSet, Point, as_point, as_product, common_dim, critical_grid,
+                      grid_clamps, join, leq, lex_strides, lt, sort_points)
 from .grid_module import ExtendedView, GridModule, restrict_view
 from .determinacy import determined_closure, is_S_determined
 from .linalg import (Matrix, PosetDiagram, _require_valid, _vec, cokernel_projection,
@@ -113,15 +113,7 @@ class Presentation:
         return Matrix.zeros(self.field, self._gen_mult[b], self._rel_mult[d])
 
 
-# predecessor_colimit_map and _lower_covers serve no verb; perfbench/bench_trace.py binds the first
-def _lower_covers(diagram: PosetDiagram) -> dict:
-    """The lower covers of every point of the diagram."""
-    lower = {c: [] for c in diagram.points}
-    for p, c in diagram.covers():
-        lower[c].append(p)
-    return lower
-
-
+# no verb calls predecessor_colimit_map; perfbench/bench_trace.py binds it by name
 def predecessor_colimit_map(diagram: PosetDiagram, c: Point) -> Matrix:
     """Canonical map into c from the colimit over the strict downset of c.
 
@@ -136,7 +128,7 @@ def predecessor_colimit_map(diagram: PosetDiagram, c: Point) -> Matrix:
         raise InputError(f"{c!r} is not a point of the diagram")
     below = [p for p in diagram.points if lt(p, c)]
     colim_dim, injections = diagram_colimit(diagram.restrict_downclosed(below))
-    lower = _lower_covers(diagram)[c]
+    lower = diagram.cover_lists()[1][c]
     quotient = hstack(diagram.field, [injections[p] for p in lower], nrows=colim_dim)
     cone = hstack(diagram.field, [diagram.maps[(p, c)] for p in lower], nrows=diagram.dims[c])
     lam_t = solve(quotient.transpose(), cone.transpose())
@@ -170,7 +162,7 @@ def _generator_lifts(lam: Matrix) -> Matrix:
         row = list(zero_row)
         row[k] = field.one
         rows[j] = row
-    return Matrix(field, rows, ncols=len(free), _coerce=False)
+    return Matrix._of_rows(field, rows, len(free))
 
 
 def _onto(m: Matrix) -> bool:
@@ -255,7 +247,7 @@ def _walk(field, poset: tuple, new_columns: Callable, gens: list):
                 p, offset = source[g]
                 for row, src in zip(rows, (gens[g][1] if p is None else moved[p]).rows):
                     row.extend(src[offset:offset + mults[g]])
-            evs[x] = Matrix(field, rows, ncols=sum(mults[g] for g in order), _coerce=False)
+            evs[x] = Matrix._of_rows(field, rows, sum(mults[g] for g in order))
         return evs[c]
 
     for c, (pt, dim, covers) in enumerate(zip(points, dims, lower)):
@@ -360,8 +352,8 @@ def _scan(field, poset: tuple) -> tuple:
         relations.append((pt, len(chosen)))
         for g in order:
             offset, m = offsets[g], gens[g][1].ncols
-            seg = Matrix(field, [[col[offset + i] for col in chosen] for i in range(m)],
-                         ncols=len(chosen), _coerce=False)
+            seg = Matrix._of_rows(field, [[col[offset + i] for col in chosen] for i in range(m)],
+                                  len(chosen))
             if not seg.is_zero():
                 blocks[(pt, gens[g][0])] = seg
     return [(b, lift.ncols) for b, lift in gens], relations, blocks, dict(gens)
@@ -374,9 +366,7 @@ def _present_diagram(diagram: PosetDiagram) -> tuple:
     _require_valid(diagram)
     points, maps, identities = diagram.points, diagram.maps, diagram.identity_covers()
     index = {p: i for i, p in enumerate(points)}
-    lower = [[] for _ in points]
-    for p, c in diagram.covers():
-        lower[index[c]].append(index[p])
+    lower = [[index[p] for p in below] for below in diagram.cover_lists()[1].values()]
 
     def step(p, c):
         return maps[(points[p], points[c])]
@@ -514,7 +504,7 @@ def _relation_matrix(pres: Presentation, gens: list, rels: list) -> Matrix:
             for block, dm in parts:
                 row.extend(block.rows[i] if block is not None else (zero,) * dm)
             rows.append(row)
-    return Matrix(pres.field, rows, ncols=sum(m for _, m in rels), _coerce=False)
+    return Matrix._of_rows(pres.field, rows, sum(m for _, m in rels))
 
 
 def verify_presentation(view: ExtendedView, pres: Presentation) -> PresentationCheck:
@@ -689,9 +679,9 @@ def _hom_basis(pres: Presentation, dim: Callable, path: Callable) -> list:
                 rows[d][i * r + j][o:o + dim(b) * block.nrows] = [
                     field.mul(x, y) for x in nrow for y in bcol]
     equations = [row for d, _ in pres.relations for row in rows[d]]
-    kernel = kernel_basis(Matrix(field, equations, ncols=total, _coerce=False))
-    return [{b: Matrix(field, [v[offsets[b] + k * m:offsets[b] + (k + 1) * m]
-                               for k in range(dim(b))], ncols=m, _coerce=False)
+    kernel = kernel_basis(Matrix._of_rows(field, equations, total))
+    return [{b: Matrix._of_rows(field, [v[offsets[b] + k * m:offsets[b] + (k + 1) * m]
+                                        for k in range(dim(b))], m)
              for b, m in pres.generators}
             for v in kernel.columns()]
 
@@ -728,8 +718,7 @@ def _find_isomorphism(pres: Presentation, source: tuple, target: tuple, points,
 
     def ranks(flats):  # lazily, point by point
         for flat, (d, w) in zip(flats, shapes):
-            yield rank(Matrix(field, [flat[i * w:(i + 1) * w] for i in range(d)], ncols=w,
-                              _coerce=False))
+            yield rank(Matrix._of_rows(field, [flat[i * w:(i + 1) * w] for i in range(d)], w))
 
     def judge(coeffs):
         flats = ([field.dot(coeffs, col) for col in cols] for cols in carried)
@@ -783,10 +772,15 @@ def _find_isomorphism(pres: Presentation, source: tuple, target: tuple, points,
 
 
 def _require_join_closed(l) -> list:
+    """The lattice sorted, refused unless it is join-closed: a product is, and
+    any other set is tested pair by pair, up to the first join it misses."""
     pts = sort_points(l)
     if not pts:
         raise InputError("the lattice must be non-empty")
-    if join_closure(pts) != frozenset(pts):
+    common_dim(pts)
+    members = frozenset(pts)
+    if as_product(members) is None and any(join(p, q) not in members
+                                           for i, p in enumerate(pts) for q in pts[i + 1:]):
         raise InputError("the point set is not closed under joins")
     return pts
 

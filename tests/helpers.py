@@ -63,8 +63,7 @@ def matmul_by_field_methods(a: Matrix, b: Matrix) -> Matrix:
     if a.nrows == 0 or b.ncols == 0 or a.ncols == 0:
         return Matrix.zeros(a.field, a.nrows, b.ncols)
     cols = list(zip(*b.rows))
-    return Matrix(a.field, [[a.field.dot(r, c) for c in cols] for r in a.rows],
-                  ncols=b.ncols, _coerce=False)
+    return Matrix(a.field, [[a.field.dot(r, c) for c in cols] for r in a.rows], ncols=b.ncols)
 
 
 # ---------------------------------------------------------------------------
@@ -235,9 +234,9 @@ def diagram_limit(diagram: PosetDiagram) -> tuple:
             row[oc:oc + f.ncols] = f.rows[i]
             row[od + i] = field.sub(row[od + i], field.one)
             rows.append(row)
-    k = kernel_basis(Matrix(field, rows, ncols=total, _coerce=False))
+    k = kernel_basis(Matrix(field, rows, ncols=total))
     return k.ncols, {p: Matrix(field, k.rows[offsets[p]:offsets[p] + diagram.dims[p]],
-                               ncols=k.ncols, _coerce=False) for p in diagram.points}
+                               ncols=k.ncols) for p in diagram.points}
 
 
 def validate_module_by_diagram(module: GridModule):
@@ -435,7 +434,7 @@ def interval_module(field, box: Box, starts, ends) -> GridModule:
             cols_k = [k for k in range(k_count) if member(k, p)]
             rows = [[field.one if rk == ck else field.zero for ck in cols_k]
                     for rk in rows_k]
-            steps[(p, axis)] = Matrix(field, rows, ncols=len(cols_k), _coerce=False)
+            steps[(p, axis)] = Matrix(field, rows, ncols=len(cols_k))
     return GridModule(field, box, dims, steps)
 
 

@@ -535,6 +535,54 @@ class TestGridBound:
         assert code in (0, 1) and report["method"] == "oracle"
 
 
+def _one_point_module(tmp_path, k: int) -> tuple:
+    """Paths of a one-point F2 module with k parameters and of the k unit
+    points as its set, whose join closure has 2^k - 1 points."""
+    module = {"field": {"kind": "prime", "p": 2}, "n": k,
+              "box": {"a": [0] * k, "b": [0] * k}, "dims": [1], "maps": []}
+    paths = tmp_path / f"one_{k}.json", tmp_path / f"units_{k}.json"
+    paths[0].write_text(json.dumps(module), encoding="utf-8")
+    paths[1].write_text(json.dumps([[int(i == j) for j in range(k)] for i in range(k)]),
+                        encoding="utf-8")
+    return tuple(map(str, paths))
+
+
+class TestClosureBound:
+    """A join closure above ``extgrid.MAX_CLOSURE_POINTS`` points is refused
+    after the round that passes the bound; ``admissible`` refuses a set that
+    is not join-closed without building its closure."""
+
+    def test_twenty_unit_points_are_refused_at_once(self, tmp_path):
+        # the child's address space is capped, so a closure of 2^20 points
+        # that were built would end the child, not this process
+        import resource
+        from detmod.extgrid import MAX_CLOSURE_POINTS
+
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+        module, units = _one_point_module(tmp_path, 20)
+        encoding = tmp_path / "encoding.json"
+        encoding.write_text(json.dumps({"field": {"kind": "prime", "p": 2}, "n": 1,
+                                        "points": [[0]], "dims": [1], "maps": []}))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")])))
+        for argv in (["encode", module, "--set", units], ["present", module, "--set", units],
+                     ["births-deaths", module, "--set", units],
+                     ["verify", module, "--encoding", str(encoding), "--set", units],
+                     ["admissible", module, "--lattice", units]):
+            proc = subprocess.run([sys.executable, "-m", "detmod.cli", *argv], cwd=REPO, env=env,
+                                  capture_output=True, text=True, timeout=60, preexec_fn=cap)
+            assert_one_error_line(proc.returncode, proc.stdout, proc.stderr)
+            expected = "the point set is not closed under joins" if argv[0] == "admissible" \
+                else f"above the bound {MAX_CLOSURE_POINTS}"
+            assert proc.stderr.endswith(expected + "\n"), (argv[0], proc.stderr)
+
+    def test_twelve_unit_points_are_accepted(self, capsys, tmp_path):
+        module, units = _one_point_module(tmp_path, 12)
+        code, report = run_json(capsys, "births-deaths", module, "--set", units)
+        assert code == 0 and report["births"] and report["deaths"] == []
+
+
 class TestProject:
     def test_worked_values(self, capsys):
         code, payload = run_json(capsys, "project",

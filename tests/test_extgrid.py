@@ -111,6 +111,21 @@ class TestClosures:
     def test_sort_points_is_the_order_of_point_sort_key(self, points):
         assert sort_points(points) == sorted(set(points), key=point_sort_key)
 
+    def test_closure_bound(self):
+        """The k unit points have 2^k - 1 joins: 4,095 are accepted at k = 12,
+        and k = 13 is refused; a product is closed at any size."""
+        from detmod.extgrid import MAX_CLOSURE_POINTS
+
+        def units(k):
+            return [tuple(int(i == j) for j in range(k)) for i in range(k)]
+        assert len(join_closure(units(12))) == 4095 <= MAX_CLOSURE_POINTS
+        assert len(pointed_closure(units(12))) == 4096
+        with pytest.raises(InputError) as err:
+            join_closure(units(13))
+        assert str(err.value).endswith(f"points, above the bound {MAX_CLOSURE_POINTS}")
+        grid = CartesianSet((tuple(range(70)), tuple(range(70)))).points()
+        assert join_closure(grid) == grid
+
     def test_pointed_closure_singleton(self):
         assert pointed_closure([(1, 1)]) == {(1, 1), (NEG_INF, NEG_INF)}
 

@@ -36,11 +36,17 @@ class TestValidation:
         assert not check.ok
 
     def test_shape_mismatch_reported(self):
+        """A step of the wrong shape is refused when the module is built."""
         box = Box((0,), (1,))
-        check = validate_module(GridModule(F2, box, {(0,): 1, (1,): 2},
-                                           {((0,), 0): Matrix.identity(F2, 1)}))
-        assert not check.ok
-        assert "shape" in check.message
+        with pytest.raises(InputError) as err:
+            GridModule(F2, box, {(0,): 1, (1,): 2}, {((0,), 0): Matrix.identity(F2, 1)})
+        assert str(err.value) == "step at (0,) along axis 1 has shape (1, 1), expected (2, 1)"
+
+    def test_step_over_another_field_reported(self):
+        box = Box((0, 0), (1, 0))
+        with pytest.raises(InputError) as err:
+            GridModule(F2, box, {(0, 0): 1, (1, 0): 1}, {((0, 0), 0): Matrix.identity(F5, 1)})
+        assert str(err.value) == "step at (0, 0) along axis 1 is over the wrong field"
 
     def test_random_commutative_module_passes(self):
         rng = random.Random(5)

@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from detmod import (Box, CartesianSet, ExtendedView, InputError, Matrix, NEG_INF,
-                    PosetDiagram, QQ, cokernel_projection, diagrams_isomorphic, encode,
-                    hstack, is_invertible, join_closure, kernel_basis, leq,
-                    pointed_closure, poset_covers, rank, restrict_view, solve,
+                    PosetDiagram, PrimeField, QQ, RationalField, cokernel_projection,
+                    diagrams_isomorphic, hstack, is_invertible, join_closure, kernel_basis,
+                    leq, pointed_closure, poset_covers, rank, restrict_view, solve,
                     validate_diagram)
 from detmod.linalg import diagram_colimit, nat_basis
 from helpers import (F2, F5, all_cover_paths, canonical_set, diagram_limit,
@@ -24,6 +24,9 @@ from detmod import linalg
 from detmod.extgrid import as_product
 
 FIELDS = [F2, F5, QQ]
+# with a prime above 5, as the elimination scales each pivot row by the pivot's inverse
+KERNEL_FIELDS = [F2, F5, PrimeField(7), QQ]
+KERNEL_IDS = ["f2", "f5", "f7", "q"]
 
 
 def random_matrix(field, nrows, ncols, rng):
@@ -40,7 +43,7 @@ def matrices(draw, field):
                             max_size=nrows * ncols))
     rows = [[field.coerce(entries[i * ncols + j]) for j in range(ncols)]
             for i in range(nrows)]
-    return Matrix(field, rows, ncols=ncols, _coerce=False)
+    return Matrix(field, rows, ncols=ncols)
 
 
 class TestElimination:
@@ -136,14 +139,24 @@ class TestElimination:
             solve(Matrix(F2, [[1]]), Matrix(F2, [[1], [0]]))
 
     def test_internal_rows_kept_and_widths_checked(self):
+        """``_of_rows`` keeps a tuple row as the same object and makes a
+        tuple of any other row; ``Matrix`` coerces and checks the widths."""
         row = (1, 2)
-        assert Matrix(F5, [row, [3, 4]], _coerce=False).rows == ((1, 2), (3, 4))
-        assert Matrix(F5, [row], _coerce=False).rows[0] is row
-        for coerce in (True, False):
-            with pytest.raises(InputError, match="ragged"):
-                Matrix(F5, [(1, 2), (3,)], _coerce=coerce)
-            with pytest.raises(InputError, match="expected 3"):
-                Matrix(F5, [(1, 2)], ncols=3, _coerce=coerce)
+        internal = Matrix._of_rows(F5, [row, [3, 4]], 2)
+        assert internal.rows == ((1, 2), (3, 4)) and internal.rows[0] is row
+        assert type(internal.rows[1]) is tuple and internal.shape == (2, 2)
+        assert Matrix(F5, [[6, -1]]).rows == ((1, 4),)
+        assert Matrix(QQ, [[1, "1/2"]]).rows == ((Fraction(1), Fraction(1, 2)),)
+        with pytest.raises(InputError, match="ragged"):
+            Matrix(F5, [(1, 2), (3,)])
+        with pytest.raises(InputError, match="expected 3"):
+            Matrix(F5, [(1, 2)], ncols=3)
+
+    def test_rational_field_is_one_value(self):
+        assert RationalField() == QQ and hash(RationalField()) == hash(QQ)
+        assert repr(QQ) == "RationalField()"
+        assert QQ != PrimeField(2) and PrimeField(2) != QQ
+        assert len({QQ, RationalField(), PrimeField(2), F2}) == 2
 
     @pytest.mark.parametrize("field", FIELDS, ids=["f2", "f5", "q"])
     def test_is_identity(self, field):
@@ -176,14 +189,14 @@ def kernel_matrix(rng, field, nrows, ncols, rank_at_most=None, big=False):
         if rng.random() < 0.15:
             for r in rows:
                 r[j] = field.zero
-    return Matrix(field, rows, ncols=ncols, _coerce=False)
+    return Matrix(field, rows, ncols=ncols)
 
 
 @st.composite
 def kernel_inputs(draw):
     """Two multipliable matrices over F2, F5 or Q, 0 to 5 on each side, with
     rational denominators up to 10^6; shapes 0 x k and k x 0 included."""
-    field = draw(st.sampled_from(FIELDS))
+    field = draw(st.sampled_from(KERNEL_FIELDS))
     n, k, m = (draw(st.integers(0, 5)) for _ in range(3))
     entry = st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6), st.integers(1, 10 ** 6)) \
         if field.kind == "rational" else st.integers(0, field.p - 1)
@@ -256,7 +269,7 @@ class TestIntegerRowKernel:
             assert all(type(x) is Fraction for out in got if out is not None
                        for r in out.rows for x in r)
 
-    @pytest.mark.parametrize("field", FIELDS, ids=["f2", "f5", "q"])
+    @pytest.mark.parametrize("field", KERNEL_FIELDS, ids=KERNEL_IDS)
     def test_seeded(self, field):
         rng = random.Random(2501 + (field.p if field.kind == "prime" else 0))
         for trial in range(300):
@@ -266,7 +279,7 @@ class TestIntegerRowKernel:
             b = kernel_matrix(rng, field, k, m, rank_at_most=rng.randint(0, 3), big=big)
             self.assert_agrees(a, b)
 
-    @pytest.mark.parametrize("field", FIELDS, ids=["f2", "f5", "q"])
+    @pytest.mark.parametrize("field", KERNEL_FIELDS, ids=KERNEL_IDS)
     def test_edge_shapes(self, field):
         for n, k, m in [(0, 0, 0), (0, 3, 2), (3, 0, 2), (2, 3, 0), (1, 1, 1)]:
             self.assert_agrees(Matrix.zeros(field, n, k), Matrix.zeros(field, k, m))
@@ -276,7 +289,7 @@ class TestIntegerRowKernel:
             a = Matrix(field, [[big, 1 / big, 0], [0, 0, 0], [-big, 0, Fraction(1, 999_999)]])
             self.assert_agrees(a, a)
 
-    @pytest.mark.parametrize("field", FIELDS, ids=["f2", "f5", "q"])
+    @pytest.mark.parametrize("field", KERNEL_FIELDS, ids=KERNEL_IDS)
     def test_reduced_rank_deficient(self, field):
         """Zero rows, a rank below both sides, and an augmented part that is
         inconsistent past ``pivot_limit``: ``solve`` finds no solution."""
@@ -369,10 +382,7 @@ class TestPathMap:
 
     @pytest.mark.parametrize("field", FIELDS, ids=["f2", "f5", "q"])
     def test_matches_composites_along_every_cover_path(self, field):
-        rng = random.Random(31)
-        for _ in range(4):
-            view = ExtendedView(random_module(field, rng))
-            enc = encode(view, canonical_set(view.module))
+        for enc in _encodings(field, random.Random(31), 6):
             for c in enc.points:
                 for d in enc.points:
                     if not leq(c, d):
@@ -382,6 +392,31 @@ class TestPathMap:
                         for x, y in zip(path, path[1:]):
                             mat = enc.maps[(x, y)] @ mat
                         assert enc.path_map(c, d) == mat, (c, d, path)
+
+    @pytest.mark.parametrize("field", FIELDS, ids=["f2", "f5", "q"])
+    def test_cover_lists_are_read_off_the_covers_in_order(self, field):
+        """Each point's upper and lower covers are those read off ``covers()``,
+        in the linear extension, on products and on other closures."""
+        for enc in _encodings(field, random.Random(35), 12):
+            upper, lower = enc.cover_lists()
+            assert list(upper) == list(lower) == list(enc.points)
+            for p in enc.points:
+                assert upper[p] == [d for c, d in enc.covers() if c == p]
+                assert lower[p] == [c for c, d in enc.covers() if d == p]
+                assert upper[p] == sorted(upper[p]) and lower[p] == sorted(lower[p])
+
+
+def _encodings(field, rng, count: int) -> list:
+    """Encodings of seeded modules on the pointed closures of their canonical
+    sets (products) and of random sets with a point in the box (mostly not)."""
+    encodings = []
+    for trial in range(count):
+        view = ExtendedView(random_module(field, rng))
+        s = canonical_set(view.module) if trial % 3 == 0 else \
+            random_point_set(rng, 2, max_size=4) | {view.box.a}
+        encodings.append(restrict_view(view, pointed_closure(s)))
+    assert {enc.product is None for enc in encodings} == {True, False}
+    return encodings
 
 
 class TestPosetCovers:

@@ -28,7 +28,7 @@ from detmod.extgrid import as_product
 from detmod import canonical_grid, linalg
 from detmod import presentation as presentation_module
 from detmod.presentation import (_cokernel_module, _generator_lifts, _hom_basis,
-                                 _present_diagram, present_diagram)
+                                 _present_diagram, _require_join_closed, present_diagram)
 
 BOTTOM = (NEG_INF, NEG_INF)
 UNIT_SET = frozenset(ext_box(Box((1, 1), (1, 1))).points())
@@ -267,9 +267,9 @@ class TestGeneratorLifts:
 
     def test_one_elimination_and_none_without_columns(self, monkeypatch):
         """One pivots-only elimination of lam transposed, and no matrix built
-        but the lifts."""
+        but the lifts, by either constructor."""
         calls, built = [], []
-        pivot_columns, init = linalg.pivot_columns, Matrix.__init__
+        pivot_columns, init, of_rows = linalg.pivot_columns, Matrix.__init__, Matrix._of_rows
 
         def counted(field, rows, ncols):
             calls.append((len(rows), ncols))
@@ -278,9 +278,14 @@ class TestGeneratorLifts:
         def counted_init(self, *args, **kwargs):
             built.append(self)
             init(self, *args, **kwargs)
+
+        def counted_of_rows(*args):
+            built.append(of_rows(*args))
+            return built[-1]
         lam = Matrix(F2, [[1, 0], [1, 0], [0, 1]])
         monkeypatch.setattr("detmod.presentation.pivot_columns", counted)
         monkeypatch.setattr(Matrix, "__init__", counted_init)
+        monkeypatch.setattr(Matrix, "_of_rows", staticmethod(counted_of_rows))
         lifts = _generator_lifts(lam)
         assert built == [lifts]
         assert lifts == Matrix(F2, [[1], [0], [0]])
@@ -1378,6 +1383,23 @@ class TestAdmissibility:
             with pytest.raises(InputError) as exc:
                 is_admissible(module, lattice)
             assert str(exc.value).startswith(message), (lattice, str(exc.value))
+
+
+    def test_closedness_pair_by_pair_matches_the_closure(self):
+        """The lattice test, pair by pair, agrees with comparing the set with
+        its join closure."""
+        rng = random.Random(1170)
+        sets = [random_point_set(rng, 1 + trial % 3, max_size=6) for trial in range(90)]
+        sets = [s for s in sets if s]
+        expected = [join_closure(s) == s for s in sets]
+        got = []
+        for s in sets:
+            try:
+                got.append(_require_join_closed(s) == sorted(s))
+            except InputError as exc:
+                assert str(exc) == "the point set is not closed under joins"
+                got.append(False)
+        assert got == expected and set(expected) == {True, False}
 
 
 def _admissibility_box(rng, nparams):
