@@ -10,9 +10,6 @@ copying data.
 
 from __future__ import annotations
 
-import itertools
-import math
-from fractions import Fraction
 from operator import mul, sub
 from typing import Callable
 
@@ -65,7 +62,7 @@ class GridModule:
                                  f"expected {expected}")
             if mat.field != field:
                 raise InputError(f"step at {p!r} along axis {axis + 1} is over the wrong field")
-            step_rows[index[p] * n + axis] = _integer_rows(mat)
+            step_rows[index[p] * n + axis] = mat._integer_rows()
         self._fill(field, box, dims, index, step_rows)
 
     @classmethod
@@ -102,15 +99,8 @@ class GridModule:
             given = self.step_rows.get(key)
             if given is None:
                 return None
-            rows, den = given
-            if rows:
-                ncols = len(rows[0])
-            else:  # no rows: the width is the dimension at the source
-                ncols = next(itertools.islice(self.dims.values(), key // self.box.dim, None))
-            if self.field.kind == "rational":
-                rows = [tuple(map(Fraction, r)) if den == 1
-                        else tuple([Fraction(x, den) for x in r]) for r in rows]
-            mat = self._mats[key] = Matrix._of_rows(self.field, rows, ncols)
+            ncols = self._layout()[0][key // self.box.dim]  # the dimension at the source
+            mat = self._mats[key] = Matrix._of_integer_rows(self.field, *given, ncols)
         return mat
 
     def step(self, p: Point, axis: int) -> Matrix:
@@ -192,16 +182,6 @@ class GridModule:
                                               or values[x + stride]):
                     return False
         return True
-
-
-def _integer_rows(mat: Matrix) -> tuple:
-    """A matrix as integer rows over one positive denominator, as
-    ``GridModule.step_rows`` keeps a step: a list of its own row tuples over
-    1 on F_p, and over the least common denominator on Q."""
-    if mat.field.kind == "prime":
-        return list(mat.rows), 1
-    den = math.lcm(*(x.denominator for r in mat.rows for x in r))
-    return [tuple([x.numerator * (den // x.denominator) for x in r]) for r in mat.rows], den
 
 
 def _composite(outer: tuple, inner: tuple) -> tuple:
@@ -378,9 +358,9 @@ def window_module(field, window: Box, table: Callable[[Point], int]) -> PosetDia
         if isinstance(d, bool) or not isinstance(d, int) or d < 0:
             raise InputError(f"table value {d!r} at {p!r} is not a dimension")
         dims[p] = d
-    diagram = PosetDiagram(field, grid, dims, {})  # the covers of other dimensions map by zero
-    diagram.maps.update(((c, d), Matrix.identity(field, dims[c]))
-                        for c, d in diagram.covers() if dims[c] == dims[d])
+    # the covers of other dimensions map by zero
+    diagram = PosetDiagram(field, grid, dims, {(c, d): Matrix.identity(field, dims[c])
+                                               for c, d in grid.covers() if dims[c] == dims[d]})
     check = validate_diagram(diagram)
     if not check:
         raise InputError(f"window table is not functorial: {check.message} at {check.square!r}")

@@ -14,7 +14,7 @@ from itertools import chain
 from json.encoder import encode_basestring_ascii as _escape
 
 from .errors import InputError
-from .extgrid import Box, NEG_INF, Point, as_point, point_sort_key
+from .extgrid import Box, NEG_INF, Point, as_point
 from .determinacy import DeterminacyReport
 from .grid_module import GridModule
 from .linalg import Matrix, PosetDiagram, PrimeField, RationalField
@@ -88,14 +88,9 @@ def _check_shape(obj, shape: tuple) -> None:
             raise InputError(f"matrix has shape ({len(obj)}, ...), expected {shape}")
 
 
-def matrix_from_json(field, obj, shape: tuple) -> Matrix:
-    _check_shape(obj, shape)
-    try:
-        return Matrix._of_rows(field, field.coerce_rows(obj), shape[1])
-    except InputError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"invalid matrix entry: {exc}") from exc
+def matrix_from_json(field, obj, shape: tuple, tokens: dict) -> Matrix:
+    """A diagram's or presentation's matrix, decoded as a step is."""
+    return Matrix._of_integer_rows(field, *step_from_json(field, obj, shape, tokens), shape[1])
 
 
 def _rational(field, x) -> tuple:
@@ -120,8 +115,8 @@ def step_from_json(field, obj, shape: tuple, tokens: dict) -> tuple:
     :class:`GridModule` keeps: the reduced rows over 1 on F_p, and on Q
     integer rows over their least common denominator.  An int stays an int,
     and ``tokens`` holds every string entry of the same file read so far,
-    as :func:`_rational` reads it, so each is parsed once per file.  The
-    shape and error texts are those of :func:`matrix_from_json`."""
+    as :func:`_rational` reads it, so each is parsed once per file.  Every
+    matrix of every file kind is decoded here."""
     _check_shape(obj, shape)
     if set(map(type, chain.from_iterable(obj))) <= {int}:  # plain ints, as most are written
         if field.kind == "prime":
@@ -129,7 +124,7 @@ def step_from_json(field, obj, shape: tuple, tokens: dict) -> tuple:
         return list(map(tuple, obj)), 1
     try:
         if field.kind == "prime":
-            return field.coerce_rows(obj), 1
+            return [tuple(map(field.coerce, r)) for r in obj], 1
         parsed = []
         for r in obj:
             row = []
@@ -152,20 +147,22 @@ def step_from_json(field, obj, shape: tuple, tokens: dict) -> tuple:
             for r in parsed], den
 
 
-# the walks make d x d matrices, so a larger dimension is refused at once
-MAX_DIM = 4096
+# the walks eliminate d x d matrices, so the work a file declares is the sum
+# of the cubes of its dimensions; two points of dimension 512 are the most
+MAX_WORK = 2 * 512 ** 3
 
 
 def _dim_list(obj) -> list:
     if not isinstance(obj, list):
         raise InputError("dims must be a JSON array")
-    if {*map(type, obj)} <= {int} and 0 <= min(obj, default=0) and max(obj, default=0) <= MAX_DIM:
-        return obj
-    for d in obj:
-        if isinstance(d, bool) or not isinstance(d, int) or d < 0:
-            raise InputError(f"invalid dimension {d!r}")
-        if d > MAX_DIM:
-            raise InputError(f"dimension {d} exceeds the bound {MAX_DIM}")
+    if not ({*map(type, obj)} <= {int} and 0 <= min(obj, default=0)):
+        for d in obj:
+            if isinstance(d, bool) or not isinstance(d, int) or d < 0:
+                raise InputError(f"invalid dimension {d!r}")
+    work = sum([d * d * d for d in obj])
+    if work > MAX_WORK:
+        raise InputError(f"the dimensions declare work {work} (the sum of their cubes), "
+                         f"above the bound {MAX_WORK}")
     return obj
 
 
@@ -193,7 +190,7 @@ def module_to_json(module: GridModule) -> dict:
     maps = []
     for key in sorted(module.step_rows):  # the order of (point, axis)
         step = module.flat_step(key)
-        if step.nrows == 0 or step.ncols == 0 or step.is_zero():
+        if step.is_zero():
             continue
         x, axis = divmod(key, n)
         maps.append({"from": list(pts[x]), "axis": axis + 1, "matrix": matrix_to_json(step)})
@@ -258,7 +255,7 @@ def diagram_to_json(diagram: PosetDiagram) -> dict:
     maps = []
     for c, d in diagram.covers():
         m = diagram.maps[(c, d)]
-        if m.nrows == 0 or m.ncols == 0 or m.is_zero():
+        if m.is_zero():
             continue
         maps.append({"from": encode_point(c), "to": encode_point(d),
                      "matrix": matrix_to_json(m)})
@@ -282,32 +279,28 @@ def diagram_from_json(obj) -> PosetDiagram:
     n = obj.get("n")
     if any(len(p) != n for p in points):
         raise InputError(f"declared dimension {n!r} does not match the points")
-    if len(set(points)) != len(points):
-        raise InputError("duplicate diagram points")
     dims_list = _dim_list(obj.get("dims"))
     if len(dims_list) != len(points):
         raise InputError("dims and points have different lengths")
-    dims = dict(zip(points, dims_list))
-    # the diagram derives its covers, and the given maps replace its zero maps
-    diagram = PosetDiagram(field, points, dims, {})
-    cover_set, maps = set(diagram.covers()), {}
+    dims, maps, tokens = dict(zip(points, dims_list)), {}, {}
     for entry in _array(obj, "maps"):
         if not isinstance(entry, dict):
             raise InputError(f"invalid map entry {entry!r}")
         c = decode_point(entry.get("from"), dim=n)
         d = decode_point(entry.get("to"), dim=n)
-        if (c, d) not in cover_set:
+        if c not in dims or d not in dims:  # the matrix's shape is read off the points
             raise InputError(f"map {c!r} -> {d!r} is not a covering pair of the points")
         if (c, d) in maps:
             raise InputError(f"duplicate map {c!r} -> {d!r}")
-        maps[(c, d)] = matrix_from_json(field, entry.get("matrix"), (dims[d], dims[c]))
-    diagram.maps.update(maps)
-    return diagram
+        maps[(c, d)] = matrix_from_json(field, entry.get("matrix"), (dims[d], dims[c]), tokens)
+    # the diagram derives its covers, refuses duplicate points and a map off a
+    # cover, and maps each cover left out by zero
+    return PosetDiagram(field, points, dims, maps)
 
 
 def presentation_to_json(pres: Presentation) -> dict:
     blocks = []
-    for (d, b) in sorted(pres.blocks, key=lambda k: (point_sort_key(k[0]), point_sort_key(k[1]))):
+    for (d, b) in sorted(pres.blocks):
         blocks.append({"relation": encode_point(d), "generator": encode_point(b),
                        "block": matrix_to_json(pres.blocks[(d, b)])})
     out = {
@@ -320,7 +313,7 @@ def presentation_to_json(pres: Presentation) -> dict:
     if pres.generator_images is not None:
         out["generator_images"] = [
             {"point": encode_point(b), "images": matrix_to_json(pres.generator_images[b])}
-            for b in sorted(pres.generator_images, key=point_sort_key)]
+            for b in sorted(pres.generator_images)]
     return out
 
 
@@ -341,15 +334,13 @@ def presentation_from_json(obj) -> Presentation:
             if type(mult) is not int or mult < 1:
                 raise InputError(f"multiplicity at {pt!r} must be a positive integer")
             out.append((pt, mult))
-        if len({p for p, _ in out}) != len(out):
-            raise InputError(f"duplicate {label} points")
-        return tuple(sorted(out, key=lambda e: point_sort_key(e[0])))
+        return tuple(sorted(out))  # Presentation refuses a point listed twice
 
     generators = read_graded(_array(obj, "generators"), "generator")
     relations = read_graded(_array(obj, "relations"), "relation")
     gen_mult = dict(generators)
     rel_mult = dict(relations)
-    blocks = {}
+    blocks, tokens = {}, {}
     for entry in _array(obj, "rel_matrix"):
         if not isinstance(entry, dict):
             raise InputError(f"invalid rel_matrix entry {entry!r}")
@@ -359,7 +350,8 @@ def presentation_from_json(obj) -> Presentation:
             raise InputError(f"rel_matrix block ({d!r}, {b!r}) has no matching points")
         if (d, b) in blocks:
             raise InputError(f"duplicate rel_matrix block ({d!r}, {b!r})")
-        blocks[(d, b)] = matrix_from_json(field, entry.get("block"), (gen_mult[b], rel_mult[d]))
+        blocks[(d, b)] = matrix_from_json(field, entry.get("block"), (gen_mult[b], rel_mult[d]),
+                                         tokens)
     images = None
     if "generator_images" in obj:
         images = {}
@@ -373,7 +365,7 @@ def presentation_from_json(obj) -> Presentation:
                 raise InputError(f"duplicate generator image at {b!r}")
             rows = entry["images"]
             nrows = len(rows) if isinstance(rows, list) else 0
-            images[b] = matrix_from_json(field, rows, (nrows, gen_mult[b]))
+            images[b] = matrix_from_json(field, rows, (nrows, gen_mult[b]), tokens)
     return Presentation(field, n, generators, relations, blocks, generator_images=images)
 
 
@@ -398,7 +390,7 @@ def determinacy_report_to_json(report: DeterminacyReport) -> dict:
 def birth_death_to_json(report: BirthDeathReport) -> dict:
     def table(entries):
         return [{"point": encode_point(p), "multiplicity": entries[p]}
-                for p in sorted(entries, key=point_sort_key)]
+                for p in sorted(entries)]
     return {"births": table(report.births), "deaths": table(report.deaths)}
 
 

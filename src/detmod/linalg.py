@@ -10,6 +10,7 @@ used anywhere.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -55,12 +56,6 @@ class PrimeField:
             raise InputError(f"cannot coerce {x!r} into F_{self.p}")
         return x % self.p
 
-    def coerce_rows(self, rows) -> list:
-        """Rows of entries as tuples of field elements: a plain int is reduced
-        at once, anything else goes through :meth:`coerce`."""
-        p, coerce = self.p, self.coerce
-        return [tuple([x % p if type(x) is int else coerce(x) for x in r]) for r in rows]
-
     def add(self, a, b):
         return (a + b) % self.p
 
@@ -93,10 +88,6 @@ class RationalField:
             except (ValueError, ZeroDivisionError) as exc:
                 raise InputError(f"cannot parse rational {x!r}") from exc
         raise InputError(f"cannot coerce {x!r} into Q")
-
-    def coerce_rows(self, rows) -> list:
-        coerce = self.coerce
-        return [tuple([Fraction(x) if type(x) is int else coerce(x) for x in r]) for r in rows]
 
     def add(self, a, b):
         return a + b
@@ -149,7 +140,7 @@ class Matrix:
         self.field = field
         self.nrows = len(rows)
         self.ncols = ncols
-        self.rows = tuple(field.coerce_rows(rows))
+        self.rows = tuple([tuple(map(field.coerce, r)) for r in rows])
 
     @classmethod
     def _of_rows(cls, field, rows: list, ncols: int) -> "Matrix":
@@ -160,6 +151,24 @@ class Matrix:
         m.field, m.nrows, m.ncols = field, len(rows), ncols
         m.rows = tuple([r if type(r) is tuple else tuple(r) for r in rows])
         return m
+
+    @classmethod
+    def _of_integer_rows(cls, field, rows: list, den: int, ncols: int) -> "Matrix":
+        """A matrix from integer rows over one denominator, as files decode
+        and modules keep them: over F_p the rows, over Q entry / ``den``."""
+        if field.kind == "rational":
+            rows = [tuple(map(Fraction, r)) if den == 1
+                    else tuple([Fraction(x, den) for x in r]) for r in rows]
+        return cls._of_rows(field, rows, ncols)
+
+    def _integer_rows(self) -> tuple:
+        """``(rows, den)``, the inverse of :meth:`_of_integer_rows`: over Q
+        the entries times their least common denominator ``den``."""
+        if self.field.kind == "prime":
+            return list(self.rows), 1
+        den = math.lcm(*(x.denominator for r in self.rows for x in r))
+        return [tuple([x.numerator * (den // x.denominator) for x in r])
+                for r in self.rows], den
 
     @classmethod
     def zeros(cls, field, nrows: int, ncols: int) -> "Matrix":
@@ -203,10 +212,6 @@ class Matrix:
         if self.nrows == 0 or self.ncols == 0:
             return Matrix.zeros(self.field, self.ncols, self.nrows)
         return Matrix._of_rows(self.field, list(zip(*self.rows)), self.nrows)
-
-    def scale(self, c) -> "Matrix":
-        f = self.field
-        return Matrix._of_rows(f, [[f.mul(c, x) for x in row] for row in self.rows], self.ncols)
 
     def __add__(self, other: "Matrix") -> "Matrix":
         if self.field != other.field or self.shape != other.shape:
@@ -477,19 +482,13 @@ class PosetDiagram:
         if callable(maps):
             self.maps = {(c, d): maps(c, d) for c, d in self._covers}
         else:
-            cover_set, self.maps = set(self._covers), {}
-            for key, mat in maps.items():
-                if key not in cover_set:
-                    raise InputError(f"map given for non-covering pair {key!r}")
-                self.maps[key] = mat
-            zeros = {}
-            for c, d in self._covers:
-                if (c, d) not in self.maps:
-                    shape = (self.dims[d], self.dims[c])
-                    mat = zeros.get(shape)
-                    if mat is None:
-                        mat = zeros[shape] = Matrix.zeros(field, *shape)
-                    self.maps[(c, d)] = mat
+            cover_set = set(self._covers)
+            for c, d in maps:
+                if (c, d) not in cover_set:
+                    raise InputError(f"map {c!r} -> {d!r} is not a covering pair of the points")
+            zero = functools.cache(lambda shape: Matrix.zeros(field, *shape))
+            self.maps = {(c, d): maps[(c, d)] if (c, d) in maps
+                         else zero((self.dims[d], self.dims[c])) for c, d in self._covers}
         self._identities = None
         self._path_cache = {}
         self._cover_lists = None

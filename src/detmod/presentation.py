@@ -724,11 +724,9 @@ def _find_isomorphism(pres: Presentation, source: tuple, target: tuple, points,
         flats = ([field.dot(coeffs, col) for col in cols] for cols in carried)
         if any(r != d for r, (d, _) in zip(ranks(flats), shapes)):
             return None
-        images = {b: Matrix.zeros(field, dim(b), m) for b, m in pres.generators}
-        for c, h in zip(coeffs, basis):
-            for b in images:
-                images[b] = images[b] + h[b].scale(c)
-        return images
+        return {b: Matrix._of_rows(field, [[field.dot(coeffs, entries) for entries in zip(*rows)]
+                                           for rows in zip(*(h[b].rows for h in basis))], m)
+                for b, m in pres.generators}
 
     k, full = len(basis), sum(d for d, _ in shapes)
     alone = [sum(ranks([col[i] for col in cols] for cols in carried)) for i in range(k)]

@@ -481,12 +481,13 @@ class TestAdmissible:
 
 
 class TestDimensionBound:
-    """A dimension above ``io.MAX_DIM`` is refused by both readers, at once."""
+    """A file whose dimensions declare more work than ``io.MAX_WORK`` (the
+    sum of their cubes) is refused by both readers, at once."""
 
     @pytest.mark.parametrize("verb", ["validate", "births-deaths"])
     @pytest.mark.parametrize("kind", ["module", "diagram"])
     def test_huge_dimension_is_refused(self, capsys, tmp_path, verb, kind):
-        from detmod.io import MAX_DIM
+        from detmod.io import MAX_WORK
         if kind == "module":
             obj = {"field": {"kind": "prime", "p": 2}, "n": 2,
                    "box": {"a": [0, 0], "b": [1, 1]}, "dims": [1, 10 ** 30, 0, 0]}
@@ -497,16 +498,45 @@ class TestDimensionBound:
         path.write_text(json.dumps(obj), encoding="utf-8")
         code, out, err = run(capsys, verb, str(path))
         assert code == 2 and out == ""
-        assert err == f"detmod: error: dimension {10 ** 30} exceeds the bound {MAX_DIM}\n"
+        work = sum(d ** 3 for d in obj["dims"])
+        assert err == (f"detmod: error: the dimensions declare work {work} (the sum "
+                       f"of their cubes), above the bound {MAX_WORK}\n")
 
     def test_the_bound_is_accepted(self, capsys, tmp_path):
-        from detmod.io import MAX_DIM
+        from detmod.io import MAX_WORK
         obj = {"field": {"kind": "prime", "p": 2}, "n": 1, "box": {"a": [0], "b": [1]},
-               "dims": [MAX_DIM, 0]}
+               "dims": [512, 512]}
+        assert 2 * 512 ** 3 == MAX_WORK
         path = tmp_path / "bound.json"
         path.write_text(json.dumps(obj), encoding="utf-8")
         code, payload = run_json(capsys, "validate", str(path))
         assert code == 0 and payload == {"ok": True}
+
+    @pytest.mark.parametrize("kind, verb", [("module", "births-deaths"), ("module", "present"),
+                                            ("diagram", "births-deaths")])
+    def test_no_walk_past_the_bound(self, capsys, tmp_path, monkeypatch, kind, verb):
+        """Two points of dimension 1024 and a left-out step between them:
+        the walk would eliminate 1024 x 1024 matrices, and it never starts."""
+        import detmod.presentation as presentation
+        from detmod.io import MAX_WORK
+
+        def no_walk(*args, **kwargs):
+            raise AssertionError("walked a file above the work bound")
+        monkeypatch.setattr(presentation, "_walk", no_walk)
+        if kind == "module":
+            obj = {"field": {"kind": "prime", "p": 2}, "n": 1, "box": {"a": [0], "b": [1]},
+                   "dims": [1024, 1024]}
+        else:
+            obj = {"field": {"kind": "prime", "p": 2}, "n": 1,
+                   "points": [[0], [1]], "dims": [1024, 1024], "maps": []}
+        path = tmp_path / "large.json"
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        args = [verb, str(path)] + (["--out", str(tmp_path / "out.json")]
+                                    if verb == "present" else [])
+        code, out, err = run(capsys, *args)
+        assert code == 2 and out == ""
+        assert err == (f"detmod: error: the dimensions declare work {2 * 1024 ** 3} (the sum "
+                       f"of their cubes), above the bound {MAX_WORK}\n")
 
 
 class TestGridBound:

@@ -1,13 +1,14 @@
 """Determinacy deciders: fast method, oracle, canonical map, encodings."""
 
+import itertools
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from detmod import (QQ, Box, ExtendedView, GridModule, InputError, Matrix, NEG_INF,
-                    NotDeterminedError, PosetDiagram, check_encoding, critical_grid,
+from detmod import (QQ, Box, CartesianSet, ExtendedView, GridModule, InputError, Matrix,
+                    NEG_INF, NotDeterminedError, PosetDiagram, check_encoding, critical_grid,
                     default_oracle_window, encode, ext_box, is_S_determined,
                     is_S_determined_oracle, is_invertible, leq, pointed_closure,
                     poset_covers, sort_points)
@@ -211,6 +212,41 @@ class TestSettledSlabs:
             verdicts["holds" if report.holds else "fails"] += 1
         assert all(verdicts.values()), verdicts
         assert calls
+
+
+class TestProductSetForms:
+    """A set given as a :class:`CartesianSet` and as a frozenset of the same
+    points gets the same report, including products that lack -inf on an
+    axis, whose axis points the deciders must not assume."""
+
+    @staticmethod
+    def view():
+        # a 2 x 2 F2 module, every dimension 1: identity steps along axis 2,
+        # the steps along axis 1 left out (zero)
+        box = Box((0, 0), (1, 1))
+        one = Matrix(F2, [[1]])
+        return ExtendedView(GridModule(F2, box, {p: 1 for p in box.integer_points()},
+                                       {((0, 0), 1): one, ((1, 0), 1): one}))
+
+    def test_factor_without_the_bottom(self):
+        view = self.view()
+        s = CartesianSet(((NEG_INF, 0, 1), (0, 1)))
+        report = is_S_determined(view, s)
+        assert report.holds is False and report.witness == ((0, NEG_INF), (1, NEG_INF))
+        assert is_S_determined(view, frozenset(s)) == report
+
+    def test_every_product_subset_in_both_forms(self):
+        view = self.view()
+        coords = (NEG_INF, 0, 1)
+        factors = [f for k in range(1, 4) for f in itertools.combinations(coords, k)]
+        verdicts = set()
+        for f1 in factors:
+            for f2 in factors:
+                s = CartesianSet((f1, f2))
+                report = is_S_determined(view, s)
+                assert is_S_determined(view, frozenset(s)) == report, (f1, f2)
+                verdicts.add(report.holds)
+        assert verdicts == {True, False}
 
 
 class TestCornerRule:

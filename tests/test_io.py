@@ -75,12 +75,12 @@ class TestFieldSpec:
 
 class TestMatrix:
     def test_rational_strings(self):
-        m = matrix_from_json(QQ, [["1/2", 1]], (1, 2))
+        m = matrix_from_json(QQ, [["1/2", 1]], (1, 2), {})
         assert m.rows[0][0] * 2 == 1
 
     def test_shape_checked(self):
         with pytest.raises(InputError):
-            matrix_from_json(F2, [[1, 0]], (2, 2))
+            matrix_from_json(F2, [[1, 0]], (2, 2), {})
 
 
 class TestModuleRoundtrip:

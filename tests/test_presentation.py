@@ -1162,6 +1162,83 @@ class TestHomFromPresentation:
         assert linalg.diagrams_isomorphic(conjugated, diagram) is True
 
 
+class TestTrialPhase:
+    """A pair of F2 modules on [0, 3] that only the trial phase of the
+    isomorphism search decides.  Both have dims 1, 1, 3, 2; A steps from 1
+    by (0, 1, 0) and from 2 by [[1, 0, 1], [1, 1, 0]], B by (1, 1, 0) and
+    [[1, 0, 1], [0, 1, 1]].  Hom out of A's presentation into B has a basis
+    of 6 maps, the greedy pass over them misses an isomorphism, and the four
+    Hom dimensions agree, so the search goes on to try combinations."""
+
+    @staticmethod
+    def pair() -> tuple:
+        box = Box((0,), (3,))
+        dims = {(0,): 1, (1,): 1, (2,): 3, (3,): 2}
+
+        def view(one, two):
+            return ExtendedView(GridModule(F2, box, dims, {((1,), 0): Matrix(F2, one),
+                                                           ((2,), 0): Matrix(F2, two)}))
+        return (view([[0], [1], [0]], [[1, 0, 1], [1, 1, 0]]),
+                view([[1], [1], [0]], [[1, 0, 1], [0, 1, 1]]))
+
+    def search(self, monkeypatch, exhaustive: int, trials: int) -> tuple:
+        """The key-less verify of A's presentation against B, and
+        ``check_encoding`` of A's encoding against B, under these budgets,
+        each with the sizes of the Hom bases it found."""
+        monkeypatch.setattr(presentation_module, "EXHAUSTIVE_LIMIT", exhaustive)
+        monkeypatch.setattr(presentation_module, "RANDOM_TRIALS", trials)
+        sizes, hom_basis = [], _hom_basis
+
+        def counted(*args):
+            basis = hom_basis(*args)
+            sizes.append(len(basis))
+            return basis
+        monkeypatch.setattr(presentation_module, "_hom_basis", counted)
+        a, b = self.pair()
+        s = canonical_set(a.module)
+        assert sorted(s) == [(NEG_INF,), (1,), (2,), (3,)]
+        bare = dataclasses.replace(build_presentation(a, s), generator_images=None)
+        out = [verify_presentation(b, bare), list(sizes)]
+        sizes.clear()
+        out += [check_encoding(b, s, encode(a, s)), list(sizes)]
+        return tuple(out)
+
+    def test_the_exhaustive_phase_finds_the_isomorphism(self, monkeypatch):
+        # no seeded trial: 2^6 combinations are tried, and one is an isomorphism
+        check, sizes, encoded, encoded_sizes = self.search(monkeypatch, 4096, 0)
+        assert check.ok is True
+        assert sizes == encoded_sizes == [6, 6, 6, 6]  # the basis, then the three certificates
+        assert encoded is True
+
+    def test_seeded_trials_find_it_without_the_exhaustive_phase(self, monkeypatch):
+        check, _, encoded, _ = self.search(monkeypatch, 0, 1500)
+        assert check.ok is True and encoded is True
+
+    def test_no_trials_is_inconclusive(self, monkeypatch, tmp_path, capsys):
+        from detmod import io as dio
+        from detmod.cli import main
+
+        check, sizes, encoded, _ = self.search(monkeypatch, 0, 0)
+        assert check.ok is None and check.point is None
+        assert check.reason == "the isomorphism search ran out of trials"
+        assert sizes == [6, 6, 6, 6] and encoded is None
+        a, b = self.pair()
+        s = canonical_set(a.module)
+        files = {"b": dio.module_to_json(b.module),
+                 "set": [dio.encode_point(p) for p in sorted(s)],
+                 "pres": dio.presentation_to_json(build_presentation(a, s)),
+                 "enc": dio.diagram_to_json(encode(a, s))}
+        del files["pres"]["generator_images"]
+        for name, obj in files.items():
+            (tmp_path / f"{name}.json").write_text(json.dumps(obj), encoding="utf-8")
+        path = {name: str(tmp_path / f"{name}.json") for name in files}
+        for argv in (["--presentation", path["pres"]],
+                     ["--encoding", path["enc"], "--set", path["set"]]):
+            code = main(["verify", path["b"]] + argv)
+            out = capsys.readouterr().out
+            assert code == 3 and json.loads(out)["ok"] is None
+
+
 class TestFreeCoverComparison:
     def test_colimit_comparison_iso_at_critical_points_when_determined(self):
         # the induced map from the colimit over the set's downset part is an
