@@ -10,13 +10,11 @@ copying data.
 
 from __future__ import annotations
 
-from operator import mul, sub
 from typing import Callable
 
 from .errors import InputError
 from .extgrid import Box, CartesianSet, Point, NEG_INF, extended_projection, leq
-from .linalg import (DiagramCheck, Matrix, PosetDiagram, full_row_rank, identity_rows,
-                     validate_diagram)
+from .linalg import DiagramCheck, Matrix, PosetDiagram, full_row_rank, validate_diagram
 
 
 class GridModule:
@@ -25,17 +23,13 @@ class GridModule:
     ``dims`` maps every integer point of the box, in lexicographic order, to
     a dimension.  A step is the move from a point to ``point + e_axis``, kept
     by its flat index ``x * n + axis``, where x is the point's place in
-    ``box.integer_points()``.  ``step_rows`` holds each given step, and no
-    other, as ``(rows, den)``: integer rows over one positive denominator,
-    the rows themselves over F_p (den 1) and the rows times their least
-    common denominator over Q.  That is the form the square check
-    multiplies.  ``identities`` holds the flat index of each given step that
-    is the identity, decided once from its rows, on first use.
-    :meth:`flat_step` and :meth:`step` make a step's :class:`Matrix` on
-    first use and keep it; a step the input leaves out is the zero matrix of
-    the forced shape, one shared (immutable) matrix per shape.  A step of
-    another shape, or over another field, is refused when the module is
-    built.  Axes are 0-based here (the file format is 1-based).
+    ``box.integer_points()``.  ``given`` holds the :class:`Matrix` of each
+    given step, and no other, by flat index.  ``identities`` holds the flat
+    index of each given step that is the identity, decided once, on first
+    use.  :meth:`step` reads a step; a step the input leaves out is the zero
+    matrix of the forced shape, one shared (immutable) matrix per shape.  A
+    step of another shape, or over another field, is refused when the
+    module is built.  Axes are 0-based here (the file format is 1-based).
     """
 
     def __init__(self, field, box: Box, dims: dict, steps: dict):
@@ -52,7 +46,7 @@ class GridModule:
             if isinstance(d, bool) or not isinstance(d, int) or d < 0:
                 raise InputError(f"invalid dimension {d!r} at {p!r}")
         index, n, top = dict(zip(pts, range(len(pts)))), box.dim, box.b
-        step_rows = {}
+        given = {}
         for (p, axis), mat in steps.items():
             if not (p in index and 0 <= axis < n and p[axis] < top[axis]):
                 raise InputError(f"step at {p!r} along axis {axis} leaves the box")
@@ -62,53 +56,40 @@ class GridModule:
                                  f"expected {expected}")
             if mat.field != field:
                 raise InputError(f"step at {p!r} along axis {axis + 1} is over the wrong field")
-            step_rows[index[p] * n + axis] = mat._integer_rows()
-        self._fill(field, box, dims, index, step_rows)
+            given[index[p] * n + axis] = mat
+        self._fill(field, box, dims, index, given)
 
     @classmethod
-    def _checked(cls, field, box: Box, dims: dict, index: dict, step_rows: dict):
+    def _checked(cls, field, box: Box, dims: dict, index: dict, given: dict):
         """A module from data the caller has checked as ``__init__`` does:
         ``dims`` on the box points in order and each a dimension, ``index``
-        the place of each box point in that order, ``step_rows`` the given
+        the place of each box point in that order, ``given`` the given
         steps by flat index, each inside the box, of its forced shape and
         over ``field``."""
         module = cls.__new__(cls)
-        module._fill(field, box, dims, index, step_rows)
+        module._fill(field, box, dims, index, given)
         return module
 
-    def _fill(self, field, box, dims, index, step_rows):
+    def _fill(self, field, box, dims, index, given):
         self.field = field
         self.box = box
         self.dims = dims
-        self.step_rows = step_rows
+        self.given = given
         self._index = index
         self._layout_cache = None
         self._identities = None
-        self._mats = {}
         self._zero = {}
         self._validated = None
 
     def _step_target(self, p: Point, axis: int) -> Point:
         return p[:axis] + (p[axis] + 1,) + p[axis + 1:]
 
-    def flat_step(self, key: int) -> Matrix | None:
-        """The matrix of the given step at flat index ``key``, made from its
-        rows on first use, or ``None`` when the input leaves that step out."""
-        mat = self._mats.get(key)
-        if mat is None:
-            given = self.step_rows.get(key)
-            if given is None:
-                return None
-            ncols = self._layout()[0][key // self.box.dim]  # the dimension at the source
-            mat = self._mats[key] = Matrix._of_integer_rows(self.field, *given, ncols)
-        return mat
-
     def step(self, p: Point, axis: int) -> Matrix:
         x = self._index.get(p)
         if x is not None:
-            key = x * self.box.dim + axis
-            if key in self.step_rows:
-                return self.flat_step(key)
+            mat = self.given.get(x * self.box.dim + axis)
+            if mat is not None:
+                return mat
         shape = (self.dims[self._step_target(p, axis)], self.dims[p])
         mat = self._zero.get(shape)
         if mat is None:
@@ -123,15 +104,10 @@ class GridModule:
 
     @property
     def identities(self) -> set:
-        """The flat indices of the given steps that are the identity: square
-        over their source, over denominator 1, with the identity's rows.
-        Decided once, on first use, so a module that is only loaded pays
-        nothing."""
+        """The flat indices of the given steps that are the identity, decided
+        once, on first use, so a module that is only loaded pays nothing."""
         if self._identities is None:
-            values, n = self._layout()[0], self.box.dim
-            self._identities = {key for key, (rows, den) in self.step_rows.items()
-                                if den == 1 and len(rows) == values[key // n]
-                                and rows == identity_rows(len(rows))}
+            self._identities = {key for key, m in self.given.items() if m.is_identity()}
         return self._identities
 
     def is_identity_step(self, p: Point, axis: int) -> bool:
@@ -143,21 +119,21 @@ class GridModule:
         key = x * self.box.dim + axis
         if key in self.identities:
             return True
-        if key in self.step_rows:
+        if key in self.given:
             return False
         values, strides = self._layout()
         return not values[x] and not values[x + strides[axis]]
 
     def is_onto_step(self, p: Point, axis: int) -> bool:
         """Whether the step from the box point ``p`` along ``axis`` is onto,
-        with no :class:`Matrix` made: a given step whose integer rows have
-        full row rank, a left-out one when its target is a zero space."""
+        with no :class:`Matrix` made: a given step of full row rank, a
+        left-out one when its target is a zero space."""
         x = self._index[p]
         values, strides = self._layout()
-        given = self.step_rows.get(x * self.box.dim + axis)
+        given = self.given.get(x * self.box.dim + axis)
         if given is None:
             return not values[x + strides[axis]]
-        return full_row_rank(self.field, given[0], values[x])
+        return full_row_rank(self.field, given.rows, given.ncols)
 
     def is_invertible_step(self, p: Point, axis: int) -> bool:
         """Whether the step from the box point ``p`` along ``axis`` is
@@ -174,7 +150,7 @@ class GridModule:
         values, strides = self._layout()
         n, stride, lo = len(strides), strides[axis], self.box.a[axis]
         block = stride * (self.box.b[axis] - lo + 1)
-        identities, given = self.identities, self.step_rows
+        identities, given = self.identities, self.given
         for o in range((t - lo) * stride, len(values), block):
             for x in range(o, o + stride):
                 key = x * n + axis
@@ -182,27 +158,6 @@ class GridModule:
                                               or values[x + stride]):
                     return False
         return True
-
-
-def _composite(outer: tuple, inner: tuple) -> tuple:
-    """The product of two steps given as (integer rows, denominator),
-    unreduced, as its entries in row-major order over a denominator."""
-    (a, da), (b, db) = outer, inner
-    cols = list(zip(*b))
-    return [sum(map(mul, r, col)) for r in a for col in cols], da * db
-
-
-def _composites_agree(left, right, p: int) -> bool:
-    """Equality of two composites, each (entries, denominator) or ``None``
-    for the zero map: mod p over F_p (``p`` > 0), and by cross-multiplying
-    the denominators over Q (``p`` = 0)."""
-    if left is None or right is None:
-        entries = (left or right)[0]
-        return not any(map(p.__rmod__, entries)) if p else not any(entries)
-    (a, da), (b, db) = left, right
-    if p:
-        return not any(map(p.__rmod__, map(sub, a, b)))
-    return a == b if da == db else list(map(db.__mul__, a)) == list(map(da.__mul__, b))
 
 
 def validate_module(module: GridModule) -> DiagramCheck:
@@ -219,16 +174,13 @@ def validate_module(module: GridModule) -> DiagramCheck:
     without a product when c or its top corner has dimension zero, or when
     its four steps are identities.  A composite through a zero-dimensional
     corner or a left-out step is zero, so at most one product is formed
-    then.  Products are made on the stored integer rows, with no
-    :class:`Matrix`: over F_p the two sides are compared mod p unreduced,
-    and over Q cross-multiplied by their denominators.
+    then, and compared with zero.
     """
     if module._validated is True:
         return DiagramCheck(True)
-    dims, given, field, identities = module.dims, module.step_rows, module.field, module.identities
+    dims, given, identities = module.dims, module.given, module.identities
     n, top, strides = module.box.dim, module.box.b, module.box.strides()
     pts, values = list(dims), list(dims.values())
-    prime = field.p if field.kind == "prime" else 0
     # both composites of a square out of a point with no step given are zero,
     # and a box of one axis has no square; c + e_a is at x + strides[a]
     for x in sorted({key // n for key in given}) if n > 1 else ():
@@ -249,9 +201,11 @@ def validate_module(module: GridModule) -> DiagramCheck:
                 up_i = c_j and given.get(xj * n + i)
                 c_i = values[xi] and given.get(x * n + i)
                 up_j = c_i and given.get(xi * n + j)
-                left = _composite(up_i, c_j) if up_i else None
-                right = _composite(up_j, c_i) if up_j else None
-                if (left or right) and not _composites_agree(left, right, prime):
+                if up_i and up_j:
+                    commutes = up_i @ c_j == up_j @ c_i
+                else:  # a composite through a left-out step is zero
+                    commutes = not (up_i or up_j) or (up_i @ c_j if up_i else up_j @ c_i).is_zero()
+                if not commutes:
                     return DiagramCheck(False, "square does not commute",
                                         (c, pts[xj], pts[xi], pts[xe]))
     module._validated = True

@@ -9,7 +9,6 @@ order so that identical inputs produce identical bytes.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _escape
 
@@ -66,15 +65,16 @@ def field_from_json(obj) -> object:
     raise InputError(f"unknown field kind {obj['kind']!r}")
 
 
-def _entry_to_json(field, x):
-    if isinstance(field, PrimeField):
-        return x
-    frac = Fraction(x)
-    return int(frac) if frac.denominator == 1 else f"{frac.numerator}/{frac.denominator}"
+def _ratio_text(x: int, den: int):
+    """x / den in lowest terms: an int, or the string "p/q"."""
+    g = math.gcd(x, den)
+    return x // g if g == den else f"{x // g}/{den // g}"
 
 
 def matrix_to_json(m: Matrix) -> list:
-    return [[_entry_to_json(m.field, x) for x in row] for row in m.rows]
+    if m.den == 1:
+        return [list(row) for row in m.rows]
+    return [[_ratio_text(x, m.den) for x in row] for row in m.rows]
 
 
 def _check_shape(obj, shape: tuple) -> None:
@@ -86,11 +86,6 @@ def _check_shape(obj, shape: tuple) -> None:
             raise InputError(f"invalid matrix {obj!r}")
         if len(obj) != nrows or any(len(r) != ncols for r in obj):
             raise InputError(f"matrix has shape ({len(obj)}, ...), expected {shape}")
-
-
-def matrix_from_json(field, obj, shape: tuple, tokens: dict) -> Matrix:
-    """A diagram's or presentation's matrix, decoded as a step is."""
-    return Matrix._of_integer_rows(field, *step_from_json(field, obj, shape, tokens), shape[1])
 
 
 def _rational(field, x) -> tuple:
@@ -110,21 +105,23 @@ def _rational(field, x) -> tuple:
     return frac.numerator, frac.denominator
 
 
-def step_from_json(field, obj, shape: tuple, tokens: dict) -> tuple:
-    """A step's matrix from a module file as ``(rows, den)``, the form
-    :class:`GridModule` keeps: the reduced rows over 1 on F_p, and on Q
-    integer rows over their least common denominator.  An int stays an int,
-    and ``tokens`` holds every string entry of the same file read so far,
-    as :func:`_rational` reads it, so each is parsed once per file.  Every
-    matrix of every file kind is decoded here."""
+def matrix_from_json(field, obj, shape: tuple, tokens: dict) -> Matrix:
+    """A matrix of ``shape`` from a file, decoded straight into the integer
+    form of :class:`Matrix`: the reduced rows over 1 on F_p, and on Q integer
+    rows over their least common denominator, which is in lowest terms.  An
+    int stays an int, and ``tokens`` holds every string entry of the same
+    file read so far, as :func:`_rational` reads it, so each is parsed once
+    per file.  Every matrix of every file kind is decoded here."""
     _check_shape(obj, shape)
     if set(map(type, chain.from_iterable(obj))) <= {int}:  # plain ints, as most are written
         if field.kind == "prime":
-            return [tuple(map(field.p.__rmod__, r)) for r in obj], 1
-        return list(map(tuple, obj)), 1
+            return Matrix._of_rows(field, tuple([tuple(map(field.p.__rmod__, r)) for r in obj]),
+                                   shape[1])
+        return Matrix._of_rows(field, tuple(map(tuple, obj)), shape[1])
     try:
         if field.kind == "prime":
-            return [tuple(map(field.coerce, r)) for r in obj], 1
+            return Matrix._of_rows(field, tuple([tuple(map(field.coerce, r)) for r in obj]),
+                                   shape[1])
         parsed = []
         for r in obj:
             row = []
@@ -143,8 +140,8 @@ def step_from_json(field, obj, shape: tuple, tokens: dict) -> tuple:
     except (TypeError, ValueError) as exc:
         raise InputError(f"invalid matrix entry: {exc}") from exc
     den = math.lcm(*{x[1] for r in parsed for x in r if type(x) is tuple})
-    return [tuple([x * den if type(x) is int else x[0] * (den // x[1]) for x in r])
-            for r in parsed], den
+    return Matrix._of_rows(field, tuple([tuple([x * den if type(x) is int else x[0] * (den // x[1])
+                                                for x in r]) for r in parsed]), shape[1], den)
 
 
 # the walks eliminate d x d matrices, so the work a file declares is the sum
@@ -188,8 +185,8 @@ def box_to_json(box: Box) -> dict:
 def module_to_json(module: GridModule) -> dict:
     pts, n = list(module.dims), module.box.dim
     maps = []
-    for key in sorted(module.step_rows):  # the order of (point, axis)
-        step = module.flat_step(key)
+    for key in sorted(module.given):  # the order of (point, axis)
+        step = module.given[key]
         if step.is_zero():
             continue
         x, axis = divmod(key, n)
@@ -208,9 +205,9 @@ def module_from_json(obj) -> GridModule:
 
     Each entry's source is looked up among the box points, which gives its
     flat index (see :class:`GridModule`), and its matrix is decoded straight
-    into the integer rows the module keeps (:func:`step_from_json`), with no
-    :class:`Matrix`.  The checks are those of ``GridModule.__init__``, with
-    the loader's own messages, and are not made again.
+    into the integer form of :class:`Matrix` (:func:`matrix_from_json`).
+    The checks are those of ``GridModule.__init__``, with the loader's own
+    messages, and are not made again.
     """
     if not isinstance(obj, dict):
         raise InputError("module file must contain a JSON object")
@@ -246,8 +243,8 @@ def module_from_json(obj) -> GridModule:
         key = x * n + axis
         if key in given:
             raise InputError(f"duplicate map at {p!r} along axis {axis + 1}")
-        given[key] = step_from_json(field, entry.get("matrix"),
-                                    (dims_list[x + strides[axis]], dims_list[x]), tokens)
+        given[key] = matrix_from_json(field, entry.get("matrix"),
+                                      (dims_list[x + strides[axis]], dims_list[x]), tokens)
     return GridModule._checked(field, box, dict(zip(pts, dims_list)), index, given)
 
 
@@ -334,7 +331,9 @@ def presentation_from_json(obj) -> Presentation:
             if type(mult) is not int or mult < 1:
                 raise InputError(f"multiplicity at {pt!r} must be a positive integer")
             out.append((pt, mult))
-        return tuple(sorted(out))  # Presentation refuses a point listed twice
+        if len({pt for pt, _ in out}) != len(out):  # before a block is read at it
+            raise InputError("a generator or relation point is listed twice")
+        return tuple(sorted(out))
 
     generators = read_graded(_array(obj, "generators"), "generator")
     relations = read_graded(_array(obj, "relations"), "relation")

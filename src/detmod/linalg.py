@@ -1,6 +1,7 @@
 """Exact linear algebra over prime fields and the rationals.
 
-Matrices are dense, immutable, and carry their field.  On top of them sit
+Matrices are dense, immutable, and carry their field; they keep integer
+rows over one denominator (:class:`Matrix`).  On top of them sit
 finite poset diagrams of vector spaces with commutativity validation.
 Verdicts elsewhere in the package come from explicit maps checked with
 ranks and products; :func:`diagrams_isomorphic` searches the maps out of a
@@ -108,26 +109,33 @@ QQ = RationalField()
 _IDENTITY_ROWS = {}
 
 
-def identity_rows(n: int) -> list:
-    """The n x n identity as a list of integer row tuples, made once per n.
-    Entries of either field compare equal to these integers."""
+def identity_rows(n: int) -> tuple:
+    """The n x n identity as a tuple of integer row tuples, made once per n."""
     rows = _IDENTITY_ROWS.get(n)
     if rows is None:
-        rows = _IDENTITY_ROWS[n] = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+        rows = _IDENTITY_ROWS[n] = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
     return rows
 
 
 class Matrix:
-    """Immutable dense matrix over an exact field.
+    """Immutable dense matrix over an exact field, kept in one integer form.
+
+    ``rows`` holds tuples of ints over one positive denominator ``den``:
+    over F_p the entries as residues in [0, p) and ``den`` 1; over Q the
+    entries times ``den``, in lowest terms (the gcd of ``den`` and every
+    entry is 1, so a zero matrix has ``den`` 1).  Two matrices are thus
+    equal exactly when their rows and denominators are.  ``Matrix(field,
+    rows)`` takes rows of field elements, and :meth:`entries` gives them
+    back, for code that does field arithmetic on entries.
 
     Zero-dimensional shapes (0 x k and k x 0) are first-class citizens; most
     of the package's maps into or out of zero spaces go through them.
     """
 
-    __slots__ = ("field", "nrows", "ncols", "rows")
+    __slots__ = ("field", "nrows", "ncols", "rows", "den")
 
     def __init__(self, field, rows, ncols: int | None = None):
-        rows = [tuple(r) for r in rows]
+        rows = [tuple(map(field.coerce, r)) for r in rows]
         if rows:
             width = len(rows[0])
             if any(len(r) != width for r in rows):
@@ -137,48 +145,56 @@ class Matrix:
             ncols = width
         elif ncols is None:
             raise InputError("a matrix with zero rows needs an explicit column count")
-        self.field = field
-        self.nrows = len(rows)
-        self.ncols = ncols
-        self.rows = tuple([tuple(map(field.coerce, r)) for r in rows])
+        self.field, self.nrows, self.ncols = field, len(rows), ncols
+        self.rows, self.den = _integer_form(field, rows)
 
     @classmethod
-    def _of_rows(cls, field, rows: list, ncols: int) -> "Matrix":
-        """A matrix from the package's own rows of field elements, each
-        ``ncols`` wide: a tuple row is kept, any other made a tuple, and
-        nothing is checked."""
+    def _of_rows(cls, field, rows: list, ncols: int, den: int = 1) -> "Matrix":
+        """A matrix from integer rows over ``den``, each ``ncols`` wide and
+        already in the normal form: a tuple of tuples is kept as it is, any
+        other rows are made one, and nothing is checked."""
         m = cls.__new__(cls)
-        m.field, m.nrows, m.ncols = field, len(rows), ncols
-        m.rows = tuple([r if type(r) is tuple else tuple(r) for r in rows])
+        m.field, m.nrows, m.ncols, m.den = field, len(rows), ncols, den
+        m.rows = rows if type(rows) is tuple else tuple([r if type(r) is tuple else tuple(r)
+                                                         for r in rows])
         return m
 
     @classmethod
-    def _of_integer_rows(cls, field, rows: list, den: int, ncols: int) -> "Matrix":
-        """A matrix from integer rows over one denominator, as files decode
-        and modules keep them: over F_p the rows, over Q entry / ``den``."""
-        if field.kind == "rational":
-            rows = [tuple(map(Fraction, r)) if den == 1
-                    else tuple([Fraction(x, den) for x in r]) for r in rows]
-        return cls._of_rows(field, rows, ncols)
+    def _reduced(cls, field, rows: list, ncols: int, den: int = 1) -> "Matrix":
+        """A matrix from any integer rows over ``den`` > 0, brought to the
+        normal form: each entry taken mod p over F_p (where ``den`` is 1),
+        and over Q the rows and ``den`` divided by their gcd."""
+        if field.kind == "prime":
+            p = field.p
+            rows = [tuple([x % p for x in r]) for r in rows]
+        elif den > 1:
+            g = math.gcd(den, *itertools.chain.from_iterable(rows))
+            if g > 1:
+                rows, den = [tuple([x // g for x in r]) for r in rows], den // g
+        return cls._of_rows(field, rows, ncols, den)
 
-    def _integer_rows(self) -> tuple:
-        """``(rows, den)``, the inverse of :meth:`_of_integer_rows`: over Q
-        the entries times their least common denominator ``den``."""
+    @classmethod
+    def _of_entries(cls, field, rows: list, ncols: int) -> "Matrix":
+        """A matrix from rows of field elements made by field arithmetic,
+        each ``ncols`` wide and unchecked: the inverse of :meth:`entries`."""
+        rows, den = _integer_form(field, rows)
+        return cls._of_rows(field, rows, ncols, den)
+
+    def entries(self) -> tuple:
+        """The rows as field elements: over F_p the rows themselves, over Q
+        one :class:`Fraction` per entry."""
         if self.field.kind == "prime":
-            return list(self.rows), 1
-        den = math.lcm(*(x.denominator for r in self.rows for x in r))
-        return [tuple([x.numerator * (den // x.denominator) for x in r])
-                for r in self.rows], den
+            return self.rows
+        den = self.den
+        return tuple([tuple([Fraction(x, den) for x in r]) for r in self.rows])
 
     @classmethod
     def zeros(cls, field, nrows: int, ncols: int) -> "Matrix":
-        z = field.zero
-        return cls._of_rows(field, [(z,) * ncols for _ in range(nrows)], ncols)
+        return cls._of_rows(field, ((0,) * ncols,) * nrows, ncols)
 
     @classmethod
     def identity(cls, field, n: int) -> "Matrix":
-        z, o = field.zero, field.one
-        return cls._of_rows(field, [(z,) * i + (o,) + (z,) * (n - 1 - i) for i in range(n)], n)
+        return cls._of_rows(field, identity_rows(n), n)
 
     @classmethod
     def from_columns(cls, field, columns: Iterable, nrows: int) -> "Matrix":
@@ -195,14 +211,14 @@ class Matrix:
         return (self.nrows, self.ncols)
 
     def is_zero(self) -> bool:
-        z = self.field.zero
-        return all(x == z for r in self.rows for x in r)
+        return not any(map(any, self.rows))
 
     def is_identity(self) -> bool:
         n = self.nrows
-        return n == self.ncols and list(self.rows) == identity_rows(n)
+        return n == self.ncols and self.den == 1 and self.rows == identity_rows(n)
 
     def column(self, j: int) -> tuple:
+        """Column ``j`` of the integer rows, over ``den``."""
         return tuple(r[j] for r in self.rows)
 
     def columns(self) -> list:
@@ -211,88 +227,94 @@ class Matrix:
     def transpose(self) -> "Matrix":
         if self.nrows == 0 or self.ncols == 0:
             return Matrix.zeros(self.field, self.ncols, self.nrows)
-        return Matrix._of_rows(self.field, list(zip(*self.rows)), self.nrows)
+        return Matrix._of_rows(self.field, list(zip(*self.rows)), self.nrows, self.den)
 
     def __add__(self, other: "Matrix") -> "Matrix":
         if self.field != other.field or self.shape != other.shape:
             raise InputError(f"shape mismatch {self.shape} + {other.shape}")
-        f = self.field
-        return Matrix._of_rows(f, [[f.add(x, y) for x, y in zip(r, s)]
-                                   for r, s in zip(self.rows, other.rows)],
-                               self.ncols)
+        (a, b), den = over_one_den([self, other])
+        return Matrix._reduced(self.field, [[x + y for x, y in zip(r, s)] for r, s in zip(a, b)],
+                               self.ncols, den)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
-        """The product on integer rows: over F_p each entry is one sum of
-        products taken mod p; over Q each row of ``self`` and each column of
-        ``other`` is cleared to integers over its own denominator, and each
-        entry is one :class:`Fraction` of an integer sum."""
+        """The product of the integer rows, each entry one sum of products:
+        taken mod p over F_p, and over Q over the product of the two
+        denominators, divided by the gcd (:meth:`_reduced`)."""
         field = self.field
-        if field != other.field:
+        if other.field is not field and other.field != field:
             raise InputError("field mismatch in matrix product")
         if self.ncols != other.nrows:
             raise InputError(f"shape mismatch {self.shape} @ {other.shape}")
-        if self.nrows == 0 or other.ncols == 0 or self.ncols == 0:
+        if not self.ncols:  # no rows in other to read the columns from
             return Matrix.zeros(field, self.nrows, other.ncols)
+        cols = list(zip(*other.rows))
         if field.kind == "prime":
             p = field.p
-            cols = list(zip(*other.rows))
-            rows = [tuple([sum(map(mul, r, c)) % p for c in cols]) for r in self.rows]
-        else:
-            cols = [_cleared(c) for c in zip(*other.rows)]
-            rows = []
-            for r in self.rows:
-                r, dr = _cleared(r)
-                rows.append(tuple([Fraction(sum(map(mul, r, c))) if dr * dc == 1
-                                   else Fraction(sum(map(mul, r, c)), dr * dc)
-                                   for c, dc in cols]))
-        return Matrix._of_rows(field, rows, other.ncols)
+            return Matrix._of_rows(field, tuple([tuple([sum(map(mul, r, c)) % p for c in cols])
+                                                 for r in self.rows]), other.ncols)
+        return Matrix._reduced(field, [tuple([sum(map(mul, r, c)) for c in cols])
+                                       for r in self.rows], other.ncols, self.den * other.den)
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, Matrix) and self.field == other.field
-                and self.shape == other.shape and self.rows == other.rows)
+        return (isinstance(other, Matrix) and self.rows == other.rows and self.den == other.den
+                and self.ncols == other.ncols
+                and (self.field is other.field or self.field == other.field))
 
     def __repr__(self):
         return f"Matrix({self.nrows}x{self.ncols} over {self.field!r})"
+
+
+def _integer_form(field, rows: list) -> tuple:
+    """``(rows, den)`` of rows of field elements: over Q the entries times
+    their least common denominator, which is then in lowest terms."""
+    if field.kind == "prime":
+        return tuple(map(tuple, rows)), 1
+    den = math.lcm(*[x.denominator for r in rows for x in r])
+    return tuple([tuple([x.numerator * (den // x.denominator) for x in r]) for r in rows]), den
+
+
+def over_one_den(mats: list) -> tuple:
+    """The rows of each matrix over one denominator, the least common
+    multiple of theirs: ``(rows of each matrix, den)``.  Matrices in the
+    normal form, put side by side or stacked whole, are in it again; a part
+    of their entries may not be (:meth:`Matrix._reduced`)."""
+    den = math.lcm(*[m.den for m in mats])
+    return [m.rows if m.den == den else [tuple([x * (den // m.den) for x in r]) for r in m.rows]
+            for m in mats], den
 
 
 def hstack(field, mats: list, nrows: int) -> Matrix:
     for m in mats:
         if m.nrows != nrows:
             raise InputError("row count mismatch in hstack")
-    rows = [tuple(itertools.chain.from_iterable(m.rows[i] for m in mats)) for i in range(nrows)]
-    return Matrix._of_rows(field, rows, sum(m.ncols for m in mats))
-
-
-def _cleared(vector) -> tuple:
-    """A vector of rationals as (integer entries, denominator): the entries
-    times their least common denominator, and that denominator."""
-    pairs = [x.as_integer_ratio() for x in vector]
-    den = math.lcm(*[q for _, q in pairs])
-    if den == 1:
-        return [n for n, _ in pairs], 1
-    return [n * (den // q) for n, q in pairs], den
+    parts, den = over_one_den(mats)
+    rows = [tuple(itertools.chain.from_iterable(part[i] for part in parts)) for i in range(nrows)]
+    return Matrix._of_rows(field, rows, sum(m.ncols for m in mats), den)
 
 
 def _echelon(field, rows, ncols, pivot_limit=None, reduce=True):
-    """Reduced row echelon form on integer rows; returns (rows, pivot columns).
+    """Reduced row echelon form on integer rows; returns (rows, pivot
+    columns, den).
 
     Over F_p each pivot row is scaled to pivot 1 when its pivot is chosen
     (one inverse per pivot that is not 1), and entry b of a row is cleared
     by row - b * pivot row on residues, one ``%`` per entry (a XOR over
-    F_2).  Over Q, on rows cleared of denominators, entry b is cleared
-    against pivot a by a * row - b * pivot row, and each new row divided by
-    the gcd of its entries.  With ``reduce`` false only rows below a pivot
-    are cleared, and the rows returned are ``None``.  Otherwise rows above
-    it are cleared too, and over Q one pass divides each row of the rank by
-    its pivot, each entry one ``Fraction``.  Later rows keep integer entries
-    up to a non-zero factor.
+    F_2).  Over Q, on the integer rows of a matrix (its denominator does not
+    change the row space), entry b is cleared against pivot a by a * row -
+    b * pivot row, and each new row divided by the gcd of its entries
+    (fraction-free, as Bareiss 1968).  With ``reduce`` false only rows below
+    a pivot are cleared, the rows returned are ``None`` and ``den`` is 1.
+    Otherwise rows above it are cleared too, and each row of the rank is
+    scaled so that its pivot is ``den``, the least common multiple of the
+    pivots (1 over F_p): those rows over ``den`` are the reduced rows.
+    Later rows keep integer entries up to a non-zero factor.
     """
     if pivot_limit is None:
         pivot_limit = ncols
     nrows = len(rows)
     prime = field.p if field.kind == "prime" else 0
     # rows are replaced, never changed in place, so the given ones are shared
-    rows = list(rows) if prime else [_cleared(row)[0] for row in rows]
+    rows = list(rows)
     pivots = []
     r = 0
     for c in range(pivot_limit):
@@ -324,18 +346,21 @@ def _echelon(field, rows, ncols, pivot_limit=None, reduce=True):
                 rows[i] = [x // g for x in new] if g > 1 else new
         pivots.append(c)
         r += 1
-    if reduce and not prime:
+    den = 1
+    if reduce and not prime and pivots:
+        den = math.lcm(*[rows[k][c] for k, c in enumerate(pivots)])
         for k, c in enumerate(pivots):
-            rows[k] = [Fraction(x, rows[k][c]) for x in rows[k]]
-    return (rows if reduce else None), pivots
+            if rows[k][c] != den:
+                f = den // rows[k][c]
+                rows[k] = [x * f for x in rows[k]]
+    return (rows if reduce else None), pivots, den
 
 
 # no verb calls rref; perfbench/bench_trace.py binds it by name
 def rref(m: Matrix) -> tuple:
     """Reduced row echelon form together with the pivot columns."""
-    rows, pivots = _echelon(m.field, m.rows, m.ncols)
-    # coerced, for the integer zero rows past the rank
-    return Matrix(m.field, rows, ncols=m.ncols), tuple(pivots)
+    rows, pivots, den = _echelon(m.field, m.rows, m.ncols)
+    return Matrix._reduced(m.field, rows, m.ncols, den), tuple(pivots)
 
 
 def pivot_columns(field, rows, ncols: int) -> list:
@@ -362,16 +387,15 @@ def is_invertible(m: Matrix) -> bool:
 
 def kernel_basis(m: Matrix) -> Matrix:
     """Columns form the canonical basis of the null space (free columns of the rref)."""
-    field = m.field
-    rows, pivots = _echelon(field, m.rows, m.ncols)
+    rows, pivots, den = _echelon(m.field, m.rows, m.ncols)
     pivot_set = set(pivots)
     free = [c for c in range(m.ncols) if c not in pivot_set]
-    basis = [[field.zero] * len(free) for _ in range(m.ncols)]
+    basis = [[0] * len(free) for _ in range(m.ncols)]
     for k, f in enumerate(free):
-        basis[f][k] = field.one
+        basis[f][k] = den
         for r, pc in enumerate(pivots):
-            basis[pc][k] = field.sub(field.zero, rows[r][f])
-    return Matrix._of_rows(field, basis, len(free))
+            basis[pc][k] = -rows[r][f]
+    return Matrix._reduced(m.field, basis, len(free), den)
 
 
 def cokernel_projection(m: Matrix) -> Matrix:
@@ -381,8 +405,8 @@ def cokernel_projection(m: Matrix) -> Matrix:
     result has full row rank ``nrows(m) - rank(m)`` and is canonical.
     """
     left = kernel_basis(m.transpose()).transpose()
-    rows, _ = _echelon(m.field, left.rows, left.ncols)
-    return Matrix._of_rows(m.field, rows, m.nrows)
+    rows, _, den = _echelon(m.field, left.rows, left.ncols)
+    return Matrix._reduced(m.field, rows, m.nrows, den)
 
 
 def solve(m: Matrix, rhs: Matrix) -> Matrix | None:
@@ -394,18 +418,16 @@ def solve(m: Matrix, rhs: Matrix) -> Matrix | None:
         raise InputError("field mismatch in solve")
     if m.nrows != rhs.nrows:
         raise InputError(f"shape mismatch in solve: {m.shape} vs {rhs.shape}")
-    field = m.field
-    aug = [list(a) + list(b) for a, b in zip(m.rows, rhs.rows)]
-    width = m.ncols + rhs.ncols
-    rows, pivots = _echelon(field, aug, width, pivot_limit=m.ncols)
-    zero = field.zero
+    (left, right), _ = over_one_den([m, rhs])  # the same equations
+    aug = [a + b for a, b in zip(left, right)]
+    rows, pivots, den = _echelon(m.field, aug, m.ncols + rhs.ncols, pivot_limit=m.ncols)
     for i in range(len(pivots), m.nrows):
-        if any(x != zero for x in rows[i][m.ncols:]):
+        if any(rows[i][m.ncols:]):
             return None
-    sol = [[zero] * rhs.ncols for _ in range(m.ncols)]
+    sol = [(0,) * rhs.ncols] * m.ncols
     for r, pc in enumerate(pivots):
-        sol[pc] = list(rows[r][m.ncols:])
-    return Matrix._of_rows(field, sol, rhs.ncols)
+        sol[pc] = rows[r][m.ncols:]
+    return Matrix._reduced(m.field, sol, rhs.ncols, den)
 
 
 def poset_covers(points: list) -> list:
@@ -652,12 +674,12 @@ def diagram_colimit(diagram: PosetDiagram) -> tuple:
     offsets, total = _block_offsets(diagram)
     columns = []
     for c, d in diagram.covers():
-        f = diagram.maps[(c, d)]
+        f = diagram.maps[(c, d)].entries()
         oc, od = offsets[c], offsets[d]
         for j in range(diagram.dims[c]):
             col = [field.zero] * total
-            for i in range(f.nrows):
-                col[od + i] = f.rows[i][j]
+            for i, row in enumerate(f):
+                col[od + i] = row[j]
             col[oc + j] = field.sub(col[oc + j], field.one)
             columns.append(col)
     relations = Matrix.from_columns(field, columns, nrows=total)
@@ -665,33 +687,28 @@ def diagram_colimit(diagram: PosetDiagram) -> tuple:
     injections = {}
     for p in diagram.points:
         o = offsets[p]
-        injections[p] = Matrix._of_rows(field, [r[o:o + diagram.dims[p]] for r in q.rows],
-                                        diagram.dims[p])
+        injections[p] = Matrix._reduced(field, [r[o:o + diagram.dims[p]] for r in q.rows],
+                                        diagram.dims[p], q.den)
     return q.nrows, injections
+
+
+def _vec(m: Matrix) -> list:
+    """The entries of ``m`` as field elements, row by row."""
+    return [x for row in m.entries() for x in row]
 
 
 # kron, _unvec and _inverse serve only nat_basis, below
 def kron(p: Matrix, q: Matrix) -> Matrix:
     """Kronecker product; with row-major vec, vec(P M R) = kron(P, R^T) vec(M)."""
-    field = p.field
-    rows = []
-    for i in range(p.nrows):
-        for r in range(q.nrows):
-            row = []
-            for j in range(p.ncols):
-                pij = p.rows[i][j]
-                row.extend(field.mul(pij, x) for x in q.rows[r])
-            rows.append(row)
-    return Matrix._of_rows(field, rows, p.ncols * q.ncols)
+    rows = [[x * y for x in pr for y in qr] for pr in p.rows for qr in q.rows]
+    return Matrix._reduced(p.field, rows, p.ncols * q.ncols, p.den * q.den)
 
 
-def _vec(m: Matrix) -> list:
-    return [x for row in m.rows for x in row]
-
-
-def _unvec(field, vec, nrows, ncols) -> Matrix:
-    rows = [vec[i * ncols:(i + 1) * ncols] for i in range(nrows)]
-    return Matrix._of_rows(field, rows, ncols)
+def _unvec(column: Matrix, nrows, ncols) -> Matrix:
+    """A matrix of one column, read row by row as an nrows x ncols matrix."""
+    flat = [x for (x,) in column.rows]
+    return Matrix._of_rows(column.field, [flat[i * ncols:(i + 1) * ncols] for i in range(nrows)],
+                           ncols, column.den)
 
 
 def _inverse(m: Matrix) -> Matrix:
@@ -742,12 +759,8 @@ def nat_basis(a: PosetDiagram, b: PosetDiagram) -> list:
         size = b.dims[p] * a.dims[p]
         if p in free_offset:
             o = free_offset[p]
-            rows = []
-            for i in range(size):
-                row = [zero] * total
-                row[o + i] = field.one
-                rows.append(row)
-            expr[p] = Matrix._of_rows(field, rows, total)
+            expr[p] = Matrix._of_rows(field, [[0] * (o + i) + [1] + [0] * (total - o - i - 1)
+                                              for i in range(size)], total)
             remaining = in_covers[p]
         else:
             c = propagate[p]
@@ -757,7 +770,7 @@ def nat_basis(a: PosetDiagram, b: PosetDiagram) -> list:
         for c in remaining:
             lhs = kron(Matrix.identity(field, b.dims[p]), a.maps[(c, p)].transpose()) @ expr[p]
             rhs = kron(b.maps[(c, p)], Matrix.identity(field, a.dims[c])) @ expr[c]
-            for lr, rr in zip(lhs.rows, rhs.rows):
+            for lr, rr in zip(lhs.entries(), rhs.entries()):
                 row = [field.sub(x, y) for x, y in zip(lr, rr)]
                 if any(x != zero for x in row):
                     constraints.append(row)
@@ -765,17 +778,11 @@ def nat_basis(a: PosetDiagram, b: PosetDiagram) -> list:
     if total == 0:
         # no parameters anywhere: the zero transformation is the whole space
         return []
-    system = Matrix._of_rows(field, constraints, total) if constraints \
-        else Matrix.zeros(field, 0, total)
-    kernel = kernel_basis(system)
+    kernel = kernel_basis(Matrix._of_entries(field, constraints, total))
     basis = []
     for j in range(kernel.ncols):
-        u = Matrix.from_columns(field, [kernel.column(j)], nrows=total)
-        nat = {}
-        for p in a.points:
-            v = _vec(expr[p] @ u)
-            nat[p] = _unvec(field, v, b.dims[p], a.dims[p])
-        basis.append(nat)
+        u = Matrix._reduced(field, [(x,) for x in kernel.column(j)], 1, kernel.den)
+        basis.append({p: _unvec(expr[p] @ u, b.dims[p], a.dims[p]) for p in a.points})
     return basis
 
 

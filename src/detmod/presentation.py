@@ -22,8 +22,8 @@ from .extgrid import (CartesianSet, Point, as_point, as_product, common_dim, cri
 from .grid_module import ExtendedView, GridModule, restrict_view
 from .determinacy import determined_closure, is_S_determined
 from .linalg import (Matrix, PosetDiagram, _require_valid, _vec, cokernel_projection,
-                     diagram_colimit, full_row_rank, hstack, kernel_basis, pivot_columns, rank,
-                     solve)
+                     diagram_colimit, full_row_rank, hstack, kernel_basis, over_one_den,
+                     pivot_columns, rank, solve)
 
 
 @dataclass(frozen=True)
@@ -156,12 +156,9 @@ def _generator_lifts(lam: Matrix) -> Matrix:
         reversed_image = [col[::-1] for col in zip(*lam.rows)]
         taken = {n - 1 - k for k in pivot_columns(field, reversed_image, n)}
     free = [j for j in range(n) if j not in taken]
-    zero_row = (field.zero,) * len(free)
-    rows = [zero_row] * n
+    rows = [(0,) * len(free)] * n
     for k, j in enumerate(free):
-        row = list(zero_row)
-        row[k] = field.one
-        rows[j] = row
+        rows[j] = (0,) * k + (1,) + (0,) * (len(free) - k - 1)
     return Matrix._of_rows(field, rows, len(free))
 
 
@@ -242,12 +239,16 @@ def _walk(field, poset: tuple, new_columns: Callable, gens: list):
             if source is None:
                 evs[x] = moved[below[0]]
                 continue
+            # the new columns at x, whose source is None
+            moved.update((None, gens[g][1]) for g in order if source[g][0] is None)
+            parts, den = over_one_den(list(moved.values()))
+            parts = dict(zip(moved, parts))
             rows = [[] for _ in range(dims[x])]
             for g in order:
                 p, offset = source[g]
-                for row, src in zip(rows, (gens[g][1] if p is None else moved[p]).rows):
+                for row, src in zip(rows, parts[p]):
                     row.extend(src[offset:offset + mults[g]])
-            evs[x] = Matrix._of_rows(field, rows, sum(mults[g] for g in order))
+            evs[x] = Matrix._reduced(field, rows, sum(mults[g] for g in order), den)
         return evs[c]
 
     for c, (pt, dim, covers) in enumerate(zip(points, dims, lower)):
@@ -312,7 +313,6 @@ def _scan(field, poset: tuple) -> tuple:
     only there, with the ev below it that it is carried from.
     """
     gens, relations, blocks, kernels = [], [], {}, {}
-    zero = field.zero
 
     def lifts(pt, dim, maps):
         if maps is None:
@@ -329,9 +329,11 @@ def _scan(field, poset: tuple) -> tuple:
             offsets[g] = total
             total += gens[g][1].ncols
         stacked = [[] for _ in range(total)]
+        # each kernel on its own integer rows: scaling a block of columns keeps
+        # the pivot columns, so no common denominator is needed
         for r in roots:
             active_r, ker_r = kernels[r]
-            placed = [(zero,) * ker_r.ncols] * total
+            placed = [(0,) * ker_r.ncols] * total
             src = 0
             for g in active_r:
                 m = gens[g][1].ncols
@@ -352,8 +354,8 @@ def _scan(field, poset: tuple) -> tuple:
         relations.append((pt, len(chosen)))
         for g in order:
             offset, m = offsets[g], gens[g][1].ncols
-            seg = Matrix._of_rows(field, [[col[offset + i] for col in chosen] for i in range(m)],
-                                  len(chosen))
+            seg = Matrix._reduced(field, [[col[offset + i] for col in chosen] for i in range(m)],
+                                  len(chosen), ker.den)
             if not seg.is_zero():
                 blocks[(pt, gens[g][0])] = seg
     return [(b, lift.ncols) for b, lift in gens], relations, blocks, dict(gens)
@@ -495,16 +497,11 @@ def _relation_matrix(pres: Presentation, gens: list, rels: list) -> Matrix:
 
     Both lists are (point, multiplicity) pairs; a block that is not stored is zero.
     """
-    zero = pres.field.zero
-    rows = []
-    for b, m in gens:
-        parts = [(pres.blocks.get((d, b)), dm) for d, dm in rels]
-        for i in range(m):
-            row = []
-            for block, dm in parts:
-                row.extend(block.rows[i] if block is not None else (zero,) * dm)
-            rows.append(row)
-    return Matrix._of_rows(pres.field, rows, sum(m for _, m in rels))
+    zero = functools.cache(lambda shape: Matrix.zeros(pres.field, *shape))
+    bands, den = over_one_den([hstack(pres.field, [pres.blocks.get((d, b)) or zero((m, dm))
+                                                   for d, dm in rels], m) for b, m in gens])
+    return Matrix._of_rows(pres.field, [r for band in bands for r in band],
+                           sum(m for _, m in rels), den)
 
 
 def verify_presentation(view: ExtendedView, pres: Presentation) -> PresentationCheck:
@@ -582,9 +579,10 @@ def _cokernel_module(pres: Presentation) -> tuple:
     def path(b, d):
         q_d = quotient(d)
         cols = [g for g, m in pres.generators if leq(g, d) for _ in range(m)]
-        moved = Matrix.from_columns(pres.field, [q_d.column(j) for j, g in enumerate(cols)
-                                                 if leq(g, b)], nrows=q_d.nrows)
-        return solve(quotient(b).transpose(), moved.transpose()).transpose()
+        # the columns of q_d at the generators below b, as rows
+        moved = Matrix._reduced(pres.field, [q_d.column(j) for j, g in enumerate(cols)
+                                             if leq(g, b)], q_d.nrows, q_d.den)
+        return solve(quotient(b).transpose(), moved).transpose()
 
     return (lambda x: quotient(x).nrows), path
 
@@ -672,16 +670,16 @@ def _hom_basis(pres: Presentation, dim: Callable, path: Callable) -> list:
         total += dim(b) * m
     rows = {d: [[field.zero] * total for _ in range(dim(d) * r)] for d, r in pres.relations}
     for (d, b), block in pres.blocks.items():
-        o, r = offsets[b], block.ncols
+        o, r, bcols = offsets[b], block.ncols, list(zip(*block.entries()))
         # entry (i, j) of N(b -> d) E_b B is sum_{k, l} N[i][k] E_b[k][l] B[l][j]
-        for i, nrow in enumerate(path(b, d).rows):
-            for j, bcol in enumerate(zip(*block.rows)):
+        for i, nrow in enumerate(path(b, d).entries()):
+            for j, bcol in enumerate(bcols):
                 rows[d][i * r + j][o:o + dim(b) * block.nrows] = [
                     field.mul(x, y) for x in nrow for y in bcol]
     equations = [row for d, _ in pres.relations for row in rows[d]]
-    kernel = kernel_basis(Matrix._of_rows(field, equations, total))
-    return [{b: Matrix._of_rows(field, [v[offsets[b] + k * m:offsets[b] + (k + 1) * m]
-                                        for k in range(dim(b))], m)
+    kernel = kernel_basis(Matrix._of_entries(field, equations, total))
+    return [{b: Matrix._reduced(field, [v[offsets[b] + k * m:offsets[b] + (k + 1) * m]
+                                        for k in range(dim(b))], m, kernel.den)
              for b, m in pres.generators}
             for v in kernel.columns()]
 
@@ -718,14 +716,15 @@ def _find_isomorphism(pres: Presentation, source: tuple, target: tuple, points,
 
     def ranks(flats):  # lazily, point by point
         for flat, (d, w) in zip(flats, shapes):
-            yield rank(Matrix._of_rows(field, [flat[i * w:(i + 1) * w] for i in range(d)], w))
+            yield rank(Matrix._of_entries(field, [flat[i * w:(i + 1) * w] for i in range(d)], w))
 
     def judge(coeffs):
         flats = ([field.dot(coeffs, col) for col in cols] for cols in carried)
         if any(r != d for r, (d, _) in zip(ranks(flats), shapes)):
             return None
-        return {b: Matrix._of_rows(field, [[field.dot(coeffs, entries) for entries in zip(*rows)]
-                                           for rows in zip(*(h[b].rows for h in basis))], m)
+        return {b: Matrix._of_entries(
+                    field, [[field.dot(coeffs, entries) for entries in zip(*rows)]
+                            for rows in zip(*(h[b].entries() for h in basis))], m)
                 for b, m in pres.generators}
 
     k, full = len(basis), sum(d for d, _ in shapes)

@@ -62,8 +62,14 @@ def matmul_by_field_methods(a: Matrix, b: Matrix) -> Matrix:
     """The product with one ``field.dot`` per entry, entries as field elements."""
     if a.nrows == 0 or b.ncols == 0 or a.ncols == 0:
         return Matrix.zeros(a.field, a.nrows, b.ncols)
-    cols = list(zip(*b.rows))
-    return Matrix(a.field, [[a.field.dot(r, c) for c in cols] for r in a.rows], ncols=b.ncols)
+    cols = entry_columns(b)
+    return Matrix(a.field, [[a.field.dot(r, c) for c in cols] for r in a.entries()], ncols=b.ncols)
+
+
+def entry_columns(m: Matrix) -> list:
+    """The columns of ``m`` as tuples of field elements."""
+    rows = m.entries()
+    return [tuple(r[j] for r in rows) for j in range(m.ncols)]
 
 
 # ---------------------------------------------------------------------------
@@ -183,9 +189,9 @@ def minimal_squares_commute(diagram: PosetDiagram) -> bool:
 
 def given_steps(module: GridModule) -> dict:
     """Every given step's matrix by ``(point, axis)``, in the order of
-    ``module.step_rows``; the matrices not made yet are made now."""
+    ``module.given``."""
     pts, n = list(module.dims), module.box.dim
-    return {(pts[key // n], key % n): module.flat_step(key) for key in module.step_rows}
+    return {(pts[key // n], key % n): mat for key, mat in module.given.items()}
 
 
 def every_step(module: GridModule) -> dict:
@@ -231,11 +237,11 @@ def diagram_limit(diagram: PosetDiagram) -> tuple:
         oc, od = offsets[c], offsets[d]
         for i in range(diagram.dims[d]):
             row = [field.zero] * total
-            row[oc:oc + f.ncols] = f.rows[i]
+            row[oc:oc + f.ncols] = f.entries()[i]
             row[od + i] = field.sub(row[od + i], field.one)
             rows.append(row)
     k = kernel_basis(Matrix(field, rows, ncols=total))
-    return k.ncols, {p: Matrix(field, k.rows[offsets[p]:offsets[p] + diagram.dims[p]],
+    return k.ncols, {p: Matrix(field, k.entries()[offsets[p]:offsets[p] + diagram.dims[p]],
                                ncols=k.ncols) for p in diagram.points}
 
 
@@ -558,7 +564,7 @@ def cokernel_lifts(lam: Matrix) -> Matrix:
     """Unit vectors at the pivot columns of the cokernel projection of ``lam``."""
     field = lam.field
     pivots = [next(j for j, x in enumerate(row) if x != field.zero)
-              for row in cokernel_projection(lam).rows]
+              for row in cokernel_projection(lam).entries()]
     return Matrix.from_columns(field, [[field.one if i == j else field.zero
                                         for i in range(lam.nrows)] for j in pivots],
                                nrows=lam.nrows)
@@ -574,7 +580,8 @@ def _pad_generator_rows(field, small, mat: Matrix, large) -> Matrix:
     rows = []
     for b, m in large:
         for i in range(m):
-            rows.append(mat.rows[offsets[b] + i] if b in offsets else (field.zero,) * mat.ncols)
+            rows.append(mat.entries()[offsets[b] + i] if b in offsets
+                        else (field.zero,) * mat.ncols)
     return Matrix(field, rows, ncols=mat.ncols)
 
 
@@ -605,10 +612,10 @@ def diagram_presentation_by_full_scan(diagram: PosetDiagram, structure_map=None)
         current = []
         for p in diagram.points:
             if lt(p, c):
-                current.extend(_pad_generator_rows(field, kernels[p][0], kernels[p][1],
-                                                   active).columns())
+                current.extend(entry_columns(_pad_generator_rows(field, kernels[p][0],
+                                                                 kernels[p][1], active)))
         chosen = []
-        for col in ker.columns():
+        for col in entry_columns(ker):
             before = rank(Matrix.from_columns(field, current, nrows=total))
             if rank(Matrix.from_columns(field, current + [col], nrows=total)) > before:
                 chosen.append(col)
@@ -619,7 +626,7 @@ def diagram_presentation_by_full_scan(diagram: PosetDiagram, structure_map=None)
         vectors = Matrix.from_columns(field, chosen, nrows=total)
         offset = 0
         for b, m in active:
-            seg = Matrix(field, vectors.rows[offset:offset + m], ncols=len(chosen))
+            seg = Matrix(field, vectors.entries()[offset:offset + m], ncols=len(chosen))
             if not seg.is_zero():
                 blocks[(c, b)] = seg
             offset += m
@@ -644,7 +651,8 @@ def free_complex_at(pres: Presentation, pt):
     gens = [(b, m) for b, m in pres.generators if leq(b, pt)]
     rels = [(d, m) for d, m in pres.relations if leq(d, pt)]
     nrows = sum(m for _, m in gens)
-    blocks = [Matrix(pres.field, [r for b, _ in gens for r in pres.block(d, b).rows], ncols=dm)
+    blocks = [Matrix(pres.field, [r for b, _ in gens for r in pres.block(d, b).entries()],
+                     ncols=dm)
               for d, dm in rels]
     mat = hstack(pres.field, blocks, nrows=nrows) if blocks \
         else Matrix.zeros(pres.field, nrows, 0)

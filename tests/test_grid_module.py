@@ -1,5 +1,6 @@
 """Grid modules, their extended semantics, and window diagrams."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -154,7 +155,7 @@ def _perturbed(module, rng):
     keys = [k for k, m in every.items() if m.nrows and m.ncols]
     out = []
     for key in rng.sample(keys, min(3, len(keys))):
-        rows = [list(r) for r in every[key].rows]
+        rows = [list(r) for r in every[key].entries()]
         r, c = rng.randrange(len(rows)), rng.randrange(len(rows[0]))
         if field.kind == "prime":
             rows[r][c] = (rows[r][c] + rng.randrange(1, field.p)) % field.p
@@ -262,18 +263,35 @@ class TestValidateMatchesProducts:
                     assert loaded[0].step(p, axis) == loaded[1].step(p, axis) == step
         assert verdicts == {True, False} and left_out
 
-    def test_makes_no_matrix_product(self, monkeypatch):
+    def test_at_most_two_products_per_square(self, monkeypatch):
+        """The composites are ``Matrix`` products, at most two per unit
+        square of the box, and none in a module with no step given."""
         rng = random.Random(23)
         modules = []
         for field in (F2, F5, QQ):
             for nparams in (2, 3):
                 base = random_module(field, rng, box=_random_box(rng, nparams), max_summands=4)
                 modules += [base] + _perturbed(base, rng)
+        matmul, calls = Matrix.__matmul__, []
 
-        def forbidden(self, other):
-            raise AssertionError("validate_module formed a Matrix product")
-        monkeypatch.setattr(Matrix, "__matmul__", forbidden)
-        assert {validate_module(module).ok for module in modules} == {True, False}
+        def counted(self, other):
+            calls.append(1)
+            return matmul(self, other)
+        monkeypatch.setattr(Matrix, "__matmul__", counted)
+        verdicts = set()
+        for module in modules:
+            del calls[:]
+            verdicts.add(validate_module(module).ok)
+            sides = [b - a for a, b in zip(module.box.a, module.box.b)]
+            squares = sum(math.prod(s + 1 for k, s in enumerate(sides) if k not in (i, j))
+                          * sides[i] * sides[j]
+                          for j in range(len(sides)) for i in range(j))
+            assert len(calls) <= 2 * squares
+        assert verdicts == {True, False}
+        empty = GridModule(QQ, Box((0, 0), (2, 2)), {p: 1 for p in Box((0, 0), (2, 2))
+                                                     .integer_points()}, {})
+        del calls[:]
+        assert validate_module(empty).ok and calls == []
 
 
 class TestEvalSpace:
@@ -460,8 +478,8 @@ class TestIdentitySteps:
                           module_from_json(module_to_json(module))):
                 assert {e for e in every if built.is_identity_step(*e)} == expected
                 assert {e for e in every if built.is_onto_step(*e)} == onto
-                assert built.identities == {key for key in built.step_rows
-                                            if built.flat_step(key).is_identity()}
+                assert built.identities == {key for key, m in built.given.items()
+                                            if m.is_identity()}
 
     def test_shape_and_denominator_decide(self):
         # dims 2, 2, 1, 0, 0 on a chain: I2, then [1 0] (not square), then

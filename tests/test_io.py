@@ -76,7 +76,8 @@ class TestFieldSpec:
 class TestMatrix:
     def test_rational_strings(self):
         m = matrix_from_json(QQ, [["1/2", 1]], (1, 2), {})
-        assert m.rows[0][0] * 2 == 1
+        assert m.entries()[0][0] * 2 == 1
+        assert (m.rows, m.den) == (((1, 2),), 2)
 
     def test_shape_checked(self):
         with pytest.raises(InputError):
@@ -123,14 +124,14 @@ class TestModuleRoundtrip:
 
 class TestNoZeroFill:
     """A loaded module keeps the steps its file gives, and nothing else: each
-    map entry is decoded once into integer rows, its matrix is made on first
-    use, and a left-out step is made on first use, one zero matrix per shape."""
+    map entry is decoded once into a matrix, which the module keeps, and a
+    left-out step is made on first use, one zero matrix per shape."""
 
     def test_one_matrix_per_map_entry_and_one_zero_per_shape(self, monkeypatch):
         import detmod.io as dio
         decoded, zeros = [], []
-        from_json, make_zeros = dio.step_from_json, Matrix.zeros
-        monkeypatch.setattr(dio, "step_from_json",
+        from_json, make_zeros = dio.matrix_from_json, Matrix.zeros
+        monkeypatch.setattr(dio, "matrix_from_json",
                             lambda *args: decoded.append(args[2]) or from_json(*args))
         monkeypatch.setattr(Matrix, "zeros", classmethod(
             lambda cls, field, nrows, ncols: zeros.append((nrows, ncols))
@@ -142,21 +143,20 @@ class TestNoZeroFill:
                 decoded.clear()
                 zeros.clear()
                 module = module_from_json(obj)
-                assert len(decoded) == len(obj["maps"]) == len(module.step_rows)
-                assert validate_module(module).ok and zeros == [] and module._mats == {}
-                assert len(given_steps(module)) == len(obj["maps"]) == len(module._mats)
+                assert len(decoded) == len(obj["maps"]) == len(module.given)
+                assert validate_module(module).ok and zeros == []
+                assert all(module.step(*e) is m for e, m in given_steps(module).items())
                 left_out = {key: m.shape for key, m in every_step(module).items()
                             if key not in given_steps(module)}
                 assert sorted(zeros) == sorted(set(left_out.values()))
                 every_step(module)
                 assert len(zeros) == len(set(left_out.values()))
-                assert len(module._mats) == len(obj["maps"])
 
     def test_a_large_box_with_no_maps_stores_no_step(self):
         obj = {"field": {"kind": "prime", "p": 2}, "n": 2,
                "box": {"a": [0, 0], "b": [99, 99]}, "dims": [1] * 10_000, "maps": []}
         module = module_from_json(obj)
-        assert len(given_steps(module)) == 0 and module.step_rows == {}
+        assert len(given_steps(module)) == 0 and module.given == {}
         assert validate_module(module).ok
         assert module.step((5, 7), 1) is module.step((7, 5), 0)
         assert module.step((5, 7), 1).is_zero() and len(module._zero) == 1
@@ -259,6 +259,19 @@ class TestPresentationRoundtrip:
                                "block": [[1]]}]}
         with pytest.raises(InputError):
             presentation_from_json(obj)
+
+    @pytest.mark.parametrize("key", ["generators", "relations"])
+    def test_point_listed_twice_is_refused_before_its_block(self, key):
+        """[0] with multiplicities 1 and 2 and a 1 x 1 block at it: the
+        duplicate is named, not the block's shape."""
+        graded = [{"point": [0], "multiplicity": 1}]
+        obj = {"field": {"kind": "prime", "p": 2}, "n": 1,
+               "generators": graded, "relations": graded,
+               "rel_matrix": [{"relation": [0], "generator": [0], "block": [[1]]}]}
+        obj[key] = graded + [{"point": [0], "multiplicity": 2}]
+        with pytest.raises(InputError) as err:
+            presentation_from_json(obj)
+        assert str(err.value) == "a generator or relation point is listed twice"
 
     @pytest.mark.parametrize("key,value,message", [
         ("generators", None, "generators must be a JSON array"),
@@ -381,15 +394,16 @@ class TestMalformedModules:
     def test_the_valid_base_loads(self):
         for field in (None, QQ_SPEC):
             module = module_from_json(_module_obj(field))
-            assert given_steps(module)[((0, 1), 0)].rows in (((1,), (2,)),
-                                                             ((QQ.one,), (2 * QQ.one,)))
+            assert given_steps(module)[((0, 1), 0)].entries() in (((1,), (2,)),
+                                                                  ((QQ.one,), (2 * QQ.one,)))
             assert validate_module(module).ok
 
     def test_entries_are_reduced_into_the_field(self):
         module = module_from_json(_module_obj(matrix=[[-4]]))
         assert given_steps(module)[((0, 0), 0)].rows == ((1,),)
         module = module_from_json(_module_obj(QQ_SPEC, matrix=[["-6/4"]]))
-        assert given_steps(module)[((0, 0), 0)].rows == ((Fraction(-3, 2),),)
+        step = given_steps(module)[((0, 0), 0)]
+        assert step.entries() == ((Fraction(-3, 2),),) and (step.rows, step.den) == (((-3,),), 2)
 
 
 def _q_module(*entries):
@@ -413,15 +427,16 @@ class TestRationalTokens:
     ])
     def test_accepted_spellings(self, entries, column):
         module = module_from_json(_q_module(*entries))
-        assert module.step((0,), 0).rows == tuple((Fraction(x),) for x in column)
-        rows, den = module.step_rows[0]
-        assert all(type(r[0]) is int for r in rows)
-        assert [Fraction(r[0], den) for r in rows] == [Fraction(x) for x in column]
+        step = module.step((0,), 0)
+        assert step.entries() == tuple((Fraction(x),) for x in column)
+        assert all(type(r[0]) is int for r in step.rows)
+        assert [Fraction(r[0], step.den) for r in step.rows] == [Fraction(x) for x in column]
 
     def test_rows_over_the_least_common_denominator(self):
-        module = module_from_json(_q_module("1/2", "-2/3", 4, "2/4"))
-        assert module.step_rows[0] == ([(3,), (-4,), (24,), (3,)], 6)
-        assert module_from_json(_q_module(1, -2)).step_rows[0] == ([(1,), (-2,)], 1)
+        step = module_from_json(_q_module("1/2", "-2/3", 4, "2/4")).given[0]
+        assert (step.rows, step.den) == (((3,), (-4,), (24,), (3,)), 6)
+        step = module_from_json(_q_module(1, -2)).given[0]
+        assert (step.rows, step.den) == (((1,), (-2,)), 1)
 
     @pytest.mark.parametrize("entries,message", [
         (("1/0",), "cannot parse rational '1/0'"),
@@ -465,38 +480,58 @@ class TestRationalTokens:
 
 
 class TestLazySteps:
-    """A loaded step becomes a :class:`Matrix` only when it is read."""
+    """A loaded step is the :class:`Matrix` its entry decodes to, made with
+    no per-entry work past the decoding and kept as it is, and a verdict
+    works only on the steps it tests."""
 
-    def test_no_matrix_at_load_or_validation(self):
+    def test_each_map_entry_is_one_matrix(self):
         obj = module_to_json(random_module(QQ, random.Random(5), box=Box((0, 0), (2, 2))))
         module = module_from_json(obj)
-        assert len(module.step_rows) == len(obj["maps"]) > 0
-        assert validate_module(module).ok and module._mats == {}
+        assert len(module.given) == len(obj["maps"]) > 0
+        assert all(type(m) is Matrix for m in module.given.values())
+        assert validate_module(module).ok
 
     def test_matrix_made_once_and_kept(self):
         module = module_from_json(_module_obj())
-        first = module.step((0, 1), 0)
-        assert module.step((0, 1), 0) is first is module.flat_step(1 * 2 + 0)
-        assert module.flat_step(1) is None  # (0, 0) along axis 2 is left out
+        assert module.step((0, 1), 0) is module.given[1 * 2 + 0]
+        assert 1 not in module.given  # (0, 0) along axis 2 is left out
 
-    def test_prime_matrix_shares_the_decoded_rows(self):
-        module = module_from_json(_module_obj())
-        key = 1 * 2 + 0  # (0, 1) along axis 1
-        assert module.flat_step(key).rows[1] is module.step_rows[key][0][1]
+    def test_prime_matrix_shares_the_decoded_rows(self, monkeypatch):
+        """Over F_p and over Q the decoded rows are the matrix's rows: neither
+        the checked constructor nor a normalization runs."""
+        from detmod import linalg
+        decoded, of_rows = [], Matrix._of_rows
 
-    def test_determinacy_makes_no_matrix_it_does_not_test(self):
-        from detmod import is_S_determined
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a loaded step was converted entry by entry")
+        monkeypatch.setattr(Matrix, "__init__", forbidden)
+        monkeypatch.setattr(Matrix, "_reduced", classmethod(forbidden))
+        monkeypatch.setattr(linalg, "_integer_form", forbidden)
+        monkeypatch.setattr(Matrix, "_of_rows", classmethod(
+            lambda cls, field, rows, *args: decoded.append(rows) or of_rows(field, rows, *args)))
+        for obj in (_module_obj(), _module_obj(QQ_SPEC, matrix=[["-6/4"]]),
+                    _q_module("1/2", "-2/3", 4, "2/4")):
+            decoded.clear()
+            module = module_from_json(obj)
+            assert len(decoded) == len(module.given) > 0
+            assert all(any(m.rows is rows for rows in decoded) for m in module.given.values())
+
+    def test_determinacy_tests_only_the_steps_it_needs(self, monkeypatch):
+        from detmod import grid_module, is_S_determined
         from detmod.determinacy import _first_failing_step
+        tested, full_row_rank = [], grid_module.full_row_rank
+        monkeypatch.setattr(grid_module, "full_row_rank", lambda field, rows, ncols:
+                            tested.append(rows) or full_row_rank(field, rows, ncols))
         rng = random.Random(9)
         for field in (F2, QQ):
             module = module_from_json(module_to_json(random_module(field, rng)))
             view = ExtendedView(module)
+            del tested[:]
             # the canonical set holds every axis point, so no step is a candidate
             assert is_S_determined(view, canonical_set(module)).holds
-            assert module._mats == {}
+            assert tested == []
             s = frozenset(p for p in canonical_set(module) if p.count(NEG_INF) != 1)
             witness = _first_failing_step(module, s)
-            n = module.box.dim
-            made = {(list(module.dims)[key // n], key % n) for key in module._mats}
-            assert made <= set(given_steps(module))  # only given steps that were tested
+            # only given steps, tested on their own rows
+            assert all(any(rows is m.rows for m in module.given.values()) for rows in tested)
             assert is_S_determined(view, s).witness == witness

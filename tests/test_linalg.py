@@ -1,5 +1,6 @@
 """Exact matrix algebra and diagram (co)limits."""
 
+import math
 import random
 from fractions import Fraction
 from unittest import mock
@@ -70,7 +71,8 @@ class TestElimination:
 
     def test_rational_entries_stay_exact(self):
         a = Matrix(QQ, [["1/3", 1], [0, "2/7"]])
-        assert a.rows[0][0] == Fraction(1, 3)
+        assert a.entries()[0][0] == Fraction(1, 3)
+        assert (a.rows, a.den) == (((7, 21), (0, 6)), 21)
         assert is_invertible(a)
 
     @pytest.mark.parametrize("field", FIELDS)
@@ -146,7 +148,9 @@ class TestElimination:
         assert internal.rows == ((1, 2), (3, 4)) and internal.rows[0] is row
         assert type(internal.rows[1]) is tuple and internal.shape == (2, 2)
         assert Matrix(F5, [[6, -1]]).rows == ((1, 4),)
-        assert Matrix(QQ, [[1, "1/2"]]).rows == ((Fraction(1), Fraction(1, 2)),)
+        half = Matrix(QQ, [[1, "1/2"]])
+        assert half.entries() == ((Fraction(1), Fraction(1, 2)),)
+        assert (half.rows, half.den) == (((2, 1),), 2)
         with pytest.raises(InputError, match="ragged"):
             Matrix(F5, [(1, 2), (3,)])
         with pytest.raises(InputError, match="expected 3"):
@@ -181,7 +185,7 @@ def kernel_matrix(rng, field, nrows, ncols, rank_at_most=None, big=False):
     inner = rng.randint(0, max(nrows, ncols)) if rank_at_most is None else rank_at_most
     a = Matrix(field, [[entry() for _ in range(inner)] for _ in range(nrows)], ncols=inner)
     b = Matrix(field, [[entry() for _ in range(ncols)] for _ in range(inner)], ncols=ncols)
-    rows = [list(r) for r in matmul_by_field_methods(a, b).rows]
+    rows = [list(r) for r in matmul_by_field_methods(a, b).entries()]
     for i in range(nrows):
         if rng.random() < 0.15:
             rows[i] = [field.zero] * ncols
@@ -207,6 +211,31 @@ def kernel_inputs(draw):
     return block(n, k), block(k, m)
 
 
+def in_normal_form(m: Matrix) -> bool:
+    """Whether ``m`` holds integer rows over a positive denominator in
+    lowest terms: residues over 1 on F_p; on Q the gcd of ``den`` and every
+    entry 1, so 1 for the zero matrix."""
+    values = [x for r in m.rows for x in r]
+    if not all(type(x) is int for x in values) or type(m.den) is not int:
+        return False
+    if m.field.kind == "prime":
+        return m.den == 1 and all(0 <= x < m.field.p for x in values)
+    return m.den >= 1 and math.gcd(m.den, *values) == 1
+
+
+def echelon_in_integer_form(field, rows, ncols, pivot_limit=None, reduce=True) -> tuple:
+    """``linalg._echelon``'s result made by :func:`echelon_by_field_methods`
+    on the integer rows read as field elements: with ``reduce`` the rows in
+    the integer form of a matrix over their denominator, where every row of
+    the rank has its pivot equal to it."""
+    rows, pivots = echelon_by_field_methods(field, [list(map(field.coerce, r)) for r in rows],
+                                            ncols, pivot_limit, reduce)
+    if not reduce:
+        return None, pivots, 1
+    m = Matrix(field, rows, ncols=ncols)
+    return [list(r) for r in m.rows], pivots, m.den
+
+
 def _is_multiple(field, u, v) -> bool:
     """Whether u is a non-zero multiple of v (both zero counts)."""
     zero = field.zero
@@ -227,47 +256,48 @@ class TestIntegerRowKernel:
         field = a.field
         product = matmul_by_field_methods(a, b)
         for m in (a, b, product):
-            expected = echelon_by_field_methods(field, m.rows, m.ncols)[1]
+            expected = echelon_by_field_methods(field, m.entries(), m.ncols)[1]
             assert linalg.pivot_columns(field, m.rows, m.ncols) == expected
             assert rank(m) == len(expected)
             assert linalg.full_row_rank(field, m.rows, m.ncols) == (len(expected) == m.nrows)
             for limit in range(m.ncols + 1):
                 assert linalg._echelon(field, m.rows, m.ncols, pivot_limit=limit,
                                        reduce=False)[1] == \
-                    echelon_by_field_methods(field, m.rows, m.ncols, limit)[1]
+                    echelon_by_field_methods(field, m.entries(), m.ncols, limit)[1]
             TestIntegerRowKernel.assert_reduced_agrees(m, Matrix.identity(field, m.nrows))
         TestIntegerRowKernel.assert_reduced_agrees(a, product)
         got = a @ b
         assert got == product
         assert got.shape == (a.nrows, b.ncols)
-        if field.kind == "rational":
-            assert all(type(x) is Fraction for r in got.rows for x in r)
+        assert in_normal_form(got)
 
     @staticmethod
     def assert_reduced_agrees(m, rhs):
         """The reduced mode on ``m`` beside ``rhs``, at every pivot limit, and
         ``kernel_basis``, ``cokernel_projection`` and ``solve``: the rows of
-        the rank equal the reference's, each later row is a non-zero multiple
-        of the reference's, and every entry of a result over Q is a Fraction."""
+        the rank over ``den`` equal the reference's, each later row is a
+        non-zero multiple of the reference's, every row holds ints, and every
+        result is in the normal form."""
         field = m.field
-        aug = [r + s for r, s in zip(m.rows, rhs.rows)]
+        (left, right), _ = linalg.over_one_den([m, rhs])
+        aug = [r + s for r, s in zip(left, right)]
+        entries = [r + s for r, s in zip(m.entries(), rhs.entries())]
         width = m.ncols + rhs.ncols
         for limit in range(width + 1):
-            rows, pivots = linalg._echelon(field, aug, width, pivot_limit=limit)
-            ref_rows, ref_pivots = echelon_by_field_methods(field, aug, width, limit)
+            rows, pivots, den = linalg._echelon(field, aug, width, pivot_limit=limit)
+            ref_rows, ref_pivots = echelon_by_field_methods(field, entries, width, limit)
             assert pivots == ref_pivots
             k = len(pivots)
-            assert [tuple(r) for r in rows[:k]] == [tuple(r) for r in ref_rows[:k]]
-            assert all(type(x) is type(y) for r, s in zip(rows[:k], ref_rows[:k])
-                       for x, y in zip(r, s))
+            assert [tuple(Fraction(x, den) for x in r) for r in rows[:k]] == \
+                [tuple(r) for r in ref_rows[:k]]
+            assert all(type(x) is int for r in rows for x in r)
+            assert den == 1 or field.kind == "rational"
             assert all(_is_multiple(field, r, s) for r, s in zip(rows[k:], ref_rows[k:]))
             assert len(rows) == len(ref_rows)
         got = kernel_basis(m), cokernel_projection(m), solve(m, rhs)
-        with mock.patch.object(linalg, "_echelon", echelon_by_field_methods):
+        with mock.patch.object(linalg, "_echelon", echelon_in_integer_form):
             assert got == (kernel_basis(m), cokernel_projection(m), solve(m, rhs))
-        if field.kind == "rational":
-            assert all(type(x) is Fraction for out in got if out is not None
-                       for r in out.rows for x in r)
+        assert all(in_normal_form(out) for out in got if out is not None)
 
     @pytest.mark.parametrize("field", KERNEL_FIELDS, ids=KERNEL_IDS)
     def test_seeded(self, field):
@@ -312,6 +342,131 @@ class TestIntegerRowKernel:
     @given(pair=kernel_inputs())
     def test_hypothesis(self, pair):
         self.assert_agrees(*pair)
+
+
+# the entry-level references of TestIntegerForm: rows of field elements,
+# made by the field's own arithmetic on ``entries()``
+
+def _ref_transpose(rows, ncols) -> tuple:
+    return tuple(tuple(r[j] for r in rows) for j in range(ncols))
+
+
+def _ref_kernel(field, rows, ncols) -> tuple:
+    """The canonical kernel basis from the reduced echelon form by field methods."""
+    reduced, pivots = echelon_by_field_methods(field, rows, ncols)
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = [[field.zero] * len(free) for _ in range(ncols)]
+    for k, f in enumerate(free):
+        basis[f][k] = field.one
+        for r, pc in enumerate(pivots):
+            basis[pc][k] = field.sub(field.zero, reduced[r][f])
+    return tuple(map(tuple, basis))
+
+
+def _ref_solve(field, rows, rhs, ncols, width):
+    reduced, pivots = echelon_by_field_methods(field, [r + s for r, s in zip(rows, rhs)],
+                                               ncols + width, ncols)
+    if any(x != field.zero for r in reduced[len(pivots):] for x in r[ncols:]):
+        return None
+    sol = [(field.zero,) * width] * ncols
+    for r, pc in enumerate(pivots):
+        sol[pc] = tuple(reduced[r][ncols:])
+    return tuple(sol)
+
+
+@st.composite
+def integer_form_inputs(draw):
+    """A field among F2, F5, F7, F13 and Q, and matrices a (n x k), b (k x
+    m), c (n x m) over it, 0 to 4 on each side: entries drawn anew or as a
+    product through a smaller inner dimension (so kernels are not only
+    forced by the shape), rows zeroed at random, Q numerators and
+    denominators up to 10^12, and now and then the identity."""
+    field = draw(st.sampled_from([F2, F5, PrimeField(7), PrimeField(13), QQ]))
+    if field.kind == "prime":
+        entry = st.integers(0, field.p - 1)
+    else:
+        entry = st.one_of(st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)),
+                          st.builds(Fraction, st.integers(-10 ** 12, 10 ** 12),
+                                    st.integers(1, 10 ** 12)))
+    entry = st.one_of(st.just(field.zero), entry)
+
+    def block(r, c):
+        inner = draw(st.integers(0, 4))
+        if draw(st.booleans()) and inner < min(r, c):
+            left = [[draw(entry) for _ in range(inner)] for _ in range(r)]
+            right = _ref_transpose([[draw(entry) for _ in range(c)] for _ in range(inner)], c)
+            rows = [[field.dot(u, v) for v in right] for u in left]
+        else:
+            rows = [[draw(entry) for _ in range(c)] for _ in range(r)]
+        rows = [[field.zero] * c if draw(st.integers(0, 5)) == 0 else row for row in rows]
+        if r == c and draw(st.integers(0, 7)) == 0:
+            rows = [[field.one if i == j else field.zero for j in range(c)] for i in range(r)]
+        return Matrix(field, rows, ncols=c)
+    n, k, m = (draw(st.integers(0, 4)) for _ in range(3))
+    return block(n, k), block(k, m), block(n, m)
+
+
+class TestIntegerForm:
+    """Every operation on the integer form (rows over one denominator) agrees
+    with the same operation by field methods on ``entries()``, and leaves
+    its result in the normal form: residues over 1 on F_p, lowest terms on Q."""
+
+    @staticmethod
+    def check(a, b, c):
+        field = a.field
+        ea, eb, ec = a.entries(), b.entries(), c.entries()
+        for m, e in ((a, ea), (b, eb), (c, ec)):
+            assert in_normal_form(m)
+            assert Matrix(field, e, ncols=m.ncols) == m
+            assert all(type(x) is Fraction for r in e for x in r) or field.kind == "prime"
+            assert m.is_zero() == all(x == field.zero for r in e for x in r)
+            assert m.is_identity() == (m.nrows == m.ncols and e == tuple(
+                tuple(field.one if i == j else field.zero for j in range(m.ncols))
+                for i in range(m.nrows)))
+            results = [m.transpose(), kernel_basis(m), cokernel_projection(m)]
+            assert results[0].entries() == _ref_transpose(e, m.ncols)
+            assert results[1].entries() == _ref_kernel(field, e, m.ncols)  # the same basis
+            left = _ref_transpose(_ref_kernel(field, _ref_transpose(e, m.ncols), m.nrows),
+                                  m.nrows - rank(m))
+            assert results[2].entries() == tuple(
+                map(tuple, echelon_by_field_methods(field, left, m.nrows)[0]))
+            assert rank(m) == len(echelon_by_field_methods(field, e, m.ncols)[1])
+            assert all(in_normal_form(out) for out in results)
+        product = a @ b
+        assert product.entries() == tuple(tuple(field.dot(r, col) for col in
+                                                _ref_transpose(eb, b.ncols)) for r in ea)
+        stacked = hstack(field, [a, c], a.nrows)
+        assert stacked.entries() == tuple(r + s for r, s in zip(ea, ec))
+        got = solve(a, c)
+        expected = _ref_solve(field, ea, ec, a.ncols, c.ncols)
+        assert (got is None) == (expected is None)
+        assert got is None or got.entries() == expected
+        results = [product, stacked] + ([got] if got is not None else [])
+        assert all(in_normal_form(out) for out in results)
+        for x, y in ((a, b), (b, c), (a, c), (product, c)):
+            assert (x == y) == (x.shape == y.shape and x.entries() == y.entries())
+
+    @settings(max_examples=400, deadline=None)
+    @given(triple=integer_form_inputs())
+    def test_hypothesis(self, triple):
+        self.check(*triple)
+
+    @pytest.mark.parametrize("field", [F2, F5, PrimeField(7), PrimeField(13), QQ],
+                             ids=["f2", "f5", "f7", "f13", "q"])
+    def test_edge_shapes(self, field):
+        for n, k, m in [(0, 0, 0), (0, 3, 2), (3, 0, 2), (2, 3, 0), (2, 2, 2)]:
+            self.check(Matrix.zeros(field, n, k), Matrix.zeros(field, k, m),
+                       Matrix.zeros(field, n, m))
+            self.check(Matrix.identity(field, n), Matrix.zeros(field, n, m),
+                       Matrix.identity(field, n) if n == m else Matrix.zeros(field, n, m))
+
+    def test_large_rationals_in_lowest_terms(self):
+        big = Fraction(10 ** 12 - 11, 10 ** 12)
+        a = Matrix(QQ, [[big, 1 / big], [Fraction(1, 10 ** 12), 0], [0, 0]])
+        q = 10 ** 12 - 11  # prime to 10^12
+        assert (a.rows, a.den) == (((q * q, 10 ** 24), (q, 0), (0, 0)), 10 ** 12 * q)
+        self.check(a, a.transpose(), a @ a.transpose())
+        assert (a @ Matrix.zeros(QQ, 2, 3)).den == 1
 
 
 def chain_diagram(field, dims, mats):

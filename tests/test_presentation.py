@@ -797,7 +797,7 @@ def _perturb_block(view, pres, rng):
     key = rng.choice(sorted(pres.blocks, key=repr))
     block = pres.blocks[key]
     i, j = rng.randrange(block.nrows), rng.randrange(block.ncols)
-    rows = [list(r) for r in block.rows]
+    rows = [list(r) for r in block.entries()]
     rows[i][j] = pres.field.add(rows[i][j], pres.field.one)
     blocks = dict(pres.blocks)
     blocks[key] = Matrix(pres.field, rows, ncols=block.ncols)
@@ -822,7 +822,7 @@ def _zero_image_column(view, pres, rng):
     j = rng.randrange(image.ncols)
     zero = pres.field.zero
     images = dict(pres.generator_images)
-    images[b] = Matrix(pres.field, [row[:j] + (zero,) + row[j + 1:] for row in image.rows],
+    images[b] = Matrix(pres.field, [row[:j] + (zero,) + row[j + 1:] for row in image.entries()],
                        ncols=image.ncols)
     return dataclasses.replace(pres, generator_images=images)
 

@@ -6,7 +6,8 @@ parameter.  One input of a
 call is mutated once, the call runs ``cli.main`` in process, and then: the
 exit code is 0, 1 or 2 (``verify`` may also answer 3, inconclusive); exit 2
 writes exactly one stderr line, starting ``detmod: error:``, and the others
-write none; nothing raises.  Some mutations keep the input well formed, so
+write none; nothing raises; and each call takes at most ``CPU_BUDGET_S`` of
+process CPU.  Some mutations keep the input well formed, so
 that at least a quarter of the runs reach a verdict (exit 0 or 1).  No
 mutation makes a size larger; one sets a dimension to 10^30, above the
 readers' bound.
@@ -19,6 +20,7 @@ import io
 import json
 import random
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -51,6 +53,9 @@ JOBS = [
     ("admissible", "module", "--lattice", "set"),
 ]
 RUNS = 200
+# ten times the slowest of the 200 calls when the budget was set (4.2 ms of
+# process CPU on Python 3.11), raised to the floor of one second
+CPU_BUDGET_S = 1.0
 
 
 @functools.lru_cache(maxsize=None)
@@ -196,8 +201,11 @@ def test_mutated_inputs_keep_the_exit_contract(tally, data):
         argv += ["--out", str(Path(tmp) / "out.json")]
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            start = time.process_time()
             code = main(argv)
+            spent = time.process_time() - start
     tally[code] += 1
+    assert spent <= CPU_BUDGET_S, (argv, spent)
     assert code in ((0, 1, 2, 3) if job[0] == "verify" else (0, 1, 2))
     assert out.getvalue() == ""
     if code == 2:
