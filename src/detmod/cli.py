@@ -78,6 +78,18 @@ def _load_module(path: str):
     return dio.module_from_json(obj)
 
 
+def _view_and_set(args, obj=None) -> tuple:
+    """The view of the module file ``args.input`` (or of its JSON ``obj``,
+    when read already) and the set of ``--set``: the module's
+    ``canonical_grid`` when the option is left out.  The module is read,
+    its view built and validated, and then the set read, in that order."""
+    module = _load_module(args.input) if obj is None else dio.module_from_json(obj)
+    view = ExtendedView(module)
+    if args.set is None:
+        return view, canonical_grid(module)
+    return view, dio.pointset_from_json(_read_json_arg(args.set), dim=module.box.dim)
+
+
 def _cmd_validate(args) -> int:
     obj = _read_input(args.input)
     kind = dio.detect_kind(obj)
@@ -102,11 +114,9 @@ def _refuse(option: str, given: bool, mode: str) -> None:
 
 
 def _cmd_determinacy(args) -> int:
-    module = _load_module(args.input)
-    view = ExtendedView(module)
-    s = dio.pointset_from_json(_read_json_arg(args.set), dim=module.box.dim)
+    view, s = _view_and_set(args)
     if args.oracle:
-        report = is_S_determined_oracle(view, s, default_oracle_window(module.box, s))
+        report = is_S_determined_oracle(view, s, default_oracle_window(view.box, s))
     else:
         report = is_S_determined(view, s)
     _emit(dio.determinacy_report_to_json(report), args.out)
@@ -114,11 +124,7 @@ def _cmd_determinacy(args) -> int:
 
 
 def _cmd_encode(args) -> int:
-    module = _load_module(args.input)
-    view = ExtendedView(module)
-    s = dio.pointset_from_json(_read_json_arg(args.set), dim=module.box.dim)
-    diagram = encode(view, s)
-    _emit(dio.diagram_to_json(diagram), args.out)
+    _emit(dio.diagram_to_json(encode(*_view_and_set(args))), args.out)
     return 0
 
 
@@ -129,13 +135,7 @@ def _cmd_births_deaths(args) -> int:
         _refuse("--set", args.set is not None, "to a module file")
         report = diagram_births_deaths(dio.diagram_from_json(obj))
     elif kind == "module":
-        module = dio.module_from_json(obj)
-        view = ExtendedView(module)
-        if args.set:
-            s = dio.pointset_from_json(_read_json_arg(args.set), dim=module.box.dim)
-        else:
-            s = canonical_grid(module)
-        report = births_deaths(view, s)
+        report = births_deaths(*_view_and_set(args, obj))
     else:
         raise InputError("births-deaths expects a module or diagram file")
     _emit(dio.birth_death_to_json(report), args.out)
@@ -143,14 +143,7 @@ def _cmd_births_deaths(args) -> int:
 
 
 def _cmd_present(args) -> int:
-    module = _load_module(args.input)
-    view = ExtendedView(module)
-    if args.set:
-        s = dio.pointset_from_json(_read_json_arg(args.set), dim=module.box.dim)
-    else:
-        s = canonical_grid(module)
-    pres = build_presentation(view, s)
-    _emit(dio.presentation_to_json(pres), args.out)
+    _emit(dio.presentation_to_json(build_presentation(*_view_and_set(args))), args.out)
     return 0
 
 

@@ -30,7 +30,7 @@ from .errors import InputError, NotDeterminedError
 from .extgrid import (Box, CartesianSet, NEG_INF, as_point, critical_grid, grid_clamps,
                       in_upset, leq, min_point, pointed_closure)
 from .grid_module import ExtendedView, GridModule, restrict_view
-from .linalg import PosetDiagram, diagrams_isomorphic, validate_diagram
+from .linalg import PosetDiagram, _require_valid, diagrams_isomorphic
 
 
 @dataclass(frozen=True)
@@ -83,9 +83,8 @@ def _first_failing_step(module: GridModule, s):
     tested by :meth:`GridModule.is_invertible_step` at the clamp of c, the
     box point the step leaves, with no :class:`Matrix` made.
     """
-    box = module.box
-    n, lower, top, strides = box.dim, box.a, box.b, box.strides()
-    values = list(module.dims.values())
+    box, values, strides = module.box, module.dim_list, module.strides
+    n, lower, top = box.dim, box.a, box.b
     settled = _axis_coordinates(s, n)
     at_coord = None  # per axis, the points of the set by their coordinate there
     candidates = []
@@ -275,8 +274,6 @@ def check_encoding(view: ExtendedView, s, n: PosetDiagram) -> bool | None:
         raise InputError("diagram is not defined on the pointed join closure of the set")
     if n.field != view.field:
         raise InputError("diagram and module are over different fields")
-    check = validate_diagram(n)
-    if not check:
-        raise InputError(f"diagram does not validate: {check.message} at {check.square!r}")
+    _require_valid(n)
     return (_first_failing_step(view.module, pts) is None
             and diagrams_isomorphic(n, restrict_view(view, closure)))

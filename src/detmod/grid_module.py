@@ -14,7 +14,8 @@ from typing import Callable
 
 from .errors import InputError
 from .extgrid import Box, CartesianSet, Point, NEG_INF, extended_projection, leq
-from .linalg import DiagramCheck, Matrix, PosetDiagram, full_row_rank, validate_diagram
+from .linalg import (DiagramCheck, Matrix, PosetDiagram, first_failing_square, full_row_rank,
+                     validate_diagram)
 
 
 class GridModule:
@@ -23,13 +24,15 @@ class GridModule:
     ``dims`` maps every integer point of the box, in lexicographic order, to
     a dimension.  A step is the move from a point to ``point + e_axis``, kept
     by its flat index ``x * n + axis``, where x is the point's place in
-    ``box.integer_points()``.  ``given`` holds the :class:`Matrix` of each
-    given step, and no other, by flat index.  ``identities`` holds the flat
-    index of each given step that is the identity, decided once, on first
-    use.  :meth:`step` reads a step; a step the input leaves out is the zero
-    matrix of the forced shape, one shared (immutable) matrix per shape.  A
-    step of another shape, or over another field, is refused when the
-    module is built.  Axes are 0-based here (the file format is 1-based).
+    ``box.integer_points()``: ``points`` lists them, ``dim_list`` holds
+    their dimensions in that order, and ``strides`` is ``box.strides()``.
+    ``given`` holds the :class:`Matrix` of each given step, and no other, by
+    flat index.  ``identities`` holds the flat index of each given step that
+    is the identity, decided once, on first use.  :meth:`step` reads a step;
+    a step the input leaves out is :meth:`Matrix.zeros` of the forced shape.
+    A step of another shape, or over another field, is refused when the
+    module is built.  Axes are 0-based here; a message names an axis
+    1-based, as the file format does, and one out of range as it was given.
     """
 
     def __init__(self, field, box: Box, dims: dict, steps: dict):
@@ -48,8 +51,12 @@ class GridModule:
         index, n, top = dict(zip(pts, range(len(pts)))), box.dim, box.b
         given = {}
         for (p, axis), mat in steps.items():
-            if not (p in index and 0 <= axis < n and p[axis] < top[axis]):
-                raise InputError(f"step at {p!r} along axis {axis} leaves the box")
+            if p not in index:
+                raise InputError(f"step source {p!r} is outside the box")
+            if not 0 <= axis < n:
+                raise InputError(f"invalid axis {axis!r} at {p!r}; axes are 0 to {n - 1} here")
+            if p[axis] == top[axis]:
+                raise InputError(f"step at {p!r} along axis {axis + 1} leaves the box")
             expected = (dims[self._step_target(p, axis)], dims[p])
             if mat.shape != expected:
                 raise InputError(f"step at {p!r} along axis {axis + 1} has shape {mat.shape}, "
@@ -74,11 +81,12 @@ class GridModule:
         self.field = field
         self.box = box
         self.dims = dims
+        self.points = list(index)
+        self.dim_list = list(dims.values())
+        self.strides = box.strides()
         self.given = given
         self._index = index
-        self._layout_cache = None
         self._identities = None
-        self._zero = {}
         self._validated = None
 
     def _step_target(self, p: Point, axis: int) -> Point:
@@ -90,17 +98,7 @@ class GridModule:
             mat = self.given.get(x * self.box.dim + axis)
             if mat is not None:
                 return mat
-        shape = (self.dims[self._step_target(p, axis)], self.dims[p])
-        mat = self._zero.get(shape)
-        if mat is None:
-            mat = self._zero[shape] = Matrix.zeros(self.field, *shape)
-        return mat
-
-    def _layout(self) -> tuple:
-        """The dimensions in box order and the box strides, made once."""
-        if self._layout_cache is None:
-            self._layout_cache = list(self.dims.values()), self.box.strides()
-        return self._layout_cache
+        return Matrix.zeros(self.field, self.dims[self._step_target(p, axis)], self.dims[p])
 
     @property
     def identities(self) -> set:
@@ -121,33 +119,31 @@ class GridModule:
             return True
         if key in self.given:
             return False
-        values, strides = self._layout()
-        return not values[x] and not values[x + strides[axis]]
+        values = self.dim_list
+        return not values[x] and not values[x + self.strides[axis]]
 
     def is_onto_step(self, p: Point, axis: int) -> bool:
         """Whether the step from the box point ``p`` along ``axis`` is onto,
         with no :class:`Matrix` made: a given step of full row rank, a
         left-out one when its target is a zero space."""
         x = self._index[p]
-        values, strides = self._layout()
         given = self.given.get(x * self.box.dim + axis)
         if given is None:
-            return not values[x + strides[axis]]
+            return not self.dim_list[x + self.strides[axis]]
         return full_row_rank(self.field, given.rows, given.ncols)
 
     def is_invertible_step(self, p: Point, axis: int) -> bool:
         """Whether the step from the box point ``p`` along ``axis`` is
         invertible, with no :class:`Matrix` made: square, and the identity
         or onto."""
-        values, strides = self._layout()
-        x = self._index[p]
-        return values[x] == values[x + strides[axis]] and (
+        values, x = self.dim_list, self._index[p]
+        return values[x] == values[x + self.strides[axis]] and (
             self.is_identity_step(p, axis) or self.is_onto_step(p, axis))
 
     def is_identity_slab(self, axis: int, t: int) -> bool:
         """Whether every step along ``axis`` out of a box point with
         coordinate ``t`` there is the identity."""
-        values, strides = self._layout()
+        values, strides = self.dim_list, self.strides
         n, stride, lo = len(strides), strides[axis], self.box.a[axis]
         block = stride * (self.box.b[axis] - lo + 1)
         identities, given = self.identities, self.given
@@ -161,53 +157,19 @@ class GridModule:
 
 
 def validate_module(module: GridModule) -> DiagramCheck:
-    """Commutativity of the stored box data; a module is well shaped from
-    the moment it is built.
+    """Commutativity of the stored box data, by :func:`first_failing_square`
+    on the box points and the given steps; a module is well shaped from the
+    moment it is built.
 
     The unit squares of the box generate every commutativity relation of the
-    grid, and through the extended projection of the whole extended grid, so
-    they are the only squares checked.  They are walked in lexicographic
-    order of their bottom corner c, and at each c the pairs of axes j > i in
-    the order (n-1, n-2), (n-1, n-3), ..., (1, 0); the first failure is
-    reported as ``(c, c + e_j, c + e_i, c + e_i + e_j)``.  Points and steps
-    are read by flat index (see :class:`GridModule`).  A square commutes
-    without a product when c or its top corner has dimension zero, or when
-    its four steps are identities.  A composite through a zero-dimensional
-    corner or a left-out step is zero, so at most one product is formed
-    then, and compared with zero.
+    grid, and through the extended projection of the whole extended grid.
     """
     if module._validated is True:
         return DiagramCheck(True)
-    dims, given, identities = module.dims, module.given, module.identities
-    n, top, strides = module.box.dim, module.box.b, module.box.strides()
-    pts, values = list(dims), list(dims.values())
-    # both composites of a square out of a point with no step given are zero,
-    # and a box of one axis has no square; c + e_a is at x + strides[a]
-    for x in sorted({key // n for key in given}) if n > 1 else ():
-        if values[x] == 0:
-            continue
-        c = pts[x]
-        axes = [axis for axis in reversed(range(n)) if c[axis] < top[axis]]
-        for k, j in enumerate(axes):
-            xj = x + strides[j]
-            c_j = values[xj] and given.get(x * n + j)
-            for i in axes[k + 1:]:
-                xi, xe = x + strides[i], xj + strides[i]
-                if values[xe] == 0:
-                    continue
-                if (x * n + j in identities and xj * n + i in identities
-                        and x * n + i in identities and xi * n + j in identities):
-                    continue
-                up_i = c_j and given.get(xj * n + i)
-                c_i = values[xi] and given.get(x * n + i)
-                up_j = c_i and given.get(xi * n + j)
-                if up_i and up_j:
-                    commutes = up_i @ c_j == up_j @ c_i
-                else:  # a composite through a left-out step is zero
-                    commutes = not (up_i or up_j) or (up_i @ c_j if up_i else up_j @ c_i).is_zero()
-                if not commutes:
-                    return DiagramCheck(False, "square does not commute",
-                                        (c, pts[xj], pts[xi], pts[xe]))
+    square = first_failing_square(module.points, module.dim_list, module.strides,
+                                  module.given, module.identities)
+    if square is not None:
+        return DiagramCheck(False, "square does not commute", square)
     module._validated = True
     return DiagramCheck(True)
 

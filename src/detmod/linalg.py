@@ -20,12 +20,11 @@ from operator import mul, xor
 from typing import Iterable
 
 from .errors import InputError
-from .extgrid import CartesianSet, Point, as_product, leq, sort_points
+from .extgrid import CartesianSet, Point, as_product, leq, lex_strides, sort_points
 
 
 def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
+    """Whether ``p`` >= 2 is a prime."""
     if p % 2 == 0:
         return p == 2
     d = 3
@@ -106,15 +105,10 @@ class RationalField:
 QQ = RationalField()
 
 
-_IDENTITY_ROWS = {}
-
-
+@functools.cache
 def identity_rows(n: int) -> tuple:
     """The n x n identity as a tuple of integer row tuples, made once per n."""
-    rows = _IDENTITY_ROWS.get(n)
-    if rows is None:
-        rows = _IDENTITY_ROWS[n] = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-    return rows
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
 class Matrix:
@@ -188,11 +182,14 @@ class Matrix:
         den = self.den
         return tuple([tuple([Fraction(x, den) for x in r]) for r in self.rows])
 
+    # a matrix is immutable, so each of these is made once per field and shape
     @classmethod
+    @functools.cache
     def zeros(cls, field, nrows: int, ncols: int) -> "Matrix":
         return cls._of_rows(field, ((0,) * ncols,) * nrows, ncols)
 
     @classmethod
+    @functools.cache
     def identity(cls, field, n: int) -> "Matrix":
         return cls._of_rows(field, identity_rows(n), n)
 
@@ -481,8 +478,7 @@ class PosetDiagram:
     :attr:`product`, the points as a :class:`CartesianSet` when they are one
     (else ``None``), or by :func:`poset_covers`.  ``maps`` is a function of
     a cover's two ends that gives its matrix, or a dict of matrices by
-    cover, where a cover left out maps by the zero matrix of its shape, one
-    shared matrix per shape.
+    cover, where a cover left out maps by :meth:`Matrix.zeros` of its shape.
     """
 
     def __init__(self, field, points, dims, maps):
@@ -508,9 +504,9 @@ class PosetDiagram:
             for c, d in maps:
                 if (c, d) not in cover_set:
                     raise InputError(f"map {c!r} -> {d!r} is not a covering pair of the points")
-            zero = functools.cache(lambda shape: Matrix.zeros(field, *shape))
             self.maps = {(c, d): maps[(c, d)] if (c, d) in maps
-                         else zero((self.dims[d], self.dims[c])) for c, d in self._covers}
+                         else Matrix.zeros(field, self.dims[d], self.dims[c])
+                         for c, d in self._covers}
         self._identities = None
         self._path_cache = {}
         self._cover_lists = None
@@ -582,16 +578,69 @@ class PosetDiagram:
         return sub
 
 
+def first_failing_square(points: list, dims: list, strides, steps: dict, identities
+                         ) -> tuple | None:
+    """The first unit square of a product of chains whose two composites
+    differ, reported as ``(c, c + e_j, c + e_i, c + e_i + e_j)``; ``None``
+    when every square commutes.
+
+    ``points`` lists the product in lexicographic order, ``dims`` their
+    dimensions in that order, and ``strides`` gives per axis how far apart
+    in it a point and the next one along the axis lie.  The step from the
+    point at place x along ``axis`` has the flat key ``x * n + axis``:
+    ``steps`` maps keys to matrices, a key left out being a zero step, and
+    ``identities`` holds the keys of the identity steps.
+
+    The unit squares generate every commutativity relation of a product of
+    chains, so they are the only squares checked.  They are walked in
+    lexicographic order of their bottom corner c, and at each c the pairs of
+    axes j > i in the order (n-1, n-2), (n-1, n-3), ..., (1, 0).  Both
+    composites out of a point with no step in ``steps`` are zero, so only
+    the sources of steps are corners.  A square commutes without a product
+    when c or its top corner has dimension zero, or when its four steps are
+    identities.  A composite through a zero-dimensional corner or a left-out
+    step is zero, so at most one product is formed then, and compared with
+    zero.
+    """
+    n = len(strides)
+    if n < 2:  # a chain has no square
+        return None
+    top = points[-1]
+    for x in sorted({key // n for key in steps}):
+        if not dims[x]:
+            continue
+        c = points[x]
+        axes = [axis for axis in reversed(range(n)) if c[axis] < top[axis]]
+        for k, j in enumerate(axes):
+            xj = x + strides[j]
+            c_j = dims[xj] and steps.get(x * n + j)
+            for i in axes[k + 1:]:
+                xi, xe = x + strides[i], xj + strides[i]
+                if not dims[xe]:
+                    continue
+                if (x * n + j in identities and xj * n + i in identities
+                        and x * n + i in identities and xi * n + j in identities):
+                    continue
+                up_i = c_j and steps.get(xj * n + i)
+                c_i = dims[xi] and steps.get(x * n + i)
+                up_j = c_i and steps.get(xi * n + j)
+                if up_i and up_j:
+                    commutes = up_i @ c_j == up_j @ c_i
+                else:  # a composite through a left-out step is zero
+                    commutes = not (up_i or up_j) or (up_i @ c_j if up_i else up_j @ c_i).is_zero()
+                if not commutes:
+                    return c, points[xj], points[xi], points[xe]
+    return None
+
+
 def validate_diagram(diagram: PosetDiagram) -> DiagramCheck:
     """Shape conformance plus commutativity: all covering chains between two
     points compose to the same map.
 
     On a point set that is a product of chains (``as_product`` recognises
-    it) the minimal squares generate every commutativity relation, so only
-    they are checked: pairs of covers c < d1, c < d2 with a common upper
-    cover e.  A square commutes with no product when c or e is a zero
-    space, or when its four maps are identities.  On other sets they do
-    not: on (0,0), (2,0), (0,1), (1,1), (2,1) the chains from (0,0) to
+    it) the unit squares generate every commutativity relation, so only
+    they are checked, by :func:`first_failing_square`.  On other sets they
+    do not: on (0,0), (2,0), (0,1), (1,1), (2,1) the chains from (0,0) to
     (2,1) through (2,0) and through (1,1) share no square.  There the
     composites from a point c are carried up the covers in linear-extension
     order, and compared wherever a point e is reached through two lower
@@ -609,24 +658,25 @@ def validate_diagram(diagram: PosetDiagram) -> DiagramCheck:
                                 f"{(dims[d], dims[c])}", (c, d))
         if m.field is not field and m.field != field:
             return DiagramCheck(False, f"map {c!r} -> {d!r} is over the wrong field", (c, d))
-    upper = diagram.cover_lists()[0]
     if diagram.product is not None:
-        above = {p: set(ups) for p, ups in upper.items()}
-        identities = diagram.identity_covers()
-        for c, outs in upper.items():
-            if not dims[c]:
-                continue
-            for i, d1 in enumerate(outs):
-                for d2 in outs[i + 1:]:
-                    for e in above[d1] & above[d2]:
-                        if not dims[e] or ((c, d1) in identities and (d1, e) in identities
-                                           and (c, d2) in identities and (d2, e) in identities):
-                            continue
-                        left = diagram.maps[(d1, e)] @ diagram.maps[(c, d1)]
-                        right = diagram.maps[(d2, e)] @ diagram.maps[(c, d2)]
-                        if left != right:
-                            return DiagramCheck(False, "square does not commute", (c, d1, d2, e))
+        points, maps = diagram.points, diagram.maps
+        strides = lex_strides([len(f) for f in diagram.product.factors])
+        n, top, identity_covers = len(strides), points[-1], diagram.identity_covers()
+        steps, identities = {}, set()
+        for x, c in enumerate(points):
+            for axis in range(n):
+                if c[axis] < top[axis]:
+                    cover = (c, points[x + strides[axis]])
+                    if not maps[cover].is_zero():
+                        steps[x * n + axis] = maps[cover]
+                        if cover in identity_covers:
+                            identities.add(x * n + axis)
+        square = first_failing_square(points, [dims[p] for p in points], strides, steps,
+                                      identities)
+        if square is not None:
+            return DiagramCheck(False, "square does not commute", square)
     else:
+        upper = diagram.cover_lists()[0]
         for start, c in enumerate(diagram.points):
             if diagram.dims[c] == 0 or len(upper[c]) < 2:
                 continue
@@ -803,9 +853,7 @@ def diagrams_isomorphic(a: PosetDiagram, b: PosetDiagram) -> bool | None:
     for p in a.points:
         if a.dims[p] != b.dims[p]:
             return False
-    if a.covers() == b.covers() and all(a.maps[e] == b.maps[e] for e in a.covers()):
-        return True
-    if all(a.dims[p] == 0 for p in a.points):
+    if all(a.maps[e] == b.maps[e] for e in a.covers()):
         return True
     for e in a.covers():
         if rank(a.maps[e]) != rank(b.maps[e]):

@@ -497,9 +497,8 @@ def _relation_matrix(pres: Presentation, gens: list, rels: list) -> Matrix:
 
     Both lists are (point, multiplicity) pairs; a block that is not stored is zero.
     """
-    zero = functools.cache(lambda shape: Matrix.zeros(pres.field, *shape))
-    bands, den = over_one_den([hstack(pres.field, [pres.blocks.get((d, b)) or zero((m, dm))
-                                                   for d, dm in rels], m) for b, m in gens])
+    bands, den = over_one_den([hstack(pres.field, [pres.block(d, b) for d, _ in rels], m)
+                               for b, m in gens])
     return Matrix._of_rows(pres.field, [r for band in bands for r in band],
                            sum(m for _, m in rels), den)
 

@@ -171,20 +171,25 @@ def path_commutativity_ok(diagram: PosetDiagram) -> bool:
     return True
 
 
-def minimal_squares_commute(diagram: PosetDiagram) -> bool:
+def minimal_squares_commute(diagram: PosetDiagram) -> DiagramCheck:
     """Do all squares of covers c < d1, d2 < e commute?  Enough on products
-    of chains only."""
+    of chains only.  Every square is tried, and the least failing one as a
+    tuple ``(c, d1, d2, e)`` with d1 < d2 (points compare as tuples) is
+    reported: on a product, the first in the order of ``validate_diagram``."""
     covers = set(diagram.covers())
+    failing = []
     for c, d1 in covers:
         for c2, d2 in covers:
-            if c2 != c or d2 == d1:
+            if c2 != c or not d1 < d2:
                 continue
             for e in diagram.points:
                 if (d1, e) in covers and (d2, e) in covers and \
                         diagram.maps[(d1, e)] @ diagram.maps[(c, d1)] != \
                         diagram.maps[(d2, e)] @ diagram.maps[(c, d2)]:
-                    return False
-    return True
+                    failing.append((c, d1, d2, e))
+    if failing:
+        return DiagramCheck(False, "square does not commute", min(failing))
+    return DiagramCheck(True)
 
 
 def given_steps(module: GridModule) -> dict:

@@ -223,6 +223,15 @@ class TestArtifacts:
             ]
             assert len(payload["rel_matrix"]) == 2
 
+    def test_encoding_over_another_field_refused(self, capsys, tmp_path):
+        """A Q encoding on the right closure, checked against an F2 module."""
+        out = tmp_path / "enc.json"
+        assert run(capsys, "encode", EXAMPLE_Q, "--set", UNIT_SET, "--out", str(out))[0] == 0
+        code, stdout, err = run(capsys, "verify", EXAMPLE_F2, "--encoding", str(out),
+                                "--set", UNIT_SET)
+        assert (code, stdout) == (2, "")
+        assert err == "detmod: error: diagram and module are over different fields\n"
+
     def test_present_then_verify_roundtrip(self, capsys, tmp_path):
         out = tmp_path / "pres.json"
         code, _, _ = run(capsys, "present", EXAMPLE_F2, "--out", str(out))
@@ -848,3 +857,33 @@ class TestIgnoredOptions:
         enc = str(tmp_path / "enc.json")
         assert run(capsys, "encode", EXAMPLE_F2, "--set", UNIT_SET, "--out", enc)[0] == 0
         self.refused(capsys, "--set", "births-deaths", enc, "--set", UNIT_SET)
+
+
+class TestSetOption:
+    """``determinacy``, ``encode``, ``births-deaths`` and ``present`` read
+    the module, build its view and then read ``--set``; the set is the
+    module's canonical grid only when the option is left out."""
+
+    @pytest.mark.parametrize("verb", ["determinacy", "encode", "births-deaths", "present"])
+    def test_module_refused_before_the_set_is_read(self, capsys, verb, tmp_path):
+        square = tmp_path / "square.json"
+        square.write_text(json.dumps({
+            "field": {"kind": "prime", "p": 2}, "n": 2, "box": {"a": [0, 0], "b": [1, 1]},
+            "dims": [1, 1, 1, 1], "maps": [{"from": [0, 0], "axis": 1, "matrix": [[1]]},
+                                           {"from": [1, 0], "axis": 2, "matrix": [[1]]}]}))
+        code, out, err = run(capsys, verb, str(square), "--set", str(tmp_path / "none.json"))
+        assert_one_error_line(code, out, err)
+        assert err.startswith("detmod: error: module does not validate: square does not commute")
+
+    @pytest.mark.parametrize("verb", ["determinacy", "encode", "births-deaths", "present"])
+    def test_an_empty_set_option_is_read_as_given(self, capsys, verb):
+        code, out, err = run(capsys, verb, EXAMPLE_F2, "--set", "")
+        assert_one_error_line(code, out, err)
+        assert "No such file or directory: ''" in err
+
+    @pytest.mark.parametrize("verb", ["births-deaths", "present"])
+    def test_left_out_set_is_the_canonical_grid(self, capsys, verb, tmp_path):
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps([["-inf", "-inf"], ["-inf", 0], ["-inf", 1], [0, "-inf"],
+                                    [0, 0], [0, 1], [1, "-inf"], [1, 0], [1, 1]]))
+        assert run(capsys, verb, EXAMPLE_F2) == run(capsys, verb, EXAMPLE_F2, "--set", str(grid))

@@ -49,6 +49,36 @@ class TestValidation:
             GridModule(F2, box, {(0, 0): 1, (1, 0): 1}, {((0, 0), 0): Matrix.identity(F5, 1)})
         assert str(err.value) == "step at (0, 0) along axis 1 is over the wrong field"
 
+    @pytest.mark.parametrize("step,message", [
+        (((1, 0), 0), "step at (1, 0) along axis 1 leaves the box"),
+        (((0, 1), 1), "step at (0, 1) along axis 2 leaves the box"),
+        (((5, 5), 0), "step source (5, 5) is outside the box"),
+        (((0, 0), 2), "invalid axis 2 at (0, 0); axes are 0 to 1 here"),
+        (((0, 0), -1), "invalid axis -1 at (0, 0); axes are 0 to 1 here"),
+    ], ids=["leaves-axis-1", "leaves-axis-2", "outside", "axis-2", "axis-minus-1"])
+    def test_step_off_the_box_refused(self, step, message):
+        box = Box((0, 0), (1, 1))
+        with pytest.raises(InputError) as err:
+            GridModule(F2, box, {p: 1 for p in box.integer_points()},
+                       {step: Matrix.identity(F2, 1)})
+        assert str(err.value) == message
+
+    def test_dimensions_refused(self):
+        box = Box((0, 0), (1, 1))
+        dims = {p: 1 for p in box.integer_points()}
+        cases = [
+            ({**dims, (3, 0): 1, (2, 2): 1}, "dimensions given outside the box: [(2, 2), (3, 0)]"),
+            ({p: d for p, d in dims.items() if p != (0, 1)},
+             "missing dimension at box point (0, 1)"),
+            ({**dims, (1, 0): -1}, "invalid dimension -1 at (1, 0)"),
+            ({**dims, (1, 0): True}, "invalid dimension True at (1, 0)"),
+            ({**dims, (1, 1): 1.0}, "invalid dimension 1.0 at (1, 1)"),
+        ]
+        for bad, message in cases:
+            with pytest.raises(InputError) as err:
+                GridModule(F2, box, bad, {})
+            assert str(err.value) == message
+
     def test_random_commutative_module_passes(self):
         rng = random.Random(5)
         for _ in range(10):
@@ -88,7 +118,8 @@ def _module_variants(module, rng):
 
 
 class TestValidateModuleRoutes:
-    """The unit-square walk against the poset-diagram route and path enumeration."""
+    """The unit-square walk against the poset-diagram route, which shares it,
+    and against ``validate_by_products`` and path enumeration, which do not."""
 
     @pytest.mark.parametrize("field,seed", [(F2, 11), (F5, 13), (QQ, 17)],
                              ids=["f2", "f5", "q"])
@@ -102,7 +133,7 @@ class TestValidateModuleRoutes:
                 fast = validate_module(module)
                 module._validated = None
                 slow = validate_module_by_diagram(module)
-                assert fast == slow
+                assert fast == slow == validate_by_products(module)
                 assert fast.ok == path_commutativity_ok(module_diagram(module))
                 verdicts.add(fast.ok)
         assert verdicts == ({True} if nparams == 1 else {True, False})

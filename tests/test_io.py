@@ -125,7 +125,8 @@ class TestModuleRoundtrip:
 class TestNoZeroFill:
     """A loaded module keeps the steps its file gives, and nothing else: each
     map entry is decoded once into a matrix, which the module keeps, and a
-    left-out step is made on first use, one zero matrix per shape."""
+    left-out step reads as ``Matrix.zeros`` of its shape, one matrix per
+    shape, which neither loading nor validating makes."""
 
     def test_one_matrix_per_map_entry_and_one_zero_per_shape(self, monkeypatch):
         import detmod.io as dio
@@ -146,11 +147,11 @@ class TestNoZeroFill:
                 assert len(decoded) == len(obj["maps"]) == len(module.given)
                 assert validate_module(module).ok and zeros == []
                 assert all(module.step(*e) is m for e, m in given_steps(module).items())
-                left_out = {key: m.shape for key, m in every_step(module).items()
-                            if key not in given_steps(module)}
-                assert sorted(zeros) == sorted(set(left_out.values()))
-                every_step(module)
-                assert len(zeros) == len(set(left_out.values()))
+                shared = {}
+                for key, m in every_step(module).items():
+                    if key not in given_steps(module):
+                        assert m.is_zero() and shared.setdefault(m.shape, m) is m
+                assert sorted(shared) == sorted(set(zeros))
 
     def test_a_large_box_with_no_maps_stores_no_step(self):
         obj = {"field": {"kind": "prime", "p": 2}, "n": 2,
@@ -158,8 +159,8 @@ class TestNoZeroFill:
         module = module_from_json(obj)
         assert len(given_steps(module)) == 0 and module.given == {}
         assert validate_module(module).ok
-        assert module.step((5, 7), 1) is module.step((7, 5), 0)
-        assert module.step((5, 7), 1).is_zero() and len(module._zero) == 1
+        assert module.step((5, 7), 1) is module.step((7, 5), 0) is Matrix.zeros(F2, 1, 1)
+        assert module.step((5, 7), 1).is_zero()
 
 
 JSON_VALUES = st.recursive(

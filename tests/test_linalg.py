@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from detmod import (Box, CartesianSet, ExtendedView, InputError, Matrix, NEG_INF,
+from detmod import (Box, CartesianSet, DiagramCheck, ExtendedView, InputError, Matrix, NEG_INF,
                     PosetDiagram, PrimeField, QQ, RationalField, cokernel_projection,
                     diagrams_isomorphic, hstack, is_invertible, join_closure, kernel_basis,
                     leq, pointed_closure, poset_covers, rank, restrict_view, solve,
@@ -535,6 +535,16 @@ class TestPathMap:
         assert d.path_map(points[0], points[-1]) == Matrix.identity(F2, 1)
         assert calls[0] <= 4 * n
 
+    def test_target_not_above_or_not_in_the_diagram_refused(self):
+        points = [(0, 0), (0, 1), (1, 0), (1, 1)]
+        d = PosetDiagram(F2, points, {p: 1 for p in points}, {})
+        with pytest.raises(InputError) as err:
+            d.path_map((0, 1), (1, 0))
+        assert str(err.value) == "(0, 1) is not below (1, 0) in the diagram"
+        with pytest.raises(InputError) as err:
+            d.path_map((0, 0), (1, 2))
+        assert str(err.value) == "no covering chain from (1, 1) to (1, 2)"
+
     @pytest.mark.parametrize("field", FIELDS, ids=["f2", "f5", "q"])
     def test_matches_composites_along_every_cover_path(self, field):
         for enc in _encodings(field, random.Random(31), 6):
@@ -649,6 +659,14 @@ class TestDiagramCovers:
         with pytest.raises(InputError, match="duplicate points in diagram"):
             PosetDiagram(F2, [(0,), (0,)], {(0,): 1}, {})
 
+    def test_left_out_covers_share_one_zero_per_shape(self):
+        pts = [(0, 0), (0, 1), (1, 0), (1, 1)]
+        diagram = PosetDiagram(F5, pts, {(0, 0): 1, (0, 1): 2, (1, 0): 2, (1, 1): 1}, {})
+        assert diagram.maps[((0, 0), (0, 1))] is diagram.maps[((0, 0), (1, 0))] \
+            is Matrix.zeros(F5, 2, 1)
+        assert diagram.maps[((0, 1), (1, 1))] is Matrix.zeros(PrimeField(5), 1, 2)
+        assert Matrix.identity(QQ, 3) is Matrix.identity(RationalField(), 3)
+
     def test_derived_covers_are_complete_and_decide_the_product_once(self, monkeypatch):
         calls = []
         as_product_of = linalg.as_product
@@ -690,6 +708,19 @@ class TestValidation:
                                               {((0,), (1,)): Matrix.identity(F2, 1)}))
         assert not check.ok
         assert "shape" in check.message
+
+    def test_map_over_another_field_reported(self):
+        pts = [(0,), (1,)]
+        check = validate_diagram(PosetDiagram(F2, pts, {(0,): 1, (1,): 1},
+                                              {((0,), (1,)): Matrix.identity(F5, 1)}))
+        assert check == DiagramCheck(False, "map (0,) -> (1,) is over the wrong field",
+                                     ((0,), (1,)))
+
+    def test_invalid_dimension_refused(self):
+        for d in (-1, True, 1.0, None):
+            with pytest.raises(InputError) as err:
+                PosetDiagram(F2, [(0,), (1,)], {(0,): 1, (1,): d}, {})
+            assert str(err.value) == f"invalid dimension {d!r} at (1,)"
 
     def test_colimit_refuses_invalid_diagram(self):
         pts = [(0, 0), (0, 1), (1, 0), (1, 1)]
@@ -746,11 +777,52 @@ class TestValidation:
                 check = validate_diagram(diagram)
                 assert bool(check) == path_commutativity_ok(diagram)
                 verdicts[bool(check)] += 1
-                square_free_failures += not check and minimal_squares_commute(diagram)
+                square_free_failures += not check and bool(minimal_squares_commute(diagram))
                 if not check:
                     c, d1, d2, e = check.square
                     assert leq(c, d1) and leq(c, d2) and d1 != d2
                     assert (d1, e) in diagram.maps and (d2, e) in diagram.maps
+
+    @pytest.mark.parametrize("field", FIELDS, ids=["f2", "f5", "q"])
+    def test_products_report_the_first_failing_square(self, field):
+        """Seeded products of chains, some factors holding -inf and some of
+        one coordinate: a module's restriction (it commutes), that
+        restriction with one cover map zeroed or shifted, and random maps.
+        ``validate_diagram`` reports the square that ``minimal_squares_commute``,
+        which tries every square, finds first; failing squares are seen at
+        more than one corner and on more than one pair of axes."""
+        rng = random.Random(53 + (field.p if field.kind == "prime" else 0))
+        verdicts, corners, pairs = {True: 0, False: 0}, set(), set()
+        for _ in range(40):
+            nparams = rng.choice([2, 3])
+            factors = []
+            for _ in range(nparams):
+                coords = rng.sample(range(-1, 3), rng.choice([1, 2, 2, 3]))
+                factors.append(coords + [NEG_INF] if rng.random() < 0.5 else coords)
+            grid = CartesianSet(tuple(factors))
+            box = Box((0,) * nparams, (2,) * nparams)
+            restricted = restrict_view(ExtendedView(random_module(field, rng, box=box)), grid)
+            covers, dims = restricted.covers(), restricted.dims
+            shifted = dict(restricted.maps)
+            if covers:
+                edge = rng.choice(covers)
+                shape = shifted[edge].shape
+                shifted[edge] = shifted[edge] + random_matrix(field, *shape, rng) \
+                    if rng.random() < 0.5 else Matrix.zeros(field, *shape)
+            random_maps = {(c, d): random_matrix(field, dims[d], dims[c], rng)
+                           for c, d in covers}
+            for maps in (restricted.maps, shifted, random_maps):
+                diagram = PosetDiagram(field, grid.sorted_points(), dims, maps)
+                assert diagram.product == grid
+                check = validate_diagram(diagram)
+                assert check == minimal_squares_commute(diagram)
+                verdicts[check.ok] += 1
+                if not check:
+                    c, d1, d2, _ = check.square
+                    corners.add(c == min(grid.sorted_points()))
+                    pairs.add(tuple(a for a in range(nparams) if d1[a] != d2[a]))
+        assert min(verdicts.values()) >= 10
+        assert corners == {True, False} and len(pairs) > 1
 
     def test_square_free_counterexample(self):
         """Two chains from (0,0) to (2,1) that share no minimal square."""

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from detmod import (Box, ExtendedView, GridModule, InputError,
-                    Matrix, NEG_INF, NotDeterminedError, PosetDiagram,
+                    Matrix, NEG_INF, NotDeterminedError, PosetDiagram, PrimeField,
                     Presentation, births_deaths, build_presentation, check_encoding,
                     diagram_births_deaths, encode, ext_box, hstack,
                     in_upset, is_admissible, is_invertible, leq,
@@ -778,12 +778,29 @@ class TestVerifyPresentation:
     def test_absent_block_is_zero_of_its_shape(self):
         pres = Presentation(F2, 2, ((BOTTOM, 2),), (((1, 1), 3),), {})
         assert pres.block((1, 1), BOTTOM) == Matrix.zeros(F2, 2, 3)
+        assert pres.block((1, 1), BOTTOM) is Matrix.zeros(PrimeField(2), 2, 3)
 
     def test_repeated_points_rejected(self):
         for gens, rels in ((((BOTTOM, 1), (BOTTOM, 1)), ()),
                            (((BOTTOM, 1),), (((1, 1), 1), ((1, 1), 2)))):
             with pytest.raises(InputError):
                 Presentation(F2, 2, gens, rels, {})
+
+    @pytest.mark.parametrize("gens,rels,blocks,message", [
+        (((BOTTOM, 0),), (), {}, "multiplicity at (-inf, -inf) must be a positive integer"),
+        (((BOTTOM, True),), (), {}, "multiplicity at (-inf, -inf) must be a positive integer"),
+        ((), (((1, 1), 2.0),), {}, "multiplicity at (1, 1) must be a positive integer"),
+        (((BOTTOM, 1),), (((1, 1), 1),), {((2, 2), BOTTOM): Matrix.identity(F2, 1)},
+         "block ((2, 2), (-inf, -inf)) does not match a relation/generator pair"),
+        (((BOTTOM, 1),), (((1, 1), 1),), {((1, 1), (0, 0)): Matrix.identity(F2, 1)},
+         "block ((1, 1), (0, 0)) does not match a relation/generator pair"),
+        (((BOTTOM, 2),), (((1, 1), 3),), {((1, 1), BOTTOM): Matrix.zeros(F2, 3, 2)},
+         "block ((1, 1), (-inf, -inf)) has shape (3, 2), expected (2, 3)"),
+    ], ids=["zero", "bool", "float", "off-relation", "off-generator", "shape"])
+    def test_malformed_presentation_refused(self, gens, rels, blocks, message):
+        with pytest.raises(InputError) as err:
+            Presentation(F2, 2, gens, rels, blocks)
+        assert str(err.value) == message
 
     def test_grading_enforced(self):
         with pytest.raises(InputError):
