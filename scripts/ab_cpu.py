@@ -16,10 +16,16 @@ caches before the timed passes.  Later passes truncate each ``--out`` file
 before its job instead of deleting it, so no pass pays for creating files.
 
 Per seed it prints the median CPU seconds of a pass on each side, their
-quartiles, and in how many pairs CHANGE was faster.  The results go to
-``BENCH_<tag>.json`` in the current directory, merged into what is there
-under the key ``<workload>/<seed>``, with a digest of each side's sources.  The script exits 1 when a check fails
-and 0 otherwise; it has no timing gate.
+quartiles, and in how many pairs CHANGE was faster.  It also prints each
+side's job p50 and job tail, taken as ``perfbench/run.py`` takes them: each
+job's CPU time replaced by its median over the timed passes, and the tail
+by CHANGE's ``perfbench/run.py`` ``tail()`` of those medians, each counted
+once per pass.  The tail of one pass is taken the same way from that pass's
+job times, and it prints in how many pairs CHANGE's pass had the lower
+tail.  The results go to ``BENCH_<tag>.json`` in the current directory,
+merged into what is there under the key ``<workload>/<seed>``, with a
+digest of each side's sources.  The script exits 1 when a check fails and 0
+otherwise; it has no timing gate.
 
 Usage: python scripts/ab_cpu.py PARENT CHANGE --workload census --seeds 1 4242
                                 [--passes 10] [--tag NAME]
@@ -66,6 +72,15 @@ def load_side(checkout: str, name: str):
     return cli, workloads
 
 
+def load_tail(checkout: str):
+    """``tail`` of the checkout's ``perfbench/run.py``, the job tail of the benchmark."""
+    spec = importlib.util.spec_from_file_location("detmod_ab_run",
+                                                  os.path.join(checkout, "perfbench", "run.py"))
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    return run.tail
+
+
 class Side:
     def __init__(self, label: str, cli, workloads, workload: str, seed: int, workdir: str):
         self.label, self.cli = label, cli
@@ -73,11 +88,12 @@ class Side:
         workloads.WORKLOADS[workload].build(bld, seed)
         self.rounds, self.digest = bld.rounds, bld.digest()
         self.pass_s = []
+        self.job_s = []  # per timed pass, the CPU seconds of each job in order
         self.failures = []
 
     def run_pass(self, check: bool = False) -> None:
         """One pass over the pool: checked and untimed, or timed."""
-        seconds = 0.0
+        seconds, job_s = 0.0, []
         sink = io.StringIO()
         for jobs in self.rounds:
             contexts = {}
@@ -87,11 +103,13 @@ class Side:
                 with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
                     t0 = CLOCK()
                     rc = self.cli.main(job.argv)
-                    seconds += CLOCK() - t0
+                    job_s.append(CLOCK() - t0)
+                    seconds += job_s[-1]
                 if check and not self.passes_check(job, rc, contexts.setdefault(job.group, {})):
                     self.failures.append(f"{self.label}: {' '.join(job.argv)} (exit {rc})")
         if not check:
             self.pass_s.append(seconds)
+            self.job_s.append(job_s)
 
     @staticmethod
     def passes_check(job, rc, ctx) -> bool:
@@ -127,7 +145,17 @@ def quartiles(xs: list) -> tuple:
     return q[0], q[1], q[2]
 
 
-def run_seed(sides: list, passes: int) -> dict:
+def job_metrics(side, tail) -> tuple:
+    """(job p50, job tail, the tail of each pass) of a side, in seconds, as
+    ``perfbench/run.py`` takes them: every job's median over the passes, and
+    the tail of those medians, each counted once per pass."""
+    passes = len(side.job_s)
+    medians = list(map(statistics.median, zip(*side.job_s)))
+    return (statistics.median(medians), tail([m for m in medians for _ in range(passes)])[0],
+            [tail([t for t in job_s for _ in range(passes)])[0] for job_s in side.job_s])
+
+
+def run_seed(sides: list, passes: int, tail) -> dict:
     parent, change = sides
     for side in sides:
         side.run_pass(check=True)
@@ -141,7 +169,12 @@ def run_seed(sides: list, passes: int) -> dict:
               "outputs_differing": differing, "change_won": won}
     for side in sides:
         q1, med, q3 = quartiles(side.pass_s)
-        result[side.label] = {"median_s": med, "q1_s": q1, "q3_s": q3, "pass_s": side.pass_s}
+        p50, job_tail, pass_tail = job_metrics(side, tail)
+        result[side.label] = {"median_s": med, "q1_s": q1, "q3_s": q3, "pass_s": side.pass_s,
+                              "job_p50_ms": 1000 * p50, "job_tail_ms": 1000 * job_tail,
+                              "pass_tail_ms": [1000 * t for t in pass_tail]}
+    result["change_won_tail"] = sum(c < p for p, c in zip(result["parent"]["pass_tail_ms"],
+                                                         result["change"]["pass_tail_ms"]))
     return result
 
 
@@ -162,6 +195,7 @@ def main(argv=None) -> int:
     if args.workload not in loaded[1][1].WORKLOADS:
         parser.error(f"unknown workload {args.workload!r}; "
                      f"choose from {', '.join(loaded[1][1].WORKLOADS)}")
+    tail = load_tail(os.path.abspath(args.change))
     path = f"BENCH_{args.tag}.json"
     report = {"parent_src_sha256": source_digest(args.parent),
               "change_src_sha256": source_digest(args.change),
@@ -174,7 +208,7 @@ def main(argv=None) -> int:
         with tempfile.TemporaryDirectory(prefix="ab_cpu_") as tmp:
             sides = [Side(label, cli, workloads, args.workload, seed, os.path.join(tmp, label))
                      for label, (cli, workloads) in zip(("parent", "change"), loaded)]
-            result = run_seed(sides, args.passes)
+            result = run_seed(sides, args.passes, tail)
         for side in sides:
             for line in side.failures[:5]:
                 print(f"failed job: {line}", file=sys.stderr)
@@ -186,9 +220,13 @@ def main(argv=None) -> int:
               f"{result['outputs_differing']}, inputs identical: {result['inputs_identical']}")
         for label, r in (("parent", p), ("change", c)):
             print(f"  {label:6} CPU per pass median {1000 * r['median_s']:9.2f} ms, "
-                  f"quartiles {1000 * r['q1_s']:.2f} - {1000 * r['q3_s']:.2f} ms")
+                  f"quartiles {1000 * r['q1_s']:.2f} - {1000 * r['q3_s']:.2f} ms; "
+                  f"job p50 {r['job_p50_ms']:.4f} ms, job tail {r['job_tail_ms']:.4f} ms")
         print(f"  change faster in {result['change_won']} of {result['passes']} pairs; "
               f"median change / parent {c['median_s'] / p['median_s']:.3f}")
+        print(f"  change tail lower in {result['change_won_tail']} of {result['passes']} pairs; "
+              f"job p50 change / parent {c['job_p50_ms'] / p['job_p50_ms']:.3f}, "
+              f"job tail change / parent {c['job_tail_ms'] / p['job_tail_ms']:.3f}")
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -158,7 +158,7 @@ def _cmd_verify(args) -> int:
         check = verify_presentation(view, pres)
         _emit(dio.presentation_check_to_json(check), args.out)
         return 3 if check.ok is None else 0 if check.ok else 1
-    if not args.set:
+    if args.set is None:
         raise InputError("verify --encoding also needs --set")
     diagram = dio.diagram_from_json(_read_json_arg(args.encoding))
     s = dio.pointset_from_json(_read_json_arg(args.set), dim=module.box.dim)

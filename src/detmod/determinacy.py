@@ -24,11 +24,13 @@ step through :meth:`GridModule.is_invertible_step`, with no matrix made.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
+from operator import getitem, not_, or_
 
 from .errors import InputError, NotDeterminedError
 from .extgrid import (Box, CartesianSet, NEG_INF, as_point, critical_grid, grid_clamps,
-                      in_upset, leq, min_point, pointed_closure)
+                      in_upset, lex_strides, min_point, pointed_closure)
 from .grid_module import ExtendedView, GridModule, restrict_view
 from .linalg import PosetDiagram, _require_valid, diagrams_isomorphic
 
@@ -82,37 +84,74 @@ def _first_failing_step(module: GridModule, s):
     order -inf below every integer as ``point_sort_key`` does.  Steps are
     tested by :meth:`GridModule.is_invertible_step` at the clamp of c, the
     box point the step leaves, with no :class:`Matrix` made.
+
+    Everything is kept by integer index: a step by the flat index of the
+    box point q it leaves and its axis, and a set point by one bit.  The set
+    points below d are those with coordinate v on the axis that lie below
+    the corner of q + e_axis (:func:`_downsets`), and a candidate is ordered
+    by the place of c among the points with coordinates -inf and the box's
+    on every axis.
     """
     box, values, strides = module.box, module.dim_list, module.strides
     n, lower, top = box.dim, box.a, box.b
     settled = _axis_coordinates(s, n)
-    at_coord = None  # per axis, the points of the set by their coordinate there
-    candidates = []
+    keys = below = None  # made for the first step that is not settled, and that needs them
+    candidates = []  # (n * place of c + axis, flat index of q)
     for axis, stride in enumerate(strides):
         block = stride * (top[axis] - lower[axis] + 1)
-        cs = _corner_factors(box)  # per axis the corner coordinates, in box order
         for v in range(lower[axis] + 1, top[axis] + 1):
             if v in settled[axis]:
                 continue
-            if at_coord is None:
-                at_coord = [{} for _ in range(n)]
-                for p in s:
+            if keys is None:
+                factors, pts = _corner_factors(box), list(s)
+                at = [{} for _ in range(n)]  # per axis, the set points by their coordinate
+                for bit, p in enumerate(pts):
                     for i, u in enumerate(p):
-                        at_coord[i].setdefault(u, []).append(p)
-            # the flat indices of the box points q with q_axis = v - 1, in order
+                        at[i][u] = at[i].get(u, 0) | 1 << bit
+                # per box point, n times the place of its corner
+                places, keys = lex_strides([len(f) + 1 for f in factors]), [0]
+                for f, place in zip(factors, places):
+                    es = [(k + 1) * place * n if k else 0 for k in range(len(f))]
+                    keys = [key + e for key in keys for e in es]
+            at_v = at[axis].get(v, 0)
+            if at_v and below is None:
+                below = _downsets(pts, factors)  # per box point, the set points below its corner
+            # the box points q with q_axis = v - 1, in order; c is the corner of q
+            # but for c_axis = v - 1, which is finite at the lower bound too
             base = (v - 1 - lower[axis]) * stride
             xs = [x for o in range(base, len(values), block) for x in range(o, o + stride)]
-            cs[axis] = (v - 1,)
-            ds = cs[:axis] + [(v,)] + cs[axis + 1:]
-            below = at_coord[axis].get(v, ())
-            for x, c, d in zip(xs, itertools.product(*cs), itertools.product(*ds)):
-                if (values[x] or values[x + stride]) and not any(leq(p, d) for p in below):
-                    candidates.append((c, axis, d))
-    candidates.sort()  # (c, axis) is unique, so d is never compared
-    for c, axis, d in candidates:
-        if not module.is_invertible_step(tuple(map(max, lower, c)), axis):
-            return c, d
+            shift = axis + (places[axis] * n if v - 1 == lower[axis] else 0)
+            candidates += [(keys[x] + shift, x) for x in xs
+                           if (values[x] or values[x + stride])
+                           and not (at_v and at_v & below[x + stride])]
+    candidates.sort()
+    for key, x in candidates:
+        axis, q = key % n, module.points[x]
+        if not module.is_invertible_step(q, axis):
+            c = tuple(NEG_INF if i != axis and u == lo else u
+                      for i, (u, lo) in enumerate(zip(q, lower)))
+            return c, c[:axis] + (c[axis] + 1,) + c[axis + 1:]
     return None
+
+
+def _masks_below(pts: list, axis: int, factor: tuple) -> list:
+    """Per coordinate of ``factor``, an increasing tuple that starts at -inf,
+    the points of ``pts`` whose coordinate on ``axis`` is at or below it, as
+    bits: point k is bit k."""
+    at = [0] * (len(factor) + 1)
+    for bit, p in enumerate(pts):
+        at[bisect_left(factor, p[axis])] |= 1 << bit
+    return list(itertools.accumulate(at[:-1], or_))
+
+
+def _downsets(pts: list, factors) -> list:
+    """Per point of the product of ``factors`` in lexicographic order, the
+    points of ``pts`` at or below it, as bits (:func:`_masks_below`)."""
+    downsets = [-1]
+    for axis, f in enumerate(factors):
+        masks = _masks_below(pts, axis, f)
+        downsets = [d & m for d in downsets for m in masks]
+    return downsets
 
 
 def _axis_coordinates(s, n: int) -> list:
@@ -146,7 +185,7 @@ def is_S_determined(view: ExtendedView, s) -> DeterminacyReport:
     witness = _first_failing_step(module, pts)
     corners = itertools.product(*_corner_factors(module.box))
     support_ok = min_point(module.box.dim) in pts or all(
-        in_upset(pts, c) for c, dq in zip(corners, module.dims.values()) if dq)
+        in_upset(pts, c) for c, dq in zip(corners, module.dim_list) if dq)
     return DeterminacyReport(witness is None, witness, support_ok, "critical-grid")
 
 
@@ -169,9 +208,13 @@ def is_S_determined_oracle(view: ExtendedView, s, window: Box) -> DeterminacyRep
     axis) is walked cover by cover in the order of ``CartesianSet.covers``,
     and the first cover that breaks the condition is the witness.  A cover
     whose ends clamp to one box point maps by the identity; any other
-    clamps onto one stored unit step, tested once by
-    :meth:`GridModule.is_invertible_step`.  Downsets are compared by the
-    threshold rule of the module docstring, and support is checked at every
+    clamps onto one stored unit step, tested once per call by
+    :meth:`GridModule.is_invertible_step` and kept by its flat index.  Grid
+    points are addressed by their flat index in lexicographic order, and a
+    set point by its index on each axis: the part of the set below a grid
+    point is the and of one bit mask per axis, the set points at or below
+    its index there.  The downsets of a cover's ends are compared on those
+    masks (:func:`_equal_downsets`), and support is checked on them at every
     grid point.  Exists so critical-grid results can be cross-certified.
     """
     pts = _normalize_set(view, s)
@@ -184,33 +227,41 @@ def is_S_determined_oracle(view: ExtendedView, s, window: Box) -> DeterminacyRep
         for i, v in enumerate(p):
             if v != NEG_INF and not (window.a[i] <= v <= window.b[i]):
                 raise InputError(f"oracle window must contain the set point {p!r}")
-    module = view.module
+    module, box = view.module, view.box
     grid = critical_grid(window)
-    factors, clamps = grid.factors, grid_clamps(grid, module.box)
-    support_ok = min_point(window.dim) in pts or all(
-        in_upset(pts, p) for p, q in zip(itertools.product(*factors),
-                                         itertools.product(*clamps)) if module.dims[q])
-    # per axis and index k, None when the cover out of the k-th coordinate
-    # clamps to one point, else the set points with the next coordinate there
-    above = [[[p for p in pts if p[axis] == f[k + 1]] if k + 1 < len(f) and cl[k] != cl[k + 1]
-              else None for k in range(len(f))]
-             for axis, (f, cl) in enumerate(zip(factors, clamps))]
-    invertible = {}
-    indices = itertools.product(*(range(len(f)) for f in factors))
-    for idx, c, q in zip(indices, itertools.product(*factors), itertools.product(*clamps)):
+    factors, clamps = grid.factors, grid_clamps(grid, box)
+    lengths = [len(f) for f in factors]
+    downsets = _downsets(list(pts), factors)
+    # per grid point, the flat index of its clamp in the box; per axis and
+    # index k, whether the cover out of the k-th coordinate clamps onto a step
+    clamp_at = [0]
+    for cl, lo, stride in zip(clamps, box.a, module.strides):
+        clamp_at = [q + (v - lo) * stride for q in clamp_at for v in cl]
+    onto_step = [[k + 1 < len(cl) and cl[k] != cl[k + 1] for k in range(len(cl))]
+                 for cl in clamps]
+    # support fails at a grid point that sees no set point and clamps to a non-zero space
+    support_ok = min_point(window.dim) in pts or not any(
+        itertools.compress(map(module.dim_list.__getitem__, clamp_at), map(not_, downsets)))
+    n, strides, invertible = window.dim, lex_strides(lengths), {}
+    for x, idx in enumerate(itertools.product(*map(range, lengths))):
         for axis, k in enumerate(idx):
-            at = above[axis][k]
-            if at is None:
+            if not (onto_step[axis][k] and _equal_downsets(downsets, x, x + strides[axis])):
                 continue
-            d = c[:axis] + (factors[axis][k + 1],) + c[axis + 1:]
-            if at and any(leq(p, d) for p in at):
-                continue
-            ok = invertible.get((q, axis))
+            q = clamp_at[x]
+            ok = invertible.get(q * n + axis)
             if ok is None:
-                ok = invertible[q, axis] = module.is_invertible_step(q, axis)
+                ok = invertible[q * n + axis] = module.is_invertible_step(module.points[q], axis)
             if not ok:
+                c = tuple(map(getitem, factors, idx))
+                d = c[:axis] + (factors[axis][k + 1],) + c[axis + 1:]
                 return DeterminacyReport(False, (c, d), support_ok, "oracle")
     return DeterminacyReport(True, None, support_ok, "oracle")
+
+
+def _equal_downsets(downsets: list, x: int, y: int) -> bool:
+    """Whether the grid points at flat indices x and y see the same part of
+    the set below them."""
+    return downsets[x] == downsets[y]
 
 
 def canonical_grid(module: GridModule) -> CartesianSet:

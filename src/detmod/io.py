@@ -9,7 +9,8 @@ order so that identical inputs produce identical bytes.
 from __future__ import annotations
 
 import math
-from itertools import chain
+from itertools import chain, repeat
+from operator import itemgetter
 from json.encoder import encode_basestring_ascii as _escape
 
 from .errors import InputError
@@ -96,52 +97,79 @@ def _rational(field, x) -> tuple:
     if type(x) is str:
         num, slash, den = x.partition("/")
         digits = num[1:] if num[:1] == "-" else num
-        if (slash and digits.isascii() and digits.isdigit()
-                and den.isascii() and den.isdigit() and int(den)):
+        if slash and digits.isascii() and digits.isdigit() and den.isascii() and den.isdigit():
             num, den = int(num), int(den)
-            g = math.gcd(num, den)
-            return num // g, den // g
+            if den:
+                g = math.gcd(num, den)
+                return num // g, den // g
     frac = field.coerce(x)
     return frac.numerator, frac.denominator
 
 
+# the entry types a matrix of each field kind decodes in bulk; any other is
+# refused by the field, entry by entry
+_PLAIN = {"prime": {int}, "rational": {int, str}}
+
+
 def matrix_from_json(field, obj, shape: tuple, tokens: dict) -> Matrix:
     """A matrix of ``shape`` from a file, decoded straight into the integer
-    form of :class:`Matrix`: the reduced rows over 1 on F_p, and on Q integer
-    rows over their least common denominator, which is in lowest terms.  An
-    int stays an int, and ``tokens`` holds every string entry of the same
-    file read so far, as :func:`_rational` reads it, so each is parsed once
-    per file.  Every matrix of every file kind is decoded here."""
+    form of :class:`Matrix` by :func:`_numbers` and :func:`_matrix_of`,
+    which decode every matrix of every file kind.  An entry other than a
+    plain int, or over Q a string, is refused with the field's message for
+    the first one."""
     _check_shape(obj, shape)
-    if set(map(type, chain.from_iterable(obj))) <= {int}:  # plain ints, as most are written
-        if field.kind == "prime":
-            return Matrix._of_rows(field, tuple([tuple(map(field.p.__rmod__, r)) for r in obj]),
-                                   shape[1])
-        return Matrix._of_rows(field, tuple(map(tuple, obj)), shape[1])
+    flat = list(chain.from_iterable(obj))
+    if {*map(type, flat)} <= _PLAIN[field.kind]:
+        return _matrix_of(field, *_numbers(field, flat, tokens), *shape)
     try:
-        if field.kind == "prime":
-            return Matrix._of_rows(field, tuple([tuple(map(field.coerce, r)) for r in obj]),
-                                   shape[1])
-        parsed = []
-        for r in obj:
-            row = []
-            for x in r:
-                if type(x) is str:
-                    q = tokens.get(x)
-                    if q is None:
-                        q = tokens[x] = _rational(field, x)
-                    x = q
-                elif type(x) is not int:
-                    x = _rational(field, x)
-                row.append(x)
-            parsed.append(row)
+        for x in flat:
+            if field.kind == "prime" or type(x) is not str:
+                field.coerce(x)
+            elif x not in tokens:
+                tokens[x] = _rational(field, x)
     except InputError:
         raise
     except (TypeError, ValueError) as exc:
         raise InputError(f"invalid matrix entry: {exc}") from exc
-    den = math.lcm(*{x[1] for r in parsed for x in r if type(x) is tuple})
-    return Matrix._of_rows(field, tuple([tuple([x * den if type(x) is int else x[0] * (den // x[1])
-                                                for x in r]) for r in parsed]), shape[1], den)
+    raise AssertionError(f"no entry of {obj!r} was refused")
+
+
+def _numbers(field, flat: list, tokens: dict) -> tuple:
+    """``(nums, dens)``: the entries ``flat`` of one or more matrices, plain
+    ints and over Q strings too, as integers over denominators.  Over F_p
+    the entries mod p and ``dens`` None.  Over Q each string as
+    :func:`_rational` reads it, kept in ``tokens`` so that it is parsed once
+    per file, and ``dens`` None when there is no string."""
+    if field.kind == "prime":
+        p = field.p
+        if flat and not (0 <= min(flat) and max(flat) < p):
+            return [x % p for x in flat], None
+        return flat, None
+    if str not in {*map(type, flat)}:
+        return flat, None
+    strings = [x for x in dict.fromkeys(flat) if type(x) is str]  # in file order
+    try:
+        for x in strings:
+            if x not in tokens:
+                tokens[x] = _rational(field, x)
+    except InputError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"invalid matrix entry: {exc}") from exc
+    num_of, den_of = {x: tokens[x][0] for x in strings}, {x: tokens[x][1] for x in strings}
+    return list(map(num_of.get, flat, flat)), list(map(den_of.get, flat, repeat(1)))
+
+
+def _matrix_of(field, nums: list, dens: list | None, nrows: int, ncols: int) -> Matrix:
+    """The matrix whose entries, row by row, are ``nums`` over ``dens`` (over
+    1 when None): the integer rows over their least common denominator,
+    which is then in lowest terms, as the rationals were."""
+    den = 1
+    if dens is not None and dens.count(1) != len(dens):
+        den = math.lcm(*dens)
+        nums = [x * (den // d) for x, d in zip(nums, dens)]
+    rows = tuple(zip(*[iter(nums)] * ncols)) if ncols else ((),) * nrows
+    return Matrix._of_rows(field, rows, ncols, den)
 
 
 # the walks eliminate d x d matrices, so the work a file declares is the sum
@@ -201,13 +229,17 @@ def module_to_json(module: GridModule) -> dict:
 
 
 def module_from_json(obj) -> GridModule:
-    """A module file read and checked in one pass over its map entries.
+    """A module file read and checked, its map entries all before any matrix
+    is decoded.
 
-    Each entry's source is looked up among the box points, which gives its
-    flat index (see :class:`GridModule`), and its matrix is decoded straight
-    into the integer form of :class:`Matrix` (:func:`matrix_from_json`).
-    The checks are those of ``GridModule.__init__``, with the loader's own
-    messages, and are not made again.
+    Each map entry's source is looked up among the box points, which gives
+    its flat index (see :class:`GridModule`), and its matrix is decoded into
+    the integer form of :class:`Matrix`, each distinct one once.  The checks
+    are those of ``GridModule.__init__``, with the loader's own messages,
+    and are not made again.  They are made on the whole ``maps`` array
+    (:func:`_given_at_once`); only when that refuses does the entry-by-entry
+    loop (:func:`_given_one_by_one`) run, to word the refusal of the first
+    entry at fault.
     """
     if not isinstance(obj, dict):
         raise InputError("module file must contain a JSON object")
@@ -221,10 +253,80 @@ def module_from_json(obj) -> GridModule:
     if len(dims_list) != size:
         raise InputError(f"dims has {len(dims_list)} entries, the box has {size} points")
     pts = list(box.integer_points())
-    n, top, strides = box.dim, box.b, box.strides()  # n may be True for 1
     index = dict(zip(pts, range(len(pts))))
+    entries = _array(obj, "maps")
+    given = _given_at_once(field, box, pts, index, dims_list, entries)
+    if given is None:
+        given = _given_one_by_one(field, box, pts, index, dims_list, entries)
+    return GridModule._checked(field, box, dict(zip(pts, dims_list)), index, given)
+
+
+def _given_at_once(field, box: Box, pts: list, index: dict, dims_list: list,
+                   entries: list) -> dict | None:
+    """The given steps of the map entries by flat index, every entry checked
+    before any matrix is decoded; ``None`` when some entry is refused.
+
+    One lean pass over the entries checks that each is an object with a
+    source, an axis and a matrix list, that its source is a box point and
+    its axis a plain int in 1..n, and that its step stays in the box and is
+    given once.  Whole-array passes then check that every source coordinate
+    is a plain int, that each matrix is a list of rows of its forced shape,
+    and that each entry is a plain int (or over Q a string).  The entries are
+    read as numbers at once (:func:`_numbers`), and each distinct matrix is
+    made once (:func:`_matrix_of`), keyed by its shape and raw entries: only
+    plain ints and strings are keys, so no true or 1.0 meets a decoded 1.
+    """
+    if not entries:
+        return {}
+    n, top, strides = box.dim, box.b, box.strides()
+    keys, shapes, mats = {}, [], []  # the steps' flat indices, in file order
+    try:
+        for entry in entries:
+            p, axis, mat = entry["from"], entry["axis"], entry["matrix"]
+            x = index[tuple(p)]
+            if type(axis) is not int or not 1 <= axis <= n or type(mat) is not list:
+                return None
+            axis -= 1
+            if pts[x][axis] == top[axis]:
+                return None
+            keys[x * n + axis] = None
+            shapes.append((dims_list[x + strides[axis]], dims_list[x]))
+            mats.append(mat)
+    except (TypeError, KeyError):  # not an object, a key left out, or no box point
+        return None
+    nrows, ncols = zip(*shapes)
+    if not (len(keys) == len(mats)  # no step given twice
+            and {*map(type, chain.from_iterable(map(itemgetter("from"), entries)))} <= {int}
+            and list(map(len, mats)) == list(nrows)):
+        return None
+    rows = list(chain.from_iterable(mats))
+    if not ({*map(type, rows)} <= {list} and list(map(len, rows))
+            == list(chain.from_iterable(map(repeat, ncols, nrows)))):
+        return None
+    flat = list(chain.from_iterable(rows))
+    if not {*map(type, flat)} <= _PLAIN[field.kind]:
+        return None
+    nums, dens = _numbers(field, flat, {})
+    given, memo, o = {}, {}, 0
+    for key, (r, c) in zip(keys, shapes):
+        raw = (r, c, *flat[o:o + r * c])
+        m = memo.get(raw)
+        if m is None:
+            m = memo[raw] = _matrix_of(field, nums[o:o + r * c],
+                                       None if dens is None else dens[o:o + r * c], r, c)
+        given[key] = m
+        o += r * c
+    return given
+
+
+def _given_one_by_one(field, box: Box, pts: list, index: dict, dims_list: list,
+                      entries: list) -> dict:
+    """The given steps of the map entries by flat index, entry by entry, as
+    :func:`_given_at_once` gives them; it refuses the first entry at fault
+    with its own message."""
+    n, top, strides = box.dim, box.b, box.strides()
     given, tokens = {}, {}
-    for entry in _array(obj, "maps"):
+    for entry in entries:
         if not isinstance(entry, dict):
             raise InputError(f"invalid map entry {entry!r}")
         p = entry.get("from")
@@ -245,7 +347,7 @@ def module_from_json(obj) -> GridModule:
             raise InputError(f"duplicate map at {p!r} along axis {axis + 1}")
         given[key] = matrix_from_json(field, entry.get("matrix"),
                                       (dims_list[x + strides[axis]], dims_list[x]), tokens)
-    return GridModule._checked(field, box, dict(zip(pts, dims_list)), index, given)
+    return given
 
 
 def diagram_to_json(diagram: PosetDiagram) -> dict:

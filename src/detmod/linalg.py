@@ -234,9 +234,9 @@ class Matrix:
                                self.ncols, den)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
-        """The product of the integer rows, each entry one sum of products:
-        taken mod p over F_p, and over Q over the product of the two
-        denominators, divided by the gcd (:meth:`_reduced`)."""
+        """The rows of :func:`product_rows`: over F_p already in the normal
+        form, over Q divided by their gcd with the denominator
+        (:meth:`_reduced`)."""
         field = self.field
         if other.field is not field and other.field != field:
             raise InputError("field mismatch in matrix product")
@@ -244,13 +244,10 @@ class Matrix:
             raise InputError(f"shape mismatch {self.shape} @ {other.shape}")
         if not self.ncols:  # no rows in other to read the columns from
             return Matrix.zeros(field, self.nrows, other.ncols)
-        cols = list(zip(*other.rows))
+        rows = product_rows(self, other)
         if field.kind == "prime":
-            p = field.p
-            return Matrix._of_rows(field, tuple([tuple([sum(map(mul, r, c)) % p for c in cols])
-                                                 for r in self.rows]), other.ncols)
-        return Matrix._reduced(field, [tuple([sum(map(mul, r, c)) for c in cols])
-                                       for r in self.rows], other.ncols, self.den * other.den)
+            return Matrix._of_rows(field, rows, other.ncols)
+        return Matrix._reduced(field, rows, other.ncols, self.den * other.den)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Matrix) and self.rows == other.rows and self.den == other.den
@@ -259,6 +256,27 @@ class Matrix:
 
     def __repr__(self):
         return f"Matrix({self.nrows}x{self.ncols} over {self.field!r})"
+
+
+def product_rows(a: Matrix, b: Matrix) -> tuple:
+    """The integer rows of ``a @ b`` over ``a.den * b.den``, for ``a.ncols
+    == b.nrows`` > 0: each entry one sum of products of the two matrices'
+    integer rows, taken mod p over F_p, and over Q left as it is, so that
+    its gcd with the denominator may exceed 1.  The one product kernel; the
+    sums are written out for the inner sizes 1, 2 and 3 of small modules."""
+    cols, k = list(zip(*b.rows)), a.ncols
+    if k == 1:
+        rows = [[x * u for (u,) in cols] for (x,) in a.rows]
+    elif k == 2:
+        rows = [[x * u + y * v for u, v in cols] for x, y in a.rows]
+    elif k == 3:
+        rows = [[x * u + y * v + z * w for u, v, w in cols] for x, y, z in a.rows]
+    else:
+        rows = [[sum(map(mul, r, c)) for c in cols] for r in a.rows]
+    if a.field.kind == "prime":
+        p = a.field.p
+        return tuple([tuple([x % p for x in r]) for r in rows])
+    return tuple(map(tuple, rows))
 
 
 def _integer_form(field, rows: list) -> tuple:
@@ -600,10 +618,12 @@ def first_failing_square(points: list, dims: list, strides, steps: dict, identit
     when c or its top corner has dimension zero, or when its four steps are
     identities.  A composite through a zero-dimensional corner or a left-out
     step is zero, so at most one product is formed then, and compared with
-    zero.
+    zero.  The composites are compared on the rows of :func:`product_rows`,
+    with no :class:`Matrix` made: over F_p as they are, and over Q
+    cross-multiplied by each other's denominator.
     """
     n = len(strides)
-    if n < 2:  # a chain has no square
+    if n < 2 or not steps:  # a chain has no square
         return None
     top = points[-1]
     for x in sorted({key // n for key in steps}):
@@ -612,22 +632,32 @@ def first_failing_square(points: list, dims: list, strides, steps: dict, identit
         c = points[x]
         axes = [axis for axis in reversed(range(n)) if c[axis] < top[axis]]
         for k, j in enumerate(axes):
-            xj = x + strides[j]
-            c_j = dims[xj] and steps.get(x * n + j)
+            xj, kj = x + strides[j], x * n + j
+            c_j = dims[xj] and steps.get(kj)
             for i in axes[k + 1:]:
                 xi, xe = x + strides[i], xj + strides[i]
                 if not dims[xe]:
                     continue
-                if (x * n + j in identities and xj * n + i in identities
-                        and x * n + i in identities and xi * n + j in identities):
+                ki, kji, kij = x * n + i, xj * n + i, xi * n + j
+                if (kj in identities and kji in identities
+                        and ki in identities and kij in identities):
                     continue
-                up_i = c_j and steps.get(xj * n + i)
-                c_i = dims[xi] and steps.get(x * n + i)
-                up_j = c_i and steps.get(xi * n + j)
-                if up_i and up_j:
-                    commutes = up_i @ c_j == up_j @ c_i
+                up_i = c_j and steps.get(kji)
+                c_i = dims[xi] and steps.get(ki)
+                up_j = c_i and steps.get(kij)
+                if not (up_i or up_j):
+                    continue
+                # the rows of each composite: through an identity those of its other step
+                left = up_i and (up_i.rows if kj in identities else c_j.rows if kji in identities
+                                 else product_rows(up_i, c_j))
+                right = up_j and (up_j.rows if ki in identities else c_i.rows if kij in identities
+                                  else product_rows(up_j, c_i))
+                if up_i and up_j:  # over the products of the denominators, 1 for an identity
+                    dl, dr = up_i.den * c_j.den, up_j.den * c_i.den
+                    commutes = left == right if dl == dr else all(
+                        u * dr == v * dl for r, s in zip(left, right) for u, v in zip(r, s))
                 else:  # a composite through a left-out step is zero
-                    commutes = not (up_i or up_j) or (up_i @ c_j if up_i else up_j @ c_i).is_zero()
+                    commutes = not any(map(any, left if up_i else right))
                 if not commutes:
                     return c, points[xj], points[xi], points[xe]
     return None

@@ -881,6 +881,18 @@ class TestSetOption:
         assert_one_error_line(code, out, err)
         assert "No such file or directory: ''" in err
 
+    def test_verify_reads_an_empty_set_option_as_given(self, capsys, tmp_path):
+        """``verify --encoding`` reads ``--set ""`` as a path too, and refuses
+        only a left-out ``--set``."""
+        encoding = str(tmp_path / "encoding.json")
+        assert run(capsys, "encode", EXAMPLE_F2, "--set", UNIT_SET, "--out", encoding)[0] == 0
+        code, out, err = run(capsys, "verify", EXAMPLE_F2, "--encoding", encoding, "--set", "")
+        assert_one_error_line(code, out, err)
+        assert "No such file or directory: ''" in err
+        code, out, err = run(capsys, "verify", EXAMPLE_F2, "--encoding", encoding)
+        assert_one_error_line(code, out, err)
+        assert err == "detmod: error: verify --encoding also needs --set\n"
+
     @pytest.mark.parametrize("verb", ["births-deaths", "present"])
     def test_left_out_set_is_the_canonical_grid(self, capsys, verb, tmp_path):
         grid = tmp_path / "grid.json"

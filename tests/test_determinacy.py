@@ -174,9 +174,12 @@ class TestSettledSlabs:
         """Every step is settled by an axis point, so the deciders that read
         the stored steps test none: no rank is taken and no downset is
         compared.  The oracle, which walks every cover, agrees."""
+        import detmod.determinacy as determinacy
         calls = record_step_tests(monkeypatch)
-        monkeypatch.setattr("detmod.determinacy.leq",
-                            lambda p, d: calls.append((p, d)) or leq(p, d))
+        masks_below = determinacy._masks_below
+        # the set points below a coordinate are looked up only to compare downsets
+        monkeypatch.setattr(determinacy, "_masks_below", lambda pts, axis, factor:
+                            calls.append((axis, factor)) or masks_below(pts, axis, factor))
         rng = random.Random(300 + nparams)
         for trial in range(12):
             field = (F2, F5, QQ)[trial % 3]
@@ -442,9 +445,12 @@ class TestOracle:
         oracle still reaches the covers onto each step of the box and
         compares their downsets; with the first axis point dropped it tests
         a step.  Its reports are those of the definition."""
+        import detmod.determinacy as determinacy
         compared, calls = [], record_step_tests(monkeypatch)
-        monkeypatch.setattr("detmod.determinacy.leq",
-                            lambda p, d: compared.append(d) or leq(p, d))
+        equal_downsets = determinacy._equal_downsets
+        # the flat index of the upper end of each cover whose downsets are compared
+        monkeypatch.setattr(determinacy, "_equal_downsets", lambda downsets, x, y:
+                            compared.append(y) or equal_downsets(downsets, x, y))
         rng = random.Random(61 + (field.p if field.kind == "prime" else 0))
         for nparams in (1, 2, 3):
             box = Box((0,) * nparams, (2 if nparams < 3 else 1,) * nparams)
@@ -462,7 +468,8 @@ class TestOracle:
                 if s is canonical:  # no step is tested, yet every step is reached
                     targets = {p[:axis] + (p[axis] + 1,) + p[axis + 1:]
                                for p, axis in every_step(module)}
-                    assert not calls and {view.clamp(d) for d in compared} >= targets
+                    grid = oracle_grid(window).sorted_points()
+                    assert not calls and {view.clamp(grid[y]) for y in compared} >= targets
                 else:  # the steps into the dropped coordinate are tested
                     assert calls
 

@@ -5,9 +5,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import detmod.linalg as linalg
 from detmod import (Box, ExtendedView, GridModule, InputError, Matrix,
-                    NEG_INF, QQ, canonical_set, ext_box, is_invertible,
+                    NEG_INF, PrimeField, QQ, canonical_set, ext_box, is_invertible,
                     pointed_closure, poset_covers, rank, restrict_view, sort_points,
                     validate_diagram, validate_module, window_module)
 from detmod.io import matrix_to_json, module_from_json, module_to_json
@@ -140,7 +143,6 @@ class TestValidateModuleRoutes:
 
     def test_builds_no_poset_diagram(self, monkeypatch):
         import detmod.grid_module as grid_module
-        import detmod.linalg as linalg
 
         def forbidden(*args, **kwargs):
             raise AssertionError("validate_module went through a poset diagram")
@@ -165,10 +167,11 @@ class TestValidateModuleRoutes:
         steps = {(p, 0): Matrix.identity(F5, 1) for p in box.integer_points() if p[0] < 2}
         module = GridModule(F5, box, {p: 1 for p in box.integer_points()}, steps)
 
-        def forbidden(self, other):
+        def forbidden(a, b):
             raise AssertionError("a matrix product was formed")
 
         monkeypatch.setattr(Matrix, "__matmul__", forbidden)
+        monkeypatch.setattr(linalg, "product_rows", forbidden)
         assert validate_module(module).ok
 
     def test_left_out_steps_share_one_zero_per_shape(self):
@@ -209,6 +212,53 @@ def _unit_square(field, dims, c_j, up_i, c_i, up_j):
 
 
 SQUARE = ((0, 0), (0, 1), (1, 0), (1, 1))
+F7 = PrimeField(7)
+
+
+@st.composite
+def unit_squares(draw):
+    """A module on the 2 x 2 box over F2, F5, F7 or Q with dimensions 0 to 3
+    at its corners.  Each step is left out, the identity where its shape is
+    square, or drawn, over Q with numerators and denominators up to 10^12.
+    Where the corners (0, 1) and (1, 0) have one dimension, the route through
+    (1, 0) is often the route through (0, 1) with a scalar t moved across
+    its middle corner, so that many squares commute and over Q with other
+    denominators on the two routes."""
+    field = draw(st.sampled_from([F2, F5, F7, QQ]))
+    dims = dict(zip(SQUARE, draw(st.tuples(*[st.integers(0, 3)] * 4))))
+    if field.kind == "prime":
+        entry = st.integers(0, field.p - 1)
+        scalar = st.integers(1, field.p - 1)
+        inverse = lambda t: pow(t, -1, field.p)  # noqa: E731
+    else:
+        entry = st.builds(Fraction, st.integers(-10 ** 12, 10 ** 12), st.integers(1, 10 ** 12))
+        scalar = entry.filter(bool)
+        inverse = lambda t: 1 / t  # noqa: E731
+
+    def step(p, q):
+        kind = draw(st.sampled_from(["left out", "identity", "drawn"]))
+        if kind == "left out":
+            return None
+        if kind == "identity" and dims[p] == dims[q]:
+            return Matrix.identity(field, dims[p])
+        rows = draw(st.lists(st.lists(entry, min_size=dims[p], max_size=dims[p]),
+                             min_size=dims[q], max_size=dims[q]))
+        return Matrix(field, rows, ncols=dims[p])
+
+    def scaled(m, t):
+        return None if m is None else Matrix(field, [[field.mul(x, t) for x in r]
+                                                     for r in m.entries()], ncols=m.ncols)
+
+    c_j, up_i = step(SQUARE[0], SQUARE[1]), step(SQUARE[1], SQUARE[3])
+    if dims[SQUARE[1]] == dims[SQUARE[2]] and draw(st.booleans()):
+        t = draw(scalar)
+        c_i, up_j = scaled(c_j, t), scaled(up_i, inverse(t))
+    else:
+        c_i, up_j = step(SQUARE[0], SQUARE[2]), step(SQUARE[2], SQUARE[3])
+    steps = {key: m for key, m in (((SQUARE[0], 1), c_j), ((SQUARE[1], 0), up_i),
+                                   ((SQUARE[0], 0), c_i), ((SQUARE[2], 1), up_j))
+             if m is not None}
+    return GridModule(field, Box((0, 0), (1, 1)), dims, steps)
 
 
 class TestValidateMatchesProducts:
@@ -227,6 +277,15 @@ class TestValidateMatchesProducts:
                 assert fast == validate_by_products(module)
                 verdicts.add(fast.ok)
         assert verdicts == ({True} if nparams == 1 else {True, False})
+
+    @settings(max_examples=300, deadline=None)
+    @given(module=unit_squares())
+    def test_random_unit_squares(self, module):
+        """The rows of ``product_rows``, compared mod p or cross-multiplied,
+        against ``Matrix`` products compared as matrices: the same verdict,
+        message and square."""
+        fast, slow = validate_module(module), validate_by_products(module)
+        assert (fast.ok, fast.message, fast.square) == (slow.ok, slow.message, slow.square)
 
     @pytest.mark.parametrize("field", [F2, F5, QQ], ids=["f2", "f5", "q"])
     def test_square_through_a_zero_dimensional_corner(self, field):
@@ -295,20 +354,24 @@ class TestValidateMatchesProducts:
         assert verdicts == {True, False} and left_out
 
     def test_at_most_two_products_per_square(self, monkeypatch):
-        """The composites are ``Matrix`` products, at most two per unit
-        square of the box, and none in a module with no step given."""
+        """The composites are rows of ``product_rows``, at most two per unit
+        square of the box, and no ``Matrix`` product is formed."""
         rng = random.Random(23)
         modules = []
         for field in (F2, F5, QQ):
             for nparams in (2, 3):
                 base = random_module(field, rng, box=_random_box(rng, nparams), max_summands=4)
                 modules += [base] + _perturbed(base, rng)
-        matmul, calls = Matrix.__matmul__, []
+        product_rows, calls = linalg.product_rows, []
 
-        def counted(self, other):
+        def counted(a, b):
             calls.append(1)
-            return matmul(self, other)
-        monkeypatch.setattr(Matrix, "__matmul__", counted)
+            return product_rows(a, b)
+
+        def forbidden(self, other):
+            raise AssertionError("a Matrix product was formed")
+        monkeypatch.setattr(linalg, "product_rows", counted)
+        monkeypatch.setattr(Matrix, "__matmul__", forbidden)
         verdicts = set()
         for module in modules:
             del calls[:]

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from detmod import (Box, ExtendedView, InputError, Matrix, NEG_INF, QQ,
+from detmod import (Box, ExtendedView, GridModule, InputError, Matrix, NEG_INF, QQ,
                     build_presentation, ext_box, point_sort_key, restrict_view,
                     validate_module)
 from detmod.extgrid import as_product
@@ -124,27 +124,43 @@ class TestModuleRoundtrip:
 
 class TestNoZeroFill:
     """A loaded module keeps the steps its file gives, and nothing else: each
-    map entry is decoded once into a matrix, which the module keeps, and a
-    left-out step reads as ``Matrix.zeros`` of its shape, one matrix per
-    shape, which neither loading nor validating makes."""
+    distinct matrix of the file is decoded once into a matrix, which every
+    map entry that gives it shares, and a left-out step reads as
+    ``Matrix.zeros`` of its shape, one matrix per shape, which neither
+    loading nor validating makes."""
 
-    def test_one_matrix_per_map_entry_and_one_zero_per_shape(self, monkeypatch):
-        import detmod.io as dio
-        decoded, zeros = [], []
-        from_json, make_zeros = dio.matrix_from_json, Matrix.zeros
-        monkeypatch.setattr(dio, "matrix_from_json",
-                            lambda *args: decoded.append(args[2]) or from_json(*args))
+    def test_one_matrix_per_distinct_map_entry_and_one_zero_per_shape(self, monkeypatch):
+        def constant_module(field, box, d):
+            """The file of the constant module of dimension d, all identity steps."""
+            module = GridModule(field, box, {p: d for p in box.integer_points()}, {
+                (p, axis): Matrix.identity(field, d) for p in box.integer_points()
+                for axis in range(box.dim) if p[axis] < box.b[axis]})
+            return module_to_json(module)
+
+        made, zeros = [], []
+        of_rows, make_zeros = Matrix._of_rows, Matrix.zeros
+        monkeypatch.setattr(Matrix, "_of_rows", classmethod(
+            lambda cls, field, rows, *args: made.append(rows) or of_rows(field, rows, *args)))
         monkeypatch.setattr(Matrix, "zeros", classmethod(
             lambda cls, field, nrows, ncols: zeros.append((nrows, ncols))
             or make_zeros(field, nrows, ncols)))
-        rng = random.Random(41)
+        rng, shared_entries = random.Random(41), 0
         for field in (F2, F5, QQ):
-            for box in (Box((0,), (4,)), Box((0, -1), (2, 1)), Box((0, 0, 0), (1, 2, 1))):
-                obj = module_to_json(random_module(field, rng, box=box, max_summands=4))
-                decoded.clear()
+            objs = [module_to_json(random_module(field, rng, box=box, max_summands=4))
+                    for box in (Box((0,), (4,)), Box((0, -1), (2, 1)), Box((0, 0, 0), (1, 2, 1)))]
+            for obj in objs + [constant_module(field, Box((0, 0), (2, 1)), 2)]:
+                made.clear()
                 zeros.clear()
                 module = module_from_json(obj)
-                assert len(decoded) == len(obj["maps"]) == len(module.given)
+                by_matrix = {}
+                for e in obj["maps"]:
+                    source = tuple(e["from"])
+                    key = module._index[source] * len(source) + e["axis"] - 1
+                    by_matrix.setdefault((json.dumps(e["matrix"]), module.dims[source]),
+                                         set()).add(id(module.given[key]))
+                assert len(obj["maps"]) == len(module.given)
+                assert len(made) == len(by_matrix) and all(len(v) == 1 for v in by_matrix.values())
+                shared_entries += len(obj["maps"]) - len(by_matrix)
                 assert validate_module(module).ok and zeros == []
                 assert all(module.step(*e) is m for e, m in given_steps(module).items())
                 shared = {}
@@ -152,6 +168,7 @@ class TestNoZeroFill:
                     if key not in given_steps(module):
                         assert m.is_zero() and shared.setdefault(m.shape, m) is m
                 assert sorted(shared) == sorted(set(zeros))
+        assert shared_entries > 0
 
     def test_a_large_box_with_no_maps_stores_no_step(self):
         obj = {"field": {"kind": "prime", "p": 2}, "n": 2,
@@ -405,6 +422,91 @@ class TestMalformedModules:
         module = module_from_json(_module_obj(QQ_SPEC, matrix=[["-6/4"]]))
         step = given_steps(module)[((0, 0), 0)]
         assert step.entries() == ((Fraction(-3, 2),),) and (step.rows, step.den) == (((-3,),), 2)
+
+
+def _padded(obj, at: int):
+    """``obj``, a module file on the 2 x 2 box such as ``_module_obj`` makes,
+    with its box widened to (0, 0)-(1, 67) and 200 valid map entries around
+    its own: ``at`` of them before, the rest after.  The points of the old
+    box keep their dimensions and no padding entry gives a step of the old
+    box along axis 1, so each entry of ``obj`` means what it meant there.
+    The padding repeats a few matrices, and over Q it holds strings."""
+    box, top = Box((0, 0), (1, 67)), (1, 67)
+    dims = {p: 2 if p[0] and p[1] else 1 for p in box.integer_points()}
+    padding = []
+    for p in box.integer_points():
+        one = "2/2" if obj["field"] == QQ_SPEC and p[1] % 2 else 1
+        for axis in (0, 1):
+            q = p[:axis] + (p[axis] + 1,) + p[axis + 1:]
+            if p[axis] < top[axis] and not (axis == 0 and p[1] < 2):
+                padding.append({"from": list(p), "axis": axis + 1,
+                                "matrix": [[one if i == j else 0 for j in range(dims[p])]
+                                           for i in range(dims[q])]})
+    assert len(padding) == 200
+    maps = obj["maps"] if isinstance(obj["maps"], list) else []
+    return {**obj, "box": {"a": [0, 0], "b": list(top)}, "dims": list(dims.values()),
+            "maps": padding[:at] + maps + padding[at:]}
+
+
+class TestAmongValidEntries:
+    """The refusals of ``TestMalformedModules`` with the entry at fault in
+    the middle and at the end of 200 valid ones: the whole ``maps`` array is
+    checked at once, and the entries are read one by one only to word the
+    refusal, which is the same."""
+
+    CASES = [case for case in MALFORMED_MODULES if isinstance(case[1]["maps"], list)]
+
+    @pytest.mark.parametrize("at", [100, 200], ids=["middle", "end"])
+    @pytest.mark.parametrize("obj,message", [case[1:] for case in CASES],
+                             ids=[case[0] for case in CASES])
+    def test_error_text(self, obj, message, at):
+        with pytest.raises(InputError) as err:
+            module_from_json(_padded(obj, at))
+        assert str(err.value) == message
+
+    def test_the_padded_base_loads(self):
+        for field in (None, QQ_SPEC):
+            for at in (0, 100, 200):
+                module = module_from_json(_padded(_module_obj(field), at))
+                assert len(module.given) == 202
+                assert module.given[1 * 2 + 0].entries() in (((1,), (2,)),
+                                                             ((QQ.one,), (2 * QQ.one,)))
+                assert module.step((0, 5), 1) is module.step((0, 7), 1)
+
+    @pytest.mark.parametrize("field", [None, QQ_SPEC], ids=["f5", "q"])
+    @pytest.mark.parametrize("bad", [True, 1.0], ids=["true", "1.0"])
+    def test_a_decoded_one_admits_no_true_or_float(self, field, bad):
+        """[[1]] is decoded (and kept) for many steps before [[true]] or
+        [[1.0]] comes, at a step of the same shape, and that is refused."""
+        obj = _padded(_module_obj(field), 200)
+        obj["maps"][-2]["matrix"] = [[bad]]  # the entry at (0, 0) along axis 1
+        kind = "F_5" if field is None else "Q"
+        with pytest.raises(InputError) as err:
+            module_from_json(obj)
+        assert str(err.value) == f"cannot coerce {bad!r} into {kind}"
+
+    def test_entries_outside_the_field_are_reduced(self):
+        obj = _padded(_module_obj(matrix=[[-4]]), 100)
+        obj["maps"][0]["matrix"] = [[11]]
+        module = module_from_json(obj)
+        assert module.given[0 * 2 + 0].rows == ((1,),)
+        assert module.step(tuple(obj["maps"][0]["from"]), obj["maps"][0]["axis"] - 1).rows \
+            == ((1,),)
+
+    @pytest.mark.parametrize("field", [F2, F5, QQ], ids=["f2", "f5", "q"])
+    def test_read_write_read_keeps_rows_and_denominators(self, field):
+        rng = random.Random(17)
+        for box in (Box((0, 0), (4, 4)), Box((0, 0, 0), (2, 2, 3))):
+            obj = module_to_json(random_module(field, rng, box=box, max_summands=4))
+            first = module_from_json(obj)
+            again = module_from_json(json.loads(canonical_dumps(module_to_json(first))))
+            assert len(obj["maps"]) > 20 and first.given.keys() == again.given.keys()
+            assert all((m.rows, m.den) == (again.given[k].rows, again.given[k].den)
+                       for k, m in first.given.items())
+        padded = module_from_json(_padded(_module_obj(), 100))
+        again = module_from_json(module_to_json(padded))
+        assert all((m.rows, m.den) == (again.given[k].rows, again.given[k].den)
+                   for k, m in padded.given.items())
 
 
 def _q_module(*entries):
