@@ -473,6 +473,16 @@ class TestAmongValidEntries:
                                                              ((QQ.one,), (2 * QQ.one,)))
                 assert module.step((0, 5), 1) is module.step((0, 7), 1)
 
+    def test_row_counts_that_make_up_for_each_other_are_refused(self):
+        """Two 2 x 1 steps given with 3 rows and with 1: the rows and their
+        widths add up, and the first is still refused for its shape."""
+        obj = _padded(_module_obj(), 100)
+        tall = [e for e in obj["maps"] if e["axis"] == 1 and e["from"][1] >= 2]
+        tall[0]["matrix"], tall[1]["matrix"] = [[1], [0], [0]], [[1]]
+        with pytest.raises(InputError) as err:
+            module_from_json(obj)
+        assert str(err.value) == "matrix has shape (3, ...), expected (2, 1)"
+
     @pytest.mark.parametrize("field", [None, QQ_SPEC], ids=["f5", "q"])
     @pytest.mark.parametrize("bad", [True, 1.0], ids=["true", "1.0"])
     def test_a_decoded_one_admits_no_true_or_float(self, field, bad):
@@ -485,13 +495,12 @@ class TestAmongValidEntries:
             module_from_json(obj)
         assert str(err.value) == f"cannot coerce {bad!r} into {kind}"
 
-    def test_entries_outside_the_field_are_reduced(self):
-        obj = _padded(_module_obj(matrix=[[-4]]), 100)
-        obj["maps"][0]["matrix"] = [[11]]
-        module = module_from_json(obj)
-        assert module.given[0 * 2 + 0].rows == ((1,),)
-        assert module.step(tuple(obj["maps"][0]["from"]), obj["maps"][0]["axis"] - 1).rows \
-            == ((1,),)
+    @pytest.mark.parametrize("x,residue", [(-4, 1), (-1, 4), (11, 1), (5, 0)])
+    def test_entries_outside_the_field_are_reduced(self, x, residue):
+        """The one entry of the file outside [0, 5), so it alone calls for
+        the reduction."""
+        module = module_from_json(_padded(_module_obj(matrix=[[x]]), 100))
+        assert module.given[0 * 2 + 0].rows == ((residue,),)
 
     @pytest.mark.parametrize("field", [F2, F5, QQ], ids=["f2", "f5", "q"])
     def test_read_write_read_keeps_rows_and_denominators(self, field):
