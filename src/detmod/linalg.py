@@ -266,17 +266,17 @@ def product_rows(a: Matrix, b: Matrix) -> tuple:
     sums are written out for the inner sizes 1, 2 and 3 of small modules."""
     cols, k = list(zip(*b.rows)), a.ncols
     if k == 1:
-        rows = [[x * u for (u,) in cols] for (x,) in a.rows]
+        rows = [tuple([x * u for (u,) in cols]) for (x,) in a.rows]
     elif k == 2:
-        rows = [[x * u + y * v for u, v in cols] for x, y in a.rows]
+        rows = [tuple([x * u + y * v for u, v in cols]) for x, y in a.rows]
     elif k == 3:
-        rows = [[x * u + y * v + z * w for u, v, w in cols] for x, y, z in a.rows]
+        rows = [tuple([x * u + y * v + z * w for u, v, w in cols]) for x, y, z in a.rows]
     else:
-        rows = [[sum(map(mul, r, c)) for c in cols] for r in a.rows]
+        rows = [tuple([sum(map(mul, r, c)) for c in cols]) for r in a.rows]
     if a.field.kind == "prime":
         p = a.field.p
         return tuple([tuple([x % p for x in r]) for r in rows])
-    return tuple(map(tuple, rows))
+    return tuple(rows)
 
 
 def _integer_form(field, rows: list) -> tuple:
