@@ -264,7 +264,9 @@ def module_from_json(obj) -> GridModule:
 def _given_at_once(field, box: Box, pts: list, index: dict, dims_list: list,
                    entries: list) -> dict | None:
     """The given steps of the map entries by flat index, every entry checked
-    before any matrix is decoded; ``None`` when some entry is refused.
+    before any matrix is decoded; ``None`` when a check refuses some entry.
+    A string that is not a rational is refused as :func:`_rational` parses
+    it, in file order, so with the message the entry-by-entry loop gives.
 
     One lean pass over the entries checks that each is an object with a
     source, an axis and a matrix list, that its source is a box point and
