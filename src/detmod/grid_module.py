@@ -10,6 +10,7 @@ copying data.
 
 from __future__ import annotations
 
+import itertools
 from typing import Callable
 
 from .errors import InputError
@@ -140,20 +141,33 @@ class GridModule:
         return values[x] == values[x + self.strides[axis]] and (
             self.is_identity_step(p, axis) or self.is_onto_step(p, axis))
 
-    def is_identity_slab(self, axis: int, t: int) -> bool:
-        """Whether every step along ``axis`` out of a box point with
-        coordinate ``t`` there is the identity."""
-        values, strides = self.dim_list, self.strides
-        n, stride, lo = len(strides), strides[axis], self.box.a[axis]
-        block = stride * (self.box.b[axis] - lo + 1)
-        identities, given = self.identities, self.given
-        for o in range((t - lo) * stride, len(values), block):
-            for x in range(o, o + stride):
-                key = x * n + axis
-                if key not in identities and (key in given or values[x]
-                                              or values[x + stride]):
-                    return False
-        return True
+    def identity_runs(self) -> list:
+        """Per axis, a label for each box coordinate there, in order: two
+        coordinates have the same label exactly when every step along the
+        axis between them, at every box point, is the identity.
+
+        One pass counts the identity steps of each slab (the steps along
+        the axis out of the box points with one coordinate there): the given
+        ones, and those left out between two zero spaces.  A slab below the
+        top of its axis holds one step per box point of the top slab, and
+        is all identities when it counts that many; a label counts the
+        slabs below it that are not."""
+        n, strides, values, given = len(self.strides), self.strides, self.dim_list, self.given
+        sizes = [hi - lo + 1 for lo, hi in zip(self.box.a, self.box.b)]
+        counts = [[0] * size for size in sizes]
+        for key in self.identities:
+            x, axis = divmod(key, n)
+            counts[axis][x // strides[axis] % sizes[axis]] += 1
+        for x, d in enumerate(values):
+            if d:
+                continue
+            for axis, (stride, size) in enumerate(zip(strides, sizes)):
+                k = x // stride % size
+                if k + 1 < size and not values[x + stride] and x * n + axis not in given:
+                    counts[axis][k] += 1
+        return [list(itertools.accumulate([m * size != len(values) for m in row[:-1]],
+                                          initial=0))
+                for row, size in zip(counts, sizes)]
 
 
 def validate_module(module: GridModule) -> DiagramCheck:

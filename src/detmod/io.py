@@ -296,10 +296,25 @@ def _given_at_once(field, box: Box, pts: list, index: dict, dims_list: list,
             mats.append(mat)
     except (TypeError, KeyError):  # not an object, a key left out, or no box point
         return None
-    nrows, ncols = zip(*shapes)
     if not (len(keys) == len(mats)  # no step given twice
-            and {*map(type, chain.from_iterable(map(itemgetter("from"), entries)))} <= {int}
-            and list(map(len, mats)) == list(nrows)):
+            and {*map(type, chain.from_iterable(map(itemgetter("from"), entries)))} <= {int}):
+        return None
+    matrices = _matrices_at_once(field, shapes, mats)
+    return None if matrices is None else dict(zip(keys, matrices))
+
+
+def _matrices_at_once(field, shapes: list, mats: list) -> list | None:
+    """The matrices of the lists ``mats``, each of its shape in ``shapes``,
+    all checked before any is decoded; ``None`` when a check refuses one.
+
+    Whole-array passes check that each is a list of rows of its shape and
+    that each entry is a plain int (or over Q a string).  The entries are
+    read as numbers at once (:func:`_numbers`), and each distinct matrix is
+    made once (:func:`_matrix_of`), keyed by its shape and raw entries: only
+    plain ints and strings are keys, so no true or 1.0 meets a decoded 1.
+    """
+    nrows, ncols = zip(*shapes)
+    if list(map(len, mats)) != list(nrows):
         return None
     rows = list(chain.from_iterable(mats))
     if not ({*map(type, rows)} <= {list} and list(map(len, rows))
@@ -309,16 +324,16 @@ def _given_at_once(field, box: Box, pts: list, index: dict, dims_list: list,
     if not {*map(type, flat)} <= _PLAIN[field.kind]:
         return None
     nums, dens = _numbers(field, flat, {})
-    given, memo, o = {}, {}, 0
-    for key, (r, c) in zip(keys, shapes):
+    out, memo, o = [], {}, 0
+    for r, c in shapes:
         raw = (r, c, *flat[o:o + r * c])
         m = memo.get(raw)
         if m is None:
             m = memo[raw] = _matrix_of(field, nums[o:o + r * c],
                                        None if dens is None else dens[o:o + r * c], r, c)
-        given[key] = m
+        out.append(m)
         o += r * c
-    return given
+    return out
 
 
 def _given_one_by_one(field, box: Box, pts: list, index: dict, dims_list: list,
@@ -370,6 +385,16 @@ def diagram_to_json(diagram: PosetDiagram) -> dict:
 
 
 def diagram_from_json(obj) -> PosetDiagram:
+    """A diagram file read and checked, its map entries all before any
+    matrix is decoded.
+
+    Each ``points`` entry is decoded once, and each map end is looked up by
+    its raw JSON value among them (:func:`_maps_at_once`); only when that
+    refuses does the entry-by-entry loop (:func:`_maps_one_by_one`) run, to
+    word the refusal of the first entry at fault.  The diagram then derives
+    its covers, refuses duplicate points and a map off a cover, and maps
+    each cover left out by zero.
+    """
     if not isinstance(obj, dict):
         raise InputError("diagram file must contain a JSON object")
     field = field_from_json(obj.get("field"))
@@ -383,8 +408,58 @@ def diagram_from_json(obj) -> PosetDiagram:
     dims_list = _dim_list(obj.get("dims"))
     if len(dims_list) != len(points):
         raise InputError("dims and points have different lengths")
-    dims, maps, tokens = dict(zip(points, dims_list)), {}, {}
-    for entry in _array(obj, "maps"):
+    dims, entries = dict(zip(points, dims_list)), _array(obj, "maps")
+    maps = _maps_at_once(field, raw_points, points, dims_list, entries) \
+        if len(dims) == len(points) else None
+    if maps is None:
+        maps = _maps_one_by_one(field, n, dims, entries)
+    return PosetDiagram(field, points, dims, maps)
+
+
+def _maps_at_once(field, raw_points: list, points: list, dims_list: list,
+                  entries: list) -> dict | None:
+    """The maps of the entries by cover, every entry checked before any
+    matrix is decoded; ``None`` when a check refuses some entry.  The points
+    are distinct and decoded, so each raw entry of ``raw_points`` holds
+    plain ints and "-inf" only.
+
+    One lean pass looks up each end's raw value among the raw points: an
+    end that is not a list, or that holds a list, is refused.  A float or
+    bool equals an int as a key, so a whole-array pass then checks that
+    every coordinate of every end is a plain int or a string, and only
+    "-inf" is a string among the keys.  No map may be given twice, and the
+    matrices are checked and decoded by :func:`_matrices_at_once`.
+    """
+    if not entries:
+        return {}
+    place = {tuple(p): i for i, p in enumerate(raw_points)}
+    pairs, shapes, mats, ends = {}, [], [], []
+    try:
+        for entry in entries:
+            c, d, mat = entry["from"], entry["to"], entry["matrix"]
+            if type(c) is not list or type(d) is not list or type(mat) is not list:
+                return None
+            i, j = place[tuple(c)], place[tuple(d)]
+            pairs[(i, j)] = None
+            shapes.append((dims_list[j], dims_list[i]))
+            mats.append(mat)
+            ends += c, d
+    except (TypeError, KeyError):  # not an object, a key left out, or no point
+        return None
+    if len(pairs) != len(mats) or not {*map(type, chain.from_iterable(ends))} <= {int, str}:
+        return None
+    matrices = _matrices_at_once(field, shapes, mats)
+    if matrices is None:
+        return None
+    return {(points[i], points[j]): m for (i, j), m in zip(pairs, matrices)}
+
+
+def _maps_one_by_one(field, n, dims: dict, entries: list) -> dict:
+    """The maps of the entries by cover, entry by entry, as
+    :func:`_maps_at_once` gives them; it refuses the first entry at fault
+    with its own message."""
+    maps, tokens = {}, {}
+    for entry in entries:
         if not isinstance(entry, dict):
             raise InputError(f"invalid map entry {entry!r}")
         c = decode_point(entry.get("from"), dim=n)
@@ -394,9 +469,7 @@ def diagram_from_json(obj) -> PosetDiagram:
         if (c, d) in maps:
             raise InputError(f"duplicate map {c!r} -> {d!r}")
         maps[(c, d)] = matrix_from_json(field, entry.get("matrix"), (dims[d], dims[c]), tokens)
-    # the diagram derives its covers, refuses duplicate points and a map off a
-    # cover, and maps each cover left out by zero
-    return PosetDiagram(field, points, dims, maps)
+    return maps
 
 
 def presentation_to_json(pres: Presentation) -> dict:

@@ -487,6 +487,24 @@ class DiagramCheck:
         return self.ok
 
 
+def product_covers(points: tuple, lengths) -> tuple:
+    """``(covers, keys)`` of a product of chains of these axis lengths, whose
+    points ``points`` lists in lexicographic order: its covering pairs, by
+    source and then by axis, the last axis first, which is their sorted
+    order; and the flat key ``x * n + axis`` of each, where x is the place
+    of its source in ``points``.  The successor along an axis lies one
+    stride further in that order."""
+    strides, n, top = lex_strides(lengths), len(lengths), points[-1]
+    axes = list(zip(reversed(range(n)), reversed(strides)))
+    covers, keys = [], []
+    for x, c in enumerate(points):
+        for axis, stride in axes:
+            if c[axis] < top[axis]:
+                covers.append((c, points[x + stride]))
+                keys.append(x * n + axis)
+    return covers, keys
+
+
 class PosetDiagram:
     """A functor from a finite subposet of the extended grid to vector spaces.
 
@@ -496,7 +514,10 @@ class PosetDiagram:
     :attr:`product`, the points as a :class:`CartesianSet` when they are one
     (else ``None``), or by :func:`poset_covers`.  ``maps`` is a function of
     a cover's two ends that gives its matrix, or a dict of matrices by
-    cover, where a cover left out maps by :meth:`Matrix.zeros` of its shape.
+    cover, where a cover left out maps by :meth:`Matrix.zeros` of its
+    shape, looked up once per shape.  On a product, :attr:`steps` holds the map of each
+    cover by the flat key of :func:`product_covers`; elsewhere it is
+    ``None``.
     """
 
     def __init__(self, field, points, dims, maps):
@@ -506,25 +527,40 @@ class PosetDiagram:
         if len(self.points) != len(points):
             raise InputError("duplicate points in diagram")
         self.product = as_product(given if isinstance(given, CartesianSet) else self.points)
-        self.dims = {}
-        for p in self.points:
-            d = dims[p]
-            if isinstance(d, bool) or not isinstance(d, int) or d < 0:
-                raise InputError(f"invalid dimension {d!r} at {p!r}")
-            self.dims[p] = d
-        covers = poset_covers(list(self.points)) if self.product is None \
-            else self.product.covers()
-        self._covers = tuple(sorted(covers))  # by source, then target, as sort_points orders
-        if callable(maps):
-            self.maps = {(c, d): maps(c, d) for c, d in self._covers}
+        values = [dims[p] for p in self.points]
+        if not ({*map(type, values)} <= {int} and min(values, default=0) >= 0):
+            for p, d in zip(self.points, values):
+                if isinstance(d, bool) or not isinstance(d, int) or d < 0:
+                    raise InputError(f"invalid dimension {d!r} at {p!r}")
+        self.dims = dict(zip(self.points, values))
+        keys = None
+        if self.product is None:  # by source, then target, as sort_points orders
+            covers = sorted(poset_covers(list(self.points)))
         else:
-            cover_set = set(self._covers)
-            for c, d in maps:
-                if (c, d) not in cover_set:
-                    raise InputError(f"map {c!r} -> {d!r} is not a covering pair of the points")
-            self.maps = {(c, d): maps[(c, d)] if (c, d) in maps
-                         else Matrix.zeros(field, self.dims[d], self.dims[c])
-                         for c, d in self._covers}
+            covers, keys = product_covers(self.points, [len(f) for f in self.product.factors])
+        self._covers = tuple(covers)
+        if callable(maps):
+            mats = [maps(c, d) for c, d in covers]
+        else:
+            mats = [maps.get(cover) for cover in covers]
+            if len(mats) - mats.count(None) != len(maps):
+                cover_set = set(covers)
+                for c, d in maps:
+                    if (c, d) not in cover_set:
+                        raise InputError(f"map {c!r} -> {d!r} is not a covering pair of the points")
+            zeros = {}  # by shape
+            for k, m in enumerate(mats):
+                if m is None:
+                    shape = (self.dims[covers[k][1]], self.dims[covers[k][0]])
+                    m = zeros.get(shape)
+                    if m is None:
+                        m = Matrix.zeros(field, *shape)
+                        if m.field is not field:  # made for an equal field: one of this one
+                            m = Matrix._of_rows(field, m.rows, m.ncols)
+                        zeros[shape] = m
+                    mats[k] = m
+        self.maps = dict(zip(covers, mats))
+        self.steps = None if keys is None else dict(zip(keys, mats))
         self._identities = None
         self._path_cache = {}
         self._cover_lists = None
@@ -689,20 +725,10 @@ def validate_diagram(diagram: PosetDiagram) -> DiagramCheck:
         if m.field is not field and m.field != field:
             return DiagramCheck(False, f"map {c!r} -> {d!r} is over the wrong field", (c, d))
     if diagram.product is not None:
-        points, maps = diagram.points, diagram.maps
         strides = lex_strides([len(f) for f in diagram.product.factors])
-        n, top, identity_covers = len(strides), points[-1], diagram.identity_covers()
-        steps, identities = {}, set()
-        for x, c in enumerate(points):
-            for axis in range(n):
-                if c[axis] < top[axis]:
-                    cover = (c, points[x + strides[axis]])
-                    if not maps[cover].is_zero():
-                        steps[x * n + axis] = maps[cover]
-                        if cover in identity_covers:
-                            identities.add(x * n + axis)
-        square = first_failing_square(points, [dims[p] for p in points], strides, steps,
-                                      identities)
+        steps = {key: m for key, m in diagram.steps.items() if not m.is_zero()}
+        square = first_failing_square(diagram.points, list(dims.values()), strides, steps,
+                                      {key for key, m in steps.items() if m.is_identity()})
         if square is not None:
             return DiagramCheck(False, "square does not commute", square)
     else:

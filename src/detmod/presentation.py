@@ -166,6 +166,16 @@ def _onto(m: Matrix) -> bool:
     return full_row_rank(m.field, m.rows, m.ncols)
 
 
+def _bits(mask: int) -> list:
+    """The set bits of ``mask``, as increasing indices."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 def _walk(field, poset: tuple, new_columns: Callable, gens: list):
     """One upward walk of a finite poset, with the images of its generators
     formed on demand.
@@ -183,18 +193,21 @@ def _walk(field, poset: tuple, new_columns: Callable, gens: list):
     generators at c, or ``None``; ``maps`` is ``None`` where a lower-cover
     step is onto, which leaves no cokernel, else the steps from the lower
     covers.  ``gens`` collects the images in walk order as (point,
-    columns).  The generators active at c are those at c and those active
-    at its lower covers.  Their images in M(c), side by side in the order
-    of ``gens``, make ev_c.  The walk records where each generator's
-    columns come from: those of a generator b < c from step(p, c) @ ev_p
-    for the first lower cover p of c that has b, identity steps first (they
-    need no product), and where p has every active generator, all of ev_c.
-    As the poset's maps commute, every covering chain from b to c gives the
-    same columns, exactly M(b -> c) applied to the images at b.  ev_c is
-    formed only when a caller asks for it, from the ev_p it reads, each
-    formed first: memoized, in walk order and without recursion, so a
-    point far up a long chain costs at most one product per step below it
-    and no stack depth.
+    columns); a generator is known by its index there.  The generators
+    active at c are those at c and those active at its lower covers, kept
+    as one int, bit g for generator g: the union over the covers is their
+    or.  Their images in M(c), side by side in the order of ``gens``, make
+    ev_c, whose width, the total multiplicity of the mask, is kept per mask
+    met.  ev_c is formed only when a caller asks for it, from the ev_p it
+    reads, each formed first: memoized, in walk order and without
+    recursion, so a point far up a long chain costs at most one product per
+    step below it and no stack depth.  Only then is it planned where each
+    generator's columns come from: those of a generator b < c from
+    step(p, c) @ ev_p for the first lower cover p of c that has b, identity
+    steps first (they need no product), and where p has every active
+    generator (its mask is that of c), all of ev_c.  As the poset's maps
+    commute, every covering chain from b to c gives the same columns,
+    exactly M(b -> c) applied to the images at b.
 
     The kernel rule.  Let K_c be the kernel of ev_c.  Where ev_c is onto
     M(c), dim K_c is the number of generator columns at c minus dim M(c),
@@ -209,81 +222,102 @@ def _walk(field, poset: tuple, new_columns: Callable, gens: list):
     placing from r into F_p and then into F_c is placing from r into F_c,
     K_c is the placed kernel of its root.
 
-    Yields per point (point, dim, the active generator indices in order, a
+    Yields per point (point, dim, the mask of the active generators, a
     function of no arguments that gives ev, whether a lower-cover step is
     onto, roots): ``roots`` is ``None`` where the kernel does not grow, else
     the distinct roots of the lower covers, so that their placed kernels are
     those of the covers.  The build (:func:`_scan`) forms ev and takes a
     kernel basis only where ``roots`` is not ``None``; verify
     (:func:`_check_images`) forms it where no lower-cover step is onto and
-    at relation grades.
+    at relation grades.  Each reads the active generators in order,
+    ``_bits(mask)``, only there.
     """
     points, dims, lower, identity, onto, step = poset
-    mults = []  # per generator index
-    # per point: active generator indices, dim K, kernel root, identity
-    # covers, the covers that ev_c is carried from, and the source of each
-    # generator, (cover or None for the new columns, offset), or None when
-    # the one cover carries all of ev_c
-    states, evs = [], {}
+    mults, widths = [], {0: 0}  # per generator index; per mask met, its total multiplicity
+    # per point: the mask, dim K, the kernel root, the identity covers and
+    # the generator born there (or None)
+    masks, kdims, roots, sames, born = [], [], [], [], []
+    evs = {}
+
+    def plan(x: int) -> tuple:
+        """``(below, source)``: the covers that ev_x is carried from, and
+        the source of each active generator, (cover or None for the new
+        columns, offset); ``source`` is None where one cover carries all of
+        ev_x."""
+        mask, same, source, below = masks[x], sames[x], {}, []
+        covered = 0
+        if born[x] is not None:
+            source[born[x]], covered = (None, 0), 1 << born[x]
+        for p in same + [p for p in lower[x] if p not in same]:
+            active = masks[p]
+            if not active & ~covered:
+                continue
+            if active == mask:  # every active generator, in order
+                return [p], None
+            below.append(p)
+            offset = 0
+            for g in _bits(active):
+                source.setdefault(g, (p, offset))
+                offset += mults[g]
+            covered |= active
+        return below, source
 
     def form(c: int) -> Matrix:
-        todo, stack = set(), [c]
+        plans, stack = {}, [c]
         while stack:
             x = stack.pop()
-            if x not in evs and x not in todo:
-                todo.add(x)
-                stack.extend(states[x][4])
-        for x in sorted(todo):
-            order, _, _, same, below, source = states[x]
+            if x not in evs and x not in plans:
+                plans[x] = plan(x)
+                stack.extend(plans[x][0])
+        for x in sorted(plans):
+            below, source = plans[x]
+            same = sames[x]
             moved = {p: evs[p] if p in same else step(p, x) @ evs[p] for p in below}
             if source is None:
                 evs[x] = moved[below[0]]
                 continue
-            # the new columns at x, whose source is None
-            moved.update((None, gens[g][1]) for g in order if source[g][0] is None)
+            if born[x] is not None:
+                moved[None] = gens[born[x]][1]
             parts, den = over_one_den(list(moved.values()))
             parts = dict(zip(moved, parts))
             rows = [[] for _ in range(dims[x])]
-            for g in order:
+            for g in _bits(masks[x]):
                 p, offset = source[g]
                 for row, src in zip(rows, parts[p]):
                     row.extend(src[offset:offset + mults[g]])
-            evs[x] = Matrix._reduced(field, rows, sum(mults[g] for g in order), den)
+            evs[x] = Matrix._reduced(field, rows, widths[masks[x]], den)
         return evs[c]
 
     for c, (pt, dim, covers) in enumerate(zip(points, dims, lower)):
         same = [p for p in covers if identity(p, c)]
         spans = bool(same) or any(onto(p, c) for p in covers)
         new = new_columns(pt, dim, None if spans else [step(p, c) for p in covers])
-        order = sorted(set().union(*(states[p][0] for p in covers)))
-        source, below = {}, []
+        mask, g, root, grown = 0, None, None, None
+        for p in covers:
+            mask |= masks[p]
         if new is not None:
-            source[len(mults)] = (None, 0)
-            order.append(len(mults))
+            g = len(mults)
+            mask |= 1 << g
             mults.append(new.ncols)
             gens.append((pt, new))
-        for p in same + [p for p in covers if p not in same]:
-            active = states[p][0]
-            if all(g in source for g in active):
-                continue
-            below.append(p)
-            if len(active) == len(order):  # every active generator, in order
-                source, below = None, [p]
-                break
-            offset = 0
-            for g in active:
-                source.setdefault(g, (p, offset))
-                offset += mults[g]
-        kdim, root = sum(mults[g] for g in order) - dim, None
+        width = widths.get(mask)
+        if width is None:
+            width = widths[mask] = sum([mults[k] for k in _bits(mask)])
+        kdim = width - dim
         if kdim:
-            equal = next((p for p in covers if states[p][1] == kdim), None)
-            root = pt if equal is None else states[equal][2]
-        states.append((order, kdim, root, same, below, source))
-        roots = None
-        if root is pt:
-            roots = list(dict.fromkeys(states[p][2] for p in covers
-                                       if states[p][2] is not None))
-        yield pt, dim, order, functools.partial(form, c), spans, roots
+            for p in covers:
+                if kdims[p] == kdim:
+                    root = roots[p]
+                    break
+            else:
+                root = pt
+                grown = list(dict.fromkeys(roots[p] for p in covers if roots[p] is not None))
+        masks.append(mask)
+        kdims.append(kdim)
+        roots.append(root)
+        sames.append(same)
+        born.append(g)
+        yield pt, dim, mask, functools.partial(form, c), spans, grown
 
 
 def _scan(field, poset: tuple) -> tuple:
@@ -319,9 +353,10 @@ def _scan(field, poset: tuple) -> tuple:
             return None
         lift = _generator_lifts(maps[0] if len(maps) == 1 else hstack(field, maps, nrows=dim))
         return lift if lift.ncols else None
-    for pt, _, order, ev, _, roots in _walk(field, poset, lifts, gens):
+    for pt, _, mask, ev, _, roots in _walk(field, poset, lifts, gens):
         if roots is None:
             continue
+        order = _bits(mask)
         ker = kernel_basis(ev())
         kernels[pt] = (order, ker)
         offsets, total, width = {}, 0, 0
@@ -364,18 +399,41 @@ def _scan(field, poset: tuple) -> tuple:
 def _present_diagram(diagram: PosetDiagram) -> tuple:
     """The scan of a validated diagram, with its own covers and maps, the
     diagram's identity covers as identity steps, and a map onto when it has
-    full row rank."""
+    full row rank.  On a product the covers come from the strides and each
+    map from :attr:`PosetDiagram.steps` by its flat key."""
     _require_valid(diagram)
-    points, maps, identities = diagram.points, diagram.maps, diagram.identity_covers()
+    points, dims, steps = diagram.points, list(diagram.dims.values()), diagram.steps
+    if steps is not None:
+        n = diagram.product.dim
+        lower, axis_of = _product_lower([len(f) for f in diagram.product.factors])
+        identities = {key for key, m in steps.items() if m.is_identity()}
+
+        def step(p, c):
+            return steps[p * n + axis_of[c - p]]
+        return _scan(diagram.field, (points, dims, lower,
+                                     lambda p, c: p * n + axis_of[c - p] in identities,
+                                     lambda p, c: _onto(step(p, c)), step))
+    maps, identities = diagram.maps, diagram.identity_covers()
     index = {p: i for i, p in enumerate(points)}
     lower = [[index[p] for p in below] for below in diagram.cover_lists()[1].values()]
 
     def step(p, c):
         return maps[(points[p], points[c])]
-    poset = (points, [diagram.dims[p] for p in points], lower,
-             lambda p, c: (points[p], points[c]) in identities,
+    poset = (points, dims, lower, lambda p, c: (points[p], points[c]) in identities,
              lambda p, c: _onto(step(p, c)), step)
     return _scan(diagram.field, poset)
+
+
+def _product_lower(lengths) -> tuple:
+    """``(lower, axis_of)`` of a product of chains of these axis lengths,
+    its points by flat index in lexicographic order: per point the indices
+    of its lower covers, the first axis first, and the axis of a cover by
+    the distance between its ends.  An axis of one coordinate, whose stride
+    may repeat the next, has no cover."""
+    strides = lex_strides(lengths)
+    lower = [[x - strides[axis] for axis, k in enumerate(idx) if k]
+             for x, idx in enumerate(itertools.product(*map(range, lengths)))]
+    return lower, {stride: axis for axis, stride in reversed(list(enumerate(strides)))}
 
 
 def _product_poset(view: ExtendedView, grid: CartesianSet, grades=()) -> tuple:
@@ -384,8 +442,8 @@ def _product_poset(view: ExtendedView, grid: CartesianSet, grades=()) -> tuple:
 
     A coordinate repeats the one below it on its axis when no point of
     ``grades`` has it and every step along the axis between their clamps is
-    the identity, at every box point of that slab: equal clamps are the case
-    with no step.  A grid point with such a coordinate repeats its lower
+    the identity, at every box point of its slab: both clamps have one
+    label of :meth:`GridModule.identity_runs`, as equal clamps do.  A grid point with such a coordinate repeats its lower
     cover along that axis: a grade lies below the point exactly when it
     lies below the cover, the two have the same dimension, and the map
     between them is the identity, so the walk would carry the cover's state
@@ -399,42 +457,56 @@ def _product_poset(view: ExtendedView, grid: CartesianSet, grades=()) -> tuple:
     coordinate is the identity, so they are the steps of the grid with the
     identities taken out.
 
-    The lower covers come from the strides and each step from the module at
-    the clamped points: the identity when both clamp to the same box point;
-    when they are adjacent, the stored step, which the module says is the
-    identity or onto with no :class:`Matrix`; and otherwise
-    ``view.box_map``, the composite of the stored steps between them,
-    tested as a matrix.  The covers of a product are complete.
+    The lower covers come from the strides, and each grid point's clamp is
+    kept as its flat index in the box.  A cover along an axis whose ends
+    clamp to the same box point is the identity; one whose clamps are one
+    box stride apart along that axis is the stored step with the flat key
+    ``x * n + axis`` (see :class:`GridModule`), and whether it is the
+    identity or onto is read off ``given``, ``identities`` and
+    ``dim_list``, with no :class:`Matrix` made; any other is
+    ``view.box_map``, the composite of the stored steps between the
+    clamps, tested as a matrix.  The covers of a product are complete.
     """
     module = view.module
+    n, box_strides, values, points = module.box.dim, module.strides, module.dim_list, \
+        module.points
+    given, identities = module.given, module.identities
     factors, clamps = [], []
-    for axis, (f, cl) in enumerate(zip(grid.factors, grid_clamps(grid, module.box))):
-        pins = {p[axis] for p in grades}
-        kept = [k for k, v in enumerate(f)
-                if not k or v in pins or not all(module.is_identity_slab(axis, t)
-                                                 for t in range(cl[k - 1], cl[k]))]
+    for axis, (f, cl, run, lo) in enumerate(zip(grid.factors, grid_clamps(grid, module.box),
+                                                module.identity_runs(), module.box.a)):
+        pins, labels = {p[axis] for p in grades}, [run[v - lo] for v in cl]
+        kept = [k for k, v in enumerate(f) if not k or v in pins or labels[k - 1] != labels[k]]
         factors.append([f[k] for k in kept])
         clamps.append([cl[k] for k in kept])
-    strides = lex_strides([len(f) for f in factors])
-    clamped = list(itertools.product(*clamps))
-    lower = [[flat - strides[axis] for axis, k in enumerate(idx) if k]
-             for flat, idx in enumerate(itertools.product(*(range(len(f)) for f in factors)))]
+    flat = [0]  # per grid point, the flat index of its clamp in the box
+    for cl, lo, stride in zip(clamps, module.box.a, box_strides):
+        flat = [x + (v - lo) * stride for x in flat for v in cl]
+    lower, axis_of = _product_lower([len(f) for f in factors])
+
+    def identity(p, c):
+        x = flat[p]
+        d = flat[c] - x
+        if not d:
+            return True
+        axis = axis_of[c - p]
+        if d == box_strides[axis]:
+            key = x * n + axis
+            return key in identities or (key not in given and not values[x] and not values[x + d])
+        return view.box_map(points[x], points[x + d]).is_identity()
+
+    def onto(p, c):
+        x = flat[p]
+        d = flat[c] - x
+        axis = axis_of[c - p]
+        if d == box_strides[axis]:
+            m = given.get(x * n + axis)
+            return not values[x + d] if m is None else _onto(m)
+        return _onto(view.box_map(points[x], points[x + d]))
 
     def step(p, c):
-        return view.box_map(clamped[p], clamped[c])
-
-    # the axis of a cover from its stride; an axis of one coordinate, whose
-    # stride may repeat the next, has no cover
-    axis_of = {stride: axis for axis, stride in reversed(list(enumerate(strides)))}
-
-    def holds(of_step, of_map, p, c):  # equal clamps: the identity
-        x, y, axis = clamped[p], clamped[c], axis_of[c - p]
-        if y[axis] == x[axis] + 1:
-            return of_step(x, axis)
-        return x == y or of_map(view.box_map(x, y))
-    return (list(itertools.product(*factors)), [module.dims[x] for x in clamped], lower,
-            functools.partial(holds, module.is_identity_step, Matrix.is_identity),
-            functools.partial(holds, module.is_onto_step, _onto), step)
+        return view.box_map(points[flat[p]], points[flat[c]])
+    return (list(itertools.product(*factors)), [values[x] for x in flat], lower, identity,
+            onto, step)
 
 
 def _present_view(view: ExtendedView, s) -> tuple:
@@ -626,10 +698,12 @@ def _check_images(view: ExtendedView, pres: Presentation, grid: CartesianSet
     rel_mult = dict(pres.relations)
     gens = []
     poset = _product_poset(view, grid, grades=list(images) + list(rel_mult))
-    for c, dim, order, ev, spans, roots in _walk(view.field, poset,
-                                                 lambda pt, dim, maps: images.get(pt), gens):
-        active = [(gens[g][0], gens[g][1].ncols) for g in order]
+    for c, dim, mask, ev, spans, roots in _walk(view.field, poset,
+                                                lambda pt, dim, maps: images.get(pt), gens):
         spans = spans or rank(ev()) == dim
+        if spans and roots is None and c not in rel_mult:
+            continue
+        active = [(gens[g][0], gens[g][1].ncols) for g in _bits(mask)]
         zero = c not in rel_mult or (
             ev() @ _relation_matrix(pres, active, [(c, rel_mult[c])])).is_zero()
         if spans and zero and roots is None:

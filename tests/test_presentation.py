@@ -1574,8 +1574,9 @@ class TestConstantRuns:
                                           for corrupt in CORRUPTIONS.values()) if c is not None]
             got, walked_drop = self.read_off(view, s, presentations)
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(GridModule, "is_identity_slab", lambda *args: False)
-                mp.setattr(GridModule, "is_identity_step", lambda *args: False)
+                mp.setattr(GridModule, "identity_runs", lambda module: [
+                    list(range(hi - lo + 1)) for lo, hi in zip(module.box.a, module.box.b)])
+                mp.setattr(GridModule, "identities", property(lambda module: set()))
                 expected, walked_kept = self.read_off(view, s, presentations)
             assert got == expected
             assert got[0] == births_deaths(view, canonical_set(module))
