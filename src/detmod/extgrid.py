@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import or_
 from typing import Iterable, Iterator
 
 from .errors import InputError
@@ -115,6 +116,23 @@ def join(p: Point, q: Point) -> Point:
 MAX_CLOSURE_POINTS = 4096
 
 
+def order_masks(points: list, above: bool = True) -> list:
+    """Per point of ``points``, as bits (point j is bit j), the points at or
+    above it, or with ``above`` false at or below it: the AND, over the
+    axes, of the points whose coordinate there is at least (at most) its
+    own."""
+    masks = [-1] * len(points)
+    for axis in range(len(points[0]) if points else 0):
+        at = {}
+        for i, p in enumerate(points):
+            at[p[axis]] = at.get(p[axis], 0) | 1 << i
+        reach, acc = {}, 0
+        for v in sorted(at, reverse=above):
+            acc = reach[v] = acc | at[v]
+        masks = [m & reach[p[axis]] for m, p in zip(masks, points)]
+    return masks
+
+
 def join_closure(points: Iterable[Point]) -> frozenset:
     """Closure of a finite set under pairwise joins.
 
@@ -122,9 +140,12 @@ def join_closure(points: Iterable[Point]) -> frozenset:
     equals the set of minimal upper bounds of all non-empty subsets, without
     enumerating the subsets.  Every element of the closure is the join of
     some input points, so each new element needs joining with the input
-    points only: the join of k of them is found in the (k-1)-th round.  A
-    product of chains is join-closed as it is; any other closure of more
-    than ``MAX_CLOSURE_POINTS`` points is refused after the round that passes it.
+    points only: the join of k of them is found in the (k-1)-th round.  The
+    first round joins each unordered pair of input points once, and only
+    the pairs that are not comparable (:func:`order_masks`): the join of a
+    comparable pair is one of the two.  A product of chains is join-closed
+    as it is; any other closure of more than ``MAX_CLOSURE_POINTS`` points
+    is refused after the round that passes it.
     """
     closed = set(points)
     if closed:
@@ -132,7 +153,16 @@ def join_closure(points: Iterable[Point]) -> frozenset:
         if as_product(closed) is not None:
             return frozenset(closed)
     given = list(closed)
-    frontier = given
+    comparable = map(or_, order_masks(given), order_masks(given, above=False))
+    frontier = set()
+    for i, mask in enumerate(comparable):
+        rest, p = ~mask >> (i + 1) << (i + 1) & ((1 << len(given)) - 1), given[i]
+        while rest:
+            low = rest & -rest
+            frontier.add(join(p, given[low.bit_length() - 1]))
+            rest ^= low
+    frontier -= closed
+    closed |= frontier
     while frontier:
         if len(closed) > MAX_CLOSURE_POINTS:
             raise InputError(f"the join closure has at least {len(closed)} points, "
@@ -222,9 +252,10 @@ class CartesianSet:
         for f in factors:
             if not f:
                 raise InputError("cartesian factors must be non-empty")
-            for v in f:
-                if not is_coord(v):
-                    raise InputError(f"invalid coordinate {v!r} in cartesian factor")
+            if not {*map(type, f[1:] if f[0] == NEG_INF else f)} <= {int}:
+                for v in f:
+                    if not is_coord(v):
+                        raise InputError(f"invalid coordinate {v!r} in cartesian factor")
         object.__setattr__(self, "factors", factors)
 
     @property

@@ -136,10 +136,17 @@ class GridModule:
     def is_invertible_step(self, p: Point, axis: int) -> bool:
         """Whether the step from the box point ``p`` along ``axis`` is
         invertible, with no :class:`Matrix` made: square, and the identity
-        or onto."""
+        or onto, which a left-out step between two spaces of one dimension
+        is when they are zero."""
         values, x = self.dim_list, self._index[p]
-        return values[x] == values[x + self.strides[axis]] and (
-            self.is_identity_step(p, axis) or self.is_onto_step(p, axis))
+        if values[x] != values[x + self.strides[axis]]:
+            return False
+        key = x * len(self.strides) + axis
+        if key in self.identities:
+            return True
+        given = self.given.get(key)
+        return not values[x] if given is None else full_row_rank(self.field, given.rows,
+                                                                  given.ncols)
 
     def identity_runs(self) -> list:
         """Per axis, a label for each box coordinate there, in order: two

@@ -20,7 +20,8 @@ from operator import mul, xor
 from typing import Iterable
 
 from .errors import InputError
-from .extgrid import CartesianSet, Point, as_product, leq, lex_strides, sort_points
+from .extgrid import (CartesianSet, Point, as_product, leq, lex_strides, order_masks,
+                      sort_points)
 
 
 def _is_prime(p: int) -> bool:
@@ -449,22 +450,13 @@ def poset_covers(points: list) -> list:
     """Covering pairs of an arbitrary finite subposet of the extended grid.
 
     The points are indexed in a linear extension, and bit j of ``up[i]`` is
-    set when point j lies above point i: the AND, over the axes, of the
-    points whose coordinate there is at least point i's.  Scanning up(p)
+    set when point j lies above point i (:func:`order_masks`).  Scanning up(p)
     without p from the least index, the first point left is a cover q of p,
     and every point above q is dropped before the next.  So the covers come
     out by p, then by q, in the linear extension.
     """
     ordered = sort_points(points)
-    up = [-1] * len(ordered)
-    for axis in range(len(ordered[0]) if ordered else 0):
-        at = {}
-        for i, p in enumerate(ordered):
-            at[p[axis]] = at.get(p[axis], 0) | 1 << i
-        at_least, acc = {}, 0
-        for v in sorted(at, reverse=True):
-            acc = at_least[v] = acc | at[v]
-        up = [u & at_least[p[axis]] for u, p in zip(up, ordered)]
+    up = order_masks(ordered)
     covers = []
     for i, p in enumerate(ordered):
         rest = up[i] & ~(1 << i)

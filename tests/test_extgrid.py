@@ -11,7 +11,7 @@ from detmod import (Box, CartesianSet, InputError, NEG_INF, convex_projection,
                     critical_grid, ext_box, extended_projection,
                     join_below, join_closure, leq, meet_above, mub,
                     point_sort_key, pointed_closure, sort_points)
-from detmod.extgrid import as_product, downset_of
+from detmod.extgrid import as_product, downset_of, order_masks
 from helpers import (coordinatewise_join_below, join_closure_by_subsets,
                      maximal_lower_bounds_bruteforce, minimal_upper_bounds_bruteforce,
                      random_point_set, window_ext_points)
@@ -100,6 +100,38 @@ class TestClosures:
     @given(point_sets(3, min_size=0, max_size=6))
     def test_matches_subset_enumeration_in_three_parameters(self, points):
         assert join_closure(points) == join_closure_by_subsets(points)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 3).flatmap(lambda n: point_sets(n, min_size=0, max_size=8)))
+    def test_matches_subset_enumeration_up_to_eight_points(self, points):
+        assert join_closure(points) == join_closure_by_subsets(points)
+
+    @given(st.integers(1, 3).flatmap(lambda n: st.lists(ext_points(n), max_size=10,
+                                                          unique=True)))
+    def test_order_masks_match_the_order(self, points):
+        above, below = order_masks(points), order_masks(points, above=False)
+        for i, p in enumerate(points):
+            assert [j for j in range(len(points)) if above[i] >> j & 1] == \
+                [j for j, q in enumerate(points) if leq(p, q)]
+            assert [j for j in range(len(points)) if below[i] >> j & 1] == \
+                [j for j, q in enumerate(points) if leq(q, p)]
+
+    def test_first_round_joins_each_incomparable_pair_once(self, monkeypatch):
+        """A closed lattice that is not a product, the canonical set of an
+        8 x 8 box and one point above it, takes one join per pair of points
+        that are not comparable, and no further round."""
+        import detmod.extgrid as extgrid
+
+        axis = (NEG_INF, *range(1, 8))
+        lattice = set(itertools.product(axis, axis)) | {(8, 8)}
+        pairs = [(p, q) for p, q in itertools.combinations(lattice, 2)
+                 if not leq(p, q) and not leq(q, p)]
+        calls = []
+        join = extgrid.join
+        monkeypatch.setattr(extgrid, "join", lambda p, q: calls.append((p, q)) or join(p, q))
+        assert join_closure(lattice) == lattice
+        assert len(calls) == len(pairs) == len({frozenset(c) for c in calls})
+        assert all(not leq(p, q) and not leq(q, p) for p, q in calls)
 
     @given(point_sets(2, min_size=0, max_size=5))
     def test_idempotent_and_extensive(self, points):
