@@ -518,6 +518,120 @@ class TestAmongValidEntries:
                    for k, m in padded.given.items())
 
 
+def _diagram_obj(field=None, bad=None, at: int = 0, point=None, point_at: int = 0):
+    """A product diagram file on {-inf, 0} x {-inf, 0, ..., 33} with every
+    dimension 1 and 100 map entries, [[1]] on every cover but the three
+    into the last row, with ``bad`` among them: ``at`` valid entries before
+    it and the rest after.  ``point``, when given, replaces the point at
+    ``point_at``."""
+    axis = ["-inf", *range(34)]
+    points = [[u, v] for u in ("-inf", 0) for v in axis]
+    maps = [{"from": [u, v], "to": [u, w], "matrix": [[1]]}
+            for u in ("-inf", 0) for v, w in zip(axis, axis[1:34])]
+    maps += [{"from": ["-inf", v], "to": [0, v], "matrix": [["2/2" if field else 1]]}
+             for v in axis[:34]]
+    assert len(maps) == 100
+    if bad is not None:
+        maps.insert(at, bad)
+    if point is not None:
+        points[point_at] = point
+    return {"field": field or {"kind": "prime", "p": 5}, "n": 2, "points": points,
+            "dims": [1] * len(points), "maps": maps}
+
+
+# a map entry at fault, the field of its file, and the refusal of the
+# entry-by-entry reader; the cover (-inf, 32) -> (-inf, 33) is left out of
+# the valid entries
+MALFORMED_DIAGRAM_MAPS = [
+    ("from true", {"from": [True, 0], "to": [0, 1], "matrix": [[1]]}, None,
+     'invalid coordinate True; expected an integer or "-inf"'),
+    ("to float", {"from": ["-inf", 0], "to": [1.0, 0], "matrix": [[1]]}, None,
+     'invalid coordinate 1.0; expected an integer or "-inf"'),
+    ("from unhashable", {"from": [[0], 0], "to": [0, 1], "matrix": [[1]]}, None,
+     'invalid coordinate [0]; expected an integer or "-inf"'),
+    ("to an object", {"from": ["-inf", 0], "to": {"-inf": 0}, "matrix": [[1]]}, None,
+     "invalid point {'-inf': 0}; expected a JSON array"),
+    ("from a string", {"from": "-inf", "to": [0, 1], "matrix": [[1]]}, None,
+     "invalid point '-inf'; expected a JSON array"),
+    ("from one coordinate", {"from": [0], "to": [0, 1], "matrix": [[1]]}, None,
+     "point (0,) does not have dimension 2"),
+    ("end off the points", {"from": [0, 32], "to": [0, 34], "matrix": [[1]]}, None,
+     "map (0, 32) -> (0, 34) is not a covering pair of the points"),
+    ("off a cover", {"from": ["-inf", 32], "to": [0, 33], "matrix": [[1]]}, None,
+     "map (-inf, 32) -> (0, 33) is not a covering pair of the points"),
+    ("duplicate map", {"from": [0, 5], "to": [0, 6], "matrix": [[1]]}, None,
+     "duplicate map (0, 5) -> (0, 6)"),
+    ("wrong shape", {"from": ["-inf", 32], "to": ["-inf", 33], "matrix": [[1, 0]]}, None,
+     "matrix has shape (1, ...), expected (1, 1)"),
+    ("bool entry", {"from": ["-inf", 32], "to": ["-inf", 33], "matrix": [[True]]}, None,
+     "cannot coerce True into F_5"),
+    ("float entry", {"from": ["-inf", 32], "to": ["-inf", 33], "matrix": [[1.0]]}, QQ_SPEC,
+     "cannot coerce 1.0 into Q"),
+    ("bad Q token", {"from": ["-inf", 32], "to": ["-inf", 33], "matrix": [["1/0"]]}, QQ_SPEC,
+     "cannot parse rational '1/0'"),
+    ("not an object", ["-inf", 32], None, "invalid map entry ['-inf', 32]"),
+]
+
+
+class TestDiagramAmongValidEntries:
+    """A diagram file's map entry at fault first, in the middle and last
+    among 100 valid ones on a product: the entries are looked up by their
+    raw ends and checked at once, and read one by one only to word the
+    refusal, which is that of the entry alone."""
+
+    @pytest.mark.parametrize("at", [0, 50, 100], ids=["first", "middle", "last"])
+    @pytest.mark.parametrize("name,bad,field,message", MALFORMED_DIAGRAM_MAPS,
+                             ids=[case[0] for case in MALFORMED_DIAGRAM_MAPS])
+    def test_error_text(self, name, bad, field, message, at):
+        alone = [bad, bad] if name == "duplicate map" else [bad]
+        for obj in (_diagram_obj(field, bad, at), {**_diagram_obj(field), "maps": alone}):
+            with pytest.raises(InputError) as err:
+                diagram_from_json(obj)
+            assert str(err.value) == message
+
+    @pytest.mark.parametrize("at", [0, 33, 69], ids=["first", "middle", "last"])
+    @pytest.mark.parametrize("point", [[True, 0], [1.0, 0]], ids=["true", "1.0"])
+    def test_points_at_fault(self, point, at):
+        with pytest.raises(InputError) as err:
+            diagram_from_json(_diagram_obj(point=point, point_at=at))
+        assert str(err.value) == f'invalid coordinate {point[0]!r}; expected an integer or "-inf"'
+
+    @pytest.mark.parametrize("at,message", [
+        (34, "duplicate points in diagram"),  # (-inf, 33), which no map entry names
+        (69, "duplicate points in diagram"),  # (0, 33), likewise
+        (0, "map (-inf, -inf) -> (-inf, 0) is not a covering pair of the points")],
+        ids=["unnamed", "unnamed-last", "named"])
+    def test_duplicate_points(self, at, message):
+        """The point at ``at`` replaced by a second (0, 5): where a map
+        entry names the point that is gone, that entry is refused first."""
+        with pytest.raises(InputError) as err:
+            diagram_from_json(_diagram_obj(point=[0, 5], point_at=at))
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("field", [None, QQ_SPEC], ids=["f5", "q"])
+    def test_the_base_loads_with_shared_matrices(self, field):
+        obj = _diagram_obj(field)
+        diagram = diagram_from_json(obj)
+        assert diagram.product is not None and len(diagram.covers()) == 103
+        given = [diagram.maps[(decode_point(e["from"]), decode_point(e["to"]))]
+                 for e in obj["maps"]]
+        # one matrix per distinct entry text: [[1]], and over Q [["2/2"]]
+        assert all(m.is_identity() for m in given)
+        assert len({id(m) for m in given}) == (1 if field is None else 2)
+        assert diagram.maps[((NEG_INF, 32), (NEG_INF, 33))] == Matrix.zeros(diagram.field, 1, 1)
+        assert diagram_to_json(diagram_from_json(diagram_to_json(diagram))) == \
+            diagram_to_json(diagram)
+
+    def test_points_in_any_order(self):
+        """The file's points out of order: each end is found by its raw
+        value, and the diagram sorts its points."""
+        obj = _diagram_obj()
+        obj["points"].reverse()
+        diagram = diagram_from_json(obj)
+        assert diagram.points == tuple(sorted(diagram.points))
+        assert diagram_to_json(diagram) == diagram_to_json(diagram_from_json(_diagram_obj()))
+
+
 def _q_module(*entries):
     """A 1 x 2 box over Q with dimensions 1 and k, whose one step is the
     k x 1 column of ``entries``."""

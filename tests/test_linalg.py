@@ -654,6 +654,45 @@ class TestLimit:
             assert d.maps[(c, e)] @ proj[c] == proj[e]
 
 
+@st.composite
+def extended_products(draw):
+    """A :class:`CartesianSet` of 1 to 3 axes, each -inf and 0 to 3 integers."""
+    nparams = draw(st.integers(1, 3))
+    return CartesianSet(tuple((NEG_INF, *draw(st.frozensets(st.integers(-3, 3), max_size=3)))
+                              for _ in range(nparams)))
+
+
+class TestProductCovers:
+    """A product diagram lists its covers as it makes them, with no sort and
+    no generic cover search, and keeps each map by its flat key too."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(extended_products(), st.booleans())
+    def test_covers_and_keys_match_the_cover_search(self, grid, as_points):
+        pts = grid.sorted_points()
+        diagram = PosetDiagram(F5, pts if as_points else grid, {p: 1 for p in pts},
+                               lambda c, d: Matrix.identity(F5, 1))
+        assert diagram.product == grid
+        assert diagram.covers() == tuple(sorted(poset_covers(pts)))
+        n, place = grid.dim, {p: x for x, p in enumerate(pts)}
+        assert sorted(diagram.steps) == sorted(
+            place[c] * n + next(i for i in range(n) if c[i] != d[i]) for c, d in diagram.covers())
+        for c, d in diagram.covers():
+            axis = next(i for i in range(n) if c[i] != d[i])
+            assert diagram.steps[place[c] * n + axis] is diagram.maps[(c, d)]
+
+    def test_left_out_maps_are_one_zero_per_shape_over_the_diagrams_field(self):
+        """A zero made for an equal field object is not taken."""
+        grid = CartesianSet(((NEG_INF, 0, 1), (NEG_INF, 0)))
+        dims = {p: 1 + (p[0] == 1) for p in grid}
+        Matrix.zeros(PrimeField(7), 2, 1)
+        field = PrimeField(7)
+        diagram = PosetDiagram(field, grid, dims, {})
+        zeros = [m for m in diagram.maps.values() if m.shape == (2, 1)]
+        assert len(zeros) == 2 and zeros[0] is zeros[1] and zeros[0].field is field
+        assert validate_diagram(diagram)
+
+
 class TestDiagramCovers:
     def test_duplicate_points_refused(self):
         with pytest.raises(InputError, match="duplicate points in diagram"):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from detmod import (Box, ExtendedView, GridModule, InputError,
+from detmod import (Box, CartesianSet, ExtendedView, GridModule, InputError,
                     Matrix, NEG_INF, NotDeterminedError, PosetDiagram, PrimeField,
                     Presentation, births_deaths, build_presentation, check_encoding,
                     diagram_births_deaths, encode, ext_box, hstack,
@@ -236,6 +236,46 @@ class TestLowerCoverRoutesMatchOracles:
                                    if lt(b, c) and not leq(b, lower[c][0]))
             with_relations += bool(got[1])
         assert off_first_cover > 0
+
+
+@st.composite
+def convex_tables(draw):
+    """A window of 1 to 3 axes and a table of one dimension on the points
+    between two corners, which may be -inf, and 0 elsewhere: convex, so the
+    identities between equal dimensions commute."""
+    nparams = draw(st.integers(1, 3))
+    side = 3 if nparams < 3 else 2
+    coords = st.sampled_from([NEG_INF, *range(side)])
+    lo = tuple(draw(coords) for _ in range(nparams))
+    hi = tuple(draw(coords) for _ in range(nparams))
+    k = draw(st.integers(1, 2))
+    return Box((0,) * nparams, (side - 1,) * nparams), \
+        (lambda p: k if all(a <= v <= b for a, v, b in zip(lo, p, hi)) else 0)
+
+
+class TestProductDiagramScan:
+    """The scan of a product diagram reads its covers off the strides and
+    its maps by flat key; it reads off what the full scan does."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(convex_tables(), st.sampled_from([F2, F5, QQ]))
+    def test_window_modules(self, table, field):
+        diagram = window_module(field, *table)
+        assert diagram.steps is not None
+        assert _present_diagram(diagram) == diagram_presentation_by_full_scan(diagram)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10 ** 6), st.sampled_from([F2, F5, QQ]), st.integers(1, 3))
+    def test_twisted_products(self, seed, field, nparams):
+        rng = random.Random(seed)
+        a = tuple(rng.randint(-1, 1) for _ in range(nparams))
+        box = Box(a, tuple(x + 3 - nparams for x in a))
+        view = ExtendedView(random_module(field, rng, box=box, max_summands=3))
+        grid = CartesianSet(tuple((NEG_INF, *rng.sample(range(lo - 1, hi + 2), 2))
+                                  for lo, hi in zip(box.a, box.b)))
+        diagram = restrict_view(view, grid)
+        assert diagram.steps is not None
+        assert _present_diagram(diagram) == diagram_presentation_by_full_scan(diagram)
 
 
 @st.composite
