@@ -16,7 +16,9 @@ caches before the timed passes.  Later passes truncate each ``--out`` file
 before its job instead of deleting it, so no pass pays for creating files.
 
 Per seed it prints the median CPU seconds of a pass on each side, their
-quartiles, and in how many pairs CHANGE was faster.  It also prints each
+quartiles, and in how many pairs CHANGE was faster, and per verb (the
+``verb`` of the workload's jobs) each side's median CPU of that verb's jobs
+in a pass.  It also prints each
 side's job p50 and job tail, taken as ``perfbench/run.py`` takes them: each
 job's CPU time replaced by its median over the timed passes, and the tail
 by CHANGE's ``perfbench/run.py`` ``tail()`` of those medians, each counted
@@ -155,6 +157,19 @@ def job_metrics(side, tail) -> tuple:
             [tail([t for t in job_s for _ in range(passes)])[0] for job_s in side.job_s])
 
 
+def verb_metrics(side) -> dict:
+    """Per verb, the median over the timed passes of the CPU milliseconds
+    of that verb's jobs in a pass."""
+    verbs = [job.verb for jobs in side.rounds for job in jobs]
+    per_pass = []
+    for job_s in side.job_s:
+        sums = dict.fromkeys(verbs, 0.0)
+        for verb, s in zip(verbs, job_s):
+            sums[verb] += s
+        per_pass.append(sums)
+    return {verb: 1000 * statistics.median(p[verb] for p in per_pass) for verb in dict.fromkeys(verbs)}
+
+
 def run_seed(sides: list, passes: int, tail) -> dict:
     parent, change = sides
     for side in sides:
@@ -172,7 +187,8 @@ def run_seed(sides: list, passes: int, tail) -> dict:
         p50, job_tail, pass_tail = job_metrics(side, tail)
         result[side.label] = {"median_s": med, "q1_s": q1, "q3_s": q3, "pass_s": side.pass_s,
                               "job_p50_ms": 1000 * p50, "job_tail_ms": 1000 * job_tail,
-                              "pass_tail_ms": [1000 * t for t in pass_tail]}
+                              "pass_tail_ms": [1000 * t for t in pass_tail],
+                              "verb_ms": verb_metrics(side)}
     result["change_won_tail"] = sum(c < p for p, c in zip(result["parent"]["pass_tail_ms"],
                                                          result["change"]["pass_tail_ms"]))
     return result
@@ -227,6 +243,9 @@ def main(argv=None) -> int:
         print(f"  change tail lower in {result['change_won_tail']} of {result['passes']} pairs; "
               f"job p50 change / parent {c['job_p50_ms'] / p['job_p50_ms']:.3f}, "
               f"job tail change / parent {c['job_tail_ms'] / p['job_tail_ms']:.3f}")
+        for verb, ms in c["verb_ms"].items():
+            print(f"  {verb:16} CPU per pass median: parent {p['verb_ms'][verb]:9.2f} ms, "
+                  f"change {ms:9.2f} ms, change / parent {ms / p['verb_ms'][verb]:.3f}")
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
