@@ -409,8 +409,7 @@ def diagram_from_json(obj) -> PosetDiagram:
     if len(dims_list) != len(points):
         raise InputError("dims and points have different lengths")
     dims, entries = dict(zip(points, dims_list)), _array(obj, "maps")
-    maps = _maps_at_once(field, raw_points, points, dims_list, entries) \
-        if len(dims) == len(points) else None
+    maps = _maps_at_once(field, raw_points, points, dims_list, entries)
     if maps is None:
         maps = _maps_one_by_one(field, n, dims, entries)
     return PosetDiagram(field, points, dims, maps)
@@ -420,8 +419,9 @@ def _maps_at_once(field, raw_points: list, points: list, dims_list: list,
                   entries: list) -> dict | None:
     """The maps of the entries by cover, every entry checked before any
     matrix is decoded; ``None`` when a check refuses some entry.  The points
-    are distinct and decoded, so each raw entry of ``raw_points`` holds
-    plain ints and "-inf" only.
+    are decoded, so each raw entry of ``raw_points`` holds plain ints and
+    "-inf" only; of a point listed twice the last place is kept, as the
+    last dimension is in ``dims``, and the diagram refuses it later.
 
     One lean pass looks up each end's raw value among the raw points: an
     end that is not a list, or that holds a list, is refused.  A float or

@@ -1,5 +1,6 @@
 """Grid modules, their extended semantics, and window diagrams."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -574,6 +575,23 @@ class TestIdentitySteps:
                 assert {e for e in every if built.is_onto_step(*e)} == onto
                 assert built.identities == {key for key, m in built.given.items()
                                             if m.is_identity()}
+
+    @pytest.mark.parametrize("field", [F2, F5, QQ], ids=["F2", "F5", "Q"])
+    def test_identity_runs_match_the_steps(self, field):
+        """Two neighbouring coordinates of an axis share a label exactly
+        when every step between them is the identity matrix, on modules as
+        built and as read back from a file, which leaves out every zero
+        step, also those between a zero space and another."""
+        rng = random.Random(47)
+        for trial in range(30):
+            module = random_module(field, rng, twist=trial % 3 == 0, max_summands=2)
+            every = every_step(module)
+            for built in (module, module_from_json(module_to_json(module))):
+                runs = built.identity_runs()
+                for axis, (lo, hi) in enumerate(zip(built.box.a, built.box.b)):
+                    moving = [any(not m.is_identity() for (p, i), m in every.items()
+                                  if i == axis and p[axis] == t) for t in range(lo, hi)]
+                    assert runs[axis] == [0, *itertools.accumulate(moving)]
 
     def test_shape_and_denominator_decide(self):
         # dims 2, 2, 1, 0, 0 on a chain: I2, then [1 0] (not square), then

@@ -543,10 +543,14 @@ def _diagram_obj(field=None, bad=None, at: int = 0, point=None, point_at: int = 
 # entry-by-entry reader; the cover (-inf, 32) -> (-inf, 33) is left out of
 # the valid entries
 MALFORMED_DIAGRAM_MAPS = [
+    # a false or a float that equals a coordinate, on a cover left out: as a
+    # key it would find the point
+    ("to false", {"from": ["-inf", 33], "to": [False, 33], "matrix": [[1]]}, None,
+     'invalid coordinate False; expected an integer or "-inf"'),
+    ("from float", {"from": ["-inf", 32.0], "to": ["-inf", 33], "matrix": [[1]]}, None,
+     'invalid coordinate 32.0; expected an integer or "-inf"'),
     ("from true", {"from": [True, 0], "to": [0, 1], "matrix": [[1]]}, None,
      'invalid coordinate True; expected an integer or "-inf"'),
-    ("to float", {"from": ["-inf", 0], "to": [1.0, 0], "matrix": [[1]]}, None,
-     'invalid coordinate 1.0; expected an integer or "-inf"'),
     ("from unhashable", {"from": [[0], 0], "to": [0, 1], "matrix": [[1]]}, None,
      'invalid coordinate [0]; expected an integer or "-inf"'),
     ("to an object", {"from": ["-inf", 0], "to": {"-inf": 0}, "matrix": [[1]]}, None,

@@ -16,6 +16,7 @@ from detmod import (Box, CartesianSet, ExtendedView, GridModule, InputError,
                     diagram_births_deaths, encode, ext_box, hstack,
                     in_upset, is_admissible, is_invertible, leq,
                     rank, restrict_view, solve, verify_presentation, window_module)
+from detmod.io import module_from_json, module_to_json
 from detmod.linalg import diagram_colimit
 from detmod.presentation import predecessor_colimit_map
 from helpers import (F2, F5, admissible_by_reconstruction, births_deaths_by_cone,
@@ -276,6 +277,32 @@ class TestProductDiagramScan:
         diagram = restrict_view(view, grid)
         assert diagram.steps is not None
         assert _present_diagram(diagram) == diagram_presentation_by_full_scan(diagram)
+
+
+    @pytest.mark.parametrize("field", [F2, F5, QQ], ids=["f2", "f5", "q"])
+    def test_modules_read_from_files(self, field):
+        """A module file leaves out every zero step, also a step from a
+        zero space into another: the walk of the product reads such a step
+        as the identity only where both spaces are zero."""
+        rng = random.Random(83 + (field.p if field.kind == "prime" else 0))
+        for trial in range(12):
+            nparams = 1 + trial % 3
+            box = Box((0,) * nparams, (4 - nparams,) * nparams)
+            module = random_module(field, rng, box=box, twist=trial % 2 == 0)
+            view = ExtendedView(module_from_json(module_to_json(module)))
+            s = canonical_set(module)
+            assert build_presentation(view, s) == presentation_by_full_scan(ExtendedView(module), s)
+
+    def test_identity_maps_need_no_elimination(self, monkeypatch):
+        """A chain of 2 x 2 identity maps is walked on identity steps: no
+        onto test, so no elimination, and no product."""
+        pts = [(i,) for i in range(6)]
+        chain = PosetDiagram(F2, pts, {p: 2 for p in pts},
+                             lambda c, d: Matrix.identity(F2, 2))
+        calls = count_linear_algebra(monkeypatch)
+        generators, relations, _, _ = _present_diagram(chain)
+        assert generators == [((0,), 2)] and relations == []
+        assert calls == {"echelon": [], "matmul": []}
 
 
 @st.composite
