@@ -167,7 +167,8 @@ def verb_metrics(side) -> dict:
         for verb, s in zip(verbs, job_s):
             sums[verb] += s
         per_pass.append(sums)
-    return {verb: 1000 * statistics.median(p[verb] for p in per_pass) for verb in dict.fromkeys(verbs)}
+    return {verb: 1000 * statistics.median(p[verb] for p in per_pass)
+            for verb in dict.fromkeys(verbs)}
 
 
 def run_seed(sides: list, passes: int, tail) -> dict:

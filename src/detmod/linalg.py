@@ -507,9 +507,9 @@ class PosetDiagram:
     (else ``None``), or by :func:`poset_covers`.  ``maps`` is a function of
     a cover's two ends that gives its matrix, or a dict of matrices by
     cover, where a cover left out maps by :meth:`Matrix.zeros` of its
-    shape, looked up once per shape.  On a product, :attr:`steps` holds the map of each
-    cover by the flat key of :func:`product_covers`; elsewhere it is
-    ``None``.
+    shape, looked up once per shape.  On a product, :attr:`steps` holds the
+    map of each cover by the flat key of :func:`product_covers`; elsewhere
+    it is ``None``.
     """
 
     def __init__(self, field, points, dims, maps):
@@ -539,7 +539,8 @@ class PosetDiagram:
                 cover_set = set(covers)
                 for c, d in maps:
                     if (c, d) not in cover_set:
-                        raise InputError(f"map {c!r} -> {d!r} is not a covering pair of the points")
+                        raise InputError(f"map {c!r} -> {d!r} is not a covering pair of the "
+                                         f"points")
             zeros = {}  # by shape
             for k, m in enumerate(mats):
                 if m is None:

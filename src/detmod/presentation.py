@@ -443,7 +443,8 @@ def _product_poset(view: ExtendedView, grid: CartesianSet, grades=()) -> tuple:
     A coordinate repeats the one below it on its axis when no point of
     ``grades`` has it and every step along the axis between their clamps is
     the identity, at every box point of its slab: both clamps have one
-    label of :meth:`GridModule.identity_runs`, as equal clamps do.  A grid point with such a coordinate repeats its lower
+    label of :meth:`GridModule.identity_runs`, as equal clamps do.  A grid
+    point with such a coordinate repeats its lower
     cover along that axis: a grade lies below the point exactly when it
     lies below the cover, the two have the same dimension, and the map
     between them is the identity, so the walk would carry the cover's state

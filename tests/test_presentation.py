@@ -291,7 +291,8 @@ class TestProductDiagramScan:
             module = random_module(field, rng, box=box, twist=trial % 2 == 0)
             view = ExtendedView(module_from_json(module_to_json(module)))
             s = canonical_set(module)
-            assert build_presentation(view, s) == presentation_by_full_scan(ExtendedView(module), s)
+            expected = presentation_by_full_scan(ExtendedView(module), s)
+            assert build_presentation(view, s) == expected
 
     def test_identity_maps_need_no_elimination(self, monkeypatch):
         """A chain of 2 x 2 identity maps is walked on identity steps: no
