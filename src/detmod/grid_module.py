@@ -109,30 +109,6 @@ class GridModule:
             self._identities = {key for key, m in self.given.items() if m.is_identity()}
         return self._identities
 
-    def is_identity_step(self, p: Point, axis: int) -> bool:
-        """Whether the step from the box point ``p`` along ``axis`` is the
-        identity, with no :class:`Matrix` made: a given step as stored, a
-        left-out one when both its ends are zero spaces (the 0 x 0
-        identity)."""
-        x = self._index[p]
-        key = x * self.box.dim + axis
-        if key in self.identities:
-            return True
-        if key in self.given:
-            return False
-        values = self.dim_list
-        return not values[x] and not values[x + self.strides[axis]]
-
-    def is_onto_step(self, p: Point, axis: int) -> bool:
-        """Whether the step from the box point ``p`` along ``axis`` is onto,
-        with no :class:`Matrix` made: a given step of full row rank, a
-        left-out one when its target is a zero space."""
-        x = self._index[p]
-        given = self.given.get(x * self.box.dim + axis)
-        if given is None:
-            return not self.dim_list[x + self.strides[axis]]
-        return full_row_rank(self.field, given.rows, given.ncols)
-
     def is_invertible_step(self, p: Point, axis: int) -> bool:
         """Whether the step from the box point ``p`` along ``axis`` is
         invertible, with no :class:`Matrix` made: square, and the identity

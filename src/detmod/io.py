@@ -9,6 +9,7 @@ order so that identical inputs produce identical bytes.
 from __future__ import annotations
 
 import math
+from functools import partial
 from itertools import chain, repeat
 from operator import itemgetter
 from json.encoder import encode_basestring_ascii as _escape
@@ -81,24 +82,28 @@ def matrix_to_json(m: Matrix) -> list:
 def _check_shape(obj, shape: tuple) -> None:
     """Refuse anything but a list of ``shape[0]`` lists of ``shape[1]`` entries."""
     nrows, ncols = shape
-    if not (type(obj) is list and len(obj) == nrows
-            and {*map(type, obj)} <= {list} and {*map(len, obj)} <= {ncols}):
-        if not isinstance(obj, list) or not all(isinstance(r, list) for r in obj):
-            raise InputError(f"invalid matrix {obj!r}")
-        if len(obj) != nrows or any(len(r) != ncols for r in obj):
-            raise InputError(f"matrix has shape ({len(obj)}, ...), expected {shape}")
+    if not isinstance(obj, list) or not all(isinstance(r, list) for r in obj):
+        raise InputError(f"invalid matrix {obj!r}")
+    if len(obj) != nrows:
+        raise InputError(f"matrix has shape ({len(obj)}, ...), expected {shape}")
+    for i, row in enumerate(obj, 1):
+        if len(row) != ncols:
+            raise InputError(f"matrix row {i} has {len(row)} entries, expected {ncols}")
 
 
 def _rational(field, x) -> tuple:
-    """A rational entry other than an int as (numerator, denominator) in
-    lowest terms.  "p/q" and "-p/q" in decimal digits are read with no
-    :class:`Fraction`; any other spelling goes through ``field.coerce``,
-    which accepts what :class:`Fraction` parses and words every refusal."""
+    """An entry over Q as (numerator, denominator) in lowest terms.  "p/q"
+    and "-p/q" in decimal digits are read with no :class:`Fraction`; any
+    other entry goes through ``field.coerce``, which accepts what
+    :class:`Fraction` parses and words every refusal."""
     if type(x) is str:
         num, slash, den = x.partition("/")
         digits = num[1:] if num[:1] == "-" else num
         if slash and digits.isascii() and digits.isdigit() and den.isascii() and den.isdigit():
-            num, den = int(num), int(den)
+            try:
+                num, den = int(num), int(den)
+            except ValueError as exc:  # more digits than int() reads
+                raise InputError(f"invalid matrix entry: {exc}") from exc
             if den:
                 g = math.gcd(num, den)
                 return num // g, den // g
@@ -107,39 +112,62 @@ def _rational(field, x) -> tuple:
 
 
 # the entry types a matrix of each field kind decodes in bulk; any other is
-# refused by the field, entry by entry
+# refused by the field
 _PLAIN = {"prime": {int}, "rational": {int, str}}
 
 
-def matrix_from_json(field, obj, shape: tuple, tokens: dict) -> Matrix:
-    """A matrix of ``shape`` from a file, decoded straight into the integer
-    form of :class:`Matrix` by :func:`_numbers` and :func:`_matrix_of`,
-    which decode every matrix of every file kind.  An entry other than a
-    plain int, or over Q a string, is refused with the field's message for
-    the first one."""
-    _check_shape(obj, shape)
-    flat = list(chain.from_iterable(obj))
-    if {*map(type, flat)} <= _PLAIN[field.kind]:
-        return _matrix_of(field, *_numbers(field, flat, tokens), *shape)
-    try:
-        for x in flat:
-            if field.kind == "prime" or type(x) is not str:
-                field.coerce(x)
-            elif x not in tokens:
-                tokens[x] = _rational(field, x)
-    except InputError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"invalid matrix entry: {exc}") from exc
-    raise AssertionError(f"no entry of {obj!r} was refused")
+def matrix_from_json(field, obj, shape: tuple) -> Matrix:
+    """A matrix of ``shape`` from a file, as :func:`_matrices` decodes it."""
+    return _matrices(field, [shape], [obj])[0]
 
 
-def _numbers(field, flat: list, tokens: dict) -> tuple:
-    """``(nums, dens)``: the entries ``flat`` of one or more matrices, plain
+def _matrices(field, shapes: list, mats: list) -> list:
+    """The matrices of the lists ``mats``, each of its shape in ``shapes``:
+    every matrix a file holds is decoded here, each distinct one once, into
+    the integer form of :class:`Matrix`.  A fault is refused for the first
+    matrix at fault, in file order, and its first entry at fault.
+
+    Whole-array passes check that each is a list of rows of its shape and
+    that each entry is a plain int (or over Q a string).  The entries are
+    read as numbers at once (:func:`_numbers`), and each distinct matrix is
+    made once (:func:`_matrix_of`), keyed by its shape and raw entries: only
+    plain ints and strings are keys, so no true or 1.0 meets a decoded 1.
+    """
+    if not mats:
+        return []
+    nrows, ncols = zip(*shapes)
+    flat = None
+    if {*map(type, mats)} <= {list} and tuple(map(len, mats)) == nrows:
+        rows = list(chain.from_iterable(mats))
+        if ({*map(type, rows)} <= {list} and list(map(len, rows))
+                == list(chain.from_iterable(map(repeat, ncols, nrows)))):
+            flat = list(chain.from_iterable(rows))
+    if flat is None or not {*map(type, flat)} <= _PLAIN[field.kind]:
+        read = field.coerce if field.kind == "prime" else partial(_rational, field)
+        for shape, mat in zip(shapes, mats):
+            _check_shape(mat, shape)
+            for x in chain.from_iterable(mat):
+                read(x)
+        raise AssertionError("no matrix was refused")
+    nums, dens = _numbers(field, flat)
+    out, memo, o = [], {}, 0
+    for r, c in shapes:
+        raw = (r, c, *flat[o:o + r * c])
+        m = memo.get(raw)
+        if m is None:
+            m = memo[raw] = _matrix_of(field, nums[o:o + r * c],
+                                       None if dens is None else dens[o:o + r * c], r, c)
+        out.append(m)
+        o += r * c
+    return out
+
+
+def _numbers(field, flat: list) -> tuple:
+    """``(nums, dens)``: the entries ``flat`` of a file's matrices, plain
     ints and over Q strings too, as integers over denominators.  Over F_p
-    the entries mod p and ``dens`` None.  Over Q each string as
-    :func:`_rational` reads it, kept in ``tokens`` so that it is parsed once
-    per file, and ``dens`` None when there is no string."""
+    the entries mod p and ``dens`` None.  Over Q each distinct string as
+    :func:`_rational` reads it, once, in file order, and ``dens`` None when
+    there is no string."""
     if field.kind == "prime":
         p = field.p
         if flat and not (0 <= min(flat) and max(flat) < p):
@@ -147,16 +175,10 @@ def _numbers(field, flat: list, tokens: dict) -> tuple:
         return flat, None
     if str not in {*map(type, flat)}:
         return flat, None
-    strings = [x for x in dict.fromkeys(flat) if type(x) is str]  # in file order
-    try:
-        for x in strings:
-            if x not in tokens:
-                tokens[x] = _rational(field, x)
-    except InputError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"invalid matrix entry: {exc}") from exc
-    num_of, den_of = {x: tokens[x][0] for x in strings}, {x: tokens[x][1] for x in strings}
+    num_of, den_of = {}, {}
+    for x in dict.fromkeys(flat):
+        if type(x) is str:
+            num_of[x], den_of[x] = _rational(field, x)
     return list(map(num_of.get, flat, flat)), list(map(den_of.get, flat, repeat(1)))
 
 
@@ -229,17 +251,18 @@ def module_to_json(module: GridModule) -> dict:
 
 
 def module_from_json(obj) -> GridModule:
-    """A module file read and checked, its map entries all before any matrix
-    is decoded.
+    """A module file read and checked in one loop over its map entries.
 
     Each map entry's source is looked up among the box points, which gives
-    its flat index (see :class:`GridModule`), and its matrix is decoded into
-    the integer form of :class:`Matrix`, each distinct one once.  The checks
-    are those of ``GridModule.__init__``, with the loader's own messages,
-    and are not made again.  They are made on the whole ``maps`` array
-    (:func:`_given_at_once`); only when that refuses does the entry-by-entry
-    loop (:func:`_given_one_by_one`) run, to word the refusal of the first
-    entry at fault.
+    its flat index (see :class:`GridModule`); its axis must be a plain int
+    in 1..n, its step must stay in the box, and no step may be given twice.
+    The checks are those of ``GridModule.__init__``, with the loader's own
+    messages, and are not made again.  A whole-array pass then checks that
+    every source coordinate is a plain int, as a true or a 1.0 passes the
+    lookup, and the matrices are decoded at once (:func:`_matrices`).
+
+    A file at fault is refused for its first entry at fault, in file order:
+    a bad matrix of an entry before the one the checks refuse comes first.
     """
     if not isinstance(obj, dict):
         raise InputError("module file must contain a JSON object")
@@ -253,118 +276,49 @@ def module_from_json(obj) -> GridModule:
     if len(dims_list) != size:
         raise InputError(f"dims has {len(dims_list)} entries, the box has {size} points")
     pts = list(box.integer_points())
-    index = dict(zip(pts, range(len(pts))))
+    index, dims = dict(zip(pts, range(len(pts)))), dict(zip(pts, dims_list))
     entries = _array(obj, "maps")
-    given = _given_at_once(field, box, pts, index, dims_list, entries)
-    if given is None:
-        given = _given_one_by_one(field, box, pts, index, dims_list, entries)
-    return GridModule._checked(field, box, dict(zip(pts, dims_list)), index, given)
-
-
-def _given_at_once(field, box: Box, pts: list, index: dict, dims_list: list,
-                   entries: list) -> dict | None:
-    """The given steps of the map entries by flat index, every entry checked
-    before any matrix is decoded; ``None`` when a check refuses some entry.
-    A string that is not a rational is refused as :func:`_rational` parses
-    it, in file order, so with the message the entry-by-entry loop gives.
-
-    One lean pass over the entries checks that each is an object with a
-    source, an axis and a matrix list, that its source is a box point and
-    its axis a plain int in 1..n, and that its step stays in the box and is
-    given once.  Whole-array passes then check that every source coordinate
-    is a plain int, that each matrix is a list of rows of its forced shape,
-    and that each entry is a plain int (or over Q a string).  The entries are
-    read as numbers at once (:func:`_numbers`), and each distinct matrix is
-    made once (:func:`_matrix_of`), keyed by its shape and raw entries: only
-    plain ints and strings are keys, so no true or 1.0 meets a decoded 1.
-    """
     if not entries:
-        return {}
-    n, top, strides = box.dim, box.b, box.strides()
+        return GridModule._checked(field, box, dims, index, {})
+    top, strides = box.b, box.strides()
     keys, shapes, mats = {}, [], []  # the steps' flat indices, in file order
-    try:
-        for entry in entries:
-            p, axis, mat = entry["from"], entry["axis"], entry["matrix"]
-            x = index[tuple(p)]
-            if type(axis) is not int or not 1 <= axis <= n or type(mat) is not list:
-                return None
-            axis -= 1
-            if pts[x][axis] == top[axis]:
-                return None
-            keys[x * n + axis] = None
-            shapes.append((dims_list[x + strides[axis]], dims_list[x]))
-            mats.append(mat)
-    except (TypeError, KeyError):  # not an object, a key left out, or no box point
-        return None
-    if not (len(keys) == len(mats)  # no step given twice
-            and {*map(type, chain.from_iterable(map(itemgetter("from"), entries)))} <= {int}):
-        return None
-    matrices = _matrices_at_once(field, shapes, mats)
-    return None if matrices is None else dict(zip(keys, matrices))
-
-
-def _matrices_at_once(field, shapes: list, mats: list) -> list | None:
-    """The matrices of the lists ``mats``, each of its shape in ``shapes``,
-    all checked before any is decoded; ``None`` when a check refuses one.
-
-    Whole-array passes check that each is a list of rows of its shape and
-    that each entry is a plain int (or over Q a string).  The entries are
-    read as numbers at once (:func:`_numbers`), and each distinct matrix is
-    made once (:func:`_matrix_of`), keyed by its shape and raw entries: only
-    plain ints and strings are keys, so no true or 1.0 meets a decoded 1.
-    """
-    nrows, ncols = zip(*shapes)
-    if list(map(len, mats)) != list(nrows):
-        return None
-    rows = list(chain.from_iterable(mats))
-    if not ({*map(type, rows)} <= {list} and list(map(len, rows))
-            == list(chain.from_iterable(map(repeat, ncols, nrows)))):
-        return None
-    flat = list(chain.from_iterable(rows))
-    if not {*map(type, flat)} <= _PLAIN[field.kind]:
-        return None
-    nums, dens = _numbers(field, flat, {})
-    out, memo, o = [], {}, 0
-    for r, c in shapes:
-        raw = (r, c, *flat[o:o + r * c])
-        m = memo.get(raw)
-        if m is None:
-            m = memo[raw] = _matrix_of(field, nums[o:o + r * c],
-                                       None if dens is None else dens[o:o + r * c], r, c)
-        out.append(m)
-        o += r * c
-    return out
-
-
-def _given_one_by_one(field, box: Box, pts: list, index: dict, dims_list: list,
-                      entries: list) -> dict:
-    """The given steps of the map entries by flat index, entry by entry, as
-    :func:`_given_at_once` gives them; it refuses the first entry at fault
-    with its own message."""
-    n, top, strides = box.dim, box.b, box.strides()
-    given, tokens = {}, {}
     for entry in entries:
+        try:
+            p, axis = entry["from"], entry["axis"]
+            x = index[tuple(p)]
+        except (TypeError, KeyError):  # not an object, a key left out, or no box point
+            break
+        if type(axis) is not int or not 1 <= axis <= n:
+            break
+        axis -= 1
+        key = x * n + axis
+        if pts[x][axis] == top[axis] or key in keys:
+            break
+        keys[key] = None
+        shapes.append((dims_list[x + strides[axis]], dims_list[x]))
+        mats.append(entry.get("matrix"))
+    k = len(mats)  # the entry the loop stopped at, if it stopped
+    if k < len(entries) or not {*map(type, chain.from_iterable(
+            map(itemgetter("from"), entries)))} <= {int}:
+        # the first entry at fault: an earlier source with a true or a 1.0,
+        # which the lookup passed, or the entry the loop stopped at
+        k = next((i for i, e in enumerate(entries[:k])
+                  if not {*map(type, e["from"])} <= {int}), k)
+        _matrices(field, shapes[:k], mats[:k])  # an earlier bad matrix is refused first
+        entry = entries[k]
         if not isinstance(entry, dict):
             raise InputError(f"invalid map entry {entry!r}")
-        p = entry.get("from")
-        # a source of plain ints in the box has its place there; any other
-        # is decoded for its error text
-        x = index.get(tuple(p)) if type(p) is list and {*map(type, p)} == {int} else None
-        p = pts[x] if x is not None else decode_point(p, dim=n)
+        p = decode_point(entry.get("from"), dim=n)
         axis = entry.get("axis")
         if type(axis) is not int or not 1 <= axis <= n:
             raise InputError(f"invalid axis {axis!r}; axes are 1-based")
-        if x is None:
+        if p not in index:
             raise InputError(f"map source {p!r} is outside the box")
-        axis -= 1
-        if p[axis] == top[axis]:
-            raise InputError(f"map at {p!r} along axis {axis + 1} leaves the box")
-        key = x * n + axis
-        if key in given:
-            raise InputError(f"duplicate map at {p!r} along axis {axis + 1}")
-        given[key] = matrix_from_json(field, entry.get("matrix"),
-                                      (dims_list[x + strides[axis]], dims_list[x]), tokens)
-    return given
+        if p[axis - 1] == top[axis - 1]:
+            raise InputError(f"map at {p!r} along axis {axis} leaves the box")
+        raise InputError(f"duplicate map at {p!r} along axis {axis}")  # the check left
+    given = dict(zip(keys, _matrices(field, shapes, mats)))
+    return GridModule._checked(field, box, dims, index, given)
 
 
 def diagram_to_json(diagram: PosetDiagram) -> dict:
@@ -385,15 +339,18 @@ def diagram_to_json(diagram: PosetDiagram) -> dict:
 
 
 def diagram_from_json(obj) -> PosetDiagram:
-    """A diagram file read and checked, its map entries all before any
-    matrix is decoded.
+    """A diagram file read and checked in one loop over its map entries.
 
     Each ``points`` entry is decoded once, and each map end is looked up by
-    its raw JSON value among them (:func:`_maps_at_once`); only when that
-    refuses does the entry-by-entry loop (:func:`_maps_one_by_one`) run, to
-    word the refusal of the first entry at fault.  The diagram then derives
-    its covers, refuses duplicate points and a map off a cover, and maps
-    each cover left out by zero.
+    its raw JSON value among them: of a point listed twice the last place is
+    kept, as the last dimension is in ``dims``, and the diagram refuses it
+    later.  No map may be given twice.  A true or a 1.0 passes the lookup,
+    so a whole-array pass then checks that every coordinate of every end is
+    a plain int or a string (only "-inf" is a string among the points), and
+    the matrices are decoded at once (:func:`_matrices`).  A file at fault
+    is refused for its first entry at fault, as a module file is.  The
+    diagram then derives its covers, refuses duplicate points and a map off
+    a cover, and maps each cover left out by zero.
     """
     if not isinstance(obj, dict):
         raise InputError("diagram file must contain a JSON object")
@@ -409,67 +366,38 @@ def diagram_from_json(obj) -> PosetDiagram:
     if len(dims_list) != len(points):
         raise InputError("dims and points have different lengths")
     dims, entries = dict(zip(points, dims_list)), _array(obj, "maps")
-    maps = _maps_at_once(field, raw_points, points, dims_list, entries)
-    if maps is None:
-        maps = _maps_one_by_one(field, n, dims, entries)
-    return PosetDiagram(field, points, dims, maps)
-
-
-def _maps_at_once(field, raw_points: list, points: list, dims_list: list,
-                  entries: list) -> dict | None:
-    """The maps of the entries by cover, every entry checked before any
-    matrix is decoded; ``None`` when a check refuses some entry.  The points
-    are decoded, so each raw entry of ``raw_points`` holds plain ints and
-    "-inf" only; of a point listed twice the last place is kept, as the
-    last dimension is in ``dims``, and the diagram refuses it later.
-
-    One lean pass looks up each end's raw value among the raw points: an
-    end that is not a list, or that holds a list, is refused.  A float or
-    bool equals an int as a key, so a whole-array pass then checks that
-    every coordinate of every end is a plain int or a string, and only
-    "-inf" is a string among the keys.  No map may be given twice, and the
-    matrices are checked and decoded by :func:`_matrices_at_once`.
-    """
-    if not entries:
-        return {}
     place = {tuple(p): i for i, p in enumerate(raw_points)}
-    pairs, shapes, mats, ends = {}, [], [], []
-    try:
-        for entry in entries:
-            c, d, mat = entry["from"], entry["to"], entry["matrix"]
-            if type(c) is not list or type(d) is not list or type(mat) is not list:
-                return None
-            i, j = place[tuple(c)], place[tuple(d)]
-            pairs[(i, j)] = None
-            shapes.append((dims_list[j], dims_list[i]))
-            mats.append(mat)
-            ends += c, d
-    except (TypeError, KeyError):  # not an object, a key left out, or no point
-        return None
-    if len(pairs) != len(mats) or not {*map(type, chain.from_iterable(ends))} <= {int, str}:
-        return None
-    matrices = _matrices_at_once(field, shapes, mats)
-    if matrices is None:
-        return None
-    return {(points[i], points[j]): m for (i, j), m in zip(pairs, matrices)}
-
-
-def _maps_one_by_one(field, n, dims: dict, entries: list) -> dict:
-    """The maps of the entries by cover, entry by entry, as
-    :func:`_maps_at_once` gives them; it refuses the first entry at fault
-    with its own message."""
-    maps, tokens = {}, {}
+    pairs, shapes, mats = {}, [], []  # the places of each map's ends, in file order
     for entry in entries:
+        try:
+            c, d = entry["from"], entry["to"]
+            pair = place[tuple(c)], place[tuple(d)]
+        except (TypeError, KeyError):  # not an object, a key left out, or no point
+            break
+        if type(c) is not list or type(d) is not list or pair in pairs:
+            break
+        pairs[pair] = None
+        shapes.append((dims_list[pair[1]], dims_list[pair[0]]))
+        mats.append(entry.get("matrix"))
+    k = len(mats)  # the entry the loop stopped at, if it stopped
+    plain = {int, str}
+    if k < len(entries) or not {*map(type, chain.from_iterable(chain.from_iterable(
+            map(itemgetter("from", "to"), entries))))} <= plain:
+        # the first entry at fault, as in a module file
+        k = next((i for i, e in enumerate(entries[:k])
+                  if not {*map(type, e["from"] + e["to"])} <= plain), k)
+        _matrices(field, shapes[:k], mats[:k])
+        entry = entries[k]
         if not isinstance(entry, dict):
             raise InputError(f"invalid map entry {entry!r}")
         c = decode_point(entry.get("from"), dim=n)
         d = decode_point(entry.get("to"), dim=n)
         if c not in dims or d not in dims:  # the matrix's shape is read off the points
             raise InputError(f"map {c!r} -> {d!r} is not a covering pair of the points")
-        if (c, d) in maps:
-            raise InputError(f"duplicate map {c!r} -> {d!r}")
-        maps[(c, d)] = matrix_from_json(field, entry.get("matrix"), (dims[d], dims[c]), tokens)
-    return maps
+        raise InputError(f"duplicate map {c!r} -> {d!r}")  # the check left
+    maps = {(points[i], points[j]): m
+            for (i, j), m in zip(pairs, _matrices(field, shapes, mats))}
+    return PosetDiagram(field, points, dims, maps)
 
 
 def presentation_to_json(pres: Presentation) -> dict:
@@ -492,6 +420,10 @@ def presentation_to_json(pres: Presentation) -> dict:
 
 
 def presentation_from_json(obj) -> Presentation:
+    """A presentation file read and checked in one loop over its blocks and
+    one over its generator images; their matrices are decoded at once
+    (:func:`_matrices`).  A file at fault is refused for its first entry at
+    fault, as a module file is."""
     if not isinstance(obj, dict):
         raise InputError("presentation file must contain a JSON object")
     field = field_from_json(obj.get("field"))
@@ -516,32 +448,41 @@ def presentation_from_json(obj) -> Presentation:
     relations = read_graded(_array(obj, "relations"), "relation")
     gen_mult = dict(generators)
     rel_mult = dict(relations)
-    blocks, tokens = {}, {}
-    for entry in _array(obj, "rel_matrix"):
-        if not isinstance(entry, dict):
-            raise InputError(f"invalid rel_matrix entry {entry!r}")
-        d = decode_point(entry.get("relation"), dim=n)
-        b = decode_point(entry.get("generator"), dim=n)
-        if d not in rel_mult or b not in gen_mult:
-            raise InputError(f"rel_matrix block ({d!r}, {b!r}) has no matching points")
-        if (d, b) in blocks:
-            raise InputError(f"duplicate rel_matrix block ({d!r}, {b!r})")
-        blocks[(d, b)] = matrix_from_json(field, entry.get("block"), (gen_mult[b], rel_mult[d]),
-                                         tokens)
-    images = None
-    if "generator_images" in obj:
-        images = {}
-        for entry in _array(obj, "generator_images"):
-            if not isinstance(entry, dict) or "point" not in entry or "images" not in entry:
-                raise InputError(f"invalid generator_images entry {entry!r}")
-            b = decode_point(entry["point"], dim=n)
-            if b not in gen_mult:
-                raise InputError(f"generator image at {b!r}, which is not a generator")
-            if b in images:
-                raise InputError(f"duplicate generator image at {b!r}")
-            rows = entry["images"]
-            nrows = len(rows) if isinstance(rows, list) else 0
-            images[b] = matrix_from_json(field, rows, (nrows, gen_mult[b]), tokens)
+    blocks, images, shapes, mats = {}, None, [], []  # the matrices in file order
+    try:
+        for entry in _array(obj, "rel_matrix"):
+            if not isinstance(entry, dict):
+                raise InputError(f"invalid rel_matrix entry {entry!r}")
+            d = decode_point(entry.get("relation"), dim=n)
+            b = decode_point(entry.get("generator"), dim=n)
+            if d not in rel_mult or b not in gen_mult:
+                raise InputError(f"rel_matrix block ({d!r}, {b!r}) has no matching points")
+            if (d, b) in blocks:
+                raise InputError(f"duplicate rel_matrix block ({d!r}, {b!r})")
+            blocks[(d, b)] = None
+            shapes.append((gen_mult[b], rel_mult[d]))
+            mats.append(entry.get("block"))
+        if "generator_images" in obj:
+            images = {}
+            for entry in _array(obj, "generator_images"):
+                if not isinstance(entry, dict) or "point" not in entry or "images" not in entry:
+                    raise InputError(f"invalid generator_images entry {entry!r}")
+                b = decode_point(entry["point"], dim=n)
+                if b not in gen_mult:
+                    raise InputError(f"generator image at {b!r}, which is not a generator")
+                if b in images:
+                    raise InputError(f"duplicate generator image at {b!r}")
+                images[b] = None
+                rows = entry["images"]
+                shapes.append((len(rows) if isinstance(rows, list) else 0, gen_mult[b]))
+                mats.append(rows)
+    except InputError:
+        _matrices(field, shapes, mats)  # a bad matrix of an earlier entry is refused first
+        raise
+    matrices = iter(_matrices(field, shapes, mats))
+    blocks = dict(zip(blocks, matrices))
+    if images is not None:
+        images = dict(zip(images, matrices))
     return Presentation(field, n, generators, relations, blocks, generator_images=images)
 
 

@@ -455,7 +455,7 @@ class TestOracle:
         for nparams in (1, 2, 3):
             box = Box((0,) * nparams, (2 if nparams < 3 else 1,) * nparams)
             module = random_module(field, rng, box=box, max_summands=3)
-            while all(module.is_identity_step(*step) for step in every_step(module)):
+            while all(m.is_identity() for m in every_step(module).values()):
                 module = random_module(field, rng, box=box, max_summands=3)
             view = ExtendedView(module)
             canonical = canonical_set(module)

@@ -559,7 +559,7 @@ class TestRestrictDiagram:
 class TestIdentitySteps:
     """Whether a step is the identity is decided once from its stored rows,
     alike for modules from the loader and from ``GridModule.__init__``; so
-    is whether it is onto."""
+    is whether it is invertible, and every step is onto as its matrix is."""
 
     @pytest.mark.parametrize("field", [F2, F5, QQ], ids=["F2", "F5", "Q"])
     def test_identity_steps_match_matrices(self, field):
@@ -569,10 +569,20 @@ class TestIdentitySteps:
             every = every_step(module)
             expected = {e for e, m in every.items() if m.is_identity()}
             onto = {e for e, m in every.items() if rank(m) == m.nrows}
+            square = {e for e, m in every.items() if m.nrows == m.ncols}
             for built in (module, GridModule(field, module.box, dict(module.dims), every),
                           module_from_json(module_to_json(module))):
-                assert {e for e in every if built.is_identity_step(*e)} == expected
-                assert {e for e in every if built.is_onto_step(*e)} == onto
+                steps = every_step(built)
+                assert {e for e, m in steps.items() if m.is_identity()} == expected
+                assert {e for e, m in steps.items() if rank(m) == m.nrows} == onto
+                assert {e for e in every if built.is_invertible_step(*e)} == onto & square
+                # a given identity step is in ``identities`` by its flat key; a
+                # left-out one is the 0 x 0 identity between two zero spaces
+                place = {p: x for x, p in enumerate(built.points)}
+                key = {(p, axis): place[p] * built.box.dim + axis for p, axis in every}
+                assert built.identities == {key[e] for e in expected if key[e] in built.given}
+                assert all(steps[e].nrows == steps[e].ncols == 0
+                           for e in expected if key[e] not in built.given)
                 assert built.identities == {key for key, m in built.given.items()
                                             if m.is_identity()}
 
@@ -608,8 +618,10 @@ class TestIdentitySteps:
         halves["maps"][0]["matrix"] = [["1/2", 0], [0, "1/2"]]
         for built, first in ((module, True), (module_from_json(obj), True),
                              (module_from_json(halves), False)):
-            assert [built.is_identity_step((t,), 0) for t in range(4)] == \
-                [first, False, False, True]
+            # a label moves past each step of the four that is not the identity
+            assert built.identity_runs() == \
+                [[0, *itertools.accumulate([not first, True, True, False])]]
+            assert (0 in built.identities) is first
 
 
 class TestWindowModule:

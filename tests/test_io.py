@@ -75,13 +75,13 @@ class TestFieldSpec:
 
 class TestMatrix:
     def test_rational_strings(self):
-        m = matrix_from_json(QQ, [["1/2", 1]], (1, 2), {})
+        m = matrix_from_json(QQ, [["1/2", 1]], (1, 2))
         assert m.entries()[0][0] * 2 == 1
         assert (m.rows, m.den) == (((1, 2),), 2)
 
     def test_shape_checked(self):
         with pytest.raises(InputError):
-            matrix_from_json(F2, [[1, 0]], (2, 2), {})
+            matrix_from_json(F2, [[1, 0]], (2, 2))
 
 
 class TestModuleRoundtrip:
@@ -392,7 +392,7 @@ MALFORMED_MODULES = [
     ("source outside", _module_obj(**{"from": [2, 0]}), "map source (2, 0) is outside the box"),
     ("target outside", _module_obj(**{"from": [1, 0]}),
      "map at (1, 0) along axis 1 leaves the box"),
-    ("ragged rows", _second_matrix([[1], [2, 3]]), "matrix has shape (2, ...), expected (2, 1)"),
+    ("ragged rows", _second_matrix([[1], [2, 3]]), "matrix row 2 has 2 entries, expected 1"),
     ("short matrix", _second_matrix([[1]]), "matrix has shape (1, ...), expected (2, 1)"),
     ("row not a list", _second_matrix([[1], 2]), "invalid matrix [[1], 2]"),
     ("maps null", {**_module_obj(), "maps": None}, "maps must be a JSON array"),
@@ -448,11 +448,55 @@ def _padded(obj, at: int):
             "maps": padding[:at] + maps + padding[at:]}
 
 
+def _refusal(read, obj) -> str:
+    with pytest.raises(InputError) as err:
+        read(obj)
+    return str(err.value)
+
+
+def _with_faults(obj, faults):
+    """A copy of ``obj`` with each ``(key, at, fault)`` of ``faults`` made:
+    the entry at ``at`` of ``obj[key]`` replaced by ``fault(entry, first)``,
+    where ``first`` is the first entry of ``obj[key]``."""
+    obj = json.loads(json.dumps(obj))
+    for key, at, fault in faults:
+        obj[key][at] = fault(obj[key][at], obj[key][0])
+    return obj
+
+
+def _matrix_fault(key, bad):
+    """A fault of the matrix under ``key`` of an entry: ``bad`` of its rows."""
+    return lambda entry, first: {**entry, key: bad(entry[key])}
+
+
+# faults of a matrix of any file kind, of an entry or of its shape
+MATRIX_FAULTS = {
+    "bad rational": lambda m: [["1/0", *m[0][1:]], *m[1:]],
+    "ragged row": lambda m: [*m[:-1], m[-1] + [0]],
+    "true entry": lambda m: [[True, *m[0][1:]], *m[1:]],
+}
+# faults of the structure of a module file's map entry
+MODULE_STRUCTURE_FAULTS = {
+    "bad axis": lambda e, first: {**e, "axis": 0},
+    "source off the box": lambda e, first: {**e, "from": [2, e["from"][1]]},
+    "duplicate map": lambda e, first: {**e, "from": first["from"], "axis": first["axis"]},
+    "1.0 coordinate": lambda e, first: {**e, "from": [float(e["from"][0]), e["from"][1]]},
+}
+
+
+def _assert_the_earlier_refused(read, base, early, late):
+    """Two faults, ``early`` in file order before ``late``: the file is
+    refused as with ``early`` alone, which is not as with ``late`` alone."""
+    both = _refusal(read, _with_faults(base, [early, late]))
+    assert both == _refusal(read, _with_faults(base, [early]))
+    assert both != _refusal(read, _with_faults(base, [late]))
+
+
 class TestAmongValidEntries:
     """The refusals of ``TestMalformedModules`` with the entry at fault in
-    the middle and at the end of 200 valid ones: the whole ``maps`` array is
-    checked at once, and the entries are read one by one only to word the
-    refusal, which is the same."""
+    the middle and at the end of 200 valid ones, which the file's one read
+    words as it words the entry alone; with two entries at fault, the
+    earlier is refused."""
 
     CASES = [case for case in MALFORMED_MODULES if isinstance(case[1]["maps"], list)]
 
@@ -517,6 +561,18 @@ class TestAmongValidEntries:
         assert all((m.rows, m.den) == (again.given[k].rows, again.given[k].den)
                    for k, m in padded.given.items())
 
+    @pytest.mark.parametrize("matrix_first", [True, False], ids=["matrix-first", "structure-first"])
+    @pytest.mark.parametrize("structure", list(MODULE_STRUCTURE_FAULTS))
+    @pytest.mark.parametrize("matrix", list(MATRIX_FAULTS))
+    def test_the_earlier_of_two_faults_is_refused(self, matrix, structure, matrix_first):
+        """A bad matrix in one entry and a structural fault in another, 120
+        entries apart: the earlier is refused, whichever kind it is."""
+        bad_matrix = _matrix_fault("matrix", MATRIX_FAULTS[matrix])
+        bad_structure = MODULE_STRUCTURE_FAULTS[structure]
+        faults = [bad_matrix, bad_structure] if matrix_first else [bad_structure, bad_matrix]
+        _assert_the_earlier_refused(module_from_json, _padded(_module_obj(QQ_SPEC), 100),
+                                    ("maps", 30, faults[0]), ("maps", 150, faults[1]))
+
 
 def _diagram_obj(field=None, bad=None, at: int = 0, point=None, point_at: int = 0):
     """A product diagram file on {-inf, 0} x {-inf, 0, ..., 33} with every
@@ -539,9 +595,8 @@ def _diagram_obj(field=None, bad=None, at: int = 0, point=None, point_at: int = 
             "dims": [1] * len(points), "maps": maps}
 
 
-# a map entry at fault, the field of its file, and the refusal of the
-# entry-by-entry reader; the cover (-inf, 32) -> (-inf, 33) is left out of
-# the valid entries
+# a map entry at fault, the field of its file, and its refusal; the cover
+# (-inf, 32) -> (-inf, 33) is left out of the valid entries
 MALFORMED_DIAGRAM_MAPS = [
     # a false or a float that equals a coordinate, on a cover left out: as a
     # key it would find the point
@@ -566,7 +621,7 @@ MALFORMED_DIAGRAM_MAPS = [
     ("duplicate map", {"from": [0, 5], "to": [0, 6], "matrix": [[1]]}, None,
      "duplicate map (0, 5) -> (0, 6)"),
     ("wrong shape", {"from": ["-inf", 32], "to": ["-inf", 33], "matrix": [[1, 0]]}, None,
-     "matrix has shape (1, ...), expected (1, 1)"),
+     "matrix row 1 has 2 entries, expected 1"),
     ("bool entry", {"from": ["-inf", 32], "to": ["-inf", 33], "matrix": [[True]]}, None,
      "cannot coerce True into F_5"),
     ("float entry", {"from": ["-inf", 32], "to": ["-inf", 33], "matrix": [[1.0]]}, QQ_SPEC,
@@ -577,11 +632,18 @@ MALFORMED_DIAGRAM_MAPS = [
 ]
 
 
+# faults of the structure of a diagram file's map entry
+DIAGRAM_STRUCTURE_FAULTS = {
+    "end off the points": lambda e, first: {**e, "to": [0, 40]},
+    "duplicate map": lambda e, first: {**e, "from": first["from"], "to": first["to"]},
+    "1.0 coordinate": lambda e, first: {**e, "from": [e["from"][0], float(e["from"][1])]},
+}
+
+
 class TestDiagramAmongValidEntries:
     """A diagram file's map entry at fault first, in the middle and last
     among 100 valid ones on a product: the entries are looked up by their
-    raw ends and checked at once, and read one by one only to word the
-    refusal, which is that of the entry alone."""
+    raw ends, and the refusal is that of the entry alone."""
 
     @pytest.mark.parametrize("at", [0, 50, 100], ids=["first", "middle", "last"])
     @pytest.mark.parametrize("name,bad,field,message", MALFORMED_DIAGRAM_MAPS,
@@ -634,6 +696,78 @@ class TestDiagramAmongValidEntries:
         diagram = diagram_from_json(obj)
         assert diagram.points == tuple(sorted(diagram.points))
         assert diagram_to_json(diagram) == diagram_to_json(diagram_from_json(_diagram_obj()))
+
+    @pytest.mark.parametrize("matrix_first", [True, False], ids=["matrix-first", "structure-first"])
+    @pytest.mark.parametrize("structure", list(DIAGRAM_STRUCTURE_FAULTS))
+    @pytest.mark.parametrize("matrix", list(MATRIX_FAULTS))
+    def test_the_earlier_of_two_faults_is_refused(self, matrix, structure, matrix_first):
+        """As for module files: entries 30 (-inf, 29) -> (-inf, 30) and 80
+        (-inf, 11) -> (0, 11) of the file over Q each hold one fault."""
+        bad_matrix = _matrix_fault("matrix", MATRIX_FAULTS[matrix])
+        bad_structure = DIAGRAM_STRUCTURE_FAULTS[structure]
+        faults = [bad_matrix, bad_structure] if matrix_first else [bad_structure, bad_matrix]
+        _assert_the_earlier_refused(diagram_from_json, _diagram_obj(QQ_SPEC),
+                                    ("maps", 30, faults[0]), ("maps", 80, faults[1]))
+
+
+def _presentation_obj():
+    """A presentation over Q on a chain: generators at 0, 1 and 2, relations
+    at 3 and 4, four 1 x 1 blocks and an image of each generator."""
+    return {"field": QQ_SPEC, "n": 1,
+            "generators": [{"point": [t], "multiplicity": 1} for t in (0, 1, 2)],
+            "relations": [{"point": [t], "multiplicity": 1} for t in (3, 4)],
+            "rel_matrix": [{"relation": [d], "generator": [b], "block": [[x]]}
+                           for d, b, x in ((3, 0, 1), (3, 1, -1), (4, 1, "1/2"), (4, 2, -1))],
+            "generator_images": [{"point": [b], "images": [[1], [0]]} for b in (0, 1, 2)]}
+
+
+# faults of the structure of a presentation file's block or generator image
+BLOCK_STRUCTURE_FAULTS = {
+    "no matching points": lambda e, first: {**e, "relation": [9]},
+    "duplicate block": lambda e, first: {**e, "relation": first["relation"],
+                                         "generator": first["generator"]},
+    "1.0 coordinate": lambda e, first: {**e, "generator": [float(e["generator"][0])]},
+}
+IMAGE_STRUCTURE_FAULTS = {
+    "not a generator": lambda e, first: {**e, "point": [9]},
+    "duplicate image": lambda e, first: {**e, "point": first["point"]},
+}
+
+BLOCK_AND_IMAGE_FAULTS = ([(m, s) for m in MATRIX_FAULTS for s in IMAGE_STRUCTURE_FAULTS]
+                          + [(s, m) for s in BLOCK_STRUCTURE_FAULTS for m in MATRIX_FAULTS])
+
+
+class TestPresentationFaults:
+    """A presentation file with two faults is refused for the earlier, as
+    module and diagram files are; blocks come before generator images."""
+
+    def test_the_base_loads(self):
+        pres = presentation_from_json(_presentation_obj())
+        assert len(pres.blocks) == 4 and len(pres.generator_images) == 3
+
+    @pytest.mark.parametrize("matrix_first", [True, False], ids=["matrix-first", "structure-first"])
+    @pytest.mark.parametrize("structure", list(BLOCK_STRUCTURE_FAULTS))
+    @pytest.mark.parametrize("matrix", list(MATRIX_FAULTS))
+    def test_two_blocks(self, matrix, structure, matrix_first):
+        bad_matrix = _matrix_fault("block", MATRIX_FAULTS[matrix])
+        bad_structure = BLOCK_STRUCTURE_FAULTS[structure]
+        faults = [bad_matrix, bad_structure] if matrix_first else [bad_structure, bad_matrix]
+        _assert_the_earlier_refused(presentation_from_json, _presentation_obj(),
+                                    ("rel_matrix", 1, faults[0]), ("rel_matrix", 3, faults[1]))
+
+    @pytest.mark.parametrize("block,image", BLOCK_AND_IMAGE_FAULTS,
+                             ids=[f"{b}-{i}" for b, i in BLOCK_AND_IMAGE_FAULTS])
+    def test_a_block_and_an_image(self, block, image):
+        """A fault in the last block and one in the last image, one of them
+        a bad matrix: the block's is refused."""
+        faults = {}
+        for key, name, structure in (("block", block, BLOCK_STRUCTURE_FAULTS),
+                                     ("images", image, IMAGE_STRUCTURE_FAULTS)):
+            faults[key] = (_matrix_fault(key, MATRIX_FAULTS[name]) if name in MATRIX_FAULTS
+                           else structure[name])
+        _assert_the_earlier_refused(presentation_from_json, _presentation_obj(),
+                                    ("rel_matrix", 3, faults["block"]),
+                                    ("generator_images", 2, faults["images"]))
 
 
 def _q_module(*entries):
