@@ -697,13 +697,17 @@ class TestDeterminism:
                 assert out == golden.read_text(encoding="utf-8"), golden.name
 
     def test_determinacy_and_encode_match_golden_files(self, capsys):
-        """One determining and one failing set per fixture; a failing set
-        pins its witness, and the exit code follows the verdict."""
-        sets = sorted((GOLDEN / "sets").glob("*.json"))
-        assert [s.stem for s in sets] == ["determining", "failing"]
+        """One determining and one failing set per fixture, of its dimension
+        (``sets/`` for 2 parameters, ``sets/n3/`` for 3); a failing set pins
+        its witness, and the exit code follows the verdict."""
+        sets = {n: sorted((GOLDEN / "sets" / sub).glob("*.json"))
+                for n, sub in ((2, ""), (3, "n3"))}
+        for files in sets.values():
+            assert [s.stem for s in files] == ["determining", "failing"]
         witnesses = 0
         for fixture in sorted((REPO / "fixtures").glob("*.json")):
-            for sfile in sets:
+            n = json.loads(fixture.read_text(encoding="utf-8"))["n"]
+            for sfile in sets[n]:
                 for name, argv in (("determinacy", ["determinacy"]),
                                    ("determinacy-oracle", ["determinacy", "--oracle"]),
                                    ("encode", ["encode"])):

@@ -14,7 +14,7 @@ from detmod import (Box, ExtendedView, GridModule, InputError, Matrix, NEG_INF, 
 from detmod.extgrid import as_product
 from detmod.io import (box_from_json, canonical_dumps, decode_point,
                        detect_kind, diagram_from_json, diagram_to_json,
-                       field_from_json, matrix_from_json, module_from_json,
+                       field_from_json, module_from_json,
                        module_to_json, pointset_from_json,
                        presentation_from_json, presentation_to_json)
 from helpers import F2, F5, canonical_set, corner_module, every_step, given_steps, random_module
@@ -74,14 +74,24 @@ class TestFieldSpec:
 
 
 class TestMatrix:
+    """A matrix read through a module file of one map, the step from (0,) to (1,)."""
+
+    @staticmethod
+    def one_map(field: dict, dims: list, matrix) -> GridModule:
+        return module_from_json({"field": field, "n": 1, "box": {"a": [0], "b": [1]},
+                                 "dims": dims, "maps": [{"from": [0], "axis": 1,
+                                                         "matrix": matrix}]})
+
     def test_rational_strings(self):
-        m = matrix_from_json(QQ, [["1/2", 1]], (1, 2))
+        m = self.one_map({"kind": "rational"}, [2, 1], [["1/2", 1]]).step((0,), 0)
         assert m.entries()[0][0] * 2 == 1
         assert (m.rows, m.den) == (((1, 2),), 2)
 
     def test_shape_checked(self):
-        with pytest.raises(InputError):
-            matrix_from_json(F2, [[1, 0]], (2, 2))
+        """A 1 x 2 matrix for a 2 x 2 step: its row count is refused first."""
+        with pytest.raises(InputError) as err:
+            self.one_map({"kind": "prime", "p": 2}, [2, 2], [[1, 0]])
+        assert str(err.value) == "matrix has shape (1, ...), expected (2, 2)"
 
 
 class TestModuleRoundtrip:
