@@ -26,8 +26,9 @@ once per pass.  The tail of one pass is taken the same way from that pass's
 job times, and it prints in how many pairs CHANGE's pass had the lower
 tail.  The results go to ``BENCH_<tag>.json`` in the current directory,
 merged into what is there under the key ``<workload>/<seed>``, with a
-digest of each side's sources.  The script exits 1 when a check fails and 0
-otherwise; it has no timing gate.
+digest of each side's sources.  The script exits 1 when a check fails or an
+``--out`` file differs between the two sides, and prints the first such
+job's arguments, and 0 otherwise; it has no timing gate.
 
 Usage: python scripts/ab_cpu.py PARENT CHANGE --workload census --seeds 1 4242
                                 [--passes 10] [--tag NAME]
@@ -175,14 +176,17 @@ def run_seed(sides: list, passes: int, tail) -> dict:
     parent, change = sides
     for side in sides:
         side.run_pass(check=True)
-    differing = sum(a != b for a, b in zip(parent.outputs(), change.outputs()))
+    jobs = [job for jobs in change.rounds for job in jobs]
+    differing = [job for job, a, b in zip(jobs, parent.outputs(), change.outputs()) if a != b]
     for k in range(passes):
         for side in (sides if k % 2 == 0 else sides[::-1]):
             side.run_pass()
     won = sum(c < p for p, c in zip(parent.pass_s, change.pass_s))
     result = {"passes": passes, "jobs_per_pass": sum(map(len, change.rounds)),
               "inputs_identical": parent.digest == change.digest,
-              "outputs_differing": differing, "change_won": won}
+              "outputs_differing": len(differing), "change_won": won}
+    if differing:
+        result["first_differing"] = differing[0].argv
     for side in sides:
         q1, med, q3 = quartiles(side.pass_s)
         p50, job_tail, pass_tail = job_metrics(side, tail)
@@ -230,6 +234,10 @@ def main(argv=None) -> int:
             for line in side.failures[:5]:
                 print(f"failed job: {line}", file=sys.stderr)
             failed = failed or bool(side.failures)
+        if result["outputs_differing"]:
+            print(f"first differing --out file: {' '.join(result['first_differing'])}",
+                  file=sys.stderr)
+            failed = True
         report["runs"][f"{args.workload}/{seed}"] = result
         p, c = result["parent"], result["change"]
         print(f"{args.workload} seed {seed}: {result['passes']} passes of "

@@ -26,11 +26,11 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
-from operator import getitem, not_, or_
+from operator import not_, or_
 
 from .errors import InputError, NotDeterminedError
-from .extgrid import (Box, CartesianSet, NEG_INF, as_point, critical_grid, grid_clamps,
-                      in_upset, lex_strides, min_point, pointed_closure)
+from .extgrid import (Box, CartesianSet, NEG_INF, as_point, critical_grid, in_upset, min_point,
+                      pointed_closure)
 from .grid_module import ExtendedView, GridModule, restrict_view
 from .linalg import PosetDiagram, _require_valid, diagrams_isomorphic
 
@@ -85,34 +85,31 @@ def _first_failing_step(module: GridModule, s):
     tested by :meth:`GridModule.is_invertible_step` at the clamp of c, the
     box point the step leaves, with no :class:`Matrix` made.
 
-    Everything is kept by integer index: a step by the flat index of the
-    box point q it leaves and its axis, and a set point by one bit.  The set
+    Everything is kept by integer index: a step by the place of the box
+    point q it leaves and its axis, and a set point by one bit.  The set
     points below d are those with coordinate v on the axis that lie below
     the corner of q + e_axis (:func:`_downsets`), and a candidate is ordered
-    by the place of c among the points with coordinates -inf and the box's
-    on every axis.
+    by the flat key of the step (c, axis) in the layout of the points with
+    coordinates -inf and the box's on every axis, the box extended.
     """
-    box, values, strides = module.box, module.dim_list, module.strides
+    box, values, strides = module.box, module.dim_list, module.layout.strides
     n, lower, top = box.dim, box.a, box.b
     settled = _axis_coordinates(s, n)
-    keys = below = None  # made for the first step that is not settled, and that needs them
-    candidates = []  # (n * place of c + axis, flat index of q)
+    ext = below = None  # made for the first step that is not settled, and that needs them
+    candidates = []  # (flat key of (c, axis) in ext, place of q, axis)
     for axis, stride in enumerate(strides):
         block = stride * (top[axis] - lower[axis] + 1)
         for v in range(lower[axis] + 1, top[axis] + 1):
             if v in settled[axis]:
                 continue
-            if keys is None:
-                factors, pts = _corner_factors(box), list(s)
+            if ext is None:
+                factors, pts, ext = _corner_factors(box), list(s), module.layout.extended()
                 at = [{} for _ in range(n)]  # per axis, the set points by their coordinate
                 for bit, p in enumerate(pts):
                     for i, u in enumerate(p):
                         at[i][u] = at[i].get(u, 0) | 1 << bit
-                # per box point, n times the place of its corner
-                places, keys = lex_strides([len(f) + 1 for f in factors]), [0]
-                for f, place in zip(factors, places):
-                    es = [(k + 1) * place * n if k else 0 for k in range(len(f))]
-                    keys = [key + e for key in keys for e in es]
+                # per box point, the place of its corner in ext
+                corner = ext.places([[0, *range(2, len(f) + 1)] for f in factors])
             at_v = at[axis].get(v, 0)
             if at_v and below is None:
                 below = _downsets(pts, factors)  # per box point, the set points below its corner
@@ -120,16 +117,14 @@ def _first_failing_step(module: GridModule, s):
             # but for c_axis = v - 1, which is finite at the lower bound too
             base = (v - 1 - lower[axis]) * stride
             xs = [x for o in range(base, len(values), block) for x in range(o, o + stride)]
-            shift = axis + (places[axis] * n if v - 1 == lower[axis] else 0)
-            candidates += [(keys[x] + shift, x) for x in xs
+            keys, shift = ext.step_keys[axis], ext.strides[axis] if v - 1 == lower[axis] else 0
+            candidates += [(keys[corner[x] + shift], x, axis) for x in xs
                            if (values[x] or values[x + stride])
                            and not (at_v and at_v & below[x + stride])]
     candidates.sort()
-    for key, x in candidates:
-        axis, q = key % n, module.points[x]
-        if not module.is_invertible_step(q, axis):
-            c = tuple(NEG_INF if i != axis and u == lo else u
-                      for i, (u, lo) in enumerate(zip(q, lower)))
+    for key, x, axis in candidates:
+        if not module.is_invertible_step(module.points[x], axis):
+            c = ext.point(ext.step_of(key)[0])
             return c, c[:axis] + (c[axis] + 1,) + c[axis + 1:]
     return None
 
@@ -209,8 +204,8 @@ def is_S_determined_oracle(view: ExtendedView, s, window: Box) -> DeterminacyRep
     and the first cover that breaks the condition is the witness.  A cover
     whose ends clamp to one box point maps by the identity; any other
     clamps onto one stored unit step, tested once per call by
-    :meth:`GridModule.is_invertible_step` and kept by its flat index.  Grid
-    points are addressed by their flat index in lexicographic order, and a
+    :meth:`GridModule.is_invertible_step` and kept by its flat key.  Grid
+    points are addressed by their place in the grid's layout, and a
     set point by its index on each axis: the part of the set below a grid
     point is the and of one bit mask per axis, the set points at or below
     its index there.  The downsets of a cover's ends are compared on those
@@ -229,32 +224,25 @@ def is_S_determined_oracle(view: ExtendedView, s, window: Box) -> DeterminacyRep
                 raise InputError(f"oracle window must contain the set point {p!r}")
     module, box = view.module, view.box
     grid = critical_grid(window)
-    factors, clamps = grid.factors, grid_clamps(grid, box)
-    lengths = [len(f) for f in factors]
-    downsets = _downsets(list(pts), factors)
-    # per grid point, the flat index of its clamp in the box; per axis and
-    # index k, whether the cover out of the k-th coordinate clamps onto a step
-    clamp_at = [0]
-    for cl, lo, stride in zip(clamps, box.a, module.strides):
-        clamp_at = [q + (v - lo) * stride for q in clamp_at for v in cl]
-    onto_step = [[k + 1 < len(cl) and cl[k] != cl[k + 1] for k in range(len(cl))]
-                 for cl in clamps]
+    downsets = _downsets(list(pts), grid.factors)
+    clamp_at = module.layout.places(grid.clamps(box))  # per grid point, its clamp's place
     # support fails at a grid point that sees no set point and clamps to a non-zero space
     support_ok = min_point(window.dim) in pts or not any(
         itertools.compress(map(module.dim_list.__getitem__, clamp_at), map(not_, downsets)))
-    n, strides, invertible = window.dim, lex_strides(lengths), {}
-    for x, idx in enumerate(itertools.product(*map(range, lengths))):
-        for axis, k in enumerate(idx):
-            if not (onto_step[axis][k] and _equal_downsets(downsets, x, x + strides[axis])):
+    strides, keys, invertible = grid.strides, module.layout.step_keys, {}
+    for x, axes in enumerate(grid.upper_axes):
+        q = clamp_at[x]
+        for axis in axes:
+            y = x + strides[axis]
+            if clamp_at[y] == q or not _equal_downsets(downsets, x, y):
                 continue
-            q = clamp_at[x]
-            ok = invertible.get(q * n + axis)
+            key = keys[axis][q]
+            ok = invertible.get(key)
             if ok is None:
-                ok = invertible[q * n + axis] = module.is_invertible_step(module.points[q], axis)
+                ok = invertible[key] = module.is_invertible_step(module.points[q], axis)
             if not ok:
-                c = tuple(map(getitem, factors, idx))
-                d = c[:axis] + (factors[axis][k + 1],) + c[axis + 1:]
-                return DeterminacyReport(False, (c, d), support_ok, "oracle")
+                return DeterminacyReport(False, (grid.point(x), grid.point(y)), support_ok,
+                                         "oracle")
     return DeterminacyReport(True, None, support_ok, "oracle")
 
 

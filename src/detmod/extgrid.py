@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from operator import or_
 from typing import Iterable, Iterator
 
@@ -230,18 +231,24 @@ class Box:
         ranges = [range(lo, hi + 1) for lo, hi in zip(self.a, self.b)]
         return itertools.product(*ranges)
 
-    def strides(self) -> tuple:
-        """Per axis, how far apart in :meth:`integer_points` a point and the
-        next one along the axis lie."""
-        return lex_strides([hi - lo + 1 for lo, hi in zip(self.a, self.b)])
-
     def cartesian(self) -> "CartesianSet":
-        return CartesianSet(tuple(tuple(range(lo, hi + 1)) for lo, hi in zip(self.a, self.b)))
+        return CartesianSet._of_sorted(tuple([tuple(range(lo, hi + 1))
+                                              for lo, hi in zip(self.a, self.b)]))
 
 
 @dataclass(frozen=True)
 class CartesianSet:
-    """A product S_1 x ... x S_n of finite coordinate sets in Z u {-inf}."""
+    """A product S_1 x ... x S_n of finite coordinate sets in Z u {-inf},
+    laid out as a product of chains, as every walk of a product reads it.
+
+    A point is known by its place x in lexicographic order.  ``strides``
+    gives per axis how far apart there a point and the next one along the
+    axis lie; ``upper_axes`` and ``lower`` give each point's covers, and
+    ``cover_axis`` the axis of a cover by the distance between the places of
+    its ends.  The step along ``axis`` out of the place x has the flat key
+    ``x * n + axis``, ``step_keys[axis][x]``, and :meth:`step_of` inverts
+    it.  Each list is made on first use, for hot loops to read as it is.
+    """
 
     factors: tuple
 
@@ -257,6 +264,13 @@ class CartesianSet:
                     if not is_coord(v):
                         raise InputError(f"invalid coordinate {v!r} in cartesian factor")
         object.__setattr__(self, "factors", factors)
+
+    @classmethod
+    def _of_sorted(cls, factors: tuple) -> "CartesianSet":
+        """The product of sorted tuples of distinct coordinates, unchecked."""
+        product = cls.__new__(cls)
+        object.__setattr__(product, "factors", factors)
+        return product
 
     @property
     def dim(self) -> int:
@@ -284,19 +298,79 @@ class CartesianSet:
 
     def extended(self) -> "CartesianSet":
         """The same product with the bottom coordinate added to each factor."""
-        return CartesianSet(tuple((NEG_INF,) + f if f[0] != NEG_INF else f for f in self.factors))
+        return CartesianSet._of_sorted(tuple([(NEG_INF,) + f if f[0] != NEG_INF else f
+                                              for f in self.factors]))
 
     def covers(self) -> Iterator[tuple]:
         """Covering pairs of the product poset: one axis stepped to its
-        successor, by source in lexicographic order, then by axis.  The
-        successor along an axis lies one stride further in that order."""
-        lengths = [len(f) for f in self.factors]
-        strides = lex_strides(lengths)
-        pts = self.sorted_points()
-        for i, idx in enumerate(itertools.product(*map(range, lengths))):
-            for axis, k in enumerate(idx):
-                if k + 1 < lengths[axis]:
-                    yield pts[i], pts[i + strides[axis]]
+        successor, by source in lexicographic order, then by axis."""
+        pts, strides = self.sorted_points(), self.strides
+        for x, axes in enumerate(self.upper_axes):
+            for axis in axes:
+                yield pts[x], pts[x + strides[axis]]
+
+    @cached_property
+    def strides(self) -> tuple:
+        strides = [1]
+        for f in self.factors[:0:-1]:
+            strides.append(strides[-1] * len(f))
+        return tuple(strides[::-1])
+
+    def point(self, x: int) -> Point:
+        """The point at place x."""
+        return tuple([f[x // stride % len(f)] for f, stride in zip(self.factors, self.strides)])
+
+    def _cover_axes(self, up: bool, values) -> list:
+        """Per point, ``values[axis]`` of each axis along which it has an
+        upper (``up``) or a lower cover, the first axis first."""
+        block = [()]
+        for axis in reversed(range(self.dim)):
+            inner = [(values[axis],) + rest for rest in block] * (len(self.factors[axis]) - 1)
+            block = inner + block if up else block + inner
+        return block
+
+    @cached_property
+    def upper_axes(self) -> list:
+        """Per point, the axes of its upper covers, in increasing order."""
+        return self._cover_axes(True, range(self.dim))
+
+    @cached_property
+    def lower(self) -> list:
+        """Per point, the places of its lower covers, the first axis first."""
+        return [[x - stride for stride in strides]
+                for x, strides in enumerate(self._cover_axes(False, self.strides))]
+
+    @cached_property
+    def cover_axis(self) -> dict:
+        """The axis of a cover by the distance between the places of its
+        ends: an axis of one coordinate has none, though its stride repeats
+        the next axis's."""
+        return {stride: axis for axis, stride in reversed(list(enumerate(self.strides)))}
+
+    @cached_property
+    def step_keys(self) -> tuple:
+        """Per axis, the flat key ``x * n + axis`` of the step out of each place x."""
+        n = self.dim
+        return tuple([range(axis, len(self) * n, n) for axis in range(n)])
+
+    def step_of(self, key: int) -> tuple:
+        """``(x, axis)`` of a flat step key."""
+        return divmod(key, len(self.factors))
+
+    def clamps(self, box: Box) -> list:
+        """Per axis, each coordinate clamped into the box, as
+        :func:`extended_projection` clamps it, by its place on the box's axis."""
+        return [[0 if v < lo else min(v, hi) - lo for v in f]
+                for f, lo, hi in zip(self.factors, box.a, box.b)]
+
+    def places(self, positions) -> list:
+        """The place of each point of the product of ``positions`` (per
+        axis, places on this product's axis), in lexicographic order."""
+        out = [0]
+        for pos, f in zip(positions, self.factors):
+            size = len(f)
+            out = [x * size + k for x in out for k in pos]
+        return out
 
 
 def as_product(points) -> CartesianSet | None:
@@ -413,21 +487,5 @@ def critical_grid(box: Box, s: Iterable[Point] = ()) -> CartesianSet:
         size *= hi - lo + 2 + len(out)
     if size > MAX_GRID_POINTS:
         raise InputError(f"the critical grid has {size} points, above the bound {MAX_GRID_POINTS}")
-    return CartesianSet(tuple(tuple(sorted({NEG_INF, *range(lo - 1, hi + 2), *out}))
-                              for lo, hi, out in zip(box.a, box.b, outside)))
-
-
-def grid_clamps(grid: CartesianSet, box: Box) -> tuple:
-    """Per axis of a product grid, its coordinates clamped into the box, as
-    :func:`extended_projection` clamps them."""
-    return tuple(tuple(lo if v < lo else min(v, hi) for v in f)
-                 for f, lo, hi in zip(grid.factors, box.a, box.b))
-
-
-def lex_strides(lengths) -> tuple:
-    """Per axis of a product with these axis lengths, how far apart in
-    lexicographic order a point and the next one along the axis lie."""
-    strides = [1] * len(lengths)
-    for axis in reversed(range(len(lengths) - 1)):
-        strides[axis] = strides[axis + 1] * lengths[axis + 1]
-    return tuple(strides)
+    return CartesianSet._of_sorted(tuple(tuple(sorted({NEG_INF, *range(lo - 1, hi + 2), *out}))
+                                         for lo, hi, out in zip(box.a, box.b, outside)))

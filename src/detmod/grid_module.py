@@ -23,13 +23,13 @@ class GridModule:
     """Box-shaped grid of vector spaces with one step matrix per unit move.
 
     ``dims`` maps every integer point of the box, in lexicographic order, to
-    a dimension.  A step is the move from a point to ``point + e_axis``, kept
-    by its flat index ``x * n + axis``, where x is the point's place in
-    ``box.integer_points()``: ``points`` lists them, ``dim_list`` holds
-    their dimensions in that order, and ``strides`` is ``box.strides()``.
-    ``given`` holds the :class:`Matrix` of each given step, and no other, by
-    flat index.  ``identities`` holds the flat index of each given step that
-    is the identity, decided once, on first use.  :meth:`step` reads a step;
+    a dimension.  ``layout`` is the box as a :class:`CartesianSet`, whose
+    places, strides and flat step keys the module's data are kept by:
+    ``points`` lists the box points by place, and ``dim_list`` holds their
+    dimensions in that order.  A step is the move from a point to ``point +
+    e_axis``.  ``given`` holds the :class:`Matrix` of each given step, and
+    no other, by flat key.  ``identities`` holds the flat key of each given
+    step that is the identity, decided once, on first use.  :meth:`step` reads a step;
     a step the input leaves out is :meth:`Matrix.zeros` of the forced shape.
     A step of another shape, or over another field, is refused when the
     module is built.  Axes are 0-based here; a message names an axis
@@ -37,7 +37,8 @@ class GridModule:
     """
 
     def __init__(self, field, box: Box, dims: dict, steps: dict):
-        pts = list(box.integer_points())
+        layout = box.cartesian()
+        pts = layout.sorted_points()
         if list(dims) != pts:
             for p in pts:
                 if p not in dims:
@@ -49,7 +50,7 @@ class GridModule:
         for p, d in dims.items():
             if isinstance(d, bool) or not isinstance(d, int) or d < 0:
                 raise InputError(f"invalid dimension {d!r} at {p!r}")
-        index, n, top = dict(zip(pts, range(len(pts)))), box.dim, box.b
+        index, n, top, keys = dict(zip(pts, range(len(pts)))), box.dim, box.b, layout.step_keys
         given = {}
         for (p, axis), mat in steps.items():
             if p not in index:
@@ -64,27 +65,28 @@ class GridModule:
                                  f"expected {expected}")
             if mat.field != field:
                 raise InputError(f"step at {p!r} along axis {axis + 1} is over the wrong field")
-            given[index[p] * n + axis] = mat
-        self._fill(field, box, dims, index, given)
+            given[keys[axis][index[p]]] = mat
+        self._fill(field, box, layout, dims, index, given)
 
     @classmethod
-    def _checked(cls, field, box: Box, dims: dict, index: dict, given: dict):
+    def _checked(cls, field, box: Box, layout: CartesianSet, dims: dict, index: dict,
+                 given: dict):
         """A module from data the caller has checked as ``__init__`` does:
-        ``dims`` on the box points in order and each a dimension, ``index``
-        the place of each box point in that order, ``given`` the given
-        steps by flat index, each inside the box, of its forced shape and
-        over ``field``."""
+        ``layout`` the box as a :class:`CartesianSet`, ``dims`` on the box
+        points in order and each a dimension, ``index`` the place of each
+        box point in that order, ``given`` the given steps by flat key, each
+        inside the box, of its forced shape and over ``field``."""
         module = cls.__new__(cls)
-        module._fill(field, box, dims, index, given)
+        module._fill(field, box, layout, dims, index, given)
         return module
 
-    def _fill(self, field, box, dims, index, given):
+    def _fill(self, field, box, layout, dims, index, given):
         self.field = field
         self.box = box
+        self.layout = layout
         self.dims = dims
         self.points = list(index)
         self.dim_list = list(dims.values())
-        self.strides = box.strides()
         self.given = given
         self._index = index
         self._identities = None
@@ -96,14 +98,14 @@ class GridModule:
     def step(self, p: Point, axis: int) -> Matrix:
         x = self._index.get(p)
         if x is not None:
-            mat = self.given.get(x * self.box.dim + axis)
+            mat = self.given.get(self.layout.step_keys[axis][x])
             if mat is not None:
                 return mat
         return Matrix.zeros(self.field, self.dims[self._step_target(p, axis)], self.dims[p])
 
     @property
     def identities(self) -> set:
-        """The flat indices of the given steps that are the identity, decided
+        """The flat keys of the given steps that are the identity, decided
         once, on first use, so a module that is only loaded pays nothing."""
         if self._identities is None:
             self._identities = {key for key, m in self.given.items() if m.is_identity()}
@@ -114,10 +116,10 @@ class GridModule:
         invertible, with no :class:`Matrix` made: square, and the identity
         or onto, which a left-out step between two spaces of one dimension
         is when they are zero."""
-        values, x = self.dim_list, self._index[p]
-        if values[x] != values[x + self.strides[axis]]:
+        values, x, layout = self.dim_list, self._index[p], self.layout
+        if values[x] != values[x + layout.strides[axis]]:
             return False
-        key = x * len(self.strides) + axis
+        key = layout.step_keys[axis][x]
         if key in self.identities:
             return True
         given = self.given.get(key)
@@ -135,18 +137,18 @@ class GridModule:
         top of its axis holds one step per box point of the top slab, and
         is all identities when it counts that many; a label counts the
         slabs below it that are not."""
-        n, strides, values, given = len(self.strides), self.strides, self.dim_list, self.given
-        sizes = [hi - lo + 1 for lo, hi in zip(self.box.a, self.box.b)]
+        layout, values, given = self.layout, self.dim_list, self.given
+        strides, keys, sizes = layout.strides, layout.step_keys, [len(f) for f in layout.factors]
         counts = [[0] * size for size in sizes]
         for key in self.identities:
-            x, axis = divmod(key, n)
+            x, axis = layout.step_of(key)
             counts[axis][x // strides[axis] % sizes[axis]] += 1
         for x, d in enumerate(values):
             if d:
                 continue
             for axis, (stride, size) in enumerate(zip(strides, sizes)):
                 k = x // stride % size
-                if k + 1 < size and not values[x + stride] and x * n + axis not in given:
+                if k + 1 < size and not values[x + stride] and keys[axis][x] not in given:
                     counts[axis][k] += 1
         return [list(itertools.accumulate([m * size != len(values) for m in row[:-1]],
                                           initial=0))
@@ -163,8 +165,8 @@ def validate_module(module: GridModule) -> DiagramCheck:
     """
     if module._validated is True:
         return DiagramCheck(True)
-    square = first_failing_square(module.points, module.dim_list, module.strides,
-                                  module.given, module.identities)
+    square = first_failing_square(module.layout, module.dim_list, module.given,
+                                  module.identities)
     if square is not None:
         return DiagramCheck(False, "square does not commute", square)
     module._validated = True

@@ -116,11 +116,6 @@ def _rational(field, x) -> tuple:
 _PLAIN = {"prime": {int}, "rational": {int, str}}
 
 
-def matrix_from_json(field, obj, shape: tuple) -> Matrix:
-    """A matrix of ``shape`` from a file, as :func:`_matrices` decodes it."""
-    return _matrices(field, [shape], [obj])[0]
-
-
 def _matrices(field, shapes: list, mats: list) -> list:
     """The matrices of the lists ``mats``, each of its shape in ``shapes``:
     every matrix a file holds is decoded here, each distinct one once, into
@@ -233,13 +228,13 @@ def box_to_json(box: Box) -> dict:
 
 
 def module_to_json(module: GridModule) -> dict:
-    pts, n = list(module.dims), module.box.dim
+    pts, n = module.points, module.box.dim
     maps = []
     for key in sorted(module.given):  # the order of (point, axis)
         step = module.given[key]
         if step.is_zero():
             continue
-        x, axis = divmod(key, n)
+        x, axis = module.layout.step_of(key)
         maps.append({"from": list(pts[x]), "axis": axis + 1, "matrix": matrix_to_json(step)})
     return {
         "field": field_to_json(module.field),
@@ -254,7 +249,7 @@ def module_from_json(obj) -> GridModule:
     """A module file read and checked in one loop over its map entries.
 
     Each map entry's source is looked up among the box points, which gives
-    its flat index (see :class:`GridModule`); its axis must be a plain int
+    its place and its step's flat key (see :class:`GridModule`); its axis must be a plain int
     in 1..n, its step must stay in the box, and no step may be given twice.
     The checks are those of ``GridModule.__init__``, with the loader's own
     messages, and are not made again.  A whole-array pass then checks that
@@ -275,13 +270,14 @@ def module_from_json(obj) -> GridModule:
     dims_list = _dim_list(obj.get("dims"))
     if len(dims_list) != size:
         raise InputError(f"dims has {len(dims_list)} entries, the box has {size} points")
-    pts = list(box.integer_points())
+    layout = box.cartesian()
+    pts = layout.sorted_points()
     index, dims = dict(zip(pts, range(len(pts)))), dict(zip(pts, dims_list))
     entries = _array(obj, "maps")
     if not entries:
-        return GridModule._checked(field, box, dims, index, {})
-    top, strides = box.b, box.strides()
-    keys, shapes, mats = {}, [], []  # the steps' flat indices, in file order
+        return GridModule._checked(field, box, layout, dims, index, {})
+    top, strides, step_keys = box.b, layout.strides, layout.step_keys
+    keys, shapes, mats = {}, [], []  # the steps' flat keys, in file order
     for entry in entries:
         try:
             p, axis = entry["from"], entry["axis"]
@@ -291,7 +287,7 @@ def module_from_json(obj) -> GridModule:
         if type(axis) is not int or not 1 <= axis <= n:
             break
         axis -= 1
-        key = x * n + axis
+        key = step_keys[axis][x]
         if pts[x][axis] == top[axis] or key in keys:
             break
         keys[key] = None
@@ -318,7 +314,7 @@ def module_from_json(obj) -> GridModule:
             raise InputError(f"map at {p!r} along axis {axis} leaves the box")
         raise InputError(f"duplicate map at {p!r} along axis {axis}")  # the check left
     given = dict(zip(keys, _matrices(field, shapes, mats)))
-    return GridModule._checked(field, box, dims, index, given)
+    return GridModule._checked(field, box, layout, dims, index, given)
 
 
 def diagram_to_json(diagram: PosetDiagram) -> dict:

@@ -20,8 +20,7 @@ from operator import mul, xor
 from typing import Iterable
 
 from .errors import InputError
-from .extgrid import (CartesianSet, Point, as_product, leq, lex_strides, order_masks,
-                      sort_points)
+from .extgrid import CartesianSet, Point, as_product, leq, order_masks, sort_points
 
 
 def _is_prime(p: int) -> bool:
@@ -479,24 +478,6 @@ class DiagramCheck:
         return self.ok
 
 
-def product_covers(points: tuple, lengths) -> tuple:
-    """``(covers, keys)`` of a product of chains of these axis lengths, whose
-    points ``points`` lists in lexicographic order: its covering pairs, by
-    source and then by axis, the last axis first, which is their sorted
-    order; and the flat key ``x * n + axis`` of each, where x is the place
-    of its source in ``points``.  The successor along an axis lies one
-    stride further in that order."""
-    strides, n, top = lex_strides(lengths), len(lengths), points[-1]
-    axes = list(zip(reversed(range(n)), reversed(strides)))
-    covers, keys = [], []
-    for x, c in enumerate(points):
-        for axis, stride in axes:
-            if c[axis] < top[axis]:
-                covers.append((c, points[x + stride]))
-                keys.append(x * n + axis)
-    return covers, keys
-
-
 class PosetDiagram:
     """A functor from a finite subposet of the extended grid to vector spaces.
 
@@ -508,8 +489,8 @@ class PosetDiagram:
     a cover's two ends that gives its matrix, or a dict of matrices by
     cover, where a cover left out maps by :meth:`Matrix.zeros` of its
     shape, looked up once per shape.  On a product, :attr:`steps` holds the
-    map of each cover by the flat key of :func:`product_covers`; elsewhere
-    it is ``None``.
+    map of each cover by its flat step key in the product's layout
+    (:class:`CartesianSet`); elsewhere it is ``None``.
     """
 
     def __init__(self, field, points, dims, maps):
@@ -528,8 +509,13 @@ class PosetDiagram:
         keys = None
         if self.product is None:  # by source, then target, as sort_points orders
             covers = sorted(poset_covers(list(self.points)))
-        else:
-            covers, keys = product_covers(self.points, [len(f) for f in self.product.factors])
+        else:  # by source, then the last axis first, which is the same order
+            covers, keys, points = [], [], self.points
+            strides, step_keys = self.product.strides, self.product.step_keys
+            for x, axes in enumerate(self.product.upper_axes):
+                for axis in reversed(axes):
+                    covers.append((points[x], points[x + strides[axis]]))
+                    keys.append(step_keys[axis][x])
         self._covers = tuple(covers)
         if callable(maps):
             mats = [maps(c, d) for c, d in covers]
@@ -625,25 +611,23 @@ class PosetDiagram:
         return sub
 
 
-def first_failing_square(points: list, dims: list, strides, steps: dict, identities
+def first_failing_square(layout: CartesianSet, dims: list, steps: dict, identities
                          ) -> tuple | None:
     """The first unit square of a product of chains whose two composites
     differ, reported as ``(c, c + e_j, c + e_i, c + e_i + e_j)``; ``None``
     when every square commutes.
 
-    ``points`` lists the product in lexicographic order, ``dims`` their
-    dimensions in that order, and ``strides`` gives per axis how far apart
-    in it a point and the next one along the axis lie.  The step from the
-    point at place x along ``axis`` has the flat key ``x * n + axis``:
-    ``steps`` maps keys to matrices, a key left out being a zero step, and
-    ``identities`` holds the keys of the identity steps.
+    ``layout`` is the product, and ``dims`` lists the dimensions of its
+    points by place.  ``steps`` maps the flat step keys of the layout to
+    matrices, a key left out being a zero step, and ``identities`` holds the
+    keys of the identity steps.
 
     The unit squares generate every commutativity relation of a product of
     chains, so they are the only squares checked.  They are walked in
     lexicographic order of their bottom corner c, and at each c the pairs of
     axes j > i in the order (n-1, n-2), (n-1, n-3), ..., (1, 0).  Both
-    composites out of a point with no step in ``steps`` are zero, so only
-    the sources of steps are corners.  A square commutes without a product
+    composites out of a point with no step in ``steps`` are zero, so such a
+    corner passes with no product.  A square commutes without a product
     when c or its top corner has dimension zero, or when its four steps are
     identities.  A composite through a zero-dimensional corner or a left-out
     step is zero, so at most one product is formed then, and compared with
@@ -651,23 +635,22 @@ def first_failing_square(points: list, dims: list, strides, steps: dict, identit
     with no :class:`Matrix` made: over F_p as they are, and over Q
     cross-multiplied by each other's denominator.
     """
-    n = len(strides)
-    if n < 2 or not steps:  # a chain has no square
+    if layout.dim < 2 or not steps:  # a chain has no square
         return None
-    top = points[-1]
-    for x in sorted({key // n for key in steps}):
-        if not dims[x]:
+    strides, keys = layout.strides, layout.step_keys
+    for x, axes in enumerate(layout.upper_axes):
+        if len(axes) < 2 or not dims[x]:
             continue
-        c = points[x]
-        axes = [axis for axis in reversed(range(n)) if c[axis] < top[axis]]
+        axes = axes[::-1]
         for k, j in enumerate(axes):
-            xj, kj = x + strides[j], x * n + j
+            xj, keys_j = x + strides[j], keys[j]
+            kj = keys_j[x]
             c_j = dims[xj] and steps.get(kj)
             for i in axes[k + 1:]:
                 xi, xe = x + strides[i], xj + strides[i]
                 if not dims[xe]:
                     continue
-                ki, kji, kij = x * n + i, xj * n + i, xi * n + j
+                ki, kji, kij = keys[i][x], keys[i][xj], keys_j[xi]
                 if (kj in identities and kji in identities
                         and ki in identities and kij in identities):
                     continue
@@ -688,7 +671,7 @@ def first_failing_square(points: list, dims: list, strides, steps: dict, identit
                 else:  # a composite through a left-out step is zero
                     commutes = not any(map(any, left if up_i else right))
                 if not commutes:
-                    return c, points[xj], points[xi], points[xe]
+                    return tuple(map(layout.point, (x, xj, xi, xe)))
     return None
 
 
@@ -718,9 +701,8 @@ def validate_diagram(diagram: PosetDiagram) -> DiagramCheck:
         if m.field is not field and m.field != field:
             return DiagramCheck(False, f"map {c!r} -> {d!r} is over the wrong field", (c, d))
     if diagram.product is not None:
-        strides = lex_strides([len(f) for f in diagram.product.factors])
         steps = {key: m for key, m in diagram.steps.items() if not m.is_zero()}
-        square = first_failing_square(diagram.points, list(dims.values()), strides, steps,
+        square = first_failing_square(diagram.product, list(dims.values()), steps,
                                       {key for key, m in steps.items() if m.is_identity()})
         if square is not None:
             return DiagramCheck(False, "square does not commute", square)

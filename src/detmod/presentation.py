@@ -18,7 +18,7 @@ from typing import Callable
 
 from .errors import ConsistencyError, InputError
 from .extgrid import (CartesianSet, Point, as_point, as_product, common_dim, critical_grid,
-                      grid_clamps, join, leq, lex_strides, lt, sort_points)
+                      join, leq, lt, sort_points)
 from .grid_module import ExtendedView, GridModule, restrict_view
 from .determinacy import determined_closure, is_S_determined
 from .linalg import (Matrix, PosetDiagram, _require_valid, _vec, cokernel_projection,
@@ -399,19 +399,19 @@ def _scan(field, poset: tuple) -> tuple:
 def _present_diagram(diagram: PosetDiagram) -> tuple:
     """The scan of a validated diagram, with its own covers and maps, the
     diagram's identity covers as identity steps, and a map onto when it has
-    full row rank.  On a product the covers come from the strides and each
+    full row rank.  On a product the covers come from its layout and each
     map from :attr:`PosetDiagram.steps` by its flat key."""
     _require_valid(diagram)
     points, dims, steps = diagram.points, list(diagram.dims.values()), diagram.steps
     if steps is not None:
-        n = diagram.product.dim
-        lower, axis_of = _product_lower([len(f) for f in diagram.product.factors])
+        product = diagram.product
+        keys, axis_of = product.step_keys, product.cover_axis
         identities = {key for key, m in steps.items() if m.is_identity()}
 
         def step(p, c):
-            return steps[p * n + axis_of[c - p]]
-        return _scan(diagram.field, (points, dims, lower,
-                                     lambda p, c: p * n + axis_of[c - p] in identities,
+            return steps[keys[axis_of[c - p]][p]]
+        return _scan(diagram.field, (points, dims, product.lower,
+                                     lambda p, c: keys[axis_of[c - p]][p] in identities,
                                      lambda p, c: _onto(step(p, c)), step))
     maps, identities = diagram.maps, diagram.identity_covers()
     index = {p: i for i, p in enumerate(points)}
@@ -422,18 +422,6 @@ def _present_diagram(diagram: PosetDiagram) -> tuple:
     poset = (points, dims, lower, lambda p, c: (points[p], points[c]) in identities,
              lambda p, c: _onto(step(p, c)), step)
     return _scan(diagram.field, poset)
-
-
-def _product_lower(lengths) -> tuple:
-    """``(lower, axis_of)`` of a product of chains of these axis lengths,
-    its points by flat index in lexicographic order: per point the indices
-    of its lower covers, the first axis first, and the axis of a cover by
-    the distance between its ends.  An axis of one coordinate, whose stride
-    may repeat the next, has no cover."""
-    strides = lex_strides(lengths)
-    lower = [[x - strides[axis] for axis, k in enumerate(idx) if k]
-             for x, idx in enumerate(itertools.product(*map(range, lengths)))]
-    return lower, {stride: axis for axis, stride in reversed(list(enumerate(strides)))}
 
 
 def _product_poset(view: ExtendedView, grid: CartesianSet, grades=()) -> tuple:
@@ -458,31 +446,29 @@ def _product_poset(view: ExtendedView, grid: CartesianSet, grades=()) -> tuple:
     coordinate is the identity, so they are the steps of the grid with the
     identities taken out.
 
-    The lower covers come from the strides, and each grid point's clamp is
-    kept as its flat index in the box.  A cover along an axis whose ends
-    clamp to the same box point is the identity; one whose clamps are one
-    box stride apart along that axis is the stored step with the flat key
-    ``x * n + axis`` (see :class:`GridModule`), and whether it is the
-    identity or onto is read off ``given``, ``identities`` and
-    ``dim_list``, with no :class:`Matrix` made; any other is
-    ``view.box_map``, the composite of the stored steps between the
-    clamps, tested as a matrix.  The covers of a product are complete.
+    The covers come from the layout of what is left, and each grid point's
+    clamp is kept as its place among the box points.  A cover along an axis
+    whose ends clamp to the same box point is the identity; one whose
+    clamps are one box stride apart along that axis is the stored step of
+    that flat key in the module's layout, and whether it is the identity or
+    onto is read off ``given``, ``identities`` and ``dim_list``, with no
+    :class:`Matrix` made; any other is ``view.box_map``, the composite of
+    the stored steps between the clamps, tested as a matrix.  The covers of
+    a product are complete.
     """
     module = view.module
-    n, box_strides, values, points = module.box.dim, module.strides, module.dim_list, \
-        module.points
-    given, identities = module.given, module.identities
+    box_strides, box_keys = module.layout.strides, module.layout.step_keys
+    values, points, given, identities = module.dim_list, module.points, module.given, \
+        module.identities
     factors, clamps = [], []
-    for axis, (f, cl, run, lo) in enumerate(zip(grid.factors, grid_clamps(grid, module.box),
-                                                module.identity_runs(), module.box.a)):
-        pins, labels = {p[axis] for p in grades}, [run[v - lo] for v in cl]
+    for axis, (f, cl, run) in enumerate(zip(grid.factors, grid.clamps(module.box),
+                                            module.identity_runs())):
+        pins, labels = {p[axis] for p in grades}, [run[k] for k in cl]
         kept = [k for k, v in enumerate(f) if not k or v in pins or labels[k - 1] != labels[k]]
-        factors.append([f[k] for k in kept])
+        factors.append(tuple([f[k] for k in kept]))
         clamps.append([cl[k] for k in kept])
-    flat = [0]  # per grid point, the flat index of its clamp in the box
-    for cl, lo, stride in zip(clamps, module.box.a, box_strides):
-        flat = [x + (v - lo) * stride for x in flat for v in cl]
-    lower, axis_of = _product_lower([len(f) for f in factors])
+    layout, flat = CartesianSet._of_sorted(tuple(factors)), module.layout.places(clamps)
+    axis_of = layout.cover_axis
 
     def identity(p, c):
         x = flat[p]
@@ -491,7 +477,7 @@ def _product_poset(view: ExtendedView, grid: CartesianSet, grades=()) -> tuple:
             return True
         axis = axis_of[c - p]
         if d == box_strides[axis]:
-            key = x * n + axis
+            key = box_keys[axis][x]
             return key in identities or (key not in given and not values[x] and not values[x + d])
         return view.box_map(points[x], points[x + d]).is_identity()
 
@@ -500,14 +486,14 @@ def _product_poset(view: ExtendedView, grid: CartesianSet, grades=()) -> tuple:
         d = flat[c] - x
         axis = axis_of[c - p]
         if d == box_strides[axis]:
-            m = given.get(x * n + axis)
+            m = given.get(box_keys[axis][x])
             return not values[x + d] if m is None else _onto(m)
         return _onto(view.box_map(points[x], points[x + d]))
 
     def step(p, c):
         return view.box_map(points[flat[p]], points[flat[c]])
-    return (list(itertools.product(*factors)), [values[x] for x in flat], lower, identity,
-            onto, step)
+    return (layout.sorted_points(), [values[x] for x in flat], layout.lower, identity, onto,
+            step)
 
 
 def _present_view(view: ExtendedView, s) -> tuple:

@@ -289,13 +289,21 @@ class TestCornerRule:
             assert_matches_downset_oracle(view, frozenset(canonical) - frozenset(dropped))
 
     def test_builds_no_grid_and_tests_each_step_once(self, monkeypatch):
+        """No critical grid: the one product made is the layout of the box
+        extended by -inf, which orders the steps to test, and no more than
+        one."""
         import detmod.determinacy as determinacy
         import detmod.extgrid as extgrid
 
         def no_grid(*args, **kwargs):
             raise AssertionError("is_S_determined built a grid")
-        for module in (determinacy, extgrid):
-            monkeypatch.setattr(module, "CartesianSet", no_grid)
+        made = []
+
+        class Recorded(CartesianSet):
+            def __new__(cls, *args, **kwargs):
+                made.append(super().__new__(cls))
+                return made[-1]
+        monkeypatch.setattr(determinacy, "critical_grid", no_grid)
         calls = record_step_tests(monkeypatch)
         rng = random.Random(29)
         verdicts = set()
@@ -305,8 +313,14 @@ class TestCornerRule:
             view = ExtendedView(random_module(field, rng, box=random_box(rng, nparams),
                                               max_summands=4))
             s = random_point_set(rng, nparams, 5, lo=-3, hi=4)
+            extended = view.module.layout.extended().factors
             calls.clear()
-            report = is_S_determined(view, s)
+            with monkeypatch.context() as patched:
+                for module in (determinacy, extgrid):
+                    patched.setattr(module, "CartesianSet", Recorded)
+                made.clear()
+                report = is_S_determined(view, s)
+            assert [product.factors for product in made] in ([], [extended])
             verdicts.add(report.holds)
             assert len(calls) == len(set(calls))
             assert set(calls) <= set(every_step(view.module))

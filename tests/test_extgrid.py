@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from detmod import (Box, CartesianSet, InputError, NEG_INF, convex_projection,
                     critical_grid, ext_box, extended_projection,
                     join_below, join_closure, leq, meet_above, mub,
-                    point_sort_key, pointed_closure, sort_points)
+                    point_sort_key, pointed_closure, poset_covers, sort_points)
 from detmod.extgrid import as_product, downset_of, order_masks
 from helpers import (coordinatewise_join_below, join_closure_by_subsets,
                      maximal_lower_bounds_bruteforce, minimal_upper_bounds_bruteforce,
@@ -322,3 +322,49 @@ class TestCriticalGrid:
         grid = critical_grid(box, s).points()
         assert s <= grid
         assert ext_box(box).points() <= grid
+
+
+@st.composite
+def layouts(draw):
+    """A product of 1 to 4 axes of 1 to 5 coordinates, each with or without a
+    leading -inf, and a box of its dimension."""
+    n = draw(st.integers(1, 4))
+    factors = []
+    for _ in range(n):
+        coords = sorted(draw(st.sets(st.integers(-4, 4), min_size=1, max_size=5)))
+        if draw(st.booleans()) and len(coords) < 5:
+            coords.insert(0, NEG_INF)
+        factors.append(tuple(coords))
+    a = tuple(draw(st.integers(-3, 3)) for _ in range(n))
+    return CartesianSet(tuple(factors)), Box(a, tuple(u + draw(st.integers(0, 3)) for u in a))
+
+
+class TestLayout:
+    """The layout of a product of chains against the definitions."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(layouts())
+    def test_layout_matches_the_definitions(self, drawn):
+        grid, box = drawn
+        pts = grid.sorted_points()
+        assert pts == sorted(itertools.product(*grid.factors))
+        assert [grid.point(x) for x in range(len(pts))] == pts
+        place = {p: x for x, p in enumerate(pts)}
+        lower = {(pts[y], pts[x]) for x, below in enumerate(grid.lower) for y in below}
+        upper = {(pts[x], pts[x + grid.strides[axis]])
+                 for x, axes in enumerate(grid.upper_axes) for axis in axes}
+        assert lower == upper == set(poset_covers(pts)) == set(grid.covers())
+        # the first axis first: lower covers by increasing place, upper axes increasing
+        assert all(below == sorted(below) for below in grid.lower)
+        assert all(list(axes) == sorted(axes) for axes in grid.upper_axes)
+        for c, d in lower:
+            axis, = (i for i in range(grid.dim) if c[i] != d[i])
+            assert grid.cover_axis[place[d] - place[c]] == axis
+            assert place[d] - place[c] == grid.strides[axis]
+            key = grid.step_keys[axis][place[c]]
+            assert grid.step_of(key) == (place[c], axis)
+        keys = [grid.step_keys[axis][x] for x in range(len(pts)) for axis in range(grid.dim)]
+        assert len(set(keys)) == len(keys)
+        box_place = {p: x for x, p in enumerate(box.integer_points())}
+        clamped = box.cartesian().places(grid.clamps(box))
+        assert clamped == [box_place[extended_projection(box, p)] for p in pts]

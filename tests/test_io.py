@@ -349,7 +349,7 @@ class TestDetectKind:
     def test_decoded_box_equals_the_checked_one(self):
         box, checked = box_from_json({"a": [-1, 0, 2], "b": [1, 0, 5]}), Box((-1, 0, 2), (1, 0, 5))
         assert box == checked and hash(box) == hash(checked)
-        assert box.strides() == checked.strides() == (4, 4, 1)
+        assert box.cartesian().strides == checked.cartesian().strides == (4, 4, 1)
         assert list(box.integer_points()) == list(checked.integer_points())
 
 
