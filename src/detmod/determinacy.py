@@ -89,14 +89,14 @@ def _first_failing_step(module: GridModule, s):
     point q it leaves and its axis, and a set point by one bit.  The set
     points below d are those with coordinate v on the axis that lie below
     the corner of q + e_axis (:func:`_downsets`), and a candidate is ordered
-    by the flat key of the step (c, axis) in the layout of the points with
-    coordinates -inf and the box's on every axis, the box extended.
+    by the place of c in the layout of the points with coordinates -inf and
+    the box's on every axis, the box extended, and then by axis.
     """
     box, values, strides = module.box, module.dim_list, module.layout.strides
     n, lower, top = box.dim, box.a, box.b
     settled = _axis_coordinates(s, n)
     ext = below = None  # made for the first step that is not settled, and that needs them
-    candidates = []  # (flat key of (c, axis) in ext, place of q, axis)
+    candidates = []  # (place of c in ext, axis, place of q)
     for axis, stride in enumerate(strides):
         block = stride * (top[axis] - lower[axis] + 1)
         for v in range(lower[axis] + 1, top[axis] + 1):
@@ -117,14 +117,14 @@ def _first_failing_step(module: GridModule, s):
             # but for c_axis = v - 1, which is finite at the lower bound too
             base = (v - 1 - lower[axis]) * stride
             xs = [x for o in range(base, len(values), block) for x in range(o, o + stride)]
-            keys, shift = ext.step_keys[axis], ext.strides[axis] if v - 1 == lower[axis] else 0
-            candidates += [(keys[corner[x] + shift], x, axis) for x in xs
+            shift = ext.strides[axis] if v - 1 == lower[axis] else 0
+            candidates += [(corner[x] + shift, axis, x) for x in xs
                            if (values[x] or values[x + stride])
                            and not (at_v and at_v & below[x + stride])]
     candidates.sort()
-    for key, x, axis in candidates:
+    for place, axis, x in candidates:
         if not module.is_invertible_step(module.points[x], axis):
-            c = ext.point(ext.step_of(key)[0])
+            c = ext.point(place)
             return c, c[:axis] + (c[axis] + 1,) + c[axis + 1:]
     return None
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
 from operator import or_
 from typing import Iterable, Iterator
 
@@ -236,6 +235,21 @@ class Box:
                                               for lo, hi in zip(self.a, self.b)]))
 
 
+class _once:
+    """A property computed on first use and kept in the instance's
+    ``__dict__``, as :class:`functools.cached_property` keeps it, without
+    the lock that one takes on first use before Python 3.12."""
+
+    def __init__(self, func):
+        self.func, self.name, self.__doc__ = func, func.__name__, func.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
+
+
 @dataclass(frozen=True)
 class CartesianSet:
     """A product S_1 x ... x S_n of finite coordinate sets in Z u {-inf},
@@ -309,7 +323,7 @@ class CartesianSet:
             for axis in axes:
                 yield pts[x], pts[x + strides[axis]]
 
-    @cached_property
+    @_once
     def strides(self) -> tuple:
         strides = [1]
         for f in self.factors[:0:-1]:
@@ -329,29 +343,30 @@ class CartesianSet:
             block = inner + block if up else block + inner
         return block
 
-    @cached_property
+    @_once
     def upper_axes(self) -> list:
         """Per point, the axes of its upper covers, in increasing order."""
         return self._cover_axes(True, range(self.dim))
 
-    @cached_property
+    @_once
     def lower(self) -> list:
         """Per point, the places of its lower covers, the first axis first."""
         return [[x - stride for stride in strides]
                 for x, strides in enumerate(self._cover_axes(False, self.strides))]
 
-    @cached_property
+    @_once
     def cover_axis(self) -> dict:
         """The axis of a cover by the distance between the places of its
         ends: an axis of one coordinate has none, though its stride repeats
         the next axis's."""
         return {stride: axis for axis, stride in reversed(list(enumerate(self.strides)))}
 
-    @cached_property
+    @_once
     def step_keys(self) -> tuple:
         """Per axis, the flat key ``x * n + axis`` of the step out of each place x."""
         n = self.dim
-        return tuple([range(axis, len(self) * n, n) for axis in range(n)])
+        size = self.strides[0] * len(self.factors[0]) * n
+        return tuple([list(range(axis, size, n)) for axis in range(n)])
 
     def step_of(self, key: int) -> tuple:
         """``(x, axis)`` of a flat step key."""

@@ -24,13 +24,13 @@ class GridModule:
 
     ``dims`` maps every integer point of the box, in lexicographic order, to
     a dimension.  ``layout`` is the box as a :class:`CartesianSet`, whose
-    places, strides and flat step keys the module's data are kept by:
-    ``points`` lists the box points by place, and ``dim_list`` holds their
-    dimensions in that order.  A step is the move from a point to ``point +
-    e_axis``.  ``given`` holds the :class:`Matrix` of each given step, and
-    no other, by flat key.  ``identities`` holds the flat key of each given
-    step that is the identity, decided once, on first use.  :meth:`step` reads a step;
-    a step the input leaves out is :meth:`Matrix.zeros` of the forced shape.
+    places and flat step keys the data are kept by: ``points`` lists the box
+    points by place, and ``dim_list`` holds their dimensions in that order.
+    A step is the move from a point to ``point + e_axis``.  ``given`` holds
+    the :class:`Matrix` of each given step, and no other, by flat key.
+    ``identities`` holds the flat key of each given step that is the
+    identity, decided once, on first use.  :meth:`step` reads a step; a
+    step the input leaves out is :meth:`Matrix.zeros` of the forced shape.
     A step of another shape, or over another field, is refused when the
     module is built.  Axes are 0-based here; a message names an axis
     1-based, as the file format does, and one out of range as it was given.
@@ -131,25 +131,21 @@ class GridModule:
         coordinates have the same label exactly when every step along the
         axis between them, at every box point, is the identity.
 
-        One pass counts the identity steps of each slab (the steps along
-        the axis out of the box points with one coordinate there): the given
-        ones, and those left out between two zero spaces.  A slab below the
-        top of its axis holds one step per box point of the top slab, and
-        is all identities when it counts that many; a label counts the
-        slabs below it that are not."""
-        layout, values, given = self.layout, self.dim_list, self.given
+        One pass over the steps counts the identity steps of each slab (the
+        steps along the axis out of the box points with one coordinate
+        there): the given ones, and those left out between two zero spaces.
+        A slab below the top of its axis holds one step per box point of the
+        top slab, and is all identities when it counts that many; a label
+        counts the slabs below it that are not."""
+        layout, values, given, identities = self.layout, self.dim_list, self.given, \
+            self.identities
         strides, keys, sizes = layout.strides, layout.step_keys, [len(f) for f in layout.factors]
         counts = [[0] * size for size in sizes]
-        for key in self.identities:
-            x, axis = layout.step_of(key)
-            counts[axis][x // strides[axis] % sizes[axis]] += 1
-        for x, d in enumerate(values):
-            if d:
-                continue
-            for axis, (stride, size) in enumerate(zip(strides, sizes)):
-                k = x // stride % size
-                if k + 1 < size and not values[x + stride] and keys[axis][x] not in given:
-                    counts[axis][k] += 1
+        for x, axes in enumerate(layout.upper_axes):
+            for axis in axes:
+                key, y = keys[axis][x], x + strides[axis]
+                if key in identities or not (key in given or values[x] or values[y]):
+                    counts[axis][x // strides[axis] % sizes[axis]] += 1
         return [list(itertools.accumulate([m * size != len(values) for m in row[:-1]],
                                           initial=0))
                 for row, size in zip(counts, sizes)]

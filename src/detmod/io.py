@@ -249,8 +249,9 @@ def module_from_json(obj) -> GridModule:
     """A module file read and checked in one loop over its map entries.
 
     Each map entry's source is looked up among the box points, which gives
-    its place and its step's flat key (see :class:`GridModule`); its axis must be a plain int
-    in 1..n, its step must stay in the box, and no step may be given twice.
+    its place and its step's flat key in the box's layout; its axis must be
+    a plain int in 1..n, its step must stay in the box, and no step may be
+    given twice.
     The checks are those of ``GridModule.__init__``, with the loader's own
     messages, and are not made again.  A whole-array pass then checks that
     every source coordinate is a plain int, as a true or a 1.0 passes the
