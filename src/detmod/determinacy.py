@@ -104,13 +104,12 @@ def _first_failing_step(module: GridModule, s):
                 continue
             if ext is None:
                 factors, pts, ext = _corner_factors(box), list(s), module.layout.extended()
-                at = [{} for _ in range(n)]  # per axis, the set points by their coordinate
-                for bit, p in enumerate(pts):
-                    for i, u in enumerate(p):
-                        at[i][u] = at[i].get(u, 0) | 1 << bit
+                # per axis, the set points at or below each coordinate of ext
+                at = [_masks_below(pts, i, f) for i, f in enumerate(ext.factors)]
                 # per box point, the place of its corner in ext
                 corner = ext.places([[0, *range(2, len(f) + 1)] for f in factors])
-            at_v = at[axis].get(v, 0)
+            k = v - lower[axis] + 1  # the place of v on the axis of ext
+            at_v = at[axis][k] & ~at[axis][k - 1]  # the set points with v on the axis
             if at_v and below is None:
                 below = _downsets(pts, factors)  # per box point, the set points below its corner
             # the box points q with q_axis = v - 1, in order; c is the corner of q

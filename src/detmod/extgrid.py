@@ -236,9 +236,10 @@ class Box:
 
 
 class _once:
-    """A property computed on first use and kept in the instance's
-    ``__dict__``, as :class:`functools.cached_property` keeps it, without
-    the lock that one takes on first use before Python 3.12."""
+    """A property computed on first use and then kept in the instance's
+    ``__dict__``, as :class:`functools.cached_property` keeps it, without the
+    lock that one takes on first use before Python 3.12: a layout is made
+    per file read, and its first reads are on every job's path."""
 
     def __init__(self, func):
         self.func, self.name, self.__doc__ = func, func.__name__, func.__doc__
