@@ -238,8 +238,8 @@ class Box:
 class _once:
     """A property computed on first use and then kept in the instance's
     ``__dict__``, as :class:`functools.cached_property` keeps it, without the
-    lock that one takes on first use before Python 3.12: a layout is made
-    per file read, and its first reads are on every job's path."""
+    lock that one takes on first use before Python 3.12: a verb makes its
+    layouts afresh for each file it reads, so first reads are on its path."""
 
     def __init__(self, func):
         self.func, self.name, self.__doc__ = func, func.__name__, func.__doc__
