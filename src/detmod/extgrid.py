@@ -261,7 +261,7 @@ class CartesianSet:
     axis lie; ``upper_axes`` and ``lower`` give each point's covers, and
     ``cover_axis`` the axis of a cover by the distance between the places of
     its ends.  The step along ``axis`` out of the place x has the flat key
-    ``x * n + axis``, ``step_keys[axis][x]``, and :meth:`step_of` inverts
+    ``x * n + axis``, ``step_keys[axis][x]``, and :meth:`steps_of` inverts
     it.  Each list is made on first use, for hot loops to read as it is.
     """
 
@@ -339,7 +339,7 @@ class CartesianSet:
         """Per point, ``values[axis]`` of each axis along which it has an
         upper (``up``) or a lower cover, the first axis first."""
         block = [()]
-        for axis in reversed(range(self.dim)):
+        for axis in reversed(range(len(values))):
             inner = [(values[axis],) + rest for rest in block] * (len(self.factors[axis]) - 1)
             block = inner + block if up else block + inner
         return block
@@ -347,7 +347,7 @@ class CartesianSet:
     @_once
     def upper_axes(self) -> list:
         """Per point, the axes of its upper covers, in increasing order."""
-        return self._cover_axes(True, range(self.dim))
+        return self._cover_axes(True, range(len(self.factors)))
 
     @_once
     def lower(self) -> list:
@@ -365,13 +365,14 @@ class CartesianSet:
     @_once
     def step_keys(self) -> tuple:
         """Per axis, the flat key ``x * n + axis`` of the step out of each place x."""
-        n = self.dim
+        n = len(self.factors)
         size = self.strides[0] * len(self.factors[0]) * n
         return tuple([list(range(axis, size, n)) for axis in range(n)])
 
-    def step_of(self, key: int) -> tuple:
-        """``(x, axis)`` of a flat step key."""
-        return divmod(key, len(self.factors))
+    def steps_of(self, keys) -> list:
+        """``(x, axis)`` of each flat step key, in order."""
+        n = len(self.factors)
+        return [divmod(key, n) for key in keys]
 
     def clamps(self, box: Box) -> list:
         """Per axis, each coordinate clamped into the box, as

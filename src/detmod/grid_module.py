@@ -131,21 +131,24 @@ class GridModule:
         coordinates have the same label exactly when every step along the
         axis between them, at every box point, is the identity.
 
-        One pass over the steps counts the identity steps of each slab (the
-        steps along the axis out of the box points with one coordinate
-        there): the given ones, and those left out between two zero spaces.
-        A slab below the top of its axis holds one step per box point of the
-        top slab, and is all identities when it counts that many; a label
-        counts the slabs below it that are not."""
-        layout, values, given, identities = self.layout, self.dim_list, self.given, \
-            self.identities
+        One pass counts the identity steps of each slab (the steps along
+        the axis out of the box points with one coordinate there): the given
+        ones, and those left out between two zero spaces.  A slab below the
+        top of its axis holds one step per box point of the top slab, and
+        is all identities when it counts that many; a label counts the
+        slabs below it that are not."""
+        layout, values, given = self.layout, self.dim_list, self.given
         strides, keys, sizes = layout.strides, layout.step_keys, [len(f) for f in layout.factors]
         counts = [[0] * size for size in sizes]
-        for x, axes in enumerate(layout.upper_axes):
-            for axis in axes:
-                key, y = keys[axis][x], x + strides[axis]
-                if key in identities or not (key in given or values[x] or values[y]):
-                    counts[axis][x // strides[axis] % sizes[axis]] += 1
+        for x, axis in layout.steps_of(self.identities):
+            counts[axis][x // strides[axis] % sizes[axis]] += 1
+        for x, d in enumerate(values):
+            if d:
+                continue
+            for axis, (stride, size) in enumerate(zip(strides, sizes)):
+                k = x // stride % size
+                if k + 1 < size and not values[x + stride] and keys[axis][x] not in given:
+                    counts[axis][k] += 1
         return [list(itertools.accumulate([m * size != len(values) for m in row[:-1]],
                                           initial=0))
                 for row, size in zip(counts, sizes)]

@@ -228,13 +228,12 @@ def box_to_json(box: Box) -> dict:
 
 
 def module_to_json(module: GridModule) -> dict:
-    pts, n = module.points, module.box.dim
+    pts, n, keys = module.points, module.box.dim, sorted(module.given)  # by (point, axis)
     maps = []
-    for key in sorted(module.given):  # the order of (point, axis)
+    for key, (x, axis) in zip(keys, module.layout.steps_of(keys)):
         step = module.given[key]
         if step.is_zero():
             continue
-        x, axis = module.layout.step_of(key)
         maps.append({"from": list(pts[x]), "axis": axis + 1, "matrix": matrix_to_json(step)})
     return {
         "field": field_to_json(module.field),

@@ -362,7 +362,7 @@ class TestLayout:
             assert grid.cover_axis[place[d] - place[c]] == axis
             assert place[d] - place[c] == grid.strides[axis]
             key = grid.step_keys[axis][place[c]]
-            assert grid.step_of(key) == (place[c], axis)
+            assert grid.steps_of([key]) == [(place[c], axis)]
         keys = [grid.step_keys[axis][x] for x in range(len(pts)) for axis in range(grid.dim)]
         assert len(set(keys)) == len(keys)
         box_place = {p: x for x, p in enumerate(box.integer_points())}
