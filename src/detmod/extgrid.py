@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from operator import or_
 from typing import Iterable, Iterator
 
@@ -231,24 +232,7 @@ class Box:
         return itertools.product(*ranges)
 
     def cartesian(self) -> "CartesianSet":
-        return CartesianSet._of_sorted(tuple([tuple(range(lo, hi + 1))
-                                              for lo, hi in zip(self.a, self.b)]))
-
-
-class _once:
-    """A property computed on first use and then kept in the instance's
-    ``__dict__``, as :class:`functools.cached_property` keeps it, without the
-    lock that one takes on first use before Python 3.12: a verb makes its
-    layouts afresh for each file it reads, so first reads are on its path."""
-
-    def __init__(self, func):
-        self.func, self.name, self.__doc__ = func, func.__name__, func.__doc__
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.func(obj)
-        return value
+        return CartesianSet(tuple(tuple(range(lo, hi + 1)) for lo, hi in zip(self.a, self.b)))
 
 
 @dataclass(frozen=True)
@@ -280,13 +264,6 @@ class CartesianSet:
                         raise InputError(f"invalid coordinate {v!r} in cartesian factor")
         object.__setattr__(self, "factors", factors)
 
-    @classmethod
-    def _of_sorted(cls, factors: tuple) -> "CartesianSet":
-        """The product of sorted tuples of distinct coordinates, unchecked."""
-        product = cls.__new__(cls)
-        object.__setattr__(product, "factors", factors)
-        return product
-
     @property
     def dim(self) -> int:
         return len(self.factors)
@@ -313,8 +290,7 @@ class CartesianSet:
 
     def extended(self) -> "CartesianSet":
         """The same product with the bottom coordinate added to each factor."""
-        return CartesianSet._of_sorted(tuple([(NEG_INF,) + f if f[0] != NEG_INF else f
-                                              for f in self.factors]))
+        return CartesianSet(tuple((NEG_INF,) + f if f[0] != NEG_INF else f for f in self.factors))
 
     def covers(self) -> Iterator[tuple]:
         """Covering pairs of the product poset: one axis stepped to its
@@ -324,7 +300,7 @@ class CartesianSet:
             for axis in axes:
                 yield pts[x], pts[x + strides[axis]]
 
-    @_once
+    @cached_property
     def strides(self) -> tuple:
         strides = [1]
         for f in self.factors[:0:-1]:
@@ -335,34 +311,32 @@ class CartesianSet:
         """The point at place x."""
         return tuple([f[x // stride % len(f)] for f, stride in zip(self.factors, self.strides)])
 
-    def _cover_axes(self, up: bool, values) -> list:
-        """Per point, ``values[axis]`` of each axis along which it has an
-        upper (``up``) or a lower cover, the first axis first."""
-        block = [()]
-        for axis in reversed(range(len(values))):
-            inner = [(values[axis],) + rest for rest in block] * (len(self.factors[axis]) - 1)
-            block = inner + block if up else block + inner
-        return block
-
-    @_once
+    @cached_property
     def upper_axes(self) -> list:
-        """Per point, the axes of its upper covers, in increasing order."""
-        return self._cover_axes(True, range(len(self.factors)))
+        """Per point, the axes of its upper covers, in increasing order: along
+        an axis, every point but those at its last coordinate has one."""
+        axes = [()]
+        for axis in reversed(range(len(self.factors))):
+            axes = [(axis,) + rest for rest in axes] * (len(self.factors[axis]) - 1) + axes
+        return axes
 
-    @_once
+    @cached_property
     def lower(self) -> list:
         """Per point, the places of its lower covers, the first axis first."""
-        return [[x - stride for stride in strides]
-                for x, strides in enumerate(self._cover_axes(False, self.strides))]
+        lower, strides = [[] for _ in self.upper_axes], self.strides
+        for x, axes in enumerate(self.upper_axes):
+            for axis in axes:
+                lower[x + strides[axis]].append(x)
+        return lower
 
-    @_once
+    @cached_property
     def cover_axis(self) -> dict:
         """The axis of a cover by the distance between the places of its
         ends: an axis of one coordinate has none, though its stride repeats
         the next axis's."""
         return {stride: axis for axis, stride in reversed(list(enumerate(self.strides)))}
 
-    @_once
+    @cached_property
     def step_keys(self) -> tuple:
         """Per axis, the flat key ``x * n + axis`` of the step out of each place x."""
         n = len(self.factors)
@@ -504,5 +478,5 @@ def critical_grid(box: Box, s: Iterable[Point] = ()) -> CartesianSet:
         size *= hi - lo + 2 + len(out)
     if size > MAX_GRID_POINTS:
         raise InputError(f"the critical grid has {size} points, above the bound {MAX_GRID_POINTS}")
-    return CartesianSet._of_sorted(tuple(tuple(sorted({NEG_INF, *range(lo - 1, hi + 2), *out}))
-                                         for lo, hi, out in zip(box.a, box.b, outside)))
+    return CartesianSet(tuple(tuple(sorted({NEG_INF, *range(lo - 1, hi + 2), *out}))
+                              for lo, hi, out in zip(box.a, box.b, outside)))

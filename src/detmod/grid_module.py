@@ -37,8 +37,7 @@ class GridModule:
     """
 
     def __init__(self, field, box: Box, dims: dict, steps: dict):
-        layout = box.cartesian()
-        pts = layout.sorted_points()
+        pts = list(box.integer_points())
         if list(dims) != pts:
             for p in pts:
                 if p not in dims:
@@ -46,12 +45,12 @@ class GridModule:
             if len(dims) != len(pts):
                 extra = set(dims) - set(pts)
                 raise InputError(f"dimensions given outside the box: {sorted(extra)[:3]!r}")
-        dims = {p: dims[p] for p in pts}
-        for p, d in dims.items():
+        for p in pts:
+            d = dims[p]
             if isinstance(d, bool) or not isinstance(d, int) or d < 0:
                 raise InputError(f"invalid dimension {d!r} at {p!r}")
-        index, n, top, keys = dict(zip(pts, range(len(pts)))), box.dim, box.b, layout.step_keys
-        given = {}
+        self._fill(field, box, [dims[p] for p in pts])
+        index, n, top, keys, dims = self._index, box.dim, box.b, self.layout.step_keys, self.dims
         for (p, axis), mat in steps.items():
             if p not in index:
                 raise InputError(f"step source {p!r} is outside the box")
@@ -65,30 +64,27 @@ class GridModule:
                                  f"expected {expected}")
             if mat.field != field:
                 raise InputError(f"step at {p!r} along axis {axis + 1} is over the wrong field")
-            given[keys[axis][index[p]]] = mat
-        self._fill(field, box, layout, dims, index, given)
+            self.given[keys[axis][index[p]]] = mat
 
     @classmethod
-    def _checked(cls, field, box: Box, layout: CartesianSet, dims: dict, index: dict,
-                 given: dict):
-        """A module from data the caller has checked as ``__init__`` does:
-        ``layout`` the box as a :class:`CartesianSet`, ``dims`` on the box
-        points in order and each a dimension, ``index`` the place of each
-        box point in that order, ``given`` the given steps by flat key, each
-        inside the box, of its forced shape and over ``field``."""
+    def _checked(cls, field, box: Box, dim_list: list):
+        """A module with no given step, from the dimensions of the box points
+        in order, each checked as ``__init__`` checks it.  The caller adds to
+        ``given`` the steps it has checked as ``__init__`` does: by flat key,
+        each inside the box, of its forced shape and over ``field``."""
         module = cls.__new__(cls)
-        module._fill(field, box, layout, dims, index, given)
+        module._fill(field, box, dim_list)
         return module
 
-    def _fill(self, field, box, layout, dims, index, given):
+    def _fill(self, field, box, dim_list):
         self.field = field
         self.box = box
-        self.layout = layout
-        self.dims = dims
-        self.points = list(index)
-        self.dim_list = list(dims.values())
-        self.given = given
-        self._index = index
+        self.layout = box.cartesian()
+        self.points = self.layout.sorted_points()
+        self.dim_list = list(dim_list)
+        self.dims = dict(zip(self.points, dim_list))
+        self.given = {}
+        self._index = dict(zip(self.points, range(len(dim_list))))
         self._identities = None
         self._validated = None
 
@@ -142,13 +138,11 @@ class GridModule:
         counts = [[0] * size for size in sizes]
         for x, axis in layout.steps_of(self.identities):
             counts[axis][x // strides[axis] % sizes[axis]] += 1
-        for x, d in enumerate(values):
-            if d:
-                continue
-            for axis, (stride, size) in enumerate(zip(strides, sizes)):
-                k = x // stride % size
-                if k + 1 < size and not values[x + stride] and keys[axis][x] not in given:
-                    counts[axis][k] += 1
+        for x, axes in enumerate(layout.upper_axes):
+            if not values[x]:
+                for axis in axes:
+                    if not values[x + strides[axis]] and keys[axis][x] not in given:
+                        counts[axis][x // strides[axis] % sizes[axis]] += 1
         return [list(itertools.accumulate([m * size != len(values) for m in row[:-1]],
                                           initial=0))
                 for row, size in zip(counts, sizes)]

@@ -270,13 +270,12 @@ def module_from_json(obj) -> GridModule:
     dims_list = _dim_list(obj.get("dims"))
     if len(dims_list) != size:
         raise InputError(f"dims has {len(dims_list)} entries, the box has {size} points")
-    layout = box.cartesian()
-    pts = layout.sorted_points()
-    index, dims = dict(zip(pts, range(len(pts)))), dict(zip(pts, dims_list))
+    module = GridModule._checked(field, box, dims_list)
     entries = _array(obj, "maps")
     if not entries:
-        return GridModule._checked(field, box, layout, dims, index, {})
-    top, strides, step_keys = box.b, layout.strides, layout.step_keys
+        return module
+    pts, index, top = module.points, module._index, box.b
+    strides, step_keys = module.layout.strides, module.layout.step_keys
     keys, shapes, mats = {}, [], []  # the steps' flat keys, in file order
     for entry in entries:
         try:
@@ -313,8 +312,8 @@ def module_from_json(obj) -> GridModule:
         if p[axis - 1] == top[axis - 1]:
             raise InputError(f"map at {p!r} along axis {axis} leaves the box")
         raise InputError(f"duplicate map at {p!r} along axis {axis}")  # the check left
-    given = dict(zip(keys, _matrices(field, shapes, mats)))
-    return GridModule._checked(field, box, layout, dims, index, given)
+    module.given.update(zip(keys, _matrices(field, shapes, mats)))
+    return module
 
 
 def diagram_to_json(diagram: PosetDiagram) -> dict:

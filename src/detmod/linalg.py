@@ -626,8 +626,8 @@ def first_failing_square(layout: CartesianSet, dims: list, steps: dict, identiti
     chains, so they are the only squares checked.  They are walked in
     lexicographic order of their bottom corner c, and at each c the pairs of
     axes j > i in the order (n-1, n-2), (n-1, n-3), ..., (1, 0).  Both
-    composites out of a point with no step in ``steps`` are zero, so such a
-    corner passes with no product.  A square commutes without a product
+    composites out of a point with no step in ``steps`` are zero, so only
+    the sources of steps are corners.  A square commutes without a product
     when c or its top corner has dimension zero, or when its four steps are
     identities.  A composite through a zero-dimensional corner or a left-out
     step is zero, so at most one product is formed then, and compared with
@@ -637,11 +637,11 @@ def first_failing_square(layout: CartesianSet, dims: list, steps: dict, identiti
     """
     if layout.dim < 2 or not steps:  # a chain has no square
         return None
-    strides, keys = layout.strides, layout.step_keys
-    for x, axes in enumerate(layout.upper_axes):
+    strides, keys, upper = layout.strides, layout.step_keys, layout.upper_axes
+    for x in sorted({x for x, _ in layout.steps_of(steps)}):
+        axes = upper[x][::-1]
         if len(axes) < 2 or not dims[x]:
             continue
-        axes = axes[::-1]
         for k, j in enumerate(axes):
             xj, keys_j = x + strides[j], keys[j]
             kj = keys_j[x]

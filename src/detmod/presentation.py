@@ -465,9 +465,9 @@ def _product_poset(view: ExtendedView, grid: CartesianSet, grades=()) -> tuple:
                                             module.identity_runs())):
         pins, labels = {p[axis] for p in grades}, [run[k] for k in cl]
         kept = [k for k, v in enumerate(f) if not k or v in pins or labels[k - 1] != labels[k]]
-        factors.append(tuple([f[k] for k in kept]))
+        factors.append([f[k] for k in kept])
         clamps.append([cl[k] for k in kept])
-    layout, flat = CartesianSet._of_sorted(tuple(factors)), module.layout.places(clamps)
+    layout, flat = CartesianSet(tuple(factors)), module.layout.places(clamps)
     axis_of = layout.cover_axis
 
     def identity(p, c):
