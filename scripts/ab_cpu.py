@@ -24,7 +24,9 @@ job's CPU time replaced by its median over the timed passes, and the tail
 by CHANGE's ``perfbench/run.py`` ``tail()`` of those medians, each counted
 once per pass.  The tail of one pass is taken the same way from that pass's
 job times, and it prints in how many pairs CHANGE's pass had the lower
-tail.  The results go to ``BENCH_<tag>.json`` in the current directory,
+tail, and per side the arguments of the job at its job p50 and of the job
+at its job tail, so that a claim on either can be read against the job
+that carries it.  The results go to ``BENCH_<tag>.json`` in the current directory,
 merged into what is there under the key ``<workload>/<seed>``, with a
 digest of each side's sources.  The script exits 1 when a check fails or an
 ``--out`` file differs between the two sides, and prints the first such
@@ -149,13 +151,21 @@ def quartiles(xs: list) -> tuple:
 
 
 def job_metrics(side, tail) -> tuple:
-    """(job p50, job tail, the tail of each pass) of a side, in seconds, as
-    ``perfbench/run.py`` takes them: every job's median over the passes, and
-    the tail of those medians, each counted once per pass."""
+    """(job p50, job tail, the tail of each pass, the job at the p50, the job
+    at the tail) of a side, times in seconds, as ``perfbench/run.py`` takes
+    them: every job's median over the passes, and the tail of those medians,
+    each counted once per pass.  The job at the p50 is the one whose median
+    lies nearest to it (of an even number of jobs the p50 lies between two),
+    and the job at the tail the one whose median it is."""
     passes = len(side.job_s)
     medians = list(map(statistics.median, zip(*side.job_s)))
-    return (statistics.median(medians), tail([m for m in medians for _ in range(passes)])[0],
-            [tail([t for t in job_s for _ in range(passes)])[0] for job_s in side.job_s])
+    p50 = statistics.median(medians)
+    job_tail = tail([m for m in medians for _ in range(passes)])[0]
+    jobs = [job for jobs in side.rounds for job in jobs]
+    at_p50 = min(range(len(medians)), key=lambda j: abs(medians[j] - p50))
+    return (p50, job_tail,
+            [tail([t for t in job_s for _ in range(passes)])[0] for job_s in side.job_s],
+            jobs[at_p50], jobs[medians.index(job_tail)])
 
 
 def verb_metrics(side) -> dict:
@@ -189,11 +199,12 @@ def run_seed(sides: list, passes: int, tail) -> dict:
         result["first_differing"] = differing[0].argv
     for side in sides:
         q1, med, q3 = quartiles(side.pass_s)
-        p50, job_tail, pass_tail = job_metrics(side, tail)
+        p50, job_tail, pass_tail, at_p50, at_tail = job_metrics(side, tail)
         result[side.label] = {"median_s": med, "q1_s": q1, "q3_s": q3, "pass_s": side.pass_s,
                               "job_p50_ms": 1000 * p50, "job_tail_ms": 1000 * job_tail,
                               "pass_tail_ms": [1000 * t for t in pass_tail],
-                              "verb_ms": verb_metrics(side)}
+                              "verb_ms": verb_metrics(side),
+                              "job_at_p50": at_p50.argv, "job_at_tail": at_tail.argv}
     result["change_won_tail"] = sum(c < p for p, c in zip(result["parent"]["pass_tail_ms"],
                                                          result["change"]["pass_tail_ms"]))
     return result
@@ -247,6 +258,8 @@ def main(argv=None) -> int:
             print(f"  {label:6} CPU per pass median {1000 * r['median_s']:9.2f} ms, "
                   f"quartiles {1000 * r['q1_s']:.2f} - {1000 * r['q3_s']:.2f} ms; "
                   f"job p50 {r['job_p50_ms']:.4f} ms, job tail {r['job_tail_ms']:.4f} ms")
+            print(f"    job at p50: {' '.join(r['job_at_p50'])}")
+            print(f"    job at tail: {' '.join(r['job_at_tail'])}")
         print(f"  change faster in {result['change_won']} of {result['passes']} pairs; "
               f"median change / parent {c['median_s'] / p['median_s']:.3f}")
         print(f"  change tail lower in {result['change_won_tail']} of {result['passes']} pairs; "

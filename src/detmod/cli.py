@@ -39,13 +39,15 @@ PROG = "detmod"
 
 
 def _parse_json(where: str, text: str | None = None, path: str | None = None):
-    """JSON from ``text``, or else from the UTF-8 file at ``path``.  Bytes
-    that are not UTF-8, overlong integers and nesting past the recursion
-    limit are malformed input, as syntax errors are."""
+    """JSON from ``text``, or else from the strict UTF-8 bytes of the file at
+    ``path``.  Bytes that are not UTF-8, overlong integers and nesting past
+    the recursion limit are malformed input, as syntax errors are."""
     try:
         if text is None:
-            with open(path, "r", encoding="utf-8") as fh:
-                text = fh.read()
+            with open(path, "rb", buffering=0) as fh:
+                text = fh.read().decode("utf-8")
+            if "\r" in text:  # so a syntax error is placed as in a text file
+                text = text.replace("\r\n", "\n").replace("\r", "\n")
         return json.loads(text)
     except (ValueError, RecursionError) as exc:
         raise InputError(f"{where}{exc}") from exc
@@ -65,8 +67,8 @@ def _read_input(path: str):
 def _emit(payload, out_path: str | None) -> None:
     text = dio.canonical_dumps(payload)
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        with open(out_path, "wb") as fh:
+            fh.write(text.encode())
     else:
         sys.stdout.write(text)
 
@@ -254,6 +256,12 @@ VERBS = {
          Option("--points", "points", required=True))),
 }
 
+# per verb, made once: its options by name, their defaults and the required ones
+_TABLES = {verb: ({opt.name: opt for opt in spec.options},
+                  {opt.dest: False if opt.kind is bool else None for opt in spec.options},
+                  [opt.dest for opt in spec.options if opt.required])
+           for verb, spec in VERBS.items()}
+
 
 def build_parser(verb: str | None = None) -> argparse.ArgumentParser:
     """The argparse parser of ``VERBS``; given a known ``verb``, with its subparser only.
@@ -301,8 +309,8 @@ def _parse_canonical(argv: list):
     spec = VERBS.get(argv[0]) if argv else None
     if spec is None:
         return None
-    by_name = {opt.name: opt for opt in spec.options}
-    values = {opt.dest: False if opt.kind is bool else None for opt in spec.options}
+    by_name, defaults, required = _TABLES[argv[0]]
+    values = dict(defaults)
     positionals = []
     tokens = iter(argv[1:])
     for token in tokens:
@@ -319,8 +327,7 @@ def _parse_canonical(argv: list):
         if value is None or value.startswith("-"):
             return None
         values[opt.dest] = value
-    if len(positionals) != len(spec.positionals) or any(
-            opt.required and values[opt.dest] is None for opt in spec.options):
+    if len(positionals) != len(spec.positionals) or any(values[d] is None for d in required):
         return None
     values.update(zip(spec.positionals, positionals))
     return SimpleNamespace(verb=argv[0], fn=spec.run, **values)

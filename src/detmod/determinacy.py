@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from operator import not_, or_
 
 from .errors import InputError, NotDeterminedError
-from .extgrid import (Box, CartesianSet, NEG_INF, as_point, critical_grid, in_upset, min_point,
+from .extgrid import (Box, CartesianSet, NEG_INF, _unchecked, as_point, critical_grid, min_point,
                       pointed_closure)
 from .grid_module import ExtendedView, GridModule, restrict_view
 from .linalg import PosetDiagram, _require_valid, diagrams_isomorphic
@@ -68,12 +68,6 @@ def _normalize_set(view: ExtendedView, s):
     return s
 
 
-def _corner_factors(box: Box) -> list:
-    """Per axis, the corner coordinate of each box coordinate in order: -inf
-    for the lower bound, and every other coordinate itself."""
-    return [(NEG_INF,) + tuple(range(lo + 1, hi + 1)) for lo, hi in zip(box.a, box.b)]
-
-
 def _first_failing_step(module: GridModule, s):
     """The cover (c, d = c + e_axis) at the corner c of the first failing step.
 
@@ -82,8 +76,8 @@ def _first_failing_step(module: GridModule, s):
     candidate when no s in the set with s_axis = v lies below d; candidates
     are tested for invertibility in the order of (c, axis), where tuples
     order -inf below every integer as ``point_sort_key`` does.  Steps are
-    tested by :meth:`GridModule.is_invertible_step` at the clamp of c, the
-    box point the step leaves, with no :class:`Matrix` made.
+    tested by :meth:`GridModule.is_invertible_step` at the place of the
+    clamp of c, the box point the step leaves, with no :class:`Matrix` made.
 
     Everything is kept by integer index: a step by the place of the box
     point q it leaves and its axis, and a set point by one bit.  The set
@@ -93,36 +87,36 @@ def _first_failing_step(module: GridModule, s):
     the box's on every axis, the box extended, and then by axis.
     """
     box, values, strides = module.box, module.dim_list, module.layout.strides
-    n, lower, top = box.dim, box.a, box.b
-    settled = _axis_coordinates(s, n)
+    lower, top = box.a, box.b
+    settled = _axis_coordinates(s, box.dim)
     ext = below = None  # made for the first step that is not settled, and that needs them
     candidates = []  # (place of c in ext, axis, place of q)
     for axis, stride in enumerate(strides):
-        block = stride * (top[axis] - lower[axis] + 1)
-        for v in range(lower[axis] + 1, top[axis] + 1):
-            if v in settled[axis]:
-                continue
-            if ext is None:
-                factors, pts, ext = _corner_factors(box), list(s), module.layout.extended()
-                # per axis, the set points at or below each coordinate of ext
-                at = [_masks_below(pts, i, f) for i, f in enumerate(ext.factors)]
-                # per box point, the place of its corner in ext
-                corner = ext.places([[0, *range(2, len(f) + 1)] for f in factors])
-            k = v - lower[axis] + 1  # the place of v on the axis of ext
-            at_v = at[axis][k] & ~at[axis][k - 1]  # the set points with v on the axis
-            if at_v and below is None:
-                below = _downsets(pts, factors)  # per box point, the set points below its corner
-            # the box points q with q_axis = v - 1, in order; c is the corner of q
-            # but for c_axis = v - 1, which is finite at the lower bound too
-            base = (v - 1 - lower[axis]) * stride
-            xs = [x for o in range(base, len(values), block) for x in range(o, o + stride)]
-            shift = ext.strides[axis] if v - 1 == lower[axis] else 0
-            candidates += [(corner[x] + shift, axis, x) for x in xs
-                           if (values[x] or values[x + stride])
-                           and not (at_v and at_v & below[x + stride])]
+        lo = lower[axis]
+        live = [v for v in range(lo + 1, top[axis] + 1) if v not in settled[axis]]
+        if not live:
+            continue
+        if ext is None:
+            pts, ext = list(s), module.layout.extended()
+            # per axis, the set points at or below each coordinate of ext
+            at = [_masks_below(pts, i, f) for i, f in enumerate(ext.factors)]
+            # per box point, the place of its corner in ext (all but the box's lower bound)
+            corner = ext.places([[0, *range(2, len(f))] for f in ext.factors])
+        # per step into v: the first box point q with q_axis = v - 1, the set points
+        # with v on the axis, and how far c (c_axis = v - 1) lies from q's corner
+        m = at[axis]
+        steps = [((v - 1 - lo) * stride, m[v - lo + 1] & ~m[v - lo],
+                  ext.strides[axis] if v - 1 == lo else 0) for v in live]
+        if below is None and any(at_v for _, at_v, _ in steps):  # below each box corner
+            below = _downsets(pts, masks=[[m[0], *m[2:]] for m in at])
+        block = stride * (top[axis] - lo + 1)
+        candidates += [(corner[x] + shift, axis, x) for base, at_v, shift in steps
+                       for o in range(base, len(values), block) for x in range(o, o + stride)
+                       if (values[x] or values[x + stride])
+                       and not (at_v and at_v & below[x + stride])]
     candidates.sort()
     for place, axis, x in candidates:
-        if not module.is_invertible_step(module.points[x], axis):
+        if not module.is_invertible_step(x, axis):
             c = ext.point(place)
             return c, c[:axis] + (c[axis] + 1,) + c[axis + 1:]
     return None
@@ -138,13 +132,13 @@ def _masks_below(pts: list, axis: int, factor: tuple) -> list:
     return list(itertools.accumulate(at[:-1], or_))
 
 
-def _downsets(pts: list, factors) -> list:
+def _downsets(pts: list, factors=None, masks=None) -> list:
     """Per point of the product of ``factors`` in lexicographic order, the
-    points of ``pts`` at or below it, as bits (:func:`_masks_below`)."""
+    points of ``pts`` at or below it, as bits: the and of its coordinates'
+    ``masks``, by default those of :func:`_masks_below`."""
     downsets = [-1]
-    for axis, f in enumerate(factors):
-        masks = _masks_below(pts, axis, f)
-        downsets = [d & m for d in downsets for m in masks]
+    for m in masks or [_masks_below(pts, axis, f) for axis, f in enumerate(factors)]:
+        downsets = [d & x for d in downsets for x in m]
     return downsets
 
 
@@ -173,13 +167,14 @@ def is_S_determined(view: ExtendedView, s) -> DeterminacyReport:
     which a walk of the grid meets first.  Support holds when the bottom
     element is in the set, or when the corner of every box point of
     non-zero dimension is in its upset: the points that clamp to a box
-    point lie above its corner.
+    point lie above its corner, read as bits (:func:`_downsets`).
     """
-    module, pts = view.module, _normalize_set(view, s)
+    module, box, pts = view.module, view.box, _normalize_set(view, s)
     witness = _first_failing_step(module, pts)
-    corners = itertools.product(*_corner_factors(module.box))
-    support_ok = min_point(module.box.dim) in pts or all(
-        in_upset(pts, c) for c, dq in zip(corners, module.dim_list) if dq)
+    # per axis, the corner of each box coordinate: -inf for the lower bound, else itself
+    corner = [(NEG_INF,) + tuple(range(lo + 1, hi + 1)) for lo, hi in zip(box.a, box.b)]
+    support_ok = min_point(box.dim) in pts or all(itertools.compress(
+        _downsets(list(pts), corner), module.dim_list))
     return DeterminacyReport(witness is None, witness, support_ok, "critical-grid")
 
 
@@ -191,7 +186,7 @@ def default_oracle_window(box: Box, s) -> Box:
             if v != NEG_INF:
                 lo[i] = min(lo[i], v)
                 hi[i] = max(hi[i], v)
-    return Box(tuple(lo), tuple(hi))
+    return _unchecked(Box, tuple(lo), tuple(hi))
 
 
 def is_S_determined_oracle(view: ExtendedView, s, window: Box) -> DeterminacyReport:
@@ -238,7 +233,7 @@ def is_S_determined_oracle(view: ExtendedView, s, window: Box) -> DeterminacyRep
             key = keys[axis][q]
             ok = invertible.get(key)
             if ok is None:
-                ok = invertible[key] = module.is_invertible_step(module.points[q], axis)
+                ok = invertible[key] = module.is_invertible_step(q, axis)
             if not ok:
                 return DeterminacyReport(False, (grid.point(x), grid.point(y)), support_ok,
                                          "oracle")
@@ -263,7 +258,8 @@ def canonical_grid(module: GridModule) -> CartesianSet:
     lo = tuple(x + 1 for x in a)
     if not all(s <= y for s, y in zip(lo, b)):
         lo = a
-    return CartesianSet(tuple((NEG_INF,) + tuple(range(u, v + 1)) for u, v in zip(lo, b)))
+    return _unchecked(CartesianSet, tuple([(NEG_INF,) + tuple(range(u, v + 1))
+                                           for u, v in zip(lo, b)]))
 
 
 def canonical_set(module: GridModule) -> frozenset:

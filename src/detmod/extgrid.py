@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from operator import or_
+from operator import le, or_
 from typing import Iterable, Iterator
 
 from .errors import InputError
@@ -43,9 +43,10 @@ def as_point(coords: Iterable, dim: int | None = None) -> Point:
         raise InputError(f"point {pt!r} does not have dimension {dim}")
     if not pt:
         raise InputError("points must have dimension at least 1")
-    for v in pt:
-        if not is_coord(v):
-            raise InputError(f"invalid coordinate {v!r}; expected an integer or -inf")
+    if not {*map(type, pt)} <= {int}:  # plain ints need no call per coordinate
+        for v in pt:
+            if not is_coord(v):
+                raise InputError(f"invalid coordinate {v!r}; expected an integer or -inf")
     return pt
 
 
@@ -61,7 +62,7 @@ def common_dim(points: Iterable[Point]) -> int:
 
 def leq(p: Point, q: Point) -> bool:
     """Coordinatewise order.  Tuple comparison would be lexicographic; avoid it."""
-    return all(a <= b for a, b in zip(p, q))
+    return all(map(le, p, q))
 
 
 def lt(p: Point, q: Point) -> bool:
@@ -70,7 +71,7 @@ def lt(p: Point, q: Point) -> bool:
 
 def is_integral(p: Point) -> bool:
     """True when no coordinate is the bottom element."""
-    return all(c != NEG_INF for c in p)
+    return NEG_INF not in p
 
 
 def min_point(dim: int) -> Point:
@@ -232,7 +233,26 @@ class Box:
         return itertools.product(*ranges)
 
     def cartesian(self) -> "CartesianSet":
-        return CartesianSet(tuple(tuple(range(lo, hi + 1)) for lo, hi in zip(self.a, self.b)))
+        return _unchecked(CartesianSet, tuple([tuple(range(lo, hi + 1))
+                                               for lo, hi in zip(self.a, self.b)]))
+
+
+def _unchecked(cls, *values):
+    """A :class:`Box` or a :class:`CartesianSet` with its fields set to
+    ``values`` through ``cls.__new__``, unchecked: made of checked data."""
+    made = cls.__new__(cls)
+    made.__dict__.update(zip(cls.__dataclass_fields__, values))
+    return made
+
+
+class _once(cached_property):
+    """A cached property without the lock taken on each first read before 3.12."""
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.attrname] = self.func(obj)
+        return value
 
 
 @dataclass(frozen=True)
@@ -246,7 +266,7 @@ class CartesianSet:
     ``cover_axis`` the axis of a cover by the distance between the places of
     its ends.  The step along ``axis`` out of the place x has the flat key
     ``x * n + axis``, ``step_keys[axis][x]``, and :meth:`steps_of` inverts
-    it.  Each list is made on first use, for hot loops to read as it is.
+    it.  Each list is made on first read, lock-free, for loops to read.
     """
 
     factors: tuple
@@ -290,7 +310,8 @@ class CartesianSet:
 
     def extended(self) -> "CartesianSet":
         """The same product with the bottom coordinate added to each factor."""
-        return CartesianSet(tuple((NEG_INF,) + f if f[0] != NEG_INF else f for f in self.factors))
+        return _unchecked(CartesianSet, tuple([f if f[0] == NEG_INF else (NEG_INF,) + f
+                                               for f in self.factors]))
 
     def covers(self) -> Iterator[tuple]:
         """Covering pairs of the product poset: one axis stepped to its
@@ -300,7 +321,7 @@ class CartesianSet:
             for axis in axes:
                 yield pts[x], pts[x + strides[axis]]
 
-    @cached_property
+    @_once
     def strides(self) -> tuple:
         strides = [1]
         for f in self.factors[:0:-1]:
@@ -311,7 +332,7 @@ class CartesianSet:
         """The point at place x."""
         return tuple([f[x // stride % len(f)] for f, stride in zip(self.factors, self.strides)])
 
-    @cached_property
+    @_once
     def upper_axes(self) -> list:
         """Per point, the axes of its upper covers, in increasing order: along
         an axis, every point but those at its last coordinate has one."""
@@ -320,7 +341,7 @@ class CartesianSet:
             axes = [(axis,) + rest for rest in axes] * (len(self.factors[axis]) - 1) + axes
         return axes
 
-    @cached_property
+    @_once
     def lower(self) -> list:
         """Per point, the places of its lower covers, the first axis first."""
         lower, strides = [[] for _ in self.upper_axes], self.strides
@@ -329,14 +350,14 @@ class CartesianSet:
                 lower[x + strides[axis]].append(x)
         return lower
 
-    @cached_property
+    @_once
     def cover_axis(self) -> dict:
         """The axis of a cover by the distance between the places of its
         ends: an axis of one coordinate has none, though its stride repeats
         the next axis's."""
         return {stride: axis for axis, stride in reversed(list(enumerate(self.strides)))}
 
-    @cached_property
+    @_once
     def step_keys(self) -> tuple:
         """Per axis, the flat key ``x * n + axis`` of the step out of each place x."""
         n = len(self.factors)
@@ -478,5 +499,5 @@ def critical_grid(box: Box, s: Iterable[Point] = ()) -> CartesianSet:
         size *= hi - lo + 2 + len(out)
     if size > MAX_GRID_POINTS:
         raise InputError(f"the critical grid has {size} points, above the bound {MAX_GRID_POINTS}")
-    return CartesianSet(tuple(tuple(sorted({NEG_INF, *range(lo - 1, hi + 2), *out}))
-                              for lo, hi, out in zip(box.a, box.b, outside)))
+    return _unchecked(CartesianSet, tuple([tuple(sorted({NEG_INF, *range(lo - 1, hi + 2), *out}))
+                                           for lo, hi, out in zip(box.a, box.b, outside)]))

@@ -14,7 +14,7 @@ import itertools
 from typing import Callable
 
 from .errors import InputError
-from .extgrid import Box, CartesianSet, Point, NEG_INF, extended_projection, leq
+from .extgrid import Box, CartesianSet, Point, NEG_INF, _unchecked, extended_projection, leq
 from .linalg import (DiagramCheck, Matrix, PosetDiagram, first_failing_square, full_row_rank,
                      validate_diagram)
 
@@ -107,20 +107,19 @@ class GridModule:
             self._identities = {key for key, m in self.given.items() if m.is_identity()}
         return self._identities
 
-    def is_invertible_step(self, p: Point, axis: int) -> bool:
-        """Whether the step from the box point ``p`` along ``axis`` is
-        invertible, with no :class:`Matrix` made: square, and the identity
-        or onto, which a left-out step between two spaces of one dimension
-        is when they are zero."""
-        values, x, layout = self.dim_list, self._index[p], self.layout
-        if values[x] != values[x + layout.strides[axis]]:
+    def is_invertible_step(self, x: int, axis: int) -> bool:
+        """Whether the step out of the place x along ``axis`` is invertible,
+        with no :class:`Matrix` made: square, and the identity or onto, which
+        a left-out step is when its spaces are zero, and a step between
+        spaces of one dimension when its one entry is not zero."""
+        values, layout, d = self.dim_list, self.layout, self.dim_list[x]
+        if d != values[x + layout.strides[axis]]:
             return False
         key = layout.step_keys[axis][x]
-        if key in self.identities:
-            return True
         given = self.given.get(key)
-        return not values[x] if given is None else full_row_rank(self.field, given.rows,
-                                                                  given.ncols)
+        if given is None or d < 2:
+            return not d or given is not None and given.rows[0][0] != 0
+        return key in self.identities or full_row_rank(self.field, given.rows, d)
 
     def identity_runs(self) -> list:
         """Per axis, a label for each box coordinate there, in order: two
@@ -258,8 +257,8 @@ def window_module(field, window: Box, table: Callable[[Point], int]) -> PosetDia
     is the right choice for indicator-style tables; any commutativity
     violation is reported as an error.
     """
-    grid = CartesianSet(tuple((NEG_INF,) + tuple(range(lo, hi + 1))
-                              for lo, hi in zip(window.a, window.b)))
+    grid = _unchecked(CartesianSet, tuple([(NEG_INF,) + tuple(range(lo, hi + 1))
+                                           for lo, hi in zip(window.a, window.b)]))
     dims = {}
     for p in grid:
         d = table(p)

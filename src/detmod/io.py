@@ -111,22 +111,18 @@ def _rational(field, x) -> tuple:
     return frac.numerator, frac.denominator
 
 
-# the entry types a matrix of each field kind decodes in bulk; any other is
-# refused by the field
-_PLAIN = {"prime": {int}, "rational": {int, str}}
-
-
 def _matrices(field, shapes: list, mats: list) -> list:
     """The matrices of the lists ``mats``, each of its shape in ``shapes``:
     every matrix a file holds is decoded here, each distinct one once, into
     the integer form of :class:`Matrix`.  A fault is refused for the first
     matrix at fault, in file order, and its first entry at fault.
 
-    Whole-array passes check that each is a list of rows of its shape and
-    that each entry is a plain int (or over Q a string).  The entries are
-    read as numbers at once (:func:`_numbers`), and each distinct matrix is
-    made once (:func:`_matrix_of`), keyed by its shape and raw entries: only
-    plain ints and strings are keys, so no true or 1.0 meets a decoded 1.
+    Whole-array passes check that each is a list of rows of its shape with
+    plain int entries (over Q, or strings), reduce them mod p over F_p when
+    one is out of range, and read each distinct string over Q once, in file
+    order (:func:`_rational`).  Each distinct matrix, keyed by its row
+    tuples, is made once (:func:`_matrix_of`): only plain ints and strings
+    are keys, so no true or 1.0 meets a decoded 1.
     """
     if not mats:
         return []
@@ -137,56 +133,42 @@ def _matrices(field, shapes: list, mats: list) -> list:
         if ({*map(type, rows)} <= {list} and list(map(len, rows))
                 == list(chain.from_iterable(map(repeat, ncols, nrows)))):
             flat = list(chain.from_iterable(rows))
-    if flat is None or not {*map(type, flat)} <= _PLAIN[field.kind]:
+    if flat is None or not {*map(type, flat)} <= ({int} if field.kind == "prime" else {int, str}):
         read = field.coerce if field.kind == "prime" else partial(_rational, field)
         for shape, mat in zip(shapes, mats):
             _check_shape(mat, shape)
             for x in chain.from_iterable(mat):
                 read(x)
         raise AssertionError("no matrix was refused")
-    nums, dens = _numbers(field, flat)
+    parsed, p = None, getattr(field, "p", 0)  # 0 over Q
+    if p and flat and not (0 <= min(flat) and max(flat) < p):
+        rows = [[x % p for x in r] for r in rows]
+    elif not p and str in {*map(type, flat)}:
+        parsed = {x: _rational(field, x) for x in dict.fromkeys(flat) if type(x) is str}
+    rows = list(map(tuple, rows))
     out, memo, o = [], {}, 0
     for r, c in shapes:
-        raw = (r, c, *flat[o:o + r * c])
-        m = memo.get(raw)
+        block = tuple(rows[o:o + r])
+        key = block or c  # rows of c entries each, or no row, which has no width
+        m = memo.get(key)
         if m is None:
-            m = memo[raw] = _matrix_of(field, nums[o:o + r * c],
-                                       None if dens is None else dens[o:o + r * c], r, c)
+            m = memo[key] = (Matrix._of_rows(field, block, c) if parsed is None
+                             else _matrix_of(field, block, c, parsed))
         out.append(m)
-        o += r * c
+        o += r
     return out
 
 
-def _numbers(field, flat: list) -> tuple:
-    """``(nums, dens)``: the entries ``flat`` of a file's matrices, plain
-    ints and over Q strings too, as integers over denominators.  Over F_p
-    the entries mod p and ``dens`` None.  Over Q each distinct string as
-    :func:`_rational` reads it, once, in file order, and ``dens`` None when
-    there is no string."""
-    if field.kind == "prime":
-        p = field.p
-        if flat and not (0 <= min(flat) and max(flat) < p):
-            return [x % p for x in flat], None
-        return flat, None
-    if str not in {*map(type, flat)}:
-        return flat, None
-    num_of, den_of = {}, {}
-    for x in dict.fromkeys(flat):
-        if type(x) is str:
-            num_of[x], den_of[x] = _rational(field, x)
-    return list(map(num_of.get, flat, flat)), list(map(den_of.get, flat, repeat(1)))
-
-
-def _matrix_of(field, nums: list, dens: list | None, nrows: int, ncols: int) -> Matrix:
-    """The matrix whose entries, row by row, are ``nums`` over ``dens`` (over
-    1 when None): the integer rows over their least common denominator,
-    which is then in lowest terms, as the rationals were."""
-    den = 1
-    if dens is not None and dens.count(1) != len(dens):
-        den = math.lcm(*dens)
-        nums = [x * (den // d) for x, d in zip(nums, dens)]
-    rows = tuple(zip(*[iter(nums)] * ncols)) if ncols else ((),) * nrows
-    return Matrix._of_rows(field, rows, ncols, den)
+def _matrix_of(field, rows: tuple, ncols: int, parsed: dict) -> Matrix:
+    """The matrix of the rows ``rows`` of plain ints and over Q of strings read
+    as ``parsed`` reads them: integer rows over their least common
+    denominator, which is in lowest terms, as the rationals were."""
+    if parsed.keys().isdisjoint(chain.from_iterable(rows)):
+        return Matrix._of_rows(field, rows, ncols)
+    pairs = [[parsed[x] if type(x) is str else (x, 1) for x in r] for r in rows]
+    den = math.lcm(*[d for r in pairs for _, d in r])
+    return Matrix._of_rows(field, tuple([tuple([x * (den // d) for x, d in r]) for r in pairs]),
+                           ncols, den)
 
 
 # the walks eliminate d x d matrices, so the work a file declares is the sum
@@ -201,7 +183,8 @@ def _dim_list(obj) -> list:
         for d in obj:
             if isinstance(d, bool) or not isinstance(d, int) or d < 0:
                 raise InputError(f"invalid dimension {d!r}")
-    work = sum([d * d * d for d in obj])
+    # the sum of the cubes is at most the largest cube times their number
+    work = sum([d * d * d for d in obj]) if max(obj, default=0) ** 3 * len(obj) > MAX_WORK else 0
     if work > MAX_WORK:
         raise InputError(f"the dimensions declare work {work} (the sum of their cubes), "
                          f"above the bound {MAX_WORK}")
@@ -266,7 +249,7 @@ def module_from_json(obj) -> GridModule:
     n = obj.get("n")
     if n != box.dim:
         raise InputError(f"declared dimension {n!r} does not match the box")
-    size = math.prod(hi - lo + 1 for lo, hi in zip(box.a, box.b))
+    size = math.prod([hi - lo + 1 for lo, hi in zip(box.a, box.b)])
     dims_list = _dim_list(obj.get("dims"))
     if len(dims_list) != size:
         raise InputError(f"dims has {len(dims_list)} entries, the box has {size} points")
@@ -573,7 +556,7 @@ def _dump(obj, newline: str, out) -> None:
         if not obj:
             out("{}")
             return
-        if not all(isinstance(key, str) for key in obj):
+        if not all(map(isinstance, obj, repeat(str))):
             raise TypeError("keys must be str")
         inner = newline + "  "
         out("{")

@@ -261,22 +261,27 @@ class Matrix:
 def product_rows(a: Matrix, b: Matrix) -> tuple:
     """The integer rows of ``a @ b`` over ``a.den * b.den``, for ``a.ncols
     == b.nrows`` > 0: each entry one sum of products of the two matrices'
-    integer rows, taken mod p over F_p, and over Q left as it is, so that
-    its gcd with the denominator may exceed 1.  The one product kernel; the
-    sums are written out for the inner sizes 1, 2 and 3 of small modules."""
-    cols, k = list(zip(*b.rows)), a.ncols
-    if k == 1:
-        rows = [tuple([x * u for (u,) in cols]) for (x,) in a.rows]
-    elif k == 2:
-        rows = [tuple([x * u + y * v for u, v in cols]) for x, y in a.rows]
-    elif k == 3:
-        rows = [tuple([x * u + y * v + z * w for u, v, w in cols]) for x, y, z in a.rows]
-    else:
-        rows = [tuple([sum(map(mul, r, c)) for c in cols]) for r in a.rows]
+    integer rows, over F_p reduced mod p as it is made, and over Q left as
+    it is, so that its gcd with the denominator may exceed 1.  The one
+    product kernel; the sums are written out for inner sizes 1, 2 and 3."""
+    cols, k, rows = list(zip(*b.rows)), a.ncols, a.rows
     if a.field.kind == "prime":
         p = a.field.p
-        return tuple([tuple([x % p for x in r]) for r in rows])
-    return tuple(rows)
+        if k == 1:
+            return tuple([tuple([x * u % p for (u,) in cols]) for (x,) in rows])
+        if k == 2:
+            return tuple([tuple([(x * u + y * v) % p for u, v in cols]) for x, y in rows])
+        if k == 3:
+            return tuple([tuple([(x * u + y * v + z * w) % p for u, v, w in cols])
+                          for x, y, z in rows])
+        return tuple([tuple([sum(map(mul, r, c)) % p for c in cols]) for r in rows])
+    if k == 1:
+        return tuple([tuple([x * u for (u,) in cols]) for (x,) in rows])
+    if k == 2:
+        return tuple([tuple([x * u + y * v for u, v in cols]) for x, y in rows])
+    if k == 3:
+        return tuple([tuple([x * u + y * v + z * w for u, v, w in cols]) for x, y, z in rows])
+    return tuple([tuple([sum(map(mul, r, c)) for c in cols]) for r in rows])
 
 
 def _integer_form(field, rows: list) -> tuple:
@@ -633,10 +638,12 @@ def first_failing_square(layout: CartesianSet, dims: list, steps: dict, identiti
     step is zero, so at most one product is formed then, and compared with
     zero.  The composites are compared on the rows of :func:`product_rows`,
     with no :class:`Matrix` made: over F_p as they are, and over Q
-    cross-multiplied by each other's denominator.
+    cross-multiplied by each other's denominator; a square of four spaces of
+    dimension one, on the products of its entries, so with no row made.
     """
     if layout.dim < 2 or not steps:  # a chain has no square
         return None
+    p = getattr(next(iter(steps.values())).field, "p", 0)  # 0 over Q
     strides, keys, upper = layout.strides, layout.step_keys, layout.upper_axes
     for x in sorted({x for x, _ in layout.steps_of(steps)}):
         axes = upper[x][::-1]
@@ -658,6 +665,13 @@ def first_failing_square(layout: CartesianSet, dims: list, steps: dict, identiti
                 c_i = dims[xi] and steps.get(ki)
                 up_j = c_i and steps.get(kij)
                 if not (up_i or up_j):
+                    continue
+                if dims[x] == dims[xj] == dims[xi] == dims[xe] == 1:
+                    left = up_i.rows[0][0] * c_j.rows[0][0] if up_i else 0
+                    right = up_j.rows[0][0] * c_i.rows[0][0] if up_j else 0
+                    dl, dr = up_i and up_i.den * c_j.den or 1, up_j and up_j.den * c_i.den or 1
+                    if (left - right) % p if p else left * dr != right * dl:
+                        return tuple(map(layout.point, (x, xj, xi, xe)))
                     continue
                 # the rows of each composite: through an identity those of its other step
                 left = up_i and (up_i.rows if kj in identities else c_j.rows if kji in identities

@@ -17,8 +17,8 @@ from fractions import Fraction
 from typing import Callable
 
 from .errors import ConsistencyError, InputError
-from .extgrid import (CartesianSet, Point, as_point, as_product, common_dim, critical_grid,
-                      join, leq, lt, sort_points)
+from .extgrid import (CartesianSet, Point, _unchecked, as_point, as_product, common_dim,
+                      critical_grid, join, leq, lt, sort_points)
 from .grid_module import ExtendedView, GridModule, restrict_view
 from .determinacy import determined_closure, is_S_determined
 from .linalg import (Matrix, PosetDiagram, _require_valid, _vec, cokernel_projection,
@@ -465,9 +465,9 @@ def _product_poset(view: ExtendedView, grid: CartesianSet, grades=()) -> tuple:
                                             module.identity_runs())):
         pins, labels = {p[axis] for p in grades}, [run[k] for k in cl]
         kept = [k for k, v in enumerate(f) if not k or v in pins or labels[k - 1] != labels[k]]
-        factors.append([f[k] for k in kept])
+        factors.append(tuple([f[k] for k in kept]))
         clamps.append([cl[k] for k in kept])
-    layout, flat = CartesianSet(tuple(factors)), module.layout.places(clamps)
+    layout, flat = _unchecked(CartesianSet, tuple(factors)), module.layout.places(clamps)
     axis_of = layout.cover_axis
 
     def identity(p, c):

@@ -7,14 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from detmod import (Box, CartesianSet, InputError, NEG_INF, convex_projection,
+from detmod import (Box, CartesianSet, ExtendedView, InputError, NEG_INF, convex_projection,
                     critical_grid, ext_box, extended_projection,
                     join_below, join_closure, leq, meet_above, mub,
                     point_sort_key, pointed_closure, poset_covers, sort_points)
+from detmod.determinacy import canonical_grid, default_oracle_window
 from detmod.extgrid import as_product, downset_of, order_masks
-from helpers import (coordinatewise_join_below, join_closure_by_subsets,
+from detmod.grid_module import window_module
+from detmod.presentation import _product_poset
+from helpers import (F2, coordinatewise_join_below, join_closure_by_subsets,
                      maximal_lower_bounds_bruteforce, minimal_upper_bounds_bruteforce,
-                     random_point_set, window_ext_points)
+                     random_module, random_point_set, window_ext_points)
 
 ext_coords = st.one_of(st.just(NEG_INF), st.integers(-3, 3))
 
@@ -368,3 +371,46 @@ class TestLayout:
         box_place = {p: x for x, p in enumerate(box.integer_points())}
         clamped = box.cartesian().places(grid.clamps(box))
         assert clamped == [box_place[extended_projection(box, p)] for p in pts]
+
+    @settings(max_examples=150, deadline=None)
+    @given(layouts(), st.integers(0, 2 ** 32 - 1))
+    def test_unchecked_products_equal_checked_ones(self, drawn, seed):
+        """Every product and box the package derives from checked data is made
+        unchecked; each equals the one the checked constructor makes from its
+        definition, and so do its layout lists."""
+        grid, box = drawn
+        rng = random.Random(seed)
+        module = random_module(F2, rng, box=box, max_summands=2)
+        s = frozenset(p for p in grid if rng.random() < 0.3)
+        cut = tuple(v + 1 for v in box.a)
+        lo = cut if all(u <= v for u, v in zip(cut, box.b)) else box.a
+        made = {
+            "cartesian": (box.cartesian(),
+                          CartesianSet([range(u, v + 1) for u, v in zip(box.a, box.b)])),
+            "extended": (grid.extended(), CartesianSet([{NEG_INF, *f} for f in grid.factors])),
+            "canonical grid": (canonical_grid(module),
+                               CartesianSet([{NEG_INF, *range(u, v + 1)}
+                                             for u, v in zip(lo, box.b)])),
+            "critical grid": (critical_grid(box, s),
+                              CartesianSet([set(f) for f in critical_grid(box, s).factors])),
+            "window": (window_module(F2, box, lambda p: 0).product,
+                       CartesianSet([{NEG_INF, *range(u, v + 1)}
+                                     for u, v in zip(box.a, box.b)])),
+        }
+        for name, (unchecked, checked) in made.items():
+            assert_same_layout(unchecked, checked)
+        window = default_oracle_window(box, s)
+        assert window == Box(window.a, window.b)
+        assert window.a == tuple(min([u, *[p[i] for p in s if p[i] != NEG_INF]])
+                                 for i, u in enumerate(box.a))
+        # the grid the presentation walk keeps: a product of the coordinates it lists
+        pts, _, lower, *_ = _product_poset(ExtendedView(module), critical_grid(box, s), s)
+        kept = CartesianSet([{p[i] for p in pts} for i in range(box.dim)])
+        assert kept.sorted_points() == pts and kept.lower == lower
+
+
+def assert_same_layout(made: CartesianSet, checked: CartesianSet) -> None:
+    assert made == checked
+    for name in ("factors", "strides", "step_keys", "upper_axes", "lower", "cover_axis"):
+        assert getattr(made, name) == getattr(checked, name), name
+    assert made.sorted_points() == checked.sorted_points()

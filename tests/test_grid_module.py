@@ -16,8 +16,8 @@ from detmod import (Box, ExtendedView, GridModule, InputError, Matrix,
                     validate_diagram, validate_module, window_module)
 from detmod.io import matrix_to_json, module_from_json, module_to_json
 from helpers import (F2, F5, corner_module, diagram_limit, every_step, given_steps,
-                     halfplane_table, module_diagram, path_commutativity_ok,
-                    poset_covers_bruteforce, random_module,
+                     halfplane_table, interval_module, module_diagram,
+                     path_commutativity_ok, poset_covers_bruteforce, random_module, twist_module,
                      stabilization_window, unzip_module, validate_by_products,
                      validate_module_by_diagram)
 
@@ -575,10 +575,11 @@ class TestIdentitySteps:
                 steps = every_step(built)
                 assert {e for e, m in steps.items() if m.is_identity()} == expected
                 assert {e for e, m in steps.items() if rank(m) == m.nrows} == onto
-                assert {e for e in every if built.is_invertible_step(*e)} == onto & square
+                place = {p: x for x, p in enumerate(built.points)}
+                assert {(p, axis) for p, axis in every
+                        if built.is_invertible_step(place[p], axis)} == onto & square
                 # a given identity step is in ``identities`` by its flat key; a
                 # left-out one is the 0 x 0 identity between two zero spaces
-                place = {p: x for x, p in enumerate(built.points)}
                 key = {(p, axis): place[p] * built.box.dim + axis for p, axis in every}
                 assert built.identities == {key[e] for e in expected if key[e] in built.given}
                 assert all(steps[e].nrows == steps[e].ncols == 0
@@ -642,3 +643,41 @@ class TestWindowModule:
         # the other path is an identity, so the table cannot be a functor
         with pytest.raises(InputError, match=r"at \(\(0, 0\), \(0, 1\), \(1, 0\), \(1, 1\)\)"):
             window_module(F2, Box((0, 0), (1, 1)), lambda p: 2 if p == (1, 0) else 1)
+
+
+@st.composite
+def scalar_modules(draw):
+    """A random commutative module over F2, F5 or Q on 2 or 3 axes, with a
+    random basis change at every point: the interval of the whole box and,
+    half of the time, one more, so that most of its steps are 1 x 1; and the
+    same module with one entry of one given step changed."""
+    field = draw(st.sampled_from([F2, F5, QQ]))
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    box = _random_box(rng, draw(st.integers(2, 3)))
+    starts, ends = [tuple(u - 1 for u in box.a)], [tuple(v + 1 for v in box.b)]
+    if draw(st.booleans()):
+        starts.append(tuple(rng.randint(u, v) for u, v in zip(box.a, box.b)))
+        ends.append(tuple(rng.randint(u, v + 1) for u, v in zip(starts[1], box.b)))
+    base = twist_module(interval_module(field, box, starts, ends), rng)
+    steps = {key: m for key, m in given_steps(base).items() if m.nrows and m.ncols}
+    changed = dict(steps)
+    if steps:
+        key = draw(st.sampled_from(sorted(steps)))
+        rows = [list(r) for r in steps[key].entries()]
+        i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(rows[0]) - 1))
+        rows[i][j] += field.one
+        changed[key] = Matrix(field, rows, len(rows[0]))
+    return [GridModule(field, base.box, dict(base.dims), given) for given in (steps, changed)]
+
+
+class TestScalarSquares:
+    @settings(max_examples=300, deadline=None)
+    @given(scalar_modules())
+    def test_scalar_squares_match_products(self, modules):
+        """Squares whose four spaces have dimension one are compared on the
+        products of their entries; the verdict and the failing square are
+        those of ``Matrix`` products, on the module and with one entry
+        changed."""
+        for module in modules:
+            fast, slow = validate_module(module), validate_by_products(module)
+            assert (fast.ok, fast.message, fast.square) == (slow.ok, slow.message, slow.square)
