@@ -18,17 +18,17 @@ before its job instead of deleting it, so no pass pays for creating files.
 Per seed it prints the median CPU seconds of a pass on each side, their
 quartiles, and in how many pairs CHANGE was faster, and per verb (the
 ``verb`` of the workload's jobs) each side's median CPU of that verb's jobs
-in a pass.  It also prints each
-side's job p50 and job tail, taken as ``perfbench/run.py`` takes them: each
-job's CPU time replaced by its median over the timed passes, and the tail
-by CHANGE's ``perfbench/run.py`` ``tail()`` of those medians, each counted
-once per pass.  The tail of one pass is taken the same way from that pass's
-job times, and it prints in how many pairs CHANGE's pass had the lower
-tail, and per side the arguments of the job at its job p50 and of the job
-at its job tail, so that a claim on either can be read against the job
-that carries it.  The results go to ``BENCH_<tag>.json`` in the current directory,
-merged into what is there under the key ``<workload>/<seed>``, with a
-digest of each side's sources.  The script exits 1 when a check fails or an
+in a pass.  It also prints each side's job p50 and job tail, taken as
+``perfbench/run.py`` takes them: each job's CPU time replaced by its median
+over the timed passes, and the tail by CHANGE's ``perfbench/run.py``
+``tail()`` of those medians, each counted once per pass.  The tail of one
+pass is taken the same way from that pass's job times, and it prints in
+how many pairs CHANGE's pass had the lower tail.  Per side it prints the
+arguments of the job at its job p50 and of the job at its job tail, so
+that a claim on either can be read against the job that carries it.  The
+results go to ``BENCH_<tag>.json`` in the current directory, merged into
+what is there under the key ``<workload>/<seed>``, with a digest of each
+side's sources.  The script exits 1 when a check fails or an
 ``--out`` file differs between the two sides, and prints the first such
 job's arguments, and 0 otherwise; it has no timing gate.
 

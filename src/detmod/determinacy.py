@@ -108,7 +108,7 @@ def _first_failing_step(module: GridModule, s):
         steps = [((v - 1 - lo) * stride, m[v - lo + 1] & ~m[v - lo],
                   ext.strides[axis] if v - 1 == lo else 0) for v in live]
         if below is None and any(at_v for _, at_v, _ in steps):  # below each box corner
-            below = _downsets(pts, masks=[[m[0], *m[2:]] for m in at])
+            below = _downsets([[m[0], *m[2:]] for m in at])
         block = stride * (top[axis] - lo + 1)
         candidates += [(corner[x] + shift, axis, x) for base, at_v, shift in steps
                        for o in range(base, len(values), block) for x in range(o, o + stride)
@@ -122,22 +122,21 @@ def _first_failing_step(module: GridModule, s):
     return None
 
 
-def _masks_below(pts: list, axis: int, factor: tuple) -> list:
+def _masks_below(pts, axis: int, factor: tuple) -> list:
     """Per coordinate of ``factor``, an increasing tuple that starts at -inf,
     the points of ``pts`` whose coordinate on ``axis`` is at or below it, as
-    bits: point k is bit k."""
+    bits: the k-th point ``pts`` yields is bit k."""
     at = [0] * (len(factor) + 1)
     for bit, p in enumerate(pts):
         at[bisect_left(factor, p[axis])] |= 1 << bit
     return list(itertools.accumulate(at[:-1], or_))
 
 
-def _downsets(pts: list, factors=None, masks=None) -> list:
-    """Per point of the product of ``factors`` in lexicographic order, the
-    points of ``pts`` at or below it, as bits: the and of its coordinates'
-    ``masks``, by default those of :func:`_masks_below`."""
+def _downsets(masks: list) -> list:
+    """Per point of a product in lexicographic order, the set points at or
+    below it, as bits: the and of its coordinates' :func:`_masks_below`."""
     downsets = [-1]
-    for m in masks or [_masks_below(pts, axis, f) for axis, f in enumerate(factors)]:
+    for m in masks:
         downsets = [d & x for d in downsets for x in m]
     return downsets
 
@@ -174,7 +173,7 @@ def is_S_determined(view: ExtendedView, s) -> DeterminacyReport:
     # per axis, the corner of each box coordinate: -inf for the lower bound, else itself
     corner = [(NEG_INF,) + tuple(range(lo + 1, hi + 1)) for lo, hi in zip(box.a, box.b)]
     support_ok = min_point(box.dim) in pts or all(itertools.compress(
-        _downsets(list(pts), corner), module.dim_list))
+        _downsets([_masks_below(pts, i, f) for i, f in enumerate(corner)]), module.dim_list))
     return DeterminacyReport(witness is None, witness, support_ok, "critical-grid")
 
 
@@ -218,7 +217,7 @@ def is_S_determined_oracle(view: ExtendedView, s, window: Box) -> DeterminacyRep
                 raise InputError(f"oracle window must contain the set point {p!r}")
     module, box = view.module, view.box
     grid = critical_grid(window)
-    downsets = _downsets(list(pts), grid.factors)
+    downsets = _downsets([_masks_below(pts, i, f) for i, f in enumerate(grid.factors)])
     clamp_at = module.layout.places(grid.clamps(box))  # per grid point, its clamp's place
     # support fails at a grid point that sees no set point and clamps to a non-zero space
     support_ok = min_point(window.dim) in pts or not any(

@@ -239,14 +239,14 @@ class Box:
 
 def _unchecked(cls, *values):
     """A :class:`Box` or a :class:`CartesianSet` with its fields set to
-    ``values`` through ``cls.__new__``, unchecked: made of checked data."""
+    ``values`` through ``cls.__new__``, with no check: for checked data."""
     made = cls.__new__(cls)
     made.__dict__.update(zip(cls.__dataclass_fields__, values))
     return made
 
 
 class _once(cached_property):
-    """A cached property without the lock taken on each first read before 3.12."""
+    """A cached property without the lock it takes before Python 3.12."""
 
     def __get__(self, obj, owner=None):
         if obj is None:

@@ -117,8 +117,8 @@ class GridModule:
             return False
         key = layout.step_keys[axis][x]
         given = self.given.get(key)
-        if given is None or d < 2:
-            return not d or given is not None and given.rows[0][0] != 0
+        if given is None or d < 2:  # a left-out step is zero; a 1 x 1 step, its entry
+            return given.rows[0][0] != 0 if given is not None and d else not d
         return key in self.identities or full_row_rank(self.field, given.rows, d)
 
     def identity_runs(self) -> list:
