@@ -7,8 +7,10 @@ that ``detmod.cli`` calls for each phase of a ``determinacy`` or ``encode``
 job are wrapped with a CPU timer:
 
 - read: the module file read and parsed as JSON (``cli._read_input``);
-- load: the module built and checked from its JSON (``io.module_from_json``);
-- check: its view built, which validates it (``cli.ExtendedView``);
+- load: the module built and checked from its JSON (``io.module_from_json``),
+  less the check below;
+- check: its unit squares checked for commutativity
+  (``grid_module.first_failing_square``, wherever the checkout calls it);
 - set: the ``--set`` points decoded (``io.pointset_from_json``);
 - verb: the decision or the encoding (``is_S_determined``,
   ``is_S_determined_oracle``, ``encode``, ``canonical_grid``);
@@ -16,6 +18,9 @@ job are wrapped with a CPU timer:
   ``diagram_to_json``);
 - write: the report written to its ``--out`` file (``cli._emit``);
 - other: the rest of ``cli.main``, the timers' own cost included.
+
+Each phase counts its own time, less that of the timed calls made inside
+it, so no time is counted twice.
 
 Whole passes over the pool alternate between PARENT and CHANGE after one
 untimed pass, as in ``scripts/ab_cpu.py``, and each ``--out`` file is
@@ -44,7 +49,7 @@ from ab_cpu import load_side  # noqa: E402
 CLOCK = time.process_time
 PHASES = ("read", "load", "check", "set", "verb", "report", "write")
 NAMES = (("cli", "_read_input", "read"), ("io", "module_from_json", "load"),
-         ("cli", "ExtendedView", "check"), ("io", "pointset_from_json", "set"),
+         ("grid_module", "first_failing_square", "check"), ("io", "pointset_from_json", "set"),
          ("cli", "is_S_determined", "verb"), ("cli", "is_S_determined_oracle", "verb"),
          ("cli", "encode", "verb"), ("cli", "canonical_grid", "verb"),
          ("io", "determinacy_report_to_json", "report"), ("io", "diagram_to_json", "report"),
@@ -53,10 +58,12 @@ NAMES = (("cli", "_read_input", "read"), ("io", "module_from_json", "load"),
 
 class Side:
     def __init__(self, label: str, checkout: str, seed: int, workdir: str):
-        self.label, self.spent = label, {}
+        self.label, self.spent, self.nested = label, {}, []
         self.cli, workloads = load_side(os.path.abspath(checkout), f"detmod_phases_{label}")
+        owners = {"cli": self.cli, "io": self.cli.dio,
+                  "grid_module": sys.modules[f"detmod_phases_{label}.grid_module"]}
         for owner, name, phase in NAMES:
-            module = self.cli if owner == "cli" else self.cli.dio
+            module = owners[owner]
             if hasattr(module, name):
                 setattr(module, name, self.timed(getattr(module, name), phase))
         bld = workloads.Builder(workdir)
@@ -65,14 +72,18 @@ class Side:
         self.times = [[] for _ in self.jobs]  # per job, per timed pass: phase -> seconds
 
     def timed(self, fn, phase: str):
-        spent = self.spent
+        spent, nested = self.spent, self.nested  # per open timed call, its timed calls' time
 
         def wrapper(*args, **kwargs):
+            nested.append(0.0)
             t0 = CLOCK()
             try:
                 return fn(*args, **kwargs)
             finally:
-                spent[phase] = spent.get(phase, 0.0) + CLOCK() - t0
+                elapsed = CLOCK() - t0
+                spent[phase] = spent.get(phase, 0.0) + elapsed - nested.pop()
+                if nested:
+                    nested[-1] += elapsed
         return wrapper
 
     def run_pass(self, keep: bool) -> None:

@@ -16,7 +16,7 @@ import dataclasses
 import random
 import time
 
-from detmod import (Box, ExtendedView, GridModule, Matrix, PrimeField, QQ,
+from detmod import (Box, GridModule, Matrix, PrimeField, QQ,
                     build_presentation, canonical_set, leq, verify_presentation)
 
 FIELDS = {"f2": PrimeField(2), "f5": PrimeField(5), "q": QQ}
@@ -64,14 +64,13 @@ def main():
     start = time.perf_counter()
     for trial in range(args.count):
         module = random_interval_sum(field, rng)
-        view = ExtendedView(module)
         s = canonical_set(module)
-        pres = build_presentation(view, s)
-        check = verify_presentation(view, pres)
+        pres = build_presentation(module, s)
+        check = verify_presentation(module, pres)
         if not check:
             raise SystemExit(f"round trip failed at trial {trial}: "
                              f"{check.reason} at {check.point}")
-        bare = verify_presentation(view, dataclasses.replace(pres, generator_images=None))
+        bare = verify_presentation(module, dataclasses.replace(pres, generator_images=None))
         if bare.ok != check.ok:
             raise SystemExit(f"verdicts differ at trial {trial}: {check.ok} with the "
                              f"generator images, {bare.ok} without ({bare.reason})")

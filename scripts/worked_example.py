@@ -12,7 +12,7 @@ Usage: python scripts/worked_example.py [--field f2|q] [--dump-module PATH]
 import argparse
 import json
 
-from detmod import (Box, ExtendedView, GridModule, PrimeField, QQ,
+from detmod import (Box, GridModule, PrimeField, QQ,
                     births_deaths, build_presentation, default_oracle_window,
                     encode, ext_box, is_S_determined, is_S_determined_oracle,
                     verify_presentation)
@@ -35,29 +35,28 @@ def main():
 
     field = PrimeField(2) if args.field == "f2" else QQ
     module = build_module(field)
-    view = ExtendedView(module)
     if args.dump_module:
         with open(args.dump_module, "w", encoding="utf-8") as fh:
             fh.write(canonical_dumps(module_to_json(module)))
 
     s = ext_box(Box((1, 1), (1, 1))).points()
-    fast = is_S_determined(view, s)
-    slow = is_S_determined_oracle(view, s, default_oracle_window(view.box, s))
+    fast = is_S_determined(module, s)
+    slow = is_S_determined_oracle(module, s, default_oracle_window(module.box, s))
     print(f"determined by the four points at infinity: {fast.determined} "
           f"(oracle agrees: {slow.determined == fast.determined})")
 
-    diagram = encode(view, s)
+    diagram = encode(module, s)
     print("encoding dims:", {str(p): diagram.dims[p] for p in diagram.points})
 
-    report = births_deaths(view, s)
+    report = births_deaths(module, s)
     print("births/deaths:", json.dumps(birth_death_to_json(report)))
 
-    pres = build_presentation(view, s)
+    pres = build_presentation(module, s)
     print("presentation:")
     print(canonical_dumps(presentation_to_json(pres)), end="")
 
     print("verified at every point of the extended grid:",
-          bool(verify_presentation(view, pres)))
+          bool(verify_presentation(module, pres)))
 
 
 if __name__ == "__main__":

@@ -7,7 +7,7 @@ checks finite encodings, locates births and deaths, and constructs verified
 finite presentations, all over exact prime field or rational coefficients.
 """
 
-from .errors import DetmodError, InputError, NotDeterminedError
+from .errors import CommutativityError, DetmodError, InputError, NotDeterminedError
 from .extgrid import (Box, CartesianSet, NEG_INF, as_point, convex_projection,
                       critical_grid, ext_box, extended_projection, in_upset,
                       is_integral, join_below, join_closure, leq, lt, meet_above,
@@ -16,8 +16,7 @@ from .linalg import (DiagramCheck, Matrix, PosetDiagram, PrimeField, QQ,
                      RationalField, cokernel_projection, diagrams_isomorphic, hstack,
                      is_invertible, kernel_basis, poset_covers, rank, solve,
                      validate_diagram)
-from .grid_module import (ExtendedView, GridModule, restrict_view, validate_module,
-                          window_module)
+from .grid_module import GridModule, restrict_view, window_module
 from .determinacy import (DeterminacyReport, canonical_grid, canonical_set, check_encoding,
                           default_oracle_window, encode, is_S_determined,
                           is_S_determined_oracle)

@@ -24,13 +24,12 @@ from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
 from . import io as dio
-from .errors import InputError, NotDeterminedError
+from .errors import CommutativityError, InputError, NotDeterminedError
 from .extgrid import NEG_INF, convex_projection, extended_projection, is_integral, \
     meet_above, sort_points
 from .determinacy import (canonical_grid, check_encoding, default_oracle_window, encode,
                           is_S_determined, is_S_determined_oracle)
-from .grid_module import ExtendedView, validate_module
-from .linalg import validate_diagram
+from .linalg import DiagramCheck, validate_diagram
 from .presentation import (births_deaths, build_presentation,
                            diagram_births_deaths, is_admissible,
                            verify_presentation)
@@ -80,23 +79,26 @@ def _load_module(path: str):
     return dio.module_from_json(obj)
 
 
-def _view_and_set(args, obj=None) -> tuple:
-    """The view of the module file ``args.input`` (or of its JSON ``obj``,
-    when read already) and the set of ``--set``: the module's
-    ``canonical_grid`` when the option is left out.  The module is read,
-    its view built and validated, and then the set read, in that order."""
+def _module_and_set(args, obj=None) -> tuple:
+    """The module of the file ``args.input`` (or of its JSON ``obj``, when
+    read already) and the set of ``--set``: the module's ``canonical_grid``
+    when the option is left out.  The module is read and checked, and then
+    the set read, in that order."""
     module = _load_module(args.input) if obj is None else dio.module_from_json(obj)
-    view = ExtendedView(module)
     if args.set is None:
-        return view, canonical_grid(module)
-    return view, dio.pointset_from_json(_read_json_arg(args.set), dim=module.box.dim)
+        return module, canonical_grid(module)
+    return module, dio.pointset_from_json(_read_json_arg(args.set), dim=module.box.dim)
 
 
 def _cmd_validate(args) -> int:
     obj = _read_input(args.input)
     kind = dio.detect_kind(obj)
     if kind == "module":
-        check = validate_module(dio.module_from_json(obj))
+        try:
+            dio.module_from_json(obj)
+            check = DiagramCheck(True)
+        except CommutativityError as exc:
+            check = DiagramCheck(False, "square does not commute", exc.square)
     elif kind == "diagram":
         check = validate_diagram(dio.diagram_from_json(obj))
     else:
@@ -116,17 +118,17 @@ def _refuse(option: str, given: bool, mode: str) -> None:
 
 
 def _cmd_determinacy(args) -> int:
-    view, s = _view_and_set(args)
+    module, s = _module_and_set(args)
     if args.oracle:
-        report = is_S_determined_oracle(view, s, default_oracle_window(view.box, s))
+        report = is_S_determined_oracle(module, s, default_oracle_window(module.box, s))
     else:
-        report = is_S_determined(view, s)
+        report = is_S_determined(module, s)
     _emit(dio.determinacy_report_to_json(report), args.out)
     return 0 if report.determined else 1
 
 
 def _cmd_encode(args) -> int:
-    _emit(dio.diagram_to_json(encode(*_view_and_set(args))), args.out)
+    _emit(dio.diagram_to_json(encode(*_module_and_set(args))), args.out)
     return 0
 
 
@@ -137,7 +139,7 @@ def _cmd_births_deaths(args) -> int:
         _refuse("--set", args.set is not None, "to a module file")
         report = diagram_births_deaths(dio.diagram_from_json(obj))
     elif kind == "module":
-        report = births_deaths(*_view_and_set(args, obj))
+        report = births_deaths(*_module_and_set(args, obj))
     else:
         raise InputError("births-deaths expects a module or diagram file")
     _emit(dio.birth_death_to_json(report), args.out)
@@ -145,26 +147,25 @@ def _cmd_births_deaths(args) -> int:
 
 
 def _cmd_present(args) -> int:
-    _emit(dio.presentation_to_json(build_presentation(*_view_and_set(args))), args.out)
+    _emit(dio.presentation_to_json(build_presentation(*_module_and_set(args))), args.out)
     return 0
 
 
 def _cmd_verify(args) -> int:
     module = _load_module(args.input)
-    view = ExtendedView(module)
     if bool(args.presentation) == bool(args.encoding):
         raise InputError("verify needs exactly one of --presentation or --encoding")
     if args.presentation:
         _refuse("--set", args.set is not None, "with --encoding")
         pres = dio.presentation_from_json(_read_json_arg(args.presentation))
-        check = verify_presentation(view, pres)
+        check = verify_presentation(module, pres)
         _emit(dio.presentation_check_to_json(check), args.out)
         return 3 if check.ok is None else 0 if check.ok else 1
     if args.set is None:
         raise InputError("verify --encoding also needs --set")
     diagram = dio.diagram_from_json(_read_json_arg(args.encoding))
     s = dio.pointset_from_json(_read_json_arg(args.set), dim=module.box.dim)
-    ok = check_encoding(view, s, diagram)
+    ok = check_encoding(module, s, diagram)
     _emit({"ok": ok}, args.out)
     return 3 if ok is None else 0 if ok else 1
 

@@ -31,7 +31,7 @@ from operator import not_, or_
 from .errors import InputError, NotDeterminedError
 from .extgrid import (Box, CartesianSet, NEG_INF, _unchecked, as_point, critical_grid, min_point,
                       pointed_closure)
-from .grid_module import ExtendedView, GridModule, restrict_view
+from .grid_module import GridModule, restrict_view
 from .linalg import PosetDiagram, _require_valid, diagrams_isomorphic
 
 
@@ -57,10 +57,10 @@ class DeterminacyReport:
         return self.determined
 
 
-def _normalize_set(view: ExtendedView, s):
+def _normalize_set(module: GridModule, s):
     """The set as points of the module's dimension: a :class:`CartesianSet`
     of that dimension as it is, any other collection as a frozenset."""
-    n = view.box.dim
+    n = module.box.dim
     if isinstance(s, frozenset) or not isinstance(s, CartesianSet):
         return frozenset(as_point(p, dim=n) for p in s)
     if s.dim != n:
@@ -158,7 +158,7 @@ def _axis_coordinates(s, n: int) -> list:
     return out
 
 
-def is_S_determined(view: ExtendedView, s) -> DeterminacyReport:
+def is_S_determined(module: GridModule, s) -> DeterminacyReport:
     """Covering-pair condition on the critical grid, and the support check.
 
     Both are read off the stored steps, with no grid built (see the module
@@ -168,7 +168,7 @@ def is_S_determined(view: ExtendedView, s) -> DeterminacyReport:
     non-zero dimension is in its upset: the points that clamp to a box
     point lie above its corner, read as bits (:func:`_downsets`).
     """
-    module, box, pts = view.module, view.box, _normalize_set(view, s)
+    box, pts = module.box, _normalize_set(module, s)
     witness = _first_failing_step(module, pts)
     # per axis, the corner of each box coordinate: -inf for the lower bound, else itself
     corner = [(NEG_INF,) + tuple(range(lo + 1, hi + 1)) for lo, hi in zip(box.a, box.b)]
@@ -188,7 +188,7 @@ def default_oracle_window(box: Box, s) -> Box:
     return _unchecked(Box, tuple(lo), tuple(hi))
 
 
-def is_S_determined_oracle(view: ExtendedView, s, window: Box) -> DeterminacyReport:
+def is_S_determined_oracle(module: GridModule, s, window: Box) -> DeterminacyReport:
     """Brute force over every covering pair of an extended window.
 
     The window must contain the data box and all finite coordinates of the
@@ -205,17 +205,16 @@ def is_S_determined_oracle(view: ExtendedView, s, window: Box) -> DeterminacyRep
     masks (:func:`_equal_downsets`), and support is checked on them at every
     grid point.  Exists so critical-grid results can be cross-certified.
     """
-    pts = _normalize_set(view, s)
-    if window.dim != view.box.dim:
+    box, pts = module.box, _normalize_set(module, s)
+    if window.dim != box.dim:
         raise InputError("window dimension mismatch")
-    if not (all(w <= a for w, a in zip(window.a, view.box.a))
-            and all(w >= b for w, b in zip(window.b, view.box.b))):
+    if not (all(w <= a for w, a in zip(window.a, box.a))
+            and all(w >= b for w, b in zip(window.b, box.b))):
         raise InputError("oracle window must contain the data box")
     for p in pts:
         for i, v in enumerate(p):
             if v != NEG_INF and not (window.a[i] <= v <= window.b[i]):
                 raise InputError(f"oracle window must contain the set point {p!r}")
-    module, box = view.module, view.box
     grid = critical_grid(window)
     downsets = _downsets([_masks_below(pts, i, f) for i, f in enumerate(grid.factors)])
     clamp_at = module.layout.places(grid.clamps(box))  # per grid point, its clamp's place
@@ -266,7 +265,7 @@ def canonical_set(module: GridModule) -> frozenset:
     return canonical_grid(module).points()
 
 
-def determined_closure(view: ExtendedView, s):
+def determined_closure(module: GridModule, s):
     """The pointed join closure of a set that determines the module.
 
     Refuses with the witness pair when the covering-pair condition fails, in
@@ -274,22 +273,22 @@ def determined_closure(view: ExtendedView, s):
     A :class:`CartesianSet` with -inf on every axis, such as
     :func:`canonical_grid`, is its own closure and is returned as it is.
     """
-    pts = _normalize_set(view, s)
-    witness = _first_failing_step(view.module, pts)
+    pts = _normalize_set(module, s)
+    witness = _first_failing_step(module, pts)
     if witness is not None:
         raise NotDeterminedError(witness)
     if not isinstance(pts, frozenset) and all(f[0] == NEG_INF for f in pts.factors):
         return pts
-    return pointed_closure(pts, dim=view.box.dim)
+    return pointed_closure(pts, dim=module.box.dim)
 
 
-def encode(view: ExtendedView, s) -> PosetDiagram:
-    """The finite model: the view restricted to the pointed join closure of
-    the set, refused as by :func:`determined_closure`."""
-    return restrict_view(view, determined_closure(view, s))
+def encode(module: GridModule, s) -> PosetDiagram:
+    """The finite model: the module restricted to the pointed join closure
+    of the set, refused as by :func:`determined_closure`."""
+    return restrict_view(module, determined_closure(module, s))
 
 
-def check_encoding(view: ExtendedView, s, n: PosetDiagram) -> bool | None:
+def check_encoding(module: GridModule, s, n: PosetDiagram) -> bool | None:
     """Does restricting ``n`` along the collapse reproduce the module?
 
     ``n`` must be a commuting diagram on the pointed join closure of the set;
@@ -301,12 +300,12 @@ def check_encoding(view: ExtendedView, s, n: PosetDiagram) -> bool | None:
     output of :func:`encode` does.  ``None`` means the set determines the
     module but the isomorphism search ran out.
     """
-    pts = _normalize_set(view, s)
-    closure = pointed_closure(pts, dim=view.box.dim)
+    pts = _normalize_set(module, s)
+    closure = pointed_closure(pts, dim=module.box.dim)
     if frozenset(n.points) != closure:
         raise InputError("diagram is not defined on the pointed join closure of the set")
-    if n.field != view.field:
+    if n.field != module.field:
         raise InputError("diagram and module are over different fields")
     _require_valid(n)
-    return (_first_failing_step(view.module, pts) is None
-            and diagrams_isomorphic(n, restrict_view(view, closure)))
+    return (_first_failing_step(module, pts) is None
+            and diagrams_isomorphic(n, restrict_view(module, closure)))

@@ -9,6 +9,15 @@ class InputError(DetmodError, ValueError):
     """Arguments or file contents violate a documented precondition."""
 
 
+class CommutativityError(InputError):
+    """Module data whose unit square ``square``, (c, c + e_j, c + e_i,
+    c + e_i + e_j), does not commute."""
+
+    def __init__(self, square):
+        self.square = square
+        super().__init__(f"module does not validate: square does not commute at {square!r}")
+
+
 class NotDeterminedError(DetmodError):
     """An operation required a determined module and got a counterexample.
 

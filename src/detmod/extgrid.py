@@ -497,7 +497,12 @@ def critical_grid(box: Box, s: Iterable[Point] = ()) -> CartesianSet:
                if not lo <= v <= hi}
         outside.append(out)
         size *= hi - lo + 2 + len(out)
-    if size > MAX_GRID_POINTS:
-        raise InputError(f"the critical grid has {size} points, above the bound {MAX_GRID_POINTS}")
+    _require_grid_size(size)
     return _unchecked(CartesianSet, tuple([tuple(sorted({NEG_INF, *range(lo - 1, hi + 2), *out}))
                                            for lo, hi, out in zip(box.a, box.b, outside)]))
+
+
+def _require_grid_size(size: int) -> None:
+    """Refuse a grid of ``size`` points above ``MAX_GRID_POINTS``, before it is built."""
+    if size > MAX_GRID_POINTS:
+        raise InputError(f"the critical grid has {size} points, above the bound {MAX_GRID_POINTS}")

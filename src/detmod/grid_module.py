@@ -1,11 +1,11 @@
 """Finitely determined modules stored by their restriction to a box.
 
 A :class:`GridModule` keeps dimensions and unit step matrices on the integer
-points of a closed box.  By the storage contract its value anywhere on the
-grid is read off through the convex projection, and its value anywhere on the
-extended grid (including points with -inf coordinates) through the extended
-projection.  :class:`ExtendedView` exposes that total semantics without
-copying data.
+points of a closed box, and it commutes from the moment it is built.  By the
+storage contract its value anywhere on the grid is read off through the
+convex projection, and its value anywhere on the extended grid (including
+points with -inf coordinates) through the extended projection: the module
+evaluates itself there without copying data.
 """
 
 from __future__ import annotations
@@ -13,10 +13,9 @@ from __future__ import annotations
 import itertools
 from typing import Callable
 
-from .errors import InputError
+from .errors import CommutativityError, InputError
 from .extgrid import Box, CartesianSet, Point, NEG_INF, _unchecked, extended_projection, leq
-from .linalg import (DiagramCheck, Matrix, PosetDiagram, first_failing_square, full_row_rank,
-                     validate_diagram)
+from .linalg import Matrix, PosetDiagram, first_failing_square, full_row_rank, validate_diagram
 
 
 class GridModule:
@@ -32,12 +31,14 @@ class GridModule:
     identity, decided once, on first use.  :meth:`step` reads a step; a
     step the input leaves out is :meth:`Matrix.zeros` of the forced shape.
     A step of another shape, or over another field, is refused when the
-    module is built.  Axes are 0-based here; a message names an axis
+    module is built, and so is the first unit square that does not commute
+    (:meth:`_commute`).  Axes are 0-based here; a message names an axis
     1-based, as the file format does, and one out of range as it was given.
     """
 
     def __init__(self, field, box: Box, dims: dict, steps: dict):
-        pts = list(box.integer_points())
+        # a box of more points than ``dims`` has one missing among its first len(dims) + 1
+        pts = list(itertools.islice(box.integer_points(), len(dims) + 1))
         if list(dims) != pts:
             for p in pts:
                 if p not in dims:
@@ -65,16 +66,28 @@ class GridModule:
             if mat.field != field:
                 raise InputError(f"step at {p!r} along axis {axis + 1} is over the wrong field")
             self.given[keys[axis][index[p]]] = mat
+        self._commute()
 
     @classmethod
     def _checked(cls, field, box: Box, dim_list: list):
         """A module with no given step, from the dimensions of the box points
         in order, each checked as ``__init__`` checks it.  The caller adds to
         ``given`` the steps it has checked as ``__init__`` does: by flat key,
-        each inside the box, of its forced shape and over ``field``."""
+        each inside the box, of its forced shape and over ``field``, then
+        calls :meth:`_commute`."""
         module = cls.__new__(cls)
         module._fill(field, box, dim_list)
         return module
+
+    def _commute(self) -> "GridModule":
+        """The module itself, refused with the first unit square of the box
+        that does not commute (:func:`first_failing_square`).  The unit
+        squares generate every commutativity relation of the grid, and
+        through the extended projection of the whole extended grid."""
+        square = first_failing_square(self.layout, self.dim_list, self.given, self.identities)
+        if square is not None:
+            raise CommutativityError(square)
+        return self
 
     def _fill(self, field, box, dim_list):
         self.field = field
@@ -86,7 +99,7 @@ class GridModule:
         self.given = {}
         self._index = dict(zip(self.points, range(len(dim_list))))
         self._identities = None
-        self._validated = None
+        self._map_cache = {}
 
     def _step_target(self, p: Point, axis: int) -> Point:
         return p[:axis] + (p[axis] + 1,) + p[axis + 1:]
@@ -146,54 +159,11 @@ class GridModule:
                                           initial=0))
                 for row, size in zip(counts, sizes)]
 
-
-def validate_module(module: GridModule) -> DiagramCheck:
-    """Commutativity of the stored box data, by :func:`first_failing_square`
-    on the box points and the given steps; a module is well shaped from the
-    moment it is built.
-
-    The unit squares of the box generate every commutativity relation of the
-    grid, and through the extended projection of the whole extended grid.
-    """
-    if module._validated is True:
-        return DiagramCheck(True)
-    square = first_failing_square(module.layout, module.dim_list, module.given,
-                                  module.identities)
-    if square is not None:
-        return DiagramCheck(False, "square does not commute", square)
-    module._validated = True
-    return DiagramCheck(True)
-
-
-class ExtendedView:
-    """Total semantics of a grid module on the whole extended grid.
-
-    The value at a point c is the stored value at the extended projection of
-    c into the box, and structure maps are composites of stored steps along a
-    canonical staircase path (axis 1 first, then axis 2, and so on).  Results
-    are memoized; the view holds no copied data.
-    """
-
-    def __init__(self, module: GridModule):
-        check = validate_module(module)
-        if not check:
-            raise InputError(f"module does not validate: {check.message} at {check.square!r}")
-        self.module = module
-        self._map_cache = {}
-
-    @property
-    def field(self):
-        return self.module.field
-
-    @property
-    def box(self) -> Box:
-        return self.module.box
-
     def clamp(self, c: Point) -> Point:
-        return extended_projection(self.module.box, c)
+        return extended_projection(self.box, c)
 
     def eval_space(self, c: Point) -> int:
-        return self.module.dims[self.clamp(c)]
+        return self.dims[self.clamp(c)]
 
     def eval_map(self, c: Point, d: Point) -> Matrix:
         """The structure map from c to d: :meth:`box_map` from clamp(c) to
@@ -204,7 +174,8 @@ class ExtendedView:
 
     def box_map(self, p: Point, q: Point) -> Matrix:
         """The map between box points p <= q: the stored steps composed
-        along the staircase from p to q.
+        along the canonical staircase from p to q (axis 1 first, then axis
+        2, and so on), memoized.
 
         The composite starts from the first step, so a unit cover returns
         the stored step itself and a path of k steps makes k - 1 products;
@@ -215,35 +186,40 @@ class ExtendedView:
         if cached is not None:
             return cached
         if p == q:
-            mat = Matrix.identity(self.field, self.module.dims[p])
+            mat = Matrix.identity(self.field, self.dims[p])
         else:
             mat = None
             x = list(p)
-            for axis in range(self.module.box.dim):
+            for axis in range(self.box.dim):
                 while x[axis] < q[axis]:
-                    step = self.module.step(tuple(x), axis)
+                    step = self.step(tuple(x), axis)
                     mat = step if mat is None else step @ mat
                     x[axis] += 1
         self._map_cache[key] = mat
         return mat
 
 
-def restrict_view(view: ExtendedView, points) -> PosetDiagram:
-    """Diagram of a view on a finite point set, with dims and maps evaluated.
+# no code uses this name; perfbench/bench_trace.py binds ExtendedView.__init__ and
+# ExtendedView.eval_map by name
+ExtendedView = GridModule
+
+
+def restrict_view(module: GridModule, points) -> PosetDiagram:
+    """Diagram of a module on a finite point set, with dims and maps evaluated.
 
     The diagram derives its covers: those of the product when the points are
     one, such as a :class:`CartesianSet`, else by ``poset_covers``.  Each
     point is clamped into the box once, and dims and maps are read off the
-    clamped points (:meth:`ExtendedView.box_map`).  The diagram is marked
-    validated: the view validates its module when it is built, and a
+    clamped points (:meth:`GridModule.box_map`).  The diagram is marked
+    validated: the module commutes from the moment it is built, and a
     functor restricts to a functor.
     """
     if not isinstance(points, CartesianSet):
         points = frozenset(points)
-    at = {p: view.clamp(p) for p in points}
-    space = view.module.dims
-    diagram = PosetDiagram(view.field, points, {p: space[q] for p, q in at.items()},
-                           lambda c, d: view.box_map(at[c], at[d]))
+    at = {p: module.clamp(p) for p in points}
+    space = module.dims
+    diagram = PosetDiagram(module.field, points, {p: space[q] for p, q in at.items()},
+                           lambda c, d: module.box_map(at[c], at[d]))
     diagram._validated = True
     return diagram
 

@@ -237,7 +237,8 @@ def module_from_json(obj) -> GridModule:
     The checks are those of ``GridModule.__init__``, with the loader's own
     messages, and are not made again.  A whole-array pass then checks that
     every source coordinate is a plain int, as a true or a 1.0 passes the
-    lookup, and the matrices are decoded at once (:func:`_matrices`).
+    lookup, and the matrices are decoded at once (:func:`_matrices`).  Last,
+    the module's squares are checked, as ``GridModule.__init__`` checks them.
 
     A file at fault is refused for its first entry at fault, in file order:
     a bad matrix of an entry before the one the checks refuse comes first.
@@ -296,7 +297,7 @@ def module_from_json(obj) -> GridModule:
             raise InputError(f"map at {p!r} along axis {axis} leaves the box")
         raise InputError(f"duplicate map at {p!r} along axis {axis}")  # the check left
     module.given.update(zip(keys, _matrices(field, shapes, mats)))
-    return module
+    return module._commute()
 
 
 def diagram_to_json(diagram: PosetDiagram) -> dict:

@@ -11,16 +11,17 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
 from .errors import ConsistencyError, InputError
-from .extgrid import (CartesianSet, Point, _unchecked, as_point, as_product, common_dim,
-                      critical_grid, join, leq, lt, sort_points)
-from .grid_module import ExtendedView, GridModule, restrict_view
-from .determinacy import determined_closure, is_S_determined
+from .extgrid import (CartesianSet, NEG_INF, Point, _require_grid_size, _unchecked, as_point,
+                      as_product, common_dim, join, leq, lt, sort_points)
+from .grid_module import GridModule, restrict_view
+from .determinacy import canonical_grid, determined_closure, is_S_determined
 from .linalg import (Matrix, PosetDiagram, _require_valid, _vec, cokernel_projection,
                      diagram_colimit, full_row_rank, hstack, kernel_basis, over_one_den,
                      pivot_columns, rank, solve)
@@ -424,7 +425,7 @@ def _present_diagram(diagram: PosetDiagram) -> tuple:
     return _scan(diagram.field, poset)
 
 
-def _product_poset(view: ExtendedView, grid: CartesianSet, grades=()) -> tuple:
+def _product_poset(module: GridModule, grid: CartesianSet, grades=()) -> tuple:
     """A product grid as :func:`_walk` takes it, read off the module's box,
     without the coordinates that repeat the one below.
 
@@ -452,11 +453,10 @@ def _product_poset(view: ExtendedView, grid: CartesianSet, grades=()) -> tuple:
     clamps are one box stride apart along that axis is the stored step of
     that flat key in the module's layout, and whether it is the identity or
     onto is read off ``given``, ``identities`` and ``dim_list``, with no
-    :class:`Matrix` made; any other is ``view.box_map``, the composite of
+    :class:`Matrix` made; any other is ``module.box_map``, the composite of
     the stored steps between the clamps, tested as a matrix.  The covers of
     a product are complete.
     """
-    module = view.module
     box_strides, box_keys = module.layout.strides, module.layout.step_keys
     values, points, given, identities = module.dim_list, module.points, module.given, \
         module.identities
@@ -479,7 +479,7 @@ def _product_poset(view: ExtendedView, grid: CartesianSet, grades=()) -> tuple:
         if d == box_strides[axis]:
             key = box_keys[axis][x]
             return key in identities or (key not in given and not values[x] and not values[x + d])
-        return view.box_map(points[x], points[x + d]).is_identity()
+        return module.box_map(points[x], points[x + d]).is_identity()
 
     def onto(p, c):
         x = flat[p]
@@ -488,25 +488,25 @@ def _product_poset(view: ExtendedView, grid: CartesianSet, grades=()) -> tuple:
         if d == box_strides[axis]:
             m = given.get(box_keys[axis][x])
             return not values[x + d] if m is None else _onto(m)
-        return _onto(view.box_map(points[x], points[x + d]))
+        return _onto(module.box_map(points[x], points[x + d]))
 
     def step(p, c):
-        return view.box_map(points[flat[p]], points[flat[c]])
+        return module.box_map(points[flat[p]], points[flat[c]])
     return (layout.sorted_points(), [values[x] for x in flat], layout.lower, identity, onto,
             step)
 
 
-def _present_view(view: ExtendedView, s) -> tuple:
+def _present_module(module: GridModule, s) -> tuple:
     """The scan of a determined module on the pointed join closure of the set:
     on the product grid when the closure is one, else on its encoding.  A
     :class:`CartesianSet` with -inf on every axis, such as the default
     ``canonical_grid``, is that product as it is, with no pass over its
     points."""
-    closure = determined_closure(view, s)
+    closure = determined_closure(module, s)
     grid = as_product(closure)
     if grid is None:
-        return _present_diagram(restrict_view(view, closure))
-    return _scan(view.field, _product_poset(view, grid))
+        return _present_diagram(restrict_view(module, closure))
+    return _scan(module.field, _product_poset(module, grid))
 
 
 def diagram_births_deaths(diagram: PosetDiagram) -> BirthDeathReport:
@@ -525,10 +525,10 @@ def diagram_births_deaths(diagram: PosetDiagram) -> BirthDeathReport:
     return BirthDeathReport(dict(generators), dict(relations))
 
 
-def births_deaths(view: ExtendedView, s) -> BirthDeathReport:
+def births_deaths(module: GridModule, s) -> BirthDeathReport:
     """Births and deaths of a determined module: those of its encoding,
     read off the same scan without building the encoding on a product."""
-    generators, relations, _, _ = _present_view(view, s)
+    generators, relations, _, _ = _present_module(module, s)
     return BirthDeathReport(dict(generators), dict(relations))
 
 
@@ -545,10 +545,10 @@ def present_diagram(diagram: PosetDiagram) -> Presentation:
     return _presentation(diagram.field, len(diagram.points[0]), _present_diagram(diagram))
 
 
-def build_presentation(view: ExtendedView, s) -> Presentation:
+def build_presentation(module: GridModule, s) -> Presentation:
     """Graded presentation of a determined module: the scan of its encoding,
     without building the encoding on a product."""
-    return _presentation(view.field, view.box.dim, _present_view(view, s))
+    return _presentation(module.field, module.box.dim, _present_module(module, s))
 
 
 def _relation_matrix(pres: Presentation, gens: list, rels: list) -> Matrix:
@@ -562,21 +562,25 @@ def _relation_matrix(pres: Presentation, gens: list, rels: list) -> Matrix:
                            sum(m for _, m in rels), den)
 
 
-def verify_presentation(view: ExtendedView, pres: Presentation) -> PresentationCheck:
+def verify_presentation(module: GridModule, pres: Presentation) -> PresentationCheck:
     """Check that the presentation's cokernel is the module at every point.
 
-    The check runs on G = ``critical_grid(view.box, grades)``, where the
-    grades are the generator and relation points.  That is enough for every
-    point x of the extended grid.  Let g be the greatest point of G below x:
-    per axis, the greatest coordinate of G not above x (every axis of G
-    holds -inf).  G holds the box widened by one on every axis, so x and g
-    clamp to the same box point and M(g -> x) is the identity.  G holds
-    every finite coordinate of every grade, so a grade lies below x exactly
-    when it lies below g; F0 and F1 are then the same free modules at x and
-    at g, with the same relation matrix.  Miller (arXiv:1711.01933) gives
-    the same argument for finite encodings.  So a natural map that is an
+    The check runs on G: :func:`canonical_grid`, whose axes hold -inf and
+    a + 1, ..., b for a box [a, b], with every finite coordinate of the
+    grades, the generator and relation points, added.  That is enough for
+    every point x of the extended grid.  The clamp classes of an axis are
+    {<= a}, a + 1, ..., b - 1 and {>= b}, as the extended projection is
+    max(a, min(x, b)).  So the greatest point g of G below x has the clamp
+    of x, and M(g -> x) is the identity; and a grade lies below x exactly
+    when it lies below g, so F0 and F1 are the same free modules at x and at
+    g, with the same relation matrix.  Miller (arXiv:1711.01933) gives the
+    same argument for finite encodings.  So a natural map that is an
     isomorphism at every point of G is one everywhere: ``ok`` means
-    "everywhere", and no wider grid could change it.
+    "everywhere", and no wider grid could change it.  G holds the least
+    coordinate of each class of an axis, by clamp and grades below, so the
+    first point of G where a check fails is that of any grid that holds
+    them, such as the critical grid of the box and the grades.  G is sized
+    from its axes before it is listed, and bounded as that grid is.
 
     With ``generator_images`` the check is of that explicit map, formed on
     G by the walk that builds presentations too (:func:`_walk`), and each
@@ -594,25 +598,29 @@ def verify_presentation(view: ExtendedView, pres: Presentation) -> PresentationC
     dimension does not depend on which presentation of M is used.  A search
     that runs out gives ``ok`` ``None``.
     """
-    if pres.field != view.field:
+    if pres.field != module.field:
         raise InputError("presentation and module are over different fields")
-    grades = [b for b, _ in pres.generators] + [d for d, _ in pres.relations]
-    grid = critical_grid(view.box, grades)
+    grades = [as_point(p, dim=module.box.dim) for p, _ in pres.generators + pres.relations]
+    factors = tuple([tuple(sorted({*f, *[p[i] for p in grades if p[i] != NEG_INF]}))
+                     for i, f in enumerate(canonical_grid(module).factors)])
+    _require_grid_size(math.prod(map(len, factors)))
+    grid = _unchecked(CartesianSet, factors)
     if pres.generator_images is not None:
-        return _check_images(view, pres, grid)
+        return _check_images(module, pres, grid)
     coker = _cokernel_module(pres)
     points = {}  # one grid point per clamp and set of generators below it
     for pt in grid.sorted_points():
         coker_dim = coker[0](pt)
-        if coker_dim != view.eval_space(pt):
+        if coker_dim != module.eval_space(pt):
             return PresentationCheck(False, pt, f"cokernel dimension {coker_dim} differs from "
-                                     f"module dimension {view.eval_space(pt)}")
-        points.setdefault((view.clamp(pt), tuple(b for b, _ in pres.generators
-                                                 if leq(b, pt))), pt)
-    found = _find_isomorphism(pres, coker, (view.eval_space, view.eval_map),
+                                     f"module dimension {module.eval_space(pt)}")
+        points.setdefault((module.clamp(pt), tuple(b for b, _ in pres.generators
+                                                   if leq(b, pt))), pt)
+    found = _find_isomorphism(pres, coker, (module.eval_space, module.eval_map),
                               list(points.values()),
-                              lambda: _presentation(view.field, view.box.dim,
-                                                    _scan(view.field, _product_poset(view, grid))))
+                              lambda: _presentation(module.field, module.box.dim,
+                                                    _scan(module.field,
+                                                          _product_poset(module, grid))))
     if found is None:
         return PresentationCheck(None, None, "the isomorphism search ran out of trials")
     if found is False:
@@ -645,7 +653,7 @@ def _cokernel_module(pres: Presentation) -> tuple:
     return (lambda x: quotient(x).nrows), path
 
 
-def _check_images(view: ExtendedView, pres: Presentation, grid: CartesianSet
+def _check_images(module: GridModule, pres: Presentation, grid: CartesianSet
                   ) -> PresentationCheck:
     """The certificate check of :func:`verify_presentation`: one :func:`_walk` of the grid.
 
@@ -679,13 +687,13 @@ def _check_images(view: ExtendedView, pres: Presentation, grid: CartesianSet
     """
     images = pres.generator_images
     for b, _ in pres.generators:
-        if images[b].nrows != view.eval_space(b):
+        if images[b].nrows != module.eval_space(b):
             return PresentationCheck(False, b, f"generator image has {images[b].nrows} rows, "
-                                     f"module dimension is {view.eval_space(b)}")
+                                     f"module dimension is {module.eval_space(b)}")
     rel_mult = dict(pres.relations)
     gens = []
-    poset = _product_poset(view, grid, grades=list(images) + list(rel_mult))
-    for c, dim, mask, ev, spans, roots in _walk(view.field, poset,
+    poset = _product_poset(module, grid, grades=list(images) + list(rel_mult))
+    for c, dim, mask, ev, spans, roots in _walk(module.field, poset,
                                                 lambda pt, dim, maps: images.get(pt), gens):
         spans = spans or rank(ev()) == dim
         if spans and roots is None and c not in rel_mult:
@@ -721,7 +729,7 @@ def _hom_basis(pres: Presentation, dim: Callable, path: Callable) -> list:
     sum_b N(b -> d) E_b B_{d,b} = 0 at every relation point d.  That is one
     ``kernel_basis``, with the entries of the E_b row by row as unknowns.
     ``dim(p)`` is dim N(p) and ``path(b, d)`` the structure map N(b -> d):
-    ``view.eval_map`` for a module, ``PosetDiagram.path_map`` for a diagram.
+    ``GridModule.eval_map`` for a module, ``PosetDiagram.path_map`` for a diagram.
     """
     field = pres.field
     offsets, total = {}, 0
@@ -854,7 +862,6 @@ def is_admissible(module: GridModule, l) -> bool:
     support decides it.
     """
     pts = _require_join_closed(l)
-    view = ExtendedView(module)  # refuses a module that does not validate
     if len(pts[0]) != module.box.dim:
         raise InputError("lattice dimension mismatch")
-    return is_S_determined(view, pts).determined
+    return is_S_determined(module, pts).determined

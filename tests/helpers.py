@@ -11,7 +11,7 @@ import itertools
 import random
 
 from detmod import (Box, CartesianSet, DeterminacyReport, DiagramCheck,
-                    ExtendedView, GridModule, InputError, Matrix, NEG_INF, PosetDiagram,
+                    GridModule, InputError, Matrix, NEG_INF, PosetDiagram,
                     Presentation, PresentationCheck, PrimeField, as_point, canonical_set,
                     cokernel_projection, critical_grid, encode, hstack, in_upset,
                     is_invertible, join_below, kernel_basis, leq, lt, min_point, mub,
@@ -19,7 +19,8 @@ from detmod import (Box, CartesianSet, DeterminacyReport, DiagramCheck,
                     sort_points, validate_diagram)
 from detmod.extgrid import downset_of
 from detmod.linalg import _block_offsets, _require_valid, diagram_colimit
-from detmod.presentation import _require_join_closed
+from detmod.presentation import (_check_images, _cokernel_module, _find_isomorphism,
+                                 _presentation, _product_poset, _require_join_closed, _scan)
 
 F2 = PrimeField(2)
 F5 = PrimeField(5)
@@ -199,6 +200,20 @@ def given_steps(module: GridModule) -> dict:
     return {(pts[key // n], key % n): mat for key, mat in module.given.items()}
 
 
+def data_steps(field, box: Box, dims: dict, steps: dict) -> dict:
+    """Every unit step of the box by ``(point, axis)`` for module data as
+    ``GridModule`` takes it, which need not commute: the given steps in
+    their order, then the left-out ones, zero matrices, in lexicographic
+    order."""
+    out, top = dict(steps), box.b
+    for p in box.integer_points():
+        for axis in range(box.dim):
+            if p[axis] < top[axis] and (p, axis) not in out:
+                q = p[:axis] + (p[axis] + 1,) + p[axis + 1:]
+                out[(p, axis)] = Matrix.zeros(field, dims[q], dims[p])
+    return out
+
+
 def every_step(module: GridModule) -> dict:
     """Every unit step of the box by ``(point, axis)``, read through
     ``GridModule.step``: the given steps in their order, then the left-out
@@ -212,19 +227,17 @@ def every_step(module: GridModule) -> dict:
     return steps
 
 
+def data_diagram(field, box: Box, dims: dict, steps: dict) -> PosetDiagram:
+    """Module data, which need not commute, as a generic poset diagram
+    (covers are the unit steps), not yet validated."""
+    maps = {(p, p[:axis] + (p[axis] + 1,) + p[axis + 1:]): mat
+            for (p, axis), mat in data_steps(field, box, dims, steps).items()}
+    return PosetDiagram(field, list(box.integer_points()), dict(dims), maps)
+
+
 def module_diagram(module: GridModule) -> PosetDiagram:
     """The stored box data as a generic poset diagram (covers are the unit steps)."""
-    covers = []
-    maps = {}
-    for (p, axis), mat in every_step(module).items():
-        q = module._step_target(p, axis)
-        covers.append((p, q))
-        maps[(p, q)] = mat
-    diagram = PosetDiagram(module.field, list(module.box.integer_points()),
-                           dict(module.dims), maps)
-    if module._validated is True:
-        diagram._validated = True
-    return diagram
+    return data_diagram(module.field, module.box, module.dims, given_steps(module))
 
 
 def diagram_limit(diagram: PosetDiagram) -> tuple:
@@ -250,40 +263,35 @@ def diagram_limit(diagram: PosetDiagram) -> tuple:
                                ncols=k.ncols) for p in diagram.points}
 
 
-def validate_module_by_diagram(module: GridModule):
-    """Commutativity of the box data by the generic route: every minimal square
-    of the module's poset diagram, with covers sorted by the linear extension."""
-    return validate_diagram(module_diagram(module))
+def validate_module_by_diagram(field, box: Box, dims: dict, steps: dict) -> DiagramCheck:
+    """Commutativity of module data by the generic route: every minimal square
+    of its poset diagram, with covers sorted by the linear extension."""
+    return validate_diagram(data_diagram(field, box, dims, steps))
 
 
-def validate_by_products(module: GridModule):
-    """Unit squares of the box checked with :class:`Matrix` products, in the
-    order and with the reports of ``validate_module``.
+def validate_by_products(field, box: Box, dims: dict, steps: dict) -> DiagramCheck:
+    """Unit squares of module data checked with :class:`Matrix` products, in
+    the order of ``first_failing_square``, which ``GridModule`` refuses
+    data by.
 
-    Shapes and fields of the given steps first, then every unit square, with
-    each step read through ``GridModule.step`` (a left-out one is a zero
-    matrix); the products are those of ``Matrix.__matmul__`` and the sides
-    are compared as matrices over the field.
+    The data are taken as ``GridModule`` takes them, and need not commute;
+    they must be well shaped.  Every unit square is checked, with each step
+    given or, left out, a zero matrix; the products are those of
+    ``Matrix.__matmul__`` and the sides are compared as matrices over the
+    field.
     """
-    dims, step, field = module.dims, module.step, module.field
-    for (p, axis), mat in given_steps(module).items():
-        q = module._step_target(p, axis)
-        expected = (dims[q], dims[p])
-        if mat.shape != expected:
-            return DiagramCheck(False, f"step at {p!r} along axis {axis + 1} has shape "
-                                f"{mat.shape}, expected {expected}", (p, q))
-        if mat.field != field:
-            return DiagramCheck(False, f"step at {p!r} along axis {axis + 1} is over the "
-                                "wrong field", (p, q))
-    n, top = module.box.dim, module.box.b
-    target = module._step_target
-    for c in dims:
+    step = data_steps(field, box, dims, steps)
+    n, top = box.dim, box.b
+
+    def target(p, axis):
+        return p[:axis] + (p[axis] + 1,) + p[axis + 1:]
+    for c in box.integer_points():
         axes = [axis for axis in reversed(range(n)) if c[axis] < top[axis]]
         for k, j in enumerate(axes):
             cj = target(c, j)
             for i in axes[k + 1:]:
                 ci, e = target(c, i), target(cj, i)
-                if step(cj, i) @ step(c, j) != step(ci, j) @ step(c, i):
+                if step[(cj, i)] @ step[(c, j)] != step[(ci, j)] @ step[(c, i)]:
                     return DiagramCheck(False, "square does not commute", (c, cj, ci, e))
     return DiagramCheck(True)
 
@@ -299,7 +307,7 @@ def oracle_grid(window: Box, widen: int = 1) -> CartesianSet:
                               for lo, hi in zip(window.a, window.b)))
 
 
-def condition_by_downsets(view, s, grid: CartesianSet, method: str) -> DeterminacyReport:
+def condition_by_downsets(module, s, grid: CartesianSet, method: str) -> DeterminacyReport:
     """The covering-pair and support conditions straight from the definition:
     a downset of ``s`` at every grid point, and the map of every cover with
     equal downsets evaluated and tested for invertibility."""
@@ -307,15 +315,15 @@ def condition_by_downsets(view, s, grid: CartesianSet, method: str) -> Determina
     downsets = {p: downset_of(s, p) for p in points}
     holds, witness = True, None
     for c, d in grid.covers():
-        if downsets[c] == downsets[d] and not is_invertible(view.eval_map(c, d)):
+        if downsets[c] == downsets[d] and not is_invertible(module.eval_map(c, d)):
             holds, witness = False, (c, d)
             break
     support_ok = min_point(grid.dim) in s or all(
-        view.eval_space(p) == 0 for p in points if not in_upset(s, p))
+        module.eval_space(p) == 0 for p in points if not in_upset(s, p))
     return DeterminacyReport(holds, witness, support_ok, method)
 
 
-def canonical_map_check(view, s) -> DeterminacyReport:
+def canonical_map_check(module, s) -> DeterminacyReport:
     """The paper's condition 2: invertibility of the map from the collapsed
     reference point.
 
@@ -324,11 +332,11 @@ def canonical_map_check(view, s) -> DeterminacyReport:
     covering-pair condition; support is not checked (``support_ok`` is
     ``None``).
     """
-    pts = frozenset(as_point(p, dim=view.box.dim) for p in s)
-    grid = critical_grid(view.box, pts)
+    pts = frozenset(as_point(p, dim=module.box.dim) for p in s)
+    grid = critical_grid(module.box, pts)
     for c in grid.sorted_points():
         a = join_below(pts, c)
-        if not is_invertible(view.eval_map(a, c)):
+        if not is_invertible(module.eval_map(a, c)):
             return DeterminacyReport(False, (a, c), None, "critical-grid")
     return DeterminacyReport(True, None, None, "critical-grid")
 
@@ -344,14 +352,13 @@ def admissible_by_reconstruction(module: GridModule, l) -> bool:
     collapse.
     """
     pts = sort_points(l)
-    view = ExtendedView(module)
     lattice = frozenset(pts)
 
     def comparison_invertible(c) -> bool:
         a = join_below(pts, c)
         if a in lattice:
-            return is_invertible(view.eval_map(a, c))
-        return view.eval_space(c) == 0
+            return is_invertible(module.eval_map(a, c))
+        return module.eval_space(c) == 0
 
     grid = critical_grid(module.box, pts)
     return all(comparison_invertible(c) for c in grid.sorted_points())
@@ -361,9 +368,9 @@ def admissible_by_reconstruction(module: GridModule, l) -> bool:
 # zip and unzip: restriction to a join-closed lattice and back (Miller's
 # encoding by collapse, arXiv:1711.01933), which is_admissible decides
 
-def zip_module(view, l) -> PosetDiagram:
+def zip_module(module, l) -> PosetDiagram:
     """Restriction of the extended module to a join-closed point set."""
-    return restrict_view(view, _require_join_closed(l))
+    return restrict_view(module, _require_join_closed(l))
 
 
 class Unzipped:
@@ -485,15 +492,17 @@ def twist_module(module: GridModule, rng: random.Random, keep=None) -> GridModul
 
 
 def random_module(field, rng: random.Random, box: Box | None = None,
-                  max_summands: int = 3, twist: bool = True) -> GridModule:
-    """Random commutative grid module: a twisted sum of convex indicators."""
+                  max_summands: int = 3, twist: bool = True,
+                  summands: int | None = None) -> GridModule:
+    """Random commutative grid module: a twisted sum of convex indicators,
+    at most ``max_summands`` of them, or exactly ``summands``."""
     if box is None:
         n = 2
         a = tuple(rng.randint(-1, 1) for _ in range(n))
         b = tuple(x + rng.randint(0, 2) for x in a)
         box = Box(a, b)
     starts, ends = [], []
-    for _ in range(rng.randint(0, max_summands)):
+    for _ in range(rng.randint(0, max_summands) if summands is None else summands):
         g = tuple(rng.randint(box.a[i] - 1, box.b[i]) for i in range(box.dim))
         d = tuple(rng.randint(g[i], box.b[i] + 1) for i in range(box.dim))
         starts.append(g)
@@ -504,7 +513,7 @@ def random_module(field, rng: random.Random, box: Box | None = None,
     return mod
 
 
-def stabilization_window(view, c) -> Box:
+def stabilization_window(module, c) -> Box:
     """Integer window over which the limit computes the extension's value.
 
     Per axis the window runs from the coordinate up to max(coordinate, one
@@ -513,7 +522,7 @@ def stabilization_window(view, c) -> Box:
     """
     lo, hi = [], []
     for i, v in enumerate(c):
-        edge = view.box.a[i] - 1
+        edge = module.box.a[i] - 1
         hi_i = max(v, edge) if v != NEG_INF else edge
         lo_i = v if v != NEG_INF else edge
         lo.append(int(lo_i))
@@ -638,12 +647,12 @@ def diagram_presentation_by_full_scan(diagram: PosetDiagram, structure_map=None)
     return generators, relations, blocks, lifts
 
 
-def presentation_by_full_scan(view, s) -> Presentation:
+def presentation_by_full_scan(module, s) -> Presentation:
     """The full scan of the encoding, with images from the module's own
     ``eval_map``; the generator lifts are the presentation's generator images."""
     generators, relations, blocks, lifts = diagram_presentation_by_full_scan(
-        encode(view, s), view.eval_map)
-    return Presentation(view.field, view.box.dim, tuple(generators), tuple(relations), blocks,
+        encode(module, s), module.eval_map)
+    return Presentation(module.field, module.box.dim, tuple(generators), tuple(relations), blocks,
                         generator_images=lifts)
 
 
@@ -664,7 +673,7 @@ def free_complex_at(pres: Presentation, pt):
     return gens, rels, mat
 
 
-def presentation_check_at_points(view, pres: Presentation, pts) -> PresentationCheck:
+def presentation_check_at_points(module, pres: Presentation, pts) -> PresentationCheck:
     """The presentation checked at each given point on its own, in sorted order.
 
     At each point the cokernel of the relations there has the module's
@@ -676,19 +685,19 @@ def presentation_check_at_points(view, pres: Presentation, pts) -> PresentationC
     """
     images = pres.generator_images
     for b, _ in pres.generators:
-        if images is not None and images[b].nrows != view.eval_space(b):
+        if images is not None and images[b].nrows != module.eval_space(b):
             return PresentationCheck(False, b, f"generator image has {images[b].nrows} rows, "
-                                     f"module dimension is {view.eval_space(b)}")
+                                     f"module dimension is {module.eval_space(b)}")
     for pt in sort_points(pts):
         gens, _, rel = free_complex_at(pres, pt)
-        dim = view.eval_space(pt)
+        dim = module.eval_space(pt)
         coker = rel.nrows - rank(rel)
         if coker != dim:
             return PresentationCheck(False, pt, f"cokernel dimension {coker} differs from "
                                      f"module dimension {dim}")
         if images is None:
             continue
-        ev = hstack(view.field, [view.eval_map(b, pt) @ images[b] for b, _ in gens], nrows=dim)
+        ev = hstack(module.field, [module.eval_map(b, pt) @ images[b] for b, _ in gens], nrows=dim)
         if not (ev @ rel).is_zero():
             return PresentationCheck(False, pt, "relations do not map to zero")
         if rank(ev) != dim:
@@ -696,10 +705,44 @@ def presentation_check_at_points(view, pres: Presentation, pts) -> PresentationC
     return PresentationCheck(True)
 
 
-def widened_box_points(view, width: int = 2) -> set:
+def verify_on_critical_grid(module: GridModule, pres: Presentation) -> PresentationCheck:
+    """The checks of ``verify_presentation`` on ``critical_grid`` of the box
+    and the grades: per axis -inf, the box widened by one, and every finite
+    grade coordinate with its predecessor.  That grid holds every clamp
+    class and every set of grades below a point, as verify's own grid does,
+    and the least coordinate of each, so the verdict and the first failing
+    point are verify's."""
+    if pres.field != module.field:
+        raise InputError("presentation and module are over different fields")
+    grid = critical_grid(module.box, [b for b, _ in pres.generators]
+                         + [d for d, _ in pres.relations])
+    if pres.generator_images is not None:
+        return _check_images(module, pres, grid)
+    coker = _cokernel_module(pres)
+    points = {}  # one grid point per clamp and set of generators below it
+    for pt in grid.sorted_points():
+        coker_dim = coker[0](pt)
+        if coker_dim != module.eval_space(pt):
+            return PresentationCheck(False, pt, f"cokernel dimension {coker_dim} differs from "
+                                     f"module dimension {module.eval_space(pt)}")
+        points.setdefault((module.clamp(pt), tuple(b for b, _ in pres.generators
+                                                   if leq(b, pt))), pt)
+    found = _find_isomorphism(pres, coker, (module.eval_space, module.eval_map),
+                              list(points.values()),
+                              lambda: _presentation(module.field, module.box.dim,
+                                                    _scan(module.field,
+                                                          _product_poset(module, grid))))
+    if found is None:
+        return PresentationCheck(None, None, "the isomorphism search ran out of trials")
+    if found is False:
+        return PresentationCheck(False, None, "structure maps do not match the module")
+    return PresentationCheck(True)
+
+
+def widened_box_points(module, width: int = 2) -> set:
     """The canonical set together with the integer box widened by ``width``."""
-    pts = set(canonical_set(view.module))
-    lo = tuple(a - width for a in view.box.a)
-    hi = tuple(b + width for b in view.box.b)
+    pts = set(canonical_set(module))
+    lo = tuple(a - width for a in module.box.a)
+    hi = tuple(b + width for b in module.box.b)
     pts.update(Box(lo, hi).integer_points())
     return pts

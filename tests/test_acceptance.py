@@ -10,7 +10,7 @@ import random
 import time
 from contextlib import contextmanager
 
-from detmod import (Box, ExtendedView, NEG_INF, NotDeterminedError,
+from detmod import (Box, NEG_INF, NotDeterminedError,
                     build_presentation, check_encoding,
                     critical_grid, convex_projection, default_oracle_window,
                     diagram_births_deaths, diagrams_isomorphic,
@@ -45,24 +45,24 @@ def criterion(number, limit_seconds, label):
 def test_criterion_1_worked_example_presentation():
     with criterion(1, 1.0, "worked example: presentation and verification, both fields"):
         for field in (F2, QQ):
-            view = ExtendedView(corner_module(field))
-            pres = build_presentation(view, UNIT_SET)
+            module = corner_module(field)
+            pres = build_presentation(module, UNIT_SET)
             assert pres.generators == ((BOTTOM, 1),)
             assert pres.relations == (((NEG_INF, 1), 1), ((1, NEG_INF), 1))
             for rel_point in ((NEG_INF, 1), (1, NEG_INF)):
                 block = pres.block(rel_point, BOTTOM)
                 assert block.shape == (1, 1) and not block.is_zero()
             points = set(UNIT_SET) | set(Box((-2, -2), (2, 2)).integer_points())
-            assert verify_presentation(view, pres)
-            assert presentation_check_at_points(view, pres, points)
+            assert verify_presentation(module, pres)
+            assert presentation_check_at_points(module, pres, points)
 
 
 def test_criterion_2_worked_example_determinacy():
     with criterion(2, 1.0, "worked example: unit-box set determines, both methods"):
-        view = ExtendedView(corner_module(F2))
-        fast = is_S_determined(view, UNIT_SET)
-        slow = is_S_determined_oracle(view, UNIT_SET,
-                                      default_oracle_window(view.box, UNIT_SET))
+        module = corner_module(F2)
+        fast = is_S_determined(module, UNIT_SET)
+        slow = is_S_determined_oracle(module, UNIT_SET,
+                                      default_oracle_window(module.box, UNIT_SET))
         assert fast.determined and slow.determined
         assert fast.holds == slow.holds and fast.support_ok == slow.support_ok
 
@@ -83,19 +83,19 @@ def test_criterion_4_equivalence_of_the_three_conditions():
     with criterion(4, 60.0, "three determinacy conditions agree on 200 random instances"):
         rng = random.Random(20230119)
         for trial in range(200):
-            view = ExtendedView(random_module(F5, rng))
+            module = random_module(F5, rng)
             if trial % 4 == 0:
-                s = canonical_set(view.module)
+                s = canonical_set(module)
             else:
                 s = random_point_set(rng, 2, 5)
-            condition_1 = is_S_determined(view, s).holds
-            condition_2 = canonical_map_check(view, s).holds
+            condition_1 = is_S_determined(module, s).holds
+            condition_2 = canonical_map_check(module, s).holds
             try:
-                condition_3 = check_encoding(view, s, encode(view, s))
+                condition_3 = check_encoding(module, s, encode(module, s))
             except NotDeterminedError:
                 condition_3 = False
             assert condition_1 == condition_2 == condition_3, \
-                (trial, view.box, sorted(s))
+                (trial, module.box, sorted(s))
 
 
 def test_criterion_5_projection_factorization():
@@ -140,13 +140,13 @@ def test_criterion_7_continuity_limit_oracle():
         rng = random.Random(331)
         pairs = 0
         while pairs < 500:
-            view = ExtendedView(random_module(F5, rng))
+            module = random_module(F5, rng)
             for _ in range(5):
                 c = tuple(NEG_INF if rng.random() < 0.35 else rng.randint(-4, 4)
-                          for _ in range(view.box.dim))
-                window = stabilization_window(view, c)
-                dim, _ = diagram_limit(restrict_view(view, window.cartesian()))
-                assert dim == view.eval_space(c), (c, view.box)
+                          for _ in range(module.box.dim))
+                window = stabilization_window(module, c)
+                dim, _ = diagram_limit(restrict_view(module, window.cartesian()))
+                assert dim == module.eval_space(c), (c, module.box)
                 pairs += 1
         assert pairs >= 500
 
@@ -156,18 +156,17 @@ def test_criterion_8_admissibility_equivalence():
         rng = random.Random(487)
         for trial in range(100):
             module = random_module(F5, rng)
-            view = ExtendedView(module)
             if trial % 3 == 0:
                 lattice = sorted(canonical_set(module))
             else:
                 pts = join_closure({(rng.randint(-2, 3), rng.randint(-2, 3))
                                     for _ in range(rng.randint(1, 3))})
                 lattice = sorted(pts)
-            reconstructed = unzip_module(lattice, zip_module(view, lattice))
+            reconstructed = unzip_module(lattice, zip_module(module, lattice))
             grid = critical_grid(module.box, lattice)
             via_unzip = diagrams_isomorphic(reconstructed.restrict(grid),
-                                            restrict_view(view, grid))
-            via_determinacy = is_S_determined(view, lattice).determined
+                                            restrict_view(module, grid))
+            via_determinacy = is_S_determined(module, lattice).determined
             assert via_unzip == via_determinacy, (trial, module.box, lattice)
 
 
@@ -178,12 +177,11 @@ def test_criterion_9_presentation_roundtrip():
         for field, count in counts.items():
             for _ in range(count):
                 module = random_module(field, rng)
-                view = ExtendedView(module)
                 s = canonical_set(module)
-                pres = build_presentation(view, s)
+                pres = build_presentation(module, s)
                 points = set(s)
-                lo = tuple(a - 2 for a in view.box.a)
-                hi = tuple(b + 2 for b in view.box.b)
+                lo = tuple(a - 2 for a in module.box.a)
+                hi = tuple(b + 2 for b in module.box.b)
                 points.update(Box(lo, hi).integer_points())
-                assert verify_presentation(view, pres), (field, view.box)
-                assert presentation_check_at_points(view, pres, points), (field, view.box)
+                assert verify_presentation(module, pres), (field, module.box)
+                assert presentation_check_at_points(module, pres, points), (field, module.box)

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -573,6 +574,38 @@ class TestGridBound:
                                 "--oracle")
         assert code in (0, 1) and report["method"] == "oracle"
 
+    def test_many_grade_coordinates_are_refused_at_once(self, capsys, tmp_path):
+        """verify's grid holds every finite grade coordinate: 1001 of them on
+        each axis of a 2 x 2 box make a grid of 1003^2 points."""
+        from detmod.extgrid import MAX_GRID_POINTS
+        points = [[k, k] for k in range(10, 1011)]
+        pres = {"field": {"kind": "prime", "p": 2}, "n": 2, "relations": [], "rel_matrix": [],
+                "generators": [{"point": p, "multiplicity": 1} for p in points],
+                "generator_images": [{"point": p, "images": [[0]]} for p in points]}
+        path = tmp_path / "pres.json"
+        path.write_text(json.dumps(pres), encoding="utf-8")
+        code, out, err = run(capsys, "verify", EXAMPLE_F2, "--presentation", str(path))
+        assert_one_error_line(code, out, err)
+        assert err == (f"detmod: error: the critical grid has {1003 ** 2} points, above the "
+                       f"bound {MAX_GRID_POINTS}\n")
+
+    @pytest.mark.parametrize("n,side", [(9, 2), (10, 2), (8, 3)], ids=["2^9", "2^10", "3^8"])
+    def test_present_then_verify_in_many_parameters(self, capsys, tmp_path, n, side):
+        """A twisted sum of six intervals over F2 (seed 3): its critical grid
+        has 1953125, 9765625 and 1679616 points, above the bound, while
+        verify's grid, that of the walk ``present`` takes with the grade
+        coordinates added, has at most 3^8."""
+        from detmod import Box
+        from detmod.io import module_to_json
+        from helpers import F2, random_module
+        module = random_module(F2, random.Random(3), box=Box((0,) * n, (side - 1,) * n),
+                               summands=6)
+        path, pres = tmp_path / "module.json", tmp_path / "pres.json"
+        path.write_text(json.dumps(module_to_json(module)), encoding="utf-8")
+        assert run(capsys, "present", str(path), "--out", str(pres)) == (0, "", "")
+        code, report = run_json(capsys, "verify", str(path), "--presentation", str(pres))
+        assert code == 0 and report == {"ok": True, "point": None, "reason": None}
+
 
 def _one_point_module(tmp_path, k: int) -> tuple:
     """Paths of a one-point F2 module with k parameters and of the k unit
@@ -865,19 +898,25 @@ class TestIgnoredOptions:
 
 class TestSetOption:
     """``determinacy``, ``encode``, ``births-deaths`` and ``present`` read
-    the module, build its view and then read ``--set``; the set is the
+    the module, check it and then read ``--set``; the set is the
     module's canonical grid only when the option is left out."""
 
-    @pytest.mark.parametrize("verb", ["determinacy", "encode", "births-deaths", "present"])
-    def test_module_refused_before_the_set_is_read(self, capsys, verb, tmp_path):
+    @pytest.mark.parametrize("verb,option", [
+        ("determinacy", "--set"), ("encode", "--set"), ("births-deaths", "--set"),
+        ("present", "--set"), ("admissible", "--lattice"), ("verify", "--presentation"),
+        ("verify", "--encoding")])
+    def test_module_refused_before_the_set_is_read(self, capsys, verb, option, tmp_path):
+        """Every verb refuses a module that does not commute as it reads it,
+        before any other input: a lattice for ``admissible`` too."""
         square = tmp_path / "square.json"
         square.write_text(json.dumps({
             "field": {"kind": "prime", "p": 2}, "n": 2, "box": {"a": [0, 0], "b": [1, 1]},
             "dims": [1, 1, 1, 1], "maps": [{"from": [0, 0], "axis": 1, "matrix": [[1]]},
                                            {"from": [1, 0], "axis": 2, "matrix": [[1]]}]}))
-        code, out, err = run(capsys, verb, str(square), "--set", str(tmp_path / "none.json"))
+        code, out, err = run(capsys, verb, str(square), option, str(tmp_path / "none.json"))
         assert_one_error_line(code, out, err)
-        assert err.startswith("detmod: error: module does not validate: square does not commute")
+        assert err == ("detmod: error: module does not validate: square does not commute at "
+                       "((0, 0), (0, 1), (1, 0), (1, 1))\n")
 
     @pytest.mark.parametrize("verb", ["determinacy", "encode", "births-deaths", "present"])
     def test_an_empty_set_option_is_read_as_given(self, capsys, verb):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from detmod import (QQ, Box, CartesianSet, ExtendedView, GridModule, InputError, Matrix,
+from detmod import (QQ, Box, CartesianSet, GridModule, InputError, Matrix,
                     NEG_INF, NotDeterminedError, PosetDiagram, check_encoding, critical_grid,
                     default_oracle_window, encode, ext_box, is_S_determined,
                     is_S_determined_oracle, is_invertible, leq, pointed_closure,
@@ -21,25 +21,22 @@ BOTTOM = (NEG_INF, NEG_INF)
 UNIT_SET = frozenset(ext_box(Box((1, 1), (1, 1))).points())
 
 
-def corner_view():
-    return ExtendedView(corner_module(F2))
-
 
 class TestIsDetermined:
     def test_worked_example_is_determined(self):
-        report = is_S_determined(corner_view(), UNIT_SET)
+        report = is_S_determined(corner_module(F2), UNIT_SET)
         assert report.holds and report.support_ok and report.determined
         assert report.witness is None
         assert report.method == "critical-grid"
 
     def test_bottom_alone_fails_on_nonconstant_module(self):
-        view = corner_view()
-        report = is_S_determined(view, {BOTTOM})
+        module = corner_module(F2)
+        report = is_S_determined(module, {BOTTOM})
         assert not report.holds
         c, d = report.witness
         assert leq(c, d)
         assert downset_of({BOTTOM}, c) == downset_of({BOTTOM}, d)
-        assert not is_invertible(view.eval_map(c, d))
+        assert not is_invertible(module.eval_map(c, d))
 
     def test_constant_module_determined_by_bottom(self):
         box = Box((0, 0), (1, 1))
@@ -50,8 +47,8 @@ class TestIsDetermined:
                 if p[axis] + 1 <= box.b[axis]:
                     steps[(p, axis)] = Matrix.identity(F2, 2)
         from detmod import GridModule
-        view = ExtendedView(GridModule(F2, box, dims, steps))
-        assert is_S_determined(view, {BOTTOM}).determined
+        module = GridModule(F2, box, dims, steps)
+        assert is_S_determined(module, {BOTTOM}).determined
 
     def test_support_detects_escape(self):
         # the corner module lives below the origin, so its extension is
@@ -66,32 +63,32 @@ class TestIsDetermined:
                 if p[axis] + 1 <= box.b[axis]:
                     steps[(p, axis)] = Matrix.identity(F2, 1)
         from detmod import GridModule
-        view = ExtendedView(GridModule(F2, box, dims, steps))
-        report = is_S_determined(view, {(0, 0)})
+        module = GridModule(F2, box, dims, steps)
+        report = is_S_determined(module, {(0, 0)})
         assert report.holds
         assert report.support_ok is False
         assert not report.determined
         # and for the corner module both conditions fail
-        report2 = is_S_determined(corner_view(), {(0, 0)})
+        report2 = is_S_determined(corner_module(F2), {(0, 0)})
         assert not report2.holds and report2.support_ok is False
 
     def test_support_skipped_when_bottom_in_set(self):
-        report = is_S_determined(corner_view(), {BOTTOM, (5, 5)})
+        report = is_S_determined(corner_module(F2), {BOTTOM, (5, 5)})
         assert report.support_ok is True
 
     def test_agrees_with_oracle_on_random_instances(self):
         rng = random.Random(77)
         for _ in range(200):
-            view = ExtendedView(random_module(F5, rng))
+            module = random_module(F5, rng)
             s = random_point_set(rng, 2, 4)
-            fast = is_S_determined(view, s)
-            slow = is_S_determined_oracle(view, s, default_oracle_window(view.box, s))
-            assert fast.holds == slow.holds, (view.box, sorted(s))
+            fast = is_S_determined(module, s)
+            slow = is_S_determined_oracle(module, s, default_oracle_window(module.box, s))
+            assert fast.holds == slow.holds, (module.box, sorted(s))
             assert fast.support_ok == slow.support_ok
             if not fast.holds:
                 c, d = fast.witness
                 assert downset_of(s, c) == downset_of(s, d)
-                assert not is_invertible(view.eval_map(c, d))
+                assert not is_invertible(module.eval_map(c, d))
 
 
 def random_box(rng, nparams):
@@ -110,21 +107,21 @@ def record_step_tests(monkeypatch) -> list:
     return calls
 
 
-def assert_matches_downset_oracle(view, s):
+def assert_matches_downset_oracle(module, s):
     """The corner rule against the definition on the critical grid, and the
     oracle against the definition on its window; the whole report is
     compared, so the witness must be the same cover.  The definition on the
     window widened by two and by three reaches the same verdicts: widening
     by one is enough."""
     pts = frozenset(s)
-    grid = critical_grid(view.box, pts)
-    report = is_S_determined(view, pts)
-    assert report == condition_by_downsets(view, pts, grid, "critical-grid")
-    window = default_oracle_window(view.box, pts)
-    assert is_S_determined_oracle(view, pts, window) == \
-        condition_by_downsets(view, pts, oracle_grid(window), "oracle")
+    grid = critical_grid(module.box, pts)
+    report = is_S_determined(module, pts)
+    assert report == condition_by_downsets(module, pts, grid, "critical-grid")
+    window = default_oracle_window(module.box, pts)
+    assert is_S_determined_oracle(module, pts, window) == \
+        condition_by_downsets(module, pts, oracle_grid(window), "oracle")
     for widen in (2, 3):
-        wide = condition_by_downsets(view, pts, oracle_grid(window, widen), "oracle")
+        wide = condition_by_downsets(module, pts, oracle_grid(window, widen), "oracle")
         assert (wide.holds, wide.support_ok) == (report.holds, report.support_ok), widen
     return report
 
@@ -136,14 +133,14 @@ class TestStoredStepsMatchDownsetOracle:
         rng = random.Random(1000 * nparams + (field.p if field.kind == "prime" else 0))
         verdicts = {"holds": 0, "fails": 0, "support_fails": 0}
         for trial in range(30):
-            view = ExtendedView(random_module(field, rng, box=random_box(rng, nparams)))
+            module = random_module(field, rng, box=random_box(rng, nparams))
             if trial % 3 == 0:
-                s = canonical_set(view.module)
+                s = canonical_set(module)
             else:
                 s = random_point_set(rng, nparams, 4, lo=-2, hi=2)
                 if trial % 3 == 2:
                     s = pointed_closure(s, dim=nparams)
-            report = assert_matches_downset_oracle(view, s)
+            report = assert_matches_downset_oracle(module, s)
             verdicts["holds" if report.holds else "fails"] += 1
             verdicts["support_fails"] += report.support_ok is False
         assert all(verdicts.values()), verdicts
@@ -155,10 +152,10 @@ class TestStoredStepsMatchDownsetOracle:
            data=st.data())
     def test_hypothesis_sets(self, seed, field, nparams, data):
         rng = random.Random(seed)
-        view = ExtendedView(random_module(field, rng, box=random_box(rng, nparams)))
+        module = random_module(field, rng, box=random_box(rng, nparams))
         coord = st.one_of(st.just(NEG_INF), st.integers(-2, 3))
         s = data.draw(st.frozensets(st.tuples(*[coord] * nparams), max_size=4))
-        assert_matches_downset_oracle(view, s)
+        assert_matches_downset_oracle(module, s)
 
 
 def axis_point(nparams, axis, v):
@@ -185,13 +182,13 @@ class TestSettledSlabs:
             field = (F2, F5, QQ)[trial % 3]
             a = tuple(rng.randint(-2, 1) for _ in range(nparams))
             box = Box(a, tuple(x + rng.randint(0, 5 - nparams) for x in a))
-            view = ExtendedView(random_module(field, rng, box=box, max_summands=4))
-            s = canonical_set(view.module)
-            assert is_S_determined(view, s).determined
-            assert frozenset(encode(view, s).points) == pointed_closure(s)
+            module = random_module(field, rng, box=box, max_summands=4)
+            s = canonical_set(module)
+            assert is_S_determined(module, s).determined
+            assert frozenset(encode(module, s).points) == pointed_closure(s)
             assert calls == []
-            window = default_oracle_window(view.box, s)
-            assert is_S_determined_oracle(view, s, window).determined
+            window = default_oracle_window(module.box, s)
+            assert is_S_determined_oracle(module, s, window).determined
             calls.clear()
 
     @pytest.mark.parametrize("field", [F2, F5, QQ], ids=["f2", "f5", "q"])
@@ -206,12 +203,12 @@ class TestSettledSlabs:
         for trial in range(12):
             a = tuple(rng.randint(-1, 1) for _ in range(nparams))
             box = Box(a, tuple(x + rng.randint(1, 4 - nparams) for x in a))
-            view = ExtendedView(random_module(field, rng, box=box, max_summands=3))
+            module = random_module(field, rng, box=box, max_summands=3)
             droppable = [axis_point(nparams, axis, v) for axis in range(nparams)
                          for v in range(box.a[axis] + 1, box.b[axis] + 1)]
             dropped = rng.sample(droppable, min(len(droppable), 1 + trial % 2))
-            s = canonical_set(view.module) - frozenset(dropped)
-            report = assert_matches_downset_oracle(view, s)
+            s = canonical_set(module) - frozenset(dropped)
+            report = assert_matches_downset_oracle(module, s)
             verdicts["holds" if report.holds else "fails"] += 1
         assert all(verdicts.values()), verdicts
         assert calls
@@ -223,31 +220,31 @@ class TestProductSetForms:
     axis, whose axis points the deciders must not assume."""
 
     @staticmethod
-    def view():
+    def module():
         # a 2 x 2 F2 module, every dimension 1: identity steps along axis 2,
         # the steps along axis 1 left out (zero)
         box = Box((0, 0), (1, 1))
         one = Matrix(F2, [[1]])
-        return ExtendedView(GridModule(F2, box, {p: 1 for p in box.integer_points()},
-                                       {((0, 0), 1): one, ((1, 0), 1): one}))
+        return GridModule(F2, box, {p: 1 for p in box.integer_points()},
+                          {((0, 0), 1): one, ((1, 0), 1): one})
 
     def test_factor_without_the_bottom(self):
-        view = self.view()
+        module = self.module()
         s = CartesianSet(((NEG_INF, 0, 1), (0, 1)))
-        report = is_S_determined(view, s)
+        report = is_S_determined(module, s)
         assert report.holds is False and report.witness == ((0, NEG_INF), (1, NEG_INF))
-        assert is_S_determined(view, frozenset(s)) == report
+        assert is_S_determined(module, frozenset(s)) == report
 
     def test_every_product_subset_in_both_forms(self):
-        view = self.view()
+        module = self.module()
         coords = (NEG_INF, 0, 1)
         factors = [f for k in range(1, 4) for f in itertools.combinations(coords, k)]
         verdicts = set()
         for f1 in factors:
             for f2 in factors:
                 s = CartesianSet((f1, f2))
-                report = is_S_determined(view, s)
-                assert is_S_determined(view, frozenset(s)) == report, (f1, f2)
+                report = is_S_determined(module, s)
+                assert is_S_determined(module, frozenset(s)) == report, (f1, f2)
                 verdicts.add(report.holds)
         assert verdicts == {True, False}
 
@@ -263,16 +260,16 @@ class TestCornerRule:
         rng = random.Random(900 * nparams + (field.p if field.kind == "prime" else 0))
         verdicts = {"holds": 0, "fails": 0, "support_fails": 0}
         for trial in range(30 if nparams < 3 else 16):
-            view = ExtendedView(random_module(field, rng, box=random_box(rng, nparams),
-                                              max_summands=4))
+            module = random_module(field, rng, box=random_box(rng, nparams),
+                                   max_summands=4)
             span = 5 if nparams < 3 else 3
             s = {random_ext_point(rng, nparams, lo=-span, hi=span + 1, bottom_prob=0.4)
                  for _ in range(rng.randint(0, 6))}
             if trial % 4 == 1:
-                s |= canonical_set(view.module)
+                s |= canonical_set(module)
             if trial % 2:  # less one or two points
                 s = set(rng.sample(sorted(s, key=str), max(0, len(s) - rng.randint(1, 2))))
-            report = assert_matches_downset_oracle(view, s)
+            report = assert_matches_downset_oracle(module, s)
             verdicts["holds" if report.holds else "fails"] += 1
             verdicts["support_fails"] += report.support_ok is False
         assert all(verdicts.values()), verdicts
@@ -282,11 +279,11 @@ class TestCornerRule:
         rng = random.Random(950 + nparams)
         for trial in range(20):
             field = (F2, F5, QQ)[trial % 3]
-            view = ExtendedView(random_module(field, rng, box=random_box(rng, nparams),
-                                              max_summands=3))
-            canonical = sorted(canonical_set(view.module), key=str)
+            module = random_module(field, rng, box=random_box(rng, nparams),
+                                   max_summands=3)
+            canonical = sorted(canonical_set(module), key=str)
             dropped = rng.sample(canonical, min(len(canonical), 1 + trial % 2))
-            assert_matches_downset_oracle(view, frozenset(canonical) - frozenset(dropped))
+            assert_matches_downset_oracle(module, frozenset(canonical) - frozenset(dropped))
 
     def test_builds_no_grid_and_tests_each_step_once(self, monkeypatch):
         """No critical grid: the one product made is the layout of the box
@@ -310,24 +307,23 @@ class TestCornerRule:
         for trial in range(60):
             nparams = 1 + trial % 3
             field = (F2, F5, QQ)[trial % 3]
-            view = ExtendedView(random_module(field, rng, box=random_box(rng, nparams),
-                                              max_summands=4))
+            drawn = random_module(field, rng, box=random_box(rng, nparams), max_summands=4)
             s = random_point_set(rng, nparams, 5, lo=-3, hi=4)
-            extended = view.module.layout.extended().factors
+            extended = drawn.layout.extended().factors
             calls.clear()
             with monkeypatch.context() as patched:
                 for module in (determinacy, extgrid):
                     patched.setattr(module, "CartesianSet", Recorded)
                 made.clear()
-                report = is_S_determined(view, s)
+                report = is_S_determined(drawn, s)
             # a step is tested only in the order of the extended box's layout,
             # made through the patched class, as an unchecked product is
             assert [product.factors for product in made] in (
                 ([extended],) if calls else ([], [extended]))
             verdicts.add(report.holds)
             assert len(calls) == len(set(calls))
-            index = view.module._index
-            assert set(calls) <= {(index[p], axis) for p, axis in every_step(view.module)}
+            index = drawn._index
+            assert set(calls) <= {(index[p], axis) for p, axis in every_step(drawn)}
         assert verdicts == {True, False}
 
 
@@ -340,7 +336,7 @@ def all_small_modules():
     degeneracy.
     """
     import itertools
-    from detmod import GridModule, validate_module
+    from detmod import CommutativityError, GridModule
 
     def matrices(nrows, ncols):
         if nrows == 0 or ncols == 0:
@@ -365,9 +361,11 @@ def all_small_modules():
         choices = [matrices(dims[(p[0] + (axis == 0), p[1] + (axis == 1))], dims[p])
                    for p, axis in edges]
         for combo in itertools.product(*choices):
-            m = GridModule(F2, box2, dims, dict(zip(edges, combo)))
-            if validate_module(m).ok:
-                yield m
+            try:
+                m = GridModule(F2, box2, dims, dict(zip(edges, combo)))
+            except CommutativityError:
+                continue
+            yield m
 
 
 class TestExhaustiveOracleEquivalence:
@@ -383,11 +381,10 @@ class TestExhaustiveOracleEquivalence:
         ]
         count = 0
         for module in all_small_modules():
-            view = ExtendedView(module)
             for s in catalogs:
-                fast = is_S_determined(view, s)
-                slow = is_S_determined_oracle(view, s,
-                                              default_oracle_window(view.box, s))
+                fast = is_S_determined(module, s)
+                slow = is_S_determined_oracle(module, s,
+                                              default_oracle_window(module.box, s))
                 assert fast.holds == slow.holds, (module.box, module.dims, sorted(s))
                 assert fast.support_ok == slow.support_ok
                 count += 1
@@ -430,32 +427,31 @@ class TestThreeParameterAgreement:
                 starts.append(g)
                 ends.append(d)
             module = twist_module(interval_module(F5, box, starts, ends), rng)
-            view = ExtendedView(module)
             s = frozenset(tuple(NEG_INF if rng.random() < 0.3 else rng.randint(-2, 2)
                                 for _ in range(3))
                           for _ in range(rng.randint(0, 3)))
-            fast = is_S_determined(view, s)
-            slow = is_S_determined_oracle(view, s, default_oracle_window(view.box, s))
+            fast = is_S_determined(module, s)
+            slow = is_S_determined_oracle(module, s, default_oracle_window(module.box, s))
             assert fast.holds == slow.holds, (box, sorted(s))
             assert fast.support_ok == slow.support_ok
 
 
 class TestOracle:
     def test_matches_fast_method_on_worked_example(self):
-        view = corner_view()
-        fast = is_S_determined(view, UNIT_SET)
-        slow = is_S_determined_oracle(view, UNIT_SET,
-                                      default_oracle_window(view.box, UNIT_SET))
+        module = corner_module(F2)
+        fast = is_S_determined(module, UNIT_SET)
+        slow = is_S_determined_oracle(module, UNIT_SET,
+                                      default_oracle_window(module.box, UNIT_SET))
         assert slow.method == "oracle"
         assert fast.determined == slow.determined is True
 
     def test_window_must_contain_box(self):
         with pytest.raises(InputError):
-            is_S_determined_oracle(corner_view(), UNIT_SET, Box((0, 0), (0, 0)))
+            is_S_determined_oracle(corner_module(F2), UNIT_SET, Box((0, 0), (0, 0)))
 
     def test_window_must_contain_set_points(self):
         with pytest.raises(InputError):
-            is_S_determined_oracle(corner_view(), {(7, 0)}, Box((0, 0), (1, 1)))
+            is_S_determined_oracle(corner_module(F2), {(7, 0)}, Box((0, 0), (1, 1)))
 
     @pytest.mark.parametrize("field", [F2, F5, QQ], ids=["f2", "f5", "q"])
     def test_walks_every_step_of_the_canonical_set(self, field, monkeypatch):
@@ -475,19 +471,18 @@ class TestOracle:
             module = random_module(field, rng, box=box, max_summands=3)
             while all(m.is_identity() for m in every_step(module).values()):
                 module = random_module(field, rng, box=box, max_summands=3)
-            view = ExtendedView(module)
             canonical = canonical_set(module)
             first = min(p for p in canonical if p.count(NEG_INF) == nparams - 1)
             for s in (canonical, canonical - {first}):
                 compared.clear(), calls.clear()
-                window = default_oracle_window(view.box, s)
-                report = is_S_determined_oracle(view, s, window)
-                assert report == condition_by_downsets(view, s, oracle_grid(window), "oracle")
+                window = default_oracle_window(module.box, s)
+                report = is_S_determined_oracle(module, s, window)
+                assert report == condition_by_downsets(module, s, oracle_grid(window), "oracle")
                 if s is canonical:  # no step is tested, yet every step is reached
                     targets = {p[:axis] + (p[axis] + 1,) + p[axis + 1:]
                                for p, axis in every_step(module)}
                     grid = oracle_grid(window).sorted_points()
-                    assert not calls and {view.clamp(grid[y]) for y in compared} >= targets
+                    assert not calls and {module.clamp(grid[y]) for y in compared} >= targets
                 else:  # the steps into the dropped coordinate are tested
                     assert calls
 
@@ -496,47 +491,47 @@ class TestCanonicalMap:
     def test_equivalent_to_condition_on_random_instances(self):
         rng = random.Random(31)
         for _ in range(60):
-            view = ExtendedView(random_module(F5, rng))
+            module = random_module(F5, rng)
             s = random_point_set(rng, 2, 4)
-            assert canonical_map_check(view, s).holds == \
-                is_S_determined(view, s).holds
+            assert canonical_map_check(module, s).holds == \
+                is_S_determined(module, s).holds
 
     def test_worked_example(self):
-        assert canonical_map_check(corner_view(), UNIT_SET).holds
+        assert canonical_map_check(corner_module(F2), UNIT_SET).holds
 
     def test_trivial_when_collapse_is_identity(self):
-        view = corner_view()
+        module = corner_module(F2)
         # every critical point of the full extended box collapses to itself
         # only on the set itself; use the constant module instead
-        report = canonical_map_check(view, UNIT_SET)
+        report = canonical_map_check(module, UNIT_SET)
         assert report.support_ok is None
 
 
 class TestEncode:
     def test_worked_example_four_point_diagram(self):
-        diagram = encode(corner_view(), UNIT_SET)
+        diagram = encode(corner_module(F2), UNIT_SET)
         assert diagram.points == (BOTTOM, (NEG_INF, 1), (1, NEG_INF), (1, 1))
         assert [diagram.dims[p] for p in diagram.points] == [1, 0, 0, 0]
 
     def test_constant_module_bottom_encoding(self):
         from detmod import GridModule
         box = Box((0, 0), (0, 0))
-        view = ExtendedView(GridModule(F2, box, {(0, 0): 1}, {}))
-        diagram = encode(view, {BOTTOM})
+        module = GridModule(F2, box, {(0, 0): 1}, {})
+        diagram = encode(module, {BOTTOM})
         assert diagram.points == (BOTTOM,)
         assert diagram.dims[BOTTOM] == 1
 
     def test_refuses_with_witness(self):
         with pytest.raises(NotDeterminedError) as err:
-            encode(corner_view(), {BOTTOM})
+            encode(corner_module(F2), {BOTTOM})
         c, d = err.value.witness
         assert leq(c, d) and c != d
 
     def test_encoding_points_are_pointed_closure(self):
         rng = random.Random(41)
-        view = ExtendedView(random_module(F5, rng))
-        s = canonical_set(view.module)
-        diagram = encode(view, s)
+        module = random_module(F5, rng)
+        s = canonical_set(module)
+        diagram = encode(module, s)
         assert frozenset(diagram.points) == pointed_closure(s)
 
     def test_product_closure_skips_generic_covers(self, monkeypatch):
@@ -544,22 +539,22 @@ class TestEncode:
 
         rng = random.Random(61)
         for field in (F2, F5, QQ):
-            view = ExtendedView(random_module(field, rng))
-            s = canonical_set(view.module)
+            module = random_module(field, rng)
+            s = canonical_set(module)
             closure = sort_points(pointed_closure(s))
             with monkeypatch.context() as m:
                 m.setattr(linalg, "poset_covers", None)
-                diagram = encode(view, s)
+                diagram = encode(module, s)
             assert list(diagram.points) == closure
-            assert diagram.dims == {p: view.eval_space(p) for p in closure}
+            assert diagram.dims == {p: module.eval_space(p) for p in closure}
             assert sorted(diagram.covers()) == sorted(poset_covers(closure))
-            assert all(diagram.maps[e] == view.eval_map(*e) for e in diagram.covers())
+            assert all(diagram.maps[e] == module.eval_map(*e) for e in diagram.covers())
             assert diagram._validated is True
 
     def test_non_product_closure_uses_generic_covers(self, monkeypatch):
         import detmod.linalg as linalg
 
-        view = ExtendedView(corner_module(F5))
+        module = corner_module(F5)
         s = UNIT_SET | {(0, 0)}
         closure = pointed_closure(s)
         assert len(closure) == 7  # (0, -inf) and (-inf, 0) are missing
@@ -567,61 +562,61 @@ class TestEncode:
         with monkeypatch.context() as m:
             m.setattr(linalg, "poset_covers",
                       lambda pts: calls.append(pts) or poset_covers(pts))
-            diagram = encode(view, s)
+            diagram = encode(module, s)
         assert calls == [sort_points(closure)]
         assert sorted(diagram.covers()) == sorted(poset_covers(sort_points(closure)))
 
 
 class TestCheckEncoding:
     def test_roundtrip_passes(self):
-        view = corner_view()
-        assert check_encoding(view, UNIT_SET, encode(view, UNIT_SET))
+        module = corner_module(F2)
+        assert check_encoding(module, UNIT_SET, encode(module, UNIT_SET))
 
     def test_roundtrip_on_random_determined_modules(self):
         rng = random.Random(43)
         for _ in range(20):
-            view = ExtendedView(random_module(F5, rng))
-            s = canonical_set(view.module)
-            assert check_encoding(view, s, encode(view, s))
+            module = random_module(F5, rng)
+            s = canonical_set(module)
+            assert check_encoding(module, s, encode(module, s))
 
     def test_perturbed_map_fails(self):
-        view = ExtendedView(corner_module(F5))
+        module = corner_module(F5)
         s = frozenset(UNIT_SET)
-        diagram = encode(view, s)
+        diagram = encode(module, s)
         maps = dict(diagram.maps)
         # redirect the only possible non-trivial entry: give the bottom a
         # fake surviving direction by bumping a dimension instead
         dims = dict(diagram.dims)
         dims[(1, 1)] = 1
         bad = PosetDiagram(F5, diagram.points, dims, {})
-        assert not check_encoding(view, s, bad)
+        assert not check_encoding(module, s, bad)
 
     def test_conjugated_encoding_still_passes(self):
         from helpers import random_invertible
         from detmod import solve
 
         rng = random.Random(47)
-        view = ExtendedView(random_module(F5, rng))
-        s = canonical_set(view.module)
-        diagram = encode(view, s)
+        module = random_module(F5, rng)
+        s = canonical_set(module)
+        diagram = encode(module, s)
         twist = {p: random_invertible(F5, diagram.dims[p], rng) for p in diagram.points}
         inv = {p: solve(twist[p], Matrix.identity(F5, diagram.dims[p]))
                for p in diagram.points}
         maps = {(c, d): twist[d] @ diagram.maps[(c, d)] @ inv[c]
                 for c, d in diagram.covers()}
         conjugated = PosetDiagram(F5, diagram.points, dict(diagram.dims), maps)
-        assert check_encoding(view, s, conjugated)
+        assert check_encoding(module, s, conjugated)
 
     def test_requires_diagram_on_pointed_closure(self):
-        view = corner_view()
+        module = corner_module(F2)
         wrong = PosetDiagram(F2, [BOTTOM], {BOTTOM: 1}, {})
         with pytest.raises(InputError):
-            check_encoding(view, UNIT_SET, wrong)
+            check_encoding(module, UNIT_SET, wrong)
 
     def test_non_commuting_diagram_rejected_even_when_set_does_not_determine(self):
-        view = corner_view()
+        module = corner_module(F2)
         s = {(0, NEG_INF), (NEG_INF, 0)}
-        assert not is_S_determined(view, s).holds
+        assert not is_S_determined(module, s).holds
         top = (0, 0)
         points = sorted(pointed_closure(s))
         maps = {(BOTTOM, (0, NEG_INF)): Matrix.identity(F2, 1),
@@ -630,43 +625,43 @@ class TestCheckEncoding:
                 ((NEG_INF, 0), top): Matrix.zeros(F2, 1, 1)}
         square = PosetDiagram(F2, points, {p: 1 for p in points}, maps)
         with pytest.raises(InputError):
-            check_encoding(view, s, square)
+            check_encoding(module, s, square)
 
 
 class TestEquivalenceOfConditions:
     def test_three_conditions_agree(self):
         rng = random.Random(53)
         for trial in range(60):
-            view = ExtendedView(random_module(F5, rng))
+            module = random_module(F5, rng)
             if trial % 4 == 0:
-                s = canonical_set(view.module)
+                s = canonical_set(module)
             else:
                 s = random_point_set(rng, 2, 4)
-            cond1 = is_S_determined(view, s).holds
-            cond2 = canonical_map_check(view, s).holds
+            cond1 = is_S_determined(module, s).holds
+            cond2 = canonical_map_check(module, s).holds
             try:
-                cond3 = check_encoding(view, s, encode(view, s))
+                cond3 = check_encoding(module, s, encode(module, s))
             except NotDeterminedError:
                 cond3 = False
-            assert cond1 == cond2 == cond3, (view.box, sorted(s))
+            assert cond1 == cond2 == cond3, (module.box, sorted(s))
 
     def test_monotone_under_closure(self):
         rng = random.Random(59)
         hits = 0
         for trial in range(40):
-            view = ExtendedView(random_module(F5, rng))
-            s = canonical_set(view.module) if trial % 2 else random_point_set(rng, 2, 3)
-            if is_S_determined(view, s).holds:
+            module = random_module(F5, rng)
+            s = canonical_set(module) if trial % 2 else random_point_set(rng, 2, 3)
+            if is_S_determined(module, s).holds:
                 hits += 1
                 closed = pointed_closure(s, dim=2)
-                assert is_S_determined(view, closed).holds
+                assert is_S_determined(module, closed).holds
         assert hits > 0
 
 
 def determined_by_box(module, a, b) -> bool:
     """Is the module determined by the extended box [a + 1, b]?"""
     s = ext_box(Box(tuple(x + 1 for x in a), b)).points()
-    return is_S_determined(ExtendedView(module), s).determined
+    return is_S_determined(module, s).determined
 
 
 class TestFinitelyDetermined:

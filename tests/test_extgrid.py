@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from detmod import (Box, CartesianSet, ExtendedView, InputError, NEG_INF, convex_projection,
+from detmod import (Box, CartesianSet, InputError, NEG_INF, convex_projection,
                     critical_grid, ext_box, extended_projection,
                     join_below, join_closure, leq, meet_above, mub,
                     point_sort_key, pointed_closure, poset_covers, sort_points)
@@ -404,7 +404,7 @@ class TestLayout:
         assert window.a == tuple(min([u, *[p[i] for p in s if p[i] != NEG_INF]])
                                  for i, u in enumerate(box.a))
         # the grid the presentation walk keeps: a product of the coordinates it lists
-        pts, _, lower, *_ = _product_poset(ExtendedView(module), critical_grid(box, s), s)
+        pts, _, lower, *_ = _product_poset(module, critical_grid(box, s), s)
         kept = CartesianSet([{p[i] for p in pts} for i in range(box.dim)])
         assert kept.sorted_points() == pts and kept.lower == lower
 

@@ -10,25 +10,62 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import detmod.linalg as linalg
-from detmod import (Box, ExtendedView, GridModule, InputError, Matrix,
+from detmod import (Box, CommutativityError, DiagramCheck, GridModule, InputError, Matrix,
                     NEG_INF, PrimeField, QQ, canonical_set, ext_box, is_invertible,
                     pointed_closure, poset_covers, rank, restrict_view, sort_points,
-                    validate_diagram, validate_module, window_module)
-from detmod.io import matrix_to_json, module_from_json, module_to_json
-from helpers import (F2, F5, corner_module, diagram_limit, every_step, given_steps,
-                     halfplane_table, interval_module, module_diagram,
-                     path_commutativity_ok, poset_covers_bruteforce, random_module, twist_module,
+                    validate_diagram, window_module)
+from detmod.io import (box_to_json, field_to_json, matrix_to_json, module_from_json,
+                       module_to_json)
+from helpers import (F2, F5, corner_module, data_diagram, data_steps, diagram_limit, every_step,
+                     given_steps, halfplane_table, interval_module, path_commutativity_ok,
+                     poset_covers_bruteforce, random_module, twist_module,
                      stabilization_window, unzip_module, validate_by_products,
                      validate_module_by_diagram)
 
 BOTTOM = (NEG_INF, NEG_INF)
+SQUARE = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+
+def data_of(module) -> tuple:
+    """``(field, box, dims, steps)`` of a module, as ``GridModule`` takes them."""
+    return module.field, module.box, dict(module.dims), given_steps(module)
+
+
+def data_json(field, box, dims, steps) -> dict:
+    """Module data, which need not commute, as a module file."""
+    return {"field": field_to_json(field), "n": box.dim, "box": box_to_json(box),
+            "dims": [dims[p] for p in box.integer_points()],
+            "maps": [{"from": list(p), "axis": axis + 1, "matrix": matrix_to_json(m)}
+                     for (p, axis), m in steps.items()]}
+
+
+def built(field, box, dims, steps) -> DiagramCheck:
+    """How ``GridModule(...)`` and ``module_from_json`` take module data, as
+    a check: both build it, or both refuse it with the same square, worded
+    as ``validate`` words it and as the command line refuses it."""
+    squares = []
+    for build in (lambda: GridModule(field, box, dims, steps),
+                  lambda: module_from_json(data_json(field, box, dims, steps))):
+        try:
+            build()
+            squares.append(None)
+        except CommutativityError as exc:
+            assert str(exc) == ("module does not validate: square does not commute at "
+                                f"{exc.square!r}")
+            squares.append(exc.square)
+    assert squares[0] == squares[1]
+    if squares[0] is None:
+        return DiagramCheck(True)
+    return DiagramCheck(False, "square does not commute", squares[0])
 
 
 class TestValidation:
-    def test_corner_module_validates(self):
-        assert validate_module(corner_module(F2)).ok
+    def test_commuting_modules_are_built(self):
+        rng = random.Random(5)
+        for module in [corner_module(F2)] + [random_module(F5, rng) for _ in range(10)]:
+            assert built(*data_of(module))
 
-    def test_noncommuting_square_reported(self):
+    def test_noncommuting_square_refused(self):
         box = Box((0, 0), (1, 1))
         dims = {p: 1 for p in box.integer_points()}
         steps = {
@@ -37,8 +74,11 @@ class TestValidation:
             ((1, 0), 1): Matrix.identity(F2, 1),
             ((0, 1), 0): Matrix.zeros(F2, 1, 1),
         }
-        check = validate_module(GridModule(F2, box, dims, steps))
-        assert not check.ok
+        with pytest.raises(CommutativityError) as err:
+            GridModule(F2, box, dims, steps)
+        assert isinstance(err.value, InputError) and err.value.square == SQUARE
+        assert str(err.value) == ("module does not validate: square does not commute at "
+                                  "((0, 0), (0, 1), (1, 0), (1, 1))")
 
     def test_shape_mismatch_reported(self):
         """A step of the wrong shape is refused when the module is built."""
@@ -67,30 +107,37 @@ class TestValidation:
                        {step: Matrix.identity(F2, 1)})
         assert str(err.value) == message
 
-    def test_dimensions_refused(self):
+    def test_dimensions_refused(self, monkeypatch):
+        """Each refusal lists at most one box point more than ``dims`` has,
+        so a box of 10^12 points with one dimension given is refused at
+        once, not after listing its points."""
         box = Box((0, 0), (1, 1))
         dims = {p: 1 for p in box.integer_points()}
+        huge = Box((0, 0), (10 ** 6 - 1, 10 ** 6 - 1))
         cases = [
-            ({**dims, (3, 0): 1, (2, 2): 1}, "dimensions given outside the box: [(2, 2), (3, 0)]"),
-            ({p: d for p, d in dims.items() if p != (0, 1)},
+            (box, {**dims, (3, 0): 1, (2, 2): 1},
+             "dimensions given outside the box: [(2, 2), (3, 0)]"),
+            (box, {p: d for p, d in dims.items() if p != (0, 1)},
              "missing dimension at box point (0, 1)"),
-            ({**dims, (1, 0): -1}, "invalid dimension -1 at (1, 0)"),
-            ({**dims, (1, 0): True}, "invalid dimension True at (1, 0)"),
-            ({**dims, (1, 1): 1.0}, "invalid dimension 1.0 at (1, 1)"),
+            (box, {**dims, (1, 0): -1}, "invalid dimension -1 at (1, 0)"),
+            (box, {**dims, (1, 0): True}, "invalid dimension True at (1, 0)"),
+            (box, {**dims, (1, 1): 1.0}, "invalid dimension 1.0 at (1, 1)"),
+            (box, {(0, 0): 1}, "missing dimension at box point (0, 1)"),
+            (huge, {(0, 0): 1}, "missing dimension at box point (0, 1)"),
+            (huge, {(0, 1): 1}, "missing dimension at box point (0, 0)"),
         ]
-        for bad, message in cases:
-            with pytest.raises(InputError) as err:
-                GridModule(F2, box, bad, {})
+        integer_points = Box.integer_points
+        for where, bad, message in cases:
+            def bounded(self, limit=len(bad) + 1):
+                for k, p in enumerate(integer_points(self)):
+                    if k == limit:
+                        raise AssertionError("more box points listed than dims has, plus one")
+                    yield p
+            with monkeypatch.context() as m:
+                m.setattr(Box, "integer_points", bounded)
+                with pytest.raises(InputError) as err:
+                    GridModule(F2, where, bad, {})
             assert str(err.value) == message
-
-    def test_random_commutative_module_passes(self):
-        rng = random.Random(5)
-        for _ in range(10):
-            assert validate_module(random_module(F5, rng)).ok
-
-    def test_dims_must_cover_box(self):
-        with pytest.raises(InputError):
-            GridModule(F2, Box((0, 0), (1, 1)), {(0, 0): 1}, {})
 
 
 def _random_box(rng, nparams):
@@ -106,8 +153,9 @@ def _random_matrix(field, nrows, ncols, rng):
 
 
 def _module_variants(module, rng):
-    """The module with every step given, with its zero steps left out, and
-    copies of the latter with one step replaced or left out at random."""
+    """The data of the module with every step given, with its zero steps
+    left out, and copies of the latter with one step replaced or left out
+    at random."""
     every = every_step(module)
     given = {k: m for k, m in every.items() if not m.is_zero()}
     variants = [every, given]
@@ -117,13 +165,13 @@ def _module_variants(module, rng):
     if given:
         dropped = rng.choice(sorted(given))
         variants.append({k: m for k, m in given.items() if k != dropped})
-    return [GridModule(module.field, module.box, dict(module.dims), steps)
-            for steps in variants]
+    return [(module.field, module.box, dict(module.dims), steps) for steps in variants]
 
 
 class TestValidateModuleRoutes:
-    """The unit-square walk against the poset-diagram route, which shares it,
-    and against ``validate_by_products`` and path enumeration, which do not."""
+    """The unit-square walk that refuses data as a module is built, against
+    the poset-diagram route, which shares it, and against
+    ``validate_by_products`` and path enumeration, which do not."""
 
     @pytest.mark.parametrize("field,seed", [(F2, 11), (F5, 13), (QQ, 17)],
                              ids=["f2", "f5", "q"])
@@ -133,12 +181,10 @@ class TestValidateModuleRoutes:
         verdicts = set()
         for _ in range(30):
             base = random_module(field, rng, box=_random_box(rng, nparams))
-            for module in _module_variants(base, rng):
-                fast = validate_module(module)
-                module._validated = None
-                slow = validate_module_by_diagram(module)
-                assert fast == slow == validate_by_products(module)
-                assert fast.ok == path_commutativity_ok(module_diagram(module))
+            for data in _module_variants(base, rng):
+                fast = built(*data)
+                assert fast == validate_module_by_diagram(*data) == validate_by_products(*data)
+                assert fast.ok == path_commutativity_ok(data_diagram(*data))
                 verdicts.add(fast.ok)
         assert verdicts == ({True} if nparams == 1 else {True, False})
 
@@ -146,19 +192,19 @@ class TestValidateModuleRoutes:
         import detmod.grid_module as grid_module
 
         def forbidden(*args, **kwargs):
-            raise AssertionError("validate_module went through a poset diagram")
+            raise AssertionError("building a module went through a poset diagram")
 
         rng = random.Random(7)
-        modules = []
+        datas = []
         for field in (F2, F5, QQ):
             for _ in range(4):
                 base = random_module(field, rng, box=_random_box(rng, 2))
-                modules.extend(_module_variants(base, rng))
+                datas.extend(_module_variants(base, rng))
         with monkeypatch.context() as m:
             m.setattr(linalg.PosetDiagram, "__init__", forbidden)
             m.setattr(linalg, "validate_diagram", forbidden)
             m.setattr(grid_module, "validate_diagram", forbidden)
-            verdicts = {validate_module(module).ok for module in modules}
+            verdicts = {built(*data).ok for data in datas}
         assert verdicts == {True, False}
 
     def test_squares_through_left_out_steps_form_no_product(self, monkeypatch):
@@ -166,14 +212,13 @@ class TestValidateModuleRoutes:
         # both composites of every unit square pass through a left-out step
         box = Box((0, 0), (2, 2))
         steps = {(p, 0): Matrix.identity(F5, 1) for p in box.integer_points() if p[0] < 2}
-        module = GridModule(F5, box, {p: 1 for p in box.integer_points()}, steps)
 
         def forbidden(a, b):
             raise AssertionError("a matrix product was formed")
 
         monkeypatch.setattr(Matrix, "__matmul__", forbidden)
         monkeypatch.setattr(linalg, "product_rows", forbidden)
-        assert validate_module(module).ok
+        assert built(F5, box, {p: 1 for p in box.integer_points()}, steps)
 
     def test_left_out_steps_share_one_zero_per_shape(self):
         module = corner_module(F2, top=(1, 1), box=Box((0, 0), (3, 3)))
@@ -184,7 +229,7 @@ class TestValidateModuleRoutes:
 
 
 def _perturbed(module, rng):
-    """Copies of the module with one entry of one given step changed."""
+    """The data of copies of the module with one entry of one given step changed."""
     field = module.field
     every = every_step(module)
     keys = [k for k, m in every.items() if m.nrows and m.ncols]
@@ -197,34 +242,33 @@ def _perturbed(module, rng):
         else:
             rows[r][c] += Fraction(rng.choice([-2, -1, 1, 3]), rng.choice([1, 2, 3]))
         steps = {**every, key: Matrix(field, rows, ncols=len(rows[0]))}
-        out.append(GridModule(field, module.box, dict(module.dims), steps))
+        out.append((field, module.box, dict(module.dims), steps))
     return out
 
 
 def _unit_square(field, dims, c_j, up_i, c_i, up_j):
-    """The 2 x 2 box with the given dimensions at (0,0), (0,1), (1,0), (1,1)
-    and every step given: (0,0) -> (0,1) -> (1,1) is up_i @ c_j and
-    (0,0) -> (1,0) -> (1,1) is up_j @ c_i."""
+    """The data of the 2 x 2 box with the given dimensions at (0,0), (0,1),
+    (1,0), (1,1) and every step given: (0,0) -> (0,1) -> (1,1) is up_i @ c_j
+    and (0,0) -> (1,0) -> (1,1) is up_j @ c_i."""
     box = Box((0, 0), (1, 1))
     steps = {((0, 0), 1): c_j, ((0, 1), 0): up_i, ((0, 0), 0): c_i, ((1, 0), 1): up_j}
     steps = {k: m if isinstance(m, Matrix) else Matrix(field, m, ncols=len(m[0]))
              for k, m in steps.items()}
-    return GridModule(field, box, dict(zip(box.integer_points(), dims)), steps)
+    return field, box, dict(zip(box.integer_points(), dims)), steps
 
 
-SQUARE = ((0, 0), (0, 1), (1, 0), (1, 1))
 F7 = PrimeField(7)
 
 
 @st.composite
 def unit_squares(draw):
-    """A module on the 2 x 2 box over F2, F5, F7 or Q with dimensions 0 to 3
-    at its corners.  Each step is left out, the identity where its shape is
-    square, or drawn, over Q with numerators and denominators up to 10^12.
-    Where the corners (0, 1) and (1, 0) have one dimension, the route through
-    (1, 0) is often the route through (0, 1) with a scalar t moved across
-    its middle corner, so that many squares commute and over Q with other
-    denominators on the two routes."""
+    """Module data on the 2 x 2 box over F2, F5, F7 or Q with dimensions 0
+    to 3 at its corners.  Each step is left out, the identity where its
+    shape is square, or drawn, over Q with numerators and denominators up to
+    10^12.  Where the corners (0, 1) and (1, 0) have one dimension, the
+    route through (1, 0) is often the route through (0, 1) with a scalar t
+    moved across its middle corner, so that many squares commute and over Q
+    with other denominators on the two routes."""
     field = draw(st.sampled_from([F2, F5, F7, QQ]))
     dims = dict(zip(SQUARE, draw(st.tuples(*[st.integers(0, 3)] * 4))))
     if field.kind == "prime":
@@ -259,12 +303,13 @@ def unit_squares(draw):
     steps = {key: m for key, m in (((SQUARE[0], 1), c_j), ((SQUARE[1], 0), up_i),
                                    ((SQUARE[0], 0), c_i), ((SQUARE[2], 1), up_j))
              if m is not None}
-    return GridModule(field, Box((0, 0), (1, 1)), dims, steps)
+    return field, Box((0, 0), (1, 1)), dims, steps
 
 
 class TestValidateMatchesProducts:
-    """validate_module, which multiplies rows, against ``validate_by_products``,
-    which multiplies matrices: the same verdict and the same square."""
+    """The squares that refuse data as a module is built, which multiply
+    rows, against ``validate_by_products``, which multiplies matrices: the
+    same verdict and the same square."""
 
     @pytest.mark.parametrize("field", [F2, F5, QQ], ids=["f2", "f5", "q"])
     @pytest.mark.parametrize("nparams", [1, 2, 3])
@@ -273,19 +318,19 @@ class TestValidateMatchesProducts:
         verdicts = set()
         for _ in range(25):
             base = random_module(field, rng, box=_random_box(rng, nparams), max_summands=4)
-            for module in [base] + _perturbed(base, rng) + _module_variants(base, rng):
-                fast = validate_module(module)
-                assert fast == validate_by_products(module)
+            for data in [data_of(base)] + _perturbed(base, rng) + _module_variants(base, rng):
+                fast = built(*data)
+                assert fast == validate_by_products(*data)
                 verdicts.add(fast.ok)
         assert verdicts == ({True} if nparams == 1 else {True, False})
 
     @settings(max_examples=300, deadline=None)
-    @given(module=unit_squares())
-    def test_random_unit_squares(self, module):
+    @given(data=unit_squares())
+    def test_random_unit_squares(self, data):
         """The rows of ``product_rows``, compared mod p or cross-multiplied,
         against ``Matrix`` products compared as matrices: the same verdict,
         message and square."""
-        fast, slow = validate_module(module), validate_by_products(module)
+        fast, slow = built(*data), validate_by_products(*data)
         assert (fast.ok, fast.message, fast.square) == (slow.ok, slow.message, slow.square)
 
     @pytest.mark.parametrize("field", [F2, F5, QQ], ids=["f2", "f5", "q"])
@@ -295,74 +340,71 @@ class TestValidateMatchesProducts:
         one = Matrix.identity(field, 1)
         into, out_of = Matrix.zeros(field, 0, 1), Matrix.zeros(field, 1, 0)
         for up_i, ok in ((one, False), (Matrix.zeros(field, 1, 1), True)):
-            module = _unit_square(field, (1, 1, 0, 1), one, up_i, into, out_of)
-            check = validate_module(module)
-            assert check == validate_by_products(module)
+            data = _unit_square(field, (1, 1, 0, 1), one, up_i, into, out_of)
+            check = built(*data)
+            assert check == validate_by_products(*data)
             assert check.ok is ok and check.square == (None if ok else SQUARE)
         # both routes through zero spaces
-        module = _unit_square(field, (1, 0, 0, 1), into, out_of, into, out_of)
-        assert validate_module(module).ok
+        assert built(*_unit_square(field, (1, 0, 0, 1), into, out_of, into, out_of))
 
     def test_products_equal_only_mod_p(self):
         """2 * 3 = 6 against 1 * 1 = 1 over F5: equal in the field, not as integers."""
-        module = _unit_square(F5, (1, 1, 1, 1), [[2]], [[3]], [[1]], [[1]])
-        assert validate_module(module).ok and validate_by_products(module).ok
-        module = _unit_square(F5, (1, 1, 1, 1), [[2]], [[3]], [[1]], [[2]])
-        assert validate_module(module) == validate_by_products(module)
-        assert validate_module(module).square == SQUARE
+        data = _unit_square(F5, (1, 1, 1, 1), [[2]], [[3]], [[1]], [[1]])
+        assert built(*data) and validate_by_products(*data)
+        data = _unit_square(F5, (1, 1, 1, 1), [[2]], [[3]], [[1]], [[2]])
+        assert built(*data) == validate_by_products(*data)
+        assert built(*data).square == SQUARE
         # 2 x 2 blocks whose products differ by 5 and 10 in two entries
-        module = _unit_square(F5, (2, 2, 2, 2), [[1, 2], [3, 4]], [[4, 4], [1, 0]],
-                              [[1, 2], [3, 4]], [[4, 4], [1, 0]])
-        assert validate_module(module).ok
-        module = _unit_square(F5, (2, 2, 2, 2), [[1, 2], [3, 4]], [[4, 4], [1, 0]],
-                              [[1, 2], [3, 4]], [[4, 4], [1, 1]])
-        assert not validate_module(module).ok
+        assert built(*_unit_square(F5, (2, 2, 2, 2), [[1, 2], [3, 4]], [[4, 4], [1, 0]],
+                                   [[1, 2], [3, 4]], [[4, 4], [1, 0]]))
+        assert not built(*_unit_square(F5, (2, 2, 2, 2), [[1, 2], [3, 4]], [[4, 4], [1, 0]],
+                                       [[1, 2], [3, 4]], [[4, 4], [1, 1]]))
 
     def test_rational_sides_cross_multiplied(self):
         """1/2 * 4 against 2/3 * 3: both 2, over different denominators."""
         half, third = Fraction(1, 2), Fraction(2, 3)
-        module = _unit_square(QQ, (1, 1, 1, 1), [[half]], [[4]], [[third]], [[3]])
-        assert validate_module(module).ok and validate_by_products(module).ok
-        module = _unit_square(QQ, (1, 1, 1, 1), [[half]], [[4]], [[third]], [["7/2"]])
-        assert not validate_module(module).ok
+        data = _unit_square(QQ, (1, 1, 1, 1), [[half]], [[4]], [[third]], [[3]])
+        assert built(*data) and validate_by_products(*data)
+        assert not built(*_unit_square(QQ, (1, 1, 1, 1), [[half]], [[4]], [[third]], [["7/2"]]))
 
     @pytest.mark.parametrize("field", [F2, F5, QQ], ids=["f2", "f5", "q"])
     @pytest.mark.parametrize("nparams", [2, 3])
     def test_module_files_with_steps_left_out_or_zero(self, field, nparams):
         """Each module and its perturbations loaded from two files: one that
         leaves its zero steps out, as ``module_to_json`` writes it, and one
-        that gives every step, zeros explicit.  Both validate as the oracle
-        says, and every step reads the same from either and from the module."""
+        that gives every step, zeros explicit.  Both load or are refused as
+        the oracle says, and every step of a loaded module reads the same
+        from either and from the data."""
         rng = random.Random(610 * nparams + (field.p if field.kind == "prime" else 0))
         verdicts, left_out = set(), 0
         for _ in range(12):
             base = random_module(field, rng, box=_random_box(rng, nparams), max_summands=4)
-            for module in [base] + _perturbed(base, rng):
-                sparse = module_to_json(module)
-                dense = dict(sparse, maps=[
-                    {"from": list(p), "axis": axis + 1, "matrix": matrix_to_json(m)}
-                    for (p, axis), m in sorted(every_step(module).items())])
-                loaded = [module_from_json(obj) for obj in (sparse, dense)]
-                assert len(given_steps(loaded[1])) == len(every_step(module))
-                left_out += len(given_steps(loaded[1])) - len(given_steps(loaded[0]))
-                for m in loaded:
-                    fast, slow = validate_module(m), validate_by_products(m)
-                    assert (fast.ok, fast.message, fast.square) == \
-                        (slow.ok, slow.message, slow.square)
-                    verdicts.add(fast.ok)
-                for (p, axis), step in every_step(module).items():
-                    assert loaded[0].step(p, axis) == loaded[1].step(p, axis) == step
+            for data in [data_of(base)] + _perturbed(base, rng):
+                every = data_steps(*data)
+                sparse = {k: m for k, m in every.items() if not m.is_zero()}
+                left_out += len(every) - len(sparse)
+                slow = validate_by_products(*data)
+                verdicts.add(slow.ok)
+                for steps in (sparse, every):
+                    try:
+                        loaded = module_from_json(data_json(*data[:3], steps))
+                    except CommutativityError as exc:
+                        assert (False, exc.square) == (slow.ok, slow.square)
+                        continue
+                    assert slow.ok and len(loaded.given) == len(steps)
+                    for (p, axis), step in every.items():
+                        assert loaded.step(p, axis) == step
         assert verdicts == {True, False} and left_out
 
     def test_at_most_two_products_per_square(self, monkeypatch):
         """The composites are rows of ``product_rows``, at most two per unit
         square of the box, and no ``Matrix`` product is formed."""
         rng = random.Random(23)
-        modules = []
+        datas = []
         for field in (F2, F5, QQ):
             for nparams in (2, 3):
                 base = random_module(field, rng, box=_random_box(rng, nparams), max_summands=4)
-                modules += [base] + _perturbed(base, rng)
+                datas += [data_of(base)] + _perturbed(base, rng)
         product_rows, calls = linalg.product_rows, []
 
         def counted(a, b):
@@ -374,95 +416,98 @@ class TestValidateMatchesProducts:
         monkeypatch.setattr(linalg, "product_rows", counted)
         monkeypatch.setattr(Matrix, "__matmul__", forbidden)
         verdicts = set()
-        for module in modules:
+        for field, box, dims, steps in datas:
             del calls[:]
-            verdicts.add(validate_module(module).ok)
-            sides = [b - a for a, b in zip(module.box.a, module.box.b)]
+            try:
+                GridModule(field, box, dims, steps)
+                verdicts.add(True)
+            except CommutativityError:
+                verdicts.add(False)
+            sides = [b - a for a, b in zip(box.a, box.b)]
             squares = sum(math.prod(s + 1 for k, s in enumerate(sides) if k not in (i, j))
                           * sides[i] * sides[j]
                           for j in range(len(sides)) for i in range(j))
             assert len(calls) <= 2 * squares
         assert verdicts == {True, False}
-        empty = GridModule(QQ, Box((0, 0), (2, 2)), {p: 1 for p in Box((0, 0), (2, 2))
-                                                     .integer_points()}, {})
+        box = Box((0, 0), (2, 2))
         del calls[:]
-        assert validate_module(empty).ok and calls == []
+        GridModule(QQ, box, {p: 1 for p in box.integer_points()}, {})
+        assert calls == []
 
 
 class TestEvalSpace:
     def test_worked_example_values(self):
-        view = ExtendedView(corner_module(F2))
-        assert view.eval_space(BOTTOM) == 1
-        assert view.eval_space((1, NEG_INF)) == 0
-        assert view.eval_space((NEG_INF, 0)) == 1
-        assert view.eval_space((NEG_INF, 1)) == 0
+        module = corner_module(F2)
+        assert module.eval_space(BOTTOM) == 1
+        assert module.eval_space((1, NEG_INF)) == 0
+        assert module.eval_space((NEG_INF, 0)) == 1
+        assert module.eval_space((NEG_INF, 1)) == 0
 
     def test_clamp_identity_inside_box(self):
-        view = ExtendedView(corner_module(F2))
-        for c in view.box.integer_points():
-            assert view.eval_space(c) == view.module.dims[c]
+        module = corner_module(F2)
+        for c in module.box.integer_points():
+            assert module.eval_space(c) == module.dims[c]
 
     def test_clamp_idempotence(self):
         rng = random.Random(9)
-        view = ExtendedView(random_module(F5, rng))
-        grid = ext_box(Box(tuple(a - 2 for a in view.box.a),
-                           tuple(b + 2 for b in view.box.b)))
+        module = random_module(F5, rng)
+        grid = ext_box(Box(tuple(a - 2 for a in module.box.a),
+                           tuple(b + 2 for b in module.box.b)))
         for c in grid.points():
-            assert view.eval_space(c) == view.eval_space(view.clamp(c))
+            assert module.eval_space(c) == module.eval_space(module.clamp(c))
 
 
 class TestLimitOracle:
     def test_extension_agrees_with_limit(self):
         rng = random.Random(13)
         for _ in range(25):
-            view = ExtendedView(random_module(F5, rng))
+            module = random_module(F5, rng)
             for _ in range(4):
                 c = tuple(NEG_INF if rng.random() < 0.4 else rng.randint(-4, 4)
-                          for _ in range(view.box.dim))
-                window = stabilization_window(view, c)
-                diagram = restrict_view(view, window.cartesian())
+                          for _ in range(module.box.dim))
+                window = stabilization_window(module, c)
+                diagram = restrict_view(module, window.cartesian())
                 dim, _ = diagram_limit(diagram)
-                assert dim == view.eval_space(c), (c, view.box)
+                assert dim == module.eval_space(c), (c, module.box)
 
     def test_worked_example_bottom_corner(self):
-        view = ExtendedView(corner_module(F2))
-        window = stabilization_window(view, BOTTOM)
-        dim, _ = diagram_limit(restrict_view(view, window.cartesian()))
-        assert dim == 1 == view.eval_space(BOTTOM)
+        module = corner_module(F2)
+        window = stabilization_window(module, BOTTOM)
+        dim, _ = diagram_limit(restrict_view(module, window.cartesian()))
+        assert dim == 1 == module.eval_space(BOTTOM)
 
 
 class TestEvalMap:
     def test_identity_on_equal_points(self):
-        view = ExtendedView(corner_module(F2))
-        assert view.eval_map((0, 0), (0, 0)) == Matrix.identity(F2, 1)
+        module = corner_module(F2)
+        assert module.eval_map((0, 0), (0, 0)) == Matrix.identity(F2, 1)
 
     def test_worked_example_bottom_to_origin(self):
-        view = ExtendedView(corner_module(F2))
-        assert view.eval_map(BOTTOM, (0, 0)) == Matrix.identity(F2, 1)
+        module = corner_module(F2)
+        assert module.eval_map(BOTTOM, (0, 0)) == Matrix.identity(F2, 1)
 
     def test_requires_comparable_points(self):
-        view = ExtendedView(corner_module(F2))
+        module = corner_module(F2)
         with pytest.raises(InputError):
-            view.eval_map((1, 0), (0, 1))
+            module.eval_map((1, 0), (0, 1))
 
     def test_functoriality_on_random_triples(self):
         rng = random.Random(17)
         for _ in range(10)              :
-            view = ExtendedView(random_module(F5, rng))
+            module = random_module(F5, rng)
             for _ in range(10):
                 base = tuple(NEG_INF if rng.random() < 0.3 else rng.randint(-3, 3)
-                             for _ in range(view.box.dim))
+                             for _ in range(module.box.dim))
                 mid = tuple(v if v != NEG_INF and rng.random() < 0.5 else
                             (rng.randint(int(v) if v != NEG_INF else -3, 4))
                             for v in base)
                 mid = tuple(max(m, b) for m, b in zip(mid, base))
                 top = tuple(int(m) + rng.randint(0, 3) for m in mid)
-                left = view.eval_map(mid, top) @ view.eval_map(base, mid)
-                assert left == view.eval_map(base, top)
+                left = module.eval_map(mid, top) @ module.eval_map(base, mid)
+                assert left == module.eval_map(base, top)
 
     def test_unit_cover_returns_the_stored_step(self, monkeypatch):
         module = random_module(F5, random.Random(29), box=Box((0, 0), (2, 2)))
-        view = ExtendedView(module)
         products = []
         matmul = Matrix.__matmul__
 
@@ -471,86 +516,86 @@ class TestEvalMap:
             return matmul(self, other)
         monkeypatch.setattr(Matrix, "__matmul__", counted)
         for (p, axis), step in every_step(module).items():
-            assert view.eval_map(p, module._step_target(p, axis)) is step
+            assert module.eval_map(p, module._step_target(p, axis)) is step
         below = (NEG_INF, 0)  # clamps onto (0, 0), one step below (1, 0)
-        assert view.eval_map(below, (1, 0)) is module.step((0, 0), 0)
+        assert module.eval_map(below, (1, 0)) is module.step((0, 0), 0)
         assert products == []
-        assert view.eval_map((0, 0), (2, 0)) == \
+        assert module.eval_map((0, 0), (2, 0)) == \
             module.step((1, 0), 0) @ module.step((0, 0), 0)
         assert len(products) == 2
 
     def test_iso_when_clamps_agree(self):
         rng = random.Random(19)
-        view = ExtendedView(random_module(F5, rng))
-        a = view.box.a
+        module = random_module(F5, rng)
+        a = module.box.a
         below = tuple(x - 3 for x in a)
         deeper = tuple(x - 1 for x in a)
-        assert view.clamp(below) == view.clamp(deeper)
-        assert is_invertible(view.eval_map(below, deeper))
+        assert module.clamp(below) == module.clamp(deeper)
+        assert is_invertible(module.eval_map(below, deeper))
 
 
 class TestRestrictDiagram:
     def test_worked_example_restriction(self):
-        view = ExtendedView(corner_module(F2))
-        diagram = restrict_view(view, ext_box(Box((1, 1), (1, 1))).points())
+        module = corner_module(F2)
+        diagram = restrict_view(module, ext_box(Box((1, 1), (1, 1))).points())
         assert [diagram.dims[p] for p in diagram.points] == [1, 0, 0, 0]
         assert diagram.points[0] == BOTTOM
 
     def test_single_point(self):
-        view = ExtendedView(corner_module(F2))
-        diagram = restrict_view(view, [(0, 0)])
+        module = corner_module(F2)
+        diagram = restrict_view(module, [(0, 0)])
         assert diagram.points == ((0, 0),)
         assert diagram.dims[(0, 0)] == 1
 
     def test_restrictions_always_validate(self):
         rng = random.Random(23)
         for _ in range(10):
-            view = ExtendedView(random_module(F5, rng))
+            module = random_module(F5, rng)
             pts = {tuple(NEG_INF if rng.random() < 0.3 else rng.randint(-3, 3)
-                         for _ in range(view.box.dim)) for _ in range(6)}
-            diagram = restrict_view(view, pts)
+                         for _ in range(module.box.dim)) for _ in range(6)}
+            diagram = restrict_view(module, pts)
             assert diagram._validated is True
             assert sorted(diagram.covers()) == sorted(poset_covers_bruteforce(pts))
-            assert diagram.dims == {p: view.eval_space(p) for p in pts}
-            assert all(m == view.eval_map(*e) for e, m in diagram.maps.items())
+            assert diagram.dims == {p: module.eval_space(p) for p in pts}
+            assert all(m == module.eval_map(*e) for e, m in diagram.maps.items())
             diagram._validated = None  # check the squares, not the inherited flag
             assert validate_diagram(diagram).ok
 
     def test_cartesian_fast_path_matches_generic(self, monkeypatch):
         import detmod.linalg as linalg
 
-        view = ExtendedView(corner_module(F2))
+        module = corner_module(F2)
         cart = ext_box(Box((0, 0), (1, 1)))
         pts = sort_points(cart.points())
         generic = poset_covers(pts)
         with monkeypatch.context() as m:
             m.setattr(linalg, "poset_covers", None)
             for points in (cart, cart.points(), list(reversed(pts))):
-                fast = restrict_view(view, points)
+                fast = restrict_view(module, points)
                 assert list(fast.points) == pts
-                assert fast.dims == {p: view.eval_space(p) for p in pts}
+                assert fast.dims == {p: module.eval_space(p) for p in pts}
                 assert set(fast.covers()) == set(generic)
-                assert all(fast.maps[e] == view.eval_map(*e) for e in generic)
+                assert all(fast.maps[e] == module.eval_map(*e) for e in generic)
 
     def test_sparse_set_does_not_build_its_product(self, monkeypatch):
         import detmod.grid_module as grid_module
 
-        view = ExtendedView(corner_module(F2))
+        module = corner_module(F2)
         # a chain: its coordinate sets span a product of 40**2 points
         chain = [(i, i) for i in range(40)]
         with monkeypatch.context() as m:
             m.setattr(grid_module.CartesianSet, "points", None)
-            diagram = restrict_view(view, chain)
+            diagram = restrict_view(module, chain)
         assert sorted(diagram.covers()) == [(chain[i], chain[i + 1]) for i in range(39)]
 
     def test_encoded_view_restriction_matches_evaluation(self):
         rng = random.Random(41)
         for _ in range(6):
-            view = ExtendedView(random_module(F5, rng))
-            lattice = pointed_closure(canonical_set(view.module))
-            enc = unzip_module(lattice, restrict_view(view, lattice))
+            module = random_module(F5, rng)
+            lattice = pointed_closure(canonical_set(module))
+            enc = unzip_module(lattice, restrict_view(module, lattice))
             pts = {tuple(NEG_INF if rng.random() < 0.3 else rng.randint(-3, 3)
-                         for _ in range(view.box.dim)) for _ in range(6)}
+                         for _ in range(module.box.dim)) for _ in range(6)}
             diagram = enc.restrict(pts)
             assert diagram.dims == {p: enc.eval_space(p) for p in diagram.points}
             assert all(diagram.maps[e] == enc.eval_map(*e) for e in diagram.covers())
@@ -647,10 +692,10 @@ class TestWindowModule:
 
 @st.composite
 def scalar_modules(draw):
-    """A random commutative module over F2, F5 or Q on 2 or 3 axes, with a
-    random basis change at every point: the interval of the whole box and,
-    half of the time, one more, so that most of its steps are 1 x 1; and the
-    same module with one entry of one given step changed."""
+    """The data of a random commutative module over F2, F5 or Q on 2 or 3
+    axes, with a random basis change at every point: the interval of the
+    whole box and, half of the time, one more, so that most of its steps
+    are 1 x 1; and the same data with one entry of one given step changed."""
     field = draw(st.sampled_from([F2, F5, QQ]))
     rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
     box = _random_box(rng, draw(st.integers(2, 3)))
@@ -667,17 +712,17 @@ def scalar_modules(draw):
         i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(rows[0]) - 1))
         rows[i][j] += field.one
         changed[key] = Matrix(field, rows, len(rows[0]))
-    return [GridModule(field, base.box, dict(base.dims), given) for given in (steps, changed)]
+    return [(field, base.box, dict(base.dims), given) for given in (steps, changed)]
 
 
 class TestScalarSquares:
     @settings(max_examples=300, deadline=None)
     @given(scalar_modules())
-    def test_scalar_squares_match_products(self, modules):
+    def test_scalar_squares_match_products(self, datas):
         """Squares whose four spaces have dimension one are compared on the
         products of their entries; the verdict and the failing square are
         those of ``Matrix`` products, on the module and with one entry
         changed."""
-        for module in modules:
-            fast, slow = validate_module(module), validate_by_products(module)
+        for data in datas:
+            fast, slow = built(*data), validate_by_products(*data)
             assert (fast.ok, fast.message, fast.square) == (slow.ok, slow.message, slow.square)

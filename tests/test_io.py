@@ -8,9 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from detmod import (Box, ExtendedView, GridModule, InputError, Matrix, NEG_INF, QQ,
-                    build_presentation, ext_box, point_sort_key, restrict_view,
-                    validate_module)
+from detmod import (Box, GridModule, InputError, Matrix, NEG_INF, QQ,
+                    build_presentation, ext_box, point_sort_key, restrict_view)
 from detmod.extgrid import as_product
 from detmod.io import (box_from_json, canonical_dumps, decode_point,
                        detect_kind, diagram_from_json, diagram_to_json,
@@ -104,7 +103,6 @@ class TestModuleRoundtrip:
                 assert again.box == m.box
                 assert again.dims == m.dims
                 assert every_step(again) == every_step(m)
-                assert validate_module(again).ok
 
     def test_omitted_maps_default_to_zero(self):
         obj = {"field": {"kind": "prime", "p": 2}, "n": 1,
@@ -171,7 +169,7 @@ class TestNoZeroFill:
                 assert len(obj["maps"]) == len(module.given)
                 assert len(made) == len(by_matrix) and all(len(v) == 1 for v in by_matrix.values())
                 shared_entries += len(obj["maps"]) - len(by_matrix)
-                assert validate_module(module).ok and zeros == []
+                assert zeros == []
                 assert all(module.step(*e) is m for e, m in given_steps(module).items())
                 shared = {}
                 for key, m in every_step(module).items():
@@ -185,7 +183,6 @@ class TestNoZeroFill:
                "box": {"a": [0, 0], "b": [99, 99]}, "dims": [1] * 10_000, "maps": []}
         module = module_from_json(obj)
         assert len(given_steps(module)) == 0 and module.given == {}
-        assert validate_module(module).ok
         assert module.step((5, 7), 1) is module.step((7, 5), 0) is Matrix.zeros(F2, 1, 1)
         assert module.step((5, 7), 1).is_zero()
 
@@ -217,9 +214,9 @@ class TestCanonicalDumps:
 
 class TestDiagramRoundtrip:
     def test_roundtrip(self):
-        view = ExtendedView(corner_module(F2))
+        module = corner_module(F2)
         from detmod import ext_box
-        diagram = restrict_view(view, ext_box(Box((1, 1), (1, 1))).points())
+        diagram = restrict_view(module, ext_box(Box((1, 1), (1, 1))).points())
         again = diagram_from_json(diagram_to_json(diagram))
         assert again.points == diagram.points
         assert again.dims == diagram.dims
@@ -238,9 +235,9 @@ class TestDiagramRoundtrip:
         rng = random.Random(19)
         for _ in range(20):
             pts = sorted(random_point_set(rng, 2, max_size=8) | {(0, 0)}, key=point_sort_key)
-            view = ExtendedView(random_module(F5, rng))
+            module = random_module(F5, rng)
             for points in (pts, ext_box(Box((0, 0), (1, 2))).sorted_points()):
-                obj = diagram_to_json(restrict_view(view, points))
+                obj = diagram_to_json(restrict_view(module, points))
                 with monkeypatch.context() as m:
                     if as_product(points) is not None:
                         m.setattr(linalg, "poset_covers", None)  # the diagram decides its covers
@@ -260,8 +257,8 @@ class TestDiagramRoundtrip:
 class TestPresentationRoundtrip:
     def test_roundtrip(self):
         rng = random.Random(7)
-        view = ExtendedView(random_module(F5, rng))
-        pres = build_presentation(view, canonical_set(view.module))
+        module = random_module(F5, rng)
+        pres = build_presentation(module, canonical_set(module))
         again = presentation_from_json(presentation_to_json(pres))
         assert again.generators == pres.generators
         assert again.relations == pres.relations
@@ -269,8 +266,8 @@ class TestPresentationRoundtrip:
         assert all(again.blocks[k] == pres.blocks[k] for k in pres.blocks)
 
     def test_generator_images_roundtrip(self):
-        view = ExtendedView(random_module(QQ, random.Random(11), max_summands=4))
-        pres = build_presentation(view, canonical_set(view.module))
+        module = random_module(QQ, random.Random(11), max_summands=4)
+        pres = build_presentation(module, canonical_set(module))
         obj = presentation_to_json(pres)
         assert [e["point"] for e in obj["generator_images"]] == \
             [e["point"] for e in obj["generators"]]
@@ -424,7 +421,6 @@ class TestMalformedModules:
             module = module_from_json(_module_obj(field))
             assert given_steps(module)[((0, 1), 0)].entries() in (((1,), (2,)),
                                                                   ((QQ.one,), (2 * QQ.one,)))
-            assert validate_module(module).ok
 
     def test_entries_are_reduced_into_the_field(self):
         module = module_from_json(_module_obj(matrix=[[-4]]))
@@ -440,7 +436,10 @@ def _padded(obj, at: int):
     its own: ``at`` of them before, the rest after.  The points of the old
     box keep their dimensions and no padding entry gives a step of the old
     box along axis 1, so each entry of ``obj`` means what it meant there.
-    The padding repeats a few matrices, and over Q it holds strings."""
+    So the module commutes, the two padding steps of the old box are zero,
+    as they are in ``obj``, which leaves them out, and a padding step from
+    dimension 1 into 2 is [1, 2]^T, as the second map of ``obj`` is.  The
+    padding repeats a few matrices, and over Q it holds strings."""
     box, top = Box((0, 0), (1, 67)), (1, 67)
     dims = {p: 2 if p[0] and p[1] else 1 for p in box.integer_points()}
     padding = []
@@ -449,9 +448,10 @@ def _padded(obj, at: int):
         for axis in (0, 1):
             q = p[:axis] + (p[axis] + 1,) + p[axis + 1:]
             if p[axis] < top[axis] and not (axis == 0 and p[1] < 2):
+                matrix = [[one if i == j and p[1] else 0 for j in range(dims[p])]
+                          for i in range(dims[q])]
                 padding.append({"from": list(p), "axis": axis + 1,
-                                "matrix": [[one if i == j else 0 for j in range(dims[p])]
-                                           for i in range(dims[q])]})
+                                "matrix": [[one], [2]] if dims[p] < dims[q] and p[1] else matrix})
     assert len(padding) == 200
     maps = obj["maps"] if isinstance(obj["maps"], list) else []
     return {**obj, "box": {"a": [0, 0], "b": list(top)}, "dims": list(dims.values()),
@@ -567,9 +567,9 @@ class TestAmongValidEntries:
             assert all((m.rows, m.den) == (again.given[k].rows, again.given[k].den)
                        for k, m in first.given.items())
         padded = module_from_json(_padded(_module_obj(), 100))
-        again = module_from_json(module_to_json(padded))
+        again = module_from_json(module_to_json(padded))  # which leaves the zero steps out
         assert all((m.rows, m.den) == (again.given[k].rows, again.given[k].den)
-                   for k, m in padded.given.items())
+                   if k in again.given else m.is_zero() for k, m in padded.given.items())
 
     @pytest.mark.parametrize("matrix_first", [True, False], ids=["matrix-first", "structure-first"])
     @pytest.mark.parametrize("structure", list(MODULE_STRUCTURE_FAULTS))
@@ -863,7 +863,6 @@ class TestLazySteps:
         module = module_from_json(obj)
         assert len(module.given) == len(obj["maps"]) > 0
         assert all(type(m) is Matrix for m in module.given.values())
-        assert validate_module(module).ok
 
     def test_matrix_made_once_and_kept(self):
         module = module_from_json(_module_obj())
@@ -899,13 +898,12 @@ class TestLazySteps:
         rng = random.Random(9)
         for field in (F2, QQ):
             module = module_from_json(module_to_json(random_module(field, rng)))
-            view = ExtendedView(module)
             del tested[:]
             # the canonical set holds every axis point, so no step is a candidate
-            assert is_S_determined(view, canonical_set(module)).holds
+            assert is_S_determined(module, canonical_set(module)).holds
             assert tested == []
             s = frozenset(p for p in canonical_set(module) if p.count(NEG_INF) != 1)
             witness = _first_failing_step(module, s)
             # only given steps, tested on their own rows
             assert all(any(rows is m.rows for m in module.given.values()) for rows in tested)
-            assert is_S_determined(view, s).witness == witness
+            assert is_S_determined(module, s).witness == witness

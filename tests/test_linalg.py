@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from detmod import (Box, CartesianSet, DiagramCheck, ExtendedView, InputError, Matrix, NEG_INF,
+from detmod import (Box, CartesianSet, DiagramCheck, InputError, Matrix, NEG_INF,
                     PosetDiagram, PrimeField, QQ, RationalField, cokernel_projection,
                     diagrams_isomorphic, hstack, is_invertible, join_closure, kernel_basis,
                     leq, pointed_closure, poset_covers, rank, restrict_view, solve,
@@ -576,10 +576,10 @@ def _encodings(field, rng, count: int) -> list:
     sets (products) and of random sets with a point in the box (mostly not)."""
     encodings = []
     for trial in range(count):
-        view = ExtendedView(random_module(field, rng))
-        s = canonical_set(view.module) if trial % 3 == 0 else \
-            random_point_set(rng, 2, max_size=4) | {view.box.a}
-        encodings.append(restrict_view(view, pointed_closure(s)))
+        module = random_module(field, rng)
+        s = canonical_set(module) if trial % 3 == 0 else \
+            random_point_set(rng, 2, max_size=4) | {module.box.a}
+        encodings.append(restrict_view(module, pointed_closure(s)))
     assert {enc.product is None for enc in encodings} == {True, False}
     return encodings
 
@@ -801,8 +801,8 @@ class TestValidation:
             if len(pts) < 4 or as_product(pts) is not None:
                 continue
             box = Box((0,) * nparams, (4 - nparams,) * nparams)
-            view = ExtendedView(random_module(field, rng, box=box, max_summands=4))
-            restricted = restrict_view(view, pts)
+            module = random_module(field, rng, box=box, max_summands=4)
+            restricted = restrict_view(module, pts)
             covers = restricted.covers()
             maps = dict(restricted.maps)
             edge = rng.choice(covers)
@@ -840,7 +840,7 @@ class TestValidation:
                 factors.append(coords + [NEG_INF] if rng.random() < 0.5 else coords)
             grid = CartesianSet(tuple(factors))
             box = Box((0,) * nparams, (2,) * nparams)
-            restricted = restrict_view(ExtendedView(random_module(field, rng, box=box)), grid)
+            restricted = restrict_view(random_module(field, rng, box=box), grid)
             covers, dims = restricted.covers(), restricted.dims
             shifted = dict(restricted.maps)
             if covers:

@@ -27,7 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from detmod import (Box, ExtendedView, QQ, build_presentation, canonical_set, encode,
+from detmod import (Box, QQ, build_presentation, canonical_set, encode,
                     sort_points)
 from detmod import io as dio
 from detmod.cli import main
@@ -71,13 +71,12 @@ def bases() -> tuple:
     out = []
     for obj in modules:
         module = dio.module_from_json(obj)
-        view = ExtendedView(module)
         pts = determining if module.box.dim == 2 and module.box.a == (0, 0) \
             else [dio.encode_point(p) for p in sort_points(canonical_set(module))]
         s = dio.pointset_from_json(pts, dim=module.box.dim)
         out.append({"module": obj, "set": pts,
-                    "diagram": dio.diagram_to_json(encode(view, s)),
-                    "presentation": dio.presentation_to_json(build_presentation(view, s))})
+                    "diagram": dio.diagram_to_json(encode(module, s)),
+                    "presentation": dio.presentation_to_json(build_presentation(module, s))})
     return tuple(out)
 
 
